@@ -684,6 +684,8 @@ def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
     stdout = stdout or sys.stdout
     if steps < 1:
         raise ConfigError("steps must be a positive integer")
+    if not math.isfinite(eps):
+        raise ConfigError("eps must be a finite number")
     pair = config.build_pair()
     h = config.hamiltonian()
     trajectory = []
@@ -734,6 +736,11 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
 def cmd_special(config: ExperimentConfig, mu: int, nu: int,
                 stdout=None) -> int:
     stdout = stdout or sys.stdout
+    if mu == 0 or nu == 0:
+        raise ConfigError("--mu and --nu must be nonzero")
+    if config.order < abs(mu) + abs(nu) + 2:
+        raise ConfigError(f"order {config.order} must exceed |mu| + |nu| + 1 "
+                          f"= {abs(mu) + abs(nu) + 1}")
     pair = config.build_pair()
     sp = SP.special_coords(pair, mu, nu)
     case = SP.MonomialCase(mu, nu)

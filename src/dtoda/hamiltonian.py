@@ -140,9 +140,9 @@ def partials(h) -> Tuple[MonomialSum, MonomialSum, MonomialSum]:
 def eval_along(ms, pair, window, depth: int | None = None) -> LaurentSeries:
     """Substitute z1 = g(w), z2 = f(w) and clip to ``window``.
 
-    ``depth`` controls the geometric-series truncation used for negative
-    powers; the default is generous enough that the result's reliability
-    claim covers the requested window.
+    ``depth`` is the truncation depth of the Newton-doubling reciprocal
+    behind negative powers (``series.int_pow``); the default is generous
+    enough that the result's reliability claim covers the requested window.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:

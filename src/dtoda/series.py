@@ -26,10 +26,12 @@ with sub-leading coefficients, and dropped x dropped terms, are of the
 order of the dropped coefficients themselves; with geometrically decaying
 tails and the window depths used throughout this package they sit far
 below every tolerance in the verification suite, and are waived.  The
-iterative solvers (Neumann reciprocal, Newton functional inversion) claim
-their output reliability from their convergence analysis rather than from
-interval propagation through every intermediate; round-trip identities in
-the test-suite check those claims directly.
+iterative solvers (Newton-doubling reciprocal, Newton functional
+inversion) and ``log1p``, taken as the integral of u' / (1 + u) on that
+reciprocal, claim their output reliability from their truncation and
+convergence analysis rather than from interval propagation through every
+intermediate; round-trip identities and 40-digit oracles in the
+test-suite check those claims directly.
 
 All coefficients are complex doubles, all operations are pure (inputs are
 never mutated) and deterministic: identical inputs give bit-identical
@@ -430,39 +432,87 @@ def _decay_step(u: LaurentSeries) -> int:
     return step
 
 
-def _geometric_sum(u: LaurentSeries, depth: int) -> LaurentSeries:
-    """(1 + u)**-1 = sum over k of (-u)**k, truncated ``depth`` orders out.
+def _germ_array(u: LaurentSeries, n: int) -> np.ndarray:
+    """Coefficients of u at local orders 0..n, dense.
+
+    Local order i is the exponent ``i`` for AT_ZERO and ``-i`` for
+    AT_INFINITY, so both flavors decay toward higher local orders.
+    """
+    out = np.zeros(n + 1, dtype=np.complex128)
+    if u.flavor == AT_ZERO:
+        coeffs, start = u.coeffs, u.lo_exp
+    else:
+        coeffs, start = u.coeffs[::-1], -u.hi_exp
+    lo, hi = max(start, 0), min(start + coeffs.size - 1, n)
+    if lo <= hi:
+        out[lo : hi + 1] = coeffs[lo - start : hi - start + 1]
+    return out
+
+
+def _from_germ_array(local: np.ndarray, flavor: str, reliable: tuple) -> LaurentSeries:
+    """Inverse of `_germ_array`: local orders 0..n back to exponents."""
+    if flavor == AT_ZERO:
+        return LaurentSeries(0, local, flavor, reliable)
+    return LaurentSeries(1 - local.size, local[::-1], flavor, reliable)
+
+
+def _germ_reliable(u: LaurentSeries, depth: int) -> tuple:
+    """Reliability of a series in u truncated ``depth`` local orders out.
+
+    min(depth, u's own edge) in the flavor direction, unbounded on the
+    exact side.
+    """
+    if u.flavor == AT_ZERO:
+        return (NEG_INF, min(depth, u.reliable[1]))
+    return (max(-depth, u.reliable[0]), POS_INF)
+
+
+def _power_sum_reach(u: LaurentSeries, step: int, depth: int) -> int:
+    """Highest local order stored for a series in u truncated at ``depth``.
+
+    Powers u**k with k * step <= depth are the ones that reach into the
+    window, and u**k ends k times u's outermost stored order out.  Storing
+    no further keeps sparse and short inputs narrow: orders past the reach
+    are exactly zero in the truncated series.
+    """
+    if step == 0:
+        return 0
+    extent = u.hi_exp if u.flavor == AT_ZERO else -u.lo_exp
+    return max(0, min(depth, (depth // step) * extent))
+
+
+def _newton_reciprocal(a: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of 1/a for a dense power series with a[0] == 1.
+
+    Newton doubling: r <- r * (2 - a * r) mod x**m doubles the number of
+    correct coefficients per step, so ceil(log2 n) steps suffice.
+    """
+    r = np.ones(1, dtype=np.complex128)
+    m = 1
+    while m < n:
+        m = min(2 * m, n)
+        e = -np.convolve(a[:m], r)[:m]
+        e[0] += 2.0
+        r = np.convolve(r, e)[:m]
+    return r
+
+
+def _reciprocal(u: LaurentSeries, depth: int) -> LaurentSeries:
+    """(1 + u)**-1 truncated ``depth`` orders out, by Newton doubling.
 
     u must have zero constant term and strict one-sided support in its
     flavor direction.  The result's reliability is claimed from the
-    truncation analysis: min(depth, u's own edge) in the flavor direction,
-    unbounded on the exact side.
+    truncation analysis (`_germ_reliable`).
     """
     if abs(u.coeff(0)) != 0.0:
-        raise SeriesError("geometric sum needs zero constant term")
-    if u.flavor == AT_ZERO:
-        window = (0, depth)
-    elif u.flavor == AT_INFINITY:
-        window = (-depth, 0)
-    else:
-        raise SeriesError("geometric sum needs a germ flavor")
-    step = _decay_step(u)
-    acc = constant(1.0, u.flavor)
-    if step:
-        term = constant(1.0, u.flavor)
-        neg_u = _strip(scale(u, -1.0))
-        k = 1
-        while k * step <= depth:
-            term = clip(mul(term, neg_u), window[0], window[1])
-            if float(np.max(np.abs(term.coeffs))) == 0.0:
-                break
-            acc = add(acc, _strip(term))
-            k += 1
-    if u.flavor == AT_ZERO:
-        r_hi = min(depth, u.reliable[1])
-        return LaurentSeries(acc.lo_exp, acc.coeffs, u.flavor, (NEG_INF, r_hi))
-    r_lo = max(-depth, u.reliable[0])
-    return LaurentSeries(acc.lo_exp, acc.coeffs, u.flavor, (r_lo, POS_INF))
+        raise SeriesError("reciprocal needs zero constant term")
+    if u.flavor not in (AT_ZERO, AT_INFINITY):
+        raise SeriesError("reciprocal needs a germ flavor")
+    n = _power_sum_reach(u, _decay_step(u), depth)
+    a = _germ_array(u, n)
+    a[0] = 1.0
+    return _from_germ_array(_newton_reciprocal(a, n + 1), u.flavor,
+                            _germ_reliable(u, depth))
 
 
 def _local_depth(depth, fallback_width: int) -> int:
@@ -475,8 +525,8 @@ def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries
     """Integer power a**k.
 
     k >= 0: repeated squaring of the exact windowed product.  k < 0:
-    factor a = c * w**j * (1+u) (`split_normalize`), invert by the
-    geometric series on u truncated ``depth`` local orders past the
+    factor a = c * w**j * (1+u) (`split_normalize`), invert 1+u by the
+    Newton-doubling reciprocal truncated ``depth`` local orders past the
     leading term, then raise the reciprocal to |k| by repeated squaring.
     """
     k = int(k)
@@ -495,47 +545,36 @@ def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries
         return result
     c, j, u = split_normalize(a)
     depth = _local_depth(depth, a.width)
-    inv = _geometric_sum(u, depth)
+    inv = _reciprocal(u, depth)
     rec = shift(scale(inv, 1.0 / c), -j)
     return rec if k == -1 else int_pow(rec, -k)
 
 
 def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:
-    """log(1 + u) as the alternating power sum, truncated at ``depth``.
+    """log(1 + u) truncated at ``depth``, as the integral of u' / (1 + u).
 
+    In the local variable x (w for AT_ZERO, 1/w for AT_INFINITY) this is
+    one Newton reciprocal, one product and a termwise integral from x = 0.
     u must have exactly zero constant term and strictly one-sided support
-    in its flavor direction.
+    in its flavor direction; the reliability claim is the reciprocal's.
     """
     if abs(u.coeff(0)) != 0.0:
         raise SeriesError("log1p: nonzero constant term")
-    if u.flavor == AT_ZERO:
-        exact_side_lo = True
-    elif u.flavor == AT_INFINITY:
-        exact_side_lo = False
-    else:
+    if u.flavor not in (AT_ZERO, AT_INFINITY):
         raise SeriesError("log1p needs a germ flavor (AtZero or AtInfinity)")
     depth = _local_depth(depth, u.width)
     step = _decay_step(u)
     if step == 0:
         return LaurentSeries(0, np.zeros(1), u.flavor, u.reliable)
-    window = (0, depth) if exact_side_lo else (-depth, 0)
-    acc = zero(u.flavor)
-    power = constant(1.0, u.flavor)
-    u_raw = _strip(u)
-    sign = 1.0
-    k = 1
-    while k * step <= depth:
-        power = clip(mul(power, u_raw), window[0], window[1])
-        if float(np.max(np.abs(power.coeffs))) == 0.0:
-            break
-        acc = add(acc, scale(power, sign / k))
-        sign = -sign
-        k += 1
-    if exact_side_lo:
-        r_hi = min(depth, u.reliable[1])
-        return LaurentSeries(acc.lo_exp, acc.coeffs, u.flavor, (NEG_INF, r_hi))
-    r_lo = max(-depth, u.reliable[0])
-    return LaurentSeries(acc.lo_exp, acc.coeffs, u.flavor, (r_lo, POS_INF))
+    n = _power_sum_reach(u, step, depth)
+    a = _germ_array(u, n)
+    out = np.zeros(n + 1, dtype=np.complex128)
+    if n:
+        orders = np.arange(1, n + 1)
+        du = a[1:] * orders
+        a[0] = 1.0
+        out[1:] = np.convolve(du, _newton_reciprocal(a, n))[:n] / orders
+    return _from_germ_array(out, u.flavor, _germ_reliable(u, depth))
 
 
 # ---------------------------------------------------------------------------

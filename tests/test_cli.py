@@ -6,6 +6,9 @@ byte on repeated runs.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,13 +16,24 @@ import pytest
 from dtoda import cli
 from dtoda.cli import CHECKS, ConfigError, load_config, run_checks
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(argv):
+    """Run ``dtoda`` in a fresh interpreter: exit code and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "dtoda.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -263,6 +277,25 @@ def test_flow_rejects_nonpositive_steps(capsys):
          "--n", "1", "--eps", "0.01", "--steps", "0"], capsys)
     assert code == 2
     assert "steps" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_flow_rejects_nonfinite_eps(eps):
+    code, err = run_cli_process(
+        ["flow", str(CONFIGS / "fixture_identity.json"),
+         "--n", "1", "--eps", eps, "--steps", "1"])
+    assert code == 2
+    assert "eps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mu, nu", [(0, 1), (1, 0), (10, 5)])
+def test_special_rejects_bad_exponents(mu, nu):
+    # fixture_sigma has order 16: (10, 5) leaves no coordinate window
+    code, err = run_cli_process(
+        ["special", str(CONFIGS / "fixture_sigma.json"),
+         "--mu", str(mu), "--nu", str(nu)])
+    assert code == 2
+    assert "dtoda: error:" in err and "Traceback" not in err
 
 
 def test_sigma_report(capsys):

@@ -2,12 +2,13 @@
 
 Every expected value here is either computed by an independent method in
 the test itself (brute-force convolution, binomial/geometric/Taylor
-closed forms, pointwise numerical evaluation) or is elementary enough to
-verify by hand in one line.
+closed forms, pointwise numerical evaluation, 40-digit mpmath
+recurrences) or is elementary enough to verify by hand in one line.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -500,3 +501,145 @@ def test_int_pow_matches_iterated_mul(k, a):
         direct = S.mul(direct, a)
     bound = max(1.0, float(np.max(np.abs(a.coeffs)))) ** max(k, 1)
     assert S.max_abs_diff_reliable(viapow, direct) <= 1e-12 * bound
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: reciprocal and log1p against 40-digit mpmath
+
+
+MP_DIGITS = 40
+
+
+def power_sum_reference(u: LaurentSeries, depth: int, weight) -> LaurentSeries:
+    """sum_k weight(k) * u**k, one clipped product per order of depth.
+
+    The term-by-term sum the Newton kernels replaced, kept as the
+    reference for the stored window and the reliability claim.
+    """
+    window = (0, depth) if u.flavor == AT_ZERO else (-depth, 0)
+    step = S._decay_step(u)
+    acc = S.constant(weight(0), u.flavor)
+    power = S.constant(1.0, u.flavor)
+    bare = LaurentSeries(u.lo_exp, u.coeffs, u.flavor)
+    k = 1
+    while step and k * step <= depth:
+        power = S.clip(S.mul(power, bare), *window)
+        acc = S.add(acc, S.scale(power, weight(k)))
+        k += 1
+    if u.flavor == AT_ZERO:
+        reliable = (S.NEG_INF, min(depth, u.reliable[1]))
+    else:
+        reliable = (max(-depth, u.reliable[0]), S.POS_INF)
+    return LaurentSeries(acc.lo_exp, acc.coeffs, u.flavor, reliable)
+
+
+def geometry(a: LaurentSeries) -> tuple:
+    return a.lo_exp, a.width, a.flavor, a.reliable
+
+
+def local_exponent(flavor: str, i: int) -> int:
+    return i if flavor == AT_ZERO else -i
+
+
+def mp_series(a: LaurentSeries, j: int, n: int) -> list:
+    """40-digit coefficients of a / w**j at local orders 0..n-1."""
+    return [mp.mpc(a.coeff(j + local_exponent(a.flavor, i))) for i in range(n)]
+
+
+def mp_reciprocal(b: list) -> list:
+    r = [1 / b[0]]
+    for k in range(1, len(b)):
+        r.append(-sum(b[i] * r[k - i] for i in range(1, k + 1)) / b[0])
+    return r
+
+
+def mp_product(x: list, y: list) -> list:
+    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
+
+
+def mp_log(b: list) -> list:
+    """log(b) - log(b[0]) by k L_k = k b_k - sum_{i<k} i L_i b_{k-i} (b[0] = 1)."""
+    ell = [mp.mpc(0)]
+    for k in range(1, len(b)):
+        acc = k * b[k] - sum(i * ell[i] * b[k - i] for i in range(1, k))
+        ell.append(acc / k)
+    return ell
+
+
+def assert_matches_oracle(got: LaurentSeries, j: int, want: list, tol: float):
+    """Every stored coefficient inside the claimed window equals the oracle."""
+    checked = 0
+    for i, value in enumerate(want):
+        k = j + local_exponent(got.flavor, i)
+        if got.is_reliable(k) and got.lo_exp <= k <= got.hi_exp:
+            assert abs(got.coeff(k) - complex(value)) <= tol, (k, got.coeff(k), value)
+            checked += 1
+    assert checked > 0
+
+
+@st.composite
+def germ_u(draw):
+    """u with zero constant term decaying in its flavor direction.
+
+    Decay step 1-3; a sparse u uses only multiples of the step.  The
+    coefficients' moduli sum to at most 0.2, so 1/(1+u) and its cube keep
+    their largest coefficient on the leading term.  Some draws carry a
+    finite reliability edge; ``depth`` ranges below and above the width.
+    """
+    flavor = draw(st.sampled_from([AT_ZERO, AT_INFINITY]))
+    step = draw(st.integers(min_value=1, max_value=3))
+    sparse = draw(st.booleans())
+    n_terms = draw(st.integers(min_value=1, max_value=6))
+    orders = [step * (k + 1) if sparse else step + k for k in range(n_terms)]
+    cs = np.array(draw(st.lists(coef, min_size=n_terms, max_size=n_terms)),
+                  dtype=np.complex128)
+    cs[0] = cs[0] if cs[0] != 0 else 1.0
+    cs *= draw(st.floats(min_value=0.01, max_value=0.2)) / np.sum(np.abs(cs))
+    pairs = {local_exponent(flavor, i): c for i, c in zip(orders, cs)}
+    reliable = None
+    if draw(st.booleans()):
+        edge = draw(st.integers(min_value=step, max_value=orders[-1] + 8))
+        reliable = ((S.NEG_INF, edge) if flavor == AT_ZERO
+                    else (-edge, S.POS_INF))
+    u = LaurentSeries.from_pairs(pairs, flavor, reliable)
+    depth = draw(st.integers(min_value=max(1, orders[-1] - 6),
+                             max_value=orders[-1] + 24))
+    return u, depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(germ_u(),
+       st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0,
+                          allow_nan=False, allow_infinity=False),
+       st.integers(min_value=-2, max_value=2))
+def test_negative_powers_match_mpmath(case, c, j):
+    u, depth = case
+    a = S.shift(S.scale(S.add(S.constant(1.0, u.flavor), u), c), j)
+    with mp.workdps(MP_DIGITS):
+        rec_mp = mp_reciprocal(mp_series(a, j, depth + 1))
+        cube_mp = mp_product(rec_mp, mp_product(rec_mp, rec_mp))
+    rec = S.int_pow(a, -1, depth=depth)
+    cube = S.int_pow(a, -3, depth=depth)
+    assert_matches_oracle(rec, -j, rec_mp, 1e-13)
+    assert_matches_oracle(cube, -3 * j, cube_mp, 1e-13)
+
+    c0, j0, u0 = S.split_normalize(a)
+    ref = S.shift(S.scale(power_sum_reference(u0, depth, lambda k: (-1.0) ** k),
+                          1.0 / c0), -j0)
+    assert geometry(rec) == geometry(ref)
+    assert geometry(cube) == geometry(S.int_pow(ref, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(germ_u())
+def test_log1p_matches_mpmath(case):
+    u, depth = case
+    with mp.workdps(MP_DIGITS):
+        one_plus_u = mp_series(u, 0, depth + 1)
+        one_plus_u[0] += 1
+        log_mp = mp_log(one_plus_u)
+    got = S.log1p(u, depth=depth)
+    assert_matches_oracle(got, 0, log_mp, 1e-14)
+    ref = power_sum_reference(u, depth,
+                              lambda k: 0.0 if k == 0 else (-1.0) ** (k + 1) / k)
+    assert geometry(got) == geometry(ref)

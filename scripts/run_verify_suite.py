@@ -5,11 +5,10 @@ collects the reports into one table so a single invocation answers "is
 the laboratory healthy".  Exit code 1 if any battery has a failure.
 
 Usage:
-    python scripts/run_verify_suite.py [--configs DIR] [--threads K]
+    python scripts/run_verify_suite.py [--configs DIR]
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -22,14 +21,10 @@ def main() -> int:
     ap.add_argument("--configs", default=None,
                     help="directory of experiment configs "
                          "(default: configs/ next to this script)")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="override DTODA_THREADS for this run")
     args = ap.parse_args()
 
     root = Path(args.configs) if args.configs else \
         Path(__file__).resolve().parents[1] / "configs"
-    if args.threads is not None:
-        os.environ["DTODA_THREADS"] = str(args.threads)
 
     paths = sorted(root.glob("*.json"))
     if not paths:

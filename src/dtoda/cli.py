@@ -17,9 +17,9 @@ Conventions shared by every command:
 * exit codes: 0 success, 1 at least one verify check failed, 2 the
   config or the command line is malformed.
 
-The ``verify`` battery may run checks on several threads (environment
-variable ``DTODA_THREADS``); the report is always ordered by check
-name, so parallelism never changes the output.
+The ``verify`` battery runs its checks one after another, in order of
+check name.  The checks hold the interpreter lock on small arrays, so
+worker threads would only slow the battery down.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -509,19 +507,6 @@ CHECKS: Dict[str, Tuple[float, Callable[[CheckContext], float]]] = {
 }
 
 
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("DTODA_THREADS")
-    if raw is None:
-        return max(1, min(4, n_jobs))
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("DTODA_THREADS must be a positive integer")
-    if n < 1:
-        raise ConfigError("DTODA_THREADS must be a positive integer")
-    return n
-
-
 def run_checks(config: ExperimentConfig,
                names: Optional[Sequence[str]] = None) -> List[dict]:
     """Run the selected checks; results sorted by check name.
@@ -558,13 +543,7 @@ def run_checks(config: ExperimentConfig,
                 "passed": residual <= tol,
                 "seconds": time.perf_counter() - start, "error": error}
 
-    workers = _thread_count(len(names))
-    if workers == 1:
-        results = [one(name) for name in names]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, names))
-    return sorted(results, key=lambda r: r["name"])
+    return [one(name) for name in names]
 
 
 def _render_verify(results: List[dict]) -> Tuple[str, str]:
@@ -713,8 +692,14 @@ def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
 def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
     pair = config.build_pair()
+    if pair.b.imag != 0.0:
+        raise ConfigError("config field 'pair': the reflection reduction needs a "
+                          f"real leading coefficient b, got b = {pair.b}")
     h = config.hamiltonian()
-    R.require_sigma_admissible(h)
+    try:
+        R.require_sigma_admissible(h)
+    except R.SigmaAdmissibilityError as exc:
+        raise ConfigError(f"config field 'hamiltonian': {exc}") from exc
     order = min(8, config.order)
     reality = R.sigma_coordinate_check(pair.g, h, order)
     green = R.green_identity_check(pair.g, h, order)

@@ -147,22 +147,16 @@ def sigma_image(s: LaurentSeries, order: int, depth: int | None = None) -> Laure
             {1 - k: np.conj(s.coeff(k)) for k in range(s.lo_exp, 2)}, AT_ZERO,
         )
         q = S.int_pow(p, -1, depth=depth)
-        f = S.clip(S.shift(q, 1), 1, order + 1)
-        arr = np.zeros(order + 1, dtype=np.complex128)
-        lo, hi = max(1, f.lo_exp), min(order + 1, f.hi_exp)
-        arr[lo - 1 : hi] = f.coeffs[lo - f.lo_exp : hi - f.lo_exp + 1]
-        return LaurentSeries(1, arr, AT_ZERO, (NEG_INF, order + 1))
+        return LaurentSeries(1, S.dense(S.shift(q, 1), 1, order + 1), AT_ZERO,
+                             (NEG_INF, order + 1))
     if s.flavor == AT_ZERO:
         # s = sum_{j>=1} a_j w^j  ->  p = sum_{j>=1} conj(a_j) w^{1-j}  (AtInfinity, top exp 0)
         p = LaurentSeries.from_pairs(
             {1 - j: np.conj(s.coeff(j)) for j in range(1, s.hi_exp + 1)}, AT_INFINITY,
         )
         q = S.int_pow(p, -1, depth=depth)
-        g = S.clip(S.shift(q, 1), -order, 1)
-        arr = np.zeros(order + 2, dtype=np.complex128)
-        lo, hi = max(-order, g.lo_exp), min(1, g.hi_exp)
-        arr[lo + order : hi + order + 1] = g.coeffs[lo - g.lo_exp : hi - g.lo_exp + 1]
-        return LaurentSeries(-order, arr, AT_INFINITY, (-order, POS_INF))
+        return LaurentSeries(-order, S.dense(S.shift(q, 1), -order, 1), AT_INFINITY,
+                             (-order, POS_INF))
     raise SeriesError("sigma_image needs a germ flavor")
 
 
@@ -171,12 +165,14 @@ def sigma_conjugate(g: LaurentSeries, order: int | None = None) -> ConformalPair
 
     f is 1/conj(g(1/conj(w))) truncated at the pair's order, with the
     reliability edge recorded at order+1.  The normalization a1*b = 1
-    then requires b to be real; a complex b surfaces as the usual
-    normalization error from the pair constructor.
+    then requires b to be real; a complex b raises NormalizationError.
     """
     if order is None:
         order = max(1 - g.lo_exp, 1)
     order = int(order)
+    if g.coeff(1).imag != 0.0:
+        raise NormalizationError("reflection pair needs a real leading "
+                                 f"coefficient b, got b = {g.coeff(1)}")
     g_can = _canonical_g({k: g.coeff(k) for k in range(g.lo_exp, g.hi_exp + 1)}, order,
                          reliable=g.reliable)
     f = sigma_image(g_can, order)

@@ -177,17 +177,6 @@ def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float
     return defect
 
 
-def _compose_tail(coeffs, base: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
-    """sum_{n=1..len} coeffs[n-1] * base**n via Horner with clipping."""
-    acc = None
-    for cn in reversed(list(coeffs)):
-        head = S.constant(cn) if acc is None else S.add(S.constant(cn), acc)
-        acc = S.clip(S.mul(head, base), lo, hi)
-    if acc is None:
-        return S.zero()
-    return acc
-
-
 def log_tau(pair, h: HamiltonianH, t: Dict[int, complex], v: Dict[int, complex],
             v0: complex):
     """(Z1, Z2, Z3, logT, z2_closed) for a pure two-variable potential."""
@@ -200,10 +189,8 @@ def log_tau(pair, h: HamiltonianH, t: Dict[int, complex], v: Dict[int, complex],
     z1_part = t[0] * v0 / 2.0
 
     g_inv = S.int_pow(pair.g, -1, depth=depth)
-    phi_g = _compose_tail([v[n] / n for n in range(1, order + 1)],
-                          g_inv, -width, width)
-    psi_f = _compose_tail([v[-n] / n for n in range(1, order + 1)],
-                          pair.f, -width, width)
+    phi_g = S.horner([v[n] / n for n in range(1, order + 1)], g_inv, (-width, width))
+    psi_f = S.horner([v[-n] / n for n in range(1, order + 1)], pair.f, (-width, width))
     z2_part = (S.residue_mul(m1, phi_g) + S.residue_mul(m2, psi_f)) / 2.0
 
     j1, j2 = j_pair(h)

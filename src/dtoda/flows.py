@@ -27,8 +27,6 @@ with t0-derivatives given by the n = 0 field.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import series as S
 from .series import AT_INFINITY, AT_ZERO, LaurentSeries, SeriesError
 from .conformal_pair import ConformalPair, from_coefficients
@@ -55,27 +53,6 @@ class FlowField:
     u_series: LaurentSeries
     dg: LaurentSeries
     df: LaurentSeries
-
-
-def _project(a: LaurentSeries, lo=None, hi=None) -> LaurentSeries:
-    """Restriction of ``a`` to exponents in [lo, hi], as a defined object.
-
-    Unlike ``clip``, the dropped exponents are exactly zero *by
-    definition* of the result, so reliability widens to infinity on any
-    side that was fully trusted up to the cut; inside the kept range the
-    input's claims carry over unchanged.
-    """
-    s_lo = a.lo_exp if lo is None else max(a.lo_exp, int(lo))
-    s_hi = a.hi_exp if hi is None else min(a.hi_exp, int(hi))
-    r_lo = a.reliable[0] if (lo is None or a.reliable[0] > lo) else S.NEG_INF
-    r_hi = a.reliable[1] if (hi is None or a.reliable[1] < hi) else S.POS_INF
-    if s_lo > s_hi:
-        anchor = int(lo) if lo is not None else int(hi)
-        return LaurentSeries(anchor, np.zeros(1, dtype=np.complex128),
-                             a.flavor, (r_lo, r_hi))
-    arr = a.coeffs[s_lo - a.lo_exp: s_hi - a.lo_exp + 1]
-    return LaurentSeries(s_lo, np.array(arr, dtype=np.complex128),
-                         a.flavor, (r_lo, r_hi))
 
 
 def _mixed_partial_along(pair, h, gauge) -> LaurentSeries:
@@ -110,8 +87,8 @@ def flow_field(pair, h, n: int, gauge=(), samples: int = 1024,
     """The direction-n variation (dg, df) from the one-sided split of u_n."""
     u = u_field(pair, h, n, gauge=gauge, samples=samples, pad=pad)
     half = 0.5 * u.coeff(1)
-    bracket_g = S.add(_project(u, hi=0), S.monomial(1, half))
-    bracket_f = S.scale(S.add(S.monomial(1, half), _project(u, lo=2)), -1.0)
+    bracket_g = S.add(S.project(u, hi=0), S.monomial(1, half))
+    bracket_f = S.scale(S.add(S.monomial(1, half), S.project(u, lo=2)), -1.0)
     dg = S.mul(pair.g_prime(), bracket_g)
     df = S.mul(pair.f_prime(), bracket_f)
     return FlowField(n=n, u_series=u, dg=dg, df=df)
@@ -209,7 +186,7 @@ def string_check(pair, h, gauge=()) -> float:
 
 def _halved_projection(q: LaurentSeries, n: int) -> LaurentSeries:
     """One-sided part of q with half its mean term, matching index sign n."""
-    kept = _project(q, lo=1) if n >= 1 else _project(q, hi=-1)
+    kept = S.project(q, lo=1) if n >= 1 else S.project(q, hi=-1)
     return S.add(kept, S.monomial(0, 0.5 * q.coeff(0)))
 
 

@@ -50,7 +50,6 @@ from . import series as S
 from .conformal_pair import ConformalPair
 from .series import (
     AT_INFINITY,
-    AT_ZERO,
     NEG_INF,
     POS_INF,
     LaurentSeries,
@@ -257,14 +256,6 @@ def _log2d(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _padded_series(s: LaurentSeries, lo: int, hi: int, flavor: str) -> LaurentSeries:
-    arr = np.zeros(hi - lo + 1, dtype=np.complex128)
-    a, bnd = max(lo, s.lo_exp), min(hi, s.hi_exp)
-    if a <= bnd:
-        arr[a - lo : bnd - lo + 1] = s.coeffs[a - s.lo_exp : bnd - s.lo_exp + 1]
-    return LaurentSeries(lo, arr, flavor, s.reliable)
-
-
 def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     """Full table from the inverse maps and formal kernel-log expansions.
 
@@ -277,10 +268,9 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     if n_max > pair.order or n_max < 1:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
     depth = 2 * n_max + 4
-    g_wide = _padded_series(pair.g, -depth, 1, AT_INFINITY)
-    f_wide = _padded_series(pair.f, 1, depth + 1, AT_ZERO)
-    big_g = S.invert_function(g_wide)
-    big_f = S.invert_function(f_wide)
+    # g is read on [-depth, 1] and f on [1, depth + 1]
+    big_g = S.invert_function(pair.g, depth + 1)
+    big_f = S.invert_function(pair.f, depth)
     beta = big_g.coeff(1)
     alpha1 = big_f.coeff(1)
     b00 = cmath.log(beta)

@@ -38,10 +38,10 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import series as S
-from .series import AT_INFINITY, LaurentSeries, SeriesError
+from .series import LaurentSeries, SeriesError
 from .conformal_pair import sigma_conjugate
 from .coords import time_variables, toda_coordinates, v_zero
-from .grunsky import _log2d, _padded_series, grunsky_table
+from .grunsky import _log2d, grunsky_table
 
 
 class SigmaAdmissibilityError(ValueError):
@@ -120,8 +120,7 @@ def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
     if n_max < 1:
         raise SeriesError(f"kernel order {n_max} must be >= 1")
     depth = n_max + 4
-    g_wide = _padded_series(g, -depth, 1, AT_INFINITY)
-    big_g = S.invert_function(g_wide)
+    big_g = S.invert_function(g, depth + 1)
     beta = big_g.coeff(1)
 
     # G(z)/(beta z) = 1 + sum_{i>=1} u_i z^-i

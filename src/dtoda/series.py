@@ -295,6 +295,39 @@ def clip(a: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
     return LaurentSeries(new_lo, arr, flavor, (r_lo, r_hi))
 
 
+def project(a: LaurentSeries, lo=None, hi=None) -> LaurentSeries:
+    """Restriction of ``a`` to exponents in [lo, hi], as a defined object.
+
+    Unlike ``clip``, the dropped exponents are exactly zero *by
+    definition* of the result, so reliability widens to infinity on any
+    side that was fully trusted up to the cut; inside the kept range the
+    input's claims carry over unchanged.
+    """
+    s_lo = a.lo_exp if lo is None else max(a.lo_exp, int(lo))
+    s_hi = a.hi_exp if hi is None else min(a.hi_exp, int(hi))
+    r_lo = a.reliable[0] if (lo is None or a.reliable[0] > lo) else NEG_INF
+    r_hi = a.reliable[1] if (hi is None or a.reliable[1] < hi) else POS_INF
+    if s_lo > s_hi:
+        anchor = int(lo) if lo is not None else int(hi)
+        return LaurentSeries(anchor, np.zeros(1, dtype=np.complex128),
+                             a.flavor, (r_lo, r_hi))
+    arr = a.coeffs[s_lo - a.lo_exp: s_hi - a.lo_exp + 1]
+    return LaurentSeries(s_lo, np.array(arr, dtype=np.complex128),
+                         a.flavor, (r_lo, r_hi))
+
+
+def dense(a: LaurentSeries, lo: int, hi: int) -> np.ndarray:
+    """Coefficients of w**lo .. w**hi as a fresh array, zero off the stored window."""
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise SeriesError("dense: empty window requested")
+    out = np.zeros(hi - lo + 1, dtype=np.complex128)
+    s_lo, s_hi = max(lo, a.lo_exp), min(hi, a.hi_exp)
+    if s_lo <= s_hi:
+        out[s_lo - lo : s_hi - lo + 1] = a.coeffs[s_lo - a.lo_exp : s_hi - a.lo_exp + 1]
+    return out
+
+
 def shift(a: LaurentSeries, j: int) -> LaurentSeries:
     """Multiply by w**j (exact)."""
     j = int(j)
@@ -438,15 +471,9 @@ def _germ_array(u: LaurentSeries, n: int) -> np.ndarray:
     Local order i is the exponent ``i`` for AT_ZERO and ``-i`` for
     AT_INFINITY, so both flavors decay toward higher local orders.
     """
-    out = np.zeros(n + 1, dtype=np.complex128)
     if u.flavor == AT_ZERO:
-        coeffs, start = u.coeffs, u.lo_exp
-    else:
-        coeffs, start = u.coeffs[::-1], -u.hi_exp
-    lo, hi = max(start, 0), min(start + coeffs.size - 1, n)
-    if lo <= hi:
-        out[lo : hi + 1] = coeffs[lo - start : hi - start + 1]
-    return out
+        return dense(u, 0, n)
+    return dense(u, -n, 0)[::-1].copy()
 
 
 def _from_germ_array(local: np.ndarray, flavor: str, reliable: tuple) -> LaurentSeries:
@@ -592,34 +619,31 @@ def eval_at_points(a: LaurentSeries, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _horner_positive(coeff_list: Sequence, base: LaurentSeries,
-                     window: tuple) -> LaurentSeries:
-    """sum_{k>=1} coeff_list[k-1] * base**k, Horner form with clipping."""
-    acc = constant(coeff_list[-1], base.flavor)
-    for c in reversed(coeff_list[:-1]):
+def horner(coeffs: Sequence, base: LaurentSeries, window: tuple) -> LaurentSeries:
+    """sum_{k>=1} coeffs[k-1] * base**k by Horner's rule, clipped to ``window``.
+
+    Partial sums keep one exponent of slack on each side of the window;
+    an empty ``coeffs`` gives the zero series.
+    """
+    if not coeffs:
+        return zero(base.flavor)
+    acc = constant(coeffs[-1], base.flavor)
+    for c in reversed(coeffs[:-1]):
         acc = clip(mul(acc, base), window[0] - 1, window[1] + 1)
         acc = add(acc, constant(c, base.flavor))
     return clip(mul(acc, base), window[0], window[1])
 
 
-def _tail_horner(tail: Sequence, rec: LaurentSeries, window: tuple) -> LaurentSeries:
-    """sum_{k>=1} tail[k-1] * rec**k with window clipping (rec decaying)."""
-    if not tail:
-        return zero(rec.flavor)
-    acc = constant(tail[-1], rec.flavor)
-    for c in reversed(tail[:-1]):
-        acc = clip(mul(acc, rec), window[0] - 1, window[1] + 1)
-        acc = add(acc, constant(c, rec.flavor))
-    return clip(mul(acc, rec), window[0], window[1])
-
-
-def invert_function(a: LaurentSeries) -> LaurentSeries:
+def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
     """Compositional inverse G with a(G(z)) = z, by Newton iteration.
 
     AT_ZERO input  a = a1*w + a2*w^2 + ...  (a1 != 0) gives G = z/a1 + ...
-    on the window [1, hi_exp(a)], reliable up to that edge.  AT_INFINITY
-    input a = b*w + b0 + b1/w + ... (b != 0) gives G = z/b + ... on a
-    window mirroring the input depth, reliable down to that edge.
+    on the window [1, 1 + depth], reliable up to that edge.  AT_INFINITY
+    input a = b*w + b0 + b1/w + ... (b != 0) gives G = z/b + ... on the
+    window [1 - depth, 1], reliable down to that edge.  The input is read
+    on the same window as the output, zero-padded or truncated; by
+    default ``depth`` is read from the stored window (``hi_exp - 1`` or
+    ``1 - lo_exp``, at least 1).
     Iteration count: ceil(log2(depth + 1)) + 2; the output reliability
     claim rests on the quadratic convergence of the iteration (round-trip
     identities are asserted in the test-suite).
@@ -629,21 +653,18 @@ def invert_function(a: LaurentSeries) -> LaurentSeries:
             raise NonInvertibleError("non-invertible leading term: need a = a1*w + ...")
         if a.lo_exp < 1 and np.any(a.coeffs[: 1 - a.lo_exp] != 0):
             raise NonInvertibleError("non-invertible leading term: need a = a1*w + ...")
-        depth = max(a.hi_exp - 1, 1)
+        depth = max(a.hi_exp - 1, 1) if depth is None else int(depth)
         window = (1, 1 + depth)
         a1 = a.coeff(1)
         g = monomial(1, 1.0 / a1, AT_ZERO)
         zc = monomial(1, 1.0, AT_ZERO)
-        acoeffs = [a.coeff(k) for k in range(1, a.hi_exp + 1)]
-        dcoeffs = [k * a.coeff(k) for k in range(1, a.hi_exp + 1)]
+        acoeffs = [a.coeff(k) for k in range(1, depth + 2)]
+        dcoeffs = [k * a.coeff(k) for k in range(1, depth + 2)]
         n_iter = math.ceil(math.log2(depth + 1)) + 2
         for _ in range(n_iter):
-            comp = _horner_positive(acoeffs, g, (window[0], window[1] + 1))
+            comp = horner(acoeffs, g, (window[0], window[1] + 1))
             resid = sub(comp, zc)
-            dacc = constant(dcoeffs[-1], AT_ZERO)
-            for c in reversed(dcoeffs[:-1]):
-                dacc = clip(mul(dacc, g), 0, window[1])
-                dacc = add(dacc, constant(c, AT_ZERO))
+            dacc = add(horner(dcoeffs[1:], g, (1, window[1])), constant(dcoeffs[0]))
             dinv = _strip(int_pow(dacc, -1, depth=depth + 2))
             g = sub(g, clip(mul(resid, dinv), window[0], window[1]))
             g = _strip(clip(g, window[0], window[1]))
@@ -653,21 +674,22 @@ def invert_function(a: LaurentSeries) -> LaurentSeries:
             raise NonInvertibleError("non-invertible leading term: need a = b*w + b0 + ...")
         if a.hi_exp > 1 and np.any(a.coeffs[2 - a.lo_exp :] != 0):
             raise NonInvertibleError("non-invertible leading term: need a = b*w + b0 + ...")
-        depth = max(1 - a.lo_exp, 1)
+        depth = max(1 - a.lo_exp, 1) if depth is None else int(depth)
         window = (1 - depth, 1)
         b = a.coeff(1)
         b0 = a.coeff(0)
         g = LaurentSeries.from_pairs({1: 1.0 / b, 0: -b0 / b}, AT_INFINITY)
         zc = monomial(1, 1.0, AT_INFINITY)
-        tail = [a.coeff(-k) for k in range(1, depth + 1)]
-        dtail = [-k * a.coeff(-k) for k in range(1, depth + 1)]
+        # w**-depth lies just outside the input window: its coefficient is 0
+        tail = [a.coeff(-k) for k in range(1, depth)] + [0.0]
+        dtail = [-k * c for k, c in enumerate(tail, 1)]
         n_iter = math.ceil(math.log2(depth + 1)) + 2
         for _ in range(n_iter):
             rec = _strip(int_pow(g, -1, depth=depth + 2))
-            comp = _tail_horner(tail, rec, (window[0] - 1, 1))
+            comp = horner(tail, rec, (window[0] - 1, 1))
             comp = add(comp, add(scale(g, b), constant(b0, AT_INFINITY)))
             resid = sub(comp, zc)
-            dcomp = _tail_horner(dtail, rec, (window[0] - 1, 0))
+            dcomp = horner(dtail, rec, (window[0] - 1, 0))
             dcomp = clip(mul(dcomp, rec), window[0] - 1, 0)
             dcomp = add(dcomp, constant(b, AT_INFINITY))
             dinv = _strip(int_pow(dcomp, -1, depth=depth + 2))
@@ -712,11 +734,7 @@ def divide_on_circle(num: LaurentSeries, den: LaurentSeries,
         out = clip(shift(scale(num, 1.0 / c), -j), lo, hi)
         r_lo = lo if math.isinf(out.reliable[0]) else max(out.reliable[0], lo)
         r_hi = hi if math.isinf(out.reliable[1]) else min(out.reliable[1], hi)
-        arr = np.zeros(hi - lo + 1, dtype=np.complex128)
-        s_lo, s_hi = max(lo, out.lo_exp), min(hi, out.hi_exp)
-        if s_lo <= s_hi:
-            arr[s_lo - lo : s_hi - lo + 1] = out.coeffs[s_lo - out.lo_exp : s_hi - out.lo_exp + 1]
-        return LaurentSeries(lo, arr, flavor, (r_lo, r_hi))
+        return LaurentSeries(lo, dense(out, lo, hi), flavor, (r_lo, r_hi))
     width = hi - lo + 1
     m = max(_next_pow2(4 * width), _next_pow2(int(samples)))
     pts = np.exp(2j * np.pi * np.arange(m) / m)

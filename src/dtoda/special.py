@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import series as S
-from .series import LaurentSeries
 from .coords import TodaCoordinates, _halfwidth, _paired_logs, _power_chain, log_tau
 from .hamiltonian import HamiltonianH
 
@@ -65,30 +64,12 @@ class MonomialCase:
         return HamiltonianH.of((self.mu, self.nu, 1.0))
 
 
-def _germ_lift(s: LaurentSeries) -> LaurentSeries:
-    """Raise the vacuous reliability edge of a germ power.
-
-    An AtInfinity power of exact map data has truly nothing above its top
-    exponent, an AtZero power nothing below its bottom, so the stored-or-
-    zero claim is free on that side; ``int_pow`` leaves the edge finite,
-    which would cap residue windows of the products below.
-    """
-    if s.flavor == S.AT_INFINITY:
-        return LaurentSeries(s.lo_exp, s.coeffs, s.flavor, (s.reliable[0], S.POS_INF))
-    if s.flavor == S.AT_ZERO:
-        return LaurentSeries(s.lo_exp, s.coeffs, s.flavor, (S.NEG_INF, s.reliable[1]))
-    return s
-
-
 def _chains(pair, mu: int, nu: int, order: int):
     """Power chains of g and f wide enough for every residue above."""
     case_width = _halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order)
     depth = case_width + order + 8
-    gp = {k: _germ_lift(s) for k, s in
-          _power_chain(pair.g, order + abs(mu) + 1, depth).items()}
-    fp = {k: _germ_lift(s) for k, s in
-          _power_chain(pair.f, order + abs(nu) + 1, depth).items()}
-    return gp, fp
+    return (_power_chain(pair.g, order + abs(mu) + 1, depth),
+            _power_chain(pair.f, order + abs(nu) + 1, depth))
 
 
 def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoordinates:

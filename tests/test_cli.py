@@ -141,25 +141,21 @@ def test_verify_reports_are_byte_identical(capsys):
     code2, out2, _ = run_cli(argv, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+    assert out1.strip().splitlines()[-1] == "verify: 19/19 checks passed"
 
 
 def test_verify_thread_count_does_not_change_output(capsys, monkeypatch):
+    # The battery is sequential and DTODA_THREADS is ignored: setting it
+    # to any value must leave the report unchanged.
     argv = ["verify", str(CONFIGS / "fixture_sigma.json")]
     monkeypatch.setenv("DTODA_THREADS", "1")
     _, out1, _ = run_cli(argv, capsys)
     monkeypatch.setenv("DTODA_THREADS", "3")
     _, out3, _ = run_cli(argv, capsys)
-    assert out1 == out3
+    monkeypatch.delenv("DTODA_THREADS")
+    _, out_unset, _ = run_cli(argv, capsys)
+    assert out1 == out3 == out_unset
     assert out1.strip().splitlines()[-1] == "verify: 13/13 checks passed"
-
-
-def test_invalid_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("DTODA_THREADS", "zero")
-    code, _, err = run_cli(
-        ["verify", str(CONFIGS / "fixture_identity.json"),
-         "--checks", "string"], capsys)
-    assert code == 2
-    assert "DTODA_THREADS" in err
 
 
 def test_zero_tolerance_fails_with_exit_1(tmp_path, capsys):
@@ -305,6 +301,31 @@ def test_sigma_report(capsys):
     doc = json.loads(out)
     assert doc["reality_defect"] <= 1e-10
     assert doc["green_identity_defect"] <= 1e-10
+
+
+def test_sigma_rejects_inadmissible_potential(tmp_path):
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    payload["hamiltonian"] = [{"mu": 2, "nu": 1, "re": 1.0}]
+    code, err = run_cli_process(["sigma", write_config(tmp_path, payload)])
+    assert code == 2
+    assert "'hamiltonian'" in err and "Traceback" not in err
+
+
+def test_sigma_rejects_complex_b_of_random_pair():
+    code, err = run_cli_process(
+        ["sigma", str(CONFIGS / "fixture_random.json")])
+    assert code == 2
+    assert "real leading coefficient b" in err and "Traceback" not in err
+
+
+def test_sigma_from_g_with_complex_b_names_b(tmp_path):
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    payload["pair"] = {"sigma_from_g": {"1": [1.0, 0.2], "-1": 0.1}}
+    code, err = run_cli_process(["sigma", write_config(tmp_path, payload)])
+    assert code == 2
+    assert "config field 'pair'" in err
+    assert "real leading coefficient b, got b = (1+0.2j)" in err
+    assert "a1·b" not in err
 
 
 def test_special_report_sigma_case(capsys):

@@ -362,6 +362,32 @@ def test_invert_rejects_missing_linear_term():
         S.invert_function(a)
 
 
+def padded_series(s: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
+    """Reference: ``s`` read on [lo, hi], zero-padded or truncated."""
+    arr = np.zeros(hi - lo + 1, dtype=np.complex128)
+    a, bnd = max(lo, s.lo_exp), min(hi, s.hi_exp)
+    if a <= bnd:
+        arr[a - lo : bnd - lo + 1] = s.coeffs[a - s.lo_exp : bnd - s.lo_exp + 1]
+    return LaurentSeries(lo, arr, s.flavor, s.reliable)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 7, 12, 20])
+def test_invert_depth_reads_padded_or_truncated_input(depth):
+    # stored width 8 past the linear term: depths 1..7 truncate, 12 and 20 pad
+    rng = np.random.default_rng(40 + depth)
+    tail = [0.3 ** k * complex(rng.normal(), rng.normal()) for k in range(1, 9)]
+    at_zero = LaurentSeries.from_pairs(
+        {1: 1.1, **{k + 1: c for k, c in enumerate(tail, 1)}}, AT_ZERO)
+    at_inf = LaurentSeries.from_pairs(
+        {1: 0.9, 0: 0.2, **{-k: c for k, c in enumerate(tail, 1)}}, AT_INFINITY)
+    for a, frame in ((at_zero, (1, 1 + depth)), (at_inf, (1 - depth, 1))):
+        got = S.invert_function(a, depth)
+        want = S.invert_function(padded_series(a, *frame))
+        assert (got.lo_exp, got.flavor, got.reliable) == \
+            (want.lo_exp, want.flavor, want.reliable)
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # circle division
 
@@ -422,6 +448,40 @@ def test_clip_to_empty_survivor_keeps_claims():
     assert float(np.max(np.abs(c.coeffs))) == 0.0
     assert c.reliable == (float("-inf"), 0)
     assert c.coeff(-3) == 0.0
+
+
+def test_dense_frames_around_the_stored_window():
+    a = LaurentSeries.from_pairs({2: 1.0, 3: 2.0, 5: 3.0})
+    assert np.array_equal(S.dense(a, 0, 7), [0, 0, 1, 2, 0, 3, 0, 0])
+    assert np.array_equal(S.dense(a, 3, 4), [2, 0])
+    assert np.array_equal(S.dense(a, 7, 9), [0, 0, 0])
+    out = S.dense(a, 2, 2)
+    out[0] = 9.0                # a fresh array: the series is untouched
+    assert a.coeff(2) == 1.0
+    with pytest.raises(SeriesError):
+        S.dense(a, 4, 3)
+
+
+def test_project_empty_overlap_anchors_at_the_cut():
+    a = LaurentSeries.from_pairs({2: 1.0, 3: 2.0}, AT_ZERO)
+    above = S.project(a, lo=7)
+    assert (above.lo_exp, above.width, above.coeff(7)) == (7, 1, 0.0)
+    below = S.project(a, hi=0)
+    assert (below.lo_exp, below.width) == (0, 1)
+    assert below.flavor == AT_ZERO
+    assert below.reliable == (float("-inf"), float("inf"))
+
+
+def test_project_widens_reliability_trusted_up_to_the_cut():
+    a = LaurentSeries(-3, np.arange(1.0, 8.0), TWO_SIDED, (-2, 2))
+    kept = S.project(a, lo=-1)
+    assert kept.reliable == (float("-inf"), 2)
+    assert (kept.lo_exp, kept.hi_exp, kept.coeff(-1)) == (-1, 3, 3.0)
+    kept = S.project(a, hi=1)
+    assert kept.reliable == (-2, float("inf"))
+    # a cut outside the trusted range keeps the edge where it was
+    assert S.project(a, lo=-3).reliable == (-2, 2)
+    assert S.project(a, hi=3).reliable == (-2, 2)
 
 
 # ---------------------------------------------------------------------------

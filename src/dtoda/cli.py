@@ -591,31 +591,41 @@ def cmd_verify(config: ExperimentConfig,
     return 0 if all(r["passed"] for r in results) else 1
 
 
+def _deepest(build: Callable[[int], object], order: int):
+    """``build(k)`` at the deepest k from ``order`` down to 2 that builds.
+
+    Reflection-built pairs certify a shorter window than their nominal
+    order; a build that leaves a certified window is retried one order
+    lower, and the failure at k = 2 is raised.
+    """
+    for k in range(order, 1, -1):
+        try:
+            return build(k)
+        except S.WindowUnderflowError:
+            if k == 2:
+                raise
+
+
 def _snapshot_payload(config: ExperimentConfig):
     """Coordinate snapshot including gauge shifts where they apply.
 
     The snapshot uses the largest mode window the pair's reliability
-    claims certify (reflection-built pairs certify less than their
-    nominal order); the emitted ``order`` records the window used.  The
-    tau parts come from the core potential alone: gauge monomials shift
-    the coordinates by constants and leave the dynamics untouched.
+    claims certify (`_deepest`); the emitted ``order`` records the window
+    used.  The tau parts come from the core potential alone: gauge
+    monomials shift the coordinates by constants and leave the dynamics
+    untouched.
     """
     pair = config.build_pair()
     h = config.hamiltonian()
-    snap = t = v = alt = v0 = None
-    for k in range(config.order, 1, -1):
-        try:
-            snap = C.toda_coordinates(pair, h, k)
-            if config.gauge:
-                t, v, alt = C.time_variables(pair, h, k, config.gauge)
-                v0 = C.v_zero(pair, h, config.gauge)
-            else:
-                t, v, alt, v0 = snap.t, snap.v, snap.t0_alt, snap.v0
-            break
-        except S.WindowUnderflowError:
-            if k == 2:
-                raise
-            continue
+
+    def snapshot(k: int):
+        snap = C.toda_coordinates(pair, h, k)
+        if config.gauge:
+            t, v, alt = C.time_variables(pair, h, k, config.gauge)
+            return snap, t, v, alt, C.v_zero(pair, h, config.gauge)
+        return snap, snap.t, snap.v, snap.t0_alt, snap.v0
+
+    snap, t, v, alt, v0 = _deepest(snapshot, config.order)
     json_obj = {
         "order": snap.order,
         "t": _mode_map(t), "v": _mode_map(v),
@@ -643,7 +653,8 @@ def cmd_coords(config: ExperimentConfig, stdout=None) -> int:
 
 def cmd_grunsky(config: ExperimentConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    table = G.grunsky_table(config.build_pair(), config.order)
+    pair = config.build_pair()
+    table = _deepest(lambda k: G.grunsky_table(pair, k), config.order)
     entries = {f"{m},{n}": _cx(z) for (m, n), z in table.b.items()}
     json_obj = {"order": table.order, "b00": _cx(table.b00),
                 "symmetry_defect": table.symmetry_defect,
@@ -702,8 +713,7 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
         raise ConfigError(f"config field 'hamiltonian': {exc}") from exc
     order = min(8, config.order)
     reality = R.sigma_coordinate_check(pair.g, h, order)
-    green = R.green_identity_check(pair.g, h, order)
-    coeffs = R.green_coefficients(pair.g, order)
+    green, coeffs = R.green_identity(pair.g, h, order)
     json_obj = {"order": order,
                 "reality_defect": reality,
                 "green_identity_defect": green,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from . import series as S
 from .series import LaurentSeries
@@ -85,15 +85,22 @@ def _m_series(pair, ms: MonomialSum, width: int):
     return S.mul(a1, pair.g_prime()), S.mul(a2, pair.f_prime())
 
 
-def _power_chain(base: LaurentSeries, order: int, depth: int) -> Dict[int, LaurentSeries]:
-    """base**k for k = -order..order, built by repeated multiplication."""
-    powers = {0: S.constant(1.0), 1: base}
-    if order >= 1:
-        powers[-1] = S.int_pow(base, -1, depth=depth)
-    for k in range(2, order + 1):
-        powers[k] = S.mul(powers[k - 1], base)
-        powers[-k] = S.mul(powers[-k + 1], powers[-1])
-    return powers
+def _power_chain(base: LaurentSeries, order: int,
+                 depth: int) -> Iterator[Tuple[int, LaurentSeries, LaurentSeries]]:
+    """Yield (n, base**n, base**-n) for n = 1..order by repeated multiplication.
+
+    Only the current pair of powers is kept alive; base**-1 is the
+    depth-``depth`` reciprocal.
+    """
+    if order < 1:
+        return
+    pos, inv = base, S.int_pow(base, -1, depth=depth)
+    neg = inv
+    yield 1, pos, neg
+    for n in range(2, order + 1):
+        pos = S.mul(pos, base)
+        neg = S.mul(neg, inv)
+        yield n, pos, neg
 
 
 def time_variables(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()):
@@ -105,16 +112,15 @@ def time_variables(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()):
     width = _halfwidth(pair, total, order)
     m1, m2 = _m_series(pair, total, width)
     depth = width + order + 8
-    gp = _power_chain(pair.g, order, depth)
-    fp = _power_chain(pair.f, order, depth)
     t: Dict[int, complex] = {0: S.residue(m1)}
     t0_alt = -S.residue(m2)
     v: Dict[int, complex] = {}
-    for n in range(1, order + 1):
-        t[n] = S.residue_mul(m1, gp[-n]) / n
-        v[n] = S.residue_mul(m1, gp[n])
-        t[-n] = S.residue_mul(m2, fp[n]) / n
-        v[-n] = S.residue_mul(m2, fp[-n])
+    for (n, g_pos, g_neg), (_, f_pos, f_neg) in zip(
+            _power_chain(pair.g, order, depth), _power_chain(pair.f, order, depth)):
+        t[n] = S.residue_mul(m1, g_neg) / n
+        v[n] = S.residue_mul(m1, g_pos)
+        t[-n] = S.residue_mul(m2, f_pos) / n
+        v[-n] = S.residue_mul(m2, f_neg)
     return t, v, t0_alt
 
 
@@ -160,20 +166,27 @@ def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float
     x1 = S.mul(eval_along(total.d1(), pair, (-width, width)), pair.g)
     x2 = S.scale(S.mul(eval_along(total.d2(), pair, (-width, width)), pair.f), -1.0)
     depth = width + order + 8
-    gp = _power_chain(pair.g, order + 1, depth)
-    fp = _power_chain(pair.f, order + 1, depth)
     dg, df = pair.g_prime(), pair.f_prime()
-    defect = 0.0
-    for k in range(-order, order + 1):
-        a_k = S.residue_mul(S.mul(x1, gp[-k - 1]), dg)
-        b_k = S.residue_mul(S.mul(x2, fp[-k - 1]), df)
+
+    def defect_at(k: int, g_pow: LaurentSeries, f_pow: LaurentSeries) -> float:
+        """Expansion defect at mode k, with g_pow = g**(-k-1), f_pow = f**(-k-1)."""
+        a_k = S.residue_mul(S.mul(x1, g_pow), dg)
+        b_k = S.residue_mul(S.mul(x2, f_pow), df)
         if k >= 1:
             want_a, want_b = k * t[k], -v[-k]
         elif k == 0:
             want_a, want_b = t[0], t[0]
         else:
             want_a, want_b = v[-k], k * t[k]
-        defect = max(defect, abs(a_k - want_a), abs(b_k - want_b))
+        return max(abs(a_k - want_a), abs(b_k - want_b))
+
+    one = S.constant(1.0)
+    defect = defect_at(-1, one, one)
+    for (n, g_pos, g_neg), (_, f_pos, f_neg) in zip(
+            _power_chain(pair.g, order + 1, depth), _power_chain(pair.f, order + 1, depth)):
+        defect = max(defect, defect_at(n - 1, g_neg, f_neg))
+        if n < order:
+            defect = max(defect, defect_at(-n - 1, g_pos, f_pos))
     return defect
 
 

@@ -32,7 +32,13 @@ provided:
 * :func:`grunsky_via_inverse` — the oracle path: inverts both maps (at
   depth 2N+4 so corner entries are unaffected by inversion truncation)
   and expands the kernel logarithms formally as truncated bivariate power
-  series; no residue pairing is involved.
+  series; no residue pairing is involved.  The bivariate log L = log(1+W)
+  is solved row by row in z1 from theta L * (1 + W) = theta W, theta =
+  z1 d/dz1 (:func:`_log2d`).
+
+The Faber polynomials read only orders 0..|n| of a power, so :func:`faber`
+clips every partial product of the power to the exponents that can still
+reach those orders.
 
 The symmetry b(m, n) = b(n, m) is *not* imposed: both triangles (and the
 0-row against the 0-column) are computed independently and the observed
@@ -45,13 +51,13 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series as S
 from .conformal_pair import ConformalPair
 from .series import (
     AT_INFINITY,
-    NEG_INF,
-    POS_INF,
+    AT_ZERO,
     LaurentSeries,
     SeriesError,
 )
@@ -109,19 +115,50 @@ class GrunskyTable:
         return self.b[(int(m), int(n))]
 
 
+def _windowed_power(base: LaurentSeries, k: int, window) -> LaurentSeries:
+    """base**k (k >= 1) with each partial product of r copies clipped to window(r).
+
+    The products run in ``series.int_pow``'s repeated-squaring order, so
+    inside the windows only the summation order of each convolution
+    differs from the full-width power.
+    """
+    result, copies = None, 0
+    base, base_copies = S.clip(base, *window(1)), 1
+    while k:
+        if k & 1:
+            copies += base_copies
+            result = base if result is None else \
+                S.clip(S.mul(result, base), *window(copies))
+        k >>= 1
+        if k:
+            base_copies *= 2
+            base = S.clip(S.mul(base, base), *window(base_copies))
+    return result
+
+
 def faber(pair: ConformalPair, n: int) -> FaberPolynomial:
-    """Polynomial part of g**n (n >= 1) or f**n (n <= -1); log marker at 0."""
+    """Polynomial part of g**n (n >= 1) or f**n (n <= -1); log marker at 0.
+
+    g**n is built from r-fold partial products kept on exponents
+    [-(n-r), r]: the other n - r factors reach no higher than n - r, so
+    lower exponents cannot land on 0..n.  f**n is the |n|-th power of
+    the depth-(2|n|+8) reciprocal of f, whose r-fold partial products are
+    kept on [-r, |n|-r] for the mirrored reason.
+    """
     n = int(n)
     if abs(n) > pair.order:
         raise SeriesError(f"faber index {n} exceeds pair order {pair.order}")
     if n == 0:
         return FaberPolynomial(0, {})
     if n >= 1:
-        p = S.int_pow(pair.g, n)
-        return FaberPolynomial(n, {k: p.coeff(k) for k in range(0, n + 1)})
+        p = _windowed_power(pair.g, n, lambda r: (r - n, r))
+        return FaberPolynomial(n, dict(enumerate(S.dense(p, 0, n).tolist())))
     m = -n
-    p = S.int_pow(pair.f, n, depth=2 * m + 8)
-    return FaberPolynomial(n, {k: p.reliable_coeff(k) for k in range(n, 1)})
+    rec = S.int_pow(pair.f, -1, depth=2 * m + 8)
+    p = _windowed_power(rec, m, lambda r: (-r, m - r))
+    for k in (n, 0):  # the reliable window is an interval: its ends suffice
+        p.reliable_coeff(k)
+    return FaberPolynomial(n, dict(zip(range(n, 1), S.dense(p, n, 0).tolist())))
 
 
 def b_polynomial(pair: ConformalPair, table: GrunskyTable, n: int) -> FaberPolynomial:
@@ -224,35 +261,39 @@ def _symmetry_defect(b: dict, n_max: int) -> float:
 # oracle path: functional inversion and formal bivariate log expansion
 
 
-def _conv2(a: np.ndarray, b: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Truncated 2-d convolution on index boxes [0..n1] x [0..n2]."""
-    out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
-    ai, aj = a.shape
-    for i in range(min(ai, n1 + 1)):
-        row = a[i]
-        for j in range(min(aj, n2 + 1)):
-            c = row[j]
-            if c == 0:
-                continue
-            blk = b[: n1 + 1 - i, : n2 + 1 - j]
-            out[i : i + blk.shape[0], j : j + blk.shape[1]] += c * blk
-    return out
-
-
 def _log2d(w: np.ndarray) -> np.ndarray:
-    """log(1 + W) for a bivariate truncation W with W[0,0] = 0."""
+    """log(1 + W) for a bivariate truncation W with W[0,0] = 0.
+
+    Row i holds the coefficients of z1**i.  With theta = z1 d/dz1,
+    theta L * (1 + W) = theta W; row 0 of 1 + W is A = 1 + W[0,:], so
+
+        i L[i] * A = i W[i] - sum_{k=1}^{i-1} k L[k] * W[i-k],
+
+    with * the product truncated in z2.  Row 0 is the univariate
+    log(A); each later row is one sum over k and one multiplication by
+    1/A.  The truncated products are matrix products with the rows of W
+    laid out as upper-triangular Toeplitz matrices, read through a
+    strided view of the zero-padded W (no copy).
+    """
     n1, n2 = w.shape[0] - 1, w.shape[1] - 1
     if w[0, 0] != 0:
         raise SeriesError("bivariate log needs zero constant term")
-    out = np.zeros_like(w)
-    power = w.copy()
-    sign = 1.0
-    for k in range(1, n1 + n2 + 2):
-        out += (sign / k) * power
-        power = _conv2(power, w, n1, n2)
-        if not np.any(power):
-            break
-        sign = -sign
+    row0 = LaurentSeries(0, w[0], AT_ZERO)
+    out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
+    out[0] = S.dense(S.log1p(row0, depth=n2), 0, n2)
+    if n1 == 0:
+        return out
+    inv_a = S.dense(S.int_pow(S.add(S.constant(1.0, AT_ZERO), row0), -1, depth=n2),
+                    0, n2)
+    padded = np.zeros((n1 + 1, 2 * n2 + 1), dtype=np.complex128)
+    padded[:, n2:] = w
+    # toeplitz[i][l, j] = W[i, j - l] for j >= l, else 0
+    toeplitz = sliding_window_view(padded, n2 + 1, axis=1)[:, ::-1, :]
+    theta = np.zeros_like(out)
+    for i in range(1, n1 + 1):
+        rhs = i * w[i] - np.einsum("kl,klj->j", theta[1:i], toeplitz[i - 1:0:-1])
+        theta[i] = np.convolve(rhs, inv_a)[: n2 + 1]
+        out[i] = theta[i] / i
     return out
 
 
@@ -262,7 +303,11 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     Treats the pair's stored windows as exact map data (true for
     polynomial pairs); the inversions run at depth 2*order + 4 so that
     every extracted entry is limited by machine precision rather than by
-    inversion truncation.
+    inversion truncation.  Each kernel is written as c (1 + W) with W a
+    bivariate truncation on [0..order] x [0..order], and its logarithm is
+    solved row by row in z1 (`_log2d`): row 0 is a univariate log, and
+    every later row costs one sum of truncated z2-products of the rows
+    already solved and one multiplication by the reciprocal of row 0.
     """
     n_max = int(order)
     if n_max > pair.order or n_max < 1:

@@ -148,7 +148,13 @@ def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
 
 
 def green_identity_check(g: LaurentSeries, h, order: int) -> float:
-    """Max defect between the kernel table and its log-tau Hessian assembly.
+    """The defect of `green_identity`, without the kernel table."""
+    return green_identity(g, h, order)[0]
+
+
+def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, GreenCoefficients]:
+    """Max defect between the kernel table and its log-tau Hessian assembly,
+    and the kernel table it was measured on.
 
     The right side resolves (1/2) D(z1) D(z2) log tau coefficientwise
     into lattice-table entries,
@@ -180,7 +186,7 @@ def green_identity_check(g: LaurentSeries, h, order: int) -> float:
             else:
                 right = table.entry(m, -n)
             out = max(out, abs(left.kernel[(m, n)] - right))
-    return float(out)
+    return float(out), left
 
 
 def real_subspace_check(pair, h, order: int) -> float:

@@ -65,11 +65,19 @@ class MonomialCase:
 
 
 def _chains(pair, mu: int, nu: int, order: int):
-    """Power chains of g and f wide enough for every residue above."""
+    """Power chains of g and f wide enough for every residue above.
+
+    Each chain maps k -> base**k for |k| <= its length.
+    """
     case_width = _halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order)
     depth = case_width + order + 8
-    return (_power_chain(pair.g, order + abs(mu) + 1, depth),
-            _power_chain(pair.f, order + abs(nu) + 1, depth))
+    chains = []
+    for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
+        powers = {0: S.constant(1.0)}
+        for n, pos, neg in _power_chain(base, length, depth):
+            powers[n], powers[-n] = pos, neg
+        chains.append(powers)
+    return tuple(chains)
 
 
 def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoordinates:

@@ -15,8 +15,11 @@ Hand-derived oracles used below (one-line derivations):
 
 import cmath
 
+import mpmath
+import numpy as np
 import pytest
 
+from dtoda import conformal_pair as CP
 from dtoda import grunsky as G
 from dtoda import series as S
 from dtoda.series import SeriesError
@@ -166,3 +169,134 @@ def test_b_polynomial_rejects_zero(fix_id):
     t = G.grunsky_table(fix_id, 4)
     with pytest.raises(SeriesError):
         G.b_polynomial(fix_id, t, 0)
+
+
+# ---------------------------------------------------------------------------
+# bivariate log kernel against the power sum it replaced
+
+
+def _conv2_reference(a, b, n1, n2):
+    """Truncated 2-d convolution on index boxes [0..n1] x [0..n2]."""
+    out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
+    ai, aj = a.shape
+    for i in range(min(ai, n1 + 1)):
+        row = a[i]
+        for j in range(min(aj, n2 + 1)):
+            c = row[j]
+            if c == 0:
+                continue
+            blk = b[: n1 + 1 - i, : n2 + 1 - j]
+            out[i : i + blk.shape[0], j : j + blk.shape[1]] += c * blk
+    return out
+
+
+def _log2d_power_sum(w):
+    """log(1 + W) as the alternating power sum of W, truncated to W's box."""
+    n1, n2 = w.shape[0] - 1, w.shape[1] - 1
+    out = np.zeros_like(w)
+    power = w.copy()
+    sign = 1.0
+    for k in range(1, n1 + n2 + 2):
+        out += (sign / k) * power
+        power = _conv2_reference(power, w, n1, n2)
+        if not np.any(power):
+            break
+        sign = -sign
+    return out
+
+
+def _decaying(shape, c, seed):
+    rng = np.random.default_rng(seed)
+    i, j = np.indices(shape)
+    w = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    w *= c ** (i + j)
+    w[0, 0] = 0.0
+    return w
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (9, 7),
+                                   (7, 9), (33, 17), (65, 65)])
+def test_log2d_matches_power_sum(shape):
+    w = _decaying(shape, 0.3, seed=sum(shape))
+    want = _log2d_power_sum(w)
+    got = G._log2d(w)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
+
+
+def test_log2d_rejects_nonzero_constant():
+    w = _decaying((3, 3), 0.3, seed=1)
+    w[0, 0] = 1e-3
+    with pytest.raises(SeriesError):
+        G._log2d(w)
+
+
+# ---------------------------------------------------------------------------
+# windowed Faber powers at order 64
+
+
+@pytest.fixture(scope="module")
+def poly64():
+    """Polynomial pair near the edge of the benchmark's coefficient box."""
+    b = 1.03 + 0.02j
+    g = {1: b, 0: 0.1 - 0.05j, -1: 0.05 + 0.04j, -2: -0.03 + 0.02j}
+    f = {1: 1 / b, 2: 0.05 - 0.03j, 3: 0.03 + 0.02j}
+    return CP.from_coefficients(g, f, 64)
+
+
+def _full_width_faber(pair, n):
+    """Read-out of P_n from the unclipped power, as faber did before windowing."""
+    if n >= 1:
+        p = S.int_pow(pair.g, n)
+        return {k: p.coeff(k) for k in range(0, n + 1)}
+    p = S.int_pow(pair.f, n, depth=2 * -n + 8)
+    return {k: p.reliable_coeff(k) for k in range(n, 1)}
+
+
+def test_faber_matches_full_width_power(poly64):
+    for n in [k for k in range(-64, 65) if k]:
+        got = G.faber(poly64, n).coefficients
+        want = _full_width_faber(poly64, n)
+        assert sorted(got) == sorted(want), n
+        scale = max(abs(c) for c in want.values())
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-13 * scale, n
+
+
+def _mp_faber(pair, n):
+    """P_n at 50 digits: exact powers of the polynomial maps."""
+    with mpmath.workdps(50):
+        if n >= 1:
+            base = {e: mpmath.mpc(pair.g.coeff(e)) for e in range(-2, 2)}
+            power = {0: mpmath.mpc(1)}
+            for _ in range(n):
+                nxt = {}
+                for e1, c1 in power.items():
+                    for e2, c2 in base.items():
+                        nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
+                power = nxt
+            return {k: complex(power[k]) for k in range(0, n + 1)}
+        # f**n = a1**n w**n (1 + u)**n; (1 + u) s' = n u' s gives s's terms
+        m = -n
+        a1 = mpmath.mpc(pair.f.coeff(1))
+        u = [mpmath.mpc(pair.f.coeff(k + 1)) / a1 for k in range(3)]
+        s = [mpmath.mpc(1)]
+        for j in range(1, m + 1):
+            s.append(sum(((n + 1) * k - j) * u[k] * s[j - k]
+                         for k in range(1, min(j, 2) + 1)) / j)
+        return {k: complex(s[k - n] * a1 ** n) for k in range(n, 1)}
+
+
+@pytest.mark.parametrize("n", [64, -64])
+def test_faber_no_farther_from_mpmath_than_full_width(poly64, n):
+    want = _mp_faber(poly64, n)
+    got = G.faber(poly64, n).coefficients
+    old = _full_width_faber(poly64, n)
+    err_new = max(abs(got[k] - want[k]) for k in want)
+    err_old = max(abs(old[k] - want[k]) for k in want)
+    assert err_new <= 1.1 * err_old + 1e-300
+
+
+def test_order64_dual_path(poly64):
+    t1 = G.grunsky_table(poly64, 64)
+    t2 = G.grunsky_via_inverse(poly64, 64)
+    assert G.table_difference(t1, t2) <= 1e-10

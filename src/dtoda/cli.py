@@ -32,6 +32,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import series as S
@@ -344,6 +345,12 @@ class CheckContext:
     eps_fd: float
     samples: int
 
+    @cached_property
+    def table(self) -> G.GrunskyTable:
+        """The config-order pairing table, built once per battery (a build
+        that raises is not cached: each check reading it reports the error)."""
+        return G.grunsky_table(self.pair, self.order)
+
 
 def _single_unit_monomial(ctx: CheckContext) -> Tuple[int, int]:
     terms = ctx.h.terms
@@ -354,17 +361,16 @@ def _single_unit_monomial(ctx: CheckContext) -> Tuple[int, int]:
 
 
 def _check_grunsky_symmetry(ctx) -> float:
-    return G.grunsky_table(ctx.pair, ctx.order).symmetry_defect
+    return ctx.table.symmetry_defect
 
 
 def _check_grunsky_dual_path(ctx) -> float:
-    return G.table_difference(G.grunsky_table(ctx.pair, ctx.order),
+    return G.table_difference(ctx.table,
                               G.grunsky_via_inverse(ctx.pair, ctx.order))
 
 
 def _check_faber_identity(ctx) -> float:
-    return G.faber_expansion_defect(ctx.pair,
-                                    G.grunsky_table(ctx.pair, ctx.order))
+    return G.faber_expansion_defect(ctx.pair, ctx.table)
 
 
 # Mode-probing checks run at min(order, 8): the configured order governs
@@ -398,8 +404,7 @@ def _check_string(ctx) -> float:
 
 
 def _check_lax(ctx) -> float:
-    table = G.grunsky_table(ctx.pair, ctx.order)
-    return max(F.lax_check(ctx.pair, ctx.h, table, n)
+    return max(F.lax_check(ctx.pair, ctx.h, ctx.table, n)
                for n in (1, -1, 2, -2, 3, -3))
 
 
@@ -596,13 +601,13 @@ def _deepest(build: Callable[[int], object], order: int):
 
     Reflection-built pairs certify a shorter window than their nominal
     order; a build that leaves a certified window is retried one order
-    lower, and the failure at k = 2 is raised.
+    lower, and the failure at k = 2 (or at k = ``order`` = 1) is raised.
     """
-    for k in range(order, 1, -1):
+    for k in range(order, 0, -1):
         try:
             return build(k)
         except S.WindowUnderflowError:
-            if k == 2:
+            if k <= 2:
                 raise
 
 
@@ -737,10 +742,14 @@ def cmd_special(config: ExperimentConfig, mu: int, nu: int,
         raise ConfigError(f"order {config.order} must exceed |mu| + |nu| + 1 "
                           f"= {abs(mu) + abs(nu) + 1}")
     pair = config.build_pair()
-    sp = SP.special_coords(pair, mu, nu)
     case = SP.MonomialCase(mu, nu)
-    general = C.toda_coordinates(pair, case.h, sp.order)
-    report = SP.generating_identity_check(pair, sp, mu, nu)
+
+    def build(k: int):
+        sp = SP.special_coords(pair, mu, nu, k)
+        return (sp, C.toda_coordinates(pair, case.h, k),
+                SP.generating_identity_check(pair, sp, mu, nu))
+
+    sp, general, report = _deepest(build, pair.order - abs(mu) - abs(nu) - 1)
     json_obj = {
         "mu": mu, "nu": nu, "order": sp.order,
         "t": _mode_map(sp.t), "v": _mode_map(sp.v),

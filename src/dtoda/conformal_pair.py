@@ -98,7 +98,9 @@ def _canonical_g(coeffs, order: int, reliable=None) -> LaurentSeries:
         if e > 1:
             raise SeriesError("g must have exactly one positive-power (linear) term")
         if e < -order:
-            raise SeriesError(f"g coefficient at exponent {e} outside order-{order} window")
+            if complex(c) != 0:
+                raise SeriesError(f"g coefficient at exponent {e} outside order-{order} window")
+            continue
         arr[e + order] = complex(c)
     rel = (NEG_INF, POS_INF) if reliable is None else reliable
     return LaurentSeries(-order, arr, AT_INFINITY, rel)
@@ -131,15 +133,14 @@ def from_coefficients(g_coeffs, f_coeffs, order: int) -> ConformalPair:
     return ConformalPair(g, f, order)
 
 
-def sigma_image(s: LaurentSeries, order: int, depth: int | None = None) -> LaurentSeries:
+def sigma_image(s: LaurentSeries, order: int) -> LaurentSeries:
     """The reflection w -> 1/conj(s(1/conj(w))) of a linear-leading germ.
 
     Sends an AtInfinity germ to an AtZero one and back; applying it twice
     returns the original series to reliable order.
     """
     order = int(order)
-    if depth is None:
-        depth = order + 4
+    depth = order + 4
     # conj(s)(1/w) = w^-1 * p(w) with p as below; the image is w / p.
     if s.flavor == AT_INFINITY:
         # s = b w + b0 + sum b_k w^-k  ->  p = conj(b) + conj(b0) w + sum conj(b_k) w^{k+1}

@@ -75,7 +75,7 @@ def u_field(pair, h, n: int, gauge=(), samples: int = 1024,
     if n == 0:
         num = S.monomial(-1, -1.0)
     else:
-        num = S.scale(S.derivative(faber(pair, n).as_series()), -1.0)
+        num = S.scale(S.derivative(faber(pair, n)), -1.0)
     den = S.mul(S.mul(pair.g_prime(), pair.f_prime()),
                 _mixed_partial_along(pair, h, gauge))
     half = pair.order + abs(n) + int(pad)
@@ -206,7 +206,7 @@ def lax_check(pair, h, table: GrunskyTable, n: int) -> float:
     pad = _check_pad(pair)
     ff0 = flow_field(pair, h, 0, pad=pad)
     ffn = flow_field(pair, h, n, pad=pad)
-    poly = b_polynomial(pair, table, n).as_series()
+    poly = b_polynomial(table, n)
     poly_prime = S.derivative(poly)
     if n >= 1:
         base = S.int_pow(pair.g, n - 1) if n > 1 else S.constant(1.0, AT_INFINITY)

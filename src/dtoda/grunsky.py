@@ -3,7 +3,8 @@
 For a pair (g, f) the Faber polynomial of index n is the polynomial part
 of a power of the map: for n >= 1 the nonnegative-exponent truncation of
 g(w)**n, for n <= -1 the nonpositive-exponent truncation of f(w)**n, and
-index 0 stands symbolically for log w.
+index 0 stands symbolically for log w.  :func:`faber` returns P_n as an
+exact ``LaurentSeries``; index 0 has no series and raises.
 
 The table entries b(m, n), |m|, |n| <= N, are defined by the bivariate
 log-kernel expansions of the pair's inverse maps G = g^{-1}, F = f^{-1}:
@@ -38,7 +39,9 @@ provided:
 
 The Faber polynomials read only orders 0..|n| of a power, so :func:`faber`
 clips every partial product of the power to the exponents that can still
-reach those orders.
+reach those orders.  A primary-path table carries the 2N polynomials it
+was built from (``GrunskyTable.faber``); :func:`faber_expansion_defect`
+and :func:`b_polynomial` read them there instead of rebuilding them.
 
 The symmetry b(m, n) = b(n, m) is *not* imposed: both triangles (and the
 0-row against the 0-column) are computed independently and the observed
@@ -48,13 +51,14 @@ defect is recorded on the table.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series as S
 from .conformal_pair import ConformalPair
+from .coords import _paired_logs
 from .series import (
     AT_INFINITY,
     AT_ZERO,
@@ -64,52 +68,19 @@ from .series import (
 
 
 @dataclass(frozen=True)
-class FaberPolynomial:
-    """Polynomial part of a power of one of the pair's maps.
-
-    ``coefficients`` maps exponent -> complex; index 0 is the symbolic
-    log-w marker and carries no coefficients.
-    """
-
-    index: int
-    coefficients: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", int(self.index))
-        n = self.index
-        if n == 0:
-            if self.coefficients:
-                raise SeriesError("index-0 polynomial is a symbolic log marker")
-            return
-        exps = sorted(self.coefficients)
-        lo, hi = (0, n) if n >= 1 else (n, 0)
-        if exps and (exps[0] < lo or exps[-1] > hi):
-            raise SeriesError("faber coefficients outside expected exponent range")
-        if abs(complex(self.coefficients.get(n, 0.0))) < 1e-300:
-            raise SeriesError("faber polynomial must have full degree |n|")
-
-    @property
-    def is_log_marker(self) -> bool:
-        return self.index == 0
-
-    @property
-    def degree(self) -> int:
-        return abs(self.index)
-
-    def as_series(self) -> LaurentSeries:
-        if self.index == 0:
-            raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
-        return LaurentSeries.from_pairs(self.coefficients)
-
-
-@dataclass(frozen=True)
 class GrunskyTable:
-    """Dense coefficient table b(m, n) for |m|, |n| <= order."""
+    """Dense coefficient table b(m, n) for |m|, |n| <= order.
+
+    ``faber`` maps 1 <= |n| <= order to the exact series P_n the residue
+    path read the entries against (empty on oracle tables); ``repr`` and
+    ``==`` leave it out.
+    """
 
     order: int
     b: dict
     b00: complex
     symmetry_defect: float
+    faber: dict = field(default_factory=dict, repr=False, compare=False)
 
     def entry(self, m: int, n: int) -> complex:
         return self.b[(int(m), int(n))]
@@ -136,74 +107,65 @@ def _windowed_power(base: LaurentSeries, k: int, window) -> LaurentSeries:
     return result
 
 
-def faber(pair: ConformalPair, n: int) -> FaberPolynomial:
-    """Polynomial part of g**n (n >= 1) or f**n (n <= -1); log marker at 0.
+def faber(pair: ConformalPair, n: int) -> LaurentSeries:
+    """P_n as an exact series: the polynomial part of g**n (n >= 1) or f**n (n <= -1).
 
     g**n is built from r-fold partial products kept on exponents
     [-(n-r), r]: the other n - r factors reach no higher than n - r, so
     lower exponents cannot land on 0..n.  f**n is the |n|-th power of
     the depth-(2|n|+8) reciprocal of f, whose r-fold partial products are
-    kept on [-r, |n|-r] for the mirrored reason.
+    kept on [-r, |n|-r] for the mirrored reason.  Index 0 stands for
+    log w, which has no polynomial part, and raises.
     """
     n = int(n)
     if abs(n) > pair.order:
         raise SeriesError(f"faber index {n} exceeds pair order {pair.order}")
     if n == 0:
-        return FaberPolynomial(0, {})
+        raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
     if n >= 1:
         p = _windowed_power(pair.g, n, lambda r: (r - n, r))
-        return FaberPolynomial(n, dict(enumerate(S.dense(p, 0, n).tolist())))
-    m = -n
-    rec = S.int_pow(pair.f, -1, depth=2 * m + 8)
-    p = _windowed_power(rec, m, lambda r: (-r, m - r))
-    for k in (n, 0):  # the reliable window is an interval: its ends suffice
-        p.reliable_coeff(k)
-    return FaberPolynomial(n, dict(zip(range(n, 1), S.dense(p, n, 0).tolist())))
-
-
-def b_polynomial(pair: ConformalPair, table: GrunskyTable, n: int) -> FaberPolynomial:
-    """Faber polynomial with its constant term halved.
-
-    Index n >= 1: P_n - (n/2) b(n,0); index n <= -1 (n = -m): P_n +
-    (m/2) b(-m,0).  Either way the constant becomes half the full power's
-    mean term.  Index 0 is rejected: its analogue is log w and is handled
-    symbolically by callers.
-    """
-    n = int(n)
-    if n == 0:
-        raise SeriesError("index 0 has no polynomial truncation (log w)")
-    p = faber(pair, n)
-    coeffs = dict(p.coefficients)
-    if n >= 1:
-        shift_c = -(n / 2.0) * table.entry(n, 0)
     else:
         m = -n
-        shift_c = (m / 2.0) * table.entry(-m, 0)
-    coeffs[0] = coeffs.get(0, 0.0) + shift_c
-    return FaberPolynomial(n, coeffs)
+        rec = S.int_pow(pair.f, -1, depth=2 * m + 8)
+        p = _windowed_power(rec, m, lambda r: (-r, m - r))
+        for k in (n, 0):  # the reliable window is an interval: its ends suffice
+            p.reliable_coeff(k)
+    lo, hi = min(n, 0), max(n, 0)
+    return LaurentSeries.from_pairs(zip(range(lo, hi + 1), S.dense(p, lo, hi)))
+
+
+def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:
+    """The table's polynomial P_n with its constant term halved.
+
+    P_n - (n/2) b(n,0) for either sign of n: the constant becomes half
+    the full power's mean term.  P_n is the one ``table.faber`` carries,
+    so index 0 (whose analogue log w callers handle symbolically) and
+    oracle tables are rejected.
+    """
+    n = int(n)
+    if n not in table.faber:
+        raise SeriesError(f"table carries no polynomial of index {n}")
+    return S.add(table.faber[n], S.constant(-(n / 2.0) * table.entry(n, 0)))
 
 
 # ---------------------------------------------------------------------------
 # primary path: residue extraction in w
 
 
-def _log_ratio_to_w(s: LaurentSeries, branch_constant: complex, depth: int) -> LaurentSeries:
-    """log(s(w)/w) for a linear-leading germ, with the supplied constant."""
-    _, j, u = S.split_normalize(s)
-    if j != 1:
-        raise SeriesError("log(s/w) needs a linear-leading series")
-    return S.add(S.constant(branch_constant, u.flavor), S.log1p(u, depth=depth))
+def _chain_window(pair: ConformalPair, n_max: int):
+    """Reciprocal depth and clip window of the order-n_max power chains."""
+    reach = pair.order + n_max + 6
+    return 2 * pair.order + 12, -reach, reach
 
 
 def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
-    """Full table by residue extraction (primary path)."""
+    """Full table by residue extraction (primary path), carrying its P_n."""
     n_max = int(order)
     if n_max > pair.order or n_max < 1:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
     g, f = pair.g, pair.f
     gp, fp = pair.g_prime(), pair.f_prime()
-    depth = 2 * pair.order + 12
-    cl_lo, cl_hi = -pair.order - n_max - 6, pair.order + n_max + 6
+    depth, cl_lo, cl_hi = _chain_window(pair, n_max)
 
     # weight series: E_g[m] = g^{m-1} g' (m = 1..N), E_g0 = g^{-1} g'
     e_g = []
@@ -222,17 +184,13 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
         f_pow = S.clip(S.mul(f_pow, f_inv), cl_lo, cl_hi)
         e_f.append(S.clip(S.mul(f_pow, fp), cl_lo, cl_hi))
 
-    # Faber polynomials as exact series, from the same power data
-    p_pos = [faber(pair, n).as_series() for n in range(1, n_max + 1)]
-    p_neg = [faber(pair, -n).as_series() for n in range(1, n_max + 1)]
-
+    p = {n: faber(pair, n) for n in range(-n_max, n_max + 1) if n}
     lb = cmath.log(pair.b)
-    log_g = _log_ratio_to_w(g, lb, depth)
-    log_f = _log_ratio_to_w(f, -lb, depth)
+    log_g, log_f = _paired_logs(pair, depth)
 
     b: dict = {(0, 0): -lb}
     for n in range(1, n_max + 1):
-        pn, pm = p_pos[n - 1], p_neg[n - 1]
+        pn, pm = p[n], p[-n]
         b[(n, 0)] = S.residue_mul(pn, e_f0) / n
         b[(-n, 0)] = -S.residue_mul(pm, e_g0) / n
         b[(0, n)] = S.residue_mul(log_g, e_g[n - 1])
@@ -243,8 +201,7 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
             b[(-n, -m)] = S.residue_mul(pm, e_f[m - 1]) / n
             b[(-n, m)] = S.residue_mul(pm, e_g[m - 1]) / n
 
-    defect = _symmetry_defect(b, n_max)
-    return GrunskyTable(n_max, b, -lb, defect)
+    return GrunskyTable(n_max, b, -lb, _symmetry_defect(b, n_max), p)
 
 
 def _symmetry_defect(b: dict, n_max: int) -> float:
@@ -392,12 +349,13 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
       P_-n = -n b(-n,0) + n sum_m b(-n, m) g^-m  (checked at exponents >= -order)
 
     The exponent restriction accounts for the truncation of the m-sums:
-    beyond it the residual is dominated by absent m > order terms.
+    beyond it the residual is dominated by absent m > order terms.  The
+    P_n are the ones the table carries, so it must come from
+    :func:`grunsky_table`.
     """
     n_max = table.order
-    depth = 2 * pair.order + 12
+    depth, cl_lo, cl_hi = _chain_window(pair, n_max)
     g, f = pair.g, pair.f
-    cl_lo, cl_hi = -pair.order - n_max - 6, pair.order + n_max + 6
 
     g_inv = S.int_pow(g, -1, depth=depth)
     g_negs = [g_inv]
@@ -415,8 +373,7 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
     g_pow = S.constant(1.0, AT_INFINITY)
     for n in range(1, n_max + 1):
         g_pow = S.clip(S.mul(g_pow, g), cl_lo, cl_hi)
-        pn = faber(pair, n).as_series()
-        pm = faber(pair, -n).as_series()
+        pn, pm = table.faber[n], table.faber[-n]
 
         resid_a = S.sub(pn, g_pow)
         resid_d = S.add(pm, S.constant(n * table.entry(-n, 0)))

@@ -137,20 +137,18 @@ def partials(h) -> Tuple[MonomialSum, MonomialSum, MonomialSum]:
     return ms.d1(), ms.d2(), ms.d12()
 
 
-def eval_along(ms, pair, window, depth: int | None = None) -> LaurentSeries:
+def eval_along(ms, pair, window) -> LaurentSeries:
     """Substitute z1 = g(w), z2 = f(w) and clip to ``window``.
 
-    ``depth`` is the truncation depth of the Newton-doubling reciprocal
-    behind negative powers (``series.int_pow``); the default is generous
-    enough that the result's reliability claim covers the requested window.
+    Negative powers use a Newton-doubling reciprocal (``series.int_pow``)
+    deep enough that the result's reliability claim covers the window.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty window")
     terms = ms.terms
-    if depth is None:
-        spread = max((abs(mu) + abs(nu) for mu, nu, _ in terms), default=0)
-        depth = max(16, (hi - lo) + 2 * spread + 8)
+    spread = max((abs(mu) + abs(nu) for mu, nu, _ in terms), default=0)
+    depth = max(16, (hi - lo) + 2 * spread + 8)
     g_pows: dict = {}
     f_pows: dict = {}
 

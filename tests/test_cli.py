@@ -339,6 +339,62 @@ def test_special_report_sigma_case(capsys):
     assert abs(doc["special_logtau"][0] - doc["general_logT"][0]) <= 1e-9
 
 
+def test_special_searches_down_for_a_certified_order(capsys):
+    # the default order 12 leaves f's certified window; order 11 builds
+    code, out, _ = run_cli(
+        ["special", str(CONFIGS / "fixture_sigma.json"),
+         "--mu", "-2", "--nu", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["order"] == 11
+
+
+def test_special_underflow_at_order_one_is_one_line():
+    # default order 16 - 7 - 7 - 1 = 1: nothing lower to retry
+    code, err = run_cli_process(
+        ["special", str(CONFIGS / "fixture_sigma.json"),
+         "--mu", "7", "--nu", "7"])
+    assert code == 1
+    assert err.startswith("dtoda: computation failed: window underflow")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_green_identity_on_order32_sigma_pair(tmp_path):
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    payload["order"] = 32
+    config = load_config(write_config(tmp_path, payload))
+    [result] = run_checks(config, ["green_identity"])
+    assert result["error"] == "" and result["passed"]
+
+
+TABLE_CHECKS = ["faber_identity", "grunsky_dual_path", "grunsky_symmetry",
+                "lax"]
+
+
+def test_battery_builds_the_table_once(monkeypatch):
+    calls = []
+    build = cli.G.grunsky_table
+
+    def counted(pair, order):
+        calls.append(order)
+        return build(pair, order)
+
+    monkeypatch.setattr(cli.G, "grunsky_table", counted)
+    config = load_config(str(CONFIGS / "fixture_random.json"))
+    results = run_checks(config, TABLE_CHECKS)
+    assert calls == [config.order]
+    assert all(r["passed"] for r in results)
+
+
+def test_failed_table_build_is_reported_by_every_check():
+    # fixture_sigma's certified window is too short for an order-16 table
+    config = load_config(str(CONFIGS / "fixture_sigma.json"))
+    results = run_checks(config, TABLE_CHECKS)
+    assert [r["name"] for r in results] == TABLE_CHECKS
+    for r in results:
+        assert r["error"].startswith("WindowUnderflowError"), r
+        assert not r["passed"]
+
+
 def test_verify_output_files_round_trip(tmp_path, capsys):
     payload = identity_payload()
     payload["tolerances"] = {"string": 1e-9, "plemelj": 1e-9}

@@ -49,6 +49,27 @@ def test_canonical_windows():
     assert p.g.coeff(-2) == 0.05 and p.f.coeff(3) == 0.02
 
 
+def test_g_zero_padding_past_window_accepted():
+    # exact zeros below -order are padding, as zeros of f below exponent 1
+    p = CP.from_coefficients({1: 1.0, -2: 0.05, -9: 0.0}, {1: 1.0}, order=6)
+    assert (p.g.lo_exp, p.g.hi_exp) == (-6, 1)
+    assert p.g.coeff(-2) == 0.05
+
+
+def test_g_nonzero_tail_past_window_rejected():
+    with pytest.raises(SeriesError, match="exponent -9 outside order-6 window"):
+        CP.from_coefficients({1: 1.0, -9: 1e-3}, {1: 1.0}, order=6)
+
+
+def test_sigma_conjugate_narrows_a_zero_padded_g():
+    # a reflection pair at order 32 re-conjugated at order 24 (the Green
+    # identity check does this) drops only zero padding
+    wide = CP.sigma_conjugate(LaurentSeries.from_pairs({1: 1.0, -1: 0.1}, AT_INFINITY),
+                              order=32)
+    narrow = CP.sigma_conjugate(wide.g, order=24)
+    assert narrow.g.lo_exp == -24 and narrow.g.coeff(-1) == 0.1
+
+
 # ---------------------------------------------------------------------------
 # reflection subfamily
 

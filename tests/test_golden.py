@@ -1,9 +1,9 @@
 """Golden-output regression for the CLI payloads and the verify ledger.
 
 ``tests/golden/<fixture>.json`` holds, for each fixture config, the
-parsed JSON stdout of ``coords``, ``grunsky``, ``special --mu 1 --nu 1``
-and ``flow --n 1 --eps 1e-3 --steps 3`` (or the type of the error the
-command raised), and the residual, PASS/FAIL and error type of all 19
+parsed JSON stdout of ``coords``, ``grunsky``, ``special --mu 1 --nu 1``,
+``flow --n 1 --eps 1e-3 --steps 3`` and ``sigma`` (or the type of the
+error the command raised), and the residual, PASS/FAIL and error type of all 19
 registered checks.  Numbers must agree to 1e-12 absolute; a finite
 residual may instead agree to 1e-6 relative, since the checks report
 differences of nearly equal quantities.  Strings, statuses and error
@@ -32,6 +32,7 @@ COMMANDS = {
     "grunsky": lambda cfg, out: cli.cmd_grunsky(cfg, stdout=out),
     "special_mu1_nu1": lambda cfg, out: cli.cmd_special(cfg, 1, 1, stdout=out),
     "flow_n1": lambda cfg, out: cli.cmd_flow(cfg, 1, 1e-3, 3, stdout=out),
+    "sigma": lambda cfg, out: cli.cmd_sigma(cfg, stdout=out),
 }
 
 

@@ -31,29 +31,28 @@ from dtoda.series import SeriesError
 
 def test_faber_identity_cubic(fix_id):
     p = G.faber(fix_id, 3)
-    assert p.coefficients[3] == 1.0
-    assert all(abs(p.coefficients.get(k, 0.0)) == 0.0 for k in range(0, 3))
+    assert p.coeff(3) == 1.0
+    assert all(abs(p.coeff(k)) == 0.0 for k in range(0, 3))
 
 
 def test_faber_identity_negative(fix_id):
     p = G.faber(fix_id, -2)
-    assert p.coefficients[-2] == 1.0
-    assert all(abs(p.coefficients.get(k, 0.0)) == 0.0 for k in (-1, 0))
+    assert p.coeff(-2) == 1.0
+    assert all(abs(p.coeff(k)) == 0.0 for k in (-1, 0))
 
 
 def test_faber_joukowski_square(fix_sig):
     # g = w + 0.1/w: g^2 = w^2 + 0.2 + 0.01 w^-2 -> P_2 = w^2 + 0.2
     p = G.faber(fix_sig, 2)
-    assert abs(p.coefficients[2] - 1.0) < 1e-15
-    assert abs(p.coefficients[0] - 0.2) < 1e-15
-    assert abs(p.coefficients.get(1, 0.0)) == 0.0
+    assert abs(p.coeff(2) - 1.0) < 1e-15
+    assert abs(p.coeff(0) - 0.2) < 1e-15
+    assert abs(p.coeff(1)) == 0.0
 
 
-def test_faber_zero_is_log_marker(fix_id):
-    p = G.faber(fix_id, 0)
-    assert p.is_log_marker
+def test_faber_zero_raises(fix_id):
+    # index 0 stands for log w, which has no polynomial part
     with pytest.raises(SeriesError):
-        p.as_series()
+        G.faber(fix_id, 0)
 
 
 def test_faber_index_beyond_order(fix_id):
@@ -104,7 +103,7 @@ def test_joukowski_inverse_hand_oracles(jouk_pair):
     assert abs(t.entry(1, -1) - 1.0) < 1e-10
     assert abs(t.entry(2, -2) - 0.5) < 1e-10
     p2 = G.faber(jouk_pair, 2)
-    assert abs(p2.coefficients[0] + 0.2) < 1e-10
+    assert abs(p2.coeff(0) + 0.2) < 1e-10
 
 
 def test_joukowski_inverse_via_inverse_path(jouk_pair):
@@ -115,6 +114,22 @@ def test_joukowski_inverse_via_inverse_path(jouk_pair):
 
 # ---------------------------------------------------------------------------
 # random pair: symmetry, dual path, expansions, b00
+
+
+def test_table_carries_its_faber_polynomials(fix_rand):
+    t = G.grunsky_table(fix_rand, 16)
+    assert sorted(t.faber) == [n for n in range(-16, 17) if n]
+    for n, p in t.faber.items():
+        q = G.faber(fix_rand, n)
+        assert (p.lo_exp, p.flavor, p.reliable) == (q.lo_exp, q.flavor, q.reliable)
+        assert np.array_equal(p.coeffs, q.coeffs), n
+
+
+def test_oracle_table_carries_no_polynomials(fix_rand):
+    t = G.grunsky_via_inverse(fix_rand, 4)
+    assert t.faber == {}
+    with pytest.raises(SeriesError):
+        G.b_polynomial(t, 1)
 
 
 def test_random_pair_symmetry(fix_rand):
@@ -150,25 +165,25 @@ def test_sig_pair_b20(fix_sig):
 
 def test_b_polynomial_identity(fix_id):
     t = G.grunsky_table(fix_id, 8)
-    p = G.b_polynomial(fix_id, t, 2)
-    assert p.coefficients[2] == 1.0
-    assert abs(p.coefficients.get(0, 0.0)) < 1e-14
-    q = G.b_polynomial(fix_id, t, -1)
-    assert q.coefficients[-1] == 1.0
-    assert abs(q.coefficients.get(0, 0.0)) < 1e-14
+    p = G.b_polynomial(t, 2)
+    assert p.coeff(2) == 1.0
+    assert abs(p.coeff(0)) < 1e-14
+    q = G.b_polynomial(t, -1)
+    assert q.coeff(-1) == 1.0
+    assert abs(q.coeff(0)) < 1e-14
 
 
 def test_b_polynomial_halves_constant(fix_sig):
     t = G.grunsky_table(fix_sig, 8)
-    p = G.b_polynomial(fix_sig, t, 2)
+    p = G.b_polynomial(t, 2)
     # P_2 = w^2 + 0.2 and b(2,0) = 0.1: constant becomes 0.2 - 0.1 = 0.1
-    assert abs(p.coefficients[0] - 0.1) < 1e-12
+    assert abs(p.coeff(0) - 0.1) < 1e-12
 
 
 def test_b_polynomial_rejects_zero(fix_id):
     t = G.grunsky_table(fix_id, 4)
     with pytest.raises(SeriesError):
-        G.b_polynomial(fix_id, t, 0)
+        G.b_polynomial(t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +270,11 @@ def _full_width_faber(pair, n):
 
 def test_faber_matches_full_width_power(poly64):
     for n in [k for k in range(-64, 65) if k]:
-        got = G.faber(poly64, n).coefficients
+        got = G.faber(poly64, n)
         want = _full_width_faber(poly64, n)
-        assert sorted(got) == sorted(want), n
+        assert (got.lo_exp, got.hi_exp) == (min(want), max(want)), n
         scale = max(abs(c) for c in want.values())
-        assert max(abs(got[k] - want[k]) for k in want) <= 1e-13 * scale, n
+        assert max(abs(got.coeff(k) - want[k]) for k in want) <= 1e-13 * scale, n
 
 
 def _mp_faber(pair, n):
@@ -289,9 +304,9 @@ def _mp_faber(pair, n):
 @pytest.mark.parametrize("n", [64, -64])
 def test_faber_no_farther_from_mpmath_than_full_width(poly64, n):
     want = _mp_faber(poly64, n)
-    got = G.faber(poly64, n).coefficients
+    got = G.faber(poly64, n)
     old = _full_width_faber(poly64, n)
-    err_new = max(abs(got[k] - want[k]) for k in want)
+    err_new = max(abs(got.coeff(k) - want[k]) for k in want)
     err_old = max(abs(old[k] - want[k]) for k in want)
     assert err_new <= 1.1 * err_old + 1e-300
 

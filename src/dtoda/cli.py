@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import series as S
 from .series import LaurentSeries
 from . import conformal_pair as CP
@@ -106,14 +108,12 @@ def _fail(field_name: str, message: str) -> None:
 
 
 def _as_complex(value, field_name: str) -> complex:
-    """Accept a bare real or an [re, im] pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in value)):
-        return complex(value[0], value[1])
-    _fail(field_name, "expected a real number or an [re, im] pair")
+    """Accept a bare real or an [re, im] pair, every part finite."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in parts):
+        _fail(field_name, "expected a real number or an [re, im] pair")
+    return complex(*(_as_real(x, field_name) for x in parts))
 
 
 def _as_int(value, field_name: str) -> int:
@@ -125,6 +125,8 @@ def _as_int(value, field_name: str) -> int:
 def _as_real(value, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field_name, "expected a real number")
+    if not math.isfinite(value):
+        _fail(field_name, f"expected a finite number, got {value}")
     return float(value)
 
 
@@ -326,6 +328,27 @@ def _mode_map(values: Dict[int, complex]) -> Dict[str, List[float]]:
     return {str(n): _cx(z) for n, z in values.items()}
 
 
+def _mode_rows(order: int, t: Dict[int, complex], v: Dict[int, complex],
+               v0: complex) -> List[list]:
+    """CSV rows (n, t, v) for n = -order..order, with v0 in the v column at n = 0."""
+    rows = [["n", "t_re", "t_im", "v_re", "v_im"]]
+    for n in range(-order, order + 1):
+        tv = t.get(n, 0.0)
+        vv = v0 if n == 0 else v.get(n, 0.0)
+        rows.append([n, f"{tv.real:.17g}", f"{tv.imag:.17g}",
+                     f"{vv.real:.17g}", f"{vv.imag:.17g}"])
+    return rows
+
+
+def _table_payload(table, lo: int) -> Tuple[Dict[str, List[float]], List[list]]:
+    """The ``entries`` map and the (m, n, re, im) CSV rows, in index order,
+    of a square array whose [0, 0] entry has indices (lo, lo)."""
+    cells = [(m + lo, n + lo, complex(z)) for (m, n), z in np.ndenumerate(table)]
+    rows = [[m, n, f"{z.real:.17g}", f"{z.imag:.17g}"] for m, n, z in cells]
+    return ({f"{m},{n}": _cx(z) for m, n, z in cells},
+            [["m", "n", "re", "im"]] + rows)
+
+
 # ---------------------------------------------------------------------------
 # verify battery
 
@@ -404,8 +427,8 @@ def _check_string(ctx) -> float:
 
 
 def _check_lax(ctx) -> float:
-    return max(F.lax_check(ctx.pair, ctx.h, ctx.table, n)
-               for n in (1, -1, 2, -2, 3, -3))
+    return float(np.max([F.lax_check(ctx.pair, ctx.h, ctx.table, n)
+                         for n in (1, -1, 2, -2, 3, -3)]))
 
 
 def _check_canonical_bracket(ctx) -> float:
@@ -434,24 +457,21 @@ def _check_gauge_covariance(ctx) -> float:
     t0, v0_map, _ = C.time_variables(ctx.pair, ctx.h, order, ())
     t1, v1_map, _ = C.time_variables(ctx.pair, ctx.h, order, gauge)
     t_shift, v_shift, v0_shift = gauge_shift_constants(gauge, order)
-    worst = 0.0
-    for n in t0:
-        worst = max(worst, abs(t1[n] - t0[n] - t_shift.get(n, 0.0)))
-    for n in v0_map:
-        worst = max(worst, abs(v1_map[n] - v0_map[n] - v_shift.get(n, 0.0)))
+    defects = [abs(t1[n] - t0[n] - t_shift.get(n, 0.0)) for n in t0]
+    defects += [abs(v1_map[n] - v0_map[n] - v_shift.get(n, 0.0))
+                for n in v0_map]
     dv0 = C.v_zero(ctx.pair, ctx.h, gauge) - C.v_zero(ctx.pair, ctx.h, ())
-    worst = max(worst, abs(dv0 - v0_shift))
+    defects.append(abs(dv0 - v0_shift))
     # The flow fields themselves must not feel the gauge at all.
     for n in (1, -2):
         plain = F.flow_field(ctx.pair, ctx.h, n, samples=ctx.samples)
         dressed = F.flow_field(ctx.pair, ctx.h, n, gauge=gauge,
                                samples=ctx.samples)
-        worst = max(worst,
-                    S.max_abs_diff_reliable(plain.dg, dressed.dg),
+        defects += [S.max_abs_diff_reliable(plain.dg, dressed.dg),
                     S.max_abs_diff_reliable(plain.df, dressed.df),
                     S.max_abs_diff_reliable(plain.u_series,
-                                            dressed.u_series))
-    return worst
+                                            dressed.u_series)]
+    return float(np.max(defects))
 
 
 def _check_sigma_reality(ctx) -> float:
@@ -639,13 +659,7 @@ def _snapshot_payload(config: ExperimentConfig):
         "z_parts": [_cx(z) for z in snap.z_parts],
         "z2_closed": _cx(snap.z2_closed),
     }
-    rows = [["n", "t_re", "t_im", "v_re", "v_im"]]
-    for n in range(-snap.order, snap.order + 1):
-        tv = t.get(n, 0.0)
-        vv = v0 if n == 0 else v.get(n, 0.0)
-        rows.append([n, f"{tv.real:.17g}", f"{tv.imag:.17g}",
-                     f"{vv.real:.17g}", f"{vv.imag:.17g}"])
-    return json_obj, rows
+    return json_obj, _mode_rows(snap.order, t, v, v0)
 
 
 def cmd_coords(config: ExperimentConfig, stdout=None) -> int:
@@ -660,13 +674,10 @@ def cmd_grunsky(config: ExperimentConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
     pair = config.build_pair()
     table = _deepest(lambda k: G.grunsky_table(pair, k), config.order)
-    entries = {f"{m},{n}": _cx(z) for (m, n), z in table.b.items()}
+    entries, rows = _table_payload(table.b, -table.order)
     json_obj = {"order": table.order, "b00": _cx(table.b00),
                 "symmetry_defect": table.symmetry_defect,
                 "entries": entries}
-    rows = [["m", "n", "re", "im"]]
-    rows += [[m, n, f"{z.real:.17g}", f"{z.imag:.17g}"]
-             for (m, n), z in sorted(table.b.items())]
     stdout.write(_dump_json({"b00": json_obj["b00"], "order": table.order,
                              "symmetry_defect": table.symmetry_defect,
                              "entry_count": len(entries)}))
@@ -719,14 +730,11 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
     order = min(8, config.order)
     reality = R.sigma_coordinate_check(pair.g, h, order)
     green, coeffs = R.green_identity(pair.g, h, order)
+    kernel, rows = _table_payload(coeffs.kernel, 0)
     json_obj = {"order": order,
                 "reality_defect": reality,
                 "green_identity_defect": green,
-                "kernel": {f"{m},{n}": _cx(z)
-                           for (m, n), z in coeffs.kernel.items()}}
-    rows = [["m", "n", "re", "im"]]
-    rows += [[m, n, f"{z.real:.17g}", f"{z.imag:.17g}"]
-             for (m, n), z in sorted(coeffs.kernel.items())]
+                "kernel": kernel}
     stdout.write(_dump_json({"order": order, "reality_defect": reality,
                              "green_identity_defect": green}))
     _write_outputs(config.outputs, json_obj, rows)
@@ -762,14 +770,9 @@ def cmd_special(config: ExperimentConfig, mu: int, nu: int,
         "generating_derivative_form": report.derivative,
         "generating_offset": _cx(report.offset),
     }
-    rows = [["n", "t_re", "t_im", "v_re", "v_im"]]
-    for n in range(-sp.order, sp.order + 1):
-        tv = sp.t.get(n, 0.0)
-        vv = sp.v0 if n == 0 else sp.v.get(n, 0.0)
-        rows.append([n, f"{tv.real:.17g}", f"{tv.imag:.17g}",
-                     f"{vv.real:.17g}", f"{vv.imag:.17g}"])
     stdout.write(_dump_json(json_obj))
-    _write_outputs(config.outputs, json_obj, rows)
+    _write_outputs(config.outputs, json_obj,
+                   _mode_rows(sp.order, sp.t, sp.v, sp.v0))
     return 0
 
 

@@ -39,6 +39,8 @@ import cmath
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
+import numpy as np
+
 from . import series as S
 from .series import LaurentSeries
 from .hamiltonian import GaugeTerm, HamiltonianH, MonomialSum, eval_along, gauge_sum, j_pair
@@ -145,18 +147,6 @@ def v_zero(pair, h, gauge: Sequence[GaugeTerm] = ()) -> complex:
             - S.coeff(h_along, 0))
 
 
-def phi_psi(v: Dict[int, complex], order: int) -> Tuple[LaurentSeries, LaurentSeries]:
-    """Phi(z) = sum_{n=1..order} v_n/n z^-n and Psi(z) = sum v_-n/n z^n."""
-    order = int(order)
-    phi = LaurentSeries.from_pairs(
-        {-n: v[n] / n for n in range(1, order + 1)},
-        S.AT_INFINITY, reliable=(-order, S.POS_INF))
-    psi = LaurentSeries.from_pairs(
-        {n: v[-n] / n for n in range(1, order + 1)},
-        S.AT_ZERO, reliable=(S.NEG_INF, order))
-    return phi, psi
-
-
 def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float:
     """Max defect of the two basis expansions against (t, v, t_0)."""
     order = int(order)
@@ -168,8 +158,8 @@ def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float
     depth = width + order + 8
     dg, df = pair.g_prime(), pair.f_prime()
 
-    def defect_at(k: int, g_pow: LaurentSeries, f_pow: LaurentSeries) -> float:
-        """Expansion defect at mode k, with g_pow = g**(-k-1), f_pow = f**(-k-1)."""
+    def defect_at(k: int, g_pow: LaurentSeries, f_pow: LaurentSeries) -> list:
+        """Expansion defects at mode k, with g_pow = g**(-k-1), f_pow = f**(-k-1)."""
         a_k = S.residue_mul(S.mul(x1, g_pow), dg)
         b_k = S.residue_mul(S.mul(x2, f_pow), df)
         if k >= 1:
@@ -178,16 +168,16 @@ def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float
             want_a, want_b = t[0], t[0]
         else:
             want_a, want_b = v[-k], k * t[k]
-        return max(abs(a_k - want_a), abs(b_k - want_b))
+        return [abs(a_k - want_a), abs(b_k - want_b)]
 
     one = S.constant(1.0)
-    defect = defect_at(-1, one, one)
+    defects = defect_at(-1, one, one)
     for (n, g_pos, g_neg), (_, f_pos, f_neg) in zip(
             _power_chain(pair.g, order + 1, depth), _power_chain(pair.f, order + 1, depth)):
-        defect = max(defect, defect_at(n - 1, g_neg, f_neg))
+        defects += defect_at(n - 1, g_neg, f_neg)
         if n < order:
-            defect = max(defect, defect_at(-n - 1, g_pos, f_pos))
-    return defect
+            defects += defect_at(-n - 1, g_pos, f_pos)
+    return float(np.max(defects))
 
 
 def log_tau(pair, h: HamiltonianH, t: Dict[int, complex], v: Dict[int, complex],

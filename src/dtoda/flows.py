@@ -27,6 +27,8 @@ with t0-derivatives given by the n = 0 field.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import series as S
 from .series import AT_INFINITY, AT_ZERO, LaurentSeries, SeriesError
 from .conformal_pair import ConformalPair, from_coefficients
@@ -157,16 +159,13 @@ def step(pair, h, n: int, eps: float, method: str = "euler") -> ConformalPair:
 
 def jacobian_check(pair, h, order: int, eps: float = 1e-5) -> float:
     """max |dt_m/deps along direction n - delta_{nm}| over |n|,|m| <= order."""
-    order = int(order)
-    worst = 0.0
-    for n in range(-order, order + 1):
+    modes = range(-int(order), int(order) + 1)
+    quotients = []
+    for n in modes:
         tp, _, _ = time_variables(step(pair, h, n, +eps), h, order)
         tm, _, _ = time_variables(step(pair, h, n, -eps), h, order)
-        for m in range(-order, order + 1):
-            quotient = (tp[m] - tm[m]) / (2.0 * eps)
-            want = 1.0 if m == n else 0.0
-            worst = max(worst, abs(quotient - want))
-    return worst
+        quotients.append([(tp[m] - tm[m]) / (2.0 * eps) for m in modes])
+    return float(np.max(np.abs(np.array(quotients) - np.eye(len(modes)))))
 
 
 def _check_pad(pair) -> int:
@@ -220,11 +219,11 @@ def lax_check(pair, h, table: GrunskyTable, n: int) -> float:
     def bracket_with(ds: LaurentSeries, s_prime: LaurentSeries) -> LaurentSeries:
         return S.shift(S.sub(S.mul(poly_prime, ds), S.mul(dpoly0, s_prime)), 1)
 
-    residual = max(
+    return float(np.max([
         S.max_abs_diff_reliable(ffn.dg, bracket_with(ff0.dg, pair.g_prime())),
         S.max_abs_diff_reliable(ffn.df, bracket_with(ff0.df, pair.f_prime())),
-    )
-    return max(residual, canonical_bracket_check(pair, h))
+        canonical_bracket_check(pair, h),
+    ]))
 
 
 def canonical_bracket_check(pair, h) -> float:
@@ -261,8 +260,7 @@ def tau_gradient_check(pair, h, order: int, eps: float = 1e-5) -> dict:
     # (a shorter lattice would freeze t_k v_k products that still vary).
     base = toda_coordinates(pair, h)
     nonzero = [m for m in range(-order, order + 1) if m != 0]
-    gradient = 0.0
-    hessian = 0.0
+    gradient, hessian = [], []
     v0_t0 = 0.0
     quotients: dict = {}
     for n in range(-order, order + 1):
@@ -270,12 +268,12 @@ def tau_gradient_check(pair, h, order: int, eps: float = 1e-5) -> dict:
         cm = toda_coordinates(step(pair, h, n, -eps), h)
         d_logt = (cp.logT - cm.logT) / (2.0 * eps)
         want = base.v0 if n == 0 else base.v[n]
-        gradient = max(gradient, abs(d_logt - want))
+        gradient.append(abs(d_logt - want))
         d_v0 = (cp.v0 - cm.v0) / (2.0 * eps)
         if n == 0:
             v0_t0 = abs(d_v0 + 2.0 * table.b00)
         else:
-            hessian = max(hessian, abs(d_v0 - abs(n) * table.entry(0, n)))
+            hessian.append(abs(d_v0 - abs(n) * table.entry(0, n)))
         for m in nonzero:
             d_vm = (cp.v[m] - cm.v[m]) / (2.0 * eps)
             quotients[(m, n)] = d_vm
@@ -283,13 +281,14 @@ def tau_gradient_check(pair, h, order: int, eps: float = 1e-5) -> dict:
                 want_mn = abs(m) * table.entry(m, 0)
             else:
                 want_mn = -abs(m * n) * table.entry(m, n)
-            hessian = max(hessian, abs(d_vm - want_mn))
-    symmetry = max(abs(quotients[(m, n)] - quotients[(n, m)])
-                   for m in nonzero for n in nonzero)
+            hessian.append(abs(d_vm - want_mn))
+    gradient, hessian = float(np.max(gradient)), float(np.max(hessian))
+    symmetry = float(np.max([abs(quotients[(m, n)] - quotients[(n, m)])
+                             for m in nonzero for n in nonzero]))
     return {
         "gradient": gradient,
         "hessian": hessian,
         "hessian_symmetry": symmetry,
         "v0_t0": v0_t0,
-        "max": max(gradient, hessian, symmetry, v0_t0),
+        "max": float(np.max([gradient, hessian, symmetry, v0_t0])),
     }

@@ -43,9 +43,18 @@ reach those orders.  A primary-path table carries the 2N polynomials it
 was built from (``GrunskyTable.faber``); :func:`faber_expansion_defect`
 and :func:`b_polynomial` read them there instead of rebuilding them.
 
-The symmetry b(m, n) = b(n, m) is *not* imposed: both triangles (and the
-0-row against the 0-column) are computed independently and the observed
-defect is recorded on the table.
+A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
+= b(m, n)``.  On the primary path each block of it is one matrix product
+(:func:`series.residue_matrix`): the stacked rows P_-N..P_-1, log(g/w),
+P_1..P_N against the stacked weights g^{m-1} g' fill the columns m >= 1,
+the same rows with log(f/w) against f^{-m-1} f' the columns m <= -1, and
+column 0 pairs P_n with f^{-1} f' and P_-n with g^{-1} g'.  The oracle
+path copies its blocks from the three bivariate logs.  Every reduction
+over a table is an array expression, so a NaN entry makes it NaN.
+
+The symmetry b(m, n) = b(n, m) is *not* imposed on the primary path: both
+triangles (and the 0-row against the 0-column) are computed independently
+and the observed defect is a property of the table.
 """
 
 from __future__ import annotations
@@ -67,23 +76,39 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrunskyTable:
     """Dense coefficient table b(m, n) for |m|, |n| <= order.
 
+    ``b`` is one read-only (2N+1) x (2N+1) complex array with
+    ``b[m + N, n + N] = b(m, n)``, N = ``order``; :meth:`entry` reads it
+    by signed index and raises ``KeyError`` outside the table.
     ``faber`` maps 1 <= |n| <= order to the exact series P_n the residue
-    path read the entries against (empty on oracle tables); ``repr`` and
-    ``==`` leave it out.
+    path read the entries against (empty on oracle tables) and is left
+    out of ``repr``.
     """
 
     order: int
-    b: dict
-    b00: complex
-    symmetry_defect: float
-    faber: dict = field(default_factory=dict, repr=False, compare=False)
+    b: np.ndarray
+    faber: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.b.setflags(write=False)
+
+    @property
+    def b00(self) -> complex:
+        return complex(self.b[self.order, self.order])
+
+    @property
+    def symmetry_defect(self) -> float:
+        """max |b(m, n) - b(n, m)|; NaN if any entry is NaN."""
+        return float(np.max(np.abs(self.b - self.b.T)))
 
     def entry(self, m: int, n: int) -> complex:
-        return self.b[(int(m), int(n))]
+        m, n = int(m), int(n)
+        if max(abs(m), abs(n)) > self.order:
+            raise KeyError((m, n))
+        return complex(self.b[m + self.order, n + self.order])
 
 
 def _windowed_power(base: LaurentSeries, k: int, window) -> LaurentSeries:
@@ -158,8 +183,22 @@ def _chain_window(pair: ConformalPair, n_max: int):
     return 2 * pair.order + 12, -reach, reach
 
 
+def _powers(base: LaurentSeries, n: int, lo: int, hi: int) -> list:
+    """[base, base**2, ..., base**n], each product after the first clipped to [lo, hi]."""
+    out = [base]
+    while len(out) < n:
+        out.append(S.clip(S.mul(out[-1], base), lo, hi))
+    return out[:n]
+
+
 def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
-    """Full table by residue extraction (primary path), carrying its P_n."""
+    """Full table by residue extraction (primary path), carrying its P_n.
+
+    The rows P_-N..P_-1, log(g/w) or log(f/w), P_1..P_N are paired with
+    the weights g^{m-1} g' and f^{-m-1} f' in two matrix products, which
+    fill the columns m >= 1 and m <= -1; column 0 pairs P_n with f^{-1} f'
+    and P_-n with g^{-1} g'.
+    """
     n_max = int(order)
     if n_max > pair.order or n_max < 1:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
@@ -167,51 +206,30 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     gp, fp = pair.g_prime(), pair.f_prime()
     depth, cl_lo, cl_hi = _chain_window(pair, n_max)
 
-    # weight series: E_g[m] = g^{m-1} g' (m = 1..N), E_g0 = g^{-1} g'
-    e_g = []
-    g_pow = S.constant(1.0, AT_INFINITY)
-    for m in range(1, n_max + 1):
-        e_g.append(S.clip(S.mul(g_pow, gp), cl_lo, cl_hi))
-        g_pow = S.clip(S.mul(g_pow, g), cl_lo, cl_hi)
+    # weights: e_g[0] = g^{-1} g', e_g[m] = g^{m-1} g'; e_f[m] = f^{-m-1} f' (m = 0..N)
     g_inv = S.int_pow(g, -1, depth=depth)
-    e_g0 = S.clip(S.mul(g_inv, gp), cl_lo, cl_hi)
-
+    one = S.constant(1.0, AT_INFINITY)
+    e_g = [S.clip(S.mul(s, gp), cl_lo, cl_hi)
+           for s in [g_inv, one] + _powers(g, n_max - 1, cl_lo, cl_hi)]
     f_inv = S.int_pow(f, -1, depth=depth)
-    e_f = []
-    f_pow = f_inv
-    e_f0 = S.clip(S.mul(f_inv, fp), cl_lo, cl_hi)
-    for _ in range(1, n_max + 1):
-        f_pow = S.clip(S.mul(f_pow, f_inv), cl_lo, cl_hi)
-        e_f.append(S.clip(S.mul(f_pow, fp), cl_lo, cl_hi))
+    e_f = [S.clip(S.mul(s, fp), cl_lo, cl_hi)
+           for s in _powers(f_inv, n_max + 1, cl_lo, cl_hi)]
 
     p = {n: faber(pair, n) for n in range(-n_max, n_max + 1) if n}
+    neg = [p[n] for n in range(-n_max, 0)]
+    pos = [p[n] for n in range(1, n_max + 1)]
     lb = cmath.log(pair.b)
     log_g, log_f = _paired_logs(pair, depth)
 
-    b: dict = {(0, 0): -lb}
-    for n in range(1, n_max + 1):
-        pn, pm = p[n], p[-n]
-        b[(n, 0)] = S.residue_mul(pn, e_f0) / n
-        b[(-n, 0)] = -S.residue_mul(pm, e_g0) / n
-        b[(0, n)] = S.residue_mul(log_g, e_g[n - 1])
-        b[(0, -n)] = S.residue_mul(log_f, e_f[n - 1])
-        for m in range(1, n_max + 1):
-            b[(n, m)] = S.residue_mul(pn, e_g[m - 1]) / n
-            b[(n, -m)] = S.residue_mul(pn, e_f[m - 1]) / n
-            b[(-n, -m)] = S.residue_mul(pm, e_f[m - 1]) / n
-            b[(-n, m)] = S.residue_mul(pm, e_g[m - 1]) / n
-
-    return GrunskyTable(n_max, b, -lb, _symmetry_defect(b, n_max), p)
-
-
-def _symmetry_defect(b: dict, n_max: int) -> float:
-    out = 0.0
-    rng = range(-n_max, n_max + 1)
-    for m in rng:
-        for n in rng:
-            if m < n:
-                out = max(out, abs(b[(m, n)] - b[(n, m)]))
-    return out
+    k = np.abs(np.arange(-n_max, n_max + 1))
+    div = np.maximum(k, 1)[:, None]
+    b = np.empty((2 * n_max + 1, 2 * n_max + 1), dtype=np.complex128)
+    b[:, n_max + 1:] = S.residue_matrix(neg + [log_g] + pos, e_g[1:]) / div
+    b[:, n_max - 1::-1] = S.residue_matrix(neg + [log_f] + pos, e_f[1:]) / div
+    b[:n_max, n_max] = -S.residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
+    b[n_max + 1:, n_max] = S.residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
+    b[n_max, n_max] = -lb
+    return GrunskyTable(n_max, b, p)
 
 
 # ---------------------------------------------------------------------------
@@ -278,64 +296,75 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     b00 = cmath.log(beta)
 
     n1 = n_max
+    sums = np.add.outer(np.arange(n1 + 1), np.arange(n1 + 1))  # i + j
     # G-G kernel: coefficient of z1^-i z2^-j in (G1 - G2)/(z1 - z2) is
     # -G_{-(i+j-1)} for i, j >= 1 (leading beta at (0,0)).
+    g_tail = np.array([-big_g.coeff(1 - k) / beta for k in range(2 * n1 + 1)])
     w_gg = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
-    for i in range(1, n1 + 1):
-        for j in range(1, n1 + 1):
-            w_gg[i, j] = -big_g.coeff(-(i + j - 1)) / beta
+    w_gg[1:, 1:] = g_tail[sums[1:, 1:]]
     l_gg = _log2d(w_gg)
 
     # F-F kernel: coefficient of z1^i z2^j is F_{i+j+1} for i + j >= 1.
-    w_ff = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
-    for i in range(0, n1 + 1):
-        for j in range(0, n1 + 1):
-            if i + j >= 1:
-                w_ff[i, j] = big_f.coeff(i + j + 1) / alpha1
-    l_ff = _log2d(w_ff)
+    f_tail = np.array([big_f.coeff(k + 1) / alpha1 for k in range(2 * n1 + 1)])
+    f_tail[0] = 0.0
+    l_ff = _log2d(f_tail[sums])
 
     # G-F kernel: (G(z1) - F(z2))/z1 = beta (1 + W) with
     # W[i, 0] = G_{-(i-1)}/beta (i >= 1) and W[1, j] -= F_j/beta (j >= 1).
     w_gf = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
-    for i in range(1, n1 + 1):
-        w_gf[i, 0] = big_g.coeff(-(i - 1)) / beta
-    for j in range(1, n1 + 1):
-        w_gf[1, j] -= big_f.coeff(j) / beta
+    w_gf[1:, 0] = [big_g.coeff(-(i - 1)) / beta for i in range(1, n1 + 1)]
+    w_gf[1, 1:] -= [big_f.coeff(j) / beta for j in range(1, n1 + 1)]
     l_gf = _log2d(w_gf)
 
     # univariate f-side 0-row: log(F(z)/z) = log(alpha1) + log(1 + u_F)
     _, _, u_big_f = S.split_normalize(big_f)
     log_f_row = S.log1p(u_big_f, depth=n1 + 2)
 
-    b: dict = {(0, 0): b00}
-    for m in range(1, n_max + 1):
-        b[(m, 0)] = -l_gf[m, 0]
-        b[(0, m)] = -l_gf[m, 0]
-        val = -log_f_row.coeff(m)
-        b[(0, -m)] = val
-        b[(-m, 0)] = val
-        for n in range(1, n_max + 1):
-            b[(m, n)] = -l_gg[m, n]
-            b[(-m, -n)] = -l_ff[m, n]
-            b[(m, -n)] = -l_gf[m, n]
-            b[(-n, m)] = -l_gf[m, n]
-
-    defect = _symmetry_defect(b, n_max)
-    return GrunskyTable(n_max, b, b00, defect)
+    # b(m, n) = b(n, m) for every mixed pair and every 0-row entry: one
+    # kernel coefficient fills both triangles.
+    b = np.empty((2 * n1 + 1, 2 * n1 + 1), dtype=np.complex128)
+    b[n1 + 1:, n1 + 1:] = -l_gg[1:, 1:]
+    b[:n1, :n1] = -l_ff[:0:-1, :0:-1]
+    b[n1 + 1:, :n1] = -l_gf[1:, :0:-1]
+    b[:n1, n1 + 1:] = b[n1 + 1:, :n1].T
+    b[n1 + 1:, n1] = b[n1, n1 + 1:] = -l_gf[1:, 0]
+    b[:n1, n1] = b[n1, :n1] = -S.dense(log_f_row, 1, n1)[::-1]
+    b[n1, n1] = b00
+    return GrunskyTable(n_max, b)
 
 
 def table_difference(t1: GrunskyTable, t2: GrunskyTable) -> float:
-    """Largest elementwise difference over the common index range."""
+    """Largest elementwise difference over the common index range (NaN if any)."""
     n = min(t1.order, t2.order)
-    out = 0.0
-    for m in range(-n, n + 1):
-        for k in range(-n, n + 1):
-            out = max(out, abs(t1.entry(m, k) - t2.entry(m, k)))
-    return out
+    blocks = [t.b[t.order - n:t.order + n + 1, t.order - n:t.order + n + 1]
+              for t in (t1, t2)]
+    return float(np.max(np.abs(blocks[0] - blocks[1])))
 
 
 # ---------------------------------------------------------------------------
 # expansion identities (checks)
+
+
+def _expansion_residual(p, lead, block, basis, window) -> float:
+    """max over rows n = 1..N of |P_n - lead_n - n (block @ basis)_n| on ``window``.
+
+    A row is read where all its terms are reliable; a NaN there makes
+    the result NaN.
+    """
+    lo, hi = window
+
+    def stack(rows):
+        return np.array([S.dense(r, lo, hi) for r in rows])
+
+    n = np.arange(1, len(p) + 1)[:, None]
+    resid = stack(p) - stack(lead) - (n * block) @ stack(basis)
+    shared = [window] + [r.reliable for r in basis]
+    rel = np.array([[q.reliable, t.reliable] + shared for q, t in zip(p, lead)],
+                   dtype=np.float64)
+    r_lo, r_hi = rel[..., 0].max(axis=1), rel[..., 1].min(axis=1)
+    exps = np.arange(lo, hi + 1)
+    read = (exps >= r_lo[:, None]) & (exps <= r_hi[:, None])
+    return float(np.max(np.abs(resid), where=read, initial=0.0))
 
 
 def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
@@ -349,45 +378,31 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
       P_-n = -n b(-n,0) + n sum_m b(-n, m) g^-m  (checked at exponents >= -order)
 
     The exponent restriction accounts for the truncation of the m-sums:
-    beyond it the residual is dominated by absent m > order terms.  The
-    P_n are the ones the table carries, so it must come from
-    :func:`grunsky_table`.
+    beyond it the residual is dominated by absent m > order terms.  Each
+    identity is one product of a quadrant of the table with the stacked
+    basis powers.  The P_n are the ones the table carries, so it must
+    come from :func:`grunsky_table`.
     """
     n_max = table.order
     depth, cl_lo, cl_hi = _chain_window(pair, n_max)
-    g, f = pair.g, pair.f
+    g_inv = S.int_pow(pair.g, -1, depth=depth)
+    f_inv = S.int_pow(pair.f, -1, depth=depth)
+    g_pos, g_neg, f_pos, f_neg = (_powers(s, n_max, cl_lo, cl_hi)
+                                  for s in (pair.g, g_inv, pair.f, f_inv))
+    ns = range(1, n_max + 1)
+    p_pos, p_neg = [table.faber[n] for n in ns], [table.faber[-n] for n in ns]
+    const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]
+    const_neg = [S.constant(-n * table.entry(-n, 0)) for n in ns]
+    idx = np.arange(1, n_max + 1)
 
-    g_inv = S.int_pow(g, -1, depth=depth)
-    g_negs = [g_inv]
-    for _ in range(1, n_max + 1):
-        g_negs.append(S.clip(S.mul(g_negs[-1], g_inv), cl_lo, cl_hi))
-    f_pows = [f]
-    for _ in range(1, n_max + 1):
-        f_pows.append(S.clip(S.mul(f_pows[-1], f), cl_lo, cl_hi))
-    f_inv = S.int_pow(f, -1, depth=depth)
-    f_negs = [f_inv]
-    for _ in range(1, n_max + 1):
-        f_negs.append(S.clip(S.mul(f_negs[-1], f_inv), cl_lo, cl_hi))
+    def block(n_sign: int, m_sign: int) -> np.ndarray:
+        """b(n_sign n, m_sign m) for n, m = 1..N."""
+        return table.b[np.ix_(n_max + n_sign * idx, n_max + m_sign * idx)]
 
-    defect = 0.0
-    g_pow = S.constant(1.0, AT_INFINITY)
-    for n in range(1, n_max + 1):
-        g_pow = S.clip(S.mul(g_pow, g), cl_lo, cl_hi)
-        pn, pm = table.faber[n], table.faber[-n]
-
-        resid_a = S.sub(pn, g_pow)
-        resid_d = S.add(pm, S.constant(n * table.entry(-n, 0)))
-        for m in range(1, n_max + 1):
-            resid_a = S.sub(resid_a, S.scale(g_negs[m - 1], n * table.entry(n, m)))
-            resid_d = S.sub(resid_d, S.scale(g_negs[m - 1], n * table.entry(-n, m)))
-        defect = max(defect, S.clip(resid_a, -n_max, cl_hi).max_abs_reliable())
-        defect = max(defect, S.clip(resid_d, -n_max, cl_hi).max_abs_reliable())
-
-        resid_b = S.sub(pn, S.constant(n * table.entry(n, 0)))
-        resid_c = S.sub(pm, f_negs[n - 1])
-        for m in range(1, n_max + 1):
-            resid_b = S.sub(resid_b, S.scale(f_pows[m - 1], n * table.entry(n, -m)))
-            resid_c = S.sub(resid_c, S.scale(f_pows[m - 1], n * table.entry(-n, -m)))
-        defect = max(defect, S.clip(resid_b, cl_lo, n_max).max_abs_reliable())
-        defect = max(defect, S.clip(resid_c, cl_lo, n_max).max_abs_reliable())
-    return defect
+    g_side, f_side = (-n_max, cl_hi), (cl_lo, n_max)
+    return float(np.max([
+        _expansion_residual(p_pos, g_pos, block(1, 1), g_neg, g_side),
+        _expansion_residual(p_pos, const_pos, block(1, -1), f_pos, f_side),
+        _expansion_residual(p_neg, f_neg, block(-1, -1), f_pos, f_side),
+        _expansion_residual(p_neg, const_neg, block(-1, 1), g_neg, g_side),
+    ]))

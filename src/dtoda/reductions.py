@@ -75,28 +75,39 @@ def sigma_coordinate_check(g: LaurentSeries, h, order: int) -> float:
     pair = sigma_conjugate(g, order=max(3 * order, order + 32))
     t, v, _ = time_variables(pair, h, order)
     v0 = v_zero(pair, h)
-    out = max(abs(np.imag(t[0])), abs(np.imag(v0)))
+    defects = [abs(np.imag(t[0])), abs(np.imag(v0))]
     for n in range(1, order + 1):
-        out = max(out, abs(t[-n] + np.conj(t[n])), abs(v[-n] + np.conj(v[n])))
-    return float(out)
+        defects += [abs(t[-n] + np.conj(t[n])), abs(v[-n] + np.conj(v[n]))]
+    return float(np.max(defects))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreenCoefficients:
     """Double expansion of the regularized boundary Green kernel.
 
-    ``kernel[(m, n)]`` multiplies z1^{-m} * conj(z2)^{-n} for
-    0 <= m, n <= order; the conjugate block is implied by the Hermitian
-    relation kernel(m, n) = conj(kernel(n, m)), whose numerical residue
-    is recorded in ``hermitian_defect``.
+    ``kernel`` is one read-only (N+1) x (N+1) complex array, N =
+    ``order``, whose entry [m, n] multiplies z1^{-m} * conj(z2)^{-n};
+    :meth:`entry` reads it and raises ``KeyError`` outside 0 <= m, n <= N.
+    The conjugate block is implied by the Hermitian relation
+    kernel(m, n) = conj(kernel(n, m)), whose numerical residue
+    max |K - K^H| is ``hermitian_defect``.
     """
 
     order: int
-    kernel: Dict[Tuple[int, int], complex]
-    hermitian_defect: float
+    kernel: np.ndarray
+
+    def __post_init__(self):
+        self.kernel.setflags(write=False)
+
+    @property
+    def hermitian_defect(self) -> float:
+        return float(np.max(np.abs(self.kernel - self.kernel.conj().T)))
 
     def entry(self, m: int, n: int) -> complex:
-        return self.kernel[(m, n)]
+        m, n = int(m), int(n)
+        if not (0 <= m <= self.order and 0 <= n <= self.order):
+            raise KeyError((m, n))
+        return complex(self.kernel[m, n])
 
 
 def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
@@ -134,17 +145,9 @@ def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
 
     const_holo = cmath.log(beta)
     const_mixed = const_holo + cmath.log(np.conj(beta))
-    kernel: Dict[Tuple[int, int], complex] = {(0, 0): const_holo - const_mixed}
-    for m in range(n_max + 1):
-        for n in range(n_max + 1):
-            if m or n:
-                kernel[(m, n)] = -l_mixed[m, n]
-
-    herm = 0.0
-    for m in range(n_max + 1):
-        for n in range(m, n_max + 1):
-            herm = max(herm, abs(kernel[(m, n)] - np.conj(kernel[(n, m)])))
-    return GreenCoefficients(n_max, kernel, float(herm))
+    kernel = -l_mixed
+    kernel[0, 0] = const_holo - const_mixed
+    return GreenCoefficients(n_max, kernel)
 
 
 def green_identity_check(g: LaurentSeries, h, order: int) -> float:
@@ -174,19 +177,10 @@ def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, GreenCoeffic
     pair = sigma_conjugate(g, order=3 * n_max)
     table = grunsky_table(pair, n_max)
     left = green_coefficients(g, n_max)
-    out = 0.0
-    for m in range(n_max + 1):
-        for n in range(n_max + 1):
-            if m == 0 and n == 0:
-                right = -table.b00
-            elif n == 0:
-                right = table.entry(m, 0)
-            elif m == 0:
-                right = -table.entry(-n, 0)
-            else:
-                right = table.entry(m, -n)
-            out = max(out, abs(left.kernel[(m, n)] - right))
-    return float(out), left
+    # right[m, n] = b(m, -n), with the 0-row -b(-n, 0) (and -b00 at its corner)
+    right = table.b[n_max:, n_max::-1].copy()
+    right[0] = -table.b[n_max::-1, n_max]
+    return float(np.max(np.abs(left.kernel - right))), left
 
 
 def real_subspace_check(pair, h, order: int) -> float:
@@ -197,9 +191,5 @@ def real_subspace_check(pair, h, order: int) -> float:
     defect is the numerical distance from that subspace.
     """
     snap = toda_coordinates(pair, h, int(order))
-    out = max(abs(np.imag(snap.v0)), abs(np.imag(snap.logT)))
-    for val in snap.t.values():
-        out = max(out, abs(np.imag(val)))
-    for val in snap.v.values():
-        out = max(out, abs(np.imag(val)))
-    return float(out)
+    values = [snap.v0, snap.logT, *snap.t.values(), *snap.v.values()]
+    return float(np.max(np.abs(np.imag(values))))

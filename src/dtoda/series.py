@@ -153,16 +153,6 @@ class LaurentSeries:
             )
         return self.coeff(k)
 
-    def max_abs_reliable(self) -> float:
-        """Largest |coefficient| over the reliable part of the stored window."""
-        r_lo, r_hi = self.reliable
-        lo = self.lo_exp if math.isinf(r_lo) else max(int(r_lo), self.lo_exp)
-        hi = self.hi_exp if math.isinf(r_hi) else min(int(r_hi), self.hi_exp)
-        if lo > hi:
-            return 0.0
-        seg = self.coeffs[lo - self.lo_exp : hi - self.lo_exp + 1]
-        return float(np.max(np.abs(seg)))
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -177,25 +167,6 @@ class LaurentSeries:
         for e, c in items:
             arr[int(e) - lo] += complex(c)
         return LaurentSeries(lo, arr, flavor, _as_reliable(reliable))
-
-    # -- arithmetic sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +390,33 @@ def coeff_mul(a: LaurentSeries, b: LaurentSeries, k: int, check: bool = True) ->
 def residue_mul(a: LaurentSeries, b: LaurentSeries, check: bool = True) -> complex:
     """Residue (coefficient of w**-1) of a*b."""
     return coeff_mul(a, b, -1, check=check)
+
+
+def residue_matrix(rows_a: Sequence[LaurentSeries],
+                   rows_b: Sequence[LaurentSeries]) -> np.ndarray:
+    """res(a_i * b_j) for every pair, as one matrix product.
+
+    Every pair is checked by ``coeff_mul``'s rule first; the first
+    failing pair in row-major order raises the error ``residue_mul``
+    raises for it.
+    """
+    def edges(rows):
+        lo, hi = np.array([r.reliable for r in rows], dtype=np.float64).T
+        return lo, hi, np.array([r.lead for r in rows], dtype=np.float64)
+
+    a_lo, a_hi, a_lead = (x[:, None] for x in edges(rows_a))
+    b_lo, b_hi, b_lead = edges(rows_b)
+    bad = np.argwhere((np.maximum(a_lo + b_lead, b_lo + a_lead) > -1)
+                      | (np.minimum(a_hi + b_lead, b_hi + a_lead) < -1))
+    if bad.size:
+        i, j = bad[0]
+        residue_mul(rows_a[i], rows_b[j])  # raises the scalar path's error
+    lo = min(a.lo_exp for a in rows_a)
+    hi = max(a.hi_exp for a in rows_a)
+    # column k of the right factor holds the coefficient of w**(-1-k)
+    left = np.array([dense(a, lo, hi) for a in rows_a])
+    right = np.array([dense(b, -1 - hi, -1 - lo)[::-1] for b in rows_b])
+    return left @ right.T
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +753,8 @@ def max_abs_diff_reliable(a: LaurentSeries, b: LaurentSeries) -> float:
     """max |a_k - b_k| over the intersection of reliable windows.
 
     The scan is capped by the union of stored windows: outside both, both
-    sides are exactly zero.
+    sides are exactly zero.  A NaN anywhere in the scan makes the result
+    NaN.
     """
     r_lo = max(a.reliable[0], b.reliable[0])
     r_hi = min(a.reliable[1], b.reliable[1])
@@ -765,7 +764,6 @@ def max_abs_diff_reliable(a: LaurentSeries, b: LaurentSeries) -> float:
     hi = max(a.hi_exp, b.hi_exp)
     lo = lo if math.isinf(r_lo) else max(lo, int(r_lo))
     hi = hi if math.isinf(r_hi) else min(hi, int(r_hi))
-    out = 0.0
-    for k in range(lo, hi + 1):
-        out = max(out, abs(a.coeff(k) - b.coeff(k)))
-    return out
+    if lo > hi:
+        return 0.0
+    return float(np.max(np.abs(dense(a, lo, hi) - dense(b, lo, hi))))

@@ -110,6 +110,36 @@ def test_malformed_fields_are_named(tmp_path, mangle, field):
         load_config(write_config(tmp_path, payload))
 
 
+SUBCOMMANDS = [["coords"], ["grunsky"], ["sigma"], ["verify"],
+               ["special", "--mu", "1", "--nu", "1"],
+               ["flow", "--n", "1", "--eps", "1e-3", "--steps", "1"]]
+
+
+def _nan_coefficient(p):
+    p["pair"]["coefficients"]["g"]["-1"] = float("nan")
+
+
+def _infinite_coefficient(p):
+    p["pair"]["coefficients"]["f"]["2"] = float("inf")
+
+
+def _nan_hamiltonian(p):
+    p["hamiltonian"][0]["re"] = float("nan")
+
+
+@pytest.mark.parametrize("mangle", [_nan_coefficient, _infinite_coefficient,
+                                    _nan_hamiltonian])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
+def test_non_finite_config_numbers_are_rejected(tmp_path, capsys, argv, mangle):
+    payload = identity_payload()
+    mangle(payload)
+    path = write_config(tmp_path, payload)   # json writes NaN / Infinity tokens
+    code, out, err = run_cli([argv[0], path, *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("dtoda: error: config field ") and "finite" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_log_obstruction_rejected_at_load(tmp_path):
     payload = identity_payload()
     payload["hamiltonian"].append({"mu": -1, "nu": -1, "re": 1.0})
@@ -393,6 +423,23 @@ def test_failed_table_build_is_reported_by_every_check():
     for r in results:
         assert r["error"].startswith("WindowUnderflowError"), r
         assert not r["passed"]
+        assert r["error"] == ("WindowUnderflowError: window underflow: "
+                              "coefficient -1 outside reliable (-inf, -2)"), r
+
+
+def test_nan_table_entries_fail_the_table_checks(tmp_path):
+    # 1e200/w overflows the pairing products to NaN; a max that dropped
+    # NaN used to report these checks as passing at residual 0
+    payload = identity_payload()
+    payload["pair"] = {"coefficients": {"g": {"1": 1.0, "-1": 1e200},
+                                        "f": {"1": 1.0}}}
+    payload["order"] = 6
+    config = load_config(write_config(tmp_path, payload))
+    names = ["faber_identity", "green_identity", "grunsky_dual_path",
+             "grunsky_symmetry"]
+    results = run_checks(config, names)
+    assert [r["name"] for r in results] == names
+    assert not any(r["passed"] for r in results), results
 
 
 def test_verify_output_files_round_trip(tmp_path, capsys):

@@ -22,7 +22,6 @@ from dtoda import series as S
 from dtoda.conformal_pair import from_coefficients, random_pair
 from dtoda.coords import (
     log_tau,
-    phi_psi,
     plemelj_check,
     time_variables,
     toda_coordinates,
@@ -104,21 +103,6 @@ def test_plemelj_identity_exact(fix_id):
 def test_plemelj_fixtures(fix_rand, fix_sig):
     assert plemelj_check(fix_rand, H_BASIC, 10) <= 1e-10
     assert plemelj_check(fix_sig, HamiltonianH.of((2, 2, 1.0)), 10) <= 1e-10
-
-
-def test_phi_psi_coefficients(fix_rand):
-    _, v, _ = time_variables(fix_rand, H_LIST[1], 8)
-    phi, psi = phi_psi(v, 8)
-    for n in range(1, 9):
-        assert phi.coeff(-n) == v[n] / n
-        assert psi.coeff(n) == v[-n] / n
-
-
-def test_phi_psi_identity_zero(fix_id):
-    _, v, _ = time_variables(fix_id, H_BASIC, 6)
-    phi, psi = phi_psi(v, 6)
-    assert max(abs(c) for c in phi.coeffs) <= 1e-14
-    assert max(abs(c) for c in psi.coeffs) <= 1e-14
 
 
 @pytest.mark.parametrize("h", H_LIST)

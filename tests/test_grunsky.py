@@ -77,6 +77,28 @@ def test_identity_table_closed_form(fix_id):
     assert t.symmetry_defect < 1e-12
 
 
+@pytest.mark.parametrize("build", [G.grunsky_table, G.grunsky_via_inverse])
+def test_table_array_is_bounded_and_read_only(fix_rand, build):
+    t = build(fix_rand, 4)
+    assert t.b.shape == (9, 9)
+    assert t.entry(-4, 3) == t.b[0, 7] and t.entry(0, 0) == t.b00
+    for m, n in ((5, 0), (0, -5), (-5, -5)):
+        with pytest.raises(KeyError):
+            t.entry(m, n)
+    assert not t.b.flags.writeable
+    with pytest.raises(ValueError):
+        t.b[0, 0] = 1.0
+
+
+def test_symmetry_defect_and_difference_propagate_nan(fix_rand):
+    t = G.grunsky_table(fix_rand, 4)
+    b = t.b.copy()
+    b[1, 2] = complex("nan")
+    broken = G.GrunskyTable(4, b)
+    assert np.isnan(broken.symmetry_defect)
+    assert np.isnan(G.table_difference(t, broken))
+
+
 def test_identity_dual_path_identical(fix_id):
     t1 = G.grunsky_table(fix_id, 8)
     t2 = G.grunsky_via_inverse(fix_id, 8)

@@ -80,6 +80,18 @@ def test_green_disc_closed_form():
     assert gc.hermitian_defect == 0.0
 
 
+def test_green_kernel_is_a_read_only_array():
+    gc = green_coefficients(G_ELLIPSE, 4)
+    assert gc.kernel.shape == (5, 5)
+    assert gc.entry(2, 3) == gc.kernel[2, 3]
+    for m, n in ((5, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(KeyError):
+            gc.entry(m, n)
+    assert not gc.kernel.flags.writeable
+    with pytest.raises(ValueError):
+        gc.kernel[0, 0] = 1.0
+
+
 def test_green_order_bound():
     with pytest.raises(SeriesError):
         green_coefficients(G_DISC, 0)

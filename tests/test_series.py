@@ -111,7 +111,7 @@ def test_mul_matches_brute_force_convolution():
         b = LaurentSeries(lb, rng.normal(size=wb) + 1j * rng.normal(size=wb))
         got = S.mul(a, b)
         want = brute_convolve(a, b)
-        assert S.max_abs_diff_reliable(got, want) < 1e-15 * max(1.0, want.max_abs_reliable())
+        assert S.max_abs_diff_reliable(got, want) < 1e-15 * max(1.0, np.max(np.abs(want.coeffs)))
 
 
 def test_mul_reliability_truncation_edge():
@@ -503,6 +503,58 @@ def test_coeff_mul_honors_reliability():
     b = LaurentSeries(0, np.ones(3))
     with pytest.raises(WindowUnderflowError):
         S.coeff_mul(a, b, 4)
+
+
+def _random_rows(rng, count, lo, width, reliable):
+    return [LaurentSeries(lo + int(rng.integers(0, 3)),
+                          rng.normal(size=width) + 1j * rng.normal(size=width),
+                          TWO_SIDED, reliable) for _ in range(count)]
+
+
+def test_residue_matrix_matches_residue_mul():
+    rng = np.random.default_rng(7)
+    rows_a = _random_rows(rng, 5, -8, 10, (-30, 25))
+    rows_b = _random_rows(rng, 4, -6, 9, (-28, 30))
+    got = S.residue_matrix(rows_a, rows_b)
+    assert got.shape == (5, 4)
+    for i, a in enumerate(rows_a):
+        for j, b in enumerate(rows_b):
+            want = S.residue_mul(a, b)
+            # relative to the sum of |terms|: the two summation orders
+            # round differently where the terms cancel
+            scale = S.residue_mul(LaurentSeries(a.lo_exp, np.abs(a.coeffs)),
+                                  LaurentSeries(b.lo_exp, np.abs(b.coeffs)))
+            assert abs(got[i, j] - want) <= 1e-15 * scale.real, (i, j)
+
+
+EXACT_WEIGHT = LaurentSeries(0, np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("bad,weight", [
+    # upper edge too low, the infinite side printed as -inf
+    (LaurentSeries(-2, np.array([0.1, 0.1, 1.0]), AT_INFINITY, (S.NEG_INF, -5)),
+     EXACT_WEIGHT),
+    # both edges finite
+    (LaurentSeries(-2, np.array([0.1, 0.1, 1.0]), TWO_SIDED, (-10, -5)),
+     EXACT_WEIGHT),
+    # factors whose product has an empty reliable window
+    (LaurentSeries(0, np.array([0.1, 0.1, 0.1, 1.0]), TWO_SIDED, (0, 2)),
+     LaurentSeries(0, np.array([1.0, 0.5]), TWO_SIDED, (0, 1))),
+])
+def test_residue_matrix_raises_the_residue_mul_error(bad, weight):
+    good = S.monomial(-1, 1.0)
+    S.residue_mul(good, weight)
+    with pytest.raises(WindowUnderflowError) as want:
+        S.residue_mul(bad, weight)
+    with pytest.raises(WindowUnderflowError) as got:
+        S.residue_matrix([good, bad], [weight, weight])
+    assert str(got.value) == str(want.value)
+
+
+def test_max_abs_diff_reliable_propagates_nan():
+    a = LaurentSeries(0, np.array([1.0, np.nan, 2.0]))
+    assert math.isnan(S.max_abs_diff_reliable(a, S.zero()))
+    assert math.isnan(S.max_abs_diff_reliable(S.zero(), a))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ Conventions shared by every command:
 * all emitted text is deterministic — two runs over the same config
   produce byte-identical stdout and output files.  Timings, which are
   not deterministic, go to stderr only;
-* exit codes: 0 success, 1 at least one verify check failed, 2 the
-  config or the command line is malformed.
+* exit codes: 0 success, 1 at least one verify check failed or a
+  computation failed, 2 the config or the command line is malformed.
+  A report command whose payload holds a non-finite number fails the
+  computation and writes nothing; ``verify`` instead reports a check
+  that raised with the residual ``Infinity``.
 
 The ``verify`` battery runs its checks one after another, in order of
 check name.  The checks hold the interpreter lock on small arrays, so
@@ -322,6 +325,19 @@ def _write_outputs(outputs: Sequence[OutputSpec], json_obj,
             else _dump_csv(csv_rows)
         with open(spec.target, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _report(config: ExperimentConfig, stdout, json_obj, rows, shown=None) -> int:
+    """Print ``shown`` (default: the payload) and write the outputs, unless
+    a payload field holds a number JSON cannot carry (NaN, Infinity)."""
+    for key, value in json_obj.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise S.SeriesError(f"report field {key!r} is not finite") from None
+    stdout.write(_dump_json(json_obj if shown is None else shown))
+    _write_outputs(config.outputs, json_obj, rows)
+    return 0
 
 
 def _mode_map(values: Dict[int, complex]) -> Dict[str, List[float]]:
@@ -664,10 +680,7 @@ def _snapshot_payload(config: ExperimentConfig):
 
 def cmd_coords(config: ExperimentConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    json_obj, rows = _snapshot_payload(config)
-    stdout.write(_dump_json(json_obj))
-    _write_outputs(config.outputs, json_obj, rows)
-    return 0
+    return _report(config, stdout, *_snapshot_payload(config))
 
 
 def cmd_grunsky(config: ExperimentConfig, stdout=None) -> int:
@@ -678,11 +691,10 @@ def cmd_grunsky(config: ExperimentConfig, stdout=None) -> int:
     json_obj = {"order": table.order, "b00": _cx(table.b00),
                 "symmetry_defect": table.symmetry_defect,
                 "entries": entries}
-    stdout.write(_dump_json({"b00": json_obj["b00"], "order": table.order,
-                             "symmetry_defect": table.symmetry_defect,
-                             "entry_count": len(entries)}))
-    _write_outputs(config.outputs, json_obj, rows)
-    return 0
+    return _report(config, stdout, json_obj, rows,
+                   {"b00": json_obj["b00"], "order": table.order,
+                    "symmetry_defect": table.symmetry_defect,
+                    "entry_count": len(entries)})
 
 
 def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
@@ -711,9 +723,7 @@ def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
                     + [f"{x:.17g}" for pair_xy in
                        (p["b"], p["t0"], p["v0"], p["logT"])
                        for x in pair_xy])
-    stdout.write(_dump_json(json_obj))
-    _write_outputs(config.outputs, json_obj, rows)
-    return 0
+    return _report(config, stdout, json_obj, rows)
 
 
 def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
@@ -735,10 +745,9 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
                 "reality_defect": reality,
                 "green_identity_defect": green,
                 "kernel": kernel}
-    stdout.write(_dump_json({"order": order, "reality_defect": reality,
-                             "green_identity_defect": green}))
-    _write_outputs(config.outputs, json_obj, rows)
-    return 0
+    return _report(config, stdout, json_obj, rows,
+                   {"order": order, "reality_defect": reality,
+                    "green_identity_defect": green})
 
 
 def cmd_special(config: ExperimentConfig, mu: int, nu: int,
@@ -770,10 +779,8 @@ def cmd_special(config: ExperimentConfig, mu: int, nu: int,
         "generating_derivative_form": report.derivative,
         "generating_offset": _cx(report.offset),
     }
-    stdout.write(_dump_json(json_obj))
-    _write_outputs(config.outputs, json_obj,
+    return _report(config, stdout, json_obj,
                    _mode_rows(sp.order, sp.t, sp.v, sp.v0))
-    return 0
 
 
 # ---------------------------------------------------------------------------

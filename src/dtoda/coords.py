@@ -28,6 +28,10 @@ here is a residue of an exact truncated-Laurent product in w:
   pair; and the closed form z2_closed = (sum t_n v_n + sum t_-n v_-n)/2,
   which Z2 reproduces through the series composition.
 
+Coordinates are entries of `series.residue_matrix` products of a moment
+series against whole power chains of g and f, clipped to its read window
+(`_read_chains`); Phi(g) and Psi(f) are one `series.combine` each.
+
 Gauge monomials (single-variable terms) enter ``time_variables``,
 ``v_zero`` and ``plemelj_check`` through the optional ``gauge`` argument;
 the tau function is only defined for a pure two-variable potential.
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -87,22 +91,14 @@ def _m_series(pair, ms: MonomialSum, width: int):
     return S.mul(a1, pair.g_prime()), S.mul(a2, pair.f_prime())
 
 
-def _power_chain(base: LaurentSeries, order: int,
-                 depth: int) -> Iterator[Tuple[int, LaurentSeries, LaurentSeries]]:
-    """Yield (n, base**n, base**-n) for n = 1..order by repeated multiplication.
-
-    Only the current pair of powers is kept alive; base**-1 is the
-    depth-``depth`` reciprocal.
-    """
-    if order < 1:
-        return
-    pos, inv = base, S.int_pow(base, -1, depth=depth)
-    neg = inv
-    yield 1, pos, neg
-    for n in range(2, order + 1):
-        pos = S.mul(pos, base)
-        neg = S.mul(neg, inv)
-        yield n, pos, neg
+def _read_chains(m: LaurentSeries, base: LaurentSeries, n_up: int, n_down: int,
+                 depth: int) -> Tuple[list, list]:
+    """base**1..base**n_up and base**-1..base**-n_down (the depth-``depth``
+    reciprocal's powers), exact on the exponents whose product with m
+    reaches w**-1 and clipped near them (`series.powers`)."""
+    window = (-1 - m.hi_exp, -1 - m.lo_exp)
+    return (S.powers(base, n_up, window),
+            S.powers(S.int_pow(base, -1, depth=depth), n_down, window))
 
 
 def time_variables(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()):
@@ -115,15 +111,16 @@ def time_variables(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()):
     m1, m2 = _m_series(pair, total, width)
     depth = width + order + 8
     t: Dict[int, complex] = {0: S.residue(m1)}
-    t0_alt = -S.residue(m2)
     v: Dict[int, complex] = {}
-    for (n, g_pos, g_neg), (_, f_pos, f_neg) in zip(
-            _power_chain(pair.g, order, depth), _power_chain(pair.f, order, depth)):
-        t[n] = S.residue_mul(m1, g_neg) / n
-        v[n] = S.residue_mul(m1, g_pos)
-        t[-n] = S.residue_mul(m2, f_pos) / n
-        v[-n] = S.residue_mul(m2, f_neg)
-    return t, v, t0_alt
+    # res(M1 g^n), res(M1 g^-n), then res(M2 f^n), res(M2 f^-n), n = 1..order
+    g_up, g_down = _read_chains(m1, pair.g, order, order, depth)
+    f_up, f_down = _read_chains(m2, pair.f, order, order, depth)
+    rg = S.residue_matrix([m1], g_up + g_down)[0].tolist()
+    rf = S.residue_matrix([m2], f_up + f_down)[0].tolist()
+    for n in range(1, order + 1):
+        v[n], t[n] = rg[n - 1], rg[order + n - 1] / n
+        t[-n], v[-n] = rf[n - 1] / n, rf[order + n - 1]
+    return t, v, -S.residue(m2)
 
 
 def _paired_logs(pair, depth: int):
@@ -155,29 +152,18 @@ def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float
     width = _halfwidth(pair, total, order)
     x1 = S.mul(eval_along(total.d1(), pair, (-width, width)), pair.g)
     x2 = S.scale(S.mul(eval_along(total.d2(), pair, (-width, width)), pair.f), -1.0)
+    y1, y2 = S.mul(x1, pair.g_prime()), S.mul(x2, pair.f_prime())
     depth = width + order + 8
-    dg, df = pair.g_prime(), pair.f_prime()
-
-    def defect_at(k: int, g_pow: LaurentSeries, f_pow: LaurentSeries) -> list:
-        """Expansion defects at mode k, with g_pow = g**(-k-1), f_pow = f**(-k-1)."""
-        a_k = S.residue_mul(S.mul(x1, g_pow), dg)
-        b_k = S.residue_mul(S.mul(x2, f_pow), df)
-        if k >= 1:
-            want_a, want_b = k * t[k], -v[-k]
-        elif k == 0:
-            want_a, want_b = t[0], t[0]
-        else:
-            want_a, want_b = v[-k], k * t[k]
-        return [abs(a_k - want_a), abs(b_k - want_b)]
-
-    one = S.constant(1.0)
-    defects = defect_at(-1, one, one)
-    for (n, g_pos, g_neg), (_, f_pos, f_neg) in zip(
-            _power_chain(pair.g, order + 1, depth), _power_chain(pair.f, order + 1, depth)):
-        defects += defect_at(n - 1, g_neg, f_neg)
-        if n < order:
-            defects += defect_at(-n - 1, g_pos, f_pos)
-    return float(np.max(defects))
+    one = [S.constant(1.0)]
+    # expansion coefficient at mode k = -order..order: res(y * base**(-k-1))
+    g_up, g_down = _read_chains(y1, pair.g, order - 1, order + 1, depth)
+    f_up, f_down = _read_chains(y2, pair.f, order - 1, order + 1, depth)
+    got_a = S.residue_matrix([y1], g_up[::-1] + one + g_down)[0]
+    got_b = S.residue_matrix([y2], f_up[::-1] + one + f_down)[0]
+    ks = range(-order, order + 1)
+    want_a = [k * t[k] if k > 0 else t[0] if k == 0 else v[-k] for k in ks]
+    want_b = [-v[-k] if k > 0 else t[0] if k == 0 else k * t[k] for k in ks]
+    return float(np.max(np.abs(np.concatenate([got_a - want_a, got_b - want_b]))))
 
 
 def log_tau(pair, h: HamiltonianH, t: Dict[int, complex], v: Dict[int, complex],
@@ -191,19 +177,17 @@ def log_tau(pair, h: HamiltonianH, t: Dict[int, complex], v: Dict[int, complex],
 
     z1_part = t[0] * v0 / 2.0
 
+    ns, window = range(1, order + 1), (-width, width)
     g_inv = S.int_pow(pair.g, -1, depth=depth)
-    phi_g = S.horner([v[n] / n for n in range(1, order + 1)], g_inv, (-width, width))
-    psi_f = S.horner([v[-n] / n for n in range(1, order + 1)], pair.f, (-width, width))
+    phi_g = S.clip(S.combine([v[n] / n for n in ns], S.powers(g_inv, order, window)), *window)
+    psi_f = S.clip(S.combine([v[-n] / n for n in ns], S.powers(pair.f, order, window)), *window)
     z2_part = (S.residue_mul(m1, phi_g) + S.residue_mul(m2, psi_f)) / 2.0
 
-    j1, j2 = j_pair(h)
-    j1_along = eval_along(j1, pair, (-width, width))
-    j2_along = eval_along(j2, pair, (-width, width))
+    j1_along, j2_along = (eval_along(j, pair, window) for j in j_pair(h))
     z3_part = (S.residue_mul(j1_along, pair.g_prime())
                + S.residue_mul(j2_along, pair.f_prime())) / 4.0
 
-    z2_closed = sum(t[n] * v[n] + t[-n] * v[-n]
-                    for n in range(1, order + 1)) / 2.0
+    z2_closed = sum(t[n] * v[n] + t[-n] * v[-n] for n in ns) / 2.0
     log_t = z1_part + z2_part + z3_part
     return z1_part, z2_part, z3_part, log_t, z2_closed
 

@@ -178,17 +178,9 @@ def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:
 
 
 def _chain_window(pair: ConformalPair, n_max: int):
-    """Reciprocal depth and clip window of the order-n_max power chains."""
+    """Reciprocal depth and clip window (frame) of the order-n_max power chains."""
     reach = pair.order + n_max + 6
-    return 2 * pair.order + 12, -reach, reach
-
-
-def _powers(base: LaurentSeries, n: int, lo: int, hi: int) -> list:
-    """[base, base**2, ..., base**n], each product after the first clipped to [lo, hi]."""
-    out = [base]
-    while len(out) < n:
-        out.append(S.clip(S.mul(out[-1], base), lo, hi))
-    return out[:n]
+    return 2 * pair.order + 12, (-reach, reach)
 
 
 def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
@@ -204,16 +196,14 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
     g, f = pair.g, pair.f
     gp, fp = pair.g_prime(), pair.f_prime()
-    depth, cl_lo, cl_hi = _chain_window(pair, n_max)
+    depth, frame = _chain_window(pair, n_max)
 
     # weights: e_g[0] = g^{-1} g', e_g[m] = g^{m-1} g'; e_f[m] = f^{-m-1} f' (m = 0..N)
     g_inv = S.int_pow(g, -1, depth=depth)
     one = S.constant(1.0, AT_INFINITY)
-    e_g = [S.clip(S.mul(s, gp), cl_lo, cl_hi)
-           for s in [g_inv, one] + _powers(g, n_max - 1, cl_lo, cl_hi)]
-    f_inv = S.int_pow(f, -1, depth=depth)
-    e_f = [S.clip(S.mul(s, fp), cl_lo, cl_hi)
-           for s in _powers(f_inv, n_max + 1, cl_lo, cl_hi)]
+    e_g = [S.clip(S.mul(s, gp), *frame) for s in [g_inv, one] + S.powers(g, n_max - 1, frame)]
+    e_f = [S.clip(S.mul(s, fp), *frame)
+           for s in S.powers(S.int_pow(f, -1, depth=depth), n_max + 1, frame)]
 
     p = {n: faber(pair, n) for n in range(-n_max, n_max + 1) if n}
     neg = [p[n] for n in range(-n_max, 0)]
@@ -384,11 +374,9 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
     come from :func:`grunsky_table`.
     """
     n_max = table.order
-    depth, cl_lo, cl_hi = _chain_window(pair, n_max)
-    g_inv = S.int_pow(pair.g, -1, depth=depth)
-    f_inv = S.int_pow(pair.f, -1, depth=depth)
-    g_pos, g_neg, f_pos, f_neg = (_powers(s, n_max, cl_lo, cl_hi)
-                                  for s in (pair.g, g_inv, pair.f, f_inv))
+    depth, frame = _chain_window(pair, n_max)
+    g_pos, g_neg, f_pos, f_neg = (S.powers(s, n_max, frame) for s in (
+        pair.g, S.int_pow(pair.g, -1, depth=depth), pair.f, S.int_pow(pair.f, -1, depth=depth)))
     ns = range(1, n_max + 1)
     p_pos, p_neg = [table.faber[n] for n in ns], [table.faber[-n] for n in ns]
     const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]
@@ -399,7 +387,7 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
         """b(n_sign n, m_sign m) for n, m = 1..N."""
         return table.b[np.ix_(n_max + n_sign * idx, n_max + m_sign * idx)]
 
-    g_side, f_side = (-n_max, cl_hi), (cl_lo, n_max)
+    g_side, f_side = (-n_max, frame[1]), (frame[0], n_max)
     return float(np.max([
         _expansion_residual(p_pos, g_pos, block(1, 1), g_neg, g_side),
         _expansion_residual(p_pos, const_pos, block(1, -1), f_pos, f_side),

@@ -33,6 +33,10 @@ convergence analysis rather than from interval propagation through every
 intermediate; round-trip identities and 40-digit oracles in the
 test-suite check those claims directly.
 
+Power chains have one kernel, `powers` (clipped only where no later
+factor can carry a dropped coefficient into the requested window), and
+linear combinations another, `combine` (one vector-matrix product).
+
 All coefficients are complex doubles, all operations are pure (inputs are
 never mutated) and deterministic: identical inputs give bit-identical
 outputs.
@@ -198,15 +202,15 @@ def _is_exact(a: LaurentSeries) -> bool:
     return math.isinf(a.reliable[0]) and math.isinf(a.reliable[1])
 
 
-def _merge_flavor(a: LaurentSeries, b: LaurentSeries) -> str:
-    if a.flavor == b.flavor:
-        return a.flavor
-    # an exact polynomial is compatible with either germ flavor
-    if a.flavor == TWO_SIDED and _is_exact(a):
-        return b.flavor
-    if b.flavor == TWO_SIDED and _is_exact(b):
-        return a.flavor
-    return TWO_SIDED
+def _merge_flavor(*parts: LaurentSeries) -> str:
+    """Flavor of a sum or product of ``parts``, folded left to right."""
+    flavor, exact = parts[0].flavor, _is_exact(parts[0])
+    for b in parts[1:]:
+        # an exact polynomial is compatible with either germ flavor
+        if flavor != b.flavor and not (b.flavor == TWO_SIDED and _is_exact(b)):
+            flavor = b.flavor if flavor == TWO_SIDED and exact else TWO_SIDED
+        exact = exact and _is_exact(b)
+    return flavor
 
 
 def _mul_reliable(a: LaurentSeries, b: LaurentSeries) -> tuple:
@@ -325,6 +329,23 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(lo, arr, _merge_flavor(a, b), (r_lo, r_hi))
 
 
+def combine(coeffs: Sequence, rows: Sequence[LaurentSeries]) -> LaurentSeries:
+    """sum_k coeffs[k] * rows[k]: the coefficient vector times the rows
+    stacked on the union of their stored windows.
+
+    Flavor and reliable window are those a chain of ``add`` calls gives;
+    no rows give the zero series.
+    """
+    if not rows:
+        return zero()
+    r_lo, r_hi = max(r.reliable[0] for r in rows), min(r.reliable[1] for r in rows)
+    if r_lo > r_hi:
+        raise WindowUnderflowError("window underflow: sum has empty reliable window")
+    lo, hi = min(r.lo_exp for r in rows), max(r.hi_exp for r in rows)
+    arr = np.asarray(coeffs, dtype=np.complex128) @ np.array([dense(r, lo, hi) for r in rows])
+    return LaurentSeries(lo, arr, _merge_flavor(*rows), (r_lo, r_hi))
+
+
 def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return add(a, scale(b, -1.0))
 
@@ -338,6 +359,25 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     reliable = _mul_reliable(a, b)
     arr = np.convolve(a.coeffs, b.coeffs)
     return LaurentSeries(a.lo_exp + b.lo_exp, arr, _merge_flavor(a, b), reliable)
+
+
+def powers(base: LaurentSeries, n: int, window=None) -> list:
+    """[base, base**2, ..., base**n] by repeated multiplication.
+
+    With ``window = (lo, hi)`` row k is clipped to the window widened by
+    (n - k) * max(base.hi_exp, 0) below and (n - k) * max(-base.lo_exp, 0)
+    above: the n - k factors still to come cannot carry a dropped
+    coefficient into the window, so every row equals the unclipped power
+    there.  Without a window nothing is clipped.
+    """
+    rows = []
+    for k in range(1, int(n) + 1):
+        row = base if k == 1 else mul(rows[-1], base)
+        if window is not None:
+            row = clip(row, window[0] - (n - k) * max(base.hi_exp, 0),
+                       window[1] + (n - k) * max(-base.lo_exp, 0))
+        rows.append(row)
+    return rows
 
 
 def derivative(a: LaurentSeries) -> LaurentSeries:
@@ -400,6 +440,9 @@ def residue_matrix(rows_a: Sequence[LaurentSeries],
     failing pair in row-major order raises the error ``residue_mul``
     raises for it.
     """
+    if not (rows_a and rows_b):
+        return np.zeros((len(rows_a), len(rows_b)), dtype=np.complex128)
+
     def edges(rows):
         lo, hi = np.array([r.reliable for r in rows], dtype=np.float64).T
         return lo, hi, np.array([r.lead for r in rows], dtype=np.float64)
@@ -617,21 +660,6 @@ def eval_at_points(a: LaurentSeries, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def horner(coeffs: Sequence, base: LaurentSeries, window: tuple) -> LaurentSeries:
-    """sum_{k>=1} coeffs[k-1] * base**k by Horner's rule, clipped to ``window``.
-
-    Partial sums keep one exponent of slack on each side of the window;
-    an empty ``coeffs`` gives the zero series.
-    """
-    if not coeffs:
-        return zero(base.flavor)
-    acc = constant(coeffs[-1], base.flavor)
-    for c in reversed(coeffs[:-1]):
-        acc = clip(mul(acc, base), window[0] - 1, window[1] + 1)
-        acc = add(acc, constant(c, base.flavor))
-    return clip(mul(acc, base), window[0], window[1])
-
-
 def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
     """Compositional inverse G with a(G(z)) = z, by Newton iteration.
 
@@ -642,59 +670,55 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     on the same window as the output, zero-padded or truncated; by
     default ``depth`` is read from the stored window (``hi_exp - 1`` or
     ``1 - lo_exp``, at least 1).
+    Each Newton step reads a(G) and a'(G) off one power chain of G (of
+    1/G at infinity), by `powers` and `combine`.
     Iteration count: ceil(log2(depth + 1)) + 2; the output reliability
     claim rests on the quadratic convergence of the iteration (round-trip
     identities are asserted in the test-suite).
     """
     if a.flavor == AT_ZERO:
-        if abs(a.coeff(1)) < 1e-300:
-            raise NonInvertibleError("non-invertible leading term: need a = a1*w + ...")
-        if a.lo_exp < 1 and np.any(a.coeffs[: 1 - a.lo_exp] != 0):
-            raise NonInvertibleError("non-invertible leading term: need a = a1*w + ...")
+        form, stray = "a1*w + ...", a.lo_exp < 1 and np.any(a.coeffs[: 1 - a.lo_exp] != 0)
+    elif a.flavor == AT_INFINITY:
+        form, stray = "b*w + b0 + ...", a.hi_exp > 1 and np.any(a.coeffs[2 - a.lo_exp :] != 0)
+    else:
+        raise SeriesError("invert_function needs a germ flavor")
+    if abs(a.coeff(1)) < 1e-300 or stray:
+        raise NonInvertibleError(f"non-invertible leading term: need a = {form}")
+    b = a.coeff(1)
+    if a.flavor == AT_ZERO:
         depth = max(a.hi_exp - 1, 1) if depth is None else int(depth)
-        window = (1, 1 + depth)
-        a1 = a.coeff(1)
-        g = monomial(1, 1.0 / a1, AT_ZERO)
-        zc = monomial(1, 1.0, AT_ZERO)
+        window, reliable = (1, 1 + depth), (NEG_INF, 1 + depth)
+        g = monomial(1, 1.0 / b, AT_ZERO)
         acoeffs = [a.coeff(k) for k in range(1, depth + 2)]
-        dcoeffs = [k * a.coeff(k) for k in range(1, depth + 2)]
-        n_iter = math.ceil(math.log2(depth + 1)) + 2
-        for _ in range(n_iter):
-            comp = horner(acoeffs, g, (window[0], window[1] + 1))
-            resid = sub(comp, zc)
-            dacc = add(horner(dcoeffs[1:], g, (1, window[1])), constant(dcoeffs[0]))
-            dinv = _strip(int_pow(dacc, -1, depth=depth + 2))
-            g = sub(g, clip(mul(resid, dinv), window[0], window[1]))
-            g = _strip(clip(g, window[0], window[1]))
-        return LaurentSeries(g.lo_exp, g.coeffs, AT_ZERO, (NEG_INF, window[1]))
-    if a.flavor == AT_INFINITY:
-        if abs(a.coeff(1)) < 1e-300:
-            raise NonInvertibleError("non-invertible leading term: need a = b*w + b0 + ...")
-        if a.hi_exp > 1 and np.any(a.coeffs[2 - a.lo_exp :] != 0):
-            raise NonInvertibleError("non-invertible leading term: need a = b*w + b0 + ...")
+        dcoeffs = [k * a.coeff(k) for k in range(2, depth + 2)]
+
+        def compose(g):
+            """a(g) and a'(g) off the chain g**1 .. g**(depth+1)."""
+            chain = powers(g, depth + 1, (1, depth + 2))
+            return (clip(combine(acoeffs, chain), 1, depth + 2),
+                    add(clip(combine(dcoeffs, chain[:-1]), 1, depth + 1), constant(b)))
+    else:
         depth = max(1 - a.lo_exp, 1) if depth is None else int(depth)
-        window = (1 - depth, 1)
-        b = a.coeff(1)
+        window, reliable = (1 - depth, 1), (1 - depth, POS_INF)
         b0 = a.coeff(0)
         g = LaurentSeries.from_pairs({1: 1.0 / b, 0: -b0 / b}, AT_INFINITY)
-        zc = monomial(1, 1.0, AT_INFINITY)
-        # w**-depth lies just outside the input window: its coefficient is 0
-        tail = [a.coeff(-k) for k in range(1, depth)] + [0.0]
+        # a = b*w + b0 + sum_k tail[k-1] w**-k, read down to w**(1-depth)
+        tail = [a.coeff(-k) for k in range(1, depth)]
         dtail = [-k * c for k, c in enumerate(tail, 1)]
-        n_iter = math.ceil(math.log2(depth + 1)) + 2
-        for _ in range(n_iter):
+
+        def compose(g):
+            """a(g) and a'(g) off the chain g**-1 .. g**-depth."""
             rec = _strip(int_pow(g, -1, depth=depth + 2))
-            comp = horner(tail, rec, (window[0] - 1, 1))
-            comp = add(comp, add(scale(g, b), constant(b0, AT_INFINITY)))
-            resid = sub(comp, zc)
-            dcomp = horner(dtail, rec, (window[0] - 1, 0))
-            dcomp = clip(mul(dcomp, rec), window[0] - 1, 0)
-            dcomp = add(dcomp, constant(b, AT_INFINITY))
-            dinv = _strip(int_pow(dcomp, -1, depth=depth + 2))
-            g = sub(g, clip(mul(resid, dinv), window[0], window[1]))
-            g = _strip(clip(g, window[0], window[1]))
-        return LaurentSeries(g.lo_exp, g.coeffs, AT_INFINITY, (window[0], POS_INF))
-    raise SeriesError("invert_function needs a germ flavor")
+            chain = powers(rec, depth, (-depth, 1))
+            comp = clip(combine(tail, chain[:-1]), -depth, 1)
+            return (add(comp, add(scale(g, b), constant(b0, AT_INFINITY))),
+                    add(clip(combine(dtail, chain[1:]), -depth, 0), constant(b, AT_INFINITY)))
+    zc = monomial(1, 1.0, a.flavor)
+    for _ in range(math.ceil(math.log2(depth + 1)) + 2):
+        comp, slope = compose(g)
+        dinv = _strip(int_pow(slope, -1, depth=depth + 2))
+        g = _strip(clip(sub(g, clip(mul(sub(comp, zc), dinv), *window)), *window))
+    return LaurentSeries(g.lo_exp, g.coeffs, a.flavor, reliable)
 
 
 # ---------------------------------------------------------------------------

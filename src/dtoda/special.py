@@ -19,7 +19,10 @@ identities,
 whose g'/g- and f'/f-weighted difference integrates to a third identity
 with logarithmic terms; ``generating_identity_check`` verifies all three
 (the integrated one in differentiated form, reporting the integration
-constant separately rather than asserting a convention for it).
+constant separately rather than asserting a convention for it).  The
+residues are two `series.residue_matrix` rows and each expansion one
+`series.combine`, over power chains left unclipped: the identities are
+compared on whole reliable windows.
 
 Halving the two weighted contour evaluations
 
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import series as S
-from .coords import TodaCoordinates, _halfwidth, _paired_logs, _power_chain, log_tau
+from .coords import TodaCoordinates, _halfwidth, _paired_logs, log_tau
 from .hamiltonian import HamiltonianH
 
 
@@ -65,18 +68,14 @@ class MonomialCase:
 
 
 def _chains(pair, mu: int, nu: int, order: int):
-    """Power chains of g and f wide enough for every residue above.
-
-    Each chain maps k -> base**k for |k| <= its length.
-    """
+    """Chains k -> base**k of g and f, unclipped, for every residue above."""
     case_width = _halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order)
     depth = case_width + order + 8
     chains = []
     for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
-        powers = {0: S.constant(1.0)}
-        for n, pos, neg in _power_chain(base, length, depth):
-            powers[n], powers[-n] = pos, neg
-        chains.append(powers)
+        down = S.powers(S.int_pow(base, -1, depth=depth), length)
+        chains.append({0: S.constant(1.0), **dict(enumerate(S.powers(base, length), 1)),
+                       **{-n: p for n, p in enumerate(down, 1)}})
     return tuple(chains)
 
 
@@ -100,14 +99,16 @@ def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoor
     g_side = S.mul(fp[-nu], pair.g_prime())
     f_side = S.mul(gp[mu], pair.f_prime())
 
-    t: Dict[int, complex] = {0: mu * S.residue_mul(gp[mu - 1], g_side)}
-    t0_alt = nu * S.residue_mul(fp[-nu - 1], f_side)
+    # rg[order + j] = res(g^(mu-1+j) g_side), rf[order + j] = res(f^(-nu-1+j) f_side)
+    js = range(-order, order + 1)
+    rg = S.residue_matrix([g_side], [gp[mu - 1 + j] for j in js])[0].tolist()
+    rf = S.residue_matrix([f_side], [fp[-nu - 1 + j] for j in js])[0].tolist()
+    t: Dict[int, complex] = {0: mu * rg[order]}
+    t0_alt = nu * rf[order]
     v: Dict[int, complex] = {}
     for n in range(1, order + 1):
-        t[n] = (mu / n) * S.residue_mul(gp[mu - n - 1], g_side)
-        t[-n] = (-nu / n) * S.residue_mul(fp[-nu + n - 1], f_side)
-        v[n] = mu * S.residue_mul(gp[mu + n - 1], g_side)
-        v[-n] = -nu * S.residue_mul(fp[-nu - n - 1], f_side)
+        t[n], t[-n] = (mu / n) * rg[order - n], (-nu / n) * rf[order + n]
+        v[n], v[-n] = mu * rg[order + n], -nu * rf[order - n]
 
     log_g, log_f = _paired_logs(pair, _halfwidth(pair, case.h.as_sum(), order))
     v0 = (mu * S.residue_mul(log_g, S.mul(gp[mu - 1], g_side))
@@ -175,37 +176,32 @@ def generating_identity_check(pair, coords: TodaCoordinates, mu: int,
     t, v, t0 = coords.t, coords.v, coords.t[0]
 
     power = S.mul(gp[mu], fp[-nu])
-
-    expand_g = S.constant(t0)
-    expand_f = S.constant(t0)
-    for n in range(1, order + 1):
-        expand_g = S.add(expand_g, S.add(S.scale(gp[n], n * t[n]),
-                                         S.scale(gp[-n], v[n])))
-        expand_f = S.add(expand_f, S.add(S.scale(fp[-n], -n * t[-n]),
-                                         S.scale(fp[n], -v[-n])))
-    g_side = S.max_abs_diff_reliable(S.scale(power, mu), expand_g)
-    f_side = S.max_abs_diff_reliable(S.scale(power, nu), expand_f)
+    ns = range(1, order + 1)
+    expand_g, expand_f = [(t0, gp[0])], [(t0, fp[0])]
+    for n in ns:
+        expand_g += [(n * t[n], gp[n]), (v[n], gp[-n])]
+        expand_f += [(-n * t[-n], fp[-n]), (-v[-n], fp[n])]
+    g_side = S.max_abs_diff_reliable(S.scale(power, mu), S.combine(*zip(*expand_g)))
+    f_side = S.max_abs_diff_reliable(S.scale(power, nu), S.combine(*zip(*expand_f)))
 
     # differentiated integrated form: the log-derivative terms t0*(g'/g)
     # and t0*(f'/f) enter with opposite signs and their 1/w pieces cancel
     g_prime, f_prime = pair.g_prime(), pair.f_prime()
-    deriv = S.scale(S.sub(S.mul(g_prime, gp[-1]), S.mul(f_prime, fp[-1])), t0)
-    for n in range(1, order + 1):
-        deriv = S.add(deriv, S.add(
-            S.add(S.scale(S.mul(gp[n - 1], g_prime), n * t[n]),
-                  S.scale(S.mul(gp[-n - 1], g_prime), v[n])),
-            S.add(S.scale(S.mul(fp[-n - 1], f_prime), n * t[-n]),
-                  S.scale(S.mul(fp[n - 1], f_prime), v[-n]))))
-    deriv_defect = S.max_abs_diff_reliable(S.derivative(power), deriv)
+    deriv = [(t0, S.mul(g_prime, gp[-1])), (-t0, S.mul(f_prime, fp[-1]))]
+    for n in ns:
+        deriv += [(n * t[n], S.mul(gp[n - 1], g_prime)),
+                  (v[n], S.mul(gp[-n - 1], g_prime)),
+                  (n * t[-n], S.mul(fp[-n - 1], f_prime)),
+                  (v[-n], S.mul(fp[n - 1], f_prime))]
+    deriv_defect = S.max_abs_diff_reliable(S.derivative(power), S.combine(*zip(*deriv)))
 
     width = _halfwidth(pair, case.h.as_sum(), order)
     log_g, log_f = _paired_logs(pair, width)
-    integrated = S.scale(S.sub(log_g, log_f), t0)
-    for n in range(1, order + 1):
-        integrated = S.add(integrated, S.add(
-            S.add(S.scale(gp[n], t[n]), S.scale(gp[-n], -v[n] / n)),
-            S.add(S.scale(fp[-n], -t[-n]), S.scale(fp[n], v[-n] / n))))
-    offset = S.coeff(S.sub(power, integrated), 0)
+    integrated = [(t0, log_g), (-t0, log_f)]
+    for n in ns:
+        integrated += [(t[n], gp[n]), (-v[n] / n, gp[-n]),
+                       (-t[-n], fp[-n]), (v[-n] / n, fp[n])]
+    offset = S.coeff(S.sub(power, S.combine(*zip(*integrated))), 0)
     return GeneratingReport(g_side=float(g_side), f_side=float(f_side),
                             derivative=float(deriv_defect),
                             offset=complex(offset))

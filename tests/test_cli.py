@@ -27,13 +27,13 @@ def run_cli(argv, capsys):
 
 
 def run_cli_process(argv):
-    """Run ``dtoda`` in a fresh interpreter: exit code and stderr."""
+    """Run ``dtoda`` in a fresh interpreter: exit code, stdout and stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-m", "dtoda.cli", *argv],
                           capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -307,7 +307,7 @@ def test_flow_rejects_nonpositive_steps(capsys):
 
 @pytest.mark.parametrize("eps", ["nan", "inf"])
 def test_flow_rejects_nonfinite_eps(eps):
-    code, err = run_cli_process(
+    code, _, err = run_cli_process(
         ["flow", str(CONFIGS / "fixture_identity.json"),
          "--n", "1", "--eps", eps, "--steps", "1"])
     assert code == 2
@@ -317,7 +317,7 @@ def test_flow_rejects_nonfinite_eps(eps):
 @pytest.mark.parametrize("mu, nu", [(0, 1), (1, 0), (10, 5)])
 def test_special_rejects_bad_exponents(mu, nu):
     # fixture_sigma has order 16: (10, 5) leaves no coordinate window
-    code, err = run_cli_process(
+    code, _, err = run_cli_process(
         ["special", str(CONFIGS / "fixture_sigma.json"),
          "--mu", str(mu), "--nu", str(nu)])
     assert code == 2
@@ -336,13 +336,13 @@ def test_sigma_report(capsys):
 def test_sigma_rejects_inadmissible_potential(tmp_path):
     payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
     payload["hamiltonian"] = [{"mu": 2, "nu": 1, "re": 1.0}]
-    code, err = run_cli_process(["sigma", write_config(tmp_path, payload)])
+    code, _, err = run_cli_process(["sigma", write_config(tmp_path, payload)])
     assert code == 2
     assert "'hamiltonian'" in err and "Traceback" not in err
 
 
 def test_sigma_rejects_complex_b_of_random_pair():
-    code, err = run_cli_process(
+    code, _, err = run_cli_process(
         ["sigma", str(CONFIGS / "fixture_random.json")])
     assert code == 2
     assert "real leading coefficient b" in err and "Traceback" not in err
@@ -351,7 +351,7 @@ def test_sigma_rejects_complex_b_of_random_pair():
 def test_sigma_from_g_with_complex_b_names_b(tmp_path):
     payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
     payload["pair"] = {"sigma_from_g": {"1": [1.0, 0.2], "-1": 0.1}}
-    code, err = run_cli_process(["sigma", write_config(tmp_path, payload)])
+    code, _, err = run_cli_process(["sigma", write_config(tmp_path, payload)])
     assert code == 2
     assert "config field 'pair'" in err
     assert "real leading coefficient b, got b = (1+0.2j)" in err
@@ -380,7 +380,7 @@ def test_special_searches_down_for_a_certified_order(capsys):
 
 def test_special_underflow_at_order_one_is_one_line():
     # default order 16 - 7 - 7 - 1 = 1: nothing lower to retry
-    code, err = run_cli_process(
+    code, _, err = run_cli_process(
         ["special", str(CONFIGS / "fixture_sigma.json"),
          "--mu", "7", "--nu", "7"])
     assert code == 1
@@ -440,6 +440,25 @@ def test_nan_table_entries_fail_the_table_checks(tmp_path):
     results = run_checks(config, names)
     assert [r["name"] for r in results] == names
     assert not any(r["passed"] for r in results), results
+
+
+@pytest.mark.parametrize("argv", [["coords"], ["grunsky"],
+                                  ["flow", "--n", "1", "--eps", "1e-3", "--steps", "1"]],
+                         ids=["coords", "grunsky", "flow"])
+def test_non_finite_report_fails_and_writes_nothing(tmp_path, argv):
+    # 1e200/w overflows the coordinates and the pairing table to NaN;
+    # JSON has no NaN, so the command fails instead of printing one
+    payload = identity_payload()
+    payload["pair"] = {"coefficients": {"g": {"1": 1.0, "-1": 1e200},
+                                        "f": {"1": 1.0}}}
+    payload["order"] = 6
+    payload["outputs"] = [{"target": str(tmp_path / "out.json"), "format": "json"}]
+    code, out, err = run_cli_process([argv[0], write_config(tmp_path, payload)]
+                                     + argv[1:])
+    assert code == 1 and out == ""
+    assert "computation failed: report field" in err and "is not finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_verify_output_files_round_trip(tmp_path, capsys):

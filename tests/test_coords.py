@@ -18,6 +18,7 @@ Oracles:
 import numpy as np
 import pytest
 
+from dtoda import coords as C
 from dtoda import series as S
 from dtoda.conformal_pair import from_coefficients, random_pair
 from dtoda.coords import (
@@ -27,7 +28,7 @@ from dtoda.coords import (
     toda_coordinates,
     v_zero,
 )
-from dtoda.hamiltonian import GaugeTerm, HamiltonianH, gauge_shift_constants
+from dtoda.hamiltonian import GaugeTerm, HamiltonianH, eval_along, gauge_shift_constants
 
 H_BASIC = HamiltonianH.of((1, 1, 1.0))
 H_LIST = [
@@ -139,3 +140,86 @@ def test_coordinates_deterministic(fix_rand):
     b = toda_coordinates(fix_rand, H_LIST[1], 8)
     assert a.t == b.t and a.v == b.v
     assert a.v0 == b.v0 and a.logT == b.logT
+
+
+# ---------------------------------------------------------------------------
+# chain-matrix readouts against the residue_mul loops they replaced
+
+
+def streamed_powers(base, n_max, depth):
+    """k -> base**k for |k| <= n_max by unclipped repeated products."""
+    inv = S.int_pow(base, -1, depth=depth)
+    chain = {0: S.constant(1.0), 1: base, -1: inv}
+    for n in range(2, n_max + 1):
+        chain[n], chain[-n] = S.mul(chain[n - 1], base), S.mul(chain[1 - n], inv)
+    return chain
+
+
+def time_variables_reference(pair, h, order):
+    """t, v and t0_alt by one residue_mul per coordinate."""
+    width = C._halfwidth(pair, h.as_sum(), order)
+    m1, m2 = C._m_series(pair, h.as_sum(), width)
+    gp = streamed_powers(pair.g, order, width + order + 8)
+    fp = streamed_powers(pair.f, order, width + order + 8)
+    t, v = {0: S.residue(m1)}, {}
+    for n in range(1, order + 1):
+        t[n], v[n] = S.residue_mul(m1, gp[-n]) / n, S.residue_mul(m1, gp[n])
+        t[-n], v[-n] = S.residue_mul(m2, fp[n]) / n, S.residue_mul(m2, fp[-n])
+    return t, v, -S.residue(m2)
+
+
+def plemelj_reference(pair, h, order):
+    """The expansion defect by one mul and residue_mul per mode and side."""
+    ms = h.as_sum()
+    t, v, _ = time_variables_reference(pair, h, order)
+    width = C._halfwidth(pair, ms, order)
+    x1 = S.mul(eval_along(ms.d1(), pair, (-width, width)), pair.g)
+    x2 = S.scale(S.mul(eval_along(ms.d2(), pair, (-width, width)), pair.f), -1.0)
+    gp = streamed_powers(pair.g, order + 1, width + order + 8)
+    fp = streamed_powers(pair.f, order + 1, width + order + 8)
+    defects = []
+    for k in range(-order, order + 1):
+        a_k = S.residue_mul(S.mul(x1, gp[-k - 1]), pair.g_prime())
+        b_k = S.residue_mul(S.mul(x2, fp[-k - 1]), pair.f_prime())
+        want_a, want_b = ((k * t[k], -v[-k]) if k > 0 else (t[0], t[0]) if k == 0
+                          else (v[-k], k * t[k]))
+        defects += [abs(a_k - want_a), abs(b_k - want_b)]
+    return max(defects)
+
+
+FIXTURE_ORDERS = [("fix_id", 8), ("fix_rand", 16), ("fix_sig", 14)]
+
+
+@pytest.mark.parametrize("name,order", FIXTURE_ORDERS)
+def test_time_variables_match_the_residue_loops(request, name, order):
+    pair = request.getfixturevalue(name)
+    t, v, alt = time_variables(pair, H_BASIC, order)
+    t_ref, v_ref, alt_ref = time_variables_reference(pair, H_BASIC, order)
+    assert t.keys() == t_ref.keys() and v.keys() == v_ref.keys()
+    assert all(type(z) is complex for z in list(t.values()) + list(v.values()))
+    for got, want in [(t[k], t_ref[k]) for k in t] + [(v[k], v_ref[k]) for k in v]:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    assert alt == alt_ref
+
+
+@pytest.mark.parametrize("name,order", FIXTURE_ORDERS)
+def test_plemelj_matches_the_residue_loops(request, name, order):
+    pair = request.getfixturevalue(name)
+    got = plemelj_check(pair, H_BASIC, order)
+    want = plemelj_reference(pair, H_BASIC, order)
+    assert abs(got - want) <= 1e-13 * max(1.0, want)
+
+
+def test_order_zero_snapshot_keeps_its_values(fix_id, fix_rand):
+    """Order 0 has no mode to read: t = {0: t_0}, no v, no Phi/Psi sum."""
+    snap = toda_coordinates(fix_id, H_BASIC, 0)
+    assert (snap.t, snap.v, snap.v0, snap.logT) == ({0: 1.0}, {}, -1.0, -0.75)
+    snap = toda_coordinates(fix_rand, H_BASIC, 0)
+    assert list(snap.t) == [0] and snap.v == {}
+    assert snap.z_parts[1] == 0 and snap.z2_closed == 0
+    # the values of the residue-loop implementation
+    for got, want in [(snap.t[0], 1.0343307166607718 + 0.12140017454842218j),
+                      (snap.t0_alt, 1.0343307166607718 + 0.1214001745484222j),
+                      (snap.v0, -1.0065254758476725 + 0.004375400024309861j),
+                      (snap.logT, -0.784581203870591 - 0.12161734458636111j)]:
+        assert abs(got - want) <= 1e-14

@@ -705,7 +705,9 @@ def germ_u(draw):
     orders = [step * (k + 1) if sparse else step + k for k in range(n_terms)]
     cs = np.array(draw(st.lists(coef, min_size=n_terms, max_size=n_terms)),
                   dtype=np.complex128)
-    cs[0] = cs[0] if cs[0] != 0 else 1.0
+    # a leading coefficient too small to normalise (0 or subnormal: the
+    # scale factor below would overflow) is replaced, as a zero one was
+    cs[0] = cs[0] if abs(cs[0]) >= 1e-100 else 1.0
     cs *= draw(st.floats(min_value=0.01, max_value=0.2)) / np.sum(np.abs(cs))
     pairs = {local_exponent(flavor, i): c for i, c in zip(orders, cs)}
     reliable = None
@@ -755,3 +757,170 @@ def test_log1p_matches_mpmath(case):
     ref = power_sum_reference(u, depth,
                               lambda k: 0.0 if k == 0 else (-1.0) ** (k + 1) / k)
     assert geometry(got) == geometry(ref)
+
+
+# ---------------------------------------------------------------------------
+# power chains and linear combinations
+
+
+def horner(coeffs, base: LaurentSeries, window) -> LaurentSeries:
+    """sum_{k>=1} coeffs[k-1] * base**k by Horner's rule, clipped to ``window``.
+
+    The composition `series.powers` and `series.combine` replaced, kept as
+    the reference for `invert_function` and the Phi/Psi sums of log tau.
+    Partial sums keep one exponent of slack on each side of the window.
+    """
+    if not coeffs:
+        return S.zero(base.flavor)
+    acc = S.constant(coeffs[-1], base.flavor)
+    for c in reversed(coeffs[:-1]):
+        acc = S.clip(S.mul(acc, base), window[0] - 1, window[1] + 1)
+        acc = S.add(acc, S.constant(c, base.flavor))
+    return S.clip(S.mul(acc, base), window[0], window[1])
+
+
+def invert_reference(a: LaurentSeries, depth: int) -> LaurentSeries:
+    """Newton inversion composing by `horner`: two passes per step."""
+
+    def bare(s):
+        return LaurentSeries(s.lo_exp, s.coeffs, s.flavor)
+
+    n_iter = math.ceil(math.log2(depth + 1)) + 2
+    if a.flavor == AT_ZERO:
+        window = (1, 1 + depth)
+        g = S.monomial(1, 1.0 / a.coeff(1), AT_ZERO)
+        acoeffs = [a.coeff(k) for k in range(1, depth + 2)]
+        dcoeffs = [k * a.coeff(k) for k in range(1, depth + 2)]
+        for _ in range(n_iter):
+            resid = S.sub(horner(acoeffs, g, (1, depth + 2)), S.monomial(1, 1.0, AT_ZERO))
+            dacc = S.add(horner(dcoeffs[1:], g, (1, depth + 1)), S.constant(dcoeffs[0]))
+            dinv = bare(S.int_pow(dacc, -1, depth=depth + 2))
+            g = bare(S.clip(S.sub(g, S.clip(S.mul(resid, dinv), *window)), *window))
+        return LaurentSeries(g.lo_exp, g.coeffs, AT_ZERO, (S.NEG_INF, window[1]))
+    window = (1 - depth, 1)
+    b, b0 = a.coeff(1), a.coeff(0)
+    g = LaurentSeries.from_pairs({1: 1.0 / b, 0: -b0 / b}, AT_INFINITY)
+    tail = [a.coeff(-k) for k in range(1, depth)] + [0.0]
+    dtail = [-k * c for k, c in enumerate(tail, 1)]
+    for _ in range(n_iter):
+        rec = bare(S.int_pow(g, -1, depth=depth + 2))
+        comp = S.add(horner(tail, rec, (window[0] - 1, 1)),
+                     S.add(S.scale(g, b), S.constant(b0, AT_INFINITY)))
+        resid = S.sub(comp, S.monomial(1, 1.0, AT_INFINITY))
+        dcomp = S.clip(S.mul(horner(dtail, rec, (window[0] - 1, 0)), rec), window[0] - 1, 0)
+        dinv = bare(S.int_pow(S.add(dcomp, S.constant(b, AT_INFINITY)), -1, depth=depth + 2))
+        g = bare(S.clip(S.sub(g, S.clip(S.mul(resid, dinv), *window)), *window))
+    return LaurentSeries(g.lo_exp, g.coeffs, AT_INFINITY, (window[0], S.POS_INF))
+
+
+def _decaying(flavor, seed, lead):
+    rng = np.random.default_rng(seed)
+    sign = 1 if flavor == AT_ZERO else -1
+    coefs = dict(lead)
+    for k in range(1, 12):
+        coefs[1 + sign * k] = 0.3 ** k * complex(rng.normal(), rng.normal())
+    return LaurentSeries.from_pairs(coefs, flavor)
+
+
+@pytest.mark.parametrize("a", [
+    _decaying(AT_ZERO, 9, {1: 1.3}),
+    _decaying(AT_INFINITY, 10, {1: 0.8, 0: 0.2}),
+    LaurentSeries.from_pairs({1: 1.0, -1: 0.1}, AT_INFINITY),
+    LaurentSeries(1, np.ones(14), AT_ZERO),
+], ids=["at-zero", "at-infinity", "joukowski", "geometric"])
+@pytest.mark.parametrize("depth", [1, 2, 7, 30])
+def test_invert_function_matches_the_horner_inversion(a, depth):
+    got = S.invert_function(a, depth)
+    want = invert_reference(a, depth)
+    assert geometry(got) == geometry(want)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
+
+
+@st.composite
+def power_case(draw):
+    """A base with one- or two-sided support, a chain length and a window."""
+    lo = draw(st.integers(min_value=-3, max_value=3))
+    width = draw(st.integers(min_value=1, max_value=4))
+    cs = draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0,
+                                          allow_nan=False, allow_infinity=False),
+                       min_size=width, max_size=width))
+    n = draw(st.integers(min_value=1, max_value=20))
+    w_lo = draw(st.integers(min_value=-30, max_value=30))
+    w_hi = w_lo + draw(st.integers(min_value=0, max_value=30))
+    return LaurentSeries(lo, np.array(cs)), n, (w_lo, w_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_case())
+def test_powers_rows_equal_unclipped_powers_on_the_window(case):
+    base, n, (lo, hi) = case
+    full, mags = [base], [LaurentSeries(base.lo_exp, np.abs(base.coeffs))]
+    while len(full) < n:
+        full.append(S.mul(full[-1], base))
+        mags.append(S.mul(mags[-1], mags[0]))
+    unclipped = S.powers(base, n)
+    assert [geometry(r) for r in unclipped] == [geometry(r) for r in full]
+    assert all(np.array_equal(r.coeffs, f.coeffs) for r, f in zip(unclipped, full))
+    rows = S.powers(base, n, (lo, hi))
+    assert len(rows) == n
+    for row, ref, mag in zip(rows, full, mags):
+        diff = np.abs(S.dense(row, lo, hi) - S.dense(ref, lo, hi))
+        assert np.all(diff <= 1e-13 * S.dense(mag, lo, hi).real)
+        assert row.reliable[0] <= lo and row.reliable[1] >= hi
+
+
+def test_powers_of_nothing_is_empty():
+    assert S.powers(S.monomial(1, 2.0), 0) == []
+    assert S.powers(S.monomial(1, 2.0), 0, (0, 3)) == []
+
+
+@st.composite
+def combine_case(draw):
+    """Coefficients and rows of mixed flavors and reliable windows."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    rows = []
+    for _ in range(n):
+        s = draw(small_series())
+        flavor = draw(st.sampled_from([AT_ZERO, AT_INFINITY, TWO_SIDED]))
+        reliable = draw(st.sampled_from([None, (-6, 6), (-2, 9), (S.NEG_INF, 3),
+                                         (-3, S.POS_INF), (7, 9), (-9, -7)]))
+        rows.append(LaurentSeries(s.lo_exp, s.coeffs, flavor, reliable))
+    return draw(st.lists(coef, min_size=n, max_size=n)), rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(combine_case())
+def test_combine_matches_the_add_scale_chain(case):
+    coeffs, rows = case
+    terms = [S.scale(r, c) for c, r in zip(coeffs, rows)]
+    try:
+        want = S.zero()
+        if terms:
+            want = terms[0]
+            for term in terms[1:]:
+                want = S.add(want, term)
+    except WindowUnderflowError as exc:
+        with pytest.raises(WindowUnderflowError, match=str(exc)):
+            S.combine(coeffs, rows)
+        return
+    got = S.combine(coeffs, rows)
+    assert geometry(got) == geometry(want)
+    mags = S.combine(np.abs(coeffs), [LaurentSeries(r.lo_exp, np.abs(r.coeffs)) for r in rows])
+    assert np.all(np.abs(got.coeffs - want.coeffs) <= 1e-15 * mags.coeffs.real)
+
+
+def test_phi_psi_sums_match_horner(fix_rand):
+    """log tau's Z2 reads Phi(g) and Psi(f) built by `combine` as Horner built them."""
+    from dtoda import coords as C
+    from dtoda.hamiltonian import HamiltonianH
+
+    h, order = HamiltonianH.of((1, 1, 1.0)), 8
+    t, v, _ = C.time_variables(fix_rand, h, order)
+    z2 = C.log_tau(fix_rand, h, t, v, C.v_zero(fix_rand, h))[1]
+    width = C._halfwidth(fix_rand, h.as_sum(), order)
+    m1, m2 = C._m_series(fix_rand, h.as_sum(), width)
+    g_inv = S.int_pow(fix_rand.g, -1, depth=width + order + 8)
+    phi = horner([v[n] / n for n in range(1, order + 1)], g_inv, (-width, width))
+    psi = horner([v[-n] / n for n in range(1, order + 1)], fix_rand.f, (-width, width))
+    want = (S.residue_mul(m1, phi) + S.residue_mul(m2, psi)) / 2.0
+    assert abs(z2 - want) <= 1e-14 * max(1.0, abs(want))

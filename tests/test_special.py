@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dtoda import series as S
+from dtoda import special as SP
 from dtoda.coords import toda_coordinates
 from dtoda.special import (
     MonomialCase,
@@ -144,3 +146,32 @@ def test_nontrivial_identity_sigma(fix_sig):
     for mu, nu in [(1, 1), (2, 2), (2, 3)]:
         sp = special_coords(fix_sig, mu, nu, 8)
         assert nontrivial_identity(sp, mu, nu) <= 1e-9
+
+
+def special_reference(pair, mu, nu, order):
+    """t, v and t0_alt of the monomial case by one residue_mul each."""
+    gp, fp = SP._chains(pair, mu, nu, order)
+    g_side = S.mul(fp[-nu], pair.g_prime())
+    f_side = S.mul(gp[mu], pair.f_prime())
+    t = {0: mu * S.residue_mul(gp[mu - 1], g_side)}
+    t0_alt = nu * S.residue_mul(fp[-nu - 1], f_side)
+    v = {}
+    for n in range(1, order + 1):
+        t[n] = (mu / n) * S.residue_mul(gp[mu - n - 1], g_side)
+        t[-n] = (-nu / n) * S.residue_mul(fp[-nu + n - 1], f_side)
+        v[n] = mu * S.residue_mul(gp[mu + n - 1], g_side)
+        v[-n] = -nu * S.residue_mul(fp[-nu - n - 1], f_side)
+    return t, v, t0_alt
+
+
+@pytest.mark.parametrize("name", ["fix_id", "fix_rand", "fix_sig"])
+@pytest.mark.parametrize("mu,nu", [(1, 1), (2, 1), (1, -2), (3, 3)])
+def test_special_coords_match_the_residue_loops(request, name, mu, nu):
+    pair = request.getfixturevalue(name)
+    order = pair.order - abs(mu) - abs(nu) - 1
+    t_ref, v_ref, alt_ref = special_reference(pair, mu, nu, order)
+    sp = special_coords(pair, mu, nu, order)
+    assert sp.t.keys() == t_ref.keys() and sp.v.keys() == v_ref.keys()
+    pairs = [(sp.t[k], t_ref[k]) for k in sp.t] + [(sp.v[k], v_ref[k]) for k in sp.v]
+    for got, want in pairs + [(sp.t0_alt, alt_ref)]:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))

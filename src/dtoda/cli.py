@@ -22,12 +22,15 @@ Conventions shared by every command:
 
 The ``verify`` battery runs its checks one after another, in order of
 check name.  The checks hold the interpreter lock on small arrays, so
-worker threads would only slow the battery down.
+worker threads would only slow the battery down.  Its checks share one
+pairing table, one order-min(order, 8) coordinate snapshot and one
+monomial case (``CheckContext``); nothing is kept across commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -306,8 +309,8 @@ def _cx(z: complex) -> List[float]:
     return [z.real, z.imag]
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _dump_json(obj, allow_nan: bool = True) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=allow_nan) + "\n"
 
 
 def _dump_csv(rows: Sequence[Sequence]) -> str:
@@ -318,25 +321,30 @@ def _dump_csv(rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _write_outputs(outputs: Sequence[OutputSpec], json_obj,
-                   csv_rows: Sequence[Sequence]) -> None:
+def _write_outputs(outputs: Sequence[OutputSpec], json_text: str,
+                   csv_rows: Callable[[], Sequence[Sequence]]) -> None:
+    """Write each output; the CSV rows are built only for a CSV output."""
     for spec in outputs:
-        text = _dump_json(json_obj) if spec.format == "json" \
-            else _dump_csv(csv_rows)
         with open(spec.target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(json_text if spec.format == "json"
+                     else _dump_csv(csv_rows()))
 
 
-def _report(config: ExperimentConfig, stdout, json_obj, rows, shown=None) -> int:
+def _report(config: ExperimentConfig, stdout, json_obj, csv_rows,
+            shown=None) -> int:
     """Print ``shown`` (default: the payload) and write the outputs, unless
     a payload field holds a number JSON cannot carry (NaN, Infinity)."""
-    for key, value in json_obj.items():
-        try:
-            json.dumps(value, allow_nan=False)
-        except ValueError:
-            raise S.SeriesError(f"report field {key!r} is not finite") from None
-    stdout.write(_dump_json(json_obj if shown is None else shown))
-    _write_outputs(config.outputs, json_obj, rows)
+    try:
+        text = _dump_json(json_obj, allow_nan=False)
+    except ValueError:
+        for key, value in json_obj.items():  # name the offending field
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise S.SeriesError(f"report field {key!r} is not finite") from None
+        raise
+    stdout.write(text if shown is None else _dump_json(shown))
+    _write_outputs(config.outputs, text, csv_rows)
     return 0
 
 
@@ -345,24 +353,23 @@ def _mode_map(values: Dict[int, complex]) -> Dict[str, List[float]]:
 
 
 def _mode_rows(order: int, t: Dict[int, complex], v: Dict[int, complex],
-               v0: complex) -> List[list]:
-    """CSV rows (n, t, v) for n = -order..order, with v0 in the v column at n = 0."""
-    rows = [["n", "t_re", "t_im", "v_re", "v_im"]]
-    for n in range(-order, order + 1):
-        tv = t.get(n, 0.0)
-        vv = v0 if n == 0 else v.get(n, 0.0)
-        rows.append([n, f"{tv.real:.17g}", f"{tv.imag:.17g}",
-                     f"{vv.real:.17g}", f"{vv.imag:.17g}"])
-    return rows
+               v0: complex) -> Callable[[], List[list]]:
+    """Builder of the CSV rows (n, t, v) for n = -order..order, with v0 in
+    the v column at n = 0."""
+    return lambda: [["n", "t_re", "t_im", "v_re", "v_im"]] + [
+        [n] + [f"{x:.17g}" for z in (t.get(n, 0.0), v0 if n == 0 else v.get(n, 0.0))
+               for x in (z.real, z.imag)] for n in range(-order, order + 1)]
 
 
-def _table_payload(table, lo: int) -> Tuple[Dict[str, List[float]], List[list]]:
-    """The ``entries`` map and the (m, n, re, im) CSV rows, in index order,
-    of a square array whose [0, 0] entry has indices (lo, lo)."""
-    cells = [(m + lo, n + lo, complex(z)) for (m, n), z in np.ndenumerate(table)]
-    rows = [[m, n, f"{z.real:.17g}", f"{z.imag:.17g}"] for m, n, z in cells]
-    return ({f"{m},{n}": _cx(z) for m, n, z in cells},
-            [["m", "n", "re", "im"]] + rows)
+def _table_payload(table, lo: int) -> Tuple[Dict[str, List[float]],
+                                            Callable[[], List[list]]]:
+    """The ``entries`` map and a builder of the (m, n, re, im) CSV rows, in
+    index order, of a square array whose [0, 0] entry has indices (lo, lo)."""
+    cells = [(m + lo, n + lo, z) for m, row in enumerate(table.tolist())
+             for n, z in enumerate(row)]
+    return ({f"{m},{n}": [z.real, z.imag] for m, n, z in cells},
+            lambda: [["m", "n", "re", "im"]]
+            + [[m, n, f"{z.real:.17g}", f"{z.imag:.17g}"] for m, n, z in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +382,9 @@ _PROBE_GAUGE = (GaugeTerm("z1", 1, 1.0), GaugeTerm("z2", 2, 0.5))
 
 @dataclass
 class CheckContext:
-    """Everything a registered check may consume."""
+    """Everything a registered check may consume.  Shared results are built
+    on first use; a build that raises is not cached, so each check reading
+    it reports the error itself."""
 
     pair: object
     h: HamiltonianH
@@ -386,17 +395,22 @@ class CheckContext:
 
     @cached_property
     def table(self) -> G.GrunskyTable:
-        """The config-order pairing table, built once per battery (a build
-        that raises is not cached: each check reading it reports the error)."""
+        """The config-order pairing table."""
         return G.grunsky_table(self.pair, self.order)
 
+    @cached_property
+    def snapshot(self) -> C.TodaCoordinates:
+        """The ungauged snapshot at the mode-probing order min(order, 8)."""
+        return C.toda_coordinates(self.pair, self.h, min(self.order, 8))
 
-def _single_unit_monomial(ctx: CheckContext) -> Tuple[int, int]:
-    terms = ctx.h.terms
-    if len(terms) != 1 or terms[0][2] != 1:
-        raise ValueError("check needs a single unit-coefficient monomial "
-                         "potential")
-    return terms[0][0], terms[0][1]
+    @cached_property
+    def monomial_case(self) -> Tuple[int, int, C.TodaCoordinates]:
+        """(mu, nu, closed-form coordinates) of a unit monomial potential."""
+        (mu, nu, c), *rest = self.h.terms
+        if rest or c != 1:
+            raise ValueError("check needs a single unit-coefficient monomial "
+                             "potential")
+        return mu, nu, SP.special_coords(self.pair, mu, nu)
 
 
 def _check_grunsky_symmetry(ctx) -> float:
@@ -429,8 +443,7 @@ def _check_plemelj(ctx) -> float:
 
 
 def _check_z2_closed_form(ctx) -> float:
-    snap = C.toda_coordinates(ctx.pair, ctx.h, min(ctx.order, 8))
-    return abs(snap.z_parts[1] - snap.z2_closed)
+    return abs(ctx.snapshot.z_parts[1] - ctx.snapshot.z2_closed)
 
 
 def _check_jacobian(ctx) -> float:
@@ -464,19 +477,20 @@ def _check_v0_t0_b00(ctx) -> float:
     dn = C.toda_coordinates(F.step(ctx.pair, ctx.h, 0, -eps, method="rk4"),
                             ctx.h, 1)
     slope = (up.v0 - dn.v0) / (2 * eps)
-    return abs(slope + 2 * G.grunsky_table(ctx.pair, 2).b00)
+    # grunsky_table sets its b00 entry to -log(b) by construction
+    return abs(slope - 2 * cmath.log(ctx.pair.b))
 
 
 def _check_gauge_covariance(ctx) -> float:
     gauge = ctx.gauge if ctx.gauge else _PROBE_GAUGE
     order = min(8, ctx.order)
-    t0, v0_map, _ = C.time_variables(ctx.pair, ctx.h, order, ())
+    t0, v0_map = ctx.snapshot.t, ctx.snapshot.v
     t1, v1_map, _ = C.time_variables(ctx.pair, ctx.h, order, gauge)
     t_shift, v_shift, v0_shift = gauge_shift_constants(gauge, order)
     defects = [abs(t1[n] - t0[n] - t_shift.get(n, 0.0)) for n in t0]
     defects += [abs(v1_map[n] - v0_map[n] - v_shift.get(n, 0.0))
                 for n in v0_map]
-    dv0 = C.v_zero(ctx.pair, ctx.h, gauge) - C.v_zero(ctx.pair, ctx.h, ())
+    dv0 = C.v_zero(ctx.pair, ctx.h, gauge) - ctx.snapshot.v0
     defects.append(abs(dv0 - v0_shift))
     # The flow fields themselves must not feel the gauge at all.
     for n in (1, -2):
@@ -495,31 +509,26 @@ def _check_sigma_reality(ctx) -> float:
 
 
 def _check_real_subspace(ctx) -> float:
-    return R.real_subspace_check(ctx.pair, ctx.h, min(8, ctx.order))
+    return R.real_subspace_check(ctx.snapshot)
 
 
 def _check_green_identity(ctx) -> float:
     return R.green_identity_check(ctx.pair.g, ctx.h, min(8, ctx.order))
 
 
-def _special_case(ctx):
-    mu, nu = _single_unit_monomial(ctx)
-    return mu, nu, SP.special_coords(ctx.pair, mu, nu)
-
-
 def _check_nontrivial_identity(ctx) -> float:
-    mu, nu, sp = _special_case(ctx)
+    mu, nu, sp = ctx.monomial_case
     return SP.nontrivial_identity(sp, mu, nu)
 
 
 def _check_special_logtau(ctx) -> float:
-    mu, nu, sp = _special_case(ctx)
+    mu, nu, sp = ctx.monomial_case
     general = C.toda_coordinates(ctx.pair, ctx.h, sp.order)
     return abs(SP.special_logtau(sp, mu, nu) - general.logT)
 
 
 def _check_generating_identity(ctx) -> float:
-    mu, nu, sp = _special_case(ctx)
+    mu, nu, sp = ctx.monomial_case
     return SP.generating_identity_check(ctx.pair, sp, mu, nu).residual
 
 
@@ -624,11 +633,10 @@ def cmd_verify(config: ExperimentConfig,
         for r in results},
         "passed": int(sum(r["passed"] for r in results)),
         "selected": [r["name"] for r in results]}
-    csv_rows = [["check", "residual", "tolerance", "status"]]
-    csv_rows += [[r["name"], f"{r['residual']:.17g}",
-                  f"{r['tolerance']:.17g}",
-                  "PASS" if r["passed"] else "FAIL"] for r in results]
-    _write_outputs(config.outputs, json_obj, csv_rows)
+    _write_outputs(config.outputs, _dump_json(json_obj), lambda: [
+        ["check", "residual", "tolerance", "status"]] + [
+        [r["name"], f"{r['residual']:.17g}", f"{r['tolerance']:.17g}",
+         "PASS" if r["passed"] else "FAIL"] for r in results])
     return 0 if all(r["passed"] for r in results) else 1
 
 
@@ -716,14 +724,12 @@ def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
             pair = F.step(pair, h, n, eps, method=method)
     json_obj = {"direction": n, "eps": eps, "method": method,
                 "trajectory": trajectory}
-    rows = [["step", "time", "b_re", "b_im", "t0_re", "t0_im",
-             "v0_re", "v0_im", "logT_re", "logT_im"]]
-    for p in trajectory:
-        rows.append([p["step"], f"{p['time']:.17g}"]
-                    + [f"{x:.17g}" for pair_xy in
-                       (p["b"], p["t0"], p["v0"], p["logT"])
-                       for x in pair_xy])
-    return _report(config, stdout, json_obj, rows)
+    return _report(config, stdout, json_obj, lambda: [
+        ["step", "time", "b_re", "b_im", "t0_re", "t0_im",
+         "v0_re", "v0_im", "logT_re", "logT_im"]] + [
+        [p["step"], f"{p['time']:.17g}"]
+        + [f"{x:.17g}" for xy in (p["b"], p["t0"], p["v0"], p["logT"])
+           for x in xy] for p in trajectory])
 
 
 def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:

@@ -157,13 +157,19 @@ def step(pair, h, n: int, eps: float, method: str = "euler") -> ConformalPair:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _probe_pairs(pair, h, n: int, eps: float):
+    """Euler steps by +eps, then -eps, along one shared direction-n field."""
+    ff = flow_field(pair, h, n)
+    return (_reassemble(_nudge(pair, ff, s)) for s in (float(eps), -float(eps)))
+
+
 def jacobian_check(pair, h, order: int, eps: float = 1e-5) -> float:
     """max |dt_m/deps along direction n - delta_{nm}| over |n|,|m| <= order."""
     modes = range(-int(order), int(order) + 1)
     quotients = []
     for n in modes:
-        tp, _, _ = time_variables(step(pair, h, n, +eps), h, order)
-        tm, _, _ = time_variables(step(pair, h, n, -eps), h, order)
+        tp, tm = (time_variables(p, h, order)[0]
+                  for p in _probe_pairs(pair, h, n, eps))
         quotients.append([(tp[m] - tm[m]) / (2.0 * eps) for m in modes])
     return float(np.max(np.abs(np.array(quotients) - np.eye(len(modes)))))
 
@@ -264,8 +270,7 @@ def tau_gradient_check(pair, h, order: int, eps: float = 1e-5) -> dict:
     v0_t0 = 0.0
     quotients: dict = {}
     for n in range(-order, order + 1):
-        cp = toda_coordinates(step(pair, h, n, +eps), h)
-        cm = toda_coordinates(step(pair, h, n, -eps), h)
+        cp, cm = (toda_coordinates(p, h) for p in _probe_pairs(pair, h, n, eps))
         d_logt = (cp.logT - cm.logT) / (2.0 * eps)
         want = base.v0 if n == 0 else base.v[n]
         gradient.append(abs(d_logt - want))

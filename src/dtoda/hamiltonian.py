@@ -69,10 +69,6 @@ class MonomialSum:
     def __add__(self, other: "MonomialSum") -> "MonomialSum":
         return MonomialSum(_merge_terms(tuple(self.terms) + tuple(other.terms)))
 
-    def scaled(self, factor) -> "MonomialSum":
-        factor = complex(factor)
-        return MonomialSum(_merge_terms((m, n, c * factor) for m, n, c in self.terms))
-
     def d1(self) -> "MonomialSum":
         return MonomialSum(_merge_terms(
             (mu - 1, nu, c * mu) for mu, nu, c in self.terms if mu
@@ -129,12 +125,6 @@ class HamiltonianH:
 
     def as_sum(self) -> MonomialSum:
         return MonomialSum(self.terms)
-
-
-def partials(h) -> Tuple[MonomialSum, MonomialSum, MonomialSum]:
-    """First partials and the mixed second partial, termwise."""
-    ms = h if isinstance(h, MonomialSum) else h.as_sum()
-    return ms.d1(), ms.d2(), ms.d12()
 
 
 def eval_along(ms, pair, window) -> LaurentSeries:

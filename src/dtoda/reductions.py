@@ -40,7 +40,7 @@ import numpy as np
 from . import series as S
 from .series import LaurentSeries, SeriesError
 from .conformal_pair import sigma_conjugate
-from .coords import time_variables, toda_coordinates, v_zero
+from .coords import TodaCoordinates, time_variables, v_zero
 from .grunsky import _log2d, grunsky_table
 
 
@@ -183,13 +183,12 @@ def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, GreenCoeffic
     return float(np.max(np.abs(left.kernel - right))), left
 
 
-def real_subspace_check(pair, h, order: int) -> float:
-    """Largest imaginary part across t, v, v0 and logT.
+def real_subspace_check(snap: TodaCoordinates) -> float:
+    """Largest imaginary part across t, v, v0 and logT of a snapshot.
 
     On pairs with real coefficients and a potential that is real on real
     arguments, every coordinate and log tau itself are real; the returned
     defect is the numerical distance from that subspace.
     """
-    snap = toda_coordinates(pair, h, int(order))
     values = [snap.v0, snap.logT, *snap.t.values(), *snap.v.values()]
     return float(np.max(np.abs(np.imag(values))))

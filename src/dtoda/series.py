@@ -405,19 +405,18 @@ def coeff(a: LaurentSeries, k: int) -> complex:
 # reduced products (single-coefficient extraction without full convolution)
 
 
-def coeff_mul(a: LaurentSeries, b: LaurentSeries, k: int, check: bool = True) -> complex:
+def coeff_mul(a: LaurentSeries, b: LaurentSeries, k: int) -> complex:
     """Coefficient of w**k in a*b, via one dot product.
 
-    With ``check`` the reliability window of the (never materialized)
-    product is computed and the request must fall inside it.
+    The request must fall inside the reliability window of the (never
+    materialized) product.
     """
     k = int(k)
-    if check:
-        r_lo, r_hi = _mul_reliable(a, b)
-        if not (r_lo <= k <= r_hi):
-            raise WindowUnderflowError(
-                f"window underflow: coefficient {k} outside reliable ({r_lo}, {r_hi})"
-            )
+    r_lo, r_hi = _mul_reliable(a, b)
+    if not (r_lo <= k <= r_hi):
+        raise WindowUnderflowError(
+            f"window underflow: coefficient {k} outside reliable ({r_lo}, {r_hi})"
+        )
     i_lo = max(a.lo_exp, k - b.hi_exp)
     i_hi = min(a.hi_exp, k - b.lo_exp)
     if i_lo > i_hi:
@@ -427,9 +426,9 @@ def coeff_mul(a: LaurentSeries, b: LaurentSeries, k: int, check: bool = True) ->
     return complex(np.dot(sa, sb))
 
 
-def residue_mul(a: LaurentSeries, b: LaurentSeries, check: bool = True) -> complex:
+def residue_mul(a: LaurentSeries, b: LaurentSeries) -> complex:
     """Residue (coefficient of w**-1) of a*b."""
-    return coeff_mul(a, b, -1, check=check)
+    return coeff_mul(a, b, -1)
 
 
 def residue_matrix(rows_a: Sequence[LaurentSeries],

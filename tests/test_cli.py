@@ -415,6 +415,99 @@ def test_battery_builds_the_table_once(monkeypatch):
     assert all(r["passed"] for r in results)
 
 
+def _counting(calls, key, fn, *, when=lambda *a, **k: True):
+    def counted(*args, **kwargs):
+        if when(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_battery_builds_the_snapshot_once(monkeypatch):
+    calls = {}
+    snapshot = _counting(calls, "toda_coordinates", cli.C.toda_coordinates,
+                         when=lambda pair, h, order=None: order == 8)
+    monkeypatch.setattr(cli.C, "toda_coordinates", snapshot)
+    # a reductions module that builds its own snapshot is counted too
+    monkeypatch.setattr(cli.R, "toda_coordinates", snapshot, raising=False)
+    for name in ("time_variables", "v_zero"):
+        monkeypatch.setattr(cli.C, name,
+                            _counting(calls, name, getattr(cli.C, name)))
+    config = load_config(str(CONFIGS / "fixture_sigma.json"))
+    results = run_checks(config, ["gauge_covariance", "real_subspace",
+                                  "z2_closed_form"])
+    assert all(r["passed"] for r in results), results
+    # one snapshot, plus the gauge-dressed side of gauge_covariance
+    assert calls == {"toda_coordinates": 1, "time_variables": 2, "v_zero": 2}
+
+
+def test_battery_builds_the_monomial_case_once(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(cli.SP, "special_coords",
+                        _counting(calls, "special_coords",
+                                  cli.SP.special_coords))
+    config = load_config(str(CONFIGS / "fixture_sigma.json"))
+    results = run_checks(config, sorted(CHECKS))
+    assert calls == {"special_coords": 1}
+    assert [r["error"] for r in results if r["name"] in (
+        "generating_identity", "nontrivial_identity", "special_logtau")] \
+        == ["", "", ""]
+
+
+def test_failed_monomial_case_is_reported_by_every_check(tmp_path):
+    payload = identity_payload()
+    payload["hamiltonian"][0]["re"] = 2.0
+    config = load_config(write_config(tmp_path, payload))
+    names = ["generating_identity", "nontrivial_identity", "special_logtau"]
+    results = run_checks(config, names)
+    assert [r["error"] for r in results] == [
+        "ValueError: check needs a single unit-coefficient monomial "
+        "potential"] * 3
+
+
+def test_grunsky_json_output_serializes_the_table_once(tmp_path, capsys,
+                                                        monkeypatch):
+    dumped, built = [], []
+    dumps = cli.json.dumps
+    monkeypatch.setattr(cli.json, "dumps",
+                        lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
+    payload_of = cli._table_payload
+
+    def table_payload(table, lo):
+        entries, rows = payload_of(table, lo)
+        return entries, lambda: built.append(1) or rows()
+
+    monkeypatch.setattr(cli, "_table_payload", table_payload)
+    payload = identity_payload()
+    payload["outputs"] = [
+        {"target": str(tmp_path / "table.json"), "format": "json"}]
+    code, out, _ = run_cli(["grunsky", write_config(tmp_path, payload)],
+                           capsys)
+    assert code == 0 and json.loads(out)["entry_count"] == 21 ** 2
+    holding_entries = [obj for obj in dumped if isinstance(obj, dict)
+                       and ("entries" in obj or "0,0" in obj)]
+    assert len(holding_entries) == 1
+    assert built == []
+
+
+def test_grunsky_csv_output_lists_every_entry(tmp_path, capsys):
+    payload = identity_payload()
+    payload["outputs"] = [
+        {"target": str(tmp_path / "table.json"), "format": "json"},
+        {"target": str(tmp_path / "table.csv"), "format": "csv"}]
+    code, _, _ = run_cli(["grunsky", write_config(tmp_path, payload)],
+                         capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "table.json").read_text())
+    rows = (tmp_path / "table.csv").read_text().splitlines()
+    assert rows[0] == "m,n,re,im"
+    assert len(rows) - 1 == (2 * doc["order"] + 1) ** 2 == len(doc["entries"])
+    for row in rows[1:]:
+        m, n, re, im = row.split(",")
+        assert [float(re), float(im)] == doc["entries"][f"{m},{n}"], row
+    assert "1,-1,1,0" in rows
+
+
 def test_failed_table_build_is_reported_by_every_check():
     # fixture_sigma's certified window is too short for an order-16 table
     config = load_config(str(CONFIGS / "fixture_sigma.json"))

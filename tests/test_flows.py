@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtoda import flows
 from dtoda import series as S
 from dtoda.conformal_pair import from_coefficients, random_pair
 from dtoda.grunsky import grunsky_table
@@ -181,6 +182,30 @@ def test_jacobian_random_pair(fix_rand):
 
 def test_jacobian_two_term_potential(fix_rand):
     assert jacobian_check(fix_rand, H_LIST[1], 4) < 1e-6
+
+
+def test_probes_build_one_field_per_direction(fix_sig, fix_id, monkeypatch):
+    """Both probes of direction n are Euler steps along one flow_field(n)."""
+    eps, modes = 1e-5, range(-2, 3)
+    quotients = []
+    for n in modes:
+        tp, _, _ = time_variables(step(fix_sig, H_BASIC, n, +eps), H_BASIC, 2)
+        tm, _, _ = time_variables(step(fix_sig, H_BASIC, n, -eps), H_BASIC, 2)
+        quotients.append([(tp[m] - tm[m]) / (2.0 * eps) for m in modes])
+    by_steps = float(np.max(np.abs(np.array(quotients) - np.eye(len(modes)))))
+    calls = []
+    build = flows.flow_field
+
+    def counted(pair, h, n, *args, **kwargs):
+        calls.append(n)
+        return build(pair, h, n, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "flow_field", counted)
+    assert jacobian_check(fix_sig, H_BASIC, 2, eps=eps) == by_steps
+    assert calls == list(modes)
+    calls.clear()
+    tau_gradient_check(fix_id, H_BASIC, 1, eps=eps)
+    assert calls == [-1, 0, 1]
 
 
 # ---------------------------------------------------------------------------

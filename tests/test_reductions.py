@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtoda.conformal_pair import from_coefficients, random_pair, sigma_conjugate
-from dtoda.coords import time_variables
+from dtoda.coords import time_variables, toda_coordinates
 from dtoda.grunsky import grunsky_table
 from dtoda.hamiltonian import HamiltonianH
 from dtoda.reductions import (
@@ -211,15 +211,15 @@ def test_sigma_reality_random_maps(seed):
 
 
 def test_real_subspace_identity_exact(fix_id):
-    assert real_subspace_check(fix_id, H_SYM1, 6) == 0.0
+    assert real_subspace_check(toda_coordinates(fix_id, H_SYM1, 6)) == 0.0
 
 
 def test_real_subspace_random_real_pair():
     pair = random_pair(seed=11, decay=0.25, order=12, real=True)
-    assert real_subspace_check(pair, H_SYM1, 8) <= 1e-11
-    assert real_subspace_check(pair, H_SYM2, 8) <= 1e-11
+    assert real_subspace_check(toda_coordinates(pair, H_SYM1, 8)) <= 1e-11
+    assert real_subspace_check(toda_coordinates(pair, H_SYM2, 8)) <= 1e-11
 
 
 def test_real_subspace_negative_control():
     pair = random_pair(seed=7, decay=0.3, order=12)
-    assert real_subspace_check(pair, H_SYM1, 8) > 1e-8
+    assert real_subspace_check(toda_coordinates(pair, H_SYM1, 8)) > 1e-8

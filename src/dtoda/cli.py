@@ -265,10 +265,12 @@ def load_config(path: str) -> ExperimentConfig:
     if order < 4:
         _fail("order", "must be at least 4")
 
-    samples_m = _as_int(raw.get("samples_M", 1024), "samples_M")
-    if samples_m & (samples_m - 1) or samples_m < 4 * (2 * order + 1):
+    least = 4 * (2 * order + 1)  # default: the least power of two >= max(1024, least)
+    samples_m = _as_int(raw.get("samples_M", 1 << (max(1024, least) - 1).bit_length()),
+                        "samples_M")
+    if samples_m & (samples_m - 1) or samples_m < least:
         _fail("samples_M", "must be a power of two with "
-              f"samples_M >= 4*(2*order+1) = {4 * (2 * order + 1)}")
+              f"samples_M >= 4*(2*order+1) = {least}")
 
     eps_fd = _as_real(raw.get("eps_fd", 1e-5), "eps_fd")
     if not 1e-8 < eps_fd < 1e-2:
@@ -457,7 +459,8 @@ def _check_string(ctx) -> float:
 
 def _check_lax(ctx) -> float:
     return float(np.max([F.lax_check(ctx.pair, ctx.h, ctx.table, n)
-                         for n in (1, -1, 2, -2, 3, -3)]))
+                         for n in (1, -1, 2, -2, 3, -3)]
+                        + [F.canonical_bracket_check(ctx.pair, ctx.h)]))
 
 
 def _check_canonical_bracket(ctx) -> float:
@@ -472,11 +475,8 @@ def _check_tau_gradient(ctx) -> float:
 
 def _check_v0_t0_b00(ctx) -> float:
     eps = ctx.eps_fd
-    up = C.toda_coordinates(F.step(ctx.pair, ctx.h, 0, +eps, method="rk4"),
-                            ctx.h, 1)
-    dn = C.toda_coordinates(F.step(ctx.pair, ctx.h, 0, -eps, method="rk4"),
-                            ctx.h, 1)
-    slope = (up.v0 - dn.v0) / (2 * eps)
+    up, dn = (C.v_zero(F.step(ctx.pair, ctx.h, 0, s, method="rk4"), ctx.h) for s in (eps, -eps))
+    slope = (up - dn) / (2 * eps)
     # grunsky_table sets its b00 entry to -log(b) by construction
     return abs(slope - 2 * cmath.log(ctx.pair.b))
 

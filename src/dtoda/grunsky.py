@@ -38,10 +38,12 @@ provided:
   z1 d/dz1 (:func:`_log2d`).
 
 The Faber polynomials read only orders 0..|n| of a power, so :func:`faber`
-clips every partial product of the power to the exponents that can still
-reach those orders.  A primary-path table carries the 2N polynomials it
-was built from (``GrunskyTable.faber``); :func:`faber_expansion_defect`
-and :func:`b_polynomial` read them there instead of rebuilding them.
+builds it by ``series.int_pow`` on that window: the reach rule that
+``series.powers`` applies clips every partial product to the exponents
+that can still reach those orders.  A primary-path table carries the 2N
+polynomials it was built from (``GrunskyTable.faber``);
+:func:`faber_expansion_defect` and :func:`b_polynomial` read them there
+instead of rebuilding them.
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
 = b(m, n)``.  On the primary path each block of it is one matrix product
@@ -111,36 +113,14 @@ class GrunskyTable:
         return complex(self.b[m + self.order, n + self.order])
 
 
-def _windowed_power(base: LaurentSeries, k: int, window) -> LaurentSeries:
-    """base**k (k >= 1) with each partial product of r copies clipped to window(r).
-
-    The products run in ``series.int_pow``'s repeated-squaring order, so
-    inside the windows only the summation order of each convolution
-    differs from the full-width power.
-    """
-    result, copies = None, 0
-    base, base_copies = S.clip(base, *window(1)), 1
-    while k:
-        if k & 1:
-            copies += base_copies
-            result = base if result is None else \
-                S.clip(S.mul(result, base), *window(copies))
-        k >>= 1
-        if k:
-            base_copies *= 2
-            base = S.clip(S.mul(base, base), *window(base_copies))
-    return result
-
-
 def faber(pair: ConformalPair, n: int) -> LaurentSeries:
     """P_n as an exact series: the polynomial part of g**n (n >= 1) or f**n (n <= -1).
 
-    g**n is built from r-fold partial products kept on exponents
-    [-(n-r), r]: the other n - r factors reach no higher than n - r, so
-    lower exponents cannot land on 0..n.  f**n is the |n|-th power of
-    the depth-(2|n|+8) reciprocal of f, whose r-fold partial products are
-    kept on [-r, |n|-r] for the mirrored reason.  Index 0 stands for
-    log w, which has no polynomial part, and raises.
+    g**n and f**n (the |n|-th power of the depth-(2|n|+8) reciprocal of
+    f) are built by `series.int_pow` on the window between 0 and n, so
+    every partial product is clipped to the exponents that can still
+    reach it.  Index 0 stands for log w, which has no polynomial part,
+    and raises.
     """
     n = int(n)
     if abs(n) > pair.order:
@@ -148,11 +128,9 @@ def faber(pair: ConformalPair, n: int) -> LaurentSeries:
     if n == 0:
         raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
     if n >= 1:
-        p = _windowed_power(pair.g, n, lambda r: (r - n, r))
+        p = S.int_pow(pair.g, n, window=(0, n))
     else:
-        m = -n
-        rec = S.int_pow(pair.f, -1, depth=2 * m + 8)
-        p = _windowed_power(rec, m, lambda r: (-r, m - r))
+        p = S.int_pow(pair.f, n, depth=2 * -n + 8, window=(n, 0))
         for k in (n, 0):  # the reliable window is an interval: its ends suffice
             p.reliable_coeff(k)
     lo, hi = min(n, 0), max(n, 0)

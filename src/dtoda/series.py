@@ -33,9 +33,9 @@ convergence analysis rather than from interval propagation through every
 intermediate; round-trip identities and 40-digit oracles in the
 test-suite check those claims directly.
 
-Power chains have one kernel, `powers` (clipped only where no later
-factor can carry a dropped coefficient into the requested window), and
-linear combinations another, `combine` (one vector-matrix product).
+Power chains have one kernel, `powers`, whose reach rule (`_reach_clip`:
+clip only where no later factor can carry a dropped coefficient into the
+window) a windowed `int_pow` shares; linear combinations have `combine`.
 
 All coefficients are complex doubles, all operations are pure (inputs are
 never mutated) and deterministic: identical inputs give bit-identical
@@ -361,22 +361,24 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(a.lo_exp + b.lo_exp, arr, _merge_flavor(a, b), reliable)
 
 
-def powers(base: LaurentSeries, n: int, window=None) -> list:
-    """[base, base**2, ..., base**n] by repeated multiplication.
+def _reach_clip(row: LaurentSeries, base: LaurentSeries, rest: int, window) -> LaurentSeries:
+    """The reach rule: ``row`` clipped to ``window`` widened by as far as
+    ``rest`` more factors ``base`` can carry a coefficient, so no dropped
+    one reaches the window (no clip without a window)."""
+    if window is None:
+        return row
+    return clip(row, window[0] - rest * max(base.hi_exp, 0),
+                window[1] + rest * max(-base.lo_exp, 0))
 
-    With ``window = (lo, hi)`` row k is clipped to the window widened by
-    (n - k) * max(base.hi_exp, 0) below and (n - k) * max(-base.lo_exp, 0)
-    above: the n - k factors still to come cannot carry a dropped
-    coefficient into the window, so every row equals the unclipped power
-    there.  Without a window nothing is clipped.
+
+def powers(base: LaurentSeries, n: int, window=None) -> list:
+    """[base, base**2, ..., base**n] by repeated multiplication; with
+    ``window = (lo, hi)`` each row is clipped by the reach rule
+    (`_reach_clip`), so it equals the unclipped power on the window.
     """
     rows = []
     for k in range(1, int(n) + 1):
-        row = base if k == 1 else mul(rows[-1], base)
-        if window is not None:
-            row = clip(row, window[0] - (n - k) * max(base.hi_exp, 0),
-                       window[1] + (n - k) * max(-base.lo_exp, 0))
-        rows.append(row)
+        rows.append(_reach_clip(base if k == 1 else mul(rows[-1], base), base, n - k, window))
     return rows
 
 
@@ -588,33 +590,33 @@ def _local_depth(depth, fallback_width: int) -> int:
     return max(2 * int(fallback_width), 16)
 
 
-def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
+def int_pow(a: LaurentSeries, k: int, depth: int | None = None,
+            window=None) -> LaurentSeries:
     """Integer power a**k.
 
     k >= 0: repeated squaring of the exact windowed product.  k < 0:
     factor a = c * w**j * (1+u) (`split_normalize`), invert 1+u by the
     Newton-doubling reciprocal truncated ``depth`` local orders past the
     leading term, then raise the reciprocal to |k| by repeated squaring.
+    With ``window = (lo, hi)`` every partial product, a single factor too,
+    is clipped by the reach rule of `powers` (`_reach_clip`).
     """
     k = int(k)
     if k == 0:
         return constant(1.0, a.flavor)
-    if k > 0:
-        result = None
-        base = a
-        e = k
-        while e:
-            if e & 1:
-                result = base if result is None else mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return result
-    c, j, u = split_normalize(a)
-    depth = _local_depth(depth, a.width)
-    inv = _reciprocal(u, depth)
-    rec = shift(scale(inv, 1.0 / c), -j)
-    return rec if k == -1 else int_pow(rec, -k)
+    if k < 0:
+        c, j, u = split_normalize(a)
+        inv = _reciprocal(u, _local_depth(depth, a.width))
+        a, k = shift(scale(inv, 1.0 / c), -j), -k
+    result, base, bit = None, _reach_clip(a, a, k - 1, window), 1
+    while bit <= k:  # base holds bit copies of a, result the lower set bits of k
+        if k & bit:
+            result = base if result is None else \
+                _reach_clip(mul(result, base), a, k - (k & (2 * bit - 1)), window)
+        bit *= 2
+        if bit <= k:
+            base = _reach_clip(mul(base, base), a, k - bit, window)
+    return result
 
 
 def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:

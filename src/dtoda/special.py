@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import series as S
-from .coords import TodaCoordinates, _halfwidth, _paired_logs, log_tau
+from .coords import TodaCoordinates, _Moments, _halfwidth, _paired_logs, log_tau
 from .hamiltonian import HamiltonianH
 
 
@@ -69,8 +69,7 @@ class MonomialCase:
 
 def _chains(pair, mu: int, nu: int, order: int):
     """Chains k -> base**k of g and f, unclipped, for every residue above."""
-    case_width = _halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order)
-    depth = case_width + order + 8
+    depth = _Moments(pair, MonomialCase(mu, nu).h.as_sum(), order).depth
     chains = []
     for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
         down = S.powers(S.int_pow(base, -1, depth=depth), length)

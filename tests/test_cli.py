@@ -110,6 +110,22 @@ def test_malformed_fields_are_named(tmp_path, mangle, field):
         load_config(write_config(tmp_path, payload))
 
 
+def test_samples_default_meets_its_own_bound(tmp_path):
+    payload = identity_payload()
+    del payload["samples_M"]
+    payload["order"] = 128  # needs samples_M >= 4*(2*128+1) = 1028
+    assert load_config(write_config(tmp_path, payload)).samples_m == 2048
+    payload["order"] = 10
+    assert load_config(write_config(tmp_path, payload)).samples_m == 1024
+
+
+def test_explicit_samples_below_the_bound_still_fails(tmp_path):
+    payload = identity_payload()
+    payload.update(order=128, samples_M=1024)
+    with pytest.raises(ConfigError, match="samples_M.*1028"):
+        load_config(write_config(tmp_path, payload))
+
+
 SUBCOMMANDS = [["coords"], ["grunsky"], ["sigma"], ["verify"],
                ["special", "--mu", "1", "--nu", "1"],
                ["flow", "--n", "1", "--eps", "1e-3", "--steps", "1"]]
@@ -437,8 +453,20 @@ def test_battery_builds_the_snapshot_once(monkeypatch):
     results = run_checks(config, ["gauge_covariance", "real_subspace",
                                   "z2_closed_form"])
     assert all(r["passed"] for r in results), results
-    # one snapshot, plus the gauge-dressed side of gauge_covariance
-    assert calls == {"toda_coordinates": 1, "time_variables": 2, "v_zero": 2}
+    # one snapshot, whose coordinates do not go through the public
+    # functions, plus the gauge-dressed side of gauge_covariance
+    assert calls == {"toda_coordinates": 1, "time_variables": 1, "v_zero": 1}
+
+
+def test_battery_reads_the_canonical_bracket_once_in_lax(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(cli.F, "canonical_bracket_check",
+                        _counting(calls, "bracket", cli.F.canonical_bracket_check))
+    config = load_config(str(CONFIGS / "fixture_random.json"))
+    results = run_checks(config)
+    assert all(r["passed"] for r in results), results
+    # once inside lax, once as its own check
+    assert calls == {"bracket": 2}
 
 
 def test_battery_builds_the_monomial_case_once(monkeypatch):

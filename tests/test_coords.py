@@ -155,10 +155,17 @@ def streamed_powers(base, n_max, depth):
     return chain
 
 
+def moment_series(pair, ms, width):
+    """M1 = d1(ms)(g, f) g' and M2 = d2(ms)(g, f) f' on (-width, width)."""
+    window = (-width, width)
+    return (S.mul(eval_along(ms.d1(), pair, window), pair.g_prime()),
+            S.mul(eval_along(ms.d2(), pair, window), pair.f_prime()))
+
+
 def time_variables_reference(pair, h, order):
     """t, v and t0_alt by one residue_mul per coordinate."""
     width = C._halfwidth(pair, h.as_sum(), order)
-    m1, m2 = C._m_series(pair, h.as_sum(), width)
+    m1, m2 = moment_series(pair, h.as_sum(), width)
     gp = streamed_powers(pair.g, order, width + order + 8)
     fp = streamed_powers(pair.f, order, width + order + 8)
     t, v = {0: S.residue(m1)}, {}
@@ -223,3 +230,50 @@ def test_order_zero_snapshot_keeps_its_values(fix_id, fix_rand):
                       (snap.v0, -1.0065254758476725 + 0.004375400024309861j),
                       (snap.logT, -0.784581203870591 - 0.12161734458636111j)]:
         assert abs(got - want) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# one moment object per snapshot
+
+
+SNAPSHOT_ORDERS = [("fix_id", 4), ("fix_id", 8), ("fix_id", 10),
+                   ("fix_rand", 4), ("fix_rand", 8), ("fix_rand", 16),
+                   ("fix_sig", 4), ("fix_sig", 8), ("fix_sig", 14)]
+
+
+@pytest.mark.parametrize("name,order", SNAPSHOT_ORDERS)
+def test_snapshot_equals_the_public_functions(request, name, order):
+    pair = request.getfixturevalue(name)
+    snap = toda_coordinates(pair, H_BASIC, order)
+    t, v, t0_alt = time_variables(pair, H_BASIC, order)
+    v0 = v_zero(pair, H_BASIC)
+    z1, z2, z3, log_t, z2_closed = log_tau(pair, H_BASIC, t, v, v0)
+    assert snap.t == t and snap.v == v
+    assert snap.t0_alt == t0_alt and snap.v0 == v0
+    assert snap.z_parts == (z1, z2, z3)
+    assert snap.logT == log_t and snap.z2_closed == z2_closed
+
+
+def _count_eval_along(monkeypatch):
+    calls = []
+    original = C.eval_along
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(C, "eval_along", counted)
+    return calls
+
+
+def test_full_order_snapshot_evaluates_along_the_pair_five_times(monkeypatch, fix_rand):
+    calls = _count_eval_along(monkeypatch)
+    toda_coordinates(fix_rand, H_BASIC)
+    # d1H and d2H once for t, v, v0 and Z2; the potential for v0; J1, J2 for Z3
+    assert len(calls) == 5
+
+
+def test_plemelj_evaluates_along_the_pair_twice(monkeypatch, fix_rand):
+    calls = _count_eval_along(monkeypatch)
+    plemelj_check(fix_rand, H_BASIC, 8)
+    assert len(calls) == 2

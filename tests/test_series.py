@@ -867,6 +867,11 @@ def test_powers_rows_equal_unclipped_powers_on_the_window(case):
         diff = np.abs(S.dense(row, lo, hi) - S.dense(ref, lo, hi))
         assert np.all(diff <= 1e-13 * S.dense(mag, lo, hi).real)
         assert row.reliable[0] <= lo and row.reliable[1] >= hi
+    # int_pow clips its partial products by the same reach rule; its
+    # squarings multiply clipped factors, so only the values are compared
+    last = S.int_pow(base, n, window=(lo, hi))
+    diff = np.abs(S.dense(last, lo, hi) - S.dense(full[-1], lo, hi))
+    assert np.all(diff <= 1e-13 * S.dense(mags[-1], lo, hi).real)
 
 
 def test_powers_of_nothing_is_empty():
@@ -912,13 +917,14 @@ def test_combine_matches_the_add_scale_chain(case):
 def test_phi_psi_sums_match_horner(fix_rand):
     """log tau's Z2 reads Phi(g) and Psi(f) built by `combine` as Horner built them."""
     from dtoda import coords as C
-    from dtoda.hamiltonian import HamiltonianH
+    from dtoda.hamiltonian import HamiltonianH, eval_along
 
     h, order = HamiltonianH.of((1, 1, 1.0)), 8
     t, v, _ = C.time_variables(fix_rand, h, order)
     z2 = C.log_tau(fix_rand, h, t, v, C.v_zero(fix_rand, h))[1]
-    width = C._halfwidth(fix_rand, h.as_sum(), order)
-    m1, m2 = C._m_series(fix_rand, h.as_sum(), width)
+    ms, width = h.as_sum(), C._halfwidth(fix_rand, h.as_sum(), order)
+    m1, m2 = (S.mul(eval_along(d, fix_rand, (-width, width)), p)
+              for d, p in ((ms.d1(), fix_rand.g_prime()), (ms.d2(), fix_rand.f_prime())))
     g_inv = S.int_pow(fix_rand.g, -1, depth=width + order + 8)
     phi = horner([v[n] / n for n in range(1, order + 1)], g_inv, (-width, width))
     psi = horner([v[-n] / n for n in range(1, order + 1)], fix_rand.f, (-width, width))

@@ -37,13 +37,10 @@ provided:
   is solved row by row in z1 from theta L * (1 + W) = theta W, theta =
   z1 d/dz1 (:func:`_log2d`).
 
-The Faber polynomials read only orders 0..|n| of a power, so :func:`faber`
-builds it by ``series.int_pow`` on that window: the reach rule that
-``series.powers`` applies clips every partial product to the exponents
-that can still reach those orders.  A primary-path table carries the 2N
-polynomials it was built from (``GrunskyTable.faber``);
-:func:`faber_expansion_defect` and :func:`b_polynomial` read them there
-instead of rebuilding them.
+:func:`grunsky_table` reads P_n and P_-n off the chains g^1..g^N and
+f^-1..f^-N it builds for its weights, and carries them
+(``GrunskyTable.faber``) for :func:`faber_expansion_defect` and
+:func:`b_polynomial`; :func:`faber` builds one such chain on [0, n].
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
 = b(m, n)``.  On the primary path each block of it is one matrix product
@@ -113,14 +110,20 @@ class GrunskyTable:
         return complex(self.b[m + self.order, n + self.order])
 
 
+def _polynomial_part(power: LaurentSeries, n: int) -> LaurentSeries:
+    """P_n off ``power`` = g**n or f**n, reliable at both ends of [0, n] (an interval)."""
+    lo, hi = sorted((0, n))
+    for k in (lo, hi):
+        power.reliable_coeff(k)
+    return LaurentSeries(lo, S.dense(power, lo, hi))
+
+
 def faber(pair: ConformalPair, n: int) -> LaurentSeries:
     """P_n as an exact series: the polynomial part of g**n (n >= 1) or f**n (n <= -1).
 
-    g**n and f**n (the |n|-th power of the depth-(2|n|+8) reciprocal of
-    f) are built by `series.int_pow` on the window between 0 and n, so
-    every partial product is clipped to the exponents that can still
-    reach it.  Index 0 stands for log w, which has no polynomial part,
-    and raises.
+    g**n or f**n (from the depth-(2|n|+8) reciprocal of f) is the last row
+    of one power chain on [0, n].  Index 0 stands for log w, which has no
+    polynomial part, and raises.
     """
     n = int(n)
     if abs(n) > pair.order:
@@ -128,13 +131,8 @@ def faber(pair: ConformalPair, n: int) -> LaurentSeries:
     if n == 0:
         raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
     if n >= 1:
-        p = S.int_pow(pair.g, n, window=(0, n))
-    else:
-        p = S.int_pow(pair.f, n, depth=2 * -n + 8, window=(n, 0))
-        for k in (n, 0):  # the reliable window is an interval: its ends suffice
-            p.reliable_coeff(k)
-    lo, hi = min(n, 0), max(n, 0)
-    return LaurentSeries.from_pairs(zip(range(lo, hi + 1), S.dense(p, lo, hi)))
+        return _polynomial_part(S.powers(pair.g, n, (0, n))[-1], n)
+    return _polynomial_part(S.reciprocal_powers(pair.f, -n, 2 * -n + 8, (n, 0))[-1], n)
 
 
 def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:
@@ -167,7 +165,8 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     The rows P_-N..P_-1, log(g/w) or log(f/w), P_1..P_N are paired with
     the weights g^{m-1} g' and f^{-m-1} f' in two matrix products, which
     fill the columns m >= 1 and m <= -1; column 0 pairs P_n with f^{-1} f'
-    and P_-n with g^{-1} g'.
+    and P_-n with g^{-1} g'.  P_n and P_-n are read off the chains
+    g^1..g^N and f^-1..f^-N that the weights are built from.
     """
     n_max = int(order)
     if n_max > pair.order or n_max < 1:
@@ -177,16 +176,13 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     depth, frame = _chain_window(pair, n_max)
 
     # weights: e_g[0] = g^{-1} g', e_g[m] = g^{m-1} g'; e_f[m] = f^{-m-1} f' (m = 0..N)
-    g_inv = S.int_pow(g, -1, depth=depth)
-    one = S.constant(1.0, AT_INFINITY)
-    e_g = [S.clip(S.mul(s, gp), *frame) for s in [g_inv, one] + S.powers(g, n_max - 1, frame)]
-    e_f = [S.clip(S.mul(s, fp), *frame)
-           for s in S.powers(S.int_pow(f, -1, depth=depth), n_max + 1, frame)]
-
-    p = {n: faber(pair, n) for n in range(-n_max, n_max + 1) if n}
-    neg = [p[n] for n in range(-n_max, 0)]
-    pos = [p[n] for n in range(1, n_max + 1)]
-    lb = cmath.log(pair.b)
+    g_pow = S.powers(g, n_max, frame)
+    f_neg = S.reciprocal_powers(f, n_max + 1, depth, frame)
+    e_g = [S.clip(S.mul(s, gp), *frame) for s in
+           [S.int_pow(g, -1, depth=depth), S.constant(1.0, AT_INFINITY)] + g_pow[:-1]]
+    e_f = [S.clip(S.mul(s, fp), *frame) for s in f_neg]
+    neg = [_polynomial_part(f_neg[n - 1], -n) for n in range(n_max, 0, -1)]
+    pos = [_polynomial_part(g_pow[n - 1], n) for n in range(1, n_max + 1)]
     log_g, log_f = _paired_logs(pair, depth)
 
     k = np.abs(np.arange(-n_max, n_max + 1))
@@ -196,8 +192,8 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     b[:, n_max - 1::-1] = S.residue_matrix(neg + [log_f] + pos, e_f[1:]) / div
     b[:n_max, n_max] = -S.residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
     b[n_max + 1:, n_max] = S.residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
-    b[n_max, n_max] = -lb
-    return GrunskyTable(n_max, b, p)
+    b[n_max, n_max] = -cmath.log(pair.b)
+    return GrunskyTable(n_max, b, dict(zip([n for n in range(-n_max, n_max + 1) if n], neg + pos)))
 
 
 # ---------------------------------------------------------------------------

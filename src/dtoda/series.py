@@ -33,9 +33,10 @@ convergence analysis rather than from interval propagation through every
 intermediate; round-trip identities and 40-digit oracles in the
 test-suite check those claims directly.
 
-Power chains have one kernel, `powers`, whose reach rule (`_reach_clip`:
-clip only where no later factor can carry a dropped coefficient into the
-window) a windowed `int_pow` shares; linear combinations have `combine`.
+Power chains have one kernel, `powers` (clipped only where no later
+factor can carry a dropped coefficient into the requested window), and
+linear combinations another, `combine` (one vector-matrix product).
+`int_pow` is a single power by repeated squaring, with no window.
 
 All coefficients are complex doubles, all operations are pure (inputs are
 never mutated) and deterministic: identical inputs give bit-identical
@@ -129,9 +130,11 @@ class LaurentSeries:
         return self.coeffs.size
 
     @property
-    def lead(self) -> int:
-        """Exponent of the largest stored coefficient (ties: lowest)."""
-        return self.lo_exp + int(np.argmax(np.abs(self.coeffs)))
+    def lead(self) -> int | None:
+        """Exponent of the largest stored coefficient (ties: lowest); None if all are zero."""
+        mags = np.abs(self.coeffs)
+        k = int(np.argmax(mags))
+        return None if mags[k] == 0 else self.lo_exp + k
 
     # -- queries -----------------------------------------------------------
 
@@ -219,20 +222,15 @@ def _mul_reliable(a: LaurentSeries, b: LaurentSeries) -> tuple:
     A finite truncation edge of one factor contaminates the product from
     (edge + leading exponent of the other factor) outward; tails against
     sub-leading coefficients are at dropped-coefficient scale and waived
-    (module docstring).
+    (module docstring).  An all-zero factor has no lead, so only its own
+    edges bound the product: the other's tail meets its zeros or its own
+    dropped tail (waived).  An exact zero factor thus gives an exact zero.
     """
-    hi_cands = []
-    if not math.isinf(a.reliable[1]):
-        hi_cands.append(a.reliable[1] + b.lead)
-    if not math.isinf(b.reliable[1]):
-        hi_cands.append(b.reliable[1] + a.lead)
-    lo_cands = []
-    if not math.isinf(a.reliable[0]):
-        lo_cands.append(a.reliable[0] + b.lead)
-    if not math.isinf(b.reliable[0]):
-        lo_cands.append(b.reliable[0] + a.lead)
-    r_hi = min(hi_cands) if hi_cands else POS_INF
-    r_lo = max(lo_cands) if lo_cands else NEG_INF
+    r_lo, r_hi = NEG_INF, POS_INF
+    for x, y in ((a, b), (b, a)):
+        lead = None if _is_exact(x) else y.lead
+        if lead is not None:
+            r_lo, r_hi = max(r_lo, x.reliable[0] + lead), min(r_hi, x.reliable[1] + lead)
     if r_lo > r_hi:
         raise WindowUnderflowError("window underflow: product has empty reliable window")
     return (r_lo, r_hi)
@@ -361,25 +359,33 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(a.lo_exp + b.lo_exp, arr, _merge_flavor(a, b), reliable)
 
 
-def _reach_clip(row: LaurentSeries, base: LaurentSeries, rest: int, window) -> LaurentSeries:
-    """The reach rule: ``row`` clipped to ``window`` widened by as far as
-    ``rest`` more factors ``base`` can carry a coefficient, so no dropped
-    one reaches the window (no clip without a window)."""
-    if window is None:
-        return row
-    return clip(row, window[0] - rest * max(base.hi_exp, 0),
-                window[1] + rest * max(-base.lo_exp, 0))
-
-
 def powers(base: LaurentSeries, n: int, window=None) -> list:
     """[base, base**2, ..., base**n] by repeated multiplication; with
-    ``window = (lo, hi)`` each row is clipped by the reach rule
-    (`_reach_clip`), so it equals the unclipped power on the window.
-    """
+    ``window = (lo, hi)`` row k is clipped to the window widened by as far
+    as the n - k factors still to come can carry a coefficient, so every
+    row equals the unclipped power on the window."""
     rows = []
     for k in range(1, int(n) + 1):
-        rows.append(_reach_clip(base if k == 1 else mul(rows[-1], base), base, n - k, window))
+        row = base if k == 1 else mul(rows[-1], base)
+        if window is not None:
+            row = clip(row, window[0] - (n - k) * max(base.hi_exp, 0),
+                       window[1] + (n - k) * max(-base.lo_exp, 0))
+        rows.append(row)
     return rows
+
+
+def reciprocal_powers(a: LaurentSeries, n: int, depth: int, window) -> list:
+    """[a**-1, ..., a**-n] for a = c * w**j * (1+u): row k is exp(-k log c) w**(-jk)
+    times row k of the `powers` chain of the depth-``depth`` reciprocal of 1+u,
+    whose leading term stays exactly 1, so the rounding of 1/c is not
+    compounded k times.  Every row is exact on ``window = (lo, hi)``."""
+    c, j, u = split_normalize(a)
+    window = (window[0] + min(j, j * n), window[1] + max(j, j * n))
+    rows = powers(_reciprocal(u, depth), n, window)
+    scales = np.exp(-np.arange(1, n + 1) * np.log(c))
+    return [LaurentSeries(row.lo_exp - j * k, row.coeffs * s, row.flavor,
+                          tuple(e - j * k for e in row.reliable))
+            for k, (row, s) in enumerate(zip(rows, scales), 1)]
 
 
 def derivative(a: LaurentSeries) -> LaurentSeries:
@@ -444,14 +450,14 @@ def residue_matrix(rows_a: Sequence[LaurentSeries],
     if not (rows_a and rows_b):
         return np.zeros((len(rows_a), len(rows_b)), dtype=np.complex128)
 
-    def edges(rows):
+    def edges(rows):  # the lead of an all-zero row is NaN, and fmax/fmin skip it
         lo, hi = np.array([r.reliable for r in rows], dtype=np.float64).T
         return lo, hi, np.array([r.lead for r in rows], dtype=np.float64)
 
     a_lo, a_hi, a_lead = (x[:, None] for x in edges(rows_a))
     b_lo, b_hi, b_lead = edges(rows_b)
-    bad = np.argwhere((np.maximum(a_lo + b_lead, b_lo + a_lead) > -1)
-                      | (np.minimum(a_hi + b_lead, b_hi + a_lead) < -1))
+    bad = np.argwhere((np.fmax(a_lo + b_lead, b_lo + a_lead) > -1)
+                      | (np.fmin(a_hi + b_lead, b_hi + a_lead) < -1))
     if bad.size:
         i, j = bad[0]
         residue_mul(rows_a[i], rows_b[j])  # raises the scalar path's error
@@ -590,17 +596,9 @@ def _local_depth(depth, fallback_width: int) -> int:
     return max(2 * int(fallback_width), 16)
 
 
-def int_pow(a: LaurentSeries, k: int, depth: int | None = None,
-            window=None) -> LaurentSeries:
-    """Integer power a**k.
-
-    k >= 0: repeated squaring of the exact windowed product.  k < 0:
-    factor a = c * w**j * (1+u) (`split_normalize`), invert 1+u by the
-    Newton-doubling reciprocal truncated ``depth`` local orders past the
-    leading term, then raise the reciprocal to |k| by repeated squaring.
-    With ``window = (lo, hi)`` every partial product, a single factor too,
-    is clipped by the reach rule of `powers` (`_reach_clip`).
-    """
+def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
+    """Integer power a**k by repeated squaring; for k < 0, of the Newton-doubling
+    reciprocal truncated ``depth`` local orders past the leading term."""
     k = int(k)
     if k == 0:
         return constant(1.0, a.flavor)
@@ -608,14 +606,13 @@ def int_pow(a: LaurentSeries, k: int, depth: int | None = None,
         c, j, u = split_normalize(a)
         inv = _reciprocal(u, _local_depth(depth, a.width))
         a, k = shift(scale(inv, 1.0 / c), -j), -k
-    result, base, bit = None, _reach_clip(a, a, k - 1, window), 1
-    while bit <= k:  # base holds bit copies of a, result the lower set bits of k
-        if k & bit:
-            result = base if result is None else \
-                _reach_clip(mul(result, base), a, k - (k & (2 * bit - 1)), window)
-        bit *= 2
-        if bit <= k:
-            base = _reach_clip(mul(base, base), a, k - bit, window)
+    result, base = None, a
+    while k:
+        if k & 1:
+            result = base if result is None else mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
     return result
 
 
@@ -673,9 +670,12 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     ``1 - lo_exp``, at least 1).
     Each Newton step reads a(G) and a'(G) off one power chain of G (of
     1/G at infinity), by `powers` and `combine`.
-    Iteration count: ceil(log2(depth + 1)) + 2; the output reliability
-    claim rests on the quadratic convergence of the iteration (round-trip
-    identities are asserted in the test-suite).
+    Precision doubling (Brent & Kung): a step at depth d makes an iterate
+    right to local order c right to min(d, 2c + 1), so step j < ceil(log2(
+    depth + 1)) works at d = min(depth, 2**j) (window, coefficients, chain
+    and reciprocal cut to d), and two full-depth steps follow.  The output
+    reliability claim rests on this convergence (round trips and a 40-digit
+    Lagrange-inversion oracle are asserted in the test-suite).
     """
     if a.flavor == AT_ZERO:
         form, stray = "a1*w + ...", a.lo_exp < 1 and np.any(a.coeffs[: 1 - a.lo_exp] != 0)
@@ -688,37 +688,38 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     b = a.coeff(1)
     if a.flavor == AT_ZERO:
         depth = max(a.hi_exp - 1, 1) if depth is None else int(depth)
-        window, reliable = (1, 1 + depth), (NEG_INF, 1 + depth)
         g = monomial(1, 1.0 / b, AT_ZERO)
         acoeffs = [a.coeff(k) for k in range(1, depth + 2)]
         dcoeffs = [k * a.coeff(k) for k in range(2, depth + 2)]
 
-        def compose(g):
-            """a(g) and a'(g) off the chain g**1 .. g**(depth+1)."""
-            chain = powers(g, depth + 1, (1, depth + 2))
-            return (clip(combine(acoeffs, chain), 1, depth + 2),
-                    add(clip(combine(dcoeffs, chain[:-1]), 1, depth + 1), constant(b)))
+        def compose(g, d):
+            """a(g) and a'(g) off the chain g**1 .. g**(d+1)."""
+            chain = powers(g, d + 1, (1, d + 2))
+            return (clip(combine(acoeffs[:d + 1], chain), 1, d + 2),
+                    add(clip(combine(dcoeffs[:d], chain[:-1]), 1, d + 1), constant(b)))
     else:
         depth = max(1 - a.lo_exp, 1) if depth is None else int(depth)
-        window, reliable = (1 - depth, 1), (1 - depth, POS_INF)
         b0 = a.coeff(0)
         g = LaurentSeries.from_pairs({1: 1.0 / b, 0: -b0 / b}, AT_INFINITY)
         # a = b*w + b0 + sum_k tail[k-1] w**-k, read down to w**(1-depth)
         tail = [a.coeff(-k) for k in range(1, depth)]
         dtail = [-k * c for k, c in enumerate(tail, 1)]
 
-        def compose(g):
-            """a(g) and a'(g) off the chain g**-1 .. g**-depth."""
-            rec = _strip(int_pow(g, -1, depth=depth + 2))
-            chain = powers(rec, depth, (-depth, 1))
-            comp = clip(combine(tail, chain[:-1]), -depth, 1)
+        def compose(g, d):
+            """a(g) and a'(g) off the chain g**-1 .. g**-d."""
+            rec = _strip(int_pow(g, -1, depth=d + 2))
+            chain = powers(rec, d, (-d, 1))
+            comp = clip(combine(tail[:d - 1], chain[:-1]), -d, 1)
             return (add(comp, add(scale(g, b), constant(b0, AT_INFINITY))),
-                    add(clip(combine(dtail, chain[1:]), -depth, 0), constant(b, AT_INFINITY)))
+                    add(clip(combine(dtail[:d - 1], chain[1:]), -d, 0), constant(b, AT_INFINITY)))
     zc = monomial(1, 1.0, a.flavor)
-    for _ in range(math.ceil(math.log2(depth + 1)) + 2):
-        comp, slope = compose(g)
-        dinv = _strip(int_pow(slope, -1, depth=depth + 2))
+    grow = [min(depth, 2 ** j) for j in range(math.ceil(math.log2(depth + 1)))]
+    for d in grow + [depth, depth]:
+        comp, slope = compose(g, d)
+        dinv = _strip(int_pow(slope, -1, depth=d + 2))
+        window = (1, 1 + d) if a.flavor == AT_ZERO else (1 - d, 1)
         g = _strip(clip(sub(g, clip(mul(sub(comp, zc), dinv), *window)), *window))
+    reliable = (NEG_INF, window[1]) if a.flavor == AT_ZERO else (window[0], POS_INF)
     return LaurentSeries(g.lo_exp, g.coeffs, a.flavor, reliable)
 
 

@@ -398,7 +398,7 @@ def test_special_underflow_at_order_one_is_one_line():
     # default order 16 - 7 - 7 - 1 = 1: nothing lower to retry
     code, _, err = run_cli_process(
         ["special", str(CONFIGS / "fixture_sigma.json"),
-         "--mu", "7", "--nu", "7"])
+         "--mu", "-7", "--nu", "7"])
     assert code == 1
     assert err.startswith("dtoda: computation failed: window underflow")
     assert len(err.splitlines()) == 1 and "Traceback" not in err

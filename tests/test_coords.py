@@ -277,3 +277,14 @@ def test_plemelj_evaluates_along_the_pair_twice(monkeypatch, fix_rand):
     calls = _count_eval_along(monkeypatch)
     plemelj_check(fix_rand, H_BASIC, 8)
     assert len(calls) == 2
+
+
+def test_order_one_snapshot_with_a_vanishing_phi(fix_sig):
+    # v_1 = v_-1 = 0 on the reflected ellipse pair, so Phi(g) and Psi(f) are
+    # identically zero: their products with M1, M2 are exact zeros, not
+    # window underflows
+    one, two = toda_coordinates(fix_sig, H_BASIC, 1), toda_coordinates(fix_sig, H_BASIC, 2)
+    assert one.v == {1: 0.0, -1: 0.0}
+    assert one.z_parts[1] == one.z2_closed == 0.0
+    assert (one.t[0], one.v0) == (two.t[0], two.v0)
+    assert (one.z_parts[0], one.z_parts[2]) == (two.z_parts[0], two.z_parts[2])

@@ -139,12 +139,23 @@ def test_joukowski_inverse_via_inverse_path(jouk_pair):
 
 
 def test_table_carries_its_faber_polynomials(fix_rand):
+    # the table reads P_n off its own power chains, whose clip frame differs
+    # from faber's, so the two agree to rounding only: each is compared
+    # with the 50-digit oracle instead of with the other
     t = G.grunsky_table(fix_rand, 16)
     assert sorted(t.faber) == [n for n in range(-16, 17) if n]
     for n, p in t.faber.items():
-        q = G.faber(fix_rand, n)
-        assert (p.lo_exp, p.flavor, p.reliable) == (q.lo_exp, q.flavor, q.reliable)
-        assert np.array_equal(p.coeffs, q.coeffs), n
+        assert (p.lo_exp, p.hi_exp, p.flavor, p.reliable) == \
+            (min(n, 0), max(n, 0), S.TWO_SIDED, (S.NEG_INF, S.POS_INF))
+    _assert_table_faber_near_oracle(fix_rand, t)
+
+
+def test_table_builds_no_faber_polynomial_of_its_own(fix_rand, monkeypatch):
+    calls = []
+    real = G.faber
+    monkeypatch.setattr(G, "faber", lambda *args: calls.append(args) or real(*args))
+    G.grunsky_table(fix_rand, 16)
+    assert calls == []
 
 
 def test_oracle_table_carries_no_polynomials(fix_rand):
@@ -299,28 +310,57 @@ def test_faber_matches_full_width_power(poly64):
         assert max(abs(got.coeff(k) - want[k]) for k in want) <= 1e-13 * scale, n
 
 
+def _mp_binomial(u, p, upto):
+    """Coefficients 0..upto of (1 + sum_k u[k] x^k)**p, from (1 + u) s' = p u' s.
+
+    ``u`` maps exponents k >= 1 to mpmath numbers; zero terms may be left out.
+    """
+    s = [mpmath.mpc(1)]
+    for j in range(1, upto + 1):
+        s.append(sum(((p + 1) * k - j) * c * s[j - k] for k, c in u.items() if k <= j) / j)
+    return s
+
+
+def _mp_normalized(series, sign):
+    """Leading coefficient c and u with series = c w (1 + u(w**sign)), as mpmath numbers."""
+    c = mpmath.mpc(series.coeff(1))
+    u = {k: mpmath.mpc(series.coeff(1 + sign * k)) / c
+         for k in range(1, series.width) if series.coeff(1 + sign * k) != 0}
+    return c, u
+
+
 def _mp_faber(pair, n):
-    """P_n at 50 digits: exact powers of the polynomial maps."""
+    """P_n at 50 digits: exact powers of the stored (polynomial) maps.
+
+    With g = b w (1 + v(1/w)), [w^k] g^n = b^n [x^(n-k)] (1 + v)^n; with
+    f = a1 w (1 + u(w)), [w^k] f^n = a1^n [w^(k-n)] (1 + u)^n.
+    """
     with mpmath.workdps(50):
         if n >= 1:
-            base = {e: mpmath.mpc(pair.g.coeff(e)) for e in range(-2, 2)}
-            power = {0: mpmath.mpc(1)}
-            for _ in range(n):
-                nxt = {}
-                for e1, c1 in power.items():
-                    for e2, c2 in base.items():
-                        nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
-                power = nxt
-            return {k: complex(power[k]) for k in range(0, n + 1)}
-        # f**n = a1**n w**n (1 + u)**n; (1 + u) s' = n u' s gives s's terms
-        m = -n
-        a1 = mpmath.mpc(pair.f.coeff(1))
-        u = [mpmath.mpc(pair.f.coeff(k + 1)) / a1 for k in range(3)]
-        s = [mpmath.mpc(1)]
-        for j in range(1, m + 1):
-            s.append(sum(((n + 1) * k - j) * u[k] * s[j - k]
-                         for k in range(1, min(j, 2) + 1)) / j)
+            b, v = _mp_normalized(pair.g, -1)
+            s = _mp_binomial(v, n, n)
+            return {k: complex(s[n - k] * b ** n) for k in range(0, n + 1)}
+        a1, u = _mp_normalized(pair.f, 1)
+        s = _mp_binomial(u, n, -n)
         return {k: complex(s[k - n] * a1 ** n) for k in range(n, 1)}
+
+
+def _assert_table_faber_near_oracle(pair, table):
+    """Each table P_n is no farther from the 50-digit oracle than 1.1 times the
+    repeated-squaring read-out's error, up to two ulps of its largest
+    coefficient (errors of a few ulps differ between any two product orders)."""
+    eps = np.finfo(np.float64).eps
+    for n, p in table.faber.items():
+        want = _mp_faber(pair, n)
+        ref = _full_width_faber(pair, n)
+        err = max(abs(p.coeff(k) - want[k]) for k in want)
+        err_ref = max(abs(ref[k] - want[k]) for k in want)
+        scale = max(abs(c) for c in want.values())
+        assert err <= 1.1 * err_ref + 2 * eps * scale, (n, err, err_ref)
+
+
+def test_order64_table_faber_near_oracle(poly64):
+    _assert_table_faber_near_oracle(poly64, G.grunsky_table(poly64, 64))
 
 
 @pytest.mark.parametrize("n", [64, -64])
@@ -337,3 +377,37 @@ def test_order64_dual_path(poly64):
     t1 = G.grunsky_table(poly64, 64)
     t2 = G.grunsky_via_inverse(poly64, 64)
     assert G.table_difference(t1, t2) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the oracle path's inversions against Lagrange inversion at 40 digits
+
+
+def _mp_inverse_coefficients(pair, depth_g, depth_f):
+    """Coefficients of G = g^-1 on [1 - depth_g, 1] and F = f^-1 on [1, 1 + depth_f].
+
+    Lagrange inversion: [z^-n] G = -(1/n) res g^n for n >= 1, where
+    res g^n = b^n [x^(n+1)] (1 + v)^n with g = b w (1 + v(1/w)), and
+    [z^n] F = (1/n) [w^(n-1)] (w/f)^n = (1/n) a1^-n [w^(n-1)] (1 + u)^-n.
+    """
+    with mpmath.workdps(40):
+        b, v = _mp_normalized(pair.g, -1)
+        big_g = {1: 1 / b, 0: -mpmath.mpc(pair.g.coeff(0)) / b}
+        for n in range(1, depth_g):
+            big_g[-n] = -b ** n * _mp_binomial(v, n, n + 1)[n + 1] / n
+        a1, u = _mp_normalized(pair.f, 1)
+        big_f = {n: _mp_binomial(u, -n, n - 1)[n - 1] / (n * a1 ** n)
+                 for n in range(1, depth_f + 2)}
+        return ({k: complex(c) for k, c in big_g.items()},
+                {k: complex(c) for k, c in big_f.items()})
+
+
+def test_oracle_inversions_match_lagrange_inversion(poly64):
+    """`invert_function` at the depths `grunsky_via_inverse` uses at order 64."""
+    depth = 2 * 64 + 4
+    want_g, want_f = _mp_inverse_coefficients(poly64, depth + 1, depth)
+    for got, want in ((S.invert_function(poly64.g, depth + 1), want_g),
+                      (S.invert_function(poly64.f, depth), want_f)):
+        assert (got.lo_exp, got.hi_exp) == (min(want), max(want))
+        scale = max(abs(c) for c in want.values())
+        assert max(abs(got.coeff(k) - c) for k, c in want.items()) <= 1e-14 * scale

@@ -1,9 +1,11 @@
 """Smoke test of the example scripts: each runs to exit 0 on small inputs.
 
 The scripts import the coordinate, flow and battery APIs directly, so a
-renamed function or a changed signature shows up here first.
+renamed function or a changed signature shows up here first.  The
+benchmark summariser runs on small synthetic results files.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +30,35 @@ def test_script_runs(argv):
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def _results(seed, trace, metrics, residual=1e-12):
+    """A minimal results file of `perfbench/run.py`."""
+    return {"meta": {"workload": "w", "seed": seed, "trace": trace, "git_commit": "abc"},
+            "reference_s": [0.01, 0.03], "problems": [],
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+            "ledger": [{"op": 0, "config": 1, "seconds": 0.5, "wall_s": 0.6,
+                        "items": [{"name": "c", "kind": "check", "passed": True,
+                                   "residual": residual, "error": ""}]}]}
+
+
+def test_bench_summary_writes_medians_and_ledger_digests(tmp_path):
+    files = []
+    for k, res in enumerate([_results(1, 0, {"op_p50_s": 1.0}),
+                             _results(2, 0, {"op_p50_s": 3.0}, residual=2e-12),
+                             _results(3, 0, {"op_p50_s": 2.0}),
+                             _results(1, 1, {"series.mul.calls": 7.0})]):
+        files.append(tmp_path / f"r{k}.json")
+        files[-1].write_text(json.dumps(res))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_summary.py"),
+                           "demo", *map(str, files), "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "out" / "BENCH_demo.json").read_text())
+    w = doc["workloads"]["w"]
+    assert w["end_to_end"]["op_p50_s"] == {"median": 2.0, "q1": 1.5, "q3": 2.5,
+                                            "unit": "s", "n": 3}
+    assert w["per_layer"]["series.mul.calls"]["median"] == 7.0
+    assert w["reference_s"] == 0.02 and w["correct"] and w["runs"] == 4
+    digests = [run["ledger_sha256"] for run in doc["runs"]]
+    assert digests[0] == digests[2] != digests[1]

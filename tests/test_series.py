@@ -836,6 +836,44 @@ def test_invert_function_matches_the_horner_inversion(a, depth):
     assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
+def test_product_with_an_all_zero_factor_has_a_defined_window():
+    trunc = LaurentSeries(-6, np.arange(1.0, 9.0), AT_INFINITY, (-6, S.POS_INF))  # lead 1
+    exact_zero = LaurentSeries(4, np.zeros(3))
+    assert exact_zero.lead is None
+    assert S.mul(exact_zero, trunc).reliable == (S.NEG_INF, S.POS_INF)
+    # a truncated zero: its own edge -9, paired with the other's lead 1
+    zero = LaurentSeries(6, np.zeros(2), AT_INFINITY, (-9, S.POS_INF))
+    assert S.mul(zero, trunc).reliable == S.mul(trunc, zero).reliable == (-8, S.POS_INF)
+    assert S.residue_mul(zero, trunc) == 0.0
+    assert np.array_equal(S.residue_matrix([zero, trunc], [exact_zero, zero]),
+                          np.zeros((2, 2)))
+
+
+def test_reciprocal_powers_match_negative_int_pow(fix_rand):
+    for a, window in ((fix_rand.g, (-30, 4)), (fix_rand.f, (-7, 20))):
+        rows = S.reciprocal_powers(a, 7, 40, window)
+        for k, row in enumerate(rows, 1):
+            want = S.int_pow(a, -k, depth=40)
+            assert row.flavor == want.flavor
+            assert row.reliable[0] <= window[0] and row.reliable[1] >= window[1]
+            got, ref = S.dense(row, *window), S.dense(want, *window)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("a", [
+    _decaying(AT_ZERO, 9, {1: 1.3}),
+    _decaying(AT_INFINITY, 10, {1: 0.8, 0: 0.2}),
+], ids=["at-zero", "at-infinity"])
+def test_invert_function_doubles_its_working_depth(a, monkeypatch):
+    # the chain of a step at depth d has d + 1 rows at zero, d at infinity
+    lengths, real = [], S.powers
+    monkeypatch.setattr(S, "powers", lambda base, n, window=None:
+                        lengths.append(n) or real(base, n, window))
+    depth = 133
+    S.invert_function(a, depth)
+    assert 1 <= sum(n >= depth for n in lengths) <= 3
+
+
 @st.composite
 def power_case(draw):
     """A base with one- or two-sided support, a chain length and a window."""
@@ -867,11 +905,6 @@ def test_powers_rows_equal_unclipped_powers_on_the_window(case):
         diff = np.abs(S.dense(row, lo, hi) - S.dense(ref, lo, hi))
         assert np.all(diff <= 1e-13 * S.dense(mag, lo, hi).real)
         assert row.reliable[0] <= lo and row.reliable[1] >= hi
-    # int_pow clips its partial products by the same reach rule; its
-    # squarings multiply clipped factors, so only the values are compared
-    last = S.int_pow(base, n, window=(lo, hi))
-    diff = np.abs(S.dense(last, lo, hi) - S.dense(full[-1], lo, hi))
-    assert np.all(diff <= 1e-13 * S.dense(mags[-1], lo, hi).real)
 
 
 def test_powers_of_nothing_is_empty():

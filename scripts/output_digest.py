@@ -1,0 +1,77 @@
+"""Print a sha256 digest of every CLI output on the fixture configs.
+
+Runs ``coords``, ``grunsky``, ``sigma``, ``special --mu 1 --nu 1`` and
+``flow --n 1 --eps 1e-3 --steps 3`` on each ``configs/fixture_*.json`` of
+a checkout, each with one JSON and one CSV output file in a temporary
+directory.  Prints one line per (fixture, command, stream or file):
+
+    <fixture> <command> <stdout|stderr|json|csv> <sha256 or "absent">
+
+and a line ``<fixture> <command> exit <code>`` when the command fails.
+Two checkouts write the same bytes when they print the same lines, so
+running it on a parent commit and on a change compares their outputs.
+
+Usage:
+    python scripts/output_digest.py [--root CHECKOUT]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = {
+    "coords": [],
+    "grunsky": [],
+    "sigma": [],
+    "special": ["--mu", "1", "--nu", "1"],
+    "flow": ["--n", "1", "--eps", "1e-3", "--steps", "3"],
+}
+
+
+def _digest(data) -> str:
+    return "absent" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def digests(root: Path):
+    """Yield the digest lines of the checkout at ``root``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for config in sorted((root / "configs").glob("fixture_*.json")):
+        fixture = config.stem.removeprefix("fixture_")
+        for command, extra in COMMANDS.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                out = {fmt: Path(tmp) / f"out.{fmt}" for fmt in ("json", "csv")}
+                payload = json.loads(config.read_text())
+                payload["outputs"] = [{"target": str(path), "format": fmt}
+                                      for fmt, path in out.items()]
+                path = Path(tmp) / config.name
+                path.write_text(json.dumps(payload))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dtoda.cli", command, str(path), *extra],
+                    capture_output=True, env=env, timeout=600)
+                streams = {"stdout": proc.stdout, "stderr": proc.stderr}
+                streams.update({fmt: p.read_bytes() if p.exists() else None
+                                for fmt, p in out.items()})
+            if proc.returncode:
+                yield f"{fixture} {command} exit {proc.returncode}"
+            for name, data in streams.items():
+                yield f"{fixture} {command} {name} {_digest(data)}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="checkout whose src/ and configs/ are used "
+                         "(default: the one holding this script)")
+    args = ap.parse_args()
+    for line in digests(args.root.resolve()):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

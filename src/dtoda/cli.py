@@ -333,11 +333,13 @@ def _write_outputs(outputs: Sequence[OutputSpec], json_text: str,
 
 
 def _report(config: ExperimentConfig, stdout, json_obj, csv_rows,
-            shown=None) -> int:
+            shown=None, table=None) -> int:
     """Print ``shown`` (default: the payload) and write the outputs, unless
-    a payload field holds a number JSON cannot carry (NaN, Infinity)."""
+    a payload field holds a number JSON cannot carry (NaN, Infinity).
+    ``table`` = (key, square array, lo) is the last field, by `_table_json`."""
     try:
-        text = _dump_json(json_obj, allow_nan=False)
+        text = _dump_json(dict(json_obj, **({table[0]: None} if table else {})),
+                          allow_nan=False)
     except ValueError:
         for key, value in json_obj.items():  # name the offending field
             try:
@@ -345,6 +347,11 @@ def _report(config: ExperimentConfig, stdout, json_obj, csv_rows,
             except ValueError:
                 raise S.SeriesError(f"report field {key!r} is not finite") from None
         raise
+    if table is not None:
+        key, array, lo = table
+        if not np.isfinite(array).all():
+            raise S.SeriesError(f"report field {key!r} is not finite")
+        text = text.replace(f'"{key}": null', f'"{key}": ' + _table_json(array, lo), 1)
     stdout.write(text if shown is None else _dump_json(shown))
     _write_outputs(config.outputs, text, csv_rows)
     return 0
@@ -363,15 +370,28 @@ def _mode_rows(order: int, t: Dict[int, complex], v: Dict[int, complex],
                for x in (z.real, z.imag)] for n in range(-order, order + 1)]
 
 
-def _table_payload(table, lo: int) -> Tuple[Dict[str, List[float]],
-                                            Callable[[], List[list]]]:
-    """The ``entries`` map and a builder of the (m, n, re, im) CSV rows, in
-    index order, of a square array whose [0, 0] entry has indices (lo, lo)."""
-    cells = [(m + lo, n + lo, z) for m, row in enumerate(table.tolist())
-             for n, z in enumerate(row)]
-    return ({f"{m},{n}": [z.real, z.imag] for m, n, z in cells},
-            lambda: [["m", "n", "re", "im"]]
-            + [[m, n, f"{z.real:.17g}", f"{z.imag:.17g}"] for m, n, z in cells])
+# json.dumps with an indent runs its pure-Python encoder, one call per value,
+# and an order-64 table has 16,641 entries; so the table block is written
+# from the array, with the bytes json.dumps(sort_keys=True, indent=2) gives.
+def _table_json(table: np.ndarray, lo: int) -> str:
+    """The map {"m,n": [re, im]}, at indent level 1, of a square array whose
+    [0, 0] entry has indices (lo, lo).  Keys come in sorted-string order
+    (the str-sorted labels, nested); floats go through ``float.__repr__``."""
+    labels = sorted(range(lo, lo + len(table)), key=str)
+    cells = table[np.ix_(np.subtract(labels, lo), np.subtract(labels, lo))].ravel()
+    fields = [None] * (3 * cells.size)
+    fields[0::3] = [f"{m},{n}" for m in labels for n in labels]
+    fields[1::3] = cells.real.tolist()
+    fields[2::3] = cells.imag.tolist()
+    entry = '    "%s": [\n      %r,\n      %r\n    ]'
+    return "{\n" + ",\n".join([entry] * cells.size) % tuple(fields) + "\n  }"
+
+
+def _table_rows(table: np.ndarray, lo: int) -> List[list]:
+    """The (m, n, re, im) CSV rows of the same array, in index order."""
+    return [["m", "n", "re", "im"]] + [
+        [m + lo, n + lo, f"{z.real:.17g}", f"{z.imag:.17g}"]
+        for m, row in enumerate(table.tolist()) for n, z in enumerate(row)]
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +715,12 @@ def cmd_grunsky(config: ExperimentConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
     pair = config.build_pair()
     table = _deepest(lambda k: G.grunsky_table(pair, k), config.order)
-    entries, rows = _table_payload(table.b, -table.order)
     json_obj = {"order": table.order, "b00": _cx(table.b00),
-                "symmetry_defect": table.symmetry_defect,
-                "entries": entries}
-    return _report(config, stdout, json_obj, rows,
-                   {"b00": json_obj["b00"], "order": table.order,
-                    "symmetry_defect": table.symmetry_defect,
-                    "entry_count": len(entries)})
+                "symmetry_defect": table.symmetry_defect}
+    return _report(config, stdout, json_obj,
+                   lambda: _table_rows(table.b, -table.order),
+                   dict(json_obj, entry_count=table.b.size),
+                   table=("entries", table.b, -table.order))
 
 
 def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
@@ -746,14 +764,11 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
     order = min(8, config.order)
     reality = R.sigma_coordinate_check(pair.g, h, order)
     green, coeffs = R.green_identity(pair.g, h, order)
-    kernel, rows = _table_payload(coeffs.kernel, 0)
-    json_obj = {"order": order,
-                "reality_defect": reality,
-                "green_identity_defect": green,
-                "kernel": kernel}
-    return _report(config, stdout, json_obj, rows,
-                   {"order": order, "reality_defect": reality,
-                    "green_identity_defect": green})
+    json_obj = {"order": order, "reality_defect": reality,
+                "green_identity_defect": green}
+    return _report(config, stdout, json_obj,
+                   lambda: _table_rows(coeffs.kernel, 0), json_obj,
+                   table=("kernel", coeffs.kernel, 0))
 
 
 def cmd_special(config: ExperimentConfig, mu: int, nu: int,

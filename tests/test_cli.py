@@ -5,12 +5,15 @@ before being written down; the CLI layer must reproduce it byte for
 byte on repeated runs.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dtoda import cli
@@ -495,27 +498,30 @@ def test_failed_monomial_case_is_reported_by_every_check(tmp_path):
 
 def test_grunsky_json_output_serializes_the_table_once(tmp_path, capsys,
                                                         monkeypatch):
-    dumped, built = [], []
+    # one table block per command, however many JSON outputs; CSV rows only
+    # for a CSV output; and no json.dumps call ever sees the entries
+    dumped, calls = [], {}
     dumps = cli.json.dumps
     monkeypatch.setattr(cli.json, "dumps",
                         lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
-    payload_of = cli._table_payload
-
-    def table_payload(table, lo):
-        entries, rows = payload_of(table, lo)
-        return entries, lambda: built.append(1) or rows()
-
-    monkeypatch.setattr(cli, "_table_payload", table_payload)
-    payload = identity_payload()
-    payload["outputs"] = [
-        {"target": str(tmp_path / "table.json"), "format": "json"}]
-    code, out, _ = run_cli(["grunsky", write_config(tmp_path, payload)],
-                           capsys)
-    assert code == 0 and json.loads(out)["entry_count"] == 21 ** 2
-    holding_entries = [obj for obj in dumped if isinstance(obj, dict)
-                       and ("entries" in obj or "0,0" in obj)]
-    assert len(holding_entries) == 1
-    assert built == []
+    for name in ("_table_json", "_table_rows"):
+        monkeypatch.setattr(cli, name,
+                            _counting(calls, name.lstrip("_"), getattr(cli, name)))
+    for formats, rendered in ((("json", "json"), {"table_json": 1}),
+                              (("json", "csv"), {"table_json": 1, "table_rows": 1})):
+        calls.clear()
+        payload = identity_payload()
+        payload["outputs"] = [{"target": str(tmp_path / f"table{k}.{fmt}"),
+                               "format": fmt} for k, fmt in enumerate(formats)]
+        code, out, _ = run_cli(["grunsky", write_config(tmp_path, payload)],
+                               capsys)
+        assert code == 0 and json.loads(out)["entry_count"] == 21 ** 2
+        assert calls == rendered, formats
+    assert not [obj for obj in dumped if isinstance(obj, dict)
+                and (obj.get("entries") is not None or "0,0" in obj)]
+    table = (tmp_path / "table0.json").read_bytes()
+    assert len(json.loads(table)["entries"]) == 21 ** 2
+    assert (tmp_path / "table1.json").read_bytes() == table
 
 
 def test_grunsky_csv_output_lists_every_entry(tmp_path, capsys):
@@ -580,6 +586,29 @@ def test_non_finite_report_fails_and_writes_nothing(tmp_path, argv):
     assert "computation failed: report field" in err and "is not finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("bad", [complex(0.5, float("nan")),
+                                 complex(0.5, float("inf"))], ids=["nan", "inf"])
+@pytest.mark.parametrize("command, key", [("grunsky", "entries"),
+                                          ("sigma", "kernel")])
+def test_non_finite_imaginary_part_names_the_table_field(tmp_path, monkeypatch,
+                                                         command, key, bad):
+    # every other field is finite, so the array's own guard has to find it
+    array = np.zeros((3, 3), complex)
+    array[2, 1] = bad
+    monkeypatch.setattr(cli.G, "grunsky_table", lambda pair, k: SimpleNamespace(
+        order=1, b=array, b00=0j, symmetry_defect=0.0))
+    monkeypatch.setattr(cli.R, "green_identity", lambda g, h, order: (
+        0.0, SimpleNamespace(kernel=array)))
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    payload["outputs"] = [{"target": str(tmp_path / "out.json"), "format": "json"}]
+    out = io.StringIO()
+    with pytest.raises(cli.S.SeriesError,
+                       match=f"^report field '{key}' is not finite$"):
+        getattr(cli, f"cmd_{command}")(
+            load_config(write_config(tmp_path, payload)), stdout=out)
+    assert out.getvalue() == "" and not (tmp_path / "out.json").exists()
 
 
 def test_verify_output_files_round_trip(tmp_path, capsys):

@@ -62,3 +62,20 @@ def test_bench_summary_writes_medians_and_ledger_digests(tmp_path):
     assert w["reference_s"] == 0.02 and w["correct"] and w["runs"] == 4
     digests = [run["ledger_sha256"] for run in doc["runs"]]
     assert digests[0] == digests[2] != digests[1]
+
+
+def test_output_digest_lists_every_stream_and_file():
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # the script sets it for the checkout it runs
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_digest.py")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    keys = [tuple(line.split()[:3]) for line in lines]
+    assert len(set(keys)) == len(keys) == 3 * 5 * 4 + 1
+    # the random pair has a complex b, which `sigma` rejects with exit 2
+    assert [line for line in lines if " exit " in line] == ["random sigma exit 2"]
+    assert "random sigma json absent" in lines
+    for line in lines:
+        if " exit " not in line and not line.endswith("absent"):
+            assert len(line.split()[3]) == 64, line

@@ -1,14 +1,18 @@
 """Print a sha256 digest of every CLI output on the fixture configs.
 
-Runs ``coords``, ``grunsky``, ``sigma``, ``special --mu 1 --nu 1`` and
-``flow --n 1 --eps 1e-3 --steps 3`` on each ``configs/fixture_*.json`` of
-a checkout, each with one JSON and one CSV output file in a temporary
-directory.  Prints one line per (fixture, command, stream or file):
+Runs ``coords``, ``grunsky``, ``sigma``, ``special --mu 1 --nu 1``,
+``flow --n 1 --eps 1e-3 --steps 3``, ``verify`` (the configured
+selection) and ``verify --checks`` with every registered check
+(``verify-all``) on each ``configs/fixture_*.json`` of a checkout, each
+with one JSON and one CSV output file in a temporary directory.  Prints
+one line per (fixture, command, stream or file):
 
     <fixture> <command> <stdout|stderr|json|csv> <sha256 or "absent">
 
 and a line ``<fixture> <command> exit <code>`` when the command fails.
-Two checkouts write the same bytes when they print the same lines, so
+The per-check timing lines ``# name: 0.123s`` that ``verify`` writes to
+stderr are masked before digesting; every other byte counts.  Two
+checkouts write the same bytes when they print the same lines, so
 running it on a parent commit and on a change compares their outputs.
 
 Usage:
@@ -19,18 +23,30 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+# digest label -> command line after ``dtoda``, with ``{config}`` for the path
 COMMANDS = {
-    "coords": [],
-    "grunsky": [],
-    "sigma": [],
-    "special": ["--mu", "1", "--nu", "1"],
-    "flow": ["--n", "1", "--eps", "1e-3", "--steps", "3"],
+    "coords": ["coords", "{config}"],
+    "grunsky": ["grunsky", "{config}"],
+    "sigma": ["sigma", "{config}"],
+    "special": ["special", "{config}", "--mu", "1", "--nu", "1"],
+    "flow": ["flow", "{config}", "--n", "1", "--eps", "1e-3", "--steps", "3"],
+    "verify": ["verify", "{config}"],
+    "verify-all": ["verify", "{config}", "--checks", "{all_checks}"],
 }
+
+# verify's per-check timing lines, the only bytes that differ between runs
+TIMING = re.compile(rb"^(# [^:\n]+: )[0-9]+\.[0-9]{3}s$", re.MULTILINE)
+
+
+def masked(stderr: bytes) -> bytes:
+    """``stderr`` with the seconds of every timing line replaced by ``<s>``."""
+    return TIMING.sub(rb"\1<s>", stderr)
 
 
 def _digest(data) -> str:
@@ -40,9 +56,12 @@ def _digest(data) -> str:
 def digests(root: Path):
     """Yield the digest lines of the checkout at ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    all_checks = subprocess.run(
+        [sys.executable, "-c", "from dtoda.cli import CHECKS; print(','.join(sorted(CHECKS)))"],
+        capture_output=True, text=True, env=env, check=True, timeout=600).stdout.strip()
     for config in sorted((root / "configs").glob("fixture_*.json")):
         fixture = config.stem.removeprefix("fixture_")
-        for command, extra in COMMANDS.items():
+        for command, argv in COMMANDS.items():
             with tempfile.TemporaryDirectory() as tmp:
                 out = {fmt: Path(tmp) / f"out.{fmt}" for fmt in ("json", "csv")}
                 payload = json.loads(config.read_text())
@@ -50,10 +69,10 @@ def digests(root: Path):
                                       for fmt, path in out.items()]
                 path = Path(tmp) / config.name
                 path.write_text(json.dumps(payload))
-                proc = subprocess.run(
-                    [sys.executable, "-m", "dtoda.cli", command, str(path), *extra],
-                    capture_output=True, env=env, timeout=600)
-                streams = {"stdout": proc.stdout, "stderr": proc.stderr}
+                args = [a.format(config=path, all_checks=all_checks) for a in argv]
+                proc = subprocess.run([sys.executable, "-m", "dtoda.cli", *args],
+                                      capture_output=True, env=env, timeout=600)
+                streams = {"stdout": proc.stdout, "stderr": masked(proc.stderr)}
                 streams.update({fmt: p.read_bytes() if p.exists() else None
                                 for fmt, p in out.items()})
             if proc.returncode:

@@ -22,9 +22,9 @@ Conventions shared by every command:
 
 The ``verify`` battery runs its checks one after another, in order of
 check name.  The checks hold the interpreter lock on small arrays, so
-worker threads would only slow the battery down.  Its checks share one
-pairing table, one order-min(order, 8) coordinate snapshot and one
-monomial case (``CheckContext``); nothing is kept across commands.
+worker threads would only slow the battery down.  A command reads every
+derived series from one `context.PairContext`, so each is built once per
+command; nothing is kept across commands.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,8 +49,10 @@ from .hamiltonian import GaugeTerm, HamiltonianH, gauge_shift_constants
 from . import grunsky as G
 from . import coords as C
 from . import flows as F
+from . import plan
 from . import reductions as R
 from . import special as SP
+from .context import PairContext
 
 
 class ConfigError(ValueError):
@@ -108,6 +109,11 @@ class ExperimentConfig:
         except S.SeriesError as exc:
             raise ConfigError(f"config field 'pair': {exc}") from exc
 
+    def context(self) -> PairContext:
+        """The command's one context: the configured pair, potential and settings."""
+        return PairContext(self.build_pair(), self.hamiltonian(), self.gauge,
+                           self.order, self.eps_fd, self.samples_m)
+
 
 def _fail(field_name: str, message: str) -> None:
     raise ConfigError(f"config field {field_name!r}: {message}")
@@ -145,6 +151,8 @@ def _coeff_map(raw, field_name: str) -> Dict[int, complex]:
             exp = int(key)
         except (TypeError, ValueError):
             _fail(field_name, f"exponent key {key!r} is not an integer")
+        if exp in out:
+            _fail(field_name, f"two keys name exponent {exp}")
         out[exp] = _as_complex(val, f"{field_name}[{key}]")
     return out
 
@@ -336,7 +344,8 @@ def _report(config: ExperimentConfig, stdout, json_obj, csv_rows,
             shown=None, table=None) -> int:
     """Print ``shown`` (default: the payload) and write the outputs, unless
     a payload field holds a number JSON cannot carry (NaN, Infinity).
-    ``table`` = (key, square array, lo) is the last field, by `_table_json`."""
+    ``table`` = (key, square array, lo) is the last field, by `_table_json`,
+    rendered only when the payload is printed or written."""
     try:
         text = _dump_json(dict(json_obj, **({table[0]: None} if table else {})),
                           allow_nan=False)
@@ -351,7 +360,8 @@ def _report(config: ExperimentConfig, stdout, json_obj, csv_rows,
         key, array, lo = table
         if not np.isfinite(array).all():
             raise S.SeriesError(f"report field {key!r} is not finite")
-        text = text.replace(f'"{key}": null', f'"{key}": ' + _table_json(array, lo), 1)
+        if shown is None or any(spec.format == "json" for spec in config.outputs):
+            text = text.replace(f'"{key}": null', f'"{key}": ' + _table_json(array, lo), 1)
     stdout.write(text if shown is None else _dump_json(shown))
     _write_outputs(config.outputs, text, csv_rows)
     return 0
@@ -402,95 +412,14 @@ def _table_rows(table: np.ndarray, lo: int) -> List[list]:
 _PROBE_GAUGE = (GaugeTerm("z1", 1, 1.0), GaugeTerm("z2", 2, 0.5))
 
 
-@dataclass
-class CheckContext:
-    """Everything a registered check may consume.  Shared results are built
-    on first use; a build that raises is not cached, so each check reading
-    it reports the error itself."""
-
-    pair: object
-    h: HamiltonianH
-    gauge: Tuple[GaugeTerm, ...]
-    order: int
-    eps_fd: float
-    samples: int
-
-    @cached_property
-    def table(self) -> G.GrunskyTable:
-        """The config-order pairing table."""
-        return G.grunsky_table(self.pair, self.order)
-
-    @cached_property
-    def snapshot(self) -> C.TodaCoordinates:
-        """The ungauged snapshot at the mode-probing order min(order, 8)."""
-        return C.toda_coordinates(self.pair, self.h, min(self.order, 8))
-
-    @cached_property
-    def monomial_case(self) -> Tuple[int, int, C.TodaCoordinates]:
-        """(mu, nu, closed-form coordinates) of a unit monomial potential."""
-        (mu, nu, c), *rest = self.h.terms
-        if rest or c != 1:
-            raise ValueError("check needs a single unit-coefficient monomial "
-                             "potential")
-        return mu, nu, SP.special_coords(self.pair, mu, nu)
-
-
-def _check_grunsky_symmetry(ctx) -> float:
-    return ctx.table.symmetry_defect
-
-
-def _check_grunsky_dual_path(ctx) -> float:
-    return G.table_difference(ctx.table,
-                              G.grunsky_via_inverse(ctx.pair, ctx.order))
-
-
-def _check_faber_identity(ctx) -> float:
-    return G.faber_expansion_defect(ctx.pair, ctx.table)
-
-
-# Mode-probing checks run at min(order, 8): the configured order governs
-# the pair's richness, while the battery certifies the window every kind
-# of pair (including reflection-built ones, whose certified windows are
-# narrower than their nominal order) can support.  The values they test
-# at a given mode do not depend on how many other modes are computed.
-
 def _check_t0_duality(ctx) -> float:
-    t, _v, alt = C.time_variables(ctx.pair, ctx.h, min(ctx.order, 8),
-                                  ctx.gauge)
+    t, _v, alt = ctx.moments(plan.probe_order(ctx.order), ctx.gauge).times
     return abs(t[0] - alt)
 
 
-def _check_plemelj(ctx) -> float:
-    return C.plemelj_check(ctx.pair, ctx.h, min(ctx.order, 8), ctx.gauge)
-
-
-def _check_z2_closed_form(ctx) -> float:
-    return abs(ctx.snapshot.z_parts[1] - ctx.snapshot.z2_closed)
-
-
-def _check_jacobian(ctx) -> float:
-    return F.jacobian_check(ctx.pair, ctx.h, min(8, ctx.order - 2),
-                            eps=ctx.eps_fd)
-
-
-def _check_string(ctx) -> float:
-    return F.string_check(ctx.pair, ctx.h, ctx.gauge)
-
-
 def _check_lax(ctx) -> float:
-    return float(np.max([F.lax_check(ctx.pair, ctx.h, ctx.table, n)
-                         for n in (1, -1, 2, -2, 3, -3)]
-                        + [F.canonical_bracket_check(ctx.pair, ctx.h)]))
-
-
-def _check_canonical_bracket(ctx) -> float:
-    return F.canonical_bracket_check(ctx.pair, ctx.h)
-
-
-def _check_tau_gradient(ctx) -> float:
-    report = F.tau_gradient_check(ctx.pair, ctx.h, min(4, ctx.order - 2),
-                                  eps=ctx.eps_fd)
-    return report["max"]
+    return float(np.max([F.lax_check(ctx, n, ctx.order) for n in (1, -1, 2, -2, 3, -3)]
+                        + [F.canonical_bracket_check(ctx)]))
 
 
 def _check_v0_t0_b00(ctx) -> float:
@@ -503,20 +432,19 @@ def _check_v0_t0_b00(ctx) -> float:
 
 def _check_gauge_covariance(ctx) -> float:
     gauge = ctx.gauge if ctx.gauge else _PROBE_GAUGE
-    order = min(8, ctx.order)
+    order = plan.probe_order(ctx.order)
     t0, v0_map = ctx.snapshot.t, ctx.snapshot.v
-    t1, v1_map, _ = C.time_variables(ctx.pair, ctx.h, order, gauge)
+    t1, v1_map, _ = ctx.moments(order, gauge).times
     t_shift, v_shift, v0_shift = gauge_shift_constants(gauge, order)
     defects = [abs(t1[n] - t0[n] - t_shift.get(n, 0.0)) for n in t0]
     defects += [abs(v1_map[n] - v0_map[n] - v_shift.get(n, 0.0))
                 for n in v0_map]
-    dv0 = C.v_zero(ctx.pair, ctx.h, gauge) - ctx.snapshot.v0
+    dv0 = ctx.moments(ctx.pair.order, gauge).v0 - ctx.snapshot.v0
     defects.append(abs(dv0 - v0_shift))
     # The flow fields themselves must not feel the gauge at all.
     for n in (1, -2):
-        plain = F.flow_field(ctx.pair, ctx.h, n, samples=ctx.samples)
-        dressed = F.flow_field(ctx.pair, ctx.h, n, gauge=gauge,
-                               samples=ctx.samples)
+        plain = ctx.flow_field(n, samples=ctx.samples)
+        dressed = ctx.flow_field(n, gauge, samples=ctx.samples)
         defects += [S.max_abs_diff_reliable(plain.dg, dressed.dg),
                     S.max_abs_diff_reliable(plain.df, dressed.df),
                     S.max_abs_diff_reliable(plain.u_series,
@@ -524,56 +452,37 @@ def _check_gauge_covariance(ctx) -> float:
     return float(np.max(defects))
 
 
-def _check_sigma_reality(ctx) -> float:
-    return R.sigma_coordinate_check(ctx.pair.g, ctx.h, min(8, ctx.order))
-
-
-def _check_real_subspace(ctx) -> float:
-    return R.real_subspace_check(ctx.snapshot)
-
-
-def _check_green_identity(ctx) -> float:
-    return R.green_identity_check(ctx.pair.g, ctx.h, min(8, ctx.order))
-
-
-def _check_nontrivial_identity(ctx) -> float:
-    mu, nu, sp = ctx.monomial_case
-    return SP.nontrivial_identity(sp, mu, nu)
-
-
-def _check_special_logtau(ctx) -> float:
-    mu, nu, sp = ctx.monomial_case
-    general = C.toda_coordinates(ctx.pair, ctx.h, sp.order)
-    return abs(SP.special_logtau(sp, mu, nu) - general.logT)
-
-
-def _check_generating_identity(ctx) -> float:
-    mu, nu, sp = ctx.monomial_case
-    return SP.generating_identity_check(ctx.pair, sp, mu, nu).residual
-
-
-# name -> (default tolerance, callable).  The names double as the
-# vocabulary of the config's tolerances map and the --checks flag.
-CHECKS: Dict[str, Tuple[float, Callable[[CheckContext], float]]] = {
-    "grunsky_symmetry": (1e-10, _check_grunsky_symmetry),
-    "grunsky_dual_path": (1e-10, _check_grunsky_dual_path),
-    "faber_identity": (1e-9, _check_faber_identity),
+# name -> (default tolerance, residual read off the command's PairContext).
+# The names double as the vocabulary of the config's tolerances map and the
+# --checks flag.  Table checks read the config-order table; mode-probing
+# checks run at `plan.probe_order`, flow probes at `plan.jacobian_order` and
+# `plan.gradient_order`.
+CHECKS: Dict[str, Tuple[float, Callable[[PairContext], float]]] = {
+    "grunsky_symmetry": (1e-10, lambda ctx: ctx.table(ctx.order).symmetry_defect),
+    "grunsky_dual_path": (1e-10, lambda ctx: G.table_difference(
+        ctx.table(ctx.order), G.grunsky_via_inverse(ctx.pair, ctx.order))),
+    "faber_identity": (1e-9, lambda ctx: G.faber_expansion_defect(ctx.pair, ctx.table(ctx.order))),
     "t0_duality": (1e-10, _check_t0_duality),
-    "plemelj": (1e-9, _check_plemelj),
-    "z2_closed_form": (1e-10, _check_z2_closed_form),
-    "jacobian": (1e-6, _check_jacobian),
-    "string": (1e-9, _check_string),
+    "plemelj": (1e-9, lambda ctx: ctx.moments(plan.probe_order(ctx.order), ctx.gauge).plemelj),
+    "z2_closed_form": (1e-10, lambda ctx: abs(ctx.snapshot.z_parts[1] - ctx.snapshot.z2_closed)),
+    "jacobian": (1e-6, lambda ctx: F.jacobian_check(ctx, plan.jacobian_order(ctx.order))),
+    "string": (1e-9, lambda ctx: F.string_check(ctx)),
     "lax": (1e-8, _check_lax),
-    "canonical_bracket": (1e-8, _check_canonical_bracket),
-    "tau_gradient": (1e-6, _check_tau_gradient),
+    "canonical_bracket": (1e-8, lambda ctx: F.canonical_bracket_check(ctx)),
+    "tau_gradient": (1e-6, lambda ctx: F.tau_gradient_check(
+        ctx, plan.gradient_order(ctx.order))["max"]),
     "v0_t0_b00": (1e-6, _check_v0_t0_b00),
     "gauge_covariance": (1e-10, _check_gauge_covariance),
-    "sigma_reality": (1e-10, _check_sigma_reality),
-    "real_subspace": (1e-10, _check_real_subspace),
-    "green_identity": (1e-10, _check_green_identity),
-    "nontrivial_identity": (1e-9, _check_nontrivial_identity),
-    "special_logtau": (1e-9, _check_special_logtau),
-    "generating_identity": (1e-9, _check_generating_identity),
+    "sigma_reality": (1e-10, lambda ctx: R.sigma_coordinate_check(
+        ctx.pair.g, ctx.h, plan.probe_order(ctx.order))),
+    "real_subspace": (1e-10, lambda ctx: R.real_subspace_check(ctx.snapshot)),
+    "green_identity": (1e-10, lambda ctx: R.green_identity_check(
+        ctx.pair.g, ctx.h, plan.probe_order(ctx.order))),
+    "nontrivial_identity": (1e-9, lambda ctx: SP.nontrivial_identity(
+        ctx.monomial_case, *ctx.monomial)),
+    "special_logtau": (1e-9, lambda ctx: abs(SP.special_logtau(
+        ctx.monomial_case, *ctx.monomial) - ctx.coords(ctx.monomial_case.order).logT)),
+    "generating_identity": (1e-9, lambda ctx: ctx.generating(ctx.monomial_case.order).residual),
 }
 
 
@@ -589,6 +498,8 @@ def run_checks(config: ExperimentConfig,
         names = sorted(config.tolerances) if config.tolerances \
             else sorted(CHECKS)
     else:
+        if not names:
+            raise ConfigError("--checks must name at least one check")
         for name in names:
             if name not in CHECKS:
                 raise ConfigError(
@@ -596,9 +507,7 @@ def run_checks(config: ExperimentConfig,
                     f"{', '.join(sorted(CHECKS))}")
         names = sorted(set(names))
 
-    ctx = CheckContext(pair=config.build_pair(), h=config.hamiltonian(),
-                       gauge=config.gauge, order=config.order,
-                       eps_fd=config.eps_fd, samples=config.samples_m)
+    ctx = config.context()
 
     def one(name: str) -> dict:
         tol = config.tolerances.get(name, CHECKS[name][0])
@@ -682,19 +591,13 @@ def _snapshot_payload(config: ExperimentConfig):
     claims certify (`_deepest`); the emitted ``order`` records the window
     used.  The tau parts come from the core potential alone: gauge
     monomials shift the coordinates by constants and leave the dynamics
-    untouched.
+    untouched.  The context and its series are dropped on return, before
+    the payload is written.
     """
-    pair = config.build_pair()
-    h = config.hamiltonian()
-
-    def snapshot(k: int):
-        snap = C.toda_coordinates(pair, h, k)
-        if config.gauge:
-            t, v, alt = C.time_variables(pair, h, k, config.gauge)
-            return snap, t, v, alt, C.v_zero(pair, h, config.gauge)
-        return snap, snap.t, snap.v, snap.t0_alt, snap.v0
-
-    snap, t, v, alt, v0 = _deepest(snapshot, config.order)
+    ctx = config.context()
+    snap, (t, v, alt), v0 = _deepest(lambda k: (
+        ctx.coords(k), ctx.moments(k, config.gauge).times,
+        ctx.moments(ctx.pair.order, config.gauge).v0), config.order)
     json_obj = {
         "order": snap.order,
         "t": _mode_map(t), "v": _mode_map(v),
@@ -734,7 +637,7 @@ def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
     h = config.hamiltonian()
     trajectory = []
     for k in range(steps + 1):
-        snap = C.toda_coordinates(pair, h, min(4, config.order - 2))
+        snap = C.toda_coordinates(pair, h, plan.gradient_order(config.order))
         trajectory.append({"step": k, "time": k * eps, "b": _cx(pair.b),
                            "t0": _cx(snap.t[0]), "v0": _cx(snap.v0),
                            "logT": _cx(snap.logT)})
@@ -761,7 +664,7 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
         R.require_sigma_admissible(h)
     except R.SigmaAdmissibilityError as exc:
         raise ConfigError(f"config field 'hamiltonian': {exc}") from exc
-    order = min(8, config.order)
+    order = plan.probe_order(config.order)
     reality = R.sigma_coordinate_check(pair.g, h, order)
     green, coeffs = R.green_identity(pair.g, h, order)
     json_obj = {"order": order, "reality_defect": reality,
@@ -769,6 +672,16 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
     return _report(config, stdout, json_obj,
                    lambda: _table_rows(coeffs.kernel, 0), json_obj,
                    table=("kernel", coeffs.kernel, 0))
+
+
+def _special_case(config: ExperimentConfig, mu: int, nu: int):
+    """(closed form, general snapshot, generating report) of the monomial at
+    the deepest order the pair certifies; the context is dropped on return."""
+    pair = config.build_pair()
+    ctx = PairContext(pair, SP.MonomialCase(mu, nu).h, (), config.order,
+                      config.eps_fd, config.samples_m)
+    return _deepest(lambda k: (ctx.special(k), ctx.coords(k), ctx.generating(k)),
+                    plan.monomial_order(pair, mu, nu))
 
 
 def cmd_special(config: ExperimentConfig, mu: int, nu: int,
@@ -779,15 +692,7 @@ def cmd_special(config: ExperimentConfig, mu: int, nu: int,
     if config.order < abs(mu) + abs(nu) + 2:
         raise ConfigError(f"order {config.order} must exceed |mu| + |nu| + 1 "
                           f"= {abs(mu) + abs(nu) + 1}")
-    pair = config.build_pair()
-    case = SP.MonomialCase(mu, nu)
-
-    def build(k: int):
-        sp = SP.special_coords(pair, mu, nu, k)
-        return (sp, C.toda_coordinates(pair, case.h, k),
-                SP.generating_identity_check(pair, sp, mu, nu))
-
-    sp, general, report = _deepest(build, pair.order - abs(mu) - abs(nu) - 1)
+    sp, general, report = _special_case(config, mu, nu)
     json_obj = {
         "mu": mu, "nu": nu, "order": sp.order,
         "t": _mode_map(sp.t), "v": _mode_map(sp.v),
@@ -870,9 +775,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.checks is not None:
                 names = [s.strip() for s in args.checks.split(",")
                          if s.strip()]
-                if not names:
-                    raise ConfigError("--checks must name at least one "
-                                      "check")
             return cmd_verify(config, names)
         if args.command == "sigma":
             return cmd_sigma(config)

@@ -1,0 +1,86 @@
+"""One pair and the series derived from it, each built once per command.
+
+Every object of a solution (times, v's, log tau, flows, the pairing
+table) is a residue pairing of series derived from one pair (g, f).  A
+`PairContext` holds the pair, the potential and the command's settings,
+and builds each derived result on first use.  It lives for one command.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+from . import coords as C
+from . import flows as F
+from . import grunsky as G
+from . import plan
+from . import special as SP
+from .hamiltonian import GaugeTerm, HamiltonianH
+
+
+class PairContext:
+    """A pair, its potential and settings, and a memo of what derives from
+    them.  A table, snapshot, field or chain whose build raises is not
+    kept, so every reader reports the error.  A moment object builds its
+    series on first read, so it stays in the memo when a read of it
+    raises (a failed `cli._deepest` trial keeps its partials until the
+    command ends)."""
+
+    def __init__(self, pair, h: HamiltonianH, gauge: Tuple[GaugeTerm, ...],
+                 order: int, eps_fd: float, samples: int):
+        self.pair, self.h, self.gauge = pair, h, tuple(gauge)
+        self.order, self.eps_fd, self.samples = order, eps_fd, samples
+        self._memo: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def moments(self, order: int, gauge: Tuple[GaugeTerm, ...]) -> C.Moments:
+        return self._once(("moments", order, tuple(gauge)),
+                          lambda: C.Moments(self.pair, self.h, gauge, order))
+
+    def coords(self, order: int) -> C.TodaCoordinates:
+        """The ungauged snapshot at ``order``."""
+        return self._once(("coords", order), lambda: C.snapshot(
+            self.moments(order, ()), self.moments(self.pair.order, ())))
+
+    @property
+    def snapshot(self) -> C.TodaCoordinates:
+        """The ungauged snapshot at `plan.probe_order`."""
+        return self.coords(plan.probe_order(self.order))
+
+    def table(self, order: int) -> G.GrunskyTable:
+        return self._once(("table", order), lambda: G.grunsky_table(self.pair, order))
+
+    def flow_field(self, n: int, gauge=(), pad: int = 0, samples: int = 1024) -> F.FlowField:
+        """`flows.flow_field` of direction ``n``, with the same defaults."""
+        return self._once(("flow", n, tuple(gauge), pad, samples), lambda: F.flow_field(
+            self.pair, self.h, n, gauge=gauge, samples=samples, pad=pad))
+
+    @property
+    def monomial(self) -> Tuple[int, int]:
+        """(mu, nu) of a single unit-coefficient monomial potential."""
+        (mu, nu, c), *rest = self.h.terms
+        if rest or c != 1:
+            raise ValueError("check needs a single unit-coefficient monomial potential")
+        return mu, nu
+
+    def chains(self, order: int):
+        """The monomial's power chains of g and f (`special._chains`)."""
+        return self._once(("chains", order), lambda: SP._chains(self.pair, *self.monomial, order))
+
+    def special(self, order: int) -> C.TodaCoordinates:
+        """The monomial's closed-form snapshot at ``order``."""
+        return self._once(("special", order), lambda: SP.closed_form(
+            self.pair, *self.monomial, self.chains(order), self.moments(order, ())))
+
+    def generating(self, order: int) -> SP.GeneratingReport:
+        return SP.generating_identity(self.pair, self.special(order), *self.monomial,
+                                      self.chains(order))
+
+    @property
+    def monomial_case(self) -> C.TodaCoordinates:
+        """The closed-form snapshot at `plan.monomial_order`."""
+        return self.special(plan.monomial_order(self.pair, *self.monomial))

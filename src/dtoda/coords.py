@@ -28,11 +28,12 @@ here is a residue of an exact truncated-Laurent product in w:
   pair; and the closed form z2_closed = (sum t_n v_n + sum t_-n v_-n)/2,
   which Z2 reproduces through the series composition.
 
-Each public call reads one moment object (`_Moments`) per (pair,
-potential, order) that builds d1H and d2H along the pair, M1, M2 and their
-power chains once.  Coordinates are `series.residue_matrix` products of M1
-and M2 against the chains, and Phi(g), Psi(f) one `series.combine` each of
-the same rows; v_0 shares the object at the full pair order, its window.
+A moment object (`Moments`) per (pair, potential, gauge, order) builds
+d1H and d2H along the pair, M1, M2, their power chains and every
+coordinate read off them once: `series.residue_matrix` products of M1 and
+M2 against the chains, and Phi(g), Psi(f) one `series.combine` each; v_0
+reads the object at the full pair order, its window.  The public
+functions build their own; `context.PairContext` shares them.
 
 Gauge monomials (single-variable terms) enter ``time_variables``,
 ``v_zero`` and ``plemelj_check`` through the optional ``gauge`` argument;
@@ -50,6 +51,7 @@ import numpy as np
 
 from . import series as S
 from .series import LaurentSeries
+from . import plan
 from .hamiltonian import GaugeTerm, HamiltonianH, MonomialSum, eval_along, gauge_sum, j_pair
 
 
@@ -80,29 +82,25 @@ def _total_sum(h, gauge: Sequence[GaugeTerm]) -> MonomialSum:
     return ms
 
 
-def _halfwidth(pair, ms: MonomialSum, order: int) -> int:
-    """Window half-width for residue work: structural support plus a
-    buffer that pushes clipped-tail contributions below 1e-13."""
-    spread = max((abs(mu) + abs(nu) for mu, nu, _ in ms.terms), default=1)
-    return pair.order + order + 2 * spread + 32
-
-
-class _Moments:
-    """Moment series of one (pair, potential, order) and their power chains, built on use.
+class Moments:
+    """Moment series of one (pair, potential, gauge, order), their power
+    chains and the coordinates read off them, each built on first use.
 
     ``partials`` is (d1H, d2H) along the pair on (-width, width), ``m``
     is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are g**1..g**order
     and the powers of the depth-``depth`` reciprocal ``g_inv``, exact where
     M1 reads them and on (-width, width), where log tau composes Phi(g);
-    ``f_up``/``f_down`` likewise against M2 and for Psi(f).
+    ``f_up``/``f_down`` likewise against M2 and for Psi(f).  ``times`` is
+    (t, v, t0_alt), ``v0`` is read at the full pair order.
     """
 
-    def __init__(self, pair, ms: MonomialSum, order: int):
+    def __init__(self, pair, h, gauge: Sequence[GaugeTerm], order: int):
         if order > pair.order:
             raise ValueError("coordinate order exceeds pair order")
-        self.pair, self.ms, self.order = pair, ms, order
-        self.width = _halfwidth(pair, ms, order)
-        self.depth = self.width + order + 8  # reciprocal depth of the chains
+        self.pair, self.h, self.order = pair, h, order
+        self.ms = _total_sum(h, gauge)
+        self.width = plan.halfwidth(pair, self.ms, order)
+        self.depth = plan.chain_depth(pair, self.ms, order)
 
     @cached_property
     def partials(self) -> Tuple[LaurentSeries, LaurentSeries]:
@@ -125,22 +123,63 @@ class _Moments:
     f_up = cached_property(lambda self: self._chain(self.pair.f, self.m[1]))
     f_down = cached_property(lambda self: self._chain(self.f_inv, self.m[1]))
 
+    @cached_property
+    def times(self):
+        (m1, m2), order = self.m, self.order
+        t, v = {0: S.residue(m1)}, {}
+        # res(M1 g^n), res(M1 g^-n), then res(M2 f^n), res(M2 f^-n), n = 1..order
+        rg = S.residue_matrix([m1], self.g_up + self.g_down)[0].tolist()
+        rf = S.residue_matrix([m2], self.f_up + self.f_down)[0].tolist()
+        for n in range(1, order + 1):
+            v[n], t[n] = rg[n - 1], rg[order + n - 1] / n
+            t[-n], v[-n] = rf[n - 1] / n, rf[order + n - 1]
+        return t, v, -S.residue(m2)
 
-def _time_variables(mo: _Moments):
-    (m1, m2), order = mo.m, mo.order
-    t, v = {0: S.residue(m1)}, {}
-    # res(M1 g^n), res(M1 g^-n), then res(M2 f^n), res(M2 f^-n), n = 1..order
-    rg = S.residue_matrix([m1], mo.g_up + mo.g_down)[0].tolist()
-    rf = S.residue_matrix([m2], mo.f_up + mo.f_down)[0].tolist()
-    for n in range(1, order + 1):
-        v[n], t[n] = rg[n - 1], rg[order + n - 1] / n
-        t[-n], v[-n] = rf[n - 1] / n, rf[order + n - 1]
-    return t, v, -S.residue(m2)
+    @cached_property
+    def v0(self) -> complex:
+        m1, m2 = self.m
+        log_g, log_f = _paired_logs(self.pair, self.width)
+        h_along = eval_along(self.ms, self.pair, (-self.width, self.width))
+        return S.residue_mul(m1, log_g) + S.residue_mul(m2, log_f) - S.coeff(h_along, 0)
 
+    @cached_property
+    def plemelj(self) -> float:
+        pair, order = self.pair, self.order
+        t, v, _ = self.times
 
-def time_variables(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()):
-    """The maps t (|n| <= order, with t[0]) and v (n != 0), plus t0_alt."""
-    return _time_variables(_Moments(pair, _total_sum(h, gauge), int(order)))
+        def expansion(y, base, base_inv):
+            """res(y * base**(-k-1)), k = -order..order, on chains exact where y reads them."""
+            window = (-1 - y.hi_exp, -1 - y.lo_exp)
+            rows = (S.powers(base, order - 1, window)[::-1] + [S.constant(1.0)]
+                    + S.powers(base_inv, order + 1, window))
+            return S.residue_matrix([y], rows)[0]
+
+        a1, a2 = self.partials
+        got_a = expansion(S.mul(S.mul(a1, pair.g), pair.g_prime()), pair.g, self.g_inv)
+        got_b = expansion(S.mul(S.scale(S.mul(a2, pair.f), -1.0), pair.f_prime()), pair.f,
+                          self.f_inv)
+        ks = range(-order, order + 1)
+        want_a = [k * t[k] if k > 0 else t[0] if k == 0 else v[-k] for k in ks]
+        want_b = [-v[-k] if k > 0 else t[0] if k == 0 else k * t[k] for k in ks]
+        return float(np.max(np.abs(np.concatenate([got_a - want_a, got_b - want_b]))))
+
+    def log_tau(self, t: Dict[int, complex], v: Dict[int, complex], v0: complex):
+        """(Z1, Z2, Z3, logT, z2_closed) of a pure two-variable potential."""
+        pair, order, window = self.pair, self.order, (-self.width, self.width)
+        (m1, m2), z1_part = self.m, t[0] * v0 / 2.0
+
+        ns, cut = range(1, order + 1), lambda rows: [S.clip(r, *window) for r in rows]
+        phi_g = S.clip(S.combine([v[n] / n for n in ns], cut(self.g_down)), *window)
+        psi_f = S.clip(S.combine([v[-n] / n for n in ns], cut(self.f_up)), *window)
+        z2_part = (S.residue_mul(m1, phi_g) + S.residue_mul(m2, psi_f)) / 2.0
+
+        j1_along, j2_along = (eval_along(j, pair, window) for j in j_pair(self.h))
+        z3_part = (S.residue_mul(j1_along, pair.g_prime())
+                   + S.residue_mul(j2_along, pair.f_prime())) / 4.0
+
+        z2_closed = sum(t[n] * v[n] + t[-n] * v[-n] for n in ns) / 2.0
+        log_t = z1_part + z2_part + z3_part
+        return z1_part, z2_part, z3_part, log_t, z2_closed
 
 
 def _paired_logs(pair, depth: int):
@@ -153,72 +192,38 @@ def _paired_logs(pair, depth: int):
     return log_g, log_f
 
 
-def _v_zero(mo: _Moments) -> complex:
-    m1, m2 = mo.m
-    log_g, log_f = _paired_logs(mo.pair, mo.width)
-    h_along = eval_along(mo.ms, mo.pair, (-mo.width, mo.width))
-    return S.residue_mul(m1, log_g) + S.residue_mul(m2, log_f) - S.coeff(h_along, 0)
+def snapshot(mo: Moments, full: Moments) -> TodaCoordinates:
+    """The snapshot at ``mo``'s order, v_0 read off the full-order ``full``."""
+    t, v, t0_alt = mo.times
+    v0 = full.v0
+    z1_part, z2_part, z3_part, log_t, z2_closed = mo.log_tau(t, v, v0)
+    return TodaCoordinates(order=mo.order, t=t, v=v, v0=v0, t0_alt=t0_alt, logT=log_t,
+                           z_parts=(z1_part, z2_part, z3_part), z2_closed=z2_closed)
+
+
+def time_variables(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()):
+    """The maps t (|n| <= order, with t[0]) and v (n != 0), plus t0_alt."""
+    return Moments(pair, h, gauge, int(order)).times
 
 
 def v_zero(pair, h, gauge: Sequence[GaugeTerm] = ()) -> complex:
     """res(M1 log(g/w) + M2 log(f/w) - potential(g, f)/w)."""
-    return _v_zero(_Moments(pair, _total_sum(h, gauge), pair.order))
+    return Moments(pair, h, gauge, pair.order).v0
 
 
 def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float:
     """Max defect of the two basis expansions against (t, v, t_0)."""
-    order = int(order)
-    mo = _Moments(pair, _total_sum(h, gauge), order)
-    t, v, _ = _time_variables(mo)
-
-    def expansion(y, base, base_inv):
-        """res(y * base**(-k-1)) at modes k = -order..order, on chains exact where y reads them."""
-        window = (-1 - y.hi_exp, -1 - y.lo_exp)
-        rows = (S.powers(base, order - 1, window)[::-1] + [S.constant(1.0)]
-                + S.powers(base_inv, order + 1, window))
-        return S.residue_matrix([y], rows)[0]
-
-    a1, a2 = mo.partials
-    got_a = expansion(S.mul(S.mul(a1, pair.g), pair.g_prime()), pair.g, mo.g_inv)
-    got_b = expansion(S.mul(S.scale(S.mul(a2, pair.f), -1.0), pair.f_prime()), pair.f, mo.f_inv)
-    ks = range(-order, order + 1)
-    want_a = [k * t[k] if k > 0 else t[0] if k == 0 else v[-k] for k in ks]
-    want_b = [-v[-k] if k > 0 else t[0] if k == 0 else k * t[k] for k in ks]
-    return float(np.max(np.abs(np.concatenate([got_a - want_a, got_b - want_b]))))
-
-
-def _log_tau(mo: _Moments, h: HamiltonianH, t: Dict[int, complex],
-             v: Dict[int, complex], v0: complex):
-    pair, order, window = mo.pair, mo.order, (-mo.width, mo.width)
-    (m1, m2), z1_part = mo.m, t[0] * v0 / 2.0
-
-    ns, cut = range(1, order + 1), lambda rows: [S.clip(r, *window) for r in rows]
-    phi_g = S.clip(S.combine([v[n] / n for n in ns], cut(mo.g_down)), *window)
-    psi_f = S.clip(S.combine([v[-n] / n for n in ns], cut(mo.f_up)), *window)
-    z2_part = (S.residue_mul(m1, phi_g) + S.residue_mul(m2, psi_f)) / 2.0
-
-    j1_along, j2_along = (eval_along(j, pair, window) for j in j_pair(h))
-    z3_part = (S.residue_mul(j1_along, pair.g_prime())
-               + S.residue_mul(j2_along, pair.f_prime())) / 4.0
-
-    z2_closed = sum(t[n] * v[n] + t[-n] * v[-n] for n in ns) / 2.0
-    log_t = z1_part + z2_part + z3_part
-    return z1_part, z2_part, z3_part, log_t, z2_closed
+    return Moments(pair, h, gauge, int(order)).plemelj
 
 
 def log_tau(pair, h: HamiltonianH, t: Dict[int, complex], v: Dict[int, complex],
             v0: complex):
     """(Z1, Z2, Z3, logT, z2_closed) for a pure two-variable potential."""
-    order = max(n for n in t if n >= 0)
-    return _log_tau(_Moments(pair, h.as_sum(), order), h, t, v, v0)
+    return Moments(pair, h, (), max(n for n in t if n >= 0)).log_tau(t, v, v0)
 
 
 def toda_coordinates(pair, h: HamiltonianH, order: int | None = None) -> TodaCoordinates:
     """Assemble the full coordinate snapshot for a pure potential."""
-    order = pair.order if order is None else int(order)
-    mo = _Moments(pair, h.as_sum(), order)
-    t, v, t0_alt = _time_variables(mo)
-    v0 = _v_zero(mo if order == pair.order else _Moments(pair, mo.ms, pair.order))
-    z1_part, z2_part, z3_part, log_t, z2_closed = _log_tau(mo, h, t, v, v0)
-    return TodaCoordinates(order=order, t=t, v=v, v0=v0, t0_alt=t0_alt, logT=log_t,
-                           z_parts=(z1_part, z2_part, z3_part), z2_closed=z2_closed)
+    full = Moments(pair, h, (), pair.order)
+    mo = full if order in (None, pair.order) else Moments(pair, h, (), int(order))
+    return snapshot(mo, full)

@@ -23,6 +23,9 @@ the tau function generates the v's and the pairing table.
 
 The bracket throughout is {A, B} = w dA/dw * dB/dt0 - w dA/dt0 * dB/dw,
 with t0-derivatives given by the n = 0 field.
+
+The checks read the pair and every shared field and table from one
+`context.PairContext`.
 """
 
 from dataclasses import dataclass
@@ -32,9 +35,10 @@ import numpy as np
 from . import series as S
 from .series import AT_INFINITY, AT_ZERO, LaurentSeries, SeriesError
 from .conformal_pair import ConformalPair, from_coefficients
-from .grunsky import GrunskyTable, b_polynomial, faber, grunsky_table
-from .hamiltonian import GaugeTerm, HamiltonianH, eval_along
-from .coords import _halfwidth, _total_sum, time_variables, toda_coordinates
+from . import plan
+from .grunsky import b_polynomial, faber
+from .hamiltonian import eval_along
+from .coords import _total_sum, time_variables, toda_coordinates
 
 __all__ = [
     "ChartError", "FlowField", "u_field", "flow_field", "step",
@@ -59,7 +63,7 @@ class FlowField:
 
 def _mixed_partial_along(pair, h, gauge) -> LaurentSeries:
     ms = _total_sum(h, gauge)
-    width = _halfwidth(pair, ms, 0)
+    width = plan.halfwidth(pair, ms, 0)
     return eval_along(ms.d12(), pair, (-width, width))
 
 
@@ -67,11 +71,9 @@ def u_field(pair, h, n: int, gauge=(), samples: int = 1024,
             pad: int = 0) -> LaurentSeries:
     """The function u_n = -P_n'/(g' f' E) on |exponent| <= order + |n| + pad.
 
-    The quotient's own tails decay at rates set by the zeros of the
-    denominator nearest the unit circle, not by the pair's coefficient
-    decay, so coefficientwise identity checks pass a positive ``pad`` to
-    push the dropped tail below their tolerance; stepping (which clips to
-    the chart window anyway) uses the default.
+    Coefficientwise identity checks pass a positive ``pad``
+    (`plan.check_pad`) to push the dropped tail below their tolerance;
+    stepping (which clips to the chart window anyway) uses the default.
     """
     n = int(n)
     if n == 0:
@@ -157,32 +159,28 @@ def step(pair, h, n: int, eps: float, method: str = "euler") -> ConformalPair:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _probe_pairs(pair, h, n: int, eps: float):
-    """Euler steps by +eps, then -eps, along one shared direction-n field."""
-    ff = flow_field(pair, h, n)
-    return (_reassemble(_nudge(pair, ff, s)) for s in (float(eps), -float(eps)))
+def _probe_pairs(ctx, n: int):
+    """Euler steps by +eps_fd, then -eps_fd, along the context's direction-n field."""
+    ff, eps = ctx.flow_field(n), float(ctx.eps_fd)
+    return (_reassemble(_nudge(ctx.pair, ff, s)) for s in (eps, -eps))
 
 
-def jacobian_check(pair, h, order: int, eps: float = 1e-5) -> float:
+def jacobian_check(ctx, order: int) -> float:
     """max |dt_m/deps along direction n - delta_{nm}| over |n|,|m| <= order."""
     modes = range(-int(order), int(order) + 1)
+    eps = ctx.eps_fd
     quotients = []
     for n in modes:
-        tp, tm = (time_variables(p, h, order)[0]
-                  for p in _probe_pairs(pair, h, n, eps))
+        tp, tm = (time_variables(p, ctx.h, order)[0] for p in _probe_pairs(ctx, n))
         quotients.append([(tp[m] - tm[m]) / (2.0 * eps) for m in modes])
     return float(np.max(np.abs(np.array(quotients) - np.eye(len(modes)))))
 
 
-def _check_pad(pair) -> int:
-    """Window padding for coefficientwise identity checks (see u_field)."""
-    return 3 * pair.order + 16
-
-
-def string_check(pair, h, gauge=()) -> float:
+def string_check(ctx) -> float:
     """Residual of (w g' df0 - w f' dg0) * E - 1 over the reliable window."""
-    ff = flow_field(pair, h, 0, gauge=gauge, pad=_check_pad(pair))
-    e12 = _mixed_partial_along(pair, h, gauge)
+    pair = ctx.pair
+    ff = ctx.flow_field(0, ctx.gauge, plan.check_pad(pair))
+    e12 = _mixed_partial_along(pair, ctx.h, ctx.gauge)
     bracket = S.shift(S.sub(S.mul(pair.g_prime(), ff.df),
                             S.mul(pair.f_prime(), ff.dg)), 1)
     residual = S.sub(S.mul(bracket, e12), S.constant(1.0))
@@ -195,31 +193,32 @@ def _halved_projection(q: LaurentSeries, n: int) -> LaurentSeries:
     return S.add(kept, S.monomial(0, 0.5 * q.coeff(0)))
 
 
-def lax_check(pair, h, table: GrunskyTable, n: int) -> float:
+def lax_check(ctx, n: int, order: int) -> float:
     """Residual of the bracket form of direction n.
 
     Compares flow_field(n) against {B_n, g} and {B_n, f}, where B_n is the
-    half-constant polynomial of index n, its t0-derivative is assembled
-    from the n = 0 field through the same one-sided projection that
-    defines it, and t0-derivatives inside the bracket are the n = 0 field
-    (the index-free canonical relation is `canonical_bracket_check`).
+    half-constant polynomial of index n of the order-``order`` table, its
+    t0-derivative is assembled from the n = 0 field through the same
+    one-sided projection that defines it, and t0-derivatives inside the
+    bracket are the n = 0 field (the index-free canonical relation is
+    `canonical_bracket_check`).
     """
     n = int(n)
     if n == 0:
         raise ValueError("lax index must be nonzero")
+    pair, table = ctx.pair, ctx.table(order)
     if abs(n) > table.order:
         raise SeriesError(f"lax index {n} exceeds table order {table.order}")
-    pad = _check_pad(pair)
-    ff0 = flow_field(pair, h, 0, pad=pad)
-    ffn = flow_field(pair, h, n, pad=pad)
+    pad = plan.check_pad(pair)
+    ff0 = ctx.flow_field(0, pad=pad)
+    ffn = ctx.flow_field(n, pad=pad)
     poly = b_polynomial(table, n)
     poly_prime = S.derivative(poly)
     if n >= 1:
         base = S.int_pow(pair.g, n - 1) if n > 1 else S.constant(1.0, AT_INFINITY)
         q = S.scale(S.mul(base, ff0.dg), float(n))
     else:
-        depth = 2 * abs(n) + pair.order + 16
-        base = S.int_pow(pair.f, n - 1, depth=depth)
+        base = S.int_pow(pair.f, n - 1, depth=plan.lax_depth(pair, n))
         q = S.scale(S.mul(base, ff0.df), float(n))
     dpoly0 = _halved_projection(q, n)
 
@@ -232,15 +231,15 @@ def lax_check(pair, h, table: GrunskyTable, n: int) -> float:
     ]))
 
 
-def canonical_bracket_check(pair, h) -> float:
+def canonical_bracket_check(ctx) -> float:
     """Residual of {L, M} - L with L = g and M = g * d1(potential)(g, f)."""
-    ms = h.as_sum() if isinstance(h, HamiltonianH) else h
-    width = _halfwidth(pair, ms, 0) + 4
+    pair, ms = ctx.pair, _total_sum(ctx.h, ())
+    width = plan.bracket_halfwidth(pair, ms)
     window = (-width, width)
     a1 = eval_along(ms.d1(), pair, window)
     a11 = eval_along(ms.d11(), pair, window)
     a12 = eval_along(ms.d12(), pair, window)
-    ff0 = flow_field(pair, h, 0, pad=_check_pad(pair))
+    ff0 = ctx.flow_field(0, pad=plan.check_pad(pair))
     gp, fp = pair.g_prime(), pair.f_prime()
     d_m = S.add(S.mul(ff0.dg, a1),
                 S.mul(pair.g, S.add(S.mul(a11, ff0.dg), S.mul(a12, ff0.df))))
@@ -250,7 +249,7 @@ def canonical_bracket_check(pair, h) -> float:
     return S.max_abs_diff_reliable(lhs, pair.g)
 
 
-def tau_gradient_check(pair, h, order: int, eps: float = 1e-5) -> dict:
+def tau_gradient_check(ctx, order: int) -> dict:
     """Central-difference tests of what the tau function generates.
 
     Returns a dict of defects: ``gradient`` for d(logT)/dt_n vs v_n
@@ -260,17 +259,18 @@ def tau_gradient_check(pair, h, order: int, eps: float = 1e-5) -> dict:
     equality of mixed partials, and ``max`` over all of them.
     """
     order = int(order)
-    table = grunsky_table(pair, order)
+    eps = ctx.eps_fd
+    table = ctx.table(order)
     # The tau function is the pair's, so logT and the v's are evaluated at
     # full lattice order; ``order`` only bounds which entries are compared
     # (a shorter lattice would freeze t_k v_k products that still vary).
-    base = toda_coordinates(pair, h)
+    base = ctx.coords(ctx.pair.order)
     nonzero = [m for m in range(-order, order + 1) if m != 0]
     gradient, hessian = [], []
     v0_t0 = 0.0
     quotients: dict = {}
     for n in range(-order, order + 1):
-        cp, cm = (toda_coordinates(p, h) for p in _probe_pairs(pair, h, n, eps))
+        cp, cm = (toda_coordinates(p, ctx.h) for p in _probe_pairs(ctx, n))
         d_logt = (cp.logT - cm.logT) / (2.0 * eps)
         want = base.v0 if n == 0 else base.v[n]
         gradient.append(abs(d_logt - want))

@@ -31,16 +31,18 @@ provided:
   share one branch constant so the two halves pair consistently.
 
 * :func:`grunsky_via_inverse` — the oracle path: inverts both maps (at
-  depth 2N+4 so corner entries are unaffected by inversion truncation)
-  and expands the kernel logarithms formally as truncated bivariate power
-  series; no residue pairing is involved.  The bivariate log L = log(1+W)
-  is solved row by row in z1 from theta L * (1 + W) = theta W, theta =
-  z1 d/dz1 (:func:`_log2d`).
+  `plan.inverse_depth`, so corner entries are unaffected by inversion
+  truncation) and expands the kernel logarithms formally as truncated
+  bivariate power series; no residue pairing is involved.  The bivariate
+  log L = log(1+W) is solved row by row in z1 from theta L * (1 + W) =
+  theta W, theta = z1 d/dz1 (:func:`_log2d`).
 
 :func:`grunsky_table` reads P_n and P_-n off the chains g^1..g^N and
 f^-1..f^-N it builds for its weights, and carries them
 (``GrunskyTable.faber``) for :func:`faber_expansion_defect` and
-:func:`b_polynomial`; :func:`faber` builds one such chain on [0, n].
+:func:`b_polynomial`, together with the chain g^1..g^N
+(``GrunskyTable.g_powers``) that :func:`faber_expansion_defect` pairs
+again; :func:`faber` builds one such chain on [0, n].
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
 = b(m, n)``.  On the primary path each block of it is one matrix product
@@ -65,6 +67,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series as S
+from . import plan
 from .conformal_pair import ConformalPair
 from .coords import _paired_logs
 from .series import (
@@ -83,13 +86,15 @@ class GrunskyTable:
     ``b[m + N, n + N] = b(m, n)``, N = ``order``; :meth:`entry` reads it
     by signed index and raises ``KeyError`` outside the table.
     ``faber`` maps 1 <= |n| <= order to the exact series P_n the residue
-    path read the entries against (empty on oracle tables) and is left
-    out of ``repr``.
+    path read the entries against, and ``g_powers`` holds the chain
+    g^1..g^N they and the weights came from (both empty on oracle tables
+    and left out of ``repr``).
     """
 
     order: int
     b: np.ndarray
     faber: dict = field(default_factory=dict, repr=False)
+    g_powers: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         self.b.setflags(write=False)
@@ -121,7 +126,7 @@ def _polynomial_part(power: LaurentSeries, n: int) -> LaurentSeries:
 def faber(pair: ConformalPair, n: int) -> LaurentSeries:
     """P_n as an exact series: the polynomial part of g**n (n >= 1) or f**n (n <= -1).
 
-    g**n or f**n (from the depth-(2|n|+8) reciprocal of f) is the last row
+    g**n or f**n (from the `plan.faber_depth` reciprocal of f) is the last row
     of one power chain on [0, n].  Index 0 stands for log w, which has no
     polynomial part, and raises.
     """
@@ -132,7 +137,7 @@ def faber(pair: ConformalPair, n: int) -> LaurentSeries:
         raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
     if n >= 1:
         return _polynomial_part(S.powers(pair.g, n, (0, n))[-1], n)
-    return _polynomial_part(S.reciprocal_powers(pair.f, -n, 2 * -n + 8, (n, 0))[-1], n)
+    return _polynomial_part(S.reciprocal_powers(pair.f, -n, plan.faber_depth(n), (n, 0))[-1], n)
 
 
 def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:
@@ -153,12 +158,6 @@ def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:
 # primary path: residue extraction in w
 
 
-def _chain_window(pair: ConformalPair, n_max: int):
-    """Reciprocal depth and clip window (frame) of the order-n_max power chains."""
-    reach = pair.order + n_max + 6
-    return 2 * pair.order + 12, (-reach, reach)
-
-
 def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     """Full table by residue extraction (primary path), carrying its P_n.
 
@@ -173,7 +172,7 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
     g, f = pair.g, pair.f
     gp, fp = pair.g_prime(), pair.f_prime()
-    depth, frame = _chain_window(pair, n_max)
+    depth, frame = plan.table_chains(pair, n_max)
 
     # weights: e_g[0] = g^{-1} g', e_g[m] = g^{m-1} g'; e_f[m] = f^{-m-1} f' (m = 0..N)
     g_pow = S.powers(g, n_max, frame)
@@ -193,7 +192,8 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     b[:n_max, n_max] = -S.residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
     b[n_max + 1:, n_max] = S.residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
     b[n_max, n_max] = -cmath.log(pair.b)
-    return GrunskyTable(n_max, b, dict(zip([n for n in range(-n_max, n_max + 1) if n], neg + pos)))
+    return GrunskyTable(n_max, b, dict(zip([n for n in range(-n_max, n_max + 1) if n], neg + pos)),
+                        tuple(g_pow))
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +240,17 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     """Full table from the inverse maps and formal kernel-log expansions.
 
     Treats the pair's stored windows as exact map data (true for
-    polynomial pairs); the inversions run at depth 2*order + 4 so that
-    every extracted entry is limited by machine precision rather than by
-    inversion truncation.  Each kernel is written as c (1 + W) with W a
-    bivariate truncation on [0..order] x [0..order], and its logarithm is
-    solved row by row in z1 (`_log2d`): row 0 is a univariate log, and
-    every later row costs one sum of truncated z2-products of the rows
-    already solved and one multiplication by the reciprocal of row 0.
+    polynomial pairs); the inversions run at `plan.inverse_depth`.  Each
+    kernel is written as c (1 + W) with W a bivariate truncation on
+    [0..order] x [0..order], and its logarithm is solved row by row in z1
+    (`_log2d`): row 0 is a univariate log, and every later row costs one
+    sum of truncated z2-products of the rows already solved and one
+    multiplication by the reciprocal of row 0.
     """
     n_max = int(order)
     if n_max > pair.order or n_max < 1:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
-    depth = 2 * n_max + 4
+    depth = plan.inverse_depth(n_max)
     # g is read on [-depth, 1] and f on [1, depth + 1]
     big_g = S.invert_function(pair.g, depth + 1)
     big_f = S.invert_function(pair.f, depth)
@@ -344,13 +343,14 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
     The exponent restriction accounts for the truncation of the m-sums:
     beyond it the residual is dominated by absent m > order terms.  Each
     identity is one product of a quadrant of the table with the stacked
-    basis powers.  The P_n are the ones the table carries, so it must
-    come from :func:`grunsky_table`.
+    basis powers.  The P_n and g^1..g^N are the ones the table carries,
+    so it must come from :func:`grunsky_table`.
     """
     n_max = table.order
-    depth, frame = _chain_window(pair, n_max)
-    g_pos, g_neg, f_pos, f_neg = (S.powers(s, n_max, frame) for s in (
-        pair.g, S.int_pow(pair.g, -1, depth=depth), pair.f, S.int_pow(pair.f, -1, depth=depth)))
+    depth, frame = plan.table_chains(pair, n_max)
+    g_pos = table.g_powers
+    g_neg, f_pos, f_neg = (S.powers(s, n_max, frame) for s in (
+        S.int_pow(pair.g, -1, depth=depth), pair.f, S.int_pow(pair.f, -1, depth=depth)))
     ns = range(1, n_max + 1)
     p_pos, p_neg = [table.faber[n] for n in ns], [table.faber[-n] for n in ns]
     const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]

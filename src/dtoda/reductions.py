@@ -39,6 +39,7 @@ import numpy as np
 
 from . import series as S
 from .series import LaurentSeries, SeriesError
+from . import plan
 from .conformal_pair import sigma_conjugate
 from .coords import TodaCoordinates, time_variables, v_zero
 from .grunsky import _log2d, grunsky_table
@@ -66,13 +67,11 @@ def sigma_coordinate_check(g: LaurentSeries, h, order: int) -> float:
     lattice coordinates up to ``order`` and returns the max of
     |t(-n) + conj(t(n))|, |v(-n) + conj(v(n))| over n >= 1, together
     with |Im t(0)| and |Im v0|.  The pair is carried well past ``order``
-    because the reflection image's tail decays at the rate set by its own
-    nearest singularity, which for moderate perturbations of w can be as
-    slow as ~0.5 per exponent.
+    (`plan.sigma_pair_order`).
     """
     require_sigma_admissible(h)
     order = int(order)
-    pair = sigma_conjugate(g, order=max(3 * order, order + 32))
+    pair = sigma_conjugate(g, order=plan.sigma_pair_order(order))
     t, v, _ = time_variables(pair, h, order)
     v0 = v_zero(pair, h)
     defects = [abs(np.imag(t[0])), abs(np.imag(v0))]
@@ -130,7 +129,7 @@ def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
     n_max = int(order)
     if n_max < 1:
         raise SeriesError(f"kernel order {n_max} must be >= 1")
-    depth = n_max + 4
+    depth = plan.green_inverse_depth(n_max)
     big_g = S.invert_function(g, depth + 1)
     beta = big_g.coeff(1)
 
@@ -172,9 +171,7 @@ def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, GreenCoeffic
     """
     require_sigma_admissible(h)
     n_max = int(order)
-    # The pair runs three times deeper than the table so that the
-    # reflection image's truncation sits far below the comparison floor.
-    pair = sigma_conjugate(g, order=3 * n_max)
+    pair = sigma_conjugate(g, order=plan.green_pair_order(n_max))
     table = grunsky_table(pair, n_max)
     left = green_coefficients(g, n_max)
     # right[m, n] = b(m, -n), with the 0-row -b(-n, 0) (and -b00 at its corner)

@@ -21,8 +21,9 @@ with logarithmic terms; ``generating_identity_check`` verifies all three
 (the integrated one in differentiated form, reporting the integration
 constant separately rather than asserting a convention for it).  The
 residues are two `series.residue_matrix` rows and each expansion one
-`series.combine`, over power chains left unclipped: the identities are
-compared on whole reliable windows.
+`series.combine`, over power chains (`_chains`) left unclipped: the
+identities are compared on whole reliable windows.  `context.PairContext`
+hands the chains to `closed_form` and `generating_identity`.
 
 Halving the two weighted contour evaluations
 
@@ -44,10 +45,11 @@ two contour evaluations yields the nontrivial identity
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
+from . import plan
 from . import series as S
-from .coords import TodaCoordinates, _Moments, _halfwidth, _paired_logs, log_tau
+from .coords import Moments, TodaCoordinates, _paired_logs
 from .hamiltonian import HamiltonianH
 
 
@@ -69,7 +71,11 @@ class MonomialCase:
 
 def _chains(pair, mu: int, nu: int, order: int):
     """Chains k -> base**k of g and f, unclipped, for every residue above."""
-    depth = _Moments(pair, MonomialCase(mu, nu).h.as_sum(), order).depth
+    ms = MonomialCase(mu, nu).h.as_sum()
+    if order < 1 or pair.order <= abs(mu) + abs(nu) + order:
+        raise ValueError(
+            "window budget: pair order must exceed |mu| + |nu| + N")
+    depth = plan.chain_depth(pair, ms, order)
     chains = []
     for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
         down = S.powers(S.int_pow(base, -1, depth=depth), length)
@@ -79,7 +85,8 @@ def _chains(pair, mu: int, nu: int, order: int):
 
 
 def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoordinates:
-    """Coordinate snapshot from the closed-form monomial residues.
+    """Coordinate snapshot from the closed-form monomial residues, at
+    ``order`` (by default `plan.monomial_order`).
 
     Same residues as the general moment path, assembled through explicit
     power chains of g and f; log tau is taken from the shared general
@@ -87,14 +94,14 @@ def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoor
     form to compare against.
     """
     case = MonomialCase(int(mu), int(nu))
-    mu, nu = case.mu, case.nu
-    if order is None:
-        order = pair.order - abs(mu) - abs(nu) - 1
-    order = int(order)
-    if order < 1 or pair.order <= abs(mu) + abs(nu) + order:
-        raise ValueError(
-            "window budget: pair order must exceed |mu| + |nu| + N")
-    gp, fp = _chains(pair, mu, nu, order)
+    order = plan.monomial_order(pair, case.mu, case.nu) if order is None else int(order)
+    return closed_form(pair, case.mu, case.nu, _chains(pair, case.mu, case.nu, order),
+                       Moments(pair, case.h, (), order))
+
+
+def closed_form(pair, mu: int, nu: int, chains, moments: Moments) -> TodaCoordinates:
+    """`special_coords` on the monomial's ``chains`` and general ``moments``."""
+    order, (gp, fp) = moments.order, chains
     g_side = S.mul(fp[-nu], pair.g_prime())
     f_side = S.mul(gp[mu], pair.f_prime())
 
@@ -109,12 +116,12 @@ def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoor
         t[n], t[-n] = (mu / n) * rg[order - n], (-nu / n) * rf[order + n]
         v[n], v[-n] = mu * rg[order + n], -nu * rf[order - n]
 
-    log_g, log_f = _paired_logs(pair, _halfwidth(pair, case.h.as_sum(), order))
+    log_g, log_f = _paired_logs(pair, moments.width)
     v0 = (mu * S.residue_mul(log_g, S.mul(gp[mu - 1], g_side))
           - nu * S.residue_mul(log_f, S.mul(fp[-nu - 1], f_side))
           - S.coeff(S.mul(gp[mu], fp[-nu]), 0))
 
-    z1_part, z2_part, z3_part, log_t, z2_closed = log_tau(pair, case.h, t, v, v0)
+    z1_part, z2_part, z3_part, log_t, z2_closed = moments.log_tau(t, v, v0)
     return TodaCoordinates(order=order, t=t, v=v, v0=v0, t0_alt=t0_alt,
                            logT=log_t, z_parts=(z1_part, z2_part, z3_part),
                            z2_closed=z2_closed)
@@ -169,9 +176,14 @@ def generating_identity_check(pair, coords: TodaCoordinates, mu: int,
                               nu: int) -> GeneratingReport:
     """Residuals of the moment expansions and their integrated form."""
     case = MonomialCase(int(mu), int(nu))
-    mu, nu = case.mu, case.nu
-    order = coords.order
-    gp, fp = _chains(pair, mu, nu, order)
+    return generating_identity(pair, coords, case.mu, case.nu,
+                               _chains(pair, case.mu, case.nu, coords.order))
+
+
+def generating_identity(pair, coords: TodaCoordinates, mu: int, nu: int,
+                        chains) -> GeneratingReport:
+    """`generating_identity_check` on the `_chains` at ``coords.order``."""
+    order, (gp, fp) = coords.order, chains
     t, v, t0 = coords.t, coords.v, coords.t[0]
 
     power = S.mul(gp[mu], fp[-nu])
@@ -194,8 +206,7 @@ def generating_identity_check(pair, coords: TodaCoordinates, mu: int,
                   (v[-n], S.mul(fp[n - 1], f_prime))]
     deriv_defect = S.max_abs_diff_reliable(S.derivative(power), S.combine(*zip(*deriv)))
 
-    width = _halfwidth(pair, case.h.as_sum(), order)
-    log_g, log_f = _paired_logs(pair, width)
+    log_g, log_f = _paired_logs(pair, plan.halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order))
     integrated = [(t0, log_g), (-t0, log_f)]
     for n in ns:
         integrated += [(t[n], gp[n]), (-v[n] / n, gp[-n]),

@@ -5,6 +5,7 @@ import pytest
 
 from dtoda import conformal_pair as CP
 from dtoda import series as S
+from dtoda.context import PairContext
 from dtoda.series import AT_INFINITY, LaurentSeries
 
 
@@ -39,3 +40,13 @@ def jouk_pair():
     arr[0] = 1.0
     f = LaurentSeries(1, arr, "AtZero")
     return CP.ConformalPair(g, f, order)
+
+
+@pytest.fixture(scope="session")
+def context():
+    """Factory of a `PairContext` with the config defaults; ``order`` (the
+    table order) defaults to the pair's."""
+    def build(pair, h, gauge=(), order=None, eps_fd=1e-5, samples=1024):
+        return PairContext(pair, h, gauge, pair.order if order is None else order,
+                           eps_fd, samples)
+    return build

@@ -81,34 +81,34 @@ def test_criterion_04_time_zero_duality(fix_id, fix_rand, fix_sig,
            worst, 1e-10)
 
 
-def test_criterion_05_flow_jacobian(fix_rand):
-    worst = max(F.jacobian_check(fix_rand, H_STANDARD, 8, eps=1e-5),
-                F.jacobian_check(fix_rand, H_TWO_TERM, 8, eps=1e-5))
+def test_criterion_05_flow_jacobian(fix_rand, context):
+    worst = max(F.jacobian_check(context(fix_rand, H_STANDARD, eps_fd=1e-5), 8),
+                F.jacobian_check(context(fix_rand, H_TWO_TERM, eps_fd=1e-5), 8))
     report(5, "d t_m / d s_n = delta_mn by central differences, "
               "|n|,|m| <= 8", worst, 1e-6)
 
 
-def test_criterion_06_string_equation(fix_id, fix_rand):
-    worst = max(F.string_check(fix_rand, h)
+def test_criterion_06_string_equation(fix_id, fix_rand, context):
+    worst = max(F.string_check(context(fix_rand, h))
                 for h in (H_STANDARD, H_TWO_TERM, H_COMPLEX))
-    assert F.string_check(fix_id, H_STANDARD) == 0.0
+    assert F.string_check(context(fix_id, H_STANDARD)) == 0.0
     report(6, "string equation on the random fixture, 3 potentials "
               "(exactly 0 on identity)", worst, 1e-9)
 
 
-def test_criterion_07_lax_and_canonical_bracket(fix_rand):
-    table = G.grunsky_table(fix_rand, 16)
+def test_criterion_07_lax_and_canonical_bracket(fix_rand, context):
     worst = 0.0
     for h in (H_STANDARD, H_TWO_TERM):
-        worst = max(worst, F.canonical_bracket_check(fix_rand, h))
-        worst = max(worst, max(F.lax_check(fix_rand, h, table, n)
+        ctx = context(fix_rand, h)
+        worst = max(worst, F.canonical_bracket_check(ctx))
+        worst = max(worst, max(F.lax_check(ctx, n, 16)
                                for n in (1, -1, 2, -2, 3, -3)))
     report(7, "Lax flow fields vs Poisson brackets, n in {±1,±2,±3}, "
               "and the canonical bracket relation", worst, 1e-8)
 
 
-def test_criterion_08_tau_identities(fix_rand):
-    rep = F.tau_gradient_check(fix_rand, H_STANDARD, 6, eps=1e-5)
+def test_criterion_08_tau_identities(fix_rand, context):
+    rep = F.tau_gradient_check(context(fix_rand, H_STANDARD, eps_fd=1e-5), 6)
     snap = C.toda_coordinates(fix_rand, H_STANDARD)
     z2_defect = abs(snap.z_parts[1] - snap.z2_closed)
     worst_fd = max(rep["gradient"], rep["hessian"], rep["v0_t0"])

@@ -225,6 +225,26 @@ def test_unknown_check_name_is_usage_error(capsys):
     assert "bogus_name" in err
 
 
+def test_empty_check_selection_is_usage_error(capsys):
+    config = load_config(str(CONFIGS / "fixture_identity.json"))
+    with pytest.raises(ConfigError, match="^--checks must name at least one check$"):
+        cli.cmd_verify(config, [])
+    code, out, err = run_cli(
+        ["verify", str(CONFIGS / "fixture_identity.json"), "--checks", ","], capsys)
+    assert (code, out) == (2, "")
+    assert err == "dtoda: error: --checks must name at least one check\n"
+
+
+@pytest.mark.parametrize("other", ["01", "+1", " 1"])
+def test_two_keys_naming_one_exponent_are_rejected(tmp_path, capsys, other):
+    payload = identity_payload()
+    payload["pair"]["coefficients"]["g"] = {"1": 1.0, other: 2.0}
+    code, out, err = run_cli(["coords", write_config(tmp_path, payload)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("dtoda: error: config field 'pair.coefficients.g': "
+                   "two keys name exponent 1\n")
+
+
 def test_checks_flag_subsets_battery(capsys):
     code, out, _ = run_cli(
         ["verify", str(CONFIGS / "fixture_identity.json"),
@@ -442,44 +462,91 @@ def _counting(calls, key, fn, *, when=lambda *a, **k: True):
     return counted
 
 
+def _count_moments(monkeypatch):
+    """Every moment object built, as (pair, order, potential + gauge terms)."""
+    built = []
+
+    class Counted(cli.C.Moments):
+        def __init__(self, pair, h, gauge, order):
+            super().__init__(pair, h, gauge, order)
+            built.append((pair, order, self.ms.terms))
+
+    monkeypatch.setattr(cli.C, "Moments", Counted)
+    return built
+
+
 def test_battery_builds_the_snapshot_once(monkeypatch):
     calls = {}
-    snapshot = _counting(calls, "toda_coordinates", cli.C.toda_coordinates,
-                         when=lambda pair, h, order=None: order == 8)
-    monkeypatch.setattr(cli.C, "toda_coordinates", snapshot)
-    # a reductions module that builds its own snapshot is counted too
-    monkeypatch.setattr(cli.R, "toda_coordinates", snapshot, raising=False)
-    for name in ("time_variables", "v_zero"):
+    monkeypatch.setattr(cli.C, "snapshot",
+                        _counting(calls, "snapshot", cli.C.snapshot))
+    for name in ("toda_coordinates", "time_variables", "v_zero"):
         monkeypatch.setattr(cli.C, name,
                             _counting(calls, name, getattr(cli.C, name)))
+    built = _count_moments(monkeypatch)
     config = load_config(str(CONFIGS / "fixture_sigma.json"))
     results = run_checks(config, ["gauge_covariance", "real_subspace",
                                   "z2_closed_form"])
     assert all(r["passed"] for r in results), results
-    # one snapshot, whose coordinates do not go through the public
-    # functions, plus the gauge-dressed side of gauge_covariance
-    assert calls == {"toda_coordinates": 1, "time_variables": 1, "v_zero": 1}
+    # one order-8 snapshot, on the context's moments at orders 8 and 16
+    # (v_0), plus the gauge-dressed side of gauge_covariance at both orders;
+    # nothing goes through the public coordinate functions
+    assert calls == {"snapshot": 1}
+    assert sorted((order, len(terms)) for _, order, terms in built) == [
+        (8, 1), (8, 3), (16, 1), (16, 3)]
+
+
+@pytest.mark.parametrize("fixture", ["random", "sigma"])
+def test_battery_builds_each_moment_object_once(monkeypatch, fixture):
+    built = _count_moments(monkeypatch)
+    config = load_config(str(CONFIGS / f"fixture_{fixture}.json"))
+    run_checks(config, sorted(CHECKS))
+    keys = [(id(pair), order, terms) for pair, order, terms in built]
+    assert len(keys) == len(set(keys)), "a moment object was built twice"
+    # the context's own: the probe snapshot, v_0 and the monomial window
+    pair = built[0][0]
+    assert sorted(order for p, order, terms in built
+                  if p is pair and terms == config.terms) == [8, 13, 16]
 
 
 def test_battery_reads_the_canonical_bracket_once_in_lax(monkeypatch):
     calls = {}
     monkeypatch.setattr(cli.F, "canonical_bracket_check",
                         _counting(calls, "bracket", cli.F.canonical_bracket_check))
+    monkeypatch.setattr(cli.F, "flow_field", _counting(
+        calls, "padded_n0", cli.F.flow_field,
+        when=lambda pair, h, n, **kw: n == 0 and kw.get("pad", 0) > 0))
     config = load_config(str(CONFIGS / "fixture_random.json"))
     results = run_checks(config)
     assert all(r["passed"] for r in results), results
-    # once inside lax, once as its own check
-    assert calls == {"bracket": 2}
+    # once inside lax, once as its own check; and the padded n = 0 field
+    # that lax (per index), canonical_bracket and string read is built once
+    assert calls == {"bracket": 2, "padded_n0": 1}
+
+
+@pytest.mark.parametrize("fixture, names, most", [
+    ("random", sorted(CHECKS), 34), ("sigma", None, 28)])
+def test_battery_flow_fields(monkeypatch, fixture, names, most):
+    # one field per (direction, gauge, padding, samples) per battery: lax's
+    # padded n = 0 field, tau_gradient's probe fields and gauge_covariance's
+    # plain ones come from the context; only v0_t0_b00's two rk4 steps build
+    # their own (including a k1 field equal to jacobian's n = 0 one)
+    calls = {}
+    monkeypatch.setattr(cli.F, "flow_field",
+                        _counting(calls, "flow_field", cli.F.flow_field))
+    config = load_config(str(CONFIGS / f"fixture_{fixture}.json"))
+    run_checks(config, names)
+    assert calls["flow_field"] <= most
 
 
 def test_battery_builds_the_monomial_case_once(monkeypatch):
     calls = {}
-    monkeypatch.setattr(cli.SP, "special_coords",
-                        _counting(calls, "special_coords",
-                                  cli.SP.special_coords))
+    for name in ("_chains", "closed_form"):
+        monkeypatch.setattr(cli.SP, name,
+                            _counting(calls, name, getattr(cli.SP, name)))
     config = load_config(str(CONFIGS / "fixture_sigma.json"))
     results = run_checks(config, sorted(CHECKS))
-    assert calls == {"special_coords": 1}
+    # one closed form and one set of chains, which generating_identity reuses
+    assert calls == {"_chains": 1, "closed_form": 1}
     assert [r["error"] for r in results if r["name"] in (
         "generating_identity", "nontrivial_identity", "special_logtau")] \
         == ["", "", ""]
@@ -522,6 +589,23 @@ def test_grunsky_json_output_serializes_the_table_once(tmp_path, capsys,
     table = (tmp_path / "table0.json").read_bytes()
     assert len(json.loads(table)["entries"]) == 21 ** 2
     assert (tmp_path / "table1.json").read_bytes() == table
+
+
+@pytest.mark.parametrize("command", ["grunsky", "sigma"])
+def test_table_block_is_rendered_only_for_a_json_output(tmp_path, capsys,
+                                                         monkeypatch, command):
+    # stdout shows a summary without the table, so only a JSON file reads it
+    calls = {}
+    monkeypatch.setattr(cli, "_table_json",
+                        _counting(calls, "table_json", cli._table_json))
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    for formats, rendered in (((), {}), (("csv",), {}),
+                              (("json",), {"table_json": 1})):
+        calls.clear()
+        payload["outputs"] = [{"target": str(tmp_path / f"out.{fmt}"),
+                               "format": fmt} for fmt in formats]
+        code, _, _ = run_cli([command, write_config(tmp_path, payload)], capsys)
+        assert code == 0 and calls == rendered, formats
 
 
 def test_grunsky_csv_output_lists_every_entry(tmp_path, capsys):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from dtoda import coords as C
+from dtoda import plan
 from dtoda import series as S
 from dtoda.conformal_pair import from_coefficients, random_pair
 from dtoda.coords import (
@@ -164,10 +165,11 @@ def moment_series(pair, ms, width):
 
 def time_variables_reference(pair, h, order):
     """t, v and t0_alt by one residue_mul per coordinate."""
-    width = C._halfwidth(pair, h.as_sum(), order)
-    m1, m2 = moment_series(pair, h.as_sum(), width)
-    gp = streamed_powers(pair.g, order, width + order + 8)
-    fp = streamed_powers(pair.f, order, width + order + 8)
+    ms = h.as_sum()
+    width = plan.halfwidth(pair, ms, order)
+    m1, m2 = moment_series(pair, ms, width)
+    gp = streamed_powers(pair.g, order, plan.chain_depth(pair, ms, order))
+    fp = streamed_powers(pair.f, order, plan.chain_depth(pair, ms, order))
     t, v = {0: S.residue(m1)}, {}
     for n in range(1, order + 1):
         t[n], v[n] = S.residue_mul(m1, gp[-n]) / n, S.residue_mul(m1, gp[n])
@@ -179,11 +181,11 @@ def plemelj_reference(pair, h, order):
     """The expansion defect by one mul and residue_mul per mode and side."""
     ms = h.as_sum()
     t, v, _ = time_variables_reference(pair, h, order)
-    width = C._halfwidth(pair, ms, order)
+    width = plan.halfwidth(pair, ms, order)
     x1 = S.mul(eval_along(ms.d1(), pair, (-width, width)), pair.g)
     x2 = S.scale(S.mul(eval_along(ms.d2(), pair, (-width, width)), pair.f), -1.0)
-    gp = streamed_powers(pair.g, order + 1, width + order + 8)
-    fp = streamed_powers(pair.f, order + 1, width + order + 8)
+    gp = streamed_powers(pair.g, order + 1, plan.chain_depth(pair, ms, order))
+    fp = streamed_powers(pair.f, order + 1, plan.chain_depth(pair, ms, order))
     defects = []
     for k in range(-order, order + 1):
         a_k = S.residue_mul(S.mul(x1, gp[-k - 1]), pair.g_prime())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dtoda import flows
 from dtoda import series as S
 from dtoda.conformal_pair import from_coefficients, random_pair
-from dtoda.grunsky import grunsky_table
 from dtoda.hamiltonian import GaugeTerm, HamiltonianH
 from dtoda.coords import time_variables
 from dtoda.flows import (
@@ -172,19 +171,19 @@ def test_jacobian_single_entry_identity(fix_id):
     assert abs((tp[1] - tm[1]) / (2 * eps) - 1.0) < 1e-7
 
 
-def test_jacobian_identity_pair(fix_id):
-    assert jacobian_check(fix_id, H_BASIC, 4) < 1e-6
+def test_jacobian_identity_pair(fix_id, context):
+    assert jacobian_check(context(fix_id, H_BASIC), 4) < 1e-6
 
 
-def test_jacobian_random_pair(fix_rand):
-    assert jacobian_check(fix_rand, H_BASIC, 8) < 1e-6
+def test_jacobian_random_pair(fix_rand, context):
+    assert jacobian_check(context(fix_rand, H_BASIC), 8) < 1e-6
 
 
-def test_jacobian_two_term_potential(fix_rand):
-    assert jacobian_check(fix_rand, H_LIST[1], 4) < 1e-6
+def test_jacobian_two_term_potential(fix_rand, context):
+    assert jacobian_check(context(fix_rand, H_LIST[1]), 4) < 1e-6
 
 
-def test_probes_build_one_field_per_direction(fix_sig, fix_id, monkeypatch):
+def test_probes_build_one_field_per_direction(fix_sig, fix_id, context, monkeypatch):
     """Both probes of direction n are Euler steps along one flow_field(n)."""
     eps, modes = 1e-5, range(-2, 3)
     quotients = []
@@ -201,33 +200,39 @@ def test_probes_build_one_field_per_direction(fix_sig, fix_id, monkeypatch):
         return build(pair, h, n, *args, **kwargs)
 
     monkeypatch.setattr(flows, "flow_field", counted)
-    assert jacobian_check(fix_sig, H_BASIC, 2, eps=eps) == by_steps
+    assert jacobian_check(context(fix_sig, H_BASIC, eps_fd=eps), 2) == by_steps
     assert calls == list(modes)
     calls.clear()
-    tau_gradient_check(fix_id, H_BASIC, 1, eps=eps)
+    tau_gradient_check(context(fix_id, H_BASIC, eps_fd=eps), 1)
     assert calls == [-1, 0, 1]
+    # a context shares its fields between the two checks
+    calls.clear()
+    ctx = context(fix_id, H_BASIC, eps_fd=eps)
+    jacobian_check(ctx, 2)
+    tau_gradient_check(ctx, 1)
+    assert calls == list(modes)
 
 
 # ---------------------------------------------------------------------------
 # string relation
 
 
-def test_string_identity_exact(fix_id):
-    assert string_check(fix_id, H_BASIC) == 0.0
+def test_string_identity_exact(fix_id, context):
+    assert string_check(context(fix_id, H_BASIC)) == 0.0
 
 
-def test_string_random(fix_rand):
+def test_string_random(fix_rand, context):
     for h in H_LIST:
-        assert string_check(fix_rand, h) < 1e-9
+        assert string_check(context(fix_rand, h)) < 1e-9
 
 
-def test_string_sigma_fixture(fix_sig):
-    assert string_check(fix_sig, H_LIST[2]) < 1e-9
+def test_string_sigma_fixture(fix_sig, context):
+    assert string_check(context(fix_sig, H_LIST[2])) < 1e-9
 
 
-def test_string_gauge_invariant(fix_rand):
-    plain = string_check(fix_rand, H_LIST[0])
-    gauged = string_check(fix_rand, H_LIST[0], gauge=GAUGE)
+def test_string_gauge_invariant(fix_rand, context):
+    plain = string_check(context(fix_rand, H_LIST[0]))
+    gauged = string_check(context(fix_rand, H_LIST[0], gauge=GAUGE))
     assert abs(plain - gauged) <= 1e-12
 
 
@@ -235,48 +240,48 @@ def test_string_gauge_invariant(fix_rand):
 # bracket forms of the evolution
 
 
-def test_lax_identity_exact(fix_id):
-    table = grunsky_table(fix_id, 4)
-    assert lax_check(fix_id, H_BASIC, table, 1) == 0.0
+def test_lax_identity_exact(fix_id, context):
+    assert lax_check(context(fix_id, H_BASIC), 1, 4) == 0.0
 
 
-def test_lax_random(fix_rand):
-    table = grunsky_table(fix_rand, 4)
+def test_lax_random(fix_rand, context):
+    ctx = context(fix_rand, H_BASIC)
     for n in (-3, -2, -1, 1, 2, 3):
-        assert lax_check(fix_rand, H_BASIC, table, n) < 1e-8
+        assert lax_check(ctx, n, 4) < 1e-8
+    ctx = context(fix_rand, H_LIST[1])
     for n in (-2, 1):
-        assert lax_check(fix_rand, H_LIST[1], table, n) < 1e-8
+        assert lax_check(ctx, n, 4) < 1e-8
 
 
-def test_lax_rejects_index_zero(fix_rand):
-    table = grunsky_table(fix_rand, 2)
+def test_lax_rejects_index_zero(fix_rand, context):
+    ctx = context(fix_rand, H_BASIC)
     with pytest.raises(ValueError):
-        lax_check(fix_rand, H_BASIC, table, 0)
+        lax_check(ctx, 0, 2)
     with pytest.raises(S.SeriesError):
-        lax_check(fix_rand, H_BASIC, table, 5)
+        lax_check(ctx, 5, 2)
 
 
-def test_canonical_bracket_identity_exact(fix_id):
-    assert canonical_bracket_check(fix_id, H_BASIC) == 0.0
+def test_canonical_bracket_identity_exact(fix_id, context):
+    assert canonical_bracket_check(context(fix_id, H_BASIC)) == 0.0
 
 
-def test_canonical_bracket_random(fix_rand):
+def test_canonical_bracket_random(fix_rand, context):
     for h in H_LIST:
-        assert canonical_bracket_check(fix_rand, h) < 1e-8
+        assert canonical_bracket_check(context(fix_rand, h)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
 # what the tau function generates
 
 
-def test_tau_gradient_identity(fix_id):
-    report = tau_gradient_check(fix_id, H_BASIC, 2)
+def test_tau_gradient_identity(fix_id, context):
+    report = tau_gradient_check(context(fix_id, H_BASIC), 2)
     assert report["v0_t0"] < 1e-6  # b = 1 makes -2 b00 = 0
     assert report["max"] < 1e-6
 
 
-def test_tau_gradient_random(fix_rand):
-    report = tau_gradient_check(fix_rand, H_BASIC, 6)
+def test_tau_gradient_random(fix_rand, context):
+    report = tau_gradient_check(context(fix_rand, H_BASIC), 6)
     assert report["gradient"] < 1e-6
     assert report["hessian"] < 1e-6
     assert report["hessian_symmetry"] < 1e-6

@@ -5,6 +5,7 @@ renamed function or a changed signature shows up here first.  The
 benchmark summariser runs on small synthetic results files.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -71,11 +72,27 @@ def test_output_digest_lists_every_stream_and_file():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
+    exits = [line for line in lines if " exit " in line]
     keys = [tuple(line.split()[:3]) for line in lines]
-    assert len(set(keys)) == len(keys) == 3 * 5 * 4 + 1
-    # the random pair has a complex b, which `sigma` rejects with exit 2
-    assert [line for line in lines if " exit " in line] == ["random sigma exit 2"]
+    assert len(set(keys)) == len(keys) == 3 * 7 * 4 + len(exits)
+    # the random pair has a complex b, which `sigma` rejects with exit 2;
+    # the full battery fails some checks on the random and sigma pairs
+    assert exits == ["random sigma exit 2", "random verify-all exit 1",
+                     "sigma verify-all exit 1"]
     assert "random sigma json absent" in lines
+    # a verify battery writes both report files whatever its exit code
+    assert not [line for line in lines if " verify" in line and line.endswith("absent")]
     for line in lines:
         if " exit " not in line and not line.endswith("absent"):
             assert len(line.split()[3]) == 64, line
+
+
+def test_output_digest_masks_only_the_timing_lines():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "scripts" / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    err = (b"# jacobian: 0.123s\n# total: 12.500s\n"
+           b"dtoda: error: eps 0.5s\n# note: 0.1s\n")
+    assert digest.masked(err) == (b"# jacobian: <s>\n# total: <s>\n"
+                                  b"dtoda: error: eps 0.5s\n# note: 0.1s\n")

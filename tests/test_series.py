@@ -950,15 +950,16 @@ def test_combine_matches_the_add_scale_chain(case):
 def test_phi_psi_sums_match_horner(fix_rand):
     """log tau's Z2 reads Phi(g) and Psi(f) built by `combine` as Horner built them."""
     from dtoda import coords as C
+    from dtoda import plan
     from dtoda.hamiltonian import HamiltonianH, eval_along
 
     h, order = HamiltonianH.of((1, 1, 1.0)), 8
     t, v, _ = C.time_variables(fix_rand, h, order)
     z2 = C.log_tau(fix_rand, h, t, v, C.v_zero(fix_rand, h))[1]
-    ms, width = h.as_sum(), C._halfwidth(fix_rand, h.as_sum(), order)
+    ms, width = h.as_sum(), plan.halfwidth(fix_rand, h.as_sum(), order)
     m1, m2 = (S.mul(eval_along(d, fix_rand, (-width, width)), p)
               for d, p in ((ms.d1(), fix_rand.g_prime()), (ms.d2(), fix_rand.f_prime())))
-    g_inv = S.int_pow(fix_rand.g, -1, depth=width + order + 8)
+    g_inv = S.int_pow(fix_rand.g, -1, depth=plan.chain_depth(fix_rand, ms, order))
     phi = horner([v[n] / n for n in range(1, order + 1)], g_inv, (-width, width))
     psi = horner([v[-n] / n for n in range(1, order + 1)], fix_rand.f, (-width, width))
     want = (S.residue_mul(m1, phi) + S.residue_mul(m2, psi)) / 2.0

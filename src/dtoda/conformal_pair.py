@@ -34,6 +34,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import plan
 from . import series as S
 from .series import AT_INFINITY, AT_ZERO, NEG_INF, POS_INF, LaurentSeries, SeriesError
 
@@ -140,7 +141,7 @@ def sigma_image(s: LaurentSeries, order: int) -> LaurentSeries:
     returns the original series to reliable order.
     """
     order = int(order)
-    depth = order + 4
+    depth = plan.sigma_image_depth(order)
     # conj(s)(1/w) = w^-1 * p(w) with p as below; the image is w / p.
     if s.flavor == AT_INFINITY:
         # s = b w + b0 + sum b_k w^-k  ->  p = conj(b) + conj(b0) w + sum conj(b_k) w^{k+1}

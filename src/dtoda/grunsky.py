@@ -30,10 +30,12 @@ provided:
   where log(g/w) = log b + log(1+u_g) and log(f/w) = -log b + log(1+u_f)
   share one branch constant so the two halves pair consistently.
 
-* :func:`grunsky_via_inverse` — the oracle path: inverts both maps (at
-  `plan.inverse_depth`, so corner entries are unaffected by inversion
-  truncation) and expands the kernel logarithms formally as truncated
-  bivariate power series; no residue pairing is involved.  The bivariate
+* :func:`grunsky_via_inverse` — the oracle path: inverts both maps by
+  Lagrange inversion (`series.invert_function`: [z^-n] G = -res(g^n)/n,
+  [z^n] F = res(f^-n)/n, at `plan.inverse_depth`, so corner entries are
+  unaffected by inversion truncation) and expands the kernel logarithms
+  formally as truncated bivariate power series; no residue pairing of
+  the table's weights is involved.  The bivariate
   log L = log(1+W) is solved row by row in z1 from theta L * (1 + W) =
   theta W, theta = z1 d/dz1 (:func:`_log2d`).
 

@@ -37,6 +37,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from . import plan
 from . import series as S
 from .series import LaurentSeries
 
@@ -131,14 +132,13 @@ def eval_along(ms, pair, window) -> LaurentSeries:
     """Substitute z1 = g(w), z2 = f(w) and clip to ``window``.
 
     Negative powers use a Newton-doubling reciprocal (``series.int_pow``)
-    deep enough that the result's reliability claim covers the window.
+    at `plan.eval_depth`, deep enough that the result's reliability claim
+    covers the window.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty window")
-    terms = ms.terms
-    spread = max((abs(mu) + abs(nu) for mu, nu, _ in terms), default=0)
-    depth = max(16, (hi - lo) + 2 * spread + 8)
+    depth = plan.eval_depth(ms, (lo, hi))
     g_pows: dict = {}
     f_pows: dict = {}
 
@@ -148,7 +148,7 @@ def eval_along(ms, pair, window) -> LaurentSeries:
         return cache[k]
 
     acc = None
-    for mu, nu, c in terms:
+    for mu, nu, c in ms.terms:
         if mu and nu:
             prod = S.mul(power(pair.g, g_pows, mu), power(pair.f, f_pows, -nu))
         elif mu:

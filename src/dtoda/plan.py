@@ -24,6 +24,14 @@ def bracket_halfwidth(pair, ms) -> int:
     return halfwidth(pair, ms, 0) + 4
 
 
+def eval_depth(ms, window) -> int:
+    """Negative powers of g and f substituted into a potential: reliable
+    across the clip window after a term's powers shift it by up to the
+    potential's spread on either side, with margin; at least 16."""
+    spread = max((abs(mu) + abs(nu) for mu, nu, _ in ms.terms), default=0)
+    return max(16, (window[1] - window[0]) + 2 * spread + 8)
+
+
 def check_pad(pair) -> int:
     """u_n in coefficientwise checks: the quotient's tail decays at the rate of
     the denominator's zeros near the circle, not at the pair's."""
@@ -55,6 +63,12 @@ def inverse_depth(n_max: int) -> int:
 def green_inverse_depth(n_max: int) -> int:
     """Green kernel's inversion: entries up to ``n_max`` with margin."""
     return n_max + 4
+
+
+def sigma_image_depth(order: int) -> int:
+    """Reciprocal of a reflected germ: covers the stored image, [1, order + 1]
+    or [-order, 1], with margin."""
+    return order + 4
 
 
 def sigma_pair_order(order: int) -> int:

@@ -14,9 +14,9 @@ tagged with
   exactly zero, and the reliable window may extend past the stored window
   (a claim that the true coefficients there are zero).  Exact polynomials
   carry the sentinels ``(-inf, +inf)``.  Operations that truncate an
-  infinite tail (negative integer powers, ``log1p``, ``invert_function``,
-  ``divide_on_circle``, lossy clips) install finite edges, and the ring
-  operations propagate them.
+  infinite tail (negative integer powers and ``reciprocal_powers``,
+  ``log1p``, ``invert_function``, ``divide_on_circle``, lossy clips)
+  install finite edges, and the ring operations propagate them.
 
 Reliability propagation through a product pairs a truncation edge of one
 factor with the *leading* exponent of the other factor (the exponent
@@ -26,17 +26,20 @@ with sub-leading coefficients, and dropped x dropped terms, are of the
 order of the dropped coefficients themselves; with geometrically decaying
 tails and the window depths used throughout this package they sit far
 below every tolerance in the verification suite, and are waived.  The
-iterative solvers (Newton-doubling reciprocal, Newton functional
-inversion) and ``log1p``, taken as the integral of u' / (1 + u) on that
-reciprocal, claim their output reliability from their truncation and
-convergence analysis rather than from interval propagation through every
-intermediate; round-trip identities and 40-digit oracles in the
-test-suite check those claims directly.
+Newton-doubling reciprocal and ``log1p``, taken as the integral of
+u' / (1 + u) on that reciprocal, claim their output reliability from
+their truncation and convergence analysis, and ``invert_function`` from
+Lagrange inversion (each output coefficient is a residue of a power of
+the input that reads only input coefficients inside the window), rather
+than from interval propagation through every intermediate; round-trip
+identities and 40-digit oracles in the test-suite check those claims
+directly.
 
 Power chains have one kernel, `powers` (clipped only where no later
 factor can carry a dropped coefficient into the requested window), and
 linear combinations another, `combine` (one vector-matrix product).
-`int_pow` is a single power by repeated squaring, with no window.
+`int_pow` is a single power by repeated squaring, with no window;
+`invert_function` reads its coefficients off one chain.
 
 All coefficients are complex doubles, all operations are pure (inputs are
 never mutated) and deterministic: identical inputs give bit-identical
@@ -190,11 +193,6 @@ def constant(value, flavor: str = TWO_SIDED) -> LaurentSeries:
 
 def zero(flavor: str = TWO_SIDED) -> LaurentSeries:
     return monomial(0, 0.0, flavor)
-
-
-def _strip(a: LaurentSeries) -> LaurentSeries:
-    """Same window, reliability dropped (internal use by solvers)."""
-    return LaurentSeries(a.lo_exp, a.coeffs, a.flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -659,23 +657,20 @@ def eval_at_points(a: LaurentSeries, pts: np.ndarray) -> np.ndarray:
 
 
 def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
-    """Compositional inverse G with a(G(z)) = z, by Newton iteration.
+    """Compositional inverse G with a(G(z)) = z, by Lagrange inversion.
 
     AT_ZERO input  a = a1*w + a2*w^2 + ...  (a1 != 0) gives G = z/a1 + ...
     on the window [1, 1 + depth], reliable up to that edge.  AT_INFINITY
-    input a = b*w + b0 + b1/w + ... (b != 0) gives G = z/b + ... on the
-    window [1 - depth, 1], reliable down to that edge.  The input is read
-    on the same window as the output, zero-padded or truncated; by
+    input a = b*w + b0 + b1/w + ... (b != 0) gives G = z/b - b0/b + ... on
+    the window [1 - depth, 1], reliable down to that edge.  The input is
+    read on the same window as the output, zero-padded or truncated; by
     default ``depth`` is read from the stored window (``hi_exp - 1`` or
     ``1 - lo_exp``, at least 1).
-    Each Newton step reads a(G) and a'(G) off one power chain of G (of
-    1/G at infinity), by `powers` and `combine`.
-    Precision doubling (Brent & Kung): a step at depth d makes an iterate
-    right to local order c right to min(d, 2c + 1), so step j < ceil(log2(
-    depth + 1)) works at d = min(depth, 2**j) (window, coefficients, chain
-    and reciprocal cut to d), and two full-depth steps follow.  The output
-    reliability claim rests on this convergence (round trips and a 40-digit
-    Lagrange-inversion oracle are asserted in the test-suite).
+    Every other coefficient is a residue of a power of a: [z^n] G =
+    res(a^-n) / n at zero, off one `reciprocal_powers` chain, and [z^-n] G =
+    -res(a^n) / n at infinity, off one `powers` chain.  A residue reads
+    only input coefficients inside the window, so the output is exact up
+    to rounding there (a 40-digit oracle is asserted in the test-suite).
     """
     if a.flavor == AT_ZERO:
         form, stray = "a1*w + ...", a.lo_exp < 1 and np.any(a.coeffs[: 1 - a.lo_exp] != 0)
@@ -685,42 +680,23 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
         raise SeriesError("invert_function needs a germ flavor")
     if abs(a.coeff(1)) < 1e-300 or stray:
         raise NonInvertibleError(f"non-invertible leading term: need a = {form}")
-    b = a.coeff(1)
     if a.flavor == AT_ZERO:
         depth = max(a.hi_exp - 1, 1) if depth is None else int(depth)
-        g = monomial(1, 1.0 / b, AT_ZERO)
-        acoeffs = [a.coeff(k) for k in range(1, depth + 2)]
-        dcoeffs = [k * a.coeff(k) for k in range(2, depth + 2)]
-
-        def compose(g, d):
-            """a(g) and a'(g) off the chain g**1 .. g**(d+1)."""
-            chain = powers(g, d + 1, (1, d + 2))
-            return (clip(combine(acoeffs[:d + 1], chain), 1, d + 2),
-                    add(clip(combine(dcoeffs[:d], chain[:-1]), 1, d + 1), constant(b)))
+        window = (1, 1 + depth)
+        chain = reciprocal_powers(LaurentSeries(1, dense(a, *window), AT_ZERO),
+                                  depth + 1, depth, (-1, -1))
+        out = np.array([row.coeff(-1) for row in chain]) / np.arange(1, depth + 2)
+        reliable = (NEG_INF, window[1])
     else:
         depth = max(1 - a.lo_exp, 1) if depth is None else int(depth)
-        b0 = a.coeff(0)
-        g = LaurentSeries.from_pairs({1: 1.0 / b, 0: -b0 / b}, AT_INFINITY)
-        # a = b*w + b0 + sum_k tail[k-1] w**-k, read down to w**(1-depth)
-        tail = [a.coeff(-k) for k in range(1, depth)]
-        dtail = [-k * c for k, c in enumerate(tail, 1)]
-
-        def compose(g, d):
-            """a(g) and a'(g) off the chain g**-1 .. g**-d."""
-            rec = _strip(int_pow(g, -1, depth=d + 2))
-            chain = powers(rec, d, (-d, 1))
-            comp = clip(combine(tail[:d - 1], chain[:-1]), -d, 1)
-            return (add(comp, add(scale(g, b), constant(b0, AT_INFINITY))),
-                    add(clip(combine(dtail[:d - 1], chain[1:]), -d, 0), constant(b, AT_INFINITY)))
-    zc = monomial(1, 1.0, a.flavor)
-    grow = [min(depth, 2 ** j) for j in range(math.ceil(math.log2(depth + 1)))]
-    for d in grow + [depth, depth]:
-        comp, slope = compose(g, d)
-        dinv = _strip(int_pow(slope, -1, depth=d + 2))
-        window = (1, 1 + d) if a.flavor == AT_ZERO else (1 - d, 1)
-        g = _strip(clip(sub(g, clip(mul(sub(comp, zc), dinv), *window)), *window))
-    reliable = (NEG_INF, window[1]) if a.flavor == AT_ZERO else (window[0], POS_INF)
-    return LaurentSeries(g.lo_exp, g.coeffs, a.flavor, reliable)
+        window = (1 - depth, 1)
+        chain = powers(LaurentSeries(window[0], dense(a, *window), AT_INFINITY),
+                       depth - 1, (-1, -1))
+        tail = -np.array([row.coeff(-1) for row in chain]) / np.arange(1, depth)
+        b = a.coeff(1)
+        out = np.concatenate([tail[::-1], [-a.coeff(0) / b, 1.0 / b]])
+        reliable = (window[0], POS_INF)
+    return LaurentSeries(window[0], out, a.flavor, reliable)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 
 from dtoda import conformal_pair as CP
 from dtoda import grunsky as G
+from dtoda import plan
 from dtoda import series as S
 from dtoda.series import SeriesError
 
@@ -383,31 +384,54 @@ def test_order64_dual_path(poly64):
 # the oracle path's inversions against Lagrange inversion at 40 digits
 
 
-def _mp_inverse_coefficients(pair, depth_g, depth_f):
-    """Coefficients of G = g^-1 on [1 - depth_g, 1] and F = f^-1 on [1, 1 + depth_f].
+def _mp_inverse_g(g, depth):
+    """Coefficients of G = g^-1 on [1 - depth, 1], at 40 digits.
 
     Lagrange inversion: [z^-n] G = -(1/n) res g^n for n >= 1, where
-    res g^n = b^n [x^(n+1)] (1 + v)^n with g = b w (1 + v(1/w)), and
-    [z^n] F = (1/n) [w^(n-1)] (w/f)^n = (1/n) a1^-n [w^(n-1)] (1 + u)^-n.
+    res g^n = b^n [x^(n+1)] (1 + v)^n with g = b w (1 + v(1/w)).
     """
     with mpmath.workdps(40):
-        b, v = _mp_normalized(pair.g, -1)
-        big_g = {1: 1 / b, 0: -mpmath.mpc(pair.g.coeff(0)) / b}
-        for n in range(1, depth_g):
+        b, v = _mp_normalized(g, -1)
+        big_g = {1: 1 / b, 0: -mpmath.mpc(g.coeff(0)) / b}
+        for n in range(1, depth):
             big_g[-n] = -b ** n * _mp_binomial(v, n, n + 1)[n + 1] / n
-        a1, u = _mp_normalized(pair.f, 1)
-        big_f = {n: _mp_binomial(u, -n, n - 1)[n - 1] / (n * a1 ** n)
-                 for n in range(1, depth_f + 2)}
-        return ({k: complex(c) for k, c in big_g.items()},
-                {k: complex(c) for k, c in big_f.items()})
+        return {k: complex(c) for k, c in big_g.items()}
 
 
-def test_oracle_inversions_match_lagrange_inversion(poly64):
-    """`invert_function` at the depths `grunsky_via_inverse` uses at order 64."""
-    depth = 2 * 64 + 4
-    want_g, want_f = _mp_inverse_coefficients(poly64, depth + 1, depth)
-    for got, want in ((S.invert_function(poly64.g, depth + 1), want_g),
-                      (S.invert_function(poly64.f, depth), want_f)):
+def _mp_inverse_f(f, depth):
+    """Coefficients of F = f^-1 on [1, 1 + depth], at 40 digits:
+    [z^n] F = (1/n) [w^(n-1)] (w/f)^n = (1/n) a1^-n [w^(n-1)] (1 + u)^-n."""
+    with mpmath.workdps(40):
+        a1, u = _mp_normalized(f, 1)
+        return {n: complex(_mp_binomial(u, -n, n - 1)[n - 1] / (n * a1 ** n))
+                for n in range(1, depth + 2)}
+
+
+@pytest.fixture(scope="module")
+def large_b64():
+    """A tables-poly64 pair (seed 37, config 11) from the large-|b| quarter
+    of the workload's box, where grunsky_dual_path fails its 1e-10."""
+    g = {1: 1.073457137249394 + 0.0364784316806856j,
+         0: 0.03389494505784732 + 0.03162592845533299j,
+         -1: -0.03360696505055104 - 0.038818984224619484j,
+         -2: -0.007704291080278685 - 0.016488124734133393j}
+    f = {1: 0.9304950404093493 - 0.03162026557274949j,
+         2: 0.016769710989517753 + 0.03719470885604674j,
+         3: 0.012480104384465444 + 0.009740324953492925j}
+    return CP.from_coefficients(g, f, 64)
+
+
+def test_oracle_inversions_match_lagrange_inversion(poly64, large_b64, fix_sig):
+    """`invert_function` at the depths `grunsky_via_inverse` uses at order 64,
+    and at the Green kernel's depths on the sigma fixture's g."""
+    cases = []
+    for pair in (poly64, large_b64):
+        depth = plan.inverse_depth(64)
+        cases += [(pair.g, depth + 1, _mp_inverse_g), (pair.f, depth, _mp_inverse_f)]
+    for order in (plan.probe_order(fix_sig.order), fix_sig.order):
+        cases.append((fix_sig.g, plan.green_inverse_depth(order) + 1, _mp_inverse_g))
+    for a, depth, oracle in cases:
+        got, want = S.invert_function(a, depth), oracle(a, depth)
         assert (got.lo_exp, got.hi_exp) == (min(want), max(want))
         scale = max(abs(c) for c in want.values())
         assert max(abs(got.coeff(k) - c) for k, c in want.items()) <= 1e-14 * scale

@@ -864,14 +864,20 @@ def test_reciprocal_powers_match_negative_int_pow(fix_rand):
     _decaying(AT_ZERO, 9, {1: 1.3}),
     _decaying(AT_INFINITY, 10, {1: 0.8, 0: 0.2}),
 ], ids=["at-zero", "at-infinity"])
-def test_invert_function_doubles_its_working_depth(a, monkeypatch):
-    # the chain of a step at depth d has d + 1 rows at zero, d at infinity
-    lengths, real = [], S.powers
-    monkeypatch.setattr(S, "powers", lambda base, n, window=None:
-                        lengths.append(n) or real(base, n, window))
+def test_invert_function_builds_one_chain(a, monkeypatch):
+    # Lagrange inversion: residues of a**-1 .. a**-(depth+1) at zero, whose
+    # reciprocal chain is one `powers` chain, and of a**1 .. a**(depth-1) at infinity
+    calls = []
+    for name in ("powers", "reciprocal_powers"):
+        real = getattr(S, name)
+        monkeypatch.setattr(S, name, lambda base, n, *rest, name=name, real=real:
+                            calls.append((name, n)) or real(base, n, *rest))
     depth = 133
     S.invert_function(a, depth)
-    assert 1 <= sum(n >= depth for n in lengths) <= 3
+    if a.flavor == AT_ZERO:
+        assert calls == [("reciprocal_powers", depth + 1), ("powers", depth + 1)]
+    else:
+        assert calls == [("powers", depth - 1)]
 
 
 @st.composite

@@ -29,11 +29,11 @@ here is a residue of an exact truncated-Laurent product in w:
   which Z2 reproduces through the series composition.
 
 A moment object (`Moments`) per (pair, potential, gauge, order) builds
-d1H and d2H along the pair, M1, M2, their power chains and every
-coordinate read off them once: `series.residue_matrix` products of M1 and
-M2 against the chains, and Phi(g), Psi(f) one `series.combine` each; v_0
-reads the object at the full pair order, its window.  The public
-functions build their own; `context.PairContext` shares them.
+d1H, d2H, M1, M2 along the pair, their power chains and each coordinate
+once, by `series.residue_matrix` products against the chains (`Moments.t`
+builds only the two chains t reads) and one `series.combine` each for
+Phi(g), Psi(f); v_0 is read at the full pair order.  The public functions
+build their own; `context.PairContext` shares them.
 
 Gauge monomials (single-variable terms) enter ``time_variables``,
 ``v_zero`` and ``plemelj_check`` through the optional ``gauge`` argument;
@@ -90,8 +90,9 @@ class Moments:
     is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are g**1..g**order
     and the powers of the depth-``depth`` reciprocal ``g_inv``, exact where
     M1 reads them and on (-width, width), where log tau composes Phi(g);
-    ``f_up``/``f_down`` likewise against M2 and for Psi(f).  ``times`` is
-    (t, v, t0_alt), ``v0`` is read at the full pair order.
+    ``f_up``/``f_down`` likewise against M2 and for Psi(f).  ``t`` reads
+    ``g_down`` and ``f_up`` alone, ``times`` is (t, v, t0_alt) and reads
+    all four; ``v0`` is read at the full pair order.
     """
 
     def __init__(self, pair, h, gauge: Sequence[GaugeTerm], order: int):
@@ -124,23 +125,32 @@ class Moments:
     f_down = cached_property(lambda self: self._chain(self.f_inv, self.m[1]))
 
     @cached_property
+    def t(self) -> Dict[int, complex]:
+        m1, m2 = self.m
+        # res(M1 g^-n), res(M2 f^n), n = 1..order
+        rg = S.residue_matrix([m1], self.g_down)[0].tolist()
+        rf = S.residue_matrix([m2], self.f_up)[0].tolist()
+        t = {0: m1.residue()}
+        for n in range(1, self.order + 1):
+            t[n], t[-n] = rg[n - 1] / n, rf[n - 1] / n
+        return t
+
+    @cached_property
     def times(self):
-        (m1, m2), order = self.m, self.order
-        t, v = {0: S.residue(m1)}, {}
-        # res(M1 g^n), res(M1 g^-n), then res(M2 f^n), res(M2 f^-n), n = 1..order
-        rg = S.residue_matrix([m1], self.g_up + self.g_down)[0].tolist()
-        rf = S.residue_matrix([m2], self.f_up + self.f_down)[0].tolist()
-        for n in range(1, order + 1):
-            v[n], t[n] = rg[n - 1], rg[order + n - 1] / n
-            t[-n], v[-n] = rf[n - 1] / n, rf[order + n - 1]
-        return t, v, -S.residue(m2)
+        (m1, m2), t, v = self.m, self.t, {}
+        # res(M1 g^n), res(M2 f^-n), n = 1..order
+        rg = S.residue_matrix([m1], self.g_up)[0].tolist()
+        rf = S.residue_matrix([m2], self.f_down)[0].tolist()
+        for n in range(1, self.order + 1):
+            v[n], v[-n] = rg[n - 1], rf[n - 1]
+        return t, v, -m2.residue()
 
     @cached_property
     def v0(self) -> complex:
         m1, m2 = self.m
         log_g, log_f = _paired_logs(self.pair, self.width)
         h_along = eval_along(self.ms, self.pair, (-self.width, self.width))
-        return S.residue_mul(m1, log_g) + S.residue_mul(m2, log_f) - S.coeff(h_along, 0)
+        return S.residue_mul(m1, log_g) + S.residue_mul(m2, log_f) - h_along.coeff(0)
 
     @cached_property
     def plemelj(self) -> float:

@@ -38,7 +38,7 @@ from .conformal_pair import ConformalPair, from_coefficients
 from . import plan
 from .grunsky import b_polynomial, faber
 from .hamiltonian import eval_along
-from .coords import _total_sum, time_variables, toda_coordinates
+from .coords import Moments, _total_sum, toda_coordinates
 
 __all__ = [
     "ChartError", "FlowField", "u_field", "flow_field", "step",
@@ -171,7 +171,7 @@ def jacobian_check(ctx, order: int) -> float:
     eps = ctx.eps_fd
     quotients = []
     for n in modes:
-        tp, tm = (time_variables(p, ctx.h, order)[0] for p in _probe_pairs(ctx, n))
+        tp, tm = (Moments(p, ctx.h, (), order).t for p in _probe_pairs(ctx, n))
         quotients.append([(tp[m] - tm[m]) / (2.0 * eps) for m in modes])
     return float(np.max(np.abs(np.array(quotients) - np.eye(len(modes)))))
 

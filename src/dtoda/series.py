@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,7 +98,8 @@ class LaurentSeries:
     ------
     lo_exp:   exponent of ``coeffs[0]``; entry k holds the coefficient of
               ``w**(lo_exp + k)``.
-    coeffs:   complex128 array (read-only), length >= 1.
+    coeffs:   complex128 array (read-only), length >= 1; copied if it or its
+              base is writeable (kernels pass fresh output `_frozen`).
     flavor:   one of AT_ZERO / AT_INFINITY / TWO_SIDED.
     reliable: pair (r_lo, r_hi); ints or -inf/+inf sentinels.
     """
@@ -111,8 +113,9 @@ class LaurentSeries:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise SeriesError("coefficient window must be a non-empty 1-d array")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        base = arr if arr.base is None else arr.base
+        if arr.flags.writeable or not isinstance(base, np.ndarray) or base.flags.writeable:
+            arr = _frozen(arr.copy())
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "lo_exp", int(self.lo_exp))
         if self.flavor not in _FLAVORS:
@@ -132,7 +135,7 @@ class LaurentSeries:
     def width(self) -> int:
         return self.coeffs.size
 
-    @property
+    @cached_property
     def lead(self) -> int | None:
         """Exponent of the largest stored coefficient (ties: lowest); None if all are zero."""
         mags = np.abs(self.coeffs)
@@ -176,11 +179,17 @@ class LaurentSeries:
         arr = np.zeros(hi - lo + 1, dtype=np.complex128)
         for e, c in items:
             arr[int(e) - lo] += complex(c)
-        return LaurentSeries(lo, arr, flavor, _as_reliable(reliable))
+        return LaurentSeries(lo, _frozen(arr), flavor, _as_reliable(reliable))
 
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: a kernel's fresh output, which a series then owns uncopied."""
+    arr.setflags(write=False)
+    return arr
 
 
 def monomial(exponent: int, coefficient=1.0, flavor: str = TWO_SIDED) -> LaurentSeries:
@@ -282,8 +291,7 @@ def project(a: LaurentSeries, lo=None, hi=None) -> LaurentSeries:
         anchor = int(lo) if lo is not None else int(hi)
         return LaurentSeries(anchor, np.zeros(1, dtype=np.complex128),
                              a.flavor, (r_lo, r_hi))
-    arr = a.coeffs[s_lo - a.lo_exp: s_hi - a.lo_exp + 1]
-    return LaurentSeries(s_lo, np.array(arr, dtype=np.complex128),
+    return LaurentSeries(s_lo, a.coeffs[s_lo - a.lo_exp: s_hi - a.lo_exp + 1],
                          a.flavor, (r_lo, r_hi))
 
 
@@ -301,11 +309,8 @@ def dense(a: LaurentSeries, lo: int, hi: int) -> np.ndarray:
 
 def shift(a: LaurentSeries, j: int) -> LaurentSeries:
     """Multiply by w**j (exact)."""
-    j = int(j)
-    r_lo, r_hi = a.reliable
-    r_lo = r_lo if math.isinf(r_lo) else r_lo + j
-    r_hi = r_hi if math.isinf(r_hi) else r_hi + j
-    return LaurentSeries(a.lo_exp + j, a.coeffs, a.flavor, (r_lo, r_hi))
+    j = int(j)  # an infinite reliability edge stays infinite
+    return LaurentSeries(a.lo_exp + j, a.coeffs, a.flavor, tuple(e + j for e in a.reliable))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +327,7 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     r_hi = min(a.reliable[1], b.reliable[1])
     if r_lo > r_hi:
         raise WindowUnderflowError("window underflow: sum has empty reliable window")
-    return LaurentSeries(lo, arr, _merge_flavor(a, b), (r_lo, r_hi))
+    return LaurentSeries(lo, _frozen(arr), _merge_flavor(a, b), (r_lo, r_hi))
 
 
 def combine(coeffs: Sequence, rows: Sequence[LaurentSeries]) -> LaurentSeries:
@@ -339,7 +344,7 @@ def combine(coeffs: Sequence, rows: Sequence[LaurentSeries]) -> LaurentSeries:
         raise WindowUnderflowError("window underflow: sum has empty reliable window")
     lo, hi = min(r.lo_exp for r in rows), max(r.hi_exp for r in rows)
     arr = np.asarray(coeffs, dtype=np.complex128) @ np.array([dense(r, lo, hi) for r in rows])
-    return LaurentSeries(lo, arr, _merge_flavor(*rows), (r_lo, r_hi))
+    return LaurentSeries(lo, _frozen(arr), _merge_flavor(*rows), (r_lo, r_hi))
 
 
 def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -347,13 +352,13 @@ def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def scale(a: LaurentSeries, factor) -> LaurentSeries:
-    return LaurentSeries(a.lo_exp, a.coeffs * complex(factor), a.flavor, a.reliable)
+    return LaurentSeries(a.lo_exp, _frozen(a.coeffs * complex(factor)), a.flavor, a.reliable)
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Windowed convolution product; reliability per module docstring."""
     reliable = _mul_reliable(a, b)
-    arr = np.convolve(a.coeffs, b.coeffs)
+    arr = _frozen(np.convolve(a.coeffs, b.coeffs))
     return LaurentSeries(a.lo_exp + b.lo_exp, arr, _merge_flavor(a, b), reliable)
 
 
@@ -381,7 +386,7 @@ def reciprocal_powers(a: LaurentSeries, n: int, depth: int, window) -> list:
     window = (window[0] + min(j, j * n), window[1] + max(j, j * n))
     rows = powers(_reciprocal(u, depth), n, window)
     scales = np.exp(-np.arange(1, n + 1) * np.log(c))
-    return [LaurentSeries(row.lo_exp - j * k, row.coeffs * s, row.flavor,
+    return [LaurentSeries(row.lo_exp - j * k, _frozen(row.coeffs * s), row.flavor,
                           tuple(e - j * k for e in row.reliable))
             for k, (row, s) in enumerate(zip(rows, scales), 1)]
 
@@ -389,22 +394,11 @@ def reciprocal_powers(a: LaurentSeries, n: int, depth: int, window) -> list:
 def derivative(a: LaurentSeries) -> LaurentSeries:
     """Termwise d/dw."""
     exps = np.arange(a.lo_exp, a.hi_exp + 1, dtype=np.float64)
-    arr = a.coeffs * exps
-    r_lo, r_hi = a.reliable
-    r_lo = r_lo if math.isinf(r_lo) else r_lo - 1
-    r_hi = r_hi if math.isinf(r_hi) else r_hi - 1
+    reliable = tuple(e - 1 for e in a.reliable)
     if a.width == 1 and a.lo_exp == 0:
         # derivative of a constant window: keep a well-formed zero window
-        return LaurentSeries(0, np.zeros(1), a.flavor, (r_lo, r_hi))
-    return LaurentSeries(a.lo_exp - 1, arr, a.flavor, (r_lo, r_hi))
-
-
-def residue(a: LaurentSeries) -> complex:
-    return a.residue()
-
-
-def coeff(a: LaurentSeries, k: int) -> complex:
-    return a.coeff(k)
+        return LaurentSeries(0, np.zeros(1), a.flavor, reliable)
+    return LaurentSeries(a.lo_exp - 1, _frozen(a.coeffs * exps), a.flavor, reliable)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +482,10 @@ def split_normalize(a: LaurentSeries) -> tuple:
     if abs(c) < 1e-300:
         raise NonInvertibleError("non-invertible leading term")
     j = a.lo_exp + idx
-    arr = (a.coeffs / c).copy()
+    arr = a.coeffs / c
     arr[idx] = 0.0  # subtract the leading 1 exactly
-    r_lo, r_hi = a.reliable
-    r_lo = r_lo if math.isinf(r_lo) else r_lo - j
-    r_hi = r_hi if math.isinf(r_hi) else r_hi - j
-    u = LaurentSeries(a.lo_exp - j, arr, a.flavor, (r_lo, r_hi))
-    return c, j, u
+    return c, j, LaurentSeries(a.lo_exp - j, _frozen(arr), a.flavor,
+                               tuple(e - j for e in a.reliable))
 
 
 def _decay_step(u: LaurentSeries) -> int:
@@ -732,9 +723,8 @@ def divide_on_circle(num: LaurentSeries, den: LaurentSeries,
         c = complex(den.coeffs[nz[0]])
         j = den.lo_exp + int(nz[0])
         out = clip(shift(scale(num, 1.0 / c), -j), lo, hi)
-        r_lo = lo if math.isinf(out.reliable[0]) else max(out.reliable[0], lo)
-        r_hi = hi if math.isinf(out.reliable[1]) else min(out.reliable[1], hi)
-        return LaurentSeries(lo, dense(out, lo, hi), flavor, (r_lo, r_hi))
+        return LaurentSeries(lo, dense(out, lo, hi), flavor,
+                             (max(out.reliable[0], lo), min(out.reliable[1], hi)))
     width = hi - lo + 1
     m = max(_next_pow2(4 * width), _next_pow2(int(samples)))
     pts = np.exp(2j * np.pi * np.arange(m) / m)
@@ -764,8 +754,7 @@ def max_abs_diff_reliable(a: LaurentSeries, b: LaurentSeries) -> float:
         raise WindowUnderflowError("window underflow: no common reliable window")
     lo = min(a.lo_exp, b.lo_exp)
     hi = max(a.hi_exp, b.hi_exp)
-    lo = lo if math.isinf(r_lo) else max(lo, int(r_lo))
-    hi = hi if math.isinf(r_hi) else min(hi, int(r_hi))
+    lo, hi = max(lo, r_lo), min(hi, r_hi)  # an infinite edge does not narrow the scan
     if lo > hi:
         return 0.0
     return float(np.max(np.abs(dense(a, lo, hi) - dense(b, lo, hi))))

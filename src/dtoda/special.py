@@ -119,7 +119,7 @@ def closed_form(pair, mu: int, nu: int, chains, moments: Moments) -> TodaCoordin
     log_g, log_f = _paired_logs(pair, moments.width)
     v0 = (mu * S.residue_mul(log_g, S.mul(gp[mu - 1], g_side))
           - nu * S.residue_mul(log_f, S.mul(fp[-nu - 1], f_side))
-          - S.coeff(S.mul(gp[mu], fp[-nu]), 0))
+          - S.mul(gp[mu], fp[-nu]).coeff(0))
 
     z1_part, z2_part, z3_part, log_t, z2_closed = moments.log_tau(t, v, v0)
     return TodaCoordinates(order=order, t=t, v=v, v0=v0, t0_alt=t0_alt,
@@ -211,7 +211,7 @@ def generating_identity(pair, coords: TodaCoordinates, mu: int, nu: int,
     for n in ns:
         integrated += [(t[n], gp[n]), (-v[n] / n, gp[-n]),
                        (-t[-n], fp[-n]), (v[-n] / n, fp[n])]
-    offset = S.coeff(S.sub(power, S.combine(*zip(*integrated))), 0)
+    offset = S.sub(power, S.combine(*zip(*integrated))).coeff(0)
     return GeneratingReport(g_side=float(g_side), f_side=float(f_side),
                             derivative=float(deriv_defect),
                             offset=complex(offset))

@@ -672,6 +672,19 @@ def test_non_finite_report_fails_and_writes_nothing(tmp_path, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command, field", [("coords", "v"), ("grunsky", "symmetry_defect")])
+def test_floating_point_faults_leave_one_diagnostic_line(tmp_path, command, field):
+    # 1e300/w overflows inside numpy kernels; their RuntimeWarnings (which
+    # name source lines) must not reach stderr beside the diagnostic
+    payload = identity_payload()
+    payload["pair"] = {"coefficients": {"g": {"1": 1.0, "-1": 1e300},
+                                        "f": {"1": 1.0}}}
+    payload["order"] = 4
+    code, out, err = run_cli_process([command, write_config(tmp_path, payload)])
+    assert (code, out) == (1, "")
+    assert err == f"dtoda: computation failed: report field '{field}' is not finite\n"
+
+
 @pytest.mark.parametrize("bad", [complex(0.5, float("nan")),
                                  complex(0.5, float("inf"))], ids=["nan", "inf"])
 @pytest.mark.parametrize("command, key", [("grunsky", "entries"),

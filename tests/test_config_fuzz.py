@@ -4,7 +4,8 @@ Hypothesis draws config dicts of every pair kind, with coefficients at
 the edges of the double range (0, +-1e300, subnormals), potentials with
 zero exponents, and orders 4-8, and runs five commands on each through
 `cli.main` in process.  Each must return 0, 1 or 2; an exception that
-escapes `main` fails the test with its traceback.
+escapes `main` fails the test with its traceback, and so does a numpy
+`RuntimeWarning` that escapes it (a failure is one diagnostic line).
 """
 
 import contextlib
@@ -13,10 +14,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtoda import cli
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EXTREMES = (0.0, 1e300, -1e300, 5e-324, -5e-324, 1e-310)
 numbers = st.one_of(st.sampled_from(EXTREMES),

@@ -170,11 +170,11 @@ def time_variables_reference(pair, h, order):
     m1, m2 = moment_series(pair, ms, width)
     gp = streamed_powers(pair.g, order, plan.chain_depth(pair, ms, order))
     fp = streamed_powers(pair.f, order, plan.chain_depth(pair, ms, order))
-    t, v = {0: S.residue(m1)}, {}
+    t, v = {0: m1.residue()}, {}
     for n in range(1, order + 1):
         t[n], v[n] = S.residue_mul(m1, gp[-n]) / n, S.residue_mul(m1, gp[n])
         t[-n], v[-n] = S.residue_mul(m2, fp[n]) / n, S.residue_mul(m2, fp[-n])
-    return t, v, -S.residue(m2)
+    return t, v, -m2.residue()
 
 
 def plemelj_reference(pair, h, order):
@@ -209,6 +209,23 @@ def test_time_variables_match_the_residue_loops(request, name, order):
     for got, want in [(t[k], t_ref[k]) for k in t] + [(v[k], v_ref[k]) for k in v]:
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
     assert alt == alt_ref
+
+
+@pytest.mark.parametrize("name,order", FIXTURE_ORDERS)
+def test_t_moments_read_only_the_t_chains(request, name, order):
+    """`Moments.t` builds g^-1..g^-N and f^1..f^N alone, and its t equals,
+    bit for bit, that of `time_variables` and that read off one residue
+    product over the joint chains (as `times` read it before the split)."""
+    pair = request.getfixturevalue(name)
+    mo = C.Moments(pair, H_BASIC, (), order)
+    t = mo.t
+    assert not {"g_up", "f_down", "f_inv", "times"} & mo.__dict__.keys()
+    assert t == time_variables(pair, H_BASIC, order)[0]
+    (m1, m2), ns = mo.m, range(1, order + 1)
+    rg = S.residue_matrix([m1], mo.g_up + mo.g_down)[0].tolist()
+    rf = S.residue_matrix([m2], mo.f_up + mo.f_down)[0].tolist()
+    assert [t[n] for n in ns] == [rg[order + n - 1] / n for n in ns]
+    assert [t[-n] for n in ns] == [rf[n - 1] / n for n in ns]
 
 
 @pytest.mark.parametrize("name,order", FIXTURE_ORDERS)

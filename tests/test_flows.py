@@ -1,15 +1,19 @@
 """Flow-field construction, stepping, and the dynamical identity checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtoda import flows
+from dtoda import plan
 from dtoda import series as S
+from dtoda.cli import load_config
 from dtoda.conformal_pair import from_coefficients, random_pair
 from dtoda.hamiltonian import GaugeTerm, HamiltonianH
-from dtoda.coords import time_variables
+from dtoda.coords import Moments, time_variables
 from dtoda.flows import (
     ChartError,
     canonical_bracket_check,
@@ -211,6 +215,29 @@ def test_probes_build_one_field_per_direction(fix_sig, fix_id, context, monkeypa
     jacobian_check(ctx, 2)
     tau_gradient_check(ctx, 1)
     assert calls == list(modes)
+
+
+def test_jacobian_probes_build_only_the_t_chains(monkeypatch):
+    """On the sigma fixture at order 16 the check reads t off 34 probe
+    moment objects (two per direction), none of which builds g^1..g^N,
+    f^-1..f^-N or the reciprocal of f; each probe's t is that of
+    `time_variables` bit for bit."""
+    built, init = [], Moments.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Moments, "__init__", recorded)
+    sigma = Path(__file__).resolve().parents[1] / "configs" / "fixture_sigma.json"
+    ctx = load_config(str(sigma)).context()
+    jacobian_check(ctx, plan.jacobian_order(ctx.order))
+    probes = list(built)
+    assert ctx.order == 16 and len(probes) == 34
+    for mo in probes:
+        assert "t" in mo.__dict__
+        assert not {"g_up", "f_down", "f_inv", "times"} & mo.__dict__.keys()
+        assert mo.t == time_variables(mo.pair, mo.h, mo.order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ def test_coeff_outside_window_is_exact_zero():
 def test_residue_reads_exponent_minus_one():
     a = LaurentSeries.from_pairs({-1: 4.5, 0: 1.0, 2: -2.0})
     assert a.residue() == 4.5
-    assert S.residue(a) == 4.5
 
 
 def test_immutability():
@@ -75,6 +74,46 @@ def test_empty_window_rejected():
 def test_reliable_must_be_nonempty():
     with pytest.raises(WindowUnderflowError):
         LaurentSeries(0, np.ones(3), TWO_SIDED, (2, 1))
+
+
+def test_caller_arrays_are_copied_and_kernel_output_is_not():
+    """A writeable array, or a read-only view of one, is copied, so later
+    writes by the caller do not reach the series; a read-only array the
+    series can own is taken as it is."""
+    arr = np.arange(1.0, 5.0) + 0j
+    a = LaurentSeries(0, arr)
+    view = arr[1:]
+    view.setflags(write=False)
+    b = LaurentSeries(1, view)
+    arr[:] = -7.0
+    assert a.coeffs.tolist() == [1, 2, 3, 4]
+    assert b.coeffs.tolist() == [2, 3, 4]
+    frozen = np.arange(3.0) + 0j
+    frozen.setflags(write=False)
+    assert LaurentSeries(0, frozen).coeffs is frozen
+    assert S.shift(a, 2).coeffs is a.coeffs
+
+
+def test_kernel_outputs_are_read_only():
+    a = LaurentSeries.from_pairs({-1: 2.0, 0: 1.0, 2: 0.5j}, AT_ZERO)
+    b = LaurentSeries.from_pairs({0: 1.0, 1: -3.0})
+    for out in (S.mul(a, b), S.add(a, b), S.scale(a, 2.0), S.shift(a, 3),
+                S.clip(a, 0, 1), S.combine([1.0, 2j], [a, b])):
+        assert not out.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            out.coeffs[0] = 9.0
+
+
+def test_cached_lead_equals_a_fresh_argmax():
+    """`lead` on the rows of a chain, an all-zero row among them."""
+    base = LaurentSeries.from_pairs({-1: 0.3, 0: 1.0, 1: 0.2 - 0.5j}, AT_ZERO)
+    rows = S.powers(base, 6, (-4, 4)) + [LaurentSeries(-3, np.zeros(4))]
+    for row in rows:
+        mags = np.abs(row.coeffs)
+        k = int(np.argmax(mags))
+        want = None if mags[k] == 0 else row.lo_exp + k
+        assert row.lead == want and row.__dict__["lead"] == want
+    assert rows[-1].lead is None
 
 
 # ---------------------------------------------------------------------------

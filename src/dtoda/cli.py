@@ -87,7 +87,6 @@ class ExperimentConfig:
     pair_data: dict
     order: int
     samples_m: int
-    eps_fd: float
     tolerances: Dict[str, float]
     outputs: Tuple[OutputSpec, ...] = ()
 
@@ -112,7 +111,7 @@ class ExperimentConfig:
     def context(self) -> PairContext:
         """The command's one context: the configured pair, potential and settings."""
         return PairContext(self.build_pair(), self.hamiltonian(), self.gauge,
-                           self.order, self.eps_fd, self.samples_m)
+                           self.order, self.samples_m)
 
 
 def _fail(field_name: str, message: str) -> None:
@@ -280,8 +279,8 @@ def load_config(path: str) -> ExperimentConfig:
         _fail("samples_M", "must be a power of two with "
               f"samples_M >= 4*(2*order+1) = {least}")
 
-    eps_fd = _as_real(raw.get("eps_fd", 1e-5), "eps_fd")
-    if not 1e-8 < eps_fd < 1e-2:
+    # no check reads eps_fd any more; the key stays valid in old configs
+    if not 1e-8 < _as_real(raw.get("eps_fd", 1e-5), "eps_fd") < 1e-2:
         _fail("eps_fd", "must lie strictly between 1e-8 and 1e-2")
 
     tol_raw = raw.get("tolerances", {})
@@ -305,7 +304,7 @@ def load_config(path: str) -> ExperimentConfig:
     pair_kind, pair_data = _parse_pair(raw["pair"])
     return ExperimentConfig(terms=terms, gauge=gauge, pair_kind=pair_kind,
                             pair_data=pair_data, order=order,
-                            samples_m=samples_m, eps_fd=eps_fd,
+                            samples_m=samples_m,
                             tolerances=tolerances,
                             outputs=_parse_outputs(raw.get("outputs")))
 
@@ -423,10 +422,8 @@ def _check_lax(ctx) -> float:
 
 
 def _check_v0_t0_b00(ctx) -> float:
-    eps = ctx.eps_fd
-    up, dn = (C.v_zero(F.step(ctx.pair, ctx.h, 0, s, method="rk4"), ctx.h) for s in (eps, -eps))
-    slope = (up - dn) / (2 * eps)
-    # grunsky_table sets its b00 entry to -log(b) by construction
+    # dv_0 along Q_0 against b00 = -log(b), which grunsky_table sets by construction
+    slope = S.residue_mul(ctx.tangent(0), S.sub(*ctx.chart_moments(ctx.pair.order).logs))
     return abs(slope - 2 * cmath.log(ctx.pair.b))
 
 
@@ -455,7 +452,7 @@ def _check_gauge_covariance(ctx) -> float:
 # name -> (default tolerance, residual read off the command's PairContext).
 # The names double as the vocabulary of the config's tolerances map and the
 # --checks flag.  Table checks read the config-order table; mode-probing
-# checks run at `plan.probe_order`, flow probes at `plan.jacobian_order` and
+# checks run at `plan.probe_order`, flow tangents at `plan.jacobian_order` and
 # `plan.gradient_order`.
 CHECKS: Dict[str, Tuple[float, Callable[[PairContext], float]]] = {
     "grunsky_symmetry": (1e-10, lambda ctx: ctx.table(ctx.order).symmetry_defect),
@@ -678,8 +675,7 @@ def _special_case(config: ExperimentConfig, mu: int, nu: int):
     """(closed form, general snapshot, generating report) of the monomial at
     the deepest order the pair certifies; the context is dropped on return."""
     pair = config.build_pair()
-    ctx = PairContext(pair, SP.MonomialCase(mu, nu).h, (), config.order,
-                      config.eps_fd, config.samples_m)
+    ctx = PairContext(pair, SP.MonomialCase(mu, nu).h, (), config.order, config.samples_m)
     return _deepest(lambda k: (ctx.special(k), ctx.coords(k), ctx.generating(k)),
                     plan.monomial_order(pair, mu, nu))
 

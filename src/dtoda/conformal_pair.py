@@ -8,8 +8,7 @@ A :class:`ConformalPair` holds
   with no constant term;
 
 subject to the normalization a1*b = 1 (to 1e-12).  Pairs are immutable;
-every deformation produces a new pair, so finite-difference probes are
-referentially transparent.
+every deformation (a flow step) produces a new pair.
 
 Two constructors build distinguished subfamilies:
 

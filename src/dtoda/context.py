@@ -14,6 +14,7 @@ from . import coords as C
 from . import flows as F
 from . import grunsky as G
 from . import plan
+from . import series as S
 from . import special as SP
 from .hamiltonian import GaugeTerm, HamiltonianH
 
@@ -27,10 +28,11 @@ class PairContext:
     command ends)."""
 
     def __init__(self, pair, h: HamiltonianH, gauge: Tuple[GaugeTerm, ...],
-                 order: int, eps_fd: float, samples: int):
+                 order: int, samples: int):
         self.pair, self.h, self.gauge = pair, h, tuple(gauge)
-        self.order, self.eps_fd, self.samples = order, eps_fd, samples
+        self.order, self.samples = order, samples
         self._memo: dict = {}
+        self.chart = pair if S._is_exact(pair.g) and S._is_exact(pair.f) else F._reassemble(pair)
 
     def _once(self, key, build):
         if key not in self._memo:
@@ -58,6 +60,17 @@ class PairContext:
         """`flows.flow_field` of direction ``n``, with the same defaults."""
         return self._once(("flow", n, tuple(gauge), pad, samples), lambda: F.flow_field(
             self.pair, self.h, n, gauge=gauge, samples=samples, pad=pad))
+
+    def chart_moments(self, order: int) -> C.Moments:
+        """Ungauged moments of the chart, the pair's chart coefficients taken as
+        exact (where a flow step starts): the pair's own for an exact pair."""
+        return self.moments(order, ()) if self.chart is self.pair else self._once(
+            ("chart moments", order), lambda: C.Moments(self.chart, self.h, (), order))
+
+    def tangent(self, n: int):
+        """`flows.tangent` of the plain direction-``n`` field at the chart."""
+        e12 = self._once("e12", lambda: F._mixed_partial_along(self.chart, self.h, ()))
+        return self._once(("tangent", n), lambda: F.tangent(self.chart, e12, self.flow_field(n)))
 
     @property
     def monomial(self) -> Tuple[int, int]:

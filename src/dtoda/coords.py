@@ -92,7 +92,8 @@ class Moments:
     M1 reads them and on (-width, width), where log tau composes Phi(g);
     ``f_up``/``f_down`` likewise against M2 and for Psi(f).  ``t`` reads
     ``g_down`` and ``f_up`` alone, ``times`` is (t, v, t0_alt) and reads
-    all four; ``v0`` is read at the full pair order.
+    all four; ``v0``, read at the full pair order, pairs M1 and M2 with
+    ``logs`` = (log(g/w), log(f/w)) and subtracts H(g, f) (``h_along``)/w.
     """
 
     def __init__(self, pair, h, gauge: Sequence[GaugeTerm], order: int):
@@ -145,12 +146,13 @@ class Moments:
             v[n], v[-n] = rg[n - 1], rf[n - 1]
         return t, v, -m2.residue()
 
+    logs = cached_property(lambda self: _paired_logs(self.pair, self.width))
+    h_along = cached_property(lambda self: eval_along(self.ms, self.pair, (-self.width, self.width)))
+
     @cached_property
     def v0(self) -> complex:
-        m1, m2 = self.m
-        log_g, log_f = _paired_logs(self.pair, self.width)
-        h_along = eval_along(self.ms, self.pair, (-self.width, self.width))
-        return S.residue_mul(m1, log_g) + S.residue_mul(m2, log_f) - h_along.coeff(0)
+        (m1, m2), (log_g, log_f) = self.m, self.logs
+        return S.residue_mul(m1, log_g) + S.residue_mul(m2, log_f) - self.h_along.coeff(0)
 
     @cached_property
     def plemelj(self) -> float:

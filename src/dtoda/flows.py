@@ -15,7 +15,7 @@ one-sided split
 moves g inside its chart window and f inside its own, satisfies
 dg/g' - df/f' = u_n exactly, and varies the leading coefficients opposite
 ways (d log a1 = -d log b), so normalization a1 b = 1 survives to first
-order.  The checks below verify, by central differences and by residue
+order.  The checks below verify, by exact tangents (`tangent`) and by residue
 algebra, that these fields straighten the time variables (dt_m/deps =
 delta_{nm}), satisfy the string relation, agree with the bracket form of
 the evolution (Lax shape and the canonical relation {L, M} = L), and that
@@ -38,13 +38,7 @@ from .conformal_pair import ConformalPair, from_coefficients
 from . import plan
 from .grunsky import b_polynomial, faber
 from .hamiltonian import eval_along
-from .coords import Moments, _total_sum, toda_coordinates
-
-__all__ = [
-    "ChartError", "FlowField", "u_field", "flow_field", "step",
-    "jacobian_check", "string_check", "lax_check",
-    "canonical_bracket_check", "tau_gradient_check",
-]
+from .coords import _total_sum
 
 
 class ChartError(SeriesError):
@@ -142,12 +136,10 @@ def step(pair, h, n: int, eps: float, method: str = "euler") -> ConformalPair:
     Normalization drift beyond 1e-9 before renormalization means the step
     size left the chart's validity and raises ChartError.
     """
-    eps = float(eps)
+    eps, k1 = float(eps), flow_field(pair, h, n)
     if method == "euler":
-        k1 = flow_field(pair, h, n)
         return _reassemble(_nudge(pair, k1, eps))
     if method == "rk4":
-        k1 = flow_field(pair, h, n)
         k2 = flow_field(_nudge(pair, k1, eps / 2), h, n)
         k3 = flow_field(_nudge(pair, k2, eps / 2), h, n)
         k4 = flow_field(_nudge(pair, k3, eps), h, n)
@@ -159,21 +151,27 @@ def step(pair, h, n: int, eps: float, method: str = "euler") -> ConformalPair:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _probe_pairs(ctx, n: int):
-    """Euler steps by +eps_fd, then -eps_fd, along the context's direction-n field."""
-    ff, eps = ctx.flow_field(n), float(ctx.eps_fd)
-    return (_reassemble(_nudge(ctx.pair, ff, s)) for s in (eps, -eps))
+def tangent(pair, e12: LaurentSeries, ff: FlowField) -> LaurentSeries:
+    """Q = E (g' df - f' dg), (dg, df) read on the chart windows as `step` does.
+    Along it res(d1H g' phi(g)) moves by res(Q phi(g)) and res(d2H f' psi(f))
+    by -res(Q psi(f)): integrated by parts, the dg' and df' terms cancel."""
+    dg = LaurentSeries(-pair.order, S.dense(ff.dg, -pair.order, 1), AT_INFINITY)
+    df = LaurentSeries(1, S.dense(ff.df, 1, pair.order + 1), AT_ZERO)
+    return S.mul(e12, S.sub(S.mul(pair.g_prime(), df), S.mul(pair.f_prime(), dg)))
+
+
+def time_tangents(ctx, order: int) -> np.ndarray:
+    """dt_m along Q_n, row n and column m for |n|, |m| <= order:
+    m dt_m = res(Q_n g^-m), dt_0 = res(Q_n), m dt_-m = -res(Q_n f^m)."""
+    mo, k = ctx.chart_moments(order), np.arange(1.0, order + 1)
+    dt = S.residue_matrix([ctx.tangent(n) for n in range(-order, order + 1)],
+                          mo.f_up[::-1] + [S.constant(1.0)] + mo.g_down)
+    return dt * np.concatenate([-1.0 / k[::-1], [1.0], 1.0 / k])
 
 
 def jacobian_check(ctx, order: int) -> float:
-    """max |dt_m/deps along direction n - delta_{nm}| over |n|,|m| <= order."""
-    modes = range(-int(order), int(order) + 1)
-    eps = ctx.eps_fd
-    quotients = []
-    for n in modes:
-        tp, tm = (Moments(p, ctx.h, (), order).t for p in _probe_pairs(ctx, n))
-        quotients.append([(tp[m] - tm[m]) / (2.0 * eps) for m in modes])
-    return float(np.max(np.abs(np.array(quotients) - np.eye(len(modes)))))
+    """max |dt_m(d_n) - delta_{nm}| over |n|,|m| <= order."""
+    return float(np.max(np.abs(time_tangents(ctx, int(order)) - np.eye(2 * int(order) + 1))))
 
 
 def string_check(ctx) -> float:
@@ -249,8 +247,26 @@ def canonical_bracket_check(ctx) -> float:
     return S.max_abs_diff_reliable(lhs, pair.g)
 
 
+def tau_tangents(ctx, order: int):
+    """(dlogT, dv) along Q_n, |n| <= order: dlogT[n] and dv[n, m] = dv_m, |m| <= order,
+    with dv_k = res(Q g^k), dv_-k = -res(Q f^-k), dv_0 = res(Q (log(g/w) - log(f/w))).
+    logT = (sum_m t_m v_m)/2 + Z3 (v_0 at m = 0) moves by (sum_m (dt_m v_m + t_m dv_m)
+    - res(Q H(g, f)))/2, read at full lattice order: the tau function is the pair's."""
+    mo = ctx.chart_moments(ctx.chart.order)
+    (t, v, _), full = mo.times, mo.order
+    k, modes = np.arange(1.0, full + 1), range(-full, full + 1)
+    res = S.residue_matrix([ctx.tangent(n) for n in range(-order, order + 1)],
+                           [mo.h_along] + mo.f_down[::-1] + [S.sub(*mo.logs)] + mo.g_up
+                           + mo.f_up[::-1] + [S.constant(1.0)] + mo.g_down)
+    dv = res[:, 1:2 * full + 2] * np.repeat([-1.0, 1.0], [full, full + 1])
+    dt = res[:, 2 * full + 2:] * np.concatenate([-1.0 / k[::-1], [1.0], 1.0 / k])
+    d_logt = (dt @ [v[m] if m else mo.v0 for m in modes] + dv @ [t[m] for m in modes]
+              - res[:, 0]) / 2.0
+    return d_logt, dv[:, full - order:full + order + 1]
+
+
 def tau_gradient_check(ctx, order: int) -> dict:
-    """Central-difference tests of what the tau function generates.
+    """Tangent tests of what the tau function generates.
 
     Returns a dict of defects: ``gradient`` for d(logT)/dt_n vs v_n
     (v_0 at n = 0), ``hessian`` for d(v_m)/dt_n vs -|mn| b(m,n) off the
@@ -259,41 +275,15 @@ def tau_gradient_check(ctx, order: int) -> dict:
     equality of mixed partials, and ``max`` over all of them.
     """
     order = int(order)
-    eps = ctx.eps_fd
-    table = ctx.table(order)
-    # The tau function is the pair's, so logT and the v's are evaluated at
-    # full lattice order; ``order`` only bounds which entries are compared
-    # (a shorter lattice would freeze t_k v_k products that still vary).
-    base = ctx.coords(ctx.pair.order)
-    nonzero = [m for m in range(-order, order + 1) if m != 0]
-    gradient, hessian = [], []
-    v0_t0 = 0.0
-    quotients: dict = {}
-    for n in range(-order, order + 1):
-        cp, cm = (toda_coordinates(p, ctx.h) for p in _probe_pairs(ctx, n))
-        d_logt = (cp.logT - cm.logT) / (2.0 * eps)
-        want = base.v0 if n == 0 else base.v[n]
-        gradient.append(abs(d_logt - want))
-        d_v0 = (cp.v0 - cm.v0) / (2.0 * eps)
-        if n == 0:
-            v0_t0 = abs(d_v0 + 2.0 * table.b00)
-        else:
-            hessian.append(abs(d_v0 - abs(n) * table.entry(0, n)))
-        for m in nonzero:
-            d_vm = (cp.v[m] - cm.v[m]) / (2.0 * eps)
-            quotients[(m, n)] = d_vm
-            if n == 0:
-                want_mn = abs(m) * table.entry(m, 0)
-            else:
-                want_mn = -abs(m * n) * table.entry(m, n)
-            hessian.append(abs(d_vm - want_mn))
-    gradient, hessian = float(np.max(gradient)), float(np.max(hessian))
-    symmetry = float(np.max([abs(quotients[(m, n)] - quotients[(n, m)])
-                             for m in nonzero for n in nonzero]))
-    return {
-        "gradient": gradient,
-        "hessian": hessian,
-        "hessian_symmetry": symmetry,
-        "v0_t0": v0_t0,
-        "max": float(np.max([gradient, hessian, symmetry, v0_t0])),
-    }
+    d_logt, dv = tau_tangents(ctx, order)
+    base, ns = ctx.coords(ctx.pair.order), np.arange(-order, order + 1)
+    gradient = float(np.max(np.abs(d_logt - [base.v[n] if n else base.v0 for n in ns])))
+    c = np.where(ns, -np.abs(ns), 1)
+    want = -np.outer(c, c) * ctx.table(order).b.T  # row n, column m
+    want[order, order] *= 2.0
+    defect = np.abs(dv - want)
+    v0_t0, defect[order, order] = float(defect[order, order]), 0.0
+    inner = np.delete(np.delete(dv, order, 0), order, 1)
+    hessian, symmetry = float(np.max(defect)), float(np.max(np.abs(inner - inner.T)))
+    return {"gradient": gradient, "hessian": hessian, "hessian_symmetry": symmetry,
+            "v0_t0": v0_t0, "max": float(np.max([gradient, hessian, symmetry, v0_t0]))}

@@ -93,12 +93,12 @@ def probe_order(order: int) -> int:
 
 
 def jacobian_order(order: int) -> int:
-    """Jacobian probe directions: the probe window, two modes inside the pair."""
+    """Jacobian tangent directions: the probe window, two modes inside the pair."""
     return min(8, order - 2)
 
 
 def gradient_order(order: int) -> int:
-    """Tau-gradient probes and flow snapshots: each costs a full snapshot."""
+    """Tau-gradient tangent directions and flow snapshots: a small table."""
     return min(4, order - 2)
 
 

@@ -46,7 +46,6 @@ def jouk_pair():
 def context():
     """Factory of a `PairContext` with the config defaults; ``order`` (the
     table order) defaults to the pair's."""
-    def build(pair, h, gauge=(), order=None, eps_fd=1e-5, samples=1024):
-        return PairContext(pair, h, gauge, pair.order if order is None else order,
-                           eps_fd, samples)
+    def build(pair, h, gauge=(), order=None, samples=1024):
+        return PairContext(pair, h, gauge, pair.order if order is None else order, samples)
     return build

@@ -82,9 +82,9 @@ def test_criterion_04_time_zero_duality(fix_id, fix_rand, fix_sig,
 
 
 def test_criterion_05_flow_jacobian(fix_rand, context):
-    worst = max(F.jacobian_check(context(fix_rand, H_STANDARD, eps_fd=1e-5), 8),
-                F.jacobian_check(context(fix_rand, H_TWO_TERM, eps_fd=1e-5), 8))
-    report(5, "d t_m / d s_n = delta_mn by central differences, "
+    worst = max(F.jacobian_check(context(fix_rand, H_STANDARD), 8),
+                F.jacobian_check(context(fix_rand, H_TWO_TERM), 8))
+    report(5, "d t_m / d s_n = delta_mn by exact tangents, "
               "|n|,|m| <= 8", worst, 1e-6)
 
 
@@ -108,13 +108,13 @@ def test_criterion_07_lax_and_canonical_bracket(fix_rand, context):
 
 
 def test_criterion_08_tau_identities(fix_rand, context):
-    rep = F.tau_gradient_check(context(fix_rand, H_STANDARD, eps_fd=1e-5), 6)
+    rep = F.tau_gradient_check(context(fix_rand, H_STANDARD), 6)
     snap = C.toda_coordinates(fix_rand, H_STANDARD)
     z2_defect = abs(snap.z_parts[1] - snap.z2_closed)
-    worst_fd = max(rep["gradient"], rep["hessian"], rep["v0_t0"])
-    report(8, "tau gradient / Hessian / dual-direction identities "
-              "(contour vs closed quadratic part "
-              f"{z2_defect:.1e} <= 1e-10)", worst_fd, 1e-6)
+    worst = max(rep["gradient"], rep["hessian"], rep["v0_t0"])
+    report(8, "tau gradient / Hessian / dual-direction identities by exact "
+              "tangents (contour vs closed quadratic part "
+              f"{z2_defect:.1e} <= 1e-10)", worst, 1e-6)
     assert z2_defect <= 1e-10
 
 

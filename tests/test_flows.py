@@ -1,5 +1,6 @@
 """Flow-field construction, stepping, and the dynamical identity checks."""
 
+import cmath
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from dtoda import flows
 from dtoda import plan
+from dtoda import coords as C
 from dtoda import series as S
-from dtoda.cli import load_config
+from dtoda.cli import CHECKS, load_config
 from dtoda.conformal_pair import from_coefficients, random_pair
-from dtoda.hamiltonian import GaugeTerm, HamiltonianH
-from dtoda.coords import Moments, time_variables
+from dtoda.hamiltonian import GaugeTerm, HamiltonianH, eval_along
+from dtoda.coords import Moments, time_variables, toda_coordinates, v_zero
 from dtoda.flows import (
     ChartError,
     canonical_bracket_check,
@@ -23,6 +25,8 @@ from dtoda.flows import (
     step,
     string_check,
     tau_gradient_check,
+    tau_tangents,
+    time_tangents,
     u_field,
 )
 
@@ -188,7 +192,8 @@ def test_jacobian_two_term_potential(fix_rand, context):
 
 
 def test_probes_build_one_field_per_direction(fix_sig, fix_id, context, monkeypatch):
-    """Both probes of direction n are Euler steps along one flow_field(n)."""
+    """The tangents of direction n read one flow_field(n), and agree with
+    Euler steps along it by central differences."""
     eps, modes = 1e-5, range(-2, 3)
     quotients = []
     for n in modes:
@@ -204,24 +209,29 @@ def test_probes_build_one_field_per_direction(fix_sig, fix_id, context, monkeypa
         return build(pair, h, n, *args, **kwargs)
 
     monkeypatch.setattr(flows, "flow_field", counted)
-    assert jacobian_check(context(fix_sig, H_BASIC, eps_fd=eps), 2) == by_steps
+    assert abs(jacobian_check(context(fix_sig, H_BASIC), 2) - by_steps) <= 1e-8
     assert calls == list(modes)
     calls.clear()
-    tau_gradient_check(context(fix_id, H_BASIC, eps_fd=eps), 1)
+    tau_gradient_check(context(fix_id, H_BASIC), 1)
     assert calls == [-1, 0, 1]
     # a context shares its fields between the two checks
     calls.clear()
-    ctx = context(fix_id, H_BASIC, eps_fd=eps)
+    ctx = context(fix_id, H_BASIC)
     jacobian_check(ctx, 2)
     tau_gradient_check(ctx, 1)
     assert calls == list(modes)
 
 
-def test_jacobian_probes_build_only_the_t_chains(monkeypatch):
-    """On the sigma fixture at order 16 the check reads t off 34 probe
-    moment objects (two per direction), none of which builds g^1..g^N,
-    f^-1..f^-N or the reciprocal of f; each probe's t is that of
-    `time_variables` bit for bit."""
+def test_jacobian_builds_no_stepped_pair(monkeypatch):
+    """The battery's jacobian on the sigma fixture steps no pair: it reads
+    one moment object, on the chart at `plan.jacobian_order`, which builds
+    only the t chains g^-1..g^-N and f^1..f^N."""
+    calls = {"_nudge": 0, "_reassemble": 0}
+    for name in calls:
+        def counted(*args, _name=name, _build=getattr(flows, name)):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(flows, name, counted)
     built, init = [], Moments.__init__
 
     def recorded(self, *args):
@@ -231,13 +241,96 @@ def test_jacobian_probes_build_only_the_t_chains(monkeypatch):
     monkeypatch.setattr(Moments, "__init__", recorded)
     sigma = Path(__file__).resolve().parents[1] / "configs" / "fixture_sigma.json"
     ctx = load_config(str(sigma)).context()
-    jacobian_check(ctx, plan.jacobian_order(ctx.order))
-    probes = list(built)
-    assert ctx.order == 16 and len(probes) == 34
-    for mo in probes:
-        assert "t" in mo.__dict__
-        assert not {"g_up", "f_down", "f_inv", "times"} & mo.__dict__.keys()
-        assert mo.t == time_variables(mo.pair, mo.h, mo.order)[0]
+    assert CHECKS["jacobian"][1](ctx) < 1e-6
+    assert calls == {"_nudge": 0, "_reassemble": 1}  # the chart alone
+    (mo,) = built
+    assert mo.pair is ctx.chart is not ctx.pair and mo.order == plan.jacobian_order(16)
+    assert {"g_down", "f_up"} <= mo.__dict__.keys()
+    assert not {"g_up", "f_down", "f_inv", "times"} & mo.__dict__.keys()
+
+
+# ---------------------------------------------------------------------------
+# exact tangents against central differences and the product rule
+
+
+@pytest.mark.parametrize("fixture", ["fix_rand", "fix_sig"])
+def test_jacobian_rows_match_central_differences(request, fixture, context):
+    pair, eps, order = request.getfixturevalue(fixture), 1e-5, 8
+    exact = time_tangents(context(pair, H_BASIC), order)
+    for n in (2, -2):
+        tp, tm = (Moments(step(pair, H_BASIC, n, s), H_BASIC, (), order).t
+                  for s in (eps, -eps))
+        row = [(tp[m] - tm[m]) / (2.0 * eps) for m in range(-order, order + 1)]
+        assert np.max(np.abs(exact[n + order] - row)) <= 1e-8
+
+
+def test_tau_tangents_match_central_differences(fix_rand, context):
+    eps, order = 1e-5, 4
+    d_logt, dv = tau_tangents(context(fix_rand, H_BASIC), order)
+    cp, cm = (toda_coordinates(step(fix_rand, H_BASIC, 1, s), H_BASIC) for s in (eps, -eps))
+    assert abs(d_logt[order + 1] - (cp.logT - cm.logT) / (2.0 * eps)) <= 1e-8
+    row = [(cp.v[m] - cm.v[m] if m else cp.v0 - cm.v0) / (2.0 * eps)
+           for m in range(-order, order + 1)]
+    assert np.max(np.abs(dv[order + 1] - row)) <= 1e-8
+
+
+def test_v0_slope_matches_rk4_central_differences():
+    sigma = Path(__file__).resolve().parents[1] / "configs" / "fixture_sigma.json"
+    ctx, eps = load_config(str(sigma)).context(), 1e-5
+    up, dn = (v_zero(step(ctx.pair, ctx.h, 0, s, method="rk4"), ctx.h) for s in (eps, -eps))
+    slope = (up - dn) / (2.0 * eps)
+    assert abs(tau_tangents(ctx, 0)[1][0, 0] - slope) <= 1e-8
+    assert abs(CHECKS["v0_t0_b00"][1](ctx) - abs(slope - 2.0 * cmath.log(ctx.pair.b))) <= 1e-8
+
+
+@pytest.mark.parametrize("h", [HamiltonianH.of((1, 1, 1.0)),
+                               HamiltonianH.of((2, 1, 1.0), (1, 2, 0.3)),
+                               HamiltonianH.of((1, 2, 1.0), (2, 2, 0.2 - 0.1j))])
+def test_tangents_integrate_the_product_rule_by_parts(fix_rand, context, h):
+    """The Q_n readings of dt_m, dv_m and dv_0 against their direct forms,
+    e.g. m dt_m = res(dM1 g^-m - m M1 g^-m-1 dg) with
+    dM1 = (d11H dg + d12H df) g' + d1H dg'."""
+    pair, order, ms = fix_rand, 4, h.as_sum()
+    ctx = context(pair, h)
+    dt, (_, dv) = time_tangents(ctx, order), tau_tangents(ctx, order)
+    width = plan.halfwidth(pair, ms, pair.order)
+    a1, a2, a11, a12, a22 = (eval_along(d, pair, (-width, width)) for d in (
+        ms.d1(), ms.d2(), ms.d1().d1(), ms.d12(), ms.d2().d2()))
+    gp, fp = pair.g_prime(), pair.f_prime()
+    m1, m2 = S.mul(a1, gp), S.mul(a2, fp)
+    log_g, log_f = C._paired_logs(pair, width)
+    depth = plan.chain_depth(pair, ms, pair.order)
+
+    def g_pow(k):
+        return S.int_pow(pair.g, k, depth=depth)
+
+    def f_pow(k):
+        return S.int_pow(pair.f, k, depth=depth)
+
+    for n in range(-order, order + 1):
+        ff = ctx.flow_field(n)
+        dg = S.LaurentSeries(-pair.order, S.dense(ff.dg, -pair.order, 1), S.AT_INFINITY)
+        df = S.LaurentSeries(1, S.dense(ff.df, 1, pair.order + 1), S.AT_ZERO)
+        dm1 = S.add(S.mul(S.add(S.mul(a11, dg), S.mul(a12, df)), gp),
+                    S.mul(a1, S.derivative(dg)))
+        dm2 = S.add(S.mul(S.add(S.mul(a12, dg), S.mul(a22, df)), fp),
+                    S.mul(a2, S.derivative(df)))
+        want_t, want_v = {0: S.residue_mul(dm1, S.constant(1.0))}, {}
+        for m in range(1, order + 1):
+            want_t[m] = (S.residue_mul(dm1, g_pow(-m))
+                         - m * S.residue_mul(S.mul(m1, g_pow(-m - 1)), dg)) / m
+            want_t[-m] = (S.residue_mul(dm2, f_pow(m))
+                          + m * S.residue_mul(S.mul(m2, f_pow(m - 1)), df)) / m
+            want_v[m] = (S.residue_mul(dm1, g_pow(m))
+                         + m * S.residue_mul(S.mul(m1, g_pow(m - 1)), dg))
+            want_v[-m] = (S.residue_mul(dm2, f_pow(-m))
+                          - m * S.residue_mul(S.mul(m2, f_pow(-m - 1)), df))
+        want_v[0] = (S.residue_mul(dm1, log_g) + S.residue_mul(S.mul(m1, g_pow(-1)), dg)
+                     + S.residue_mul(dm2, log_f) + S.residue_mul(S.mul(m2, f_pow(-1)), df)
+                     - S.coeff_mul(a1, dg, 0) - S.coeff_mul(a2, df, 0))
+        modes = range(-order, order + 1)
+        assert np.max(np.abs(dt[n + order] - [want_t[m] for m in modes])) <= 1e-12
+        assert np.max(np.abs(dv[n + order] - [want_v[m] for m in modes])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,10 @@ def test_green_pointwise_closed_form():
 
 def test_green_constant_entry_tracks_leading_coefficient():
     # kernel(0,0) = log b: half the second t0-derivative of log tau, whose
-    # value 2*log b is pinned independently by the finite-difference oracle
-    # in the flow tests; the large-argument limit of the unconjugated log
-    # ratio gives the same constant from the closed-form inverse.
+    # value 2*log b is pinned independently by the rk4 central difference of
+    # v_0 in test_flows.py::test_v0_slope_matches_rk4_central_differences;
+    # the large-argument limit of the unconjugated log ratio gives the same
+    # constant from the closed-form inverse.
     gc = green_coefficients(G_STRETCHED, 8)
     assert abs(gc.entry(0, 0) - cmath.log(1.2)) < 1e-14
     z1, z2 = 1e6 + 2e5j, -7e5 + 4e5j

@@ -56,10 +56,21 @@ class PairContext:
     def table(self, order: int) -> G.GrunskyTable:
         return self._once(("table", order), lambda: G.grunsky_table(self.pair, order))
 
-    def flow_field(self, n: int, gauge=(), pad: int = 0, samples: int = 1024) -> F.FlowField:
-        """`flows.flow_field` of direction ``n``, with the same defaults."""
-        return self._once(("flow", n, tuple(gauge), pad, samples), lambda: F.flow_field(
-            self.pair, self.h, n, gauge=gauge, samples=samples, pad=pad))
+    def mixed_partial(self, gauge=(), at_chart: bool = False) -> S.LaurentSeries:
+        """E along the pair (or the chart) that fields and tangents read."""
+        pair = self.chart if at_chart else self.pair
+        return self._once(("e12", pair is self.chart, tuple(gauge)),
+                          lambda: F._mixed_partial_along(pair, self.h, gauge))
+
+    def flow_fields(self, ns, gauge=(), pad: int = 0, samples: int = 1024) -> dict:
+        """`flows.flow_fields` of ``ns``: the ones not built yet in one call."""
+        keys = {int(n): ("flow", int(n), tuple(gauge), pad, samples) for n in ns}
+        missing = [n for n, key in keys.items() if key not in self._memo]
+        if missing:
+            built = F.flow_fields(self.pair, self.h, missing, gauge=gauge, samples=samples,
+                                  pad=pad, e12=self.mixed_partial(gauge))
+            self._memo.update((keys[n], built[n]) for n in missing)
+        return {n: self._memo[key] for n, key in keys.items()}
 
     def chart_moments(self, order: int) -> C.Moments:
         """Ungauged moments of the chart, the pair's chart coefficients taken as
@@ -67,10 +78,11 @@ class PairContext:
         return self.moments(order, ()) if self.chart is self.pair else self._once(
             ("chart moments", order), lambda: C.Moments(self.chart, self.h, (), order))
 
-    def tangent(self, n: int):
-        """`flows.tangent` of the plain direction-``n`` field at the chart."""
-        e12 = self._once("e12", lambda: F._mixed_partial_along(self.chart, self.h, ()))
-        return self._once(("tangent", n), lambda: F.tangent(self.chart, e12, self.flow_field(n)))
+    def tangents(self, ns) -> list:
+        """`flows.tangent` of the plain field of each n of ``ns`` at the chart."""
+        fields, e12 = self.flow_fields(ns), self.mixed_partial(at_chart=True)
+        return [self._once(("tangent", n), lambda: F.tangent(self.chart, e12, fields[n]))
+                for n in map(int, ns)]
 
     @property
     def monomial(self) -> Tuple[int, int]:

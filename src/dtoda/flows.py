@@ -15,17 +15,16 @@ one-sided split
 moves g inside its chart window and f inside its own, satisfies
 dg/g' - df/f' = u_n exactly, and varies the leading coefficients opposite
 ways (d log a1 = -d log b), so normalization a1 b = 1 survives to first
-order.  The checks below verify, by exact tangents (`tangent`) and by residue
-algebra, that these fields straighten the time variables (dt_m/deps =
-delta_{nm}), satisfy the string relation, agree with the bracket form of
-the evolution (Lax shape and the canonical relation {L, M} = L), and that
-the tau function generates the v's and the pairing table.
-
-The bracket throughout is {A, B} = w dA/dw * dB/dt0 - w dA/dt0 * dB/dw,
-with t0-derivatives given by the n = 0 field.
-
-The checks read the pair and every shared field and table from one
-`context.PairContext`.
+order.  Every direction shares E and the denominator g' f' E, so
+`flow_fields` builds a set of directions from one denominator, one Faber
+chain per side and one batched circle division.  The checks below verify,
+by exact tangents (`tangent`) and by residue algebra, that these fields
+straighten the time variables (dt_m/deps = delta_{nm}), satisfy the string
+relation, agree with the bracket form of the evolution (Lax shape and the
+canonical relation {L, M} = L, with {A, B} = w dA/dw * dB/dt0 - w dA/dt0 *
+dB/dw and t0-derivatives from the n = 0 field), and that the tau function
+generates the v's and the pairing table.  They read the pair and every
+shared field and table from one `context.PairContext`.
 """
 
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from . import series as S
 from .series import AT_INFINITY, AT_ZERO, LaurentSeries, SeriesError
 from .conformal_pair import ConformalPair, from_coefficients
 from . import plan
-from .grunsky import b_polynomial, faber
+from .grunsky import b_polynomial, faber_polynomials
 from .hamiltonian import eval_along
 from .coords import _total_sum
 
@@ -61,35 +60,29 @@ def _mixed_partial_along(pair, h, gauge) -> LaurentSeries:
     return eval_along(ms.d12(), pair, (-width, width))
 
 
-def u_field(pair, h, n: int, gauge=(), samples: int = 1024,
-            pad: int = 0) -> LaurentSeries:
-    """The function u_n = -P_n'/(g' f' E) on |exponent| <= order + |n| + pad.
+def flow_fields(pair, h, ns, gauge=(), samples: int = 1024, pad: int = 0, e12=None) -> dict:
+    """{n: FlowField} of each n in ``ns``: u_n = -P_n'/(g' f' E) on |exponent|
+    <= order + |n| + pad, off one E (``e12``, built unless given), one
+    denominator, `grunsky.faber_polynomials` and one `series.divide_on_circle`;
+    no field depends on the others.  Identity checks pad by `plan.check_pad`."""
+    ns, pad = sorted({int(n) for n in ns}), int(pad)
+    e12 = _mixed_partial_along(pair, h, gauge) if e12 is None else e12
+    gp, fp = pair.g_prime(), pair.f_prime()
+    polys = faber_polynomials(pair, [n for n in ns if n])
+    rows = [(S.scale(S.derivative(polys[n]), -1.0) if n else S.monomial(-1, -1.0),
+             (-(pair.order + abs(n) + pad), pair.order + abs(n) + pad)) for n in ns]
+    fields = {}
+    for n, u in zip(ns, S.divide_on_circle(rows, S.mul(S.mul(gp, fp), e12), samples=samples)):
+        half = 0.5 * u.coeff(1)  # the one-sided split
+        dg = S.mul(gp, S.add(S.project(u, hi=0), S.monomial(1, half)))
+        df = S.mul(fp, S.scale(S.add(S.monomial(1, half), S.project(u, lo=2)), -1.0))
+        fields[n] = FlowField(n=n, u_series=u, dg=dg, df=df)
+    return fields
 
-    Coefficientwise identity checks pass a positive ``pad``
-    (`plan.check_pad`) to push the dropped tail below their tolerance;
-    stepping (which clips to the chart window anyway) uses the default.
-    """
-    n = int(n)
-    if n == 0:
-        num = S.monomial(-1, -1.0)
-    else:
-        num = S.scale(S.derivative(faber(pair, n)), -1.0)
-    den = S.mul(S.mul(pair.g_prime(), pair.f_prime()),
-                _mixed_partial_along(pair, h, gauge))
-    half = pair.order + abs(n) + int(pad)
-    return S.divide_on_circle(num, den, (-half, half), samples=samples)
 
-
-def flow_field(pair, h, n: int, gauge=(), samples: int = 1024,
-               pad: int = 0) -> FlowField:
-    """The direction-n variation (dg, df) from the one-sided split of u_n."""
-    u = u_field(pair, h, n, gauge=gauge, samples=samples, pad=pad)
-    half = 0.5 * u.coeff(1)
-    bracket_g = S.add(S.project(u, hi=0), S.monomial(1, half))
-    bracket_f = S.scale(S.add(S.monomial(1, half), S.project(u, lo=2)), -1.0)
-    dg = S.mul(pair.g_prime(), bracket_g)
-    df = S.mul(pair.f_prime(), bracket_f)
-    return FlowField(n=n, u_series=u, dg=dg, df=df)
+def flow_field(pair, h, n: int, gauge=(), samples: int = 1024, pad: int = 0) -> FlowField:
+    """The direction-n variation (dg, df): `flow_fields` of ``n`` alone."""
+    return flow_fields(pair, h, (n,), gauge, samples, pad)[int(n)]
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ def time_tangents(ctx, order: int) -> np.ndarray:
     """dt_m along Q_n, row n and column m for |n|, |m| <= order:
     m dt_m = res(Q_n g^-m), dt_0 = res(Q_n), m dt_-m = -res(Q_n f^m)."""
     mo, k = ctx.chart_moments(order), np.arange(1.0, order + 1)
-    dt = S.residue_matrix([ctx.tangent(n) for n in range(-order, order + 1)],
+    dt = S.residue_matrix(ctx.tangents(range(-order, order + 1)),
                           mo.f_up[::-1] + [S.constant(1.0)] + mo.g_down)
     return dt * np.concatenate([-1.0 / k[::-1], [1.0], 1.0 / k])
 
@@ -177,10 +170,9 @@ def jacobian_check(ctx, order: int) -> float:
 def string_check(ctx) -> float:
     """Residual of (w g' df0 - w f' dg0) * E - 1 over the reliable window."""
     pair = ctx.pair
-    ff = ctx.flow_field(0, ctx.gauge, plan.check_pad(pair))
-    e12 = _mixed_partial_along(pair, ctx.h, ctx.gauge)
-    bracket = S.shift(S.sub(S.mul(pair.g_prime(), ff.df),
-                            S.mul(pair.f_prime(), ff.dg)), 1)
+    ff = ctx.flow_fields((0,), ctx.gauge, plan.check_pad(pair))[0]
+    e12 = ctx.mixed_partial(ctx.gauge)
+    bracket = S.shift(S.sub(S.mul(pair.g_prime(), ff.df), S.mul(pair.f_prime(), ff.dg)), 1)
     residual = S.sub(S.mul(bracket, e12), S.constant(1.0))
     return S.max_abs_diff_reliable(residual, S.zero())
 
@@ -208,10 +200,8 @@ def lax_check(ctx, n: int, order: int) -> float:
     if abs(n) > table.order:
         raise SeriesError(f"lax index {n} exceeds table order {table.order}")
     pad = plan.check_pad(pair)
-    ff0 = ctx.flow_field(0, pad=pad)
-    ffn = ctx.flow_field(n, pad=pad)
-    poly = b_polynomial(table, n)
-    poly_prime = S.derivative(poly)
+    ff0, ffn = ctx.flow_fields((0, n), pad=pad).values()
+    poly_prime = S.derivative(b_polynomial(table, n))
     if n >= 1:
         base = S.int_pow(pair.g, n - 1) if n > 1 else S.constant(1.0, AT_INFINITY)
         q = S.scale(S.mul(base, ff0.dg), float(n))
@@ -237,7 +227,7 @@ def canonical_bracket_check(ctx) -> float:
     a1 = eval_along(ms.d1(), pair, window)
     a11 = eval_along(ms.d11(), pair, window)
     a12 = eval_along(ms.d12(), pair, window)
-    ff0 = ctx.flow_field(0, pad=plan.check_pad(pair))
+    ff0 = ctx.flow_fields((0,), pad=plan.check_pad(pair))[0]
     gp, fp = pair.g_prime(), pair.f_prime()
     d_m = S.add(S.mul(ff0.dg, a1),
                 S.mul(pair.g, S.add(S.mul(a11, ff0.dg), S.mul(a12, ff0.df))))
@@ -255,7 +245,7 @@ def tau_tangents(ctx, order: int):
     mo = ctx.chart_moments(ctx.chart.order)
     (t, v, _), full = mo.times, mo.order
     k, modes = np.arange(1.0, full + 1), range(-full, full + 1)
-    res = S.residue_matrix([ctx.tangent(n) for n in range(-order, order + 1)],
+    res = S.residue_matrix(ctx.tangents(range(-order, order + 1)),
                            [mo.h_along] + mo.f_down[::-1] + [S.sub(*mo.logs)] + mo.g_up
                            + mo.f_up[::-1] + [S.constant(1.0)] + mo.g_down)
     dv = res[:, 1:2 * full + 2] * np.repeat([-1.0, 1.0], [full, full + 1])
@@ -276,7 +266,7 @@ def tau_gradient_check(ctx, order: int) -> dict:
     """
     order = int(order)
     d_logt, dv = tau_tangents(ctx, order)
-    base, ns = ctx.coords(ctx.pair.order), np.arange(-order, order + 1)
+    base, ns = ctx.coords(order), np.arange(-order, order + 1)
     gradient = float(np.max(np.abs(d_logt - [base.v[n] if n else base.v0 for n in ns])))
     c = np.where(ns, -np.abs(ns), 1)
     want = -np.outer(c, c) * ctx.table(order).b.T  # row n, column m

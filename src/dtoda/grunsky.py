@@ -3,8 +3,8 @@
 For a pair (g, f) the Faber polynomial of index n is the polynomial part
 of a power of the map: for n >= 1 the nonnegative-exponent truncation of
 g(w)**n, for n <= -1 the nonpositive-exponent truncation of f(w)**n, and
-index 0 stands symbolically for log w.  :func:`faber` returns P_n as an
-exact ``LaurentSeries``; index 0 has no series and raises.
+index 0 stands symbolically for log w.  :func:`faber_polynomials` returns
+P_n as exact series, :func:`faber` one; index 0 has no series and raises.
 
 The table entries b(m, n), |m|, |n| <= N, are defined by the bivariate
 log-kernel expansions of the pair's inverse maps G = g^{-1}, F = f^{-1}:
@@ -44,7 +44,7 @@ f^-1..f^-N it builds for its weights, and carries them
 (``GrunskyTable.faber``) for :func:`faber_expansion_defect` and
 :func:`b_polynomial`, together with the chain g^1..g^N
 (``GrunskyTable.g_powers``) that :func:`faber_expansion_defect` pairs
-again; :func:`faber` builds one such chain on [0, n].
+again; :func:`faber_polynomials` builds one such chain per side on [0, K].
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
 = b(m, n)``.  On the primary path each block of it is one matrix product
@@ -125,21 +125,26 @@ def _polynomial_part(power: LaurentSeries, n: int) -> LaurentSeries:
     return LaurentSeries(lo, S.dense(power, lo, hi))
 
 
-def faber(pair: ConformalPair, n: int) -> LaurentSeries:
-    """P_n as an exact series: the polynomial part of g**n (n >= 1) or f**n (n <= -1).
+def faber_polynomials(pair: ConformalPair, ns) -> dict:
+    """{n: P_n}, the polynomial part of g**n (n >= 1) or f**n (n <= -1), for
+    every n of ``ns``: rows of one chain per side on [0, K], K its largest |n|
+    (f's off the pair's one `plan.faber_depth` reciprocal), each the same
+    whatever K is.  Index 0 stands for log w, has no polynomial part, raises."""
+    ns = [int(n) for n in ns]
+    for n in ns:
+        if abs(n) > pair.order:
+            raise SeriesError(f"faber index {n} exceeds pair order {pair.order}")
+        if n == 0:
+            raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
+    depth, top, bottom = plan.faber_depth(pair), max([0] + ns), -min([0] + ns)
+    up = S.powers(pair.g, top, (0, top)) if top else []
+    down = S.reciprocal_powers(pair.f, bottom, depth, (-bottom, 0)) if bottom else []
+    return {n: _polynomial_part(up[n - 1] if n > 0 else down[-n - 1], n) for n in ns}
 
-    g**n or f**n (from the `plan.faber_depth` reciprocal of f) is the last row
-    of one power chain on [0, n].  Index 0 stands for log w, which has no
-    polynomial part, and raises.
-    """
-    n = int(n)
-    if abs(n) > pair.order:
-        raise SeriesError(f"faber index {n} exceeds pair order {pair.order}")
-    if n == 0:
-        raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
-    if n >= 1:
-        return _polynomial_part(S.powers(pair.g, n, (0, n))[-1], n)
-    return _polynomial_part(S.reciprocal_powers(pair.f, -n, plan.faber_depth(n), (n, 0))[-1], n)
+
+def faber(pair: ConformalPair, n: int) -> LaurentSeries:
+    """P_n alone: `faber_polynomials` of the one index ``n``."""
+    return faber_polynomials(pair, (n,))[int(n)]
 
 
 def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:

@@ -633,18 +633,7 @@ def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and composition helpers
-
-
-def eval_at_points(a: LaurentSeries, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the stored window at complex points (Horner)."""
-    pts = np.asarray(pts, dtype=np.complex128)
-    vals = np.full(pts.shape, a.coeffs[-1], dtype=np.complex128)
-    for c in a.coeffs[-2::-1]:
-        vals = vals * pts + c
-    if a.lo_exp:
-        vals = vals * pts ** float(a.lo_exp)
-    return vals
+# functional inversion
 
 
 def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
@@ -694,47 +683,54 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
 # circle division
 
 
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m <<= 1
-    return m
+def _sampled(rows, m: int) -> np.ndarray:
+    """Each series at the m-th roots of unity: one inverse FFT of its window folded mod m."""
+    folded = np.zeros((len(rows), m), dtype=np.complex128)
+    for out, a in zip(folded, rows):
+        np.add.at(out, np.arange(a.lo_exp, a.hi_exp + 1) % m, a.coeffs)
+    return np.fft.ifft(folded, norm="forward")
 
 
-def divide_on_circle(num: LaurentSeries, den: LaurentSeries,
-                     window: tuple, samples: int = 1024) -> LaurentSeries:
-    """Quotient num/den restricted to an exponent window.
+def divide_on_circle(num, den: LaurentSeries, window=None, samples: int = 1024):
+    """Quotients num/den on exponent windows: one for a series ``num`` and its
+    ``window``, a list for a list of (numerator, window) pairs.
 
-    Samples both series at M-th roots of unity (M a power of two, at least
-    4x the window width and at least ``samples``), divides pointwise and
-    reads the window coefficients back off the discrete transform.  The
-    denominator must stay away from zero on |w| = 1 (min sampled modulus
-    > 1e-8).  Denominators with a single nonzero stored coefficient are
-    divided exactly (shift and scale) instead of sampled.
+    A quotient samples both series at the M-th roots of unity (M the least
+    power of two >= 4x its window width and >= ``samples``) by one FFT of
+    each stored window folded mod M, divides pointwise and reads its window
+    off the transform back.  Rows of one M share the sampled denominator and
+    one batched FFT; no row depends on another.  The denominator must stay
+    off zero on |w| = 1 (sampled modulus > 1e-8 at every M); one with a
+    single nonzero coefficient divides exactly (shift and scale) instead.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
+    rows = [(num, window)] if window is not None else list(num)
+    windows = [(int(w[0]), int(w[1])) for _, w in rows]
+    if any(lo > hi for lo, hi in windows):
         raise SeriesError("divide_on_circle: empty window")
-    flavor = num.flavor if num.flavor == den.flavor else TWO_SIDED
+    flavors = [a.flavor if a.flavor == den.flavor else TWO_SIDED for a, _ in rows]
     nz = np.nonzero(den.coeffs)[0]
     if nz.size == 0:
         raise CircleZeroError("denominator vanishes on circle")
     if nz.size == 1:
-        c = complex(den.coeffs[nz[0]])
-        j = den.lo_exp + int(nz[0])
-        out = clip(shift(scale(num, 1.0 / c), -j), lo, hi)
-        return LaurentSeries(lo, dense(out, lo, hi), flavor,
-                             (max(out.reliable[0], lo), min(out.reliable[1], hi)))
-    width = hi - lo + 1
-    m = max(_next_pow2(4 * width), _next_pow2(int(samples)))
-    pts = np.exp(2j * np.pi * np.arange(m) / m)
-    den_vals = eval_at_points(den, pts)
-    if float(np.min(np.abs(den_vals))) <= 1e-8:
-        raise CircleZeroError("denominator vanishes on circle")
-    num_vals = eval_at_points(num, pts)
-    spec = np.fft.fft(num_vals / den_vals) / m
-    arr = spec[np.mod(np.arange(lo, hi + 1), m)]
-    return LaurentSeries(lo, arr, flavor, (lo, hi))
+        c, j = complex(den.coeffs[nz[0]]), den.lo_exp + int(nz[0])
+        exact = [clip(shift(scale(a, 1.0 / c), -j), *w) for (a, _), w in zip(rows, windows)]
+        out = [LaurentSeries(lo, dense(q, lo, hi), flavor,
+                             (max(q.reliable[0], lo), min(q.reliable[1], hi)))
+               for q, (lo, hi), flavor in zip(exact, windows, flavors)]
+        return out[0] if window is not None else out
+    out = [None] * len(rows)
+    sizes = [1 << (max(4 * (hi - lo + 1), int(samples)) - 1).bit_length() for lo, hi in windows]
+    for m in sorted(set(sizes)):
+        batch = [i for i, size in enumerate(sizes) if size == m]
+        den_vals = _sampled([den], m)[0]
+        if float(np.min(np.abs(den_vals))) <= 1e-8:
+            raise CircleZeroError("denominator vanishes on circle")
+        spec = np.fft.fft(_sampled([rows[i][0] for i in batch], m) / den_vals) / m
+        for i, row in zip(batch, spec):
+            lo, hi = windows[i]
+            out[i] = LaurentSeries(lo, row[np.mod(np.arange(lo, hi + 1), m)], flavors[i],
+                                   (lo, hi))
+    return out[0] if window is not None else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared fixtures: the four standard pairs used across the test-suite."""
+"""Shared fixtures: the four standard pairs used across the test-suite, a
+context factory and a pointwise evaluator."""
 
 import numpy as np
 import pytest
@@ -49,3 +50,16 @@ def context():
     def build(pair, h, gauge=(), order=None, samples=1024):
         return PairContext(pair, h, gauge, pair.order if order is None else order, samples)
     return build
+
+
+@pytest.fixture(scope="session")
+def eval_at_points():
+    """Evaluator of a series' stored window at complex points, by Horner's
+    rule: a reference independent of the FFT sampling of the circle division."""
+    def evaluate(a, pts):
+        pts = np.asarray(pts, dtype=np.complex128)
+        vals = np.full(pts.shape, a.coeffs[-1], dtype=np.complex128)
+        for c in a.coeffs[-2::-1]:
+            vals = vals * pts + c
+        return vals * pts ** float(a.lo_exp) if a.lo_exp else vals
+    return evaluate

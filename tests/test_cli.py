@@ -5,6 +5,7 @@ before being written down; the CLI layer must reproduce it byte for
 byte on repeated runs.
 """
 
+import inspect
 import io
 import json
 import os
@@ -463,6 +464,21 @@ def _counting(calls, key, fn, *, when=lambda *a, **k: True):
     return counted
 
 
+def _count_directions(monkeypatch):
+    """Every flow direction built, as (n, pad), over all `flows.flow_fields` calls."""
+    built, fields = [], cli.F.flow_fields
+    signature = inspect.signature(fields)
+
+    def counted(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        built.extend((n, call.arguments["pad"]) for n in call.arguments["ns"])
+        return fields(*args, **kwargs)
+
+    monkeypatch.setattr(cli.F, "flow_fields", counted)
+    return built
+
+
 def _count_moments(monkeypatch):
     """Every moment object built, as (pair, order, potential + gauge terms)."""
     built = []
@@ -503,25 +519,36 @@ def test_battery_builds_each_moment_object_once(monkeypatch, fixture):
     run_checks(config, sorted(CHECKS))
     keys = [(id(pair), order, terms) for pair, order, terms in built]
     assert len(keys) == len(set(keys)), "a moment object was built twice"
-    # the context's own: the probe snapshot, v_0 and the monomial window
+    # the context's own: tau_gradient's targets, the probe snapshot, v_0
+    # and the monomial window
     pair = built[0][0]
     assert sorted(order for p, order, terms in built
-                  if p is pair and terms == config.terms) == [8, 13, 16]
+                  if p is pair and terms == config.terms) == [4, 8, 13, 16]
 
 
 def test_battery_reads_the_canonical_bracket_once_in_lax(monkeypatch):
     calls = {}
     monkeypatch.setattr(cli.F, "canonical_bracket_check",
                         _counting(calls, "bracket", cli.F.canonical_bracket_check))
-    monkeypatch.setattr(cli.F, "flow_field", _counting(
-        calls, "padded_n0", cli.F.flow_field,
-        when=lambda pair, h, n, **kw: n == 0 and kw.get("pad", 0) > 0))
+    built = _count_directions(monkeypatch)
     config = load_config(str(CONFIGS / "fixture_random.json"))
     results = run_checks(config)
     assert all(r["passed"] for r in results), results
+    calls["padded_n0"] = sum(1 for n, pad in built if n == 0 and pad > 0)
     # once inside lax, once as its own check; and the padded n = 0 field
     # that lax (per index), canonical_bracket and string read is built once
     assert calls == {"bracket": 2, "padded_n0": 1}
+
+
+def test_battery_builds_one_mixed_partial_per_pair_and_gauge(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(cli.F, "_mixed_partial_along",
+                        _counting(calls, "e12", cli.F._mixed_partial_along))
+    config = load_config(str(CONFIGS / "fixture_sigma.json"))
+    run_checks(config)
+    # E along the pair and along its chart, plain, and along the pair with
+    # gauge_covariance's probe gauge: every field, tangent and string reads one
+    assert calls == {"e12": 3}
 
 
 @pytest.mark.parametrize("fixture, names, most", [
@@ -531,12 +558,10 @@ def test_battery_flow_fields(monkeypatch, fixture, names, most):
     # padded n = 0 field, the tangents of jacobian, tau_gradient and
     # v0_t0_b00, and gauge_covariance's plain fields all come from the
     # context, and no check steps the pair
-    calls = {}
-    monkeypatch.setattr(cli.F, "flow_field",
-                        _counting(calls, "flow_field", cli.F.flow_field))
+    built = _count_directions(monkeypatch)
     config = load_config(str(CONFIGS / f"fixture_{fixture}.json"))
     run_checks(config, names)
-    assert calls["flow_field"] <= most
+    assert len(built) <= most
 
 
 def test_battery_builds_the_monomial_case_once(monkeypatch):

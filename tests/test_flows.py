@@ -13,13 +13,15 @@ from dtoda import plan
 from dtoda import coords as C
 from dtoda import series as S
 from dtoda.cli import CHECKS, load_config
-from dtoda.conformal_pair import from_coefficients, random_pair
+from dtoda.conformal_pair import from_coefficients, random_pair, sigma_conjugate
+from dtoda.grunsky import faber
 from dtoda.hamiltonian import GaugeTerm, HamiltonianH, eval_along
 from dtoda.coords import Moments, time_variables, toda_coordinates, v_zero
 from dtoda.flows import (
     ChartError,
     canonical_bracket_check,
     flow_field,
+    flow_fields,
     jacobian_check,
     lax_check,
     step,
@@ -27,7 +29,6 @@ from dtoda.flows import (
     tau_gradient_check,
     tau_tangents,
     time_tangents,
-    u_field,
 )
 
 H_BASIC = HamiltonianH.of((1, 1, 1.0))
@@ -47,6 +48,10 @@ GAUGE = (
 
 def same_series(a, b):
     return S.max_abs_diff_reliable(a, b)
+
+
+def u_field(pair, h, n):
+    return flow_field(pair, h, n).u_series
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +197,8 @@ def test_jacobian_two_term_potential(fix_rand, context):
 
 
 def test_probes_build_one_field_per_direction(fix_sig, fix_id, context, monkeypatch):
-    """The tangents of direction n read one flow_field(n), and agree with
-    Euler steps along it by central differences."""
+    """The tangents of direction n read one field of direction n, and agree
+    with Euler steps along it by central differences."""
     eps, modes = 1e-5, range(-2, 3)
     quotients = []
     for n in modes:
@@ -202,13 +207,13 @@ def test_probes_build_one_field_per_direction(fix_sig, fix_id, context, monkeypa
         quotients.append([(tp[m] - tm[m]) / (2.0 * eps) for m in modes])
     by_steps = float(np.max(np.abs(np.array(quotients) - np.eye(len(modes)))))
     calls = []
-    build = flows.flow_field
+    build = flows.flow_fields
 
-    def counted(pair, h, n, *args, **kwargs):
-        calls.append(n)
-        return build(pair, h, n, *args, **kwargs)
+    def counted(pair, h, ns, *args, **kwargs):
+        calls.extend(ns)
+        return build(pair, h, ns, *args, **kwargs)
 
-    monkeypatch.setattr(flows, "flow_field", counted)
+    monkeypatch.setattr(flows, "flow_fields", counted)
     assert abs(jacobian_check(context(fix_sig, H_BASIC), 2) - by_steps) <= 1e-8
     assert calls == list(modes)
     calls.clear()
@@ -308,7 +313,7 @@ def test_tangents_integrate_the_product_rule_by_parts(fix_rand, context, h):
         return S.int_pow(pair.f, k, depth=depth)
 
     for n in range(-order, order + 1):
-        ff = ctx.flow_field(n)
+        ff = ctx.flow_fields((n,))[n]
         dg = S.LaurentSeries(-pair.order, S.dense(ff.dg, -pair.order, 1), S.AT_INFINITY)
         df = S.LaurentSeries(1, S.dense(ff.df, 1, pair.order + 1), S.AT_ZERO)
         dm1 = S.add(S.mul(S.add(S.mul(a11, dg), S.mul(a12, df)), gp),
@@ -409,6 +414,16 @@ def test_tau_gradient_random(fix_rand, context):
     assert report["max"] < 1e-6
 
 
+@pytest.mark.parametrize("order", [16, 32])
+def test_tau_gradient_reflection_pair(order, context):
+    # the targets are read at the check's own order: at the reflection
+    # pair's full order t underflows (measured 3.5e-13 at 16, 1.1e-15 at 32)
+    g = S.LaurentSeries.from_pairs({1: 1.0, -1: 0.1}, S.AT_INFINITY)
+    pair = sigma_conjugate(g, order)
+    report = tau_gradient_check(context(pair, H_BASIC), plan.gradient_order(order))
+    assert report["max"] < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # property: the split is consistent and norm-preserving across the chart
 
@@ -427,3 +442,49 @@ def test_split_properties(seed, decay, n):
     rhs = S.mul(S.mul(gp, fp), ff.u_series)
     assert S.max_abs_diff_reliable(lhs, rhs) < 1e-10
     assert abs(ff.df.coeff(1) / pair.a1 + ff.dg.coeff(1) / pair.b) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched fields: one denominator for every direction
+
+
+def _same_field(a, b):
+    return all(x.lo_exp == y.lo_exp and x.reliable == y.reliable
+               and np.array_equal(x.coeffs, y.coeffs)
+               for x, y in ((a.u_series, b.u_series), (a.dg, b.dg), (a.df, b.df)))
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_fields_in_a_batch_equal_fields_alone(fix_sig, fix_rand, padded):
+    for pair in (fix_sig, fix_rand):
+        pad = plan.check_pad(pair) if padded else 0
+        batch = flow_fields(pair, H_BASIC, range(-8, 9), pad=pad)
+        assert sorted(batch) == list(range(-8, 9))
+        for n, ff in batch.items():
+            assert ff.n == n
+            assert _same_field(ff, flow_field(pair, H_BASIC, n, pad=pad)), n
+
+
+def test_fields_in_a_batch_of_two_sample_counts_equal_fields_alone(fix_sig):
+    # at 256 samples u_0 and u_8 divide on 256 points, u_16 (window 65 wide)
+    # on 512: each keeps the count it has alone
+    batch = flow_fields(fix_sig, H_BASIC, (0, 8, 16), samples=256)
+    assert {ff.u_series.width for ff in batch.values()} == {33, 49, 65}
+    for n, ff in batch.items():
+        assert _same_field(ff, flow_field(fix_sig, H_BASIC, n, samples=256)), n
+
+
+def test_batched_fields_match_one_horner_division_per_direction(fix_rand, eval_at_points):
+    """u_n against the construction by direction: its own P_n chain, the
+    denominator sampled by Horner at 1024 points, one FFT."""
+    pair = fix_rand
+    e12 = flows._mixed_partial_along(pair, H_BASIC, ())
+    den = S.mul(S.mul(pair.g_prime(), pair.f_prime()), e12)
+    pts = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    batch = flow_fields(pair, H_BASIC, range(-4, 5))
+    for n, ff in batch.items():
+        num = S.monomial(-1, -1.0) if n == 0 else S.scale(S.derivative(faber(pair, n)), -1.0)
+        spec = np.fft.fft(eval_at_points(num, pts) / eval_at_points(den, pts)) / 1024
+        half = pair.order + abs(n)
+        want = spec[np.mod(np.arange(-half, half + 1), 1024)]
+        assert np.max(np.abs(ff.u_series.coeffs - want)) <= 1e-13 * np.max(np.abs(want)), n

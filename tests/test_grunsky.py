@@ -61,6 +61,18 @@ def test_faber_index_beyond_order(fix_id):
         G.faber(fix_id, fix_id.order + 1)
 
 
+def test_faber_polynomials_do_not_depend_on_the_other_indices():
+    # on this pair the Newton reciprocal of f moves its low coefficients with
+    # its depth (at 1e-19), so f's chain takes one depth per pair: every row
+    # is bit-equal to P_n built alone
+    pair = CP.random_pair(seed=4, decay=0.3, order=8)
+    batch = G.faber_polynomials(pair, [n for n in range(-8, 9) if n])
+    for n, p in batch.items():
+        alone = G.faber(pair, n)
+        assert (p.lo_exp, p.reliable) == (alone.lo_exp, alone.reliable)
+        assert np.array_equal(p.coeffs, alone.coeffs), n
+
+
 # ---------------------------------------------------------------------------
 # identity-pair table closed form
 

@@ -462,6 +462,32 @@ def test_divide_matches_reciprocal_multiplication():
     assert diff < 1e-12
 
 
+def test_divide_rows_match_horner_sampling(eval_at_points):
+    """Each row of a list input against the same division with both series
+    sampled by Horner; the denominator's stored window (81 exponents) is
+    wider than the 32 and 64 samples of two rows, so FFT sampling folds it."""
+    rng = np.random.default_rng(5)
+
+    def decaying(lo, hi, rate):
+        return LaurentSeries.from_pairs(
+            {k: rate ** abs(k) * complex(rng.normal(), rng.normal()) for k in range(lo, hi + 1)})
+
+    den = S.add(S.constant(3.0), decaying(-40, 40, 0.5))
+    rows = [(decaying(-2, 3, 0.8), (-3, 3)), (decaying(-50, 30, 0.9), (-10, 10)),
+            (S.monomial(-1, 1.0), (-6, 2))]
+    quotients = S.divide_on_circle(rows, den, samples=16)
+    sizes = [32, 128, 64]  # the least powers of two >= 4x the widths 7, 21, 9 (and >= 16)
+    for (num, (lo, hi)), q, m in zip(rows, quotients, sizes):
+        pts = np.exp(2j * np.pi * np.arange(m) / m)
+        spec = np.fft.fft(eval_at_points(num, pts) / eval_at_points(den, pts)) / m
+        want = spec[np.mod(np.arange(lo, hi + 1), m)]
+        assert (q.lo_exp, q.reliable) == (lo, (lo, hi))
+        assert np.max(np.abs(q.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+        # a row divides the same alone as in the batch
+        assert np.array_equal(S.divide_on_circle(num, den, (lo, hi), samples=16).coeffs,
+                              q.coeffs)
+
+
 def test_divide_vanishing_denominator_raises():
     num = S.constant(1.0)
     den = LaurentSeries.from_pairs({1: 1.0, 0: -1.0})  # w - 1 vanishes at w = 1

@@ -417,7 +417,9 @@ def _check_t0_duality(ctx) -> float:
 
 
 def _check_lax(ctx) -> float:
-    return float(np.max([F.lax_check(ctx, n, ctx.order) for n in (1, -1, 2, -2, 3, -3)]
+    ns = (1, -1, 2, -2, 3, -3)
+    ctx.flow_fields((0,) + ns, pad=plan.check_pad(ctx.pair))  # one batch for every index
+    return float(np.max([F.lax_check(ctx, n, ctx.order) for n in ns]
                         + [F.canonical_bracket_check(ctx)]))
 
 

@@ -35,9 +35,9 @@ provided:
   [z^n] F = res(f^-n)/n, at `plan.inverse_depth`, so corner entries are
   unaffected by inversion truncation) and expands the kernel logarithms
   formally as truncated bivariate power series; no residue pairing of
-  the table's weights is involved.  The bivariate
-  log L = log(1+W) is solved row by row in z1 from theta L * (1 + W) =
-  theta W, theta = z1 d/dz1 (:func:`_log2d`).
+  the table's weights is involved.  The bivariate log L = log(1+W) is
+  solved row by row in z1 from theta L * (1 + W) = theta W, theta =
+  z1 d/dz1, as a relaxed product (:func:`_log2d`).
 
 :func:`grunsky_table` reads P_n and P_-n off the chains g^1..g^N and
 f^-1..f^-N it builds for its weights, and carries them
@@ -206,6 +206,8 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
 # ---------------------------------------------------------------------------
 # oracle path: functional inversion and formal bivariate log expansion
 
+_BAND = 8  # `_log2d` sums the lags i - k < _BAND of a row in place, pushes the rest
+
 
 def _log2d(w: np.ndarray) -> np.ndarray:
     """log(1 + W) for a bivariate truncation W with W[0,0] = 0.
@@ -215,11 +217,13 @@ def _log2d(w: np.ndarray) -> np.ndarray:
 
         i L[i] * A = i W[i] - sum_{k=1}^{i-1} k L[k] * W[i-k],
 
-    with * the product truncated in z2.  Row 0 is the univariate
-    log(A); each later row is one sum over k and one multiplication by
-    1/A.  The truncated products are matrix products with the rows of W
-    laid out as upper-triangular Toeplitz matrices, read through a
-    strided view of the zero-padded W (no copy).
+    with * the product truncated in z2: a row times the other laid out as
+    an upper-triangular Toeplitz matrix T (a strided view of the padded
+    rows).  Row 0 is log(A); row i is its sum times 1/A.  The sum is
+    relaxed (van der Hoeven 2002): its near band i - k < `_BAND` is one
+    einsum over T(W[i-k]); once k L[k] is solved, one BLAS product
+    W[_BAND:] @ T(k L[k]) pushes its far terms into an accumulator, so
+    a kernel of at most `_BAND` + 1 rows has no far term.
     """
     n1, n2 = w.shape[0] - 1, w.shape[1] - 1
     if w[0, 0] != 0:
@@ -227,19 +231,20 @@ def _log2d(w: np.ndarray) -> np.ndarray:
     row0 = LaurentSeries(0, w[0], AT_ZERO)
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
     out[0] = S.dense(S.log1p(row0, depth=n2), 0, n2)
-    if n1 == 0:
-        return out
     inv_a = S.dense(S.int_pow(S.add(S.constant(1.0, AT_ZERO), row0), -1, depth=n2),
                     0, n2)
-    padded = np.zeros((n1 + 1, 2 * n2 + 1), dtype=np.complex128)
-    padded[:, n2:] = w
-    # toeplitz[i][l, j] = W[i, j - l] for j >= l, else 0
-    toeplitz = sliding_window_view(padded, n2 + 1, axis=1)[:, ::-1, :]
-    theta = np.zeros_like(out)
+    padded = np.zeros((2, n1 + 1, 2 * n2 + 1), dtype=np.complex128)  # W, theta L
+    padded[0, :, n2:] = w
+    # toeplitz[0, i][l, j] = W[i, j - l] for j >= l, else 0; [1, i] of theta L
+    toeplitz = sliding_window_view(padded, n2 + 1, axis=2)[:, :, ::-1, :]
+    theta, far = padded[1, :, n2:], np.zeros_like(out)
     for i in range(1, n1 + 1):
-        rhs = i * w[i] - np.einsum("kl,klj->j", theta[1:i], toeplitz[i - 1:0:-1])
+        lo = max(1, i - _BAND + 1)
+        rhs = i * w[i] - np.einsum("kl,klj->j", theta[lo:i], toeplitz[0, i - lo:0:-1]) - far[i]
         theta[i] = np.convolve(rhs, inv_a)[: n2 + 1]
         out[i] = theta[i] / i
+        if i + _BAND <= n1:
+            far[i + _BAND:] += w[_BAND:n1 + 1 - i] @ np.ascontiguousarray(toeplitz[1, i])
     return out
 
 
@@ -248,24 +253,17 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
 
     Treats the pair's stored windows as exact map data (true for
     polynomial pairs); the inversions run at `plan.inverse_depth`.  Each
-    kernel is written as c (1 + W) with W a bivariate truncation on
-    [0..order] x [0..order], and its logarithm is solved row by row in z1
-    (`_log2d`): row 0 is a univariate log, and every later row costs one
-    sum of truncated z2-products of the rows already solved and one
-    multiplication by the reciprocal of row 0.
+    kernel is written as c (1 + W), W a bivariate truncation on
+    [0..order] x [0..order], and `_log2d` expands its logarithm.
     """
-    n_max = int(order)
-    if n_max > pair.order or n_max < 1:
-        raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
-    depth = plan.inverse_depth(n_max)
+    n1 = int(order)
+    if n1 > pair.order or n1 < 1:
+        raise SeriesError(f"table order {n1} must lie in [1, pair order {pair.order}]")
+    depth = plan.inverse_depth(n1)
     # g is read on [-depth, 1] and f on [1, depth + 1]
     big_g = S.invert_function(pair.g, depth + 1)
     big_f = S.invert_function(pair.f, depth)
-    beta = big_g.coeff(1)
-    alpha1 = big_f.coeff(1)
-    b00 = cmath.log(beta)
-
-    n1 = n_max
+    beta, alpha1 = big_g.coeff(1), big_f.coeff(1)
     sums = np.add.outer(np.arange(n1 + 1), np.arange(n1 + 1))  # i + j
     # G-G kernel: coefficient of z1^-i z2^-j in (G1 - G2)/(z1 - z2) is
     # -G_{-(i+j-1)} for i, j >= 1 (leading beta at (0,0)).
@@ -299,8 +297,8 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     b[:n1, n1 + 1:] = b[n1 + 1:, :n1].T
     b[n1 + 1:, n1] = b[n1, n1 + 1:] = -l_gf[1:, 0]
     b[:n1, n1] = b[n1, :n1] = -S.dense(log_f_row, 1, n1)[::-1]
-    b[n1, n1] = b00
-    return GrunskyTable(n_max, b)
+    b[n1, n1] = cmath.log(beta)
+    return GrunskyTable(n1, b)
 
 
 def table_difference(t1: GrunskyTable, t2: GrunskyTable) -> float:

@@ -237,17 +237,21 @@ def test_b_polynomial_rejects_zero(fix_id):
 
 
 def _conv2_reference(a, b, n1, n2):
-    """Truncated 2-d convolution on index boxes [0..n1] x [0..n2]."""
+    """Truncated 2-d convolution on index boxes [0..n1] x [0..n2]: row i of
+    ``a`` adds the rows of ``b`` times its upper-triangular Toeplitz matrix,
+    cut to the columns from the row's first nonzero on."""
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
     ai, aj = a.shape
+    lag = np.subtract.outer(np.arange(n2 + 1), np.arange(n2 + 1)).T  # [l, j] = j - l
+    inside, lag = (lag >= 0) & (lag < aj), np.clip(lag, 0, aj - 1)
     for i in range(min(ai, n1 + 1)):
-        row = a[i]
-        for j in range(min(aj, n2 + 1)):
-            c = row[j]
-            if c == 0:
-                continue
-            blk = b[: n1 + 1 - i, : n2 + 1 - j]
-            out[i : i + blk.shape[0], j : j + blk.shape[1]] += c * blk
+        nonzero = np.flatnonzero(a[i][: n2 + 1])
+        if not nonzero.size:
+            continue
+        j0 = nonzero[0]
+        toeplitz = np.where(inside, a[i][lag], 0)[: n2 + 1 - j0, j0:]
+        blk = b[: n1 + 1 - i, : n2 + 1 - j0]
+        out[i : i + blk.shape[0], j0:] += blk @ toeplitz[: blk.shape[1]]
     return out
 
 
@@ -283,6 +287,56 @@ def test_log2d_matches_power_sum(shape):
     got = G._log2d(w)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
+
+
+def test_log2d_carries_nan_past_the_near_band():
+    w = _decaying((33, 33), 0.3, seed=33)
+    w[1, 0] = np.nan
+    assert np.isnan(G._log2d(w)[G._BAND + 1:]).all()
+
+
+def _log2d_clongdouble(w):
+    """log(1 + W) by `_log2d`'s row recurrence, every row sum and product
+    taken term by term in np.clongdouble."""
+    w = w.astype(np.clongdouble)
+    n1, n2 = w.shape[0] - 1, w.shape[1] - 1
+    a = w[0].copy()
+    a[0] += 1
+    inv_a = np.zeros(n2 + 1, dtype=np.clongdouble)
+    inv_a[0] = 1 / a[0]
+    for m in range(1, n2 + 1):
+        inv_a[m] = -np.dot(a[1:m + 1], inv_a[m - 1::-1]) / a[0]
+
+    def mul(x, y):
+        return np.convolve(x, y)[: n2 + 1]
+
+    j = np.arange(1, n2 + 1)
+    theta = np.zeros_like(w)
+    theta[0, 1:] = mul(np.arange(n2 + 1) * w[0], inv_a)[1:]
+    for i in range(1, n1 + 1):
+        theta[i] = mul(i * w[i] - sum(mul(theta[k], w[i - k]) for k in range(1, i)), inv_a)
+    out = theta.copy()
+    out[0, 1:] /= j
+    out[1:] /= np.arange(1, n1 + 1)[:, None]
+    return out
+
+
+# max |L - reference| of the G-F kernel below with the recurrence summed in one
+# einsum per row (grunsky.py at commit b31f15a; x86-64, numpy 2.4.6, OpenBLAS)
+_EINSUM_ERROR_GF64 = 1.110e-14
+
+
+def test_log2d_rounding_on_a_growing_kernel(poly64, monkeypatch):
+    """The order-64 G-F kernel of `poly64`, whose log grows to about 11 in the
+    far rows (its G-G and F-F kernels decay, and their largest error sits in
+    rows the far part never touches), within 2x the single-einsum error."""
+    log2d, kernels = G._log2d, []
+    monkeypatch.setattr(G, "_log2d", lambda w: kernels.append(w) or log2d(w))
+    G.grunsky_via_inverse(poly64, 64)
+    w = kernels[2]
+    want = _log2d_clongdouble(w)
+    assert w.shape == (65, 65) and np.max(np.abs(want[G._BAND + 1:])) > 10
+    assert np.max(np.abs(log2d(w) - want)) <= 2 * _EINSUM_ERROR_GF64
 
 
 def test_log2d_rejects_nonzero_constant():

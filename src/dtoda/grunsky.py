@@ -320,12 +320,9 @@ def _expansion_residual(p, lead, block, basis, window) -> float:
     the result NaN.
     """
     lo, hi = window
-
-    def stack(rows):
-        return np.array([S.dense(r, lo, hi) for r in rows])
-
     n = np.arange(1, len(p) + 1)[:, None]
-    resid = stack(p) - stack(lead) - (n * block) @ stack(basis)
+    resid = (S.dense_rows(p, lo, hi) - S.dense_rows(lead, lo, hi)
+             - (n * block) @ S.dense_rows(basis, lo, hi))
     shared = [window] + [r.reliable for r in basis]
     rel = np.array([[q.reliable, t.reliable] + shared for q, t in zip(p, lead)],
                    dtype=np.float64)

@@ -41,6 +41,17 @@ linear combinations another, `combine` (one vector-matrix product).
 `int_pow` is a single power by repeated squaring, with no window;
 `invert_function` reads its coefficients off one chain.
 
+Ownership: ``LaurentSeries(...)`` validates and, where the array could
+still be written, copies; it is the entry point for data from outside the
+kernels.  A kernel that has just made an array, frozen it (`_frozen`) and
+computed the other fields in canonical form (int ``lo_exp``, a known
+flavor, a non-empty ``reliable`` of ints and infinite sentinels) wraps it
+with `_owned` instead, which checks nothing: every such field is built
+from already-validated series by rules that keep it canonical, and no
+writeable reference to the array survives the kernel, so the series owns
+it as if it had been copied.  A read-only slice of such an array is owned
+the same way.
+
 All coefficients are complex doubles, all operations are pure (inputs are
 never mutated) and deterministic: identical inputs give bit-identical
 outputs.
@@ -99,9 +110,12 @@ class LaurentSeries:
     lo_exp:   exponent of ``coeffs[0]``; entry k holds the coefficient of
               ``w**(lo_exp + k)``.
     coeffs:   complex128 array (read-only), length >= 1; copied if it or its
-              base is writeable (kernels pass fresh output `_frozen`).
+              base is writeable.
     flavor:   one of AT_ZERO / AT_INFINITY / TWO_SIDED.
     reliable: pair (r_lo, r_hi); ints or -inf/+inf sentinels.
+
+    Construction validates every field; kernel output skips that through
+    `_owned` under the ownership rule of the module docstring.
     """
 
     lo_exp: int
@@ -139,7 +153,7 @@ class LaurentSeries:
     def lead(self) -> int | None:
         """Exponent of the largest stored coefficient (ties: lowest); None if all are zero."""
         mags = np.abs(self.coeffs)
-        k = int(np.argmax(mags))
+        k = int(mags.argmax())
         return None if mags[k] == 0 else self.lo_exp + k
 
     # -- queries -----------------------------------------------------------
@@ -192,6 +206,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _owned(lo_exp: int, coeffs: np.ndarray, flavor: str, reliable: tuple) -> LaurentSeries:
+    """A series on canonical kernel-made fields, unvalidated (ownership rule, module docstring)."""
+    out = object.__new__(LaurentSeries)
+    vars(out).update(lo_exp=lo_exp, coeffs=coeffs, flavor=flavor, reliable=reliable)
+    return out
+
+
+_ZERO = _frozen(np.zeros(1, dtype=np.complex128))  # the one-entry zero window, shared read-only
+
+
 def monomial(exponent: int, coefficient=1.0, flavor: str = TWO_SIDED) -> LaurentSeries:
     return LaurentSeries(int(exponent), np.array([coefficient], dtype=np.complex128), flavor)
 
@@ -209,7 +233,7 @@ def zero(flavor: str = TWO_SIDED) -> LaurentSeries:
 
 
 def _is_exact(a: LaurentSeries) -> bool:
-    return math.isinf(a.reliable[0]) and math.isinf(a.reliable[1])
+    return a.reliable == (NEG_INF, POS_INF)
 
 
 def _merge_flavor(*parts: LaurentSeries) -> str:
@@ -250,29 +274,30 @@ def clip(a: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
     edge inward (the discarded data becomes an untracked tail) and, when
     the support claim of a germ flavor is broken, demotes the flavor.
     """
-    lo, hi = int(lo), int(hi)
+    return _clipped(a.lo_exp, a.coeffs, a.flavor, a.reliable, int(lo), int(hi))
+
+
+def _clipped(lo_exp: int, arr: np.ndarray, flavor: str, reliable: tuple,
+             lo: int, hi: int) -> LaurentSeries:
+    """`clip` of the series on canonical fields (``arr`` frozen kernel output)."""
     if lo > hi:
         raise SeriesError("clip: empty window requested")
-    dropped_low = a.lo_exp < lo and bool(np.any(a.coeffs[: min(lo - a.lo_exp, a.width)] != 0))
-    dropped_high = a.hi_exp > hi and bool(np.any(a.coeffs[max(hi - a.lo_exp + 1, 0) :] != 0))
-    r_lo, r_hi = a.reliable
-    flavor = a.flavor
-    if dropped_low:
+    hi_exp = lo_exp + arr.size - 1
+    r_lo, r_hi = reliable
+    if lo_exp < lo and arr[: lo - lo_exp].any():  # a NaN counts as data, a -0.0 does not
         r_lo = max(r_lo, lo)
         if flavor == AT_ZERO:
             flavor = TWO_SIDED
-    if dropped_high:
+    if hi_exp > hi and arr[max(hi - lo_exp + 1, 0) :].any():
         r_hi = min(r_hi, hi)
         if flavor == AT_INFINITY:
             flavor = TWO_SIDED
     if r_lo > r_hi:
         raise WindowUnderflowError("window underflow: clip removed all reliable data")
-    new_lo = max(lo, a.lo_exp)
-    new_hi = min(hi, a.hi_exp)
+    new_lo, new_hi = max(lo, lo_exp), min(hi, hi_exp)
     if new_lo > new_hi:
-        return LaurentSeries(lo, np.zeros(1), flavor, (r_lo, r_hi))
-    arr = a.coeffs[new_lo - a.lo_exp : new_hi - a.lo_exp + 1]
-    return LaurentSeries(new_lo, arr, flavor, (r_lo, r_hi))
+        return _owned(lo, _ZERO, flavor, (r_lo, r_hi))
+    return _owned(new_lo, arr[new_lo - lo_exp : new_hi - lo_exp + 1], flavor, (r_lo, r_hi))
 
 
 def project(a: LaurentSeries, lo=None, hi=None) -> LaurentSeries:
@@ -289,10 +314,8 @@ def project(a: LaurentSeries, lo=None, hi=None) -> LaurentSeries:
     r_hi = a.reliable[1] if (hi is None or a.reliable[1] < hi) else POS_INF
     if s_lo > s_hi:
         anchor = int(lo) if lo is not None else int(hi)
-        return LaurentSeries(anchor, np.zeros(1, dtype=np.complex128),
-                             a.flavor, (r_lo, r_hi))
-    return LaurentSeries(s_lo, a.coeffs[s_lo - a.lo_exp: s_hi - a.lo_exp + 1],
-                         a.flavor, (r_lo, r_hi))
+        return _owned(anchor, _ZERO, a.flavor, (r_lo, r_hi))
+    return _owned(s_lo, a.coeffs[s_lo - a.lo_exp: s_hi - a.lo_exp + 1], a.flavor, (r_lo, r_hi))
 
 
 def dense(a: LaurentSeries, lo: int, hi: int) -> np.ndarray:
@@ -300,17 +323,25 @@ def dense(a: LaurentSeries, lo: int, hi: int) -> np.ndarray:
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise SeriesError("dense: empty window requested")
-    out = np.zeros(hi - lo + 1, dtype=np.complex128)
-    s_lo, s_hi = max(lo, a.lo_exp), min(hi, a.hi_exp)
-    if s_lo <= s_hi:
-        out[s_lo - lo : s_hi - lo + 1] = a.coeffs[s_lo - a.lo_exp : s_hi - a.lo_exp + 1]
+    return dense_rows([a], lo, hi)[0]
+
+
+def dense_rows(rows: Sequence[LaurentSeries], lo: int, hi: int, out=None) -> np.ndarray:
+    """`dense` of every row, stacked: written in place into ``out`` (zeros of
+    shape (len(rows), hi - lo + 1), or a view of such), else a fresh array."""
+    if out is None:
+        out = np.zeros((len(rows), hi - lo + 1), dtype=np.complex128)
+    for dst, a in zip(out, rows):
+        s_lo, s_hi = max(lo, a.lo_exp), min(hi, a.hi_exp)
+        if s_lo <= s_hi:
+            dst[s_lo - lo : s_hi - lo + 1] = a.coeffs[s_lo - a.lo_exp : s_hi - a.lo_exp + 1]
     return out
 
 
 def shift(a: LaurentSeries, j: int) -> LaurentSeries:
     """Multiply by w**j (exact)."""
     j = int(j)  # an infinite reliability edge stays infinite
-    return LaurentSeries(a.lo_exp + j, a.coeffs, a.flavor, tuple(e + j for e in a.reliable))
+    return _owned(a.lo_exp + j, a.coeffs, a.flavor, tuple(e + j for e in a.reliable))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +358,7 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     r_hi = min(a.reliable[1], b.reliable[1])
     if r_lo > r_hi:
         raise WindowUnderflowError("window underflow: sum has empty reliable window")
-    return LaurentSeries(lo, _frozen(arr), _merge_flavor(a, b), (r_lo, r_hi))
+    return _owned(lo, _frozen(arr), _merge_flavor(a, b), (r_lo, r_hi))
 
 
 def combine(coeffs: Sequence, rows: Sequence[LaurentSeries]) -> LaurentSeries:
@@ -343,8 +374,8 @@ def combine(coeffs: Sequence, rows: Sequence[LaurentSeries]) -> LaurentSeries:
     if r_lo > r_hi:
         raise WindowUnderflowError("window underflow: sum has empty reliable window")
     lo, hi = min(r.lo_exp for r in rows), max(r.hi_exp for r in rows)
-    arr = np.asarray(coeffs, dtype=np.complex128) @ np.array([dense(r, lo, hi) for r in rows])
-    return LaurentSeries(lo, _frozen(arr), _merge_flavor(*rows), (r_lo, r_hi))
+    arr = np.asarray(coeffs, dtype=np.complex128) @ dense_rows(rows, lo, hi)
+    return _owned(lo, _frozen(arr), _merge_flavor(*rows), (r_lo, r_hi))
 
 
 def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -352,28 +383,41 @@ def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def scale(a: LaurentSeries, factor) -> LaurentSeries:
-    return LaurentSeries(a.lo_exp, _frozen(a.coeffs * complex(factor)), a.flavor, a.reliable)
+    return _owned(a.lo_exp, _frozen(a.coeffs * complex(factor)), a.flavor, a.reliable)
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Windowed convolution product; reliability per module docstring."""
     reliable = _mul_reliable(a, b)
     arr = _frozen(np.convolve(a.coeffs, b.coeffs))
-    return LaurentSeries(a.lo_exp + b.lo_exp, arr, _merge_flavor(a, b), reliable)
+    return _owned(a.lo_exp + b.lo_exp, arr, _merge_flavor(a, b), reliable)
 
 
 def powers(base: LaurentSeries, n: int, window=None) -> list:
-    """[base, base**2, ..., base**n] by repeated multiplication; with
-    ``window = (lo, hi)`` row k is clipped to the window widened by as far
-    as the n - k factors still to come can carry a coefficient, so every
-    row equals the unclipped power on the window."""
+    """[base, base**2, ..., base**n] by repeated multiplication.
+
+    Row k >= 2 is one convolution of row k - 1 with ``base``, with `mul`'s
+    flavor and reliable window.  With ``window = (lo, hi)`` the same step
+    applies `clip`'s rule to it (row 1 too), on the window widened by as far
+    as the n - k factors still to come can carry a coefficient, so every row
+    equals the unclipped power on the window; each row is built once, and
+    errors are `mul`'s, then `clip`'s, as that recurrence raises them.
+    """
     rows = []
     for k in range(1, int(n) + 1):
-        row = base if k == 1 else mul(rows[-1], base)
+        if k == 1:
+            lo_exp, arr, flavor, reliable = base.lo_exp, base.coeffs, base.flavor, base.reliable
+        else:
+            prev = rows[-1]
+            reliable = _mul_reliable(prev, base)
+            lo_exp, flavor = prev.lo_exp + base.lo_exp, _merge_flavor(prev, base)
+            arr = _frozen(np.convolve(prev.coeffs, base.coeffs))
         if window is not None:
-            row = clip(row, window[0] - (n - k) * max(base.hi_exp, 0),
-                       window[1] + (n - k) * max(-base.lo_exp, 0))
-        rows.append(row)
+            rows.append(_clipped(lo_exp, arr, flavor, reliable,
+                                 int(window[0] - (n - k) * max(base.hi_exp, 0)),
+                                 int(window[1] + (n - k) * max(-base.lo_exp, 0))))
+        else:
+            rows.append(base if k == 1 else _owned(lo_exp, arr, flavor, reliable))
     return rows
 
 
@@ -386,8 +430,8 @@ def reciprocal_powers(a: LaurentSeries, n: int, depth: int, window) -> list:
     window = (window[0] + min(j, j * n), window[1] + max(j, j * n))
     rows = powers(_reciprocal(u, depth), n, window)
     scales = np.exp(-np.arange(1, n + 1) * np.log(c))
-    return [LaurentSeries(row.lo_exp - j * k, _frozen(row.coeffs * s), row.flavor,
-                          tuple(e - j * k for e in row.reliable))
+    return [_owned(row.lo_exp - j * k, _frozen(row.coeffs * s), row.flavor,
+                   tuple(e - j * k for e in row.reliable))
             for k, (row, s) in enumerate(zip(rows, scales), 1)]
 
 
@@ -397,8 +441,8 @@ def derivative(a: LaurentSeries) -> LaurentSeries:
     reliable = tuple(e - 1 for e in a.reliable)
     if a.width == 1 and a.lo_exp == 0:
         # derivative of a constant window: keep a well-formed zero window
-        return LaurentSeries(0, np.zeros(1), a.flavor, reliable)
-    return LaurentSeries(a.lo_exp - 1, _frozen(a.coeffs * exps), a.flavor, reliable)
+        return _owned(0, _ZERO, a.flavor, reliable)
+    return _owned(a.lo_exp - 1, _frozen(a.coeffs * exps), a.flavor, reliable)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +500,9 @@ def residue_matrix(rows_a: Sequence[LaurentSeries],
     lo = min(a.lo_exp for a in rows_a)
     hi = max(a.hi_exp for a in rows_a)
     # column k of the right factor holds the coefficient of w**(-1-k)
-    left = np.array([dense(a, lo, hi) for a in rows_a])
-    right = np.array([dense(b, -1 - hi, -1 - lo)[::-1] for b in rows_b])
-    return left @ right.T
+    right = np.zeros((len(rows_b), hi - lo + 1), dtype=np.complex128)
+    dense_rows(rows_b, -1 - hi, -1 - lo, right[:, ::-1])
+    return dense_rows(rows_a, lo, hi) @ right.T
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +528,7 @@ def split_normalize(a: LaurentSeries) -> tuple:
     j = a.lo_exp + idx
     arr = a.coeffs / c
     arr[idx] = 0.0  # subtract the leading 1 exactly
-    return c, j, LaurentSeries(a.lo_exp - j, _frozen(arr), a.flavor,
-                               tuple(e - j for e in a.reliable))
+    return c, j, _owned(a.lo_exp - j, _frozen(arr), a.flavor, tuple(e - j for e in a.reliable))
 
 
 def _decay_step(u: LaurentSeries) -> int:
@@ -515,9 +558,10 @@ def _germ_array(u: LaurentSeries, n: int) -> np.ndarray:
 
 def _from_germ_array(local: np.ndarray, flavor: str, reliable: tuple) -> LaurentSeries:
     """Inverse of `_germ_array`: local orders 0..n back to exponents."""
+    local = _frozen(local)
     if flavor == AT_ZERO:
-        return LaurentSeries(0, local, flavor, reliable)
-    return LaurentSeries(1 - local.size, local[::-1], flavor, reliable)
+        return _owned(0, local, flavor, reliable)
+    return _owned(1 - local.size, local[::-1], flavor, reliable)
 
 
 def _germ_reliable(u: LaurentSeries, depth: int) -> tuple:
@@ -527,8 +571,8 @@ def _germ_reliable(u: LaurentSeries, depth: int) -> tuple:
     exact side.
     """
     if u.flavor == AT_ZERO:
-        return (NEG_INF, min(depth, u.reliable[1]))
-    return (max(-depth, u.reliable[0]), POS_INF)
+        return (NEG_INF, min(int(depth), u.reliable[1]))
+    return (max(-int(depth), u.reliable[0]), POS_INF)
 
 
 def _power_sum_reach(u: LaurentSeries, step: int, depth: int) -> int:
@@ -620,7 +664,7 @@ def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:
     depth = _local_depth(depth, u.width)
     step = _decay_step(u)
     if step == 0:
-        return LaurentSeries(0, np.zeros(1), u.flavor, u.reliable)
+        return _owned(0, _ZERO, u.flavor, u.reliable)
     n = _power_sum_reach(u, step, depth)
     a = _germ_array(u, n)
     out = np.zeros(n + 1, dtype=np.complex128)
@@ -728,8 +772,8 @@ def divide_on_circle(num, den: LaurentSeries, window=None, samples: int = 1024):
         spec = np.fft.fft(_sampled([rows[i][0] for i in batch], m) / den_vals) / m
         for i, row in zip(batch, spec):
             lo, hi = windows[i]
-            out[i] = LaurentSeries(lo, row[np.mod(np.arange(lo, hi + 1), m)], flavors[i],
-                                   (lo, hi))
+            out[i] = _owned(lo, _frozen(row[np.mod(np.arange(lo, hi + 1), m)]), flavors[i],
+                            (lo, hi))
     return out[0] if window is not None else out
 
 

@@ -11,7 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtoda import series as S
@@ -946,8 +946,14 @@ def test_invert_function_builds_one_chain(a, monkeypatch):
 
 
 @st.composite
-def power_case(draw):
-    """A base with one- or two-sided support, a chain length and a window."""
+def power_case(draw, germs=False):
+    """A base with one- or two-sided support, a chain length and a window.
+
+    With ``germs`` the base may also be an AT_ZERO or AT_INFINITY germ or a
+    TWO_SIDED series with finite reliable edges, all zero, carry a NaN, or
+    be padded with exact zeros the way `invert_function` passes it, dense
+    on its window.
+    """
     lo = draw(st.integers(min_value=-3, max_value=3))
     width = draw(st.integers(min_value=1, max_value=4))
     cs = draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0,
@@ -956,7 +962,23 @@ def power_case(draw):
     n = draw(st.integers(min_value=1, max_value=20))
     w_lo = draw(st.integers(min_value=-30, max_value=30))
     w_hi = w_lo + draw(st.integers(min_value=0, max_value=30))
-    return LaurentSeries(lo, np.array(cs)), n, (w_lo, w_hi)
+    if not germs:
+        return LaurentSeries(lo, np.array(cs)), n, (w_lo, w_hi)
+    special = draw(st.sampled_from(["plain", "zero", "nan"]))
+    if special == "zero":
+        cs = [0.0] * width
+    elif special == "nan":
+        cs[draw(st.integers(min_value=0, max_value=width - 1))] = complex("nan+1j")
+    pad_lo, pad_hi = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    lo, cs = lo - pad_lo, [0.0] * pad_lo + cs + [0.0] * pad_hi
+    flavor = draw(st.sampled_from([TWO_SIDED, AT_ZERO, AT_INFINITY]))
+    d_lo, d_hi = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
+    r_lo, r_hi = lo - d_lo, lo + len(cs) - 1 + d_hi  # edges inside or outside the stored window
+    edges = {TWO_SIDED: [None, (r_lo, max(r_lo, r_hi))],
+             AT_ZERO: [None, (S.NEG_INF, r_hi)],
+             AT_INFINITY: [None, (r_lo, S.POS_INF)]}[flavor]
+    reliable = draw(st.sampled_from(edges))
+    return LaurentSeries(lo, np.array(cs), flavor, reliable), n, (w_lo, w_hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -981,6 +1003,103 @@ def test_powers_rows_equal_unclipped_powers_on_the_window(case):
 def test_powers_of_nothing_is_empty():
     assert S.powers(S.monomial(1, 2.0), 0) == []
     assert S.powers(S.monomial(1, 2.0), 0, (0, 3)) == []
+
+
+def powers_reference(base: LaurentSeries, n: int, window=None) -> list:
+    """`powers` as the recurrence it fuses: each row a `mul` of the
+    previous row by the base, then, with a window, a `clip`."""
+    rows = []
+    for k in range(1, n + 1):
+        row = base if k == 1 else S.mul(rows[-1], base)
+        if window is not None:
+            row = S.clip(row, window[0] - (n - k) * max(base.hi_exp, 0),
+                         window[1] + (n - k) * max(-base.lo_exp, 0))
+        rows.append(row)
+    return rows
+
+
+def fields(a: LaurentSeries) -> tuple:
+    """Every field of ``a``, coefficients as bytes, with the field types."""
+    return (a.lo_exp, type(a.lo_exp), a.coeffs.dtype, a.coeffs.tobytes(), a.flavor,
+            a.reliable, tuple(map(type, a.reliable)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_case(germs=True), st.booleans())
+def test_fused_powers_equal_the_mul_then_clip_recurrence(case, windowed):
+    base, n, window = case
+    window = window if windowed else None
+    try:
+        want = powers_reference(base, n, window)
+    except SeriesError as exc:
+        with pytest.raises(SeriesError) as raised:
+            S.powers(base, n, window)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    assert [fields(r) for r in S.powers(base, n, window)] == [fields(r) for r in want]
+
+
+def test_zero_padding_does_not_narrow_a_chain_claim():
+    """`invert_function` passes `powers` a base dense on its window: the
+    clipped zeros of that padding are no dropped data, so every row's lower
+    edge is the unpadded chain's (both clip at the same lower exponent)."""
+    core = LaurentSeries.from_pairs({1: 0.8, 0: 0.2, -1: 0.1 + 0.3j}, AT_INFINITY)
+    padded = LaurentSeries(-9, S.dense(core, -9, 1), AT_INFINITY)
+    for a, b in zip(S.powers(core, 6, (-1, -1)), S.powers(padded, 6, (-1, -1))):
+        assert a.reliable[0] == b.reliable[0] and b.is_reliable(-1)
+        assert abs(a.coeff(-1) - b.coeff(-1)) <= 1e-15 * max(1.0, abs(a.coeff(-1)))
+
+
+def germ(a: LaurentSeries, flavor: str) -> LaurentSeries:
+    """``a``'s coefficients moved to exponents >= 1 (AT_ZERO) or <= -1
+    (AT_INFINITY), with a finite edge in the tail's direction."""
+    if flavor == AT_ZERO:
+        return LaurentSeries(1, a.coeffs, AT_ZERO, (S.NEG_INF, a.width + 3))
+    return LaurentSeries(-a.width, a.coeffs, AT_INFINITY, (-a.width - 3, S.POS_INF))
+
+
+OWNED_KERNELS = {  # every kernel that builds its output without validation
+    "mul": lambda a, b: [S.mul(a, b), S.mul(germ(a, AT_ZERO), germ(b, AT_ZERO))],
+    "add": lambda a, b: [S.add(a, b), S.sub(germ(a, AT_INFINITY), b)],
+    "scale": lambda a, b: [S.scale(a, 2.0 - 1j)],
+    "shift": lambda a, b: [S.shift(a, -3), S.shift(germ(a, AT_ZERO), 2)],
+    "clip": lambda a, b: [S.clip(a, -1, 1), S.clip(a, 5, 9), S.clip(germ(b, AT_INFINITY), -2, 0)],
+    "project": lambda a, b: [S.project(a, -1, 1), S.project(a, 5, None), S.project(a, None, -9)],
+    "derivative": lambda a, b: [S.derivative(a), S.derivative(S.constant(3.0))],
+    "combine": lambda a, b: [S.combine([1.0, 2j], [a, germ(b, AT_ZERO)])],
+    "split_normalize": lambda a, b: [S.split_normalize(germ(a, f))[2]
+                                     for f in (AT_ZERO, AT_INFINITY)],
+    "germ helpers": lambda a, b: [
+        *(S.int_pow(germ(a, f), -2, depth=6) for f in (AT_ZERO, AT_INFINITY)),
+        *(S.log1p(germ(a, f), depth=5) for f in (AT_ZERO, AT_INFINITY)),
+        S.log1p(LaurentSeries(1, np.zeros(2), AT_ZERO))],
+    "powers": lambda a, b: [*S.powers(a, 3), *S.powers(a, 3, (-2, 2)),
+                            *S.powers(germ(a, AT_INFINITY), 3, (-3, 0))],
+    "reciprocal_powers": lambda a, b: [*S.reciprocal_powers(germ(a, AT_ZERO), 3, 8, (-4, 4)),
+                                       *S.reciprocal_powers(germ(a, AT_INFINITY), 3, 8, (-4, 4))],
+    "divide_on_circle": lambda a, b: [
+        *S.divide_on_circle([(a, (-3, 3)), (b, (-5, -1))],
+                            S.add(S.constant(10.0), S.scale(b, 0.1)), samples=64),
+        S.divide_on_circle(a, S.monomial(2, 3.0), (-2, 2))],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(OWNED_KERNELS))
+@settings(max_examples=25, deadline=None)
+@given(small_series(), small_series())
+def test_kernel_output_is_canonical(kernel, a, b):
+    """Kernel output is what the validated constructor would make of it:
+    frozen complex128 coefficients it would not copy, an int ``lo_exp``,
+    and fields it leaves unchanged."""
+    a = LaurentSeries(a.lo_exp, np.where(np.abs(a.coeffs) < 1e-3, 0, a.coeffs))  # leads invert
+    assume(np.any(a.coeffs != 0))
+    for out in OWNED_KERNELS[kernel](a, b):
+        arr = out.coeffs
+        base = arr if arr.base is None else arr.base
+        assert arr.ndim == 1 and arr.dtype == np.complex128 and not arr.flags.writeable
+        assert isinstance(base, np.ndarray) and not base.flags.writeable
+        assert type(out.lo_exp) is int
+        assert fields(LaurentSeries(out.lo_exp, arr.copy(), out.flavor, out.reliable)) == fields(out)
 
 
 @st.composite

@@ -14,9 +14,13 @@ The per-check timing lines ``# name: 0.123s`` that ``verify`` writes to
 stderr are masked before digesting; every other byte counts.  Two
 checkouts write the same bytes when they print the same lines, so
 running it on a parent commit and on a change compares their outputs.
+With ``--against OTHER``, it digests both checkouts and prints only the
+lines that differ, as ``<fixture> <command> <stream> <OTHER's> -> <ROOT's>``
+("-" where a checkout prints no such line, as for an exit code), and exits
+1 if there is any.
 
 Usage:
-    python scripts/output_digest.py [--root CHECKOUT]
+    python scripts/output_digest.py [--root CHECKOUT] [--against OTHER]
 """
 
 import argparse
@@ -81,15 +85,32 @@ def digests(root: Path):
                 yield f"{fixture} {command} {name} {_digest(data)}"
 
 
+def changed(ours, theirs):
+    """Lines ``<key> <theirs> -> <ours>`` for every key (a line's leading
+    fields) whose last field differs between the two listings, in the order
+    of ``ours``, then of the keys only ``theirs`` has; "-" marks a missing line."""
+    mine, other = (dict(line.rsplit(" ", 1) for line in lines) for lines in (ours, theirs))
+    keys = list(mine) + [key for key in other if key not in mine]
+    return [f"{key} {other.get(key, '-')} -> {mine.get(key, '-')}"
+            for key in keys if mine.get(key) != other.get(key)]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="checkout whose src/ and configs/ are used "
                          "(default: the one holding this script)")
+    ap.add_argument("--against", type=Path,
+                    help="another checkout: print only the lines that differ")
     args = ap.parse_args()
-    for line in digests(args.root.resolve()):
+    if args.against is None:
+        for line in digests(args.root.resolve()):
+            print(line, flush=True)
+        return 0
+    lines = changed(list(digests(args.root.resolve())), list(digests(args.against.resolve())))
+    for line in lines:
         print(line, flush=True)
-    return 0
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

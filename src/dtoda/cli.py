@@ -452,7 +452,10 @@ def _check_gauge_covariance(ctx) -> float:
 # The names double as the vocabulary of the config's tolerances map and the
 # --checks flag.  Table checks read the config-order table; mode-probing
 # checks run at `plan.probe_order`, flow tangents at `plan.jacobian_order` and
-# `plan.gradient_order`.
+# `plan.gradient_order`.  The battery runs in this order, so a check that
+# builds flow fields as one batch comes before the checks that read some of
+# them: jacobian's tangents hold gauge_covariance's (1, -2), and lax's padded
+# batch the n = 0 field that string and canonical_bracket read.
 CHECKS: Dict[str, Tuple[float, Callable[[PairContext], float]]] = {
     "grunsky_symmetry": (1e-10, lambda ctx: ctx.table(ctx.order).symmetry_defect),
     "grunsky_dual_path": (1e-10, lambda ctx: G.table_difference(
@@ -462,8 +465,8 @@ CHECKS: Dict[str, Tuple[float, Callable[[PairContext], float]]] = {
     "plemelj": (1e-9, lambda ctx: ctx.moments(plan.probe_order(ctx.order), ctx.gauge).plemelj),
     "z2_closed_form": (1e-10, lambda ctx: abs(ctx.snapshot.z_parts[1] - ctx.snapshot.z2_closed)),
     "jacobian": (1e-6, lambda ctx: F.jacobian_check(ctx, plan.jacobian_order(ctx.order))),
-    "string": (1e-9, lambda ctx: F.string_check(ctx)),
     "lax": (1e-8, _check_lax),
+    "string": (1e-9, lambda ctx: F.string_check(ctx)),
     "canonical_bracket": (1e-8, lambda ctx: F.canonical_bracket_check(ctx)),
     "tau_gradient": (1e-6, lambda ctx: F.tau_gradient_check(
         ctx, plan.gradient_order(ctx.order))["max"]),
@@ -484,15 +487,14 @@ CHECKS: Dict[str, Tuple[float, Callable[[PairContext], float]]] = {
 
 def run_checks(config: ExperimentConfig,
                names: Optional[Sequence[str]] = None) -> List[dict]:
-    """Run the selected checks; results sorted by check name.
+    """Run the selected checks in `CHECKS` order; results sorted by check name.
 
     Selection order: an explicit ``names`` argument wins; otherwise the
     config's tolerances map names the battery; an empty map means every
     registered check at its default tolerance.
     """
     if names is None:
-        names = sorted(config.tolerances) if config.tolerances \
-            else sorted(CHECKS)
+        names = config.tolerances or CHECKS
     else:
         if not names:
             raise ConfigError("--checks must name at least one check")
@@ -501,7 +503,6 @@ def run_checks(config: ExperimentConfig,
                 raise ConfigError(
                     f"unknown check {name!r}; valid names: "
                     f"{', '.join(sorted(CHECKS))}")
-        names = sorted(set(names))
 
     ctx = config.context()
 
@@ -518,7 +519,8 @@ def run_checks(config: ExperimentConfig,
                 "passed": residual <= tol,
                 "seconds": time.perf_counter() - start, "error": error}
 
-    return [one(name) for name in names]
+    results = {name: one(name) for name in CHECKS if name in names}
+    return [results[name] for name in sorted(results)]
 
 
 def _render_verify(results: List[dict]) -> Tuple[str, str]:

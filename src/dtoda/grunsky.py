@@ -128,17 +128,18 @@ def _polynomial_part(power: LaurentSeries, n: int) -> LaurentSeries:
 def faber_polynomials(pair: ConformalPair, ns) -> dict:
     """{n: P_n}, the polynomial part of g**n (n >= 1) or f**n (n <= -1), for
     every n of ``ns``: rows of one chain per side on [0, K], K its largest |n|
-    (f's off the pair's one `plan.faber_depth` reciprocal), each the same
-    whatever K is.  Index 0 stands for log w, has no polynomial part, raises."""
+    (f's off a prefix of f's one reciprocal, at `plan.faber_depth`), each the
+    same whatever K is.  Index 0 stands for log w, has no polynomial part, raises."""
     ns = [int(n) for n in ns]
     for n in ns:
         if abs(n) > pair.order:
             raise SeriesError(f"faber index {n} exceeds pair order {pair.order}")
         if n == 0:
             raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
-    depth, top, bottom = plan.faber_depth(pair), max([0] + ns), -min([0] + ns)
+    top, bottom = max([0] + ns), -min([0] + ns)
     up = S.powers(pair.g, top, (0, top)) if top else []
-    down = S.reciprocal_powers(pair.f, bottom, depth, (-bottom, 0)) if bottom else []
+    down = S.reciprocal_powers(pair.f, bottom, plan.faber_depth(bottom),
+                               (-bottom, 0)) if bottom else []
     return {n: _polynomial_part(up[n - 1] if n > 0 else down[-n - 1], n) for n in ns}
 
 
@@ -228,11 +229,10 @@ def _log2d(w: np.ndarray) -> np.ndarray:
     n1, n2 = w.shape[0] - 1, w.shape[1] - 1
     if w[0, 0] != 0:
         raise SeriesError("bivariate log needs zero constant term")
-    row0 = LaurentSeries(0, w[0], AT_ZERO)
+    a = S.add(S.constant(1.0, AT_ZERO), LaurentSeries(0, w[0], AT_ZERO))
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
-    out[0] = S.dense(S.log1p(row0, depth=n2), 0, n2)
-    inv_a = S.dense(S.int_pow(S.add(S.constant(1.0, AT_ZERO), row0), -1, depth=n2),
-                    0, n2)
+    out[0] = S.dense(S.log1p(S.split_normalize(a)[2], depth=n2), 0, n2)  # int_pow's reciprocal
+    inv_a = S.dense(S.int_pow(a, -1, depth=n2), 0, n2)
     padded = np.zeros((2, n1 + 1, 2 * n2 + 1), dtype=np.complex128)  # W, theta L
     padded[0, :, n2:] = w
     # toeplitz[0, i][l, j] = W[i, j - l] for j >= l, else 0; [1, i] of theta L

@@ -131,9 +131,9 @@ class HamiltonianH:
 def eval_along(ms, pair, window) -> LaurentSeries:
     """Substitute z1 = g(w), z2 = f(w) and clip to ``window``.
 
-    Negative powers use a Newton-doubling reciprocal (``series.int_pow``)
-    at `plan.eval_depth`, deep enough that the result's reliability claim
-    covers the window.
+    Negative powers are ``series.int_pow`` at `plan.eval_depth`, deep enough
+    that the result's reliability claim covers the window, off a prefix of
+    the one reciprocal g or f keeps whatever the window and depth.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:

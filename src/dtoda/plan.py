@@ -50,9 +50,9 @@ def table_chains(pair, n_max: int):
     return 2 * pair.order + 12, (-reach, reach)
 
 
-def faber_depth(pair) -> int:
-    """Reciprocal of f for every P_n, n <= -1, one per pair: Newton's low terms move with depth."""
-    return 2 * pair.order + 8
+def faber_depth(k: int) -> int:
+    """Reciprocal of f for P_n, -k <= n <= -1: exact on [-k, 0] with margin."""
+    return 2 * k + 8
 
 
 def inverse_depth(n_max: int) -> int:

@@ -26,20 +26,27 @@ with sub-leading coefficients, and dropped x dropped terms, are of the
 order of the dropped coefficients themselves; with geometrically decaying
 tails and the window depths used throughout this package they sit far
 below every tolerance in the verification suite, and are waived.  The
-Newton-doubling reciprocal and ``log1p``, taken as the integral of
-u' / (1 + u) on that reciprocal, claim their output reliability from
-their truncation and convergence analysis, and ``invert_function`` from
-Lagrange inversion (each output coefficient is a residue of a power of
-the input that reads only input coefficients inside the window), rather
-than from interval propagation through every intermediate; round-trip
-identities and 40-digit oracles in the test-suite check those claims
-directly.
+Newton reciprocal and ``log1p``, taken as the integral of u' / (1 + u) on
+that reciprocal, claim their output reliability from their truncation and
+convergence analysis, and ``invert_function`` from Lagrange inversion
+(each output coefficient is a residue of a power of the input that reads
+only input coefficients inside the window), rather than from interval
+propagation through every intermediate; round-trip identities and
+40-digit oracles in the test-suite check those claims directly.
 
 Power chains have one kernel, `powers` (clipped only where no later
 factor can carry a dropped coefficient into the requested window), and
 linear combinations another, `combine` (one vector-matrix product).
 `int_pow` is a single power by repeated squaring, with no window;
 `invert_function` reads its coefficients off one chain.
+
+Reciprocals have one kernel, `_lift`: Newton's step computing only the
+new half, so coefficient k in [2**i, 2**(i+1)) is always made from the
+first 2**i and a deeper request never moves a bit of a shallower prefix.
+A germ a = c * w**j * (1 + u) owns them: `split_normalize` keeps (c, j, u)
+on ``a`` and `_inverse` keeps 1/(1 + u) on u, grown to the deepest request
+yet, so `int_pow`, `reciprocal_powers` and ``log1p(u)`` read prefixes of
+one array at any depth, with the bits a fresh build would give.
 
 Ownership: ``LaurentSeries(...)`` validates and, where the array could
 still be written, copies; it is the entry point for data from outside the
@@ -214,6 +221,7 @@ def _owned(lo_exp: int, coeffs: np.ndarray, flavor: str, reliable: tuple) -> Lau
 
 
 _ZERO = _frozen(np.zeros(1, dtype=np.complex128))  # the one-entry zero window, shared read-only
+_ONE = _frozen(np.ones(1, dtype=np.complex128))  # 1 + u and its reciprocal before any request
 
 
 def monomial(exponent: int, coefficient=1.0, flavor: str = TWO_SIDED) -> LaurentSeries:
@@ -514,8 +522,11 @@ def split_normalize(a: LaurentSeries) -> tuple:
 
     The leading term is taken in the flavor direction (lowest stored
     nonzero exponent for AT_ZERO, highest for AT_INFINITY); u has exactly
-    zero constant term and decays strictly in the flavor direction.
+    zero constant term and decays strictly in the flavor direction.  Kept
+    on ``a``: the same object gives the same u, and so the same `_inverse`.
     """
+    if "split" in vars(a):
+        return vars(a)["split"]
     if a.flavor not in (AT_ZERO, AT_INFINITY):
         raise SeriesError("split_normalize needs a germ flavor (AtZero or AtInfinity)")
     nz = np.nonzero(a.coeffs)[0]
@@ -528,7 +539,9 @@ def split_normalize(a: LaurentSeries) -> tuple:
     j = a.lo_exp + idx
     arr = a.coeffs / c
     arr[idx] = 0.0  # subtract the leading 1 exactly
-    return c, j, _owned(a.lo_exp - j, _frozen(arr), a.flavor, tuple(e - j for e in a.reliable))
+    u = _owned(a.lo_exp - j, _frozen(arr), a.flavor, tuple(e - j for e in a.reliable))
+    vars(a)["split"] = (c, j, u)
+    return c, j, u
 
 
 def _decay_step(u: LaurentSeries) -> int:
@@ -545,19 +558,8 @@ def _decay_step(u: LaurentSeries) -> int:
     return step
 
 
-def _germ_array(u: LaurentSeries, n: int) -> np.ndarray:
-    """Coefficients of u at local orders 0..n, dense.
-
-    Local order i is the exponent ``i`` for AT_ZERO and ``-i`` for
-    AT_INFINITY, so both flavors decay toward higher local orders.
-    """
-    if u.flavor == AT_ZERO:
-        return dense(u, 0, n)
-    return dense(u, -n, 0)[::-1].copy()
-
-
 def _from_germ_array(local: np.ndarray, flavor: str, reliable: tuple) -> LaurentSeries:
-    """Inverse of `_germ_array`: local orders 0..n back to exponents."""
+    """Local orders 0..n (`_inverse`) back to exponents."""
     local = _frozen(local)
     if flavor == AT_ZERO:
         return _owned(0, local, flavor, reliable)
@@ -589,24 +591,33 @@ def _power_sum_reach(u: LaurentSeries, step: int, depth: int) -> int:
     return max(0, min(depth, (depth // step) * extent))
 
 
-def _newton_reciprocal(a: np.ndarray, n: int) -> np.ndarray:
-    """First n coefficients of 1/a for a dense power series with a[0] == 1.
-
-    Newton doubling: r <- r * (2 - a * r) mod x**m doubles the number of
-    correct coefficients per step, so ceil(log2 n) steps suffice.
-    """
-    r = np.ones(1, dtype=np.complex128)
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        e = -np.convolve(a[:m], r)[:m]
-        e[0] += 2.0
-        r = np.convolve(r, e)[:m]
+def _lift(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """1/a to a.size terms (a[0] == 1), extending r = 1/a mod x**r.size by
+    r <- r - r * (a * r - 1): terms [m, 2m), m a power of two, from r[:m] and
+    a[1:2m]; a call that stops inside a block sums the same products."""
+    while r.size < a.size:
+        m = 1 << (r.size.bit_length() - 1)
+        top = min(2 * m, a.size)
+        e = np.convolve(a[1:top], r[:m], "valid")  # (a * r)[m:top]; its lower terms are 1, 0, ...
+        r = np.concatenate([r, -np.convolve(r[: top - m], e)[r.size - m : top - m]])
     return r
 
 
+def _inverse(u: LaurentSeries, n: int) -> tuple:
+    """(1 + u, 1/(1 + u)) at local orders 0..n-1 at least, kept on u (module
+    docstring).  Local order i is the exponent i for AT_ZERO and -i for
+    AT_INFINITY, so both flavors decay toward higher local orders."""
+    a, r = vars(u).get("inverse", (_ONE, _ONE))
+    if r.size < n:
+        a = dense(u, 0, n - 1) if u.flavor == AT_ZERO else dense(u, 1 - n, 0)[::-1].copy()
+        a[0] = 1.0
+        a, r = _frozen(a), _frozen(_lift(a, r))
+        vars(u)["inverse"] = (a, r)
+    return a, r
+
+
 def _reciprocal(u: LaurentSeries, depth: int) -> LaurentSeries:
-    """(1 + u)**-1 truncated ``depth`` orders out, by Newton doubling.
+    """(1 + u)**-1 truncated ``depth`` orders out: a prefix of `_inverse`.
 
     u must have zero constant term and strict one-sided support in its
     flavor direction.  The result's reliability is claimed from the
@@ -617,9 +628,7 @@ def _reciprocal(u: LaurentSeries, depth: int) -> LaurentSeries:
     if u.flavor not in (AT_ZERO, AT_INFINITY):
         raise SeriesError("reciprocal needs a germ flavor")
     n = _power_sum_reach(u, _decay_step(u), depth)
-    a = _germ_array(u, n)
-    a[0] = 1.0
-    return _from_germ_array(_newton_reciprocal(a, n + 1), u.flavor,
+    return _from_germ_array(_inverse(u, n + 1)[1][: n + 1], u.flavor,
                             _germ_reliable(u, depth))
 
 
@@ -630,8 +639,9 @@ def _local_depth(depth, fallback_width: int) -> int:
 
 
 def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
-    """Integer power a**k by repeated squaring; for k < 0, of the Newton-doubling
-    reciprocal truncated ``depth`` local orders past the leading term."""
+    """Integer power a**k by repeated squaring; for k < 0, of the reciprocal
+    truncated ``depth`` local orders past the leading term, a prefix of the
+    one ``a`` keeps (`_inverse`)."""
     k = int(k)
     if k == 0:
         return constant(1.0, a.flavor)
@@ -653,7 +663,8 @@ def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:
     """log(1 + u) truncated at ``depth``, as the integral of u' / (1 + u).
 
     In the local variable x (w for AT_ZERO, 1/w for AT_INFINITY) this is
-    one Newton reciprocal, one product and a termwise integral from x = 0.
+    one product with a prefix of u's reciprocal (`_inverse`) and a termwise
+    integral from x = 0.
     u must have exactly zero constant term and strictly one-sided support
     in its flavor direction; the reliability claim is the reciprocal's.
     """
@@ -666,13 +677,11 @@ def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:
     if step == 0:
         return _owned(0, _ZERO, u.flavor, u.reliable)
     n = _power_sum_reach(u, step, depth)
-    a = _germ_array(u, n)
     out = np.zeros(n + 1, dtype=np.complex128)
     if n:
+        a, r = _inverse(u, n + 1)
         orders = np.arange(1, n + 1)
-        du = a[1:] * orders
-        a[0] = 1.0
-        out[1:] = np.convolve(du, _newton_reciprocal(a, n))[:n] / orders
+        out[1:] = np.convolve(a[1 : n + 1] * orders, r[:n])[:n] / orders
     return _from_germ_array(out, u.flavor, _germ_reliable(u, depth))
 
 

@@ -542,8 +542,10 @@ def test_battery_reads_the_canonical_bracket_once_in_lax(monkeypatch):
 
 def test_lax_builds_its_padded_fields_in_one_batch(monkeypatch):
     # lax asks for its six directions and n = 0 in one padded
-    # `flows.flow_fields` call; in the battery, canonical_bracket (first in
-    # name order) has built n = 0 already, which string reads too
+    # `flows.flow_fields` call; the battery runs it before string and
+    # canonical_bracket, which read its n = 0, so it is the only padded
+    # batch there too, and jacobian's tangents hold gauge_covariance's
+    # plain (1, -2): three batches in all
     built = _count_directions(monkeypatch)
     config = load_config(str(CONFIGS / "fixture_random.json"))
 
@@ -554,7 +556,24 @@ def test_lax_builds_its_padded_fields_in_one_batch(monkeypatch):
     assert padded() == [[-3, -2, -1, 0, 1, 2, 3]]
     built.clear()
     run_checks(config)
-    assert padded() == [[0], [-3, -2, -1, 1, 2, 3]]
+    assert padded() == [[-3, -2, -1, 0, 1, 2, 3]]
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("fixture", ["identity", "random", "sigma"])
+def test_a_check_reads_the_same_alone_as_in_the_battery(fixture):
+    # results shared through the context, and the reciprocals kept on its
+    # series, make no check depend on what ran before it
+    config = load_config(str(CONFIGS / f"fixture_{fixture}.json"))
+
+    def outcome(result):
+        return result["residual"].hex(), result["error"]
+
+    battery = run_checks(config, sorted(CHECKS))
+    assert [r["name"] for r in battery] == sorted(CHECKS)
+    for result in battery:
+        alone, = run_checks(config, [result["name"]])
+        assert outcome(alone) == outcome(result), result["name"]
 
 
 def test_battery_builds_one_mixed_partial_per_pair_and_gauge(monkeypatch):

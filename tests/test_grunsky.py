@@ -62,9 +62,8 @@ def test_faber_index_beyond_order(fix_id):
 
 
 def test_faber_polynomials_do_not_depend_on_the_other_indices():
-    # on this pair the Newton reciprocal of f moves its low coefficients with
-    # its depth (at 1e-19), so f's chain takes one depth per pair: every row
-    # is bit-equal to P_n built alone
+    # f's chain reads a prefix of f's one reciprocal at a depth set by the
+    # batch's largest index: every row is bit-equal to P_n built alone
     pair = CP.random_pair(seed=4, decay=0.3, order=8)
     batch = G.faber_polynomials(pair, [n for n in range(-8, 9) if n])
     for n, p in batch.items():

@@ -87,12 +87,27 @@ def test_output_digest_lists_every_stream_and_file():
             assert len(line.split()[3]) == 64, line
 
 
-def test_output_digest_masks_only_the_timing_lines():
+def _output_digest():
     spec = importlib.util.spec_from_file_location(
         "output_digest", ROOT / "scripts" / "output_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_output_digest_masks_only_the_timing_lines():
+    digest = _output_digest()
     err = (b"# jacobian: 0.123s\n# total: 12.500s\n"
            b"dtoda: error: eps 0.5s\n# note: 0.1s\n")
     assert digest.masked(err) == (b"# jacobian: <s>\n# total: <s>\n"
                                   b"dtoda: error: eps 0.5s\n# note: 0.1s\n")
+
+
+def test_output_digest_against_lists_only_the_changed_lines():
+    ours = ["sigma verify stdout aaa", "sigma verify json bbb",
+            "random sigma exit 2", "random sigma stdout ccc"]
+    theirs = ["sigma verify stdout aaa", "sigma verify json BBB",
+              "random sigma stdout ccc", "random flow exit 1"]
+    assert _output_digest().changed(ours, theirs) == [
+        "sigma verify json BBB -> bbb", "random sigma exit - -> 2", "random flow exit 1 -> -"]
+    assert _output_digest().changed(ours, ours) == []

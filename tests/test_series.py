@@ -724,21 +724,25 @@ def mp_series(a: LaurentSeries, j: int, n: int) -> list:
 
 
 def mp_reciprocal(b: list) -> list:
+    """1/b by the triangular recurrence; exact zeros of b are skipped."""
+    nz = [i for i in range(1, len(b)) if b[i]]
     r = [1 / b[0]]
     for k in range(1, len(b)):
-        r.append(-sum(b[i] * r[k - i] for i in range(1, k + 1)) / b[0])
+        r.append(-sum(b[i] * r[k - i] for i in nz if i <= k) / b[0])
     return r
 
 
 def mp_product(x: list, y: list) -> list:
-    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
+    nz = [i for i in range(len(x)) if x[i]]
+    return [sum(x[i] * y[k - i] for i in nz if i <= k) for k in range(len(x))]
 
 
 def mp_log(b: list) -> list:
     """log(b) - log(b[0]) by k L_k = k b_k - sum_{i<k} i L_i b_{k-i} (b[0] = 1)."""
+    nz = [i for i in range(1, len(b)) if b[i]]
     ell = [mp.mpc(0)]
     for k in range(1, len(b)):
-        acc = k * b[k] - sum(i * ell[i] * b[k - i] for i in range(1, k))
+        acc = k * b[k] - sum((k - i) * ell[k - i] * b[i] for i in nz if i < k)
         ell.append(acc / k)
     return ell
 
@@ -822,6 +826,83 @@ def test_log1p_matches_mpmath(case):
     ref = power_sum_reference(u, depth,
                               lambda k: 0.0 if k == 0 else (-1.0) ** (k + 1) / k)
     assert geometry(got) == geometry(ref)
+
+
+_B = 1.03 + 0.02j  # a large-|b| pair at the edge of the benchmark's coefficient box
+LARGE_B_GERMS = {
+    "g": {1: _B, 0: 0.1 - 0.05j, -1: 0.05 + 0.04j, -2: -0.03 + 0.02j},
+    "f": {1: 1 / _B, 2: 0.05 - 0.03j, 3: 0.03 + 0.02j},
+}
+
+
+@pytest.fixture(scope="module")
+def deep_oracles():
+    """40-digit reciprocal, cube of it and log at local orders 0..346 of each germ."""
+    out = {}
+    with mp.workdps(MP_DIGITS):
+        for name, pairs in LARGE_B_GERMS.items():
+            a = LaurentSeries.from_pairs(pairs, AT_INFINITY if name == "g" else AT_ZERO)
+            b = mp_series(a, 1, 347)
+            cube = mp_reciprocal(mp_product(b, mp_product(b, b)))
+            out[name] = a, mp_reciprocal(b), cube, mp_log([x / b[0] for x in b])
+    return out
+
+
+@pytest.mark.parametrize("depth", [140, 346])
+@pytest.mark.parametrize("name", sorted(LARGE_B_GERMS))
+def test_deep_reciprocal_and_log1p_match_mpmath(deep_oracles, name, depth):
+    # the lifted kernel far past the hypothesis audit's depths, on both
+    # germs of a large-|b| pair
+    a, rec_mp, cube_mp, log_mp = deep_oracles[name]
+    n = depth + 1
+    assert_matches_oracle(S.int_pow(a, -1, depth=depth), -1, rec_mp[:n], 1e-14)
+    assert_matches_oracle(S.int_pow(a, -3, depth=depth), -3, cube_mp[:n], 1e-14)
+    assert_matches_oracle(S.log1p(S.split_normalize(a)[2], depth=depth), 0, log_mp[:n], 1e-14)
+
+
+def _germ_pair():
+    """An AT_ZERO and an AT_INFINITY germ whose reciprocals reach every depth."""
+    rng = np.random.default_rng(19)
+    c = (rng.standard_normal(24) + 1j * rng.standard_normal(24)) * 0.6 ** np.arange(1, 25)
+    return (LaurentSeries(0, np.concatenate([[1.5 - 0.5j], c]), AT_ZERO),
+            LaurentSeries(-24, np.concatenate([c[::-1], [1.5 - 0.5j]]), AT_INFINITY))
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["at-zero", "at-infinity"])
+def test_reciprocal_prefixes_do_not_depend_on_earlier_requests(side):
+    # one array per germ grows with the deepest request, and every
+    # coefficient keeps the bits a fresh build at that depth gives
+    def fresh(depth):
+        return S.int_pow(_germ_pair()[side], -1, depth=depth)
+
+    arrays = []
+    for depths in ((40, 150), (150, 40), (346,), (40, 346, 41, 150, 64)):
+        a = _germ_pair()[side]
+        for depth in depths:
+            assert fields(S.int_pow(a, -1, depth=depth)) == fields(fresh(depth)), depths
+        arrays.append(vars(S.split_normalize(a)[2])["inverse"][1])
+    longest = max(arrays, key=len)
+    assert len(longest) == 347
+    for r in arrays:
+        assert r.tobytes() == longest[: r.size].tobytes()
+
+
+def test_negative_powers_and_log_of_one_germ_grow_one_reciprocal(monkeypatch):
+    runs = []
+    lift = S._lift
+    monkeypatch.setattr(S, "_lift", lambda a, r: runs.append(a.size) or lift(a, r))
+    a = _germ_pair()[0]
+    c, j, u = S.split_normalize(a)
+    assert S.split_normalize(a) == (c, j, u) and S.split_normalize(a)[2] is u
+    S.int_pow(a, -1, depth=40)
+    S.reciprocal_powers(a, 3, 60, (-8, 8))
+    S.log1p(u, depth=100)
+    assert runs == [41, 61, 101]
+    S.int_pow(a, -2, depth=80)
+    S.reciprocal_powers(a, 5, 100, (-4, 4))
+    S.log1p(u, depth=30)
+    assert runs == [41, 61, 101]
+    assert vars(u)["inverse"][1].size == 101
 
 
 # ---------------------------------------------------------------------------

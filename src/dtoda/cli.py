@@ -20,11 +20,11 @@ Conventions shared by every command:
   computation and writes nothing; ``verify`` instead reports a check
   that raised with the residual ``Infinity``.
 
-The ``verify`` battery runs its checks one after another, in order of
-check name.  The checks hold the interpreter lock on small arrays, so
-worker threads would only slow the battery down.  A command reads every
-derived series from one `context.PairContext`, so each is built once per
-command; nothing is kept across commands.
+The ``verify`` battery runs its checks one after another in `CHECKS`
+order and reports them by check name.  The checks hold the interpreter
+lock on small arrays, so worker threads would only slow the battery down.
+A command reads every derived series from one `context.PairContext`, so
+each is built once per command; nothing is kept across commands.
 """
 
 from __future__ import annotations

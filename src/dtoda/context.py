@@ -4,6 +4,9 @@ Every object of a solution (times, v's, log tau, flows, the pairing
 table) is a residue pairing of series derived from one pair (g, f).  A
 `PairContext` holds the pair, the potential and the command's settings,
 and builds each derived result on first use.  It lives for one command.
+The powers of g and f are not among them: the germs keep their own chains
+(`series.powers`), which die with the pair, because commands such as
+`cli.cmd_grunsky` and `flows.step` read them from a bare pair.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from .hamiltonian import GaugeTerm, HamiltonianH
 
 class PairContext:
     """A pair, its potential and settings, and a memo of what derives from
-    them.  A table, snapshot, field or chain whose build raises is not
-    kept, so every reader reports the error.  A moment object builds its
-    series on first read, so it stays in the memo when a read of it
-    raises (a failed `cli._deepest` trial keeps its partials until the
-    command ends)."""
+    them.  A table, snapshot or field whose build raises is not kept, so
+    every reader reports the error.  A moment object builds its series on
+    first read, so it stays in the memo when a read of it raises (a failed
+    `cli._deepest` trial keeps its partials until the command ends)."""
 
     def __init__(self, pair, h: HamiltonianH, gauge: Tuple[GaugeTerm, ...],
                  order: int, samples: int):
@@ -92,18 +94,13 @@ class PairContext:
             raise ValueError("check needs a single unit-coefficient monomial potential")
         return mu, nu
 
-    def chains(self, order: int):
-        """The monomial's power chains of g and f (`special._chains`)."""
-        return self._once(("chains", order), lambda: SP._chains(self.pair, *self.monomial, order))
-
     def special(self, order: int) -> C.TodaCoordinates:
         """The monomial's closed-form snapshot at ``order``."""
         return self._once(("special", order), lambda: SP.closed_form(
-            self.pair, *self.monomial, self.chains(order), self.moments(order, ())))
+            self.pair, *self.monomial, self.moments(order, ())))
 
     def generating(self, order: int) -> SP.GeneratingReport:
-        return SP.generating_identity(self.pair, self.special(order), *self.monomial,
-                                      self.chains(order))
+        return SP.generating_identity_check(self.pair, self.special(order), *self.monomial)
 
     @property
     def monomial_case(self) -> C.TodaCoordinates:

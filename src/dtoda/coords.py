@@ -29,11 +29,14 @@ here is a residue of an exact truncated-Laurent product in w:
   which Z2 reproduces through the series composition.
 
 A moment object (`Moments`) per (pair, potential, gauge, order) builds
-d1H, d2H, M1, M2 along the pair, their power chains and each coordinate
-once, by `series.residue_matrix` products against the chains (`Moments.t`
-builds only the two chains t reads) and one `series.combine` each for
-Phi(g), Psi(f); v_0 is read at the full pair order.  The public functions
-build their own; `context.PairContext` shares them.
+d1H, d2H, M1, M2 along the pair and each coordinate once, by
+`series.residue_matrix` products against rows of g^{+-k} and f^{+-k}
+(`Moments.t` reads only the two sets of rows t needs) and one
+`series.combine` each for Phi(g), Psi(f); v_0 is read at the full pair
+order.  The rows come from the one chain per sign that g and f keep
+(`series.powers`), each reader clipping them to its own window.  The
+public functions build their own moment objects; `context.PairContext`
+shares them.
 
 Gauge monomials (single-variable terms) enter ``time_variables``,
 ``v_zero`` and ``plemelj_check`` through the optional ``gauge`` argument;
@@ -83,17 +86,18 @@ def _total_sum(h, gauge: Sequence[GaugeTerm]) -> MonomialSum:
 
 
 class Moments:
-    """Moment series of one (pair, potential, gauge, order), their power
-    chains and the coordinates read off them, each built on first use.
+    """Moment series of one (pair, potential, gauge, order) and the
+    coordinates read off them, each built on first use.
 
     ``partials`` is (d1H, d2H) along the pair on (-width, width), ``m``
-    is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are g**1..g**order
-    and the powers of the depth-``depth`` reciprocal ``g_inv``, exact where
-    M1 reads them and on (-width, width), where log tau composes Phi(g);
-    ``f_up``/``f_down`` likewise against M2 and for Psi(f).  ``t`` reads
-    ``g_down`` and ``f_up`` alone, ``times`` is (t, v, t0_alt) and reads
-    all four; ``v0``, read at the full pair order, pairs M1 and M2 with
-    ``logs`` = (log(g/w), log(f/w)) and subtracts H(g, f) (``h_along``)/w.
+    is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are the rows
+    g**1..g**order and g**-1..g**-order of g's chains, exact where M1
+    reads them and on (-width, width), where log tau composes Phi(g), and
+    clipped there; ``f_up``/``f_down`` likewise against M2 and for Psi(f).
+    ``t`` reads ``g_down`` and ``f_up`` alone, ``times`` is (t, v, t0_alt)
+    and reads all four; ``v0``, read at the full pair order, pairs M1 and
+    M2 with ``logs`` = (log(g/w), log(f/w)) and subtracts H(g, f)
+    (``h_along``)/w.
     """
 
     def __init__(self, pair, h, gauge: Sequence[GaugeTerm], order: int):
@@ -102,7 +106,6 @@ class Moments:
         self.pair, self.h, self.order = pair, h, order
         self.ms = _total_sum(h, gauge)
         self.width = plan.halfwidth(pair, self.ms, order)
-        self.depth = plan.chain_depth(pair, self.ms, order)
 
     @cached_property
     def partials(self) -> Tuple[LaurentSeries, LaurentSeries]:
@@ -113,17 +116,16 @@ class Moments:
     def m(self) -> Tuple[LaurentSeries, LaurentSeries]:
         return tuple(map(S.mul, self.partials, (self.pair.g_prime(), self.pair.f_prime())))
 
-    def _chain(self, base: LaurentSeries, m: LaurentSeries) -> list:
-        """Powers exact where their product with m reaches w**-1, and on the window."""
+    def _chain(self, base: LaurentSeries, n: int, m: LaurentSeries) -> list:
+        """Rows of base**1..base**n (n < 0: base**-1..) exact where their product
+        with m reaches w**-1 and on the window, clipped there."""
         window = (min(-1 - m.hi_exp, -self.width), max(-1 - m.lo_exp, self.width))
-        return S.powers(base, self.order, window)
+        return _clipped_powers(base, n, window)
 
-    g_inv = cached_property(lambda self: S.int_pow(self.pair.g, -1, depth=self.depth))
-    f_inv = cached_property(lambda self: S.int_pow(self.pair.f, -1, depth=self.depth))
-    g_up = cached_property(lambda self: self._chain(self.pair.g, self.m[0]))
-    g_down = cached_property(lambda self: self._chain(self.g_inv, self.m[0]))
-    f_up = cached_property(lambda self: self._chain(self.pair.f, self.m[1]))
-    f_down = cached_property(lambda self: self._chain(self.f_inv, self.m[1]))
+    g_up = cached_property(lambda self: self._chain(self.pair.g, self.order, self.m[0]))
+    g_down = cached_property(lambda self: self._chain(self.pair.g, -self.order, self.m[0]))
+    f_up = cached_property(lambda self: self._chain(self.pair.f, self.order, self.m[1]))
+    f_down = cached_property(lambda self: self._chain(self.pair.f, -self.order, self.m[1]))
 
     @cached_property
     def t(self) -> Dict[int, complex]:
@@ -159,17 +161,16 @@ class Moments:
         pair, order = self.pair, self.order
         t, v, _ = self.times
 
-        def expansion(y, base, base_inv):
-            """res(y * base**(-k-1)), k = -order..order, on chains exact where y reads them."""
+        def expansion(y, base):
+            """res(y * base**(-k-1)), k = -order..order, on rows exact where y reads them."""
             window = (-1 - y.hi_exp, -1 - y.lo_exp)
-            rows = (S.powers(base, order - 1, window)[::-1] + [S.constant(1.0)]
-                    + S.powers(base_inv, order + 1, window))
+            rows = (_clipped_powers(base, order - 1, window)[::-1] + [S.constant(1.0)]
+                    + _clipped_powers(base, -order - 1, window))
             return S.residue_matrix([y], rows)[0]
 
         a1, a2 = self.partials
-        got_a = expansion(S.mul(S.mul(a1, pair.g), pair.g_prime()), pair.g, self.g_inv)
-        got_b = expansion(S.mul(S.scale(S.mul(a2, pair.f), -1.0), pair.f_prime()), pair.f,
-                          self.f_inv)
+        got_a = expansion(S.mul(S.mul(a1, pair.g), pair.g_prime()), pair.g)
+        got_b = expansion(S.mul(S.scale(S.mul(a2, pair.f), -1.0), pair.f_prime()), pair.f)
         ks = range(-order, order + 1)
         want_a = [k * t[k] if k > 0 else t[0] if k == 0 else v[-k] for k in ks]
         want_b = [-v[-k] if k > 0 else t[0] if k == 0 else k * t[k] for k in ks]
@@ -192,6 +193,15 @@ class Moments:
         z2_closed = sum(t[n] * v[n] + t[-n] * v[-n] for n in ns) / 2.0
         log_t = z1_part + z2_part + z3_part
         return z1_part, z2_part, z3_part, log_t, z2_closed
+
+
+def _clipped_powers(base: LaurentSeries, n: int, window) -> list:
+    """`series.powers` rows of ``base`` exact on ``window``, clipped to it: deep
+    enough that every row reaches the window's end on its decaying side."""
+    j = S.split_normalize(base)[1]
+    leads = (j if n > 0 else -j, j * n)
+    depth = window[1] - min(leads) if base.flavor == S.AT_ZERO else max(leads) - window[0]
+    return [S.clip(r, *window) for r in S.powers(base, n, max(depth, 0))]
 
 
 def _paired_logs(pair, depth: int):

@@ -202,13 +202,11 @@ def lax_check(ctx, n: int, order: int) -> float:
     pad = plan.check_pad(pair)
     ff0, ffn = ctx.flow_fields((0, n), pad=pad).values()
     poly_prime = S.derivative(b_polynomial(table, n))
-    if n >= 1:
-        base = S.int_pow(pair.g, n - 1) if n > 1 else S.constant(1.0, AT_INFINITY)
-        q = S.scale(S.mul(base, ff0.dg), float(n))
-    else:
-        base = S.int_pow(pair.f, n - 1, depth=plan.lax_depth(pair, n))
-        q = S.scale(S.mul(base, ff0.df), float(n))
-    dpoly0 = _halved_projection(q, n)
+    # the kept side of q, and its mean term, read base = s**(n-1) up to w**-1
+    # on its decaying side: dg0 ends at w**1 and df0 starts there
+    s, ds = (pair.g, ff0.dg) if n >= 1 else (pair.f, ff0.df)
+    base = S.powers(s, n - 1, abs(n))[-1] if n != 1 else S.constant(1.0, AT_INFINITY)
+    dpoly0 = _halved_projection(S.scale(S.mul(base, ds), float(n)), n)
 
     def bracket_with(ds: LaurentSeries, s_prime: LaurentSeries) -> LaurentSeries:
         return S.shift(S.sub(S.mul(poly_prime, ds), S.mul(dpoly0, s_prime)), 1)

@@ -39,12 +39,12 @@ provided:
   solved row by row in z1 from theta L * (1 + W) = theta W, theta =
   z1 d/dz1, as a relaxed product (:func:`_log2d`).
 
-:func:`grunsky_table` reads P_n and P_-n off the chains g^1..g^N and
-f^-1..f^-N it builds for its weights, and carries them
+Every power of g and f here is a row of the one chain per sign that the
+germ keeps (`series.powers`).  :func:`grunsky_table` reads P_n and P_-n
+off the rows g^1..g^N and f^-1..f^-N of its weights and carries them
 (``GrunskyTable.faber``) for :func:`faber_expansion_defect` and
-:func:`b_polynomial`, together with the chain g^1..g^N
-(``GrunskyTable.g_powers``) that :func:`faber_expansion_defect` pairs
-again; :func:`faber_polynomials` builds one such chain per side on [0, K].
+:func:`b_polynomial`; :func:`faber_polynomials` reads the same rows, so
+its P_n are the table's bit for bit.
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
 = b(m, n)``.  On the primary path each block of it is one matrix product
@@ -71,7 +71,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import series as S
 from . import plan
 from .conformal_pair import ConformalPair
-from .coords import _paired_logs
+from .coords import _clipped_powers, _paired_logs
 from .series import (
     AT_INFINITY,
     AT_ZERO,
@@ -88,15 +88,13 @@ class GrunskyTable:
     ``b[m + N, n + N] = b(m, n)``, N = ``order``; :meth:`entry` reads it
     by signed index and raises ``KeyError`` outside the table.
     ``faber`` maps 1 <= |n| <= order to the exact series P_n the residue
-    path read the entries against, and ``g_powers`` holds the chain
-    g^1..g^N they and the weights came from (both empty on oracle tables
-    and left out of ``repr``).
+    path read the entries against (empty on oracle tables, and left out
+    of ``repr``).
     """
 
     order: int
     b: np.ndarray
     faber: dict = field(default_factory=dict, repr=False)
-    g_powers: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         self.b.setflags(write=False)
@@ -127,19 +125,18 @@ def _polynomial_part(power: LaurentSeries, n: int) -> LaurentSeries:
 
 def faber_polynomials(pair: ConformalPair, ns) -> dict:
     """{n: P_n}, the polynomial part of g**n (n >= 1) or f**n (n <= -1), for
-    every n of ``ns``: rows of one chain per side on [0, K], K its largest |n|
-    (f's off a prefix of f's one reciprocal, at `plan.faber_depth`), each the
-    same whatever K is.  Index 0 stands for log w, has no polynomial part, raises."""
+    every n of ``ns``: rows of g's and f's chains exact on [0, K], K the largest
+    |n| of a side, each the same whatever K is.  Index 0 stands for log w, has
+    no polynomial part, raises."""
     ns = [int(n) for n in ns]
     for n in ns:
         if abs(n) > pair.order:
             raise SeriesError(f"faber index {n} exceeds pair order {pair.order}")
         if n == 0:
             raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
-    top, bottom = max([0] + ns), -min([0] + ns)
-    up = S.powers(pair.g, top, (0, top)) if top else []
-    down = S.reciprocal_powers(pair.f, bottom, plan.faber_depth(bottom),
-                               (-bottom, 0)) if bottom else []
+    top, bottom = max([0] + ns), min([0] + ns)
+    up = S.powers(pair.g, top, top)
+    down = S.powers(pair.f, bottom, -bottom)
     return {n: _polynomial_part(up[n - 1] if n > 0 else down[-n - 1], n) for n in ns}
 
 
@@ -172,25 +169,26 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     The rows P_-N..P_-1, log(g/w) or log(f/w), P_1..P_N are paired with
     the weights g^{m-1} g' and f^{-m-1} f' in two matrix products, which
     fill the columns m >= 1 and m <= -1; column 0 pairs P_n with f^{-1} f'
-    and P_-n with g^{-1} g'.  P_n and P_-n are read off the chains
-    g^1..g^N and f^-1..f^-N that the weights are built from.
+    and P_-n with g^{-1} g'.  P_n and P_-n are read off the rows
+    g^1..g^N and f^-1..f^-N that the weights are built from, all exact
+    on and clipped to `plan.table_frame`.
     """
     n_max = int(order)
     if n_max > pair.order or n_max < 1:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
     g, f = pair.g, pair.f
     gp, fp = pair.g_prime(), pair.f_prime()
-    depth, frame = plan.table_chains(pair, n_max)
+    frame = plan.table_frame(pair, n_max)
 
     # weights: e_g[0] = g^{-1} g', e_g[m] = g^{m-1} g'; e_f[m] = f^{-m-1} f' (m = 0..N)
-    g_pow = S.powers(g, n_max, frame)
-    f_neg = S.reciprocal_powers(f, n_max + 1, depth, frame)
+    g_pow = _clipped_powers(g, n_max, frame)
+    f_neg = _clipped_powers(f, -n_max - 1, frame)
     e_g = [S.clip(S.mul(s, gp), *frame) for s in
-           [S.int_pow(g, -1, depth=depth), S.constant(1.0, AT_INFINITY)] + g_pow[:-1]]
+           _clipped_powers(g, -1, frame) + [S.constant(1.0, AT_INFINITY)] + g_pow[:-1]]
     e_f = [S.clip(S.mul(s, fp), *frame) for s in f_neg]
     neg = [_polynomial_part(f_neg[n - 1], -n) for n in range(n_max, 0, -1)]
     pos = [_polynomial_part(g_pow[n - 1], n) for n in range(1, n_max + 1)]
-    log_g, log_f = _paired_logs(pair, depth)
+    log_g, log_f = _paired_logs(pair, 1 + frame[1])
 
     k = np.abs(np.arange(-n_max, n_max + 1))
     div = np.maximum(k, 1)[:, None]
@@ -200,8 +198,7 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     b[:n_max, n_max] = -S.residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
     b[n_max + 1:, n_max] = S.residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
     b[n_max, n_max] = -cmath.log(pair.b)
-    return GrunskyTable(n_max, b, dict(zip([n for n in range(-n_max, n_max + 1) if n], neg + pos)),
-                        tuple(g_pow))
+    return GrunskyTable(n_max, b, dict(zip([n for n in range(-n_max, n_max + 1) if n], neg + pos)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +342,13 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
     The exponent restriction accounts for the truncation of the m-sums:
     beyond it the residual is dominated by absent m > order terms.  Each
     identity is one product of a quadrant of the table with the stacked
-    basis powers.  The P_n and g^1..g^N are the ones the table carries,
-    so it must come from :func:`grunsky_table`.
+    basis powers.  The P_n are the ones the table carries, so it must
+    come from :func:`grunsky_table`.
     """
     n_max = table.order
-    depth, frame = plan.table_chains(pair, n_max)
-    g_pos = table.g_powers
-    g_neg, f_pos, f_neg = (S.powers(s, n_max, frame) for s in (
-        S.int_pow(pair.g, -1, depth=depth), pair.f, S.int_pow(pair.f, -1, depth=depth)))
+    frame = plan.table_frame(pair, n_max)
+    g_pos, g_neg, f_pos, f_neg = (_clipped_powers(s, n, frame) for s, n in (
+        (pair.g, n_max), (pair.g, -n_max), (pair.f, n_max), (pair.f, -n_max)))
     ns = range(1, n_max + 1)
     p_pos, p_neg = [table.faber[n] for n in ns], [table.faber[-n] for n in ns]
     const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]

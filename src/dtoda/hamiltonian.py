@@ -12,9 +12,9 @@ is z1/z2 and ``(2, -1, 0.5)`` is 0.5*z1**2*z2.  Two layers:
   stays inside the monomial algebra (no logarithmic terms).
 
 ``eval_along`` substitutes z1 = g(w), z2 = f(w) for a conformal-map pair and
-returns a truncated Laurent series clipped to a requested window, choosing
-an internal expansion depth large enough that the reliability claim covers
-the window.
+returns a truncated Laurent series clipped to a requested window, reading
+each power of g and f off the pair's chains deep enough that the
+reliability claim covers the window.
 
 ``gauge_shift_constants`` gives the closed-form origin shifts of the
 time/velocity coordinates induced by adding single-variable monomials
@@ -131,30 +131,26 @@ class HamiltonianH:
 def eval_along(ms, pair, window) -> LaurentSeries:
     """Substitute z1 = g(w), z2 = f(w) and clip to ``window``.
 
-    Negative powers are ``series.int_pow`` at `plan.eval_depth`, deep enough
-    that the result's reliability claim covers the window, off a prefix of
-    the one reciprocal g or f keeps whatever the window and depth.
+    Each power of g or f is a row of the pair's one chain of its sign
+    (`series.powers`) at `plan.eval_depth`, deep enough that the result's
+    reliability claim covers the window.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty window")
     depth = plan.eval_depth(ms, (lo, hi))
-    g_pows: dict = {}
-    f_pows: dict = {}
 
-    def power(base: LaurentSeries, cache: dict, k: int) -> LaurentSeries:
-        if k not in cache:
-            cache[k] = S.int_pow(base, k, depth=depth)
-        return cache[k]
+    def power(base: LaurentSeries, k: int) -> LaurentSeries:
+        return S.powers(base, k, depth)[-1]
 
     acc = None
     for mu, nu, c in ms.terms:
         if mu and nu:
-            prod = S.mul(power(pair.g, g_pows, mu), power(pair.f, f_pows, -nu))
+            prod = S.mul(power(pair.g, mu), power(pair.f, -nu))
         elif mu:
-            prod = power(pair.g, g_pows, mu)
+            prod = power(pair.g, mu)
         elif nu:
-            prod = power(pair.f, f_pows, -nu)
+            prod = power(pair.f, -nu)
         else:
             prod = S.constant(1.0)
         piece = S.clip(S.scale(prod, c), lo, hi)

@@ -1,6 +1,6 @@
 """Every truncation depth, window and probe order outside the series kernels.
 
-A depth is how many terms a reciprocal, inverse or logarithm carries, a
+A depth is how many terms a chain row, inverse or logarithm carries, a
 window the exponents a consumer reads, a probe order how many modes a
 check compares.  Each rule is one function that gives its reason once;
 depths inside a `series` kernel stay with the kernel.
@@ -14,8 +14,9 @@ def halfwidth(pair, ms, order: int) -> int:
     return pair.order + order + 2 * spread + 32
 
 
-def chain_depth(pair, ms, order: int) -> int:
-    """Reciprocal of the chains read against the moments: exact on the window."""
+def monomial_depth(pair, ms, order: int) -> int:
+    """Negative powers of the monomial closed forms: the moments' window and
+    the order past it, with margin; the generating identities compare on it."""
     return halfwidth(pair, ms, order) + order + 8
 
 
@@ -25,9 +26,9 @@ def bracket_halfwidth(pair, ms) -> int:
 
 
 def eval_depth(ms, window) -> int:
-    """Negative powers of g and f substituted into a potential: reliable
-    across the clip window after a term's powers shift it by up to the
-    potential's spread on either side, with margin; at least 16."""
+    """Powers of g and f substituted into a potential: reliable across the
+    clip window after a term's powers shift it by up to the potential's
+    spread on either side, with margin; at least 16."""
     spread = max((abs(mu) + abs(nu) for mu, nu, _ in ms.terms), default=0)
     return max(16, (window[1] - window[0]) + 2 * spread + 8)
 
@@ -38,21 +39,11 @@ def check_pad(pair) -> int:
     return 3 * pair.order + 16
 
 
-def lax_depth(pair, n: int) -> int:
-    """Reciprocal for f**(n-1), n <= -1, against the padded n = 0 field."""
-    return 2 * abs(n) + pair.order + 16
-
-
-def table_chains(pair, n_max: int):
-    """(reciprocal depth, frame) of a table's chains: the frame holds every
-    exponent a pairing of P_n with a weight reads."""
+def table_frame(pair, n_max: int):
+    """Exponents a table's rows are exact and clipped on: every exponent a
+    pairing of P_n with a weight reads."""
     reach = pair.order + n_max + 6
-    return 2 * pair.order + 12, (-reach, reach)
-
-
-def faber_depth(k: int) -> int:
-    """Reciprocal of f for P_n, -k <= n <= -1: exact on [-k, 0] with margin."""
-    return 2 * k + 8
+    return -reach, reach
 
 
 def inverse_depth(n_max: int) -> int:

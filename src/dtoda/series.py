@@ -14,7 +14,7 @@ tagged with
   exactly zero, and the reliable window may extend past the stored window
   (a claim that the true coefficients there are zero).  Exact polynomials
   carry the sentinels ``(-inf, +inf)``.  Operations that truncate an
-  infinite tail (negative integer powers and ``reciprocal_powers``,
+  infinite tail (negative integer powers and ``powers`` rows,
   ``log1p``, ``invert_function``, ``divide_on_circle``, lossy clips)
   install finite edges, and the ring operations propagate them.
 
@@ -34,19 +34,23 @@ only input coefficients inside the window), rather than from interval
 propagation through every intermediate; round-trip identities and
 40-digit oracles in the test-suite check those claims directly.
 
-Power chains have one kernel, `powers` (clipped only where no later
-factor can carry a dropped coefficient into the requested window), and
-linear combinations another, `combine` (one vector-matrix product).
-`int_pow` is a single power by repeated squaring, with no window;
-`invert_function` reads its coefficients off one chain.
+Power chains have one kernel, `powers`: the rows a**1..a**n or
+a**-1..a**-n of a germ, each exact to a depth past its leading term, so
+cut only on its decaying side, and linear combinations another, `combine`
+(one vector-matrix product).  `int_pow` is a single power by repeated
+squaring; `invert_function` reads its coefficients off one chain.
 
 Reciprocals have one kernel, `_lift`: Newton's step computing only the
 new half, so coefficient k in [2**i, 2**(i+1)) is always made from the
 first 2**i and a deeper request never moves a bit of a shallower prefix.
-A germ a = c * w**j * (1 + u) owns them: `split_normalize` keeps (c, j, u)
-on ``a`` and `_inverse` keeps 1/(1 + u) on u, grown to the deepest request
-yet, so `int_pow`, `reciprocal_powers` and ``log1p(u)`` read prefixes of
-one array at any depth, with the bits a fresh build would give.
+A germ a = c * w**j * (1 + u) owns what is derived from it:
+`split_normalize` keeps (c, j, u) on ``a``, `_inverse` keeps 1/(1 + u) on
+u, grown to the end of the deepest request's power-of-two block, and
+`_chain` keeps the rows of each sign of `powers` on ``a``, grown to the
+longest and deepest request.  Every row is a truncated product of
+prefixes, so `int_pow`, `powers` and ``log1p(u)`` read prefixes at any
+depth with the bits a fresh build would give, and the rows die with the
+germ.
 
 Ownership: ``LaurentSeries(...)`` validates and, where the array could
 still be written, copies; it is the entry point for data from outside the
@@ -331,7 +335,9 @@ def dense(a: LaurentSeries, lo: int, hi: int) -> np.ndarray:
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise SeriesError("dense: empty window requested")
-    return dense_rows([a], lo, hi)[0]
+    out = np.zeros(hi - lo + 1, dtype=np.complex128)
+    dense_rows([a], lo, hi, out[None])
+    return out
 
 
 def dense_rows(rows: Sequence[LaurentSeries], lo: int, hi: int, out=None) -> np.ndarray:
@@ -399,48 +405,6 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     reliable = _mul_reliable(a, b)
     arr = _frozen(np.convolve(a.coeffs, b.coeffs))
     return _owned(a.lo_exp + b.lo_exp, arr, _merge_flavor(a, b), reliable)
-
-
-def powers(base: LaurentSeries, n: int, window=None) -> list:
-    """[base, base**2, ..., base**n] by repeated multiplication.
-
-    Row k >= 2 is one convolution of row k - 1 with ``base``, with `mul`'s
-    flavor and reliable window.  With ``window = (lo, hi)`` the same step
-    applies `clip`'s rule to it (row 1 too), on the window widened by as far
-    as the n - k factors still to come can carry a coefficient, so every row
-    equals the unclipped power on the window; each row is built once, and
-    errors are `mul`'s, then `clip`'s, as that recurrence raises them.
-    """
-    rows = []
-    for k in range(1, int(n) + 1):
-        if k == 1:
-            lo_exp, arr, flavor, reliable = base.lo_exp, base.coeffs, base.flavor, base.reliable
-        else:
-            prev = rows[-1]
-            reliable = _mul_reliable(prev, base)
-            lo_exp, flavor = prev.lo_exp + base.lo_exp, _merge_flavor(prev, base)
-            arr = _frozen(np.convolve(prev.coeffs, base.coeffs))
-        if window is not None:
-            rows.append(_clipped(lo_exp, arr, flavor, reliable,
-                                 int(window[0] - (n - k) * max(base.hi_exp, 0)),
-                                 int(window[1] + (n - k) * max(-base.lo_exp, 0))))
-        else:
-            rows.append(base if k == 1 else _owned(lo_exp, arr, flavor, reliable))
-    return rows
-
-
-def reciprocal_powers(a: LaurentSeries, n: int, depth: int, window) -> list:
-    """[a**-1, ..., a**-n] for a = c * w**j * (1+u): row k is exp(-k log c) w**(-jk)
-    times row k of the `powers` chain of the depth-``depth`` reciprocal of 1+u,
-    whose leading term stays exactly 1, so the rounding of 1/c is not
-    compounded k times.  Every row is exact on ``window = (lo, hi)``."""
-    c, j, u = split_normalize(a)
-    window = (window[0] + min(j, j * n), window[1] + max(j, j * n))
-    rows = powers(_reciprocal(u, depth), n, window)
-    scales = np.exp(-np.arange(1, n + 1) * np.log(c))
-    return [_owned(row.lo_exp - j * k, _frozen(row.coeffs * s), row.flavor,
-                   tuple(e - j * k for e in row.reliable))
-            for k, (row, s) in enumerate(zip(rows, scales), 1)]
 
 
 def derivative(a: LaurentSeries) -> LaurentSeries:
@@ -573,8 +537,8 @@ def _germ_reliable(u: LaurentSeries, depth: int) -> tuple:
     exact side.
     """
     if u.flavor == AT_ZERO:
-        return (NEG_INF, min(int(depth), u.reliable[1]))
-    return (max(-int(depth), u.reliable[0]), POS_INF)
+        return (NEG_INF, min(depth, u.reliable[1]))
+    return (max(-depth, u.reliable[0]), POS_INF)
 
 
 def _power_sum_reach(u: LaurentSeries, step: int, depth: int) -> int:
@@ -603,33 +567,81 @@ def _lift(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return r
 
 
+def _local(a: LaurentSeries, n: int) -> np.ndarray:
+    """Coefficients of a germ at local orders 0..n-1, a fresh array.  Local
+    order i is the exponent i for AT_ZERO and -i for AT_INFINITY, so both
+    flavors decay toward higher local orders."""
+    return dense(a, 0, n - 1) if a.flavor == AT_ZERO else dense(a, 1 - n, 0)[::-1].copy()
+
+
 def _inverse(u: LaurentSeries, n: int) -> tuple:
     """(1 + u, 1/(1 + u)) at local orders 0..n-1 at least, kept on u (module
-    docstring).  Local order i is the exponent i for AT_ZERO and -i for
-    AT_INFINITY, so both flavors decay toward higher local orders."""
+    docstring) and grown to the end of n's power-of-two block, which `_lift`
+    computes in one step whatever prefix it starts from."""
     a, r = vars(u).get("inverse", (_ONE, _ONE))
     if r.size < n:
-        a = dense(u, 0, n - 1) if u.flavor == AT_ZERO else dense(u, 1 - n, 0)[::-1].copy()
+        a = _local(u, 1 << (n - 1).bit_length())
         a[0] = 1.0
         a, r = _frozen(a), _frozen(_lift(a, r))
         vars(u)["inverse"] = (a, r)
     return a, r
 
 
-def _reciprocal(u: LaurentSeries, depth: int) -> LaurentSeries:
-    """(1 + u)**-1 truncated ``depth`` orders out: a prefix of `_inverse`.
+def powers(a: LaurentSeries, n: int, depth: int | None = None) -> list:
+    """[a, a**2, ..., a**n], or [a**-1, ..., a**n] for n < 0, of a germ
+    a = c * w**j * (1 + u).
 
-    u must have zero constant term and strict one-sided support in its
-    flavor direction.  The result's reliability is claimed from the
-    truncation analysis (`_germ_reliable`).
+    Row k of a**k is a convolved with itself k times; row k of a**-k is
+    exp(-k log c) w**(-jk) times the k-th power of `_inverse`'s reciprocal
+    of 1 + u, whose leading term stays exactly 1, so the rounding of 1/c is
+    not compounded.  Each row holds the local orders 0..``depth`` past its
+    leading term (exponents +-jk + i at zero, +-jk - i at infinity), so its
+    one edge is on the decaying side: it is exact there and reliable to u's
+    own edge.  Without a depth a positive row is whole, k times u's
+    outermost nonzero local order deep.  The rows are kept on ``a``
+    (`_chain`); a reader clips them to its own window.
     """
-    if abs(u.coeff(0)) != 0.0:
-        raise SeriesError("reciprocal needs zero constant term")
-    if u.flavor not in (AT_ZERO, AT_INFINITY):
-        raise SeriesError("reciprocal needs a germ flavor")
-    n = _power_sum_reach(u, _decay_step(u), depth)
-    return _from_germ_array(_inverse(u, n + 1)[1][: n + 1], u.flavor,
-                            _germ_reliable(u, depth))
+    s, n = (1, int(n)) if n >= 0 else (-1, -int(n))
+    depth = POS_INF if depth is None else int(depth)
+    if s < 0 and depth == POS_INF:
+        raise SeriesError("negative powers need a depth")
+    _, j, u = split_normalize(a)
+    nz = np.nonzero(u.coeffs)[0]
+    x = 0 if not nz.size else (u.lo_exp + int(nz[-1]) if u.flavor == AT_ZERO
+                               else -(u.lo_exp + int(nz[0])))
+    # 1/(1 + u) ends only for u = 0
+    tops = [min(depth, k * x) if s > 0 else depth if x else 0 for k in range(1, n + 1)]
+    cut, whole, rows = _germ_reliable(u, depth), _germ_reliable(u, POS_INF), []
+    for k, (top, (_, row)) in enumerate(zip(tops, _chain(a, s, tops, x)), 1):
+        lead = s * j * k
+        reliable = tuple(e + lead for e in (cut if s < 0 or top < k * x else whole))
+        rows.append(_owned(lead, row[: top + 1], AT_ZERO, reliable) if u.flavor == AT_ZERO
+                    else _owned(lead - top, row[top::-1], AT_INFINITY, reliable))
+    return rows
+
+
+def _chain(a: LaurentSeries, s: int, tops: list, x: int) -> list:
+    """(power, row) of k = 1..len(tops) at local orders 0..tops[k-1] at
+    least, kept on ``a`` and grown in place: a**k twice, or (1 + u)**-k and
+    its scaled row a**-k.
+
+    The k-th power is one truncated product of a prefix of the (k-1)-th
+    with a prefix of the base, a from its leading term on (x its outermost
+    nonzero local order) or `_inverse`'s reciprocal, so a deeper row starts
+    with the bits of a shallower one and no row depends on which request
+    built it.
+    """
+    c, j, u = split_normalize(a)
+    store, base = vars(a).setdefault(("powers", s), []), None
+    for k, top in enumerate(tops, 1):
+        m = top + 1
+        if k <= len(store) and store[k - 1][0].size >= m:
+            continue
+        if base is None:
+            base = _frozen(_local(shift(a, -j), x + 1)) if s > 0 else _inverse(u, max(tops) + 1)[1]
+        power = base[:m] if k == 1 else _frozen(np.convolve(store[k - 2][0][:m], base[:m]))[:m]
+        store[k - 1:k] = [(power, power if s > 0 else _frozen(power * np.exp(-k * np.log(c))))]
+    return store[: len(tops)]
 
 
 def _local_depth(depth, fallback_width: int) -> int:
@@ -639,16 +651,13 @@ def _local_depth(depth, fallback_width: int) -> int:
 
 
 def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
-    """Integer power a**k by repeated squaring; for k < 0, of the reciprocal
-    truncated ``depth`` local orders past the leading term, a prefix of the
-    one ``a`` keeps (`_inverse`)."""
+    """Integer power a**k by repeated squaring; for k < 0, the row of a's
+    chain (`powers`) ``depth`` local orders past the leading term."""
     k = int(k)
     if k == 0:
         return constant(1.0, a.flavor)
     if k < 0:
-        c, j, u = split_normalize(a)
-        inv = _reciprocal(u, _local_depth(depth, a.width))
-        a, k = shift(scale(inv, 1.0 / c), -j), -k
+        return powers(a, k, _local_depth(depth, a.width))[-1]
     result, base = None, a
     while k:
         if k & 1:
@@ -700,8 +709,8 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     default ``depth`` is read from the stored window (``hi_exp - 1`` or
     ``1 - lo_exp``, at least 1).
     Every other coefficient is a residue of a power of a: [z^n] G =
-    res(a^-n) / n at zero, off one `reciprocal_powers` chain, and [z^-n] G =
-    -res(a^n) / n at infinity, off one `powers` chain.  A residue reads
+    res(a^-n) / n at zero and [z^-n] G = -res(a^n) / n at infinity, each
+    off one `powers` chain of the input's copy.  A residue reads
     only input coefficients inside the window, so the output is exact up
     to rounding there (a 40-digit oracle is asserted in the test-suite).
     """
@@ -716,15 +725,13 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     if a.flavor == AT_ZERO:
         depth = max(a.hi_exp - 1, 1) if depth is None else int(depth)
         window = (1, 1 + depth)
-        chain = reciprocal_powers(LaurentSeries(1, dense(a, *window), AT_ZERO),
-                                  depth + 1, depth, (-1, -1))
+        chain = powers(LaurentSeries(1, dense(a, *window), AT_ZERO), -depth - 1, depth)
         out = np.array([row.coeff(-1) for row in chain]) / np.arange(1, depth + 2)
         reliable = (NEG_INF, window[1])
     else:
         depth = max(1 - a.lo_exp, 1) if depth is None else int(depth)
         window = (1 - depth, 1)
-        chain = powers(LaurentSeries(window[0], dense(a, *window), AT_INFINITY),
-                       depth - 1, (-1, -1))
+        chain = powers(LaurentSeries(window[0], dense(a, *window), AT_INFINITY), depth - 1, depth)
         tail = -np.array([row.coeff(-1) for row in chain]) / np.arange(1, depth)
         b = a.coeff(1)
         out = np.concatenate([tail[::-1], [-a.coeff(0) / b, 1.0 / b]])

@@ -21,9 +21,9 @@ with logarithmic terms; ``generating_identity_check`` verifies all three
 (the integrated one in differentiated form, reporting the integration
 constant separately rather than asserting a convention for it).  The
 residues are two `series.residue_matrix` rows and each expansion one
-`series.combine`, over power chains (`_chains`) left unclipped: the
-identities are compared on whole reliable windows.  `context.PairContext`
-hands the chains to `closed_form` and `generating_identity`.
+`series.combine`, over rows of g's and f's chains (`series.powers`) on
+their whole reliable windows (`_rows`): the identities are compared
+there.
 
 Halving the two weighted contour evaluations
 
@@ -69,19 +69,19 @@ class MonomialCase:
         return HamiltonianH.of((self.mu, self.nu, 1.0))
 
 
-def _chains(pair, mu: int, nu: int, order: int):
-    """Chains k -> base**k of g and f, unclipped, for every residue above."""
-    ms = MonomialCase(mu, nu).h.as_sum()
+def _rows(pair, mu: int, nu: int, order: int):
+    """Rows k -> base**k of g and f for every residue above, |k| <= order +
+    |mu| + 1 or order + |nu| + 1: positive rows whole, negative ones at
+    `plan.monomial_depth`, each on its reliable window."""
     if order < 1 or pair.order <= abs(mu) + abs(nu) + order:
         raise ValueError(
             "window budget: pair order must exceed |mu| + |nu| + N")
-    depth = plan.chain_depth(pair, ms, order)
-    chains = []
+    depth = plan.monomial_depth(pair, MonomialCase(mu, nu).h.as_sum(), order)
+    rows = []
     for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
-        down = S.powers(S.int_pow(base, -1, depth=depth), length)
-        chains.append({0: S.constant(1.0), **dict(enumerate(S.powers(base, length), 1)),
-                       **{-n: p for n, p in enumerate(down, 1)}})
-    return tuple(chains)
+        rows.append({0: S.constant(1.0), **dict(enumerate(S.powers(base, length), 1)),
+                     **{-n: p for n, p in enumerate(S.powers(base, -length, depth), 1)}})
+    return tuple(rows)
 
 
 def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoordinates:
@@ -89,19 +89,19 @@ def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoor
     ``order`` (by default `plan.monomial_order`).
 
     Same residues as the general moment path, assembled through explicit
-    power chains of g and f; log tau is taken from the shared general
+    powers of g and f; log tau is taken from the shared general
     assembly so that ``special_logtau`` remains an independent closed
     form to compare against.
     """
     case = MonomialCase(int(mu), int(nu))
     order = plan.monomial_order(pair, case.mu, case.nu) if order is None else int(order)
-    return closed_form(pair, case.mu, case.nu, _chains(pair, case.mu, case.nu, order),
-                       Moments(pair, case.h, (), order))
+    return closed_form(pair, case.mu, case.nu, Moments(pair, case.h, (), order))
 
 
-def closed_form(pair, mu: int, nu: int, chains, moments: Moments) -> TodaCoordinates:
-    """`special_coords` on the monomial's ``chains`` and general ``moments``."""
-    order, (gp, fp) = moments.order, chains
+def closed_form(pair, mu: int, nu: int, moments: Moments) -> TodaCoordinates:
+    """`special_coords` on the general ``moments``."""
+    order = moments.order
+    gp, fp = _rows(pair, mu, nu, order)
     g_side = S.mul(fp[-nu], pair.g_prime())
     f_side = S.mul(gp[mu], pair.f_prime())
 
@@ -176,14 +176,8 @@ def generating_identity_check(pair, coords: TodaCoordinates, mu: int,
                               nu: int) -> GeneratingReport:
     """Residuals of the moment expansions and their integrated form."""
     case = MonomialCase(int(mu), int(nu))
-    return generating_identity(pair, coords, case.mu, case.nu,
-                               _chains(pair, case.mu, case.nu, coords.order))
-
-
-def generating_identity(pair, coords: TodaCoordinates, mu: int, nu: int,
-                        chains) -> GeneratingReport:
-    """`generating_identity_check` on the `_chains` at ``coords.order``."""
-    order, (gp, fp) = coords.order, chains
+    mu, nu, order = case.mu, case.nu, coords.order
+    gp, fp = _rows(pair, mu, nu, order)
     t, v, t0 = coords.t, coords.v, coords.t[0]
 
     power = S.mul(gp[mu], fp[-nu])

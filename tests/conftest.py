@@ -1,5 +1,5 @@
 """Shared fixtures: the four standard pairs used across the test-suite, a
-context factory and a pointwise evaluator."""
+context factory, a reader of a pair's chains and a pointwise evaluator."""
 
 import numpy as np
 import pytest
@@ -50,6 +50,15 @@ def context():
     def build(pair, h, gauge=(), order=None, samples=1024):
         return PairContext(pair, h, gauge, pair.order if order is None else order, samples)
     return build
+
+
+@pytest.fixture(scope="session")
+def chain_lengths():
+    """{(germ, sign): rows} of every chain a pair's g and f keep (`series.powers`)."""
+    def lengths(pair):
+        return {(side, s): len(vars(getattr(pair, side))[("powers", s)])
+                for side in "gf" for s in (1, -1) if ("powers", s) in vars(getattr(pair, side))}
+    return lengths
 
 
 @pytest.fixture(scope="session")

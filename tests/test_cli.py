@@ -601,14 +601,39 @@ def test_battery_flow_fields(monkeypatch, fixture, names, most):
 
 
 def test_battery_builds_the_monomial_case_once(monkeypatch):
-    calls = {}
-    for name in ("_chains", "closed_form"):
-        monkeypatch.setattr(cli.SP, name,
-                            _counting(calls, name, getattr(cli.SP, name)))
+    """One closed form, and one chain per (germ, sign) that every reader
+    shares: a row is computed only when it is new or asked deeper, and
+    the generating identity reads the closed form's rows without computing any."""
+    calls, grown, stores = {}, [], {}
+    monkeypatch.setattr(cli.SP, "closed_form",
+                        _counting(calls, "closed_form", cli.SP.closed_form))
+    chain = cli.S._chain
+
+    def counted(a, s, tops, x):
+        before = [p.size for p, _ in vars(a).get(("powers", s), [])]
+        out = chain(a, s, tops, x)
+        store = vars(a)[("powers", s)]
+        assert stores.setdefault((id(a), s), store) is store
+        after = [p.size for p, _ in store]
+        assert all(size > before[k] for k, size in enumerate(after[:len(before)])
+                   if size != before[k])
+        grown.append(after != before)
+        return out
+
+    generating = cli.SP.generating_identity_check
+
+    def reads_only(*args):
+        start = len(grown)
+        out = generating(*args)
+        assert not any(grown[start:])
+        calls["generating"] = calls.get("generating", 0) + 1
+        return out
+
+    monkeypatch.setattr(cli.S, "_chain", counted)
+    monkeypatch.setattr(cli.SP, "generating_identity_check", reads_only)
     config = load_config(str(CONFIGS / "fixture_sigma.json"))
     results = run_checks(config, sorted(CHECKS))
-    # one closed form and one set of chains, which generating_identity reuses
-    assert calls == {"_chains": 1, "closed_form": 1}
+    assert calls == {"closed_form": 1, "generating": 1}
     assert [r["error"] for r in results if r["name"] in (
         "generating_identity", "nontrivial_identity", "special_logtau")] \
         == ["", "", ""]

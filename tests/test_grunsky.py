@@ -151,14 +151,16 @@ def test_joukowski_inverse_via_inverse_path(jouk_pair):
 
 
 def test_table_carries_its_faber_polynomials(fix_rand):
-    # the table reads P_n off its own power chains, whose clip frame differs
-    # from faber's, so the two agree to rounding only: each is compared
-    # with the 50-digit oracle instead of with the other
+    # the table and faber read P_n off rows of the same two chains, cut at
+    # different depths, so they agree bit for bit; both are near the oracle
     t = G.grunsky_table(fix_rand, 16)
     assert sorted(t.faber) == [n for n in range(-16, 17) if n]
     for n, p in t.faber.items():
         assert (p.lo_exp, p.hi_exp, p.flavor, p.reliable) == \
             (min(n, 0), max(n, 0), S.TWO_SIDED, (S.NEG_INF, S.POS_INF))
+    fresh = CP.random_pair(seed=7, decay=0.3, order=16)  # chains not yet grown by the table
+    for n, p in t.faber.items():
+        assert G.faber(fresh, n).coeffs.tobytes() == p.coeffs.tobytes(), n
     _assert_table_faber_near_oracle(fix_rand, t)
 
 

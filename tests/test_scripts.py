@@ -111,3 +111,43 @@ def test_output_digest_against_lists_only_the_changed_lines():
     assert _output_digest().changed(ours, theirs) == [
         "sigma verify json BBB -> bbb", "random sigma exit - -> 2", "random flow exit 1 -> -"]
     assert _output_digest().changed(ours, ours) == []
+
+
+def _ledger_diff():
+    spec = importlib.util.spec_from_file_location(
+        "ledger_diff", ROOT / "scripts" / "ledger_diff.py")
+    diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff)
+    return diff
+
+
+def _item(name, passed=True, residual=None, error=""):
+    item = {"name": name, "kind": "check", "passed": passed, "error": error}
+    return item if residual is None else dict(item, residual=residual)
+
+
+def test_ledger_diff_lists_status_flips_and_the_largest_move():
+    diff = _ledger_diff()
+    theirs = [[_item("cmd_verify"), _item("lax", residual=1e-9), _item("string", residual=2e-12)],
+              [_item("jacobian", False, 2e-3),
+               _item("special_logtau", False, float("inf"), "WindowUnderflowError: x")]]
+    ours = [[_item("cmd_verify"), _item("lax", False, 2e-8), _item("string", residual=3e-12)],
+            [_item("jacobian", False, 2.5e-3),
+             _item("special_logtau", False, float("inf"), "SeriesError: y"),
+             _item("plemelj", residual=1e-12)]]
+    assert diff.flips(ours, theirs) == [
+        "op 0 lax PASS -> FAIL",
+        "op 1 special_logtau WindowUnderflowError -> SeriesError",
+        "op 1 plemelj - -> PASS"]
+    assert diff.flips(ours, ours) == []
+    assert diff.largest_move(ours, theirs) == (abs(2.5e-3 - 2e-3), 1, "jacobian", 2e-3, 2.5e-3)
+    assert diff.largest_move([[_item("cmd_verify")]], [[_item("cmd_verify")]]) is None
+
+
+def test_ledger_diff_of_a_checkout_against_itself_is_empty():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ledger_diff.py"),
+                           "--against", str(ROOT), "--workload", "verify-sigma16",
+                           "--seed", "1", "--ops", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("1 ops, ") and "0 status changes" in proc.stdout

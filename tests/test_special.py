@@ -150,7 +150,7 @@ def test_nontrivial_identity_sigma(fix_sig):
 
 def special_reference(pair, mu, nu, order):
     """t, v and t0_alt of the monomial case by one residue_mul each."""
-    gp, fp = SP._chains(pair, mu, nu, order)
+    gp, fp = SP._rows(pair, mu, nu, order)
     g_side = S.mul(fp[-nu], pair.g_prime())
     f_side = S.mul(gp[mu], pair.f_prime())
     t = {0: mu * S.residue_mul(gp[mu - 1], g_side)}

@@ -8,10 +8,11 @@ ledger item whose status differs, as
     op <index> <item> <OTHER's status> -> <ROOT's status>
 
 where a status is PASS, FAIL or the type of the error the item raised ("-"
-where a checkout has no such item).  Then it prints the largest move of a
-residual that both checkouts computed as a finite number, and exits 1 if
-any status differs.  The configs and ``run_op`` come from this script's
-checkout, which it only reads.
+where a checkout has no such item).  Then it prints how many of the
+residuals that both checkouts computed as finite numbers differ at all,
+and the largest move among them, and exits 1 if any status differs.  The
+configs and ``run_op`` come from this script's checkout, which it only
+reads.
 
 Usage:
     python scripts/ledger_diff.py --against OTHER --workload verify-sigma16 --seed 901 --ops 30
@@ -74,17 +75,28 @@ def flips(ours: list, theirs: list) -> list:
     return lines
 
 
-def largest_move(ours: list, theirs: list):
-    """(|change|, op, item, theirs, ours) of the residual that moved most among
-    items with a finite residual on both sides; None if there is none."""
-    moves = []
+def moves(ours: list, theirs: list) -> list:
+    """(|change|, op, item, theirs, ours) of every item with a finite residual
+    on both sides."""
+    out = []
     for i, (mine, other) in enumerate(zip(ours, theirs)):
         b = {item["name"]: item.get("residual") for item in other}
         for item in mine:
             x, y = item.get("residual"), b.get(item["name"])
             if x is not None and y is not None and math.isfinite(x) and math.isfinite(y):
-                moves.append((abs(x - y), i, item["name"], y, x))
-    return max(moves, default=None)
+                out.append((abs(x - y), i, item["name"], y, x))
+    return out
+
+
+def summary(ours: list, theirs: list, changes: int) -> str:
+    """The closing line: counts of ops, items and status ``changes``, how many
+    finite residuals differ at all, and the largest move."""
+    finite = moves(ours, theirs)
+    move = max(finite, default=None)
+    moved = sum(x != y for _, _, _, y, x in finite)
+    return (f"{len(ours)} ops, {sum(len(op) for op in ours)} items, {changes} status changes; "
+            f"{moved} of {len(finite)} finite residuals moved; largest residual move: "
+            + ("none" if move is None else "{:.3g} at op {} {} ({:.17g} -> {:.17g})".format(*move)))
 
 
 def main() -> int:
@@ -101,10 +113,7 @@ def main() -> int:
     lines = flips(ours, theirs)
     for line in lines:
         print(line)
-    move = largest_move(ours, theirs)
-    items = sum(len(op) for op in ours)
-    print(f"{len(ours)} ops, {items} items, {len(lines)} status changes; largest residual move: "
-          + ("none" if move is None else "{:.3g} at op {} {} ({:.17g} -> {:.17g})".format(*move)))
+    print(summary(ours, theirs, len(lines)))
     return 1 if lines else 0
 
 

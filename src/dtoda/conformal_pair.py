@@ -33,7 +33,6 @@ from typing import Tuple
 
 import numpy as np
 
-from . import plan
 from . import series as S
 from .series import AT_INFINITY, AT_ZERO, NEG_INF, POS_INF, LaurentSeries, SeriesError
 
@@ -137,17 +136,18 @@ def sigma_image(s: LaurentSeries, order: int) -> LaurentSeries:
     """The reflection w -> 1/conj(s(1/conj(w))) of a linear-leading germ.
 
     Sends an AtInfinity germ to an AtZero one and back; applying it twice
-    returns the original series to reliable order.
+    returns the original series to reliable order.  The reciprocal is taken
+    to the last coefficient the image reads: local order ``order`` for an
+    image on [1, order + 1], ``order + 1`` for one on [-order, 1].
     """
     order = int(order)
-    depth = plan.sigma_image_depth(order)
     # conj(s)(1/w) = w^-1 * p(w) with p as below; the image is w / p.
     if s.flavor == AT_INFINITY:
         # s = b w + b0 + sum b_k w^-k  ->  p = conj(b) + conj(b0) w + sum conj(b_k) w^{k+1}
         p = LaurentSeries.from_pairs(
             {1 - k: np.conj(s.coeff(k)) for k in range(s.lo_exp, 2)}, AT_ZERO,
         )
-        q = S.int_pow(p, -1, depth=depth)
+        q = S.int_pow(p, -1, depth=order)
         return LaurentSeries(1, S.dense(S.shift(q, 1), 1, order + 1), AT_ZERO,
                              (NEG_INF, order + 1))
     if s.flavor == AT_ZERO:
@@ -155,7 +155,7 @@ def sigma_image(s: LaurentSeries, order: int) -> LaurentSeries:
         p = LaurentSeries.from_pairs(
             {1 - j: np.conj(s.coeff(j)) for j in range(1, s.hi_exp + 1)}, AT_INFINITY,
         )
-        q = S.int_pow(p, -1, depth=depth)
+        q = S.int_pow(p, -1, depth=order + 1)
         return LaurentSeries(-order, S.dense(S.shift(q, 1), -order, 1), AT_INFINITY,
                              (-order, POS_INF))
     raise SeriesError("sigma_image needs a germ flavor")

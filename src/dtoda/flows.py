@@ -201,7 +201,7 @@ def lax_check(ctx, n: int, order: int) -> float:
         raise SeriesError(f"lax index {n} exceeds table order {table.order}")
     pad = plan.check_pad(pair)
     ff0, ffn = ctx.flow_fields((0, n), pad=pad).values()
-    poly_prime = S.derivative(b_polynomial(table, n))
+    poly_prime = S.derivative(b_polynomial(pair, table, n))
     # the kept side of q, and its mean term, read base = s**(n-1) up to w**-1
     # on its decaying side: dg0 ends at w**1 and df0 starts there
     s, ds = (pair.g, ff0.dg) if n >= 1 else (pair.f, ff0.df)
@@ -218,9 +218,11 @@ def lax_check(ctx, n: int, order: int) -> float:
 
 
 def canonical_bracket_check(ctx) -> float:
-    """Residual of {L, M} - L with L = g and M = g * d1(potential)(g, f)."""
+    """Residual of {L, M} - L with L = g and M = g * d1(potential)(g, f).  The
+    partials are read 4 past the flow window; on that window the residual
+    moves at rounding level (verify-sigma16, seed 12, op 7: 2.2e-16 -> 5.6e-17)."""
     pair, ms = ctx.pair, _total_sum(ctx.h, ())
-    width = plan.bracket_halfwidth(pair, ms)
+    width = plan.halfwidth(pair, ms, 0) + 4
     window = (-width, width)
     a1 = eval_along(ms.d1(), pair, window)
     a11 = eval_along(ms.d11(), pair, window)

@@ -32,8 +32,8 @@ provided:
 
 * :func:`grunsky_via_inverse` — the oracle path: inverts both maps by
   Lagrange inversion (`series.invert_function`: [z^-n] G = -res(g^n)/n,
-  [z^n] F = res(f^-n)/n, at `plan.inverse_depth`, so corner entries are
-  unaffected by inversion truncation) and expands the kernel logarithms
+  [z^n] F = res(f^-n)/n, down to z^(1-2N) and up to z^(2N+1), the last
+  coefficients a kernel reads) and expands the kernel logarithms
   formally as truncated bivariate power series; no residue pairing of
   the table's weights is involved.  The bivariate log L = log(1+W) is
   solved row by row in z1 from theta L * (1 + W) = theta W, theta =
@@ -41,10 +41,10 @@ provided:
 
 Every power of g and f here is a row of the one chain per sign that the
 germ keeps (`series.powers`).  :func:`grunsky_table` reads P_n and P_-n
-off the rows g^1..g^N and f^-1..f^-N of its weights and carries them
-(``GrunskyTable.faber``) for :func:`faber_expansion_defect` and
-:func:`b_polynomial`; :func:`faber_polynomials` reads the same rows, so
-its P_n are the table's bit for bit.
+off the rows g^1..g^N and f^-1..f^-N of its weights;
+:func:`faber_polynomials`, which :func:`faber_expansion_defect` and
+:func:`b_polynomial` read, takes prefixes of the same rows, so its P_n
+are the table's bit for bit.
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
 = b(m, n)``.  On the primary path each block of it is one matrix product
@@ -63,7 +63,7 @@ and the observed defect is a property of the table.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -87,14 +87,10 @@ class GrunskyTable:
     ``b`` is one read-only (2N+1) x (2N+1) complex array with
     ``b[m + N, n + N] = b(m, n)``, N = ``order``; :meth:`entry` reads it
     by signed index and raises ``KeyError`` outside the table.
-    ``faber`` maps 1 <= |n| <= order to the exact series P_n the residue
-    path read the entries against (empty on oracle tables, and left out
-    of ``repr``).
     """
 
     order: int
     b: np.ndarray
-    faber: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.b.setflags(write=False)
@@ -145,18 +141,15 @@ def faber(pair: ConformalPair, n: int) -> LaurentSeries:
     return faber_polynomials(pair, (n,))[int(n)]
 
 
-def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:
-    """The table's polynomial P_n with its constant term halved.
+def b_polynomial(pair: ConformalPair, table: GrunskyTable, n: int) -> LaurentSeries:
+    """The pair's polynomial P_n with its constant term halved by the table.
 
     P_n - (n/2) b(n,0) for either sign of n: the constant becomes half
-    the full power's mean term.  P_n is the one ``table.faber`` carries,
-    so index 0 (whose analogue log w callers handle symbolically) and
-    oracle tables are rejected.
+    the full power's mean term.  P_n is `faber`'s, so index 0 (whose
+    analogue log w callers handle symbolically) raises.
     """
     n = int(n)
-    if n not in table.faber:
-        raise SeriesError(f"table carries no polynomial of index {n}")
-    return S.add(table.faber[n], S.constant(-(n / 2.0) * table.entry(n, 0)))
+    return S.add(faber(pair, n), S.constant(-(n / 2.0) * table.entry(n, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +157,7 @@ def b_polynomial(table: GrunskyTable, n: int) -> LaurentSeries:
 
 
 def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
-    """Full table by residue extraction (primary path), carrying its P_n.
+    """Full table by residue extraction (primary path).
 
     The rows P_-N..P_-1, log(g/w) or log(f/w), P_1..P_N are paired with
     the weights g^{m-1} g' and f^{-m-1} f' in two matrix products, which
@@ -198,7 +191,7 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     b[:n_max, n_max] = -S.residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
     b[n_max + 1:, n_max] = S.residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
     b[n_max, n_max] = -cmath.log(pair.b)
-    return GrunskyTable(n_max, b, dict(zip([n for n in range(-n_max, n_max + 1) if n], neg + pos)))
+    return GrunskyTable(n_max, b)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +242,16 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     """Full table from the inverse maps and formal kernel-log expansions.
 
     Treats the pair's stored windows as exact map data (true for
-    polynomial pairs); the inversions run at `plan.inverse_depth`.  Each
-    kernel is written as c (1 + W), W a bivariate truncation on
-    [0..order] x [0..order], and `_log2d` expands its logarithm.
+    polynomial pairs).  Each inversion reaches the last coefficient a
+    kernel reads, z^(1-2N) of G and z^(2N+1) of F.  Each kernel is written
+    as c (1 + W), W a bivariate truncation on [0..order] x [0..order],
+    and `_log2d` expands its logarithm.
     """
     n1 = int(order)
     if n1 > pair.order or n1 < 1:
         raise SeriesError(f"table order {n1} must lie in [1, pair order {pair.order}]")
-    depth = plan.inverse_depth(n1)
-    # g is read on [-depth, 1] and f on [1, depth + 1]
-    big_g = S.invert_function(pair.g, depth + 1)
-    big_f = S.invert_function(pair.f, depth)
+    big_g = S.invert_function(pair.g, 2 * n1)
+    big_f = S.invert_function(pair.f, 2 * n1)
     beta, alpha1 = big_g.coeff(1), big_f.coeff(1)
     sums = np.add.outer(np.arange(n1 + 1), np.arange(n1 + 1))  # i + j
     # G-G kernel: coefficient of z1^-i z2^-j in (G1 - G2)/(z1 - z2) is
@@ -283,7 +275,7 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
 
     # univariate f-side 0-row: log(F(z)/z) = log(alpha1) + log(1 + u_F)
     _, _, u_big_f = S.split_normalize(big_f)
-    log_f_row = S.log1p(u_big_f, depth=n1 + 2)
+    log_f_row = S.log1p(u_big_f, depth=n1)
 
     # b(m, n) = b(n, m) for every mixed pair and every 0-row entry: one
     # kernel coefficient fills both triangles.
@@ -342,15 +334,15 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
     The exponent restriction accounts for the truncation of the m-sums:
     beyond it the residual is dominated by absent m > order terms.  Each
     identity is one product of a quadrant of the table with the stacked
-    basis powers.  The P_n are the ones the table carries, so it must
-    come from :func:`grunsky_table`.
+    basis powers.  The P_n are the pair's (:func:`faber_polynomials`).
     """
     n_max = table.order
     frame = plan.table_frame(pair, n_max)
     g_pos, g_neg, f_pos, f_neg = (_clipped_powers(s, n, frame) for s, n in (
         (pair.g, n_max), (pair.g, -n_max), (pair.f, n_max), (pair.f, -n_max)))
     ns = range(1, n_max + 1)
-    p_pos, p_neg = [table.faber[n] for n in ns], [table.faber[-n] for n in ns]
+    polys = faber_polynomials(pair, [*ns, *(-n for n in ns)])
+    p_pos, p_neg = [polys[n] for n in ns], [polys[-n] for n in ns]
     const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]
     const_neg = [S.constant(-n * table.entry(-n, 0)) for n in ns]
     idx = np.arange(1, n_max + 1)

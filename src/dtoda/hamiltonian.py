@@ -37,7 +37,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import plan
 from . import series as S
 from .series import LaurentSeries
 
@@ -132,16 +131,16 @@ def eval_along(ms, pair, window) -> LaurentSeries:
     """Substitute z1 = g(w), z2 = f(w) and clip to ``window``.
 
     Each power of g or f is a row of the pair's one chain of its sign
-    (`series.powers`) at `plan.eval_depth`, deep enough that the result's
-    reliability claim covers the window.
+    (`series.powers`) as deep as the window is wide: a product of two rows
+    reads each as far past its leading term as the window reaches.  A
+    deeper row starts with the same bits, so it would move no output.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty window")
-    depth = plan.eval_depth(ms, (lo, hi))
 
     def power(base: LaurentSeries, k: int) -> LaurentSeries:
-        return S.powers(base, k, depth)[-1]
+        return S.powers(base, k, hi - lo)[-1]
 
     acc = None
     for mu, nu, c in ms.terms:

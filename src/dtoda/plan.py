@@ -1,78 +1,55 @@
-"""Every truncation depth, window and probe order outside the series kernels.
+"""The windows, margins and probe orders that more than one reader shares.
 
 A depth is how many terms a chain row, inverse or logarithm carries, a
 window the exponents a consumer reads, a probe order how many modes a
-check compares.  Each rule is one function that gives its reason once;
-depths inside a `series` kernel stay with the kernel.
+check compares.  Chain rows, reciprocals and inverses are prefix-stable
+(`series`): a deeper request moves no bit of a shallower one.  So a
+reader asks for the depth it reads, written where it reads it, and a
+rule here must pay for itself: a margin past what is read stays only if
+dropping it moves an output, and its docstring names that output.
+Depths inside a `series` kernel stay with the kernel.
 """
 
 
 def halfwidth(pair, ms, order: int) -> int:
     """Residue windows of the moments (at order 0, of the flow denominators):
-    the support, plus 32 to push clipped tails below 1e-13."""
+    the support, plus 32 to push clipped tails below 1e-13.  Without the 32,
+    tau_gradient on the sigma fixture raises WindowUnderflowError at orders
+    32 and 64, and random's at order 16 doubles (9.9e-16 -> 2.0e-15)."""
     spread = max((abs(mu) + abs(nu) for mu, nu, _ in ms.terms), default=1)
     return pair.order + order + 2 * spread + 32
 
 
-def monomial_depth(pair, ms, order: int) -> int:
-    """Negative powers of the monomial closed forms: the moments' window and
-    the order past it, with margin; the generating identities compare on it."""
-    return halfwidth(pair, ms, order) + order + 8
-
-
-def bracket_halfwidth(pair, ms) -> int:
-    """Canonical bracket's partials: past the flow window, which it shifts."""
-    return halfwidth(pair, ms, 0) + 4
-
-
-def eval_depth(ms, window) -> int:
-    """Powers of g and f substituted into a potential: reliable across the
-    clip window after a term's powers shift it by up to the potential's
-    spread on either side, with margin; at least 16."""
-    spread = max((abs(mu) + abs(nu) for mu, nu, _ in ms.terms), default=0)
-    return max(16, (window[1] - window[0]) + 2 * spread + 8)
-
-
 def check_pad(pair) -> int:
     """u_n in coefficientwise checks: the quotient's tail decays at the rate of
-    the denominator's zeros near the circle, not at the pair's."""
+    the denominator's zeros near the circle, not at the pair's.  Without the
+    pad, string on the sigma fixture at order 16 reads 8.4e-10 (1.2e-16);
+    without its 16, string moves at rounding level on verify-sigma16."""
     return 3 * pair.order + 16
 
 
 def table_frame(pair, n_max: int):
     """Exponents a table's rows are exact and clipped on: every exponent a
-    pairing of P_n with a weight reads."""
+    pairing of P_n with a weight reads, plus 6.  Without the 6, the table
+    checks move on most tables-poly64 configs (faber_identity by up to
+    36%, grunsky_symmetry 20%, grunsky_dual_path 5%)."""
     reach = pair.order + n_max + 6
     return -reach, reach
-
-
-def inverse_depth(n_max: int) -> int:
-    """Oracle table's inversions: corner entries limited by rounding only."""
-    return 2 * n_max + 4
-
-
-def green_inverse_depth(n_max: int) -> int:
-    """Green kernel's inversion: entries up to ``n_max`` with margin."""
-    return n_max + 4
-
-
-def sigma_image_depth(order: int) -> int:
-    """Reciprocal of a reflected germ: covers the stored image, [1, order + 1]
-    or [-order, 1], with margin."""
-    return order + 4
 
 
 def sigma_pair_order(order: int) -> int:
     """Reflection pair of the reality check: its tail decays at the rate of
     its own nearest singularity, as slow as ~0.5 per exponent for moderate
-    perturbations of w."""
-    return max(3 * order, order + 32)
+    perturbations of w.  Without the 32, sigma_reality on the sigma fixture
+    reads 1.1e-6 (1e-10 tolerance) instead of 2.8e-17."""
+    return order + 32
 
 
 def green_pair_order(n_max: int) -> int:
-    """Reflection pair of the Green identity: three times the table, so the
-    image's truncation sits far below the comparison floor."""
-    return 3 * n_max
+    """Reflection pair of the Green identity: twice the table, the least
+    order at which the table builds (one less raises WindowUnderflowError
+    on the identity and sigma fixtures)."""
+    return 2 * n_max
 
 
 def probe_order(order: int) -> int:

@@ -129,8 +129,7 @@ def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
     n_max = int(order)
     if n_max < 1:
         raise SeriesError(f"kernel order {n_max} must be >= 1")
-    depth = plan.green_inverse_depth(n_max)
-    big_g = S.invert_function(g, depth + 1)
+    big_g = S.invert_function(g, n_max)  # down to z^(1 - n_max), the last u_i read
     beta = big_g.coeff(1)
 
     # G(z)/(beta z) = 1 + sum_{i>=1} u_i z^-i

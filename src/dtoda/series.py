@@ -644,20 +644,15 @@ def _chain(a: LaurentSeries, s: int, tops: list, x: int) -> list:
     return store[: len(tops)]
 
 
-def _local_depth(depth, fallback_width: int) -> int:
-    if depth is not None:
-        return int(depth)
-    return max(2 * int(fallback_width), 16)
-
-
 def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
-    """Integer power a**k by repeated squaring; for k < 0, the row of a's
-    chain (`powers`) ``depth`` local orders past the leading term."""
+    """Integer power a**k by repeated squaring; for k < 0, which needs a
+    ``depth``, the row of a's chain (`powers`) that many local orders past
+    the leading term."""
     k = int(k)
     if k == 0:
         return constant(1.0, a.flavor)
     if k < 0:
-        return powers(a, k, _local_depth(depth, a.width))[-1]
+        return powers(a, k, depth)[-1]
     result, base = None, a
     while k:
         if k & 1:
@@ -668,7 +663,7 @@ def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries
     return result
 
 
-def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:
+def log1p(u: LaurentSeries, depth: int) -> LaurentSeries:
     """log(1 + u) truncated at ``depth``, as the integral of u' / (1 + u).
 
     In the local variable x (w for AT_ZERO, 1/w for AT_INFINITY) this is
@@ -681,7 +676,7 @@ def log1p(u: LaurentSeries, depth: int | None = None) -> LaurentSeries:
         raise SeriesError("log1p: nonzero constant term")
     if u.flavor not in (AT_ZERO, AT_INFINITY):
         raise SeriesError("log1p needs a germ flavor (AtZero or AtInfinity)")
-    depth = _local_depth(depth, u.width)
+    depth = int(depth)
     step = _decay_step(u)
     if step == 0:
         return _owned(0, _ZERO, u.flavor, u.reliable)

@@ -71,15 +71,16 @@ class MonomialCase:
 
 def _rows(pair, mu: int, nu: int, order: int):
     """Rows k -> base**k of g and f for every residue above, |k| <= order +
-    |mu| + 1 or order + |nu| + 1: positive rows whole, negative ones at
-    `plan.monomial_depth`, each on its reliable window."""
+    |mu| + 1 or order + |nu| + 1, both signs at `plan.halfwidth`, the
+    moments' width, on which the generating identities take their logs;
+    each row is reliable on its own window."""
     if order < 1 or pair.order <= abs(mu) + abs(nu) + order:
         raise ValueError(
             "window budget: pair order must exceed |mu| + |nu| + N")
-    depth = plan.monomial_depth(pair, MonomialCase(mu, nu).h.as_sum(), order)
+    depth = plan.halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order)
     rows = []
     for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
-        rows.append({0: S.constant(1.0), **dict(enumerate(S.powers(base, length), 1)),
+        rows.append({0: S.constant(1.0), **dict(enumerate(S.powers(base, length, depth), 1)),
                      **{-n: p for n, p in enumerate(S.powers(base, -length, depth), 1)}})
     return tuple(rows)
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from dtoda import cli
+from dtoda import series as S
 from dtoda.cli import CHECKS, ConfigError, load_config, run_checks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,6 +261,31 @@ def test_random_battery_passes():
     results = run_checks(config)
     assert [r["name"] for r in results] == sorted(config.tolerances)
     assert all(r["passed"] for r in results)
+
+
+def _fixture_outputs():
+    """(fixture, check, residual bits, error type) of the whole battery and the
+    stdout of coords and grunsky, on each fixture config."""
+    out = []
+    for name in ("identity", "random", "sigma"):
+        config = load_config(str(CONFIGS / f"fixture_{name}.json"))
+        out += [(name, r["name"], r["residual"].hex(), r["error"].split(":")[0])
+                for r in run_checks(config, list(CHECKS))]
+        for cmd in (cli.cmd_coords, cli.cmd_grunsky):
+            stdout = io.StringIO()
+            out.append((name, cmd.__name__, cmd(config, stdout=stdout), stdout.getvalue()))
+    return out
+
+
+def test_deeper_chain_rows_move_no_output(monkeypatch):
+    """Every reader asks `series.powers` for the depth it reads, and a deeper
+    row starts with the same bits: rows 8 local orders deeper than asked move
+    no residual, error type or stdout byte."""
+    want = _fixture_outputs()
+    real = S.powers
+    monkeypatch.setattr(S, "powers", lambda a, n, depth=None: real(
+        a, n, None if depth is None else depth + 8))
+    assert _fixture_outputs() == want
 
 
 def test_config_gauge_feeds_the_battery(tmp_path):

@@ -23,6 +23,7 @@ from dtoda import conformal_pair as CP
 from dtoda import grunsky as G
 from dtoda import plan
 from dtoda import series as S
+from dtoda.coords import _clipped_powers
 from dtoda.series import SeriesError
 
 
@@ -150,18 +151,22 @@ def test_joukowski_inverse_via_inverse_path(jouk_pair):
 # random pair: symmetry, dual path, expansions, b00
 
 
-def test_table_carries_its_faber_polynomials(fix_rand):
-    # the table and faber read P_n off rows of the same two chains, cut at
-    # different depths, so they agree bit for bit; both are near the oracle
-    t = G.grunsky_table(fix_rand, 16)
-    assert sorted(t.faber) == [n for n in range(-16, 17) if n]
-    for n, p in t.faber.items():
+def test_faber_polynomials_are_the_ones_the_table_pairs(fix_rand):
+    # the table reads P_n off its weights' rows, cut to its frame; faber
+    # reads shallower prefixes of the same two chains, so they agree bit for
+    # bit; both are near the oracle
+    frame = plan.table_frame(fix_rand, 16)
+    rows = {1: _clipped_powers(fix_rand.g, 16, frame), -1: _clipped_powers(fix_rand.f, -16, frame)}
+    ns = [n for n in range(-16, 17) if n]
+    fresh = CP.random_pair(seed=7, decay=0.3, order=16)  # chains not yet grown by a table
+    polys = G.faber_polynomials(fresh, ns)
+    assert sorted(polys) == ns
+    for n, p in polys.items():
         assert (p.lo_exp, p.hi_exp, p.flavor, p.reliable) == \
             (min(n, 0), max(n, 0), S.TWO_SIDED, (S.NEG_INF, S.POS_INF))
-    fresh = CP.random_pair(seed=7, decay=0.3, order=16)  # chains not yet grown by the table
-    for n, p in t.faber.items():
-        assert G.faber(fresh, n).coeffs.tobytes() == p.coeffs.tobytes(), n
-    _assert_table_faber_near_oracle(fix_rand, t)
+        paired = G._polynomial_part(rows[np.sign(n)][abs(n) - 1], n)
+        assert paired.coeffs.tobytes() == p.coeffs.tobytes(), n
+    _assert_faber_near_oracle(fix_rand, polys)
 
 
 def test_table_builds_no_faber_polynomial_of_its_own(fix_rand, monkeypatch):
@@ -172,11 +177,15 @@ def test_table_builds_no_faber_polynomial_of_its_own(fix_rand, monkeypatch):
     assert calls == []
 
 
-def test_oracle_table_carries_no_polynomials(fix_rand):
-    t = G.grunsky_via_inverse(fix_rand, 4)
-    assert t.faber == {}
-    with pytest.raises(SeriesError):
-        G.b_polynomial(t, 1)
+def test_b_polynomial_reads_the_pair_on_either_table(fix_rand):
+    # P_n is the pair's, so only the halved constant depends on the table
+    oracle, primary = G.grunsky_via_inverse(fix_rand, 4), G.grunsky_table(fix_rand, 4)
+    for n in (1, -3):
+        a, b = (G.b_polynomial(fix_rand, t, n) for t in (oracle, primary))
+        p = G.faber(fix_rand, n)
+        for q in (a, b):
+            assert all(q.coeff(k) == p.coeff(k) for k in range(min(n, 0), max(n, 0) + 1) if k)
+        assert abs(a.coeff(0) - b.coeff(0)) < 1e-12
 
 
 def test_random_pair_symmetry(fix_rand):
@@ -212,17 +221,17 @@ def test_sig_pair_b20(fix_sig):
 
 def test_b_polynomial_identity(fix_id):
     t = G.grunsky_table(fix_id, 8)
-    p = G.b_polynomial(t, 2)
+    p = G.b_polynomial(fix_id, t, 2)
     assert p.coeff(2) == 1.0
     assert abs(p.coeff(0)) < 1e-14
-    q = G.b_polynomial(t, -1)
+    q = G.b_polynomial(fix_id, t, -1)
     assert q.coeff(-1) == 1.0
     assert abs(q.coeff(0)) < 1e-14
 
 
 def test_b_polynomial_halves_constant(fix_sig):
     t = G.grunsky_table(fix_sig, 8)
-    p = G.b_polynomial(t, 2)
+    p = G.b_polynomial(fix_sig, t, 2)
     # P_2 = w^2 + 0.2 and b(2,0) = 0.1: constant becomes 0.2 - 0.1 = 0.1
     assert abs(p.coeff(0) - 0.1) < 1e-12
 
@@ -230,7 +239,7 @@ def test_b_polynomial_halves_constant(fix_sig):
 def test_b_polynomial_rejects_zero(fix_id):
     t = G.grunsky_table(fix_id, 4)
     with pytest.raises(SeriesError):
-        G.b_polynomial(t, 0)
+        G.b_polynomial(fix_id, t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +422,12 @@ def _mp_faber(pair, n):
         return {k: complex(s[k - n] * a1 ** n) for k in range(n, 1)}
 
 
-def _assert_table_faber_near_oracle(pair, table):
-    """Each table P_n is no farther from the 50-digit oracle than 1.1 times the
-    repeated-squaring read-out's error, up to two ulps of its largest
+def _assert_faber_near_oracle(pair, polys):
+    """Each P_n of ``polys`` is no farther from the 50-digit oracle than 1.1
+    times the repeated-squaring read-out's error, up to two ulps of its largest
     coefficient (errors of a few ulps differ between any two product orders)."""
     eps = np.finfo(np.float64).eps
-    for n, p in table.faber.items():
+    for n, p in polys.items():
         want = _mp_faber(pair, n)
         ref = _full_width_faber(pair, n)
         err = max(abs(p.coeff(k) - want[k]) for k in want)
@@ -428,7 +437,7 @@ def _assert_table_faber_near_oracle(pair, table):
 
 
 def test_order64_table_faber_near_oracle(poly64):
-    _assert_table_faber_near_oracle(poly64, G.grunsky_table(poly64, 64))
+    _assert_faber_near_oracle(poly64, G.faber_polynomials(poly64, [n for n in range(-64, 65) if n]))
 
 
 @pytest.mark.parametrize("n", [64, -64])
@@ -489,14 +498,14 @@ def large_b64():
 
 
 def test_oracle_inversions_match_lagrange_inversion(poly64, large_b64, fix_sig):
-    """`invert_function` at the depths `grunsky_via_inverse` uses at order 64,
-    and at the Green kernel's depths on the sigma fixture's g."""
+    """`invert_function` at the depth `grunsky_via_inverse` uses at order 64
+    (2 * 64, the last coefficient its kernels read), and at the Green
+    kernel's depths (its order) on the sigma fixture's g."""
     cases = []
     for pair in (poly64, large_b64):
-        depth = plan.inverse_depth(64)
-        cases += [(pair.g, depth + 1, _mp_inverse_g), (pair.f, depth, _mp_inverse_f)]
+        cases += [(pair.g, 2 * 64, _mp_inverse_g), (pair.f, 2 * 64, _mp_inverse_f)]
     for order in (plan.probe_order(fix_sig.order), fix_sig.order):
-        cases.append((fix_sig.g, plan.green_inverse_depth(order) + 1, _mp_inverse_g))
+        cases.append((fix_sig.g, order, _mp_inverse_g))
     for a, depth, oracle in cases:
         got, want = S.invert_function(a, depth), oracle(a, depth)
         assert (got.lo_exp, got.hi_exp) == (min(want), max(want))

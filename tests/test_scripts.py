@@ -140,8 +140,21 @@ def test_ledger_diff_lists_status_flips_and_the_largest_move():
         "op 1 special_logtau WindowUnderflowError -> SeriesError",
         "op 1 plemelj - -> PASS"]
     assert diff.flips(ours, ours) == []
-    assert diff.largest_move(ours, theirs) == (abs(2.5e-3 - 2e-3), 1, "jacobian", 2e-3, 2.5e-3)
-    assert diff.largest_move([[_item("cmd_verify")]], [[_item("cmd_verify")]]) is None
+    # lax, string and jacobian are finite on both sides, special_logtau is
+    # not, and plemelj is on one side only; an unmoved residual still counts
+    assert [m[2] for m in diff.moves(ours, theirs)] == ["lax", "string", "jacobian"]
+    assert max(diff.moves(ours, theirs)) == (abs(2.5e-3 - 2e-3), 1, "jacobian", 2e-3, 2.5e-3)
+    assert diff.moves([[_item("cmd_verify")]], [[_item("cmd_verify")]]) == []
+    steady = [[_item("lax", residual=1e-9)], [_item("jacobian", False, 2.5e-3)]]
+    assert diff.summary(ours, theirs, 3) == (
+        "2 ops, 6 items, 3 status changes; 3 of 3 finite residuals moved; largest residual "
+        "move: 0.0005 at op 1 jacobian (0.002 -> 0.0025000000000000001)")
+    assert diff.summary(steady, theirs, 1).startswith(
+        "2 ops, 2 items, 1 status changes; 1 of 2 finite residuals moved; ")
+    assert diff.summary(ours, ours, 0).startswith("2 ops, 6 items, 0 status changes; "
+                                                  "0 of 4 finite residuals moved; ")
+    assert diff.summary([[_item("cmd_verify")]], [[_item("cmd_verify")]], 0).endswith(
+        "0 of 0 finite residuals moved; largest residual move: none")
 
 
 def test_ledger_diff_of_a_checkout_against_itself_is_empty():
@@ -151,3 +164,4 @@ def test_ledger_diff_of_a_checkout_against_itself_is_empty():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("1 ops, ") and "0 status changes" in proc.stdout
+    assert " 0 of " in proc.stdout

@@ -17,10 +17,12 @@ running it on a parent commit and on a change compares their outputs.
 With ``--against OTHER``, it digests both checkouts and prints only the
 lines that differ, as ``<fixture> <command> <stream> <OTHER's> -> <ROOT's>``
 ("-" where a checkout prints no such line, as for an exit code), and exits
-1 if there is any.
+1 if there is any.  With ``--orders 16,32,64``, each fixture runs once per
+listed order instead of at its own, its ``order`` field rewritten, and its
+lines are labelled ``<fixture>@<order>``.
 
 Usage:
-    python scripts/output_digest.py [--root CHECKOUT] [--against OTHER]
+    python scripts/output_digest.py [--root CHECKOUT] [--against OTHER] [--orders N,...]
 """
 
 import argparse
@@ -57,32 +59,39 @@ def _digest(data) -> str:
     return "absent" if data is None else hashlib.sha256(data).hexdigest()
 
 
-def digests(root: Path):
-    """Yield the digest lines of the checkout at ``root``."""
+def variants(fixture: str, payload: dict, orders=None) -> list:
+    """(label, payload) pairs to digest: the fixture as it is, or one copy per
+    order of ``orders`` with its ``order`` rewritten, labelled ``<fixture>@<order>``."""
+    if not orders:
+        return [(fixture, payload)]
+    return [(f"{fixture}@{order}", dict(payload, order=order)) for order in orders]
+
+
+def digests(root: Path, orders=None):
+    """Yield the digest lines of the checkout at ``root``, at ``orders`` if given."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     all_checks = subprocess.run(
         [sys.executable, "-c", "from dtoda.cli import CHECKS; print(','.join(sorted(CHECKS)))"],
         capture_output=True, text=True, env=env, check=True, timeout=600).stdout.strip()
     for config in sorted((root / "configs").glob("fixture_*.json")):
         fixture = config.stem.removeprefix("fixture_")
-        for command, argv in COMMANDS.items():
-            with tempfile.TemporaryDirectory() as tmp:
-                out = {fmt: Path(tmp) / f"out.{fmt}" for fmt in ("json", "csv")}
-                payload = json.loads(config.read_text())
-                payload["outputs"] = [{"target": str(path), "format": fmt}
-                                      for fmt, path in out.items()]
-                path = Path(tmp) / config.name
-                path.write_text(json.dumps(payload))
-                args = [a.format(config=path, all_checks=all_checks) for a in argv]
-                proc = subprocess.run([sys.executable, "-m", "dtoda.cli", *args],
-                                      capture_output=True, env=env, timeout=600)
-                streams = {"stdout": proc.stdout, "stderr": masked(proc.stderr)}
-                streams.update({fmt: p.read_bytes() if p.exists() else None
-                                for fmt, p in out.items()})
-            if proc.returncode:
-                yield f"{fixture} {command} exit {proc.returncode}"
-            for name, data in streams.items():
-                yield f"{fixture} {command} {name} {_digest(data)}"
+        for label, payload in variants(fixture, json.loads(config.read_text()), orders):
+            for command, argv in COMMANDS.items():
+                with tempfile.TemporaryDirectory() as tmp:
+                    out = {fmt: Path(tmp) / f"out.{fmt}" for fmt in ("json", "csv")}
+                    targets = [{"target": str(path), "format": fmt} for fmt, path in out.items()]
+                    path = Path(tmp) / config.name
+                    path.write_text(json.dumps(dict(payload, outputs=targets)))
+                    args = [a.format(config=path, all_checks=all_checks) for a in argv]
+                    proc = subprocess.run([sys.executable, "-m", "dtoda.cli", *args],
+                                          capture_output=True, env=env, timeout=600)
+                    streams = {"stdout": proc.stdout, "stderr": masked(proc.stderr)}
+                    streams.update({fmt: p.read_bytes() if p.exists() else None
+                                    for fmt, p in out.items()})
+                if proc.returncode:
+                    yield f"{label} {command} exit {proc.returncode}"
+                for name, data in streams.items():
+                    yield f"{label} {command} {name} {_digest(data)}"
 
 
 def changed(ours, theirs):
@@ -102,12 +111,16 @@ def main() -> int:
                          "(default: the one holding this script)")
     ap.add_argument("--against", type=Path,
                     help="another checkout: print only the lines that differ")
+    ap.add_argument("--orders", type=lambda text: [int(n) for n in text.split(",")],
+                    help="comma-separated orders to run each fixture at "
+                         "(default: the fixture's own)")
     args = ap.parse_args()
     if args.against is None:
-        for line in digests(args.root.resolve()):
+        for line in digests(args.root.resolve(), args.orders):
             print(line, flush=True)
         return 0
-    lines = changed(list(digests(args.root.resolve())), list(digests(args.against.resolve())))
+    lines = changed(list(digests(args.root.resolve(), args.orders)),
+                    list(digests(args.against.resolve(), args.orders)))
     for line in lines:
         print(line, flush=True)
     return 1 if lines else 0

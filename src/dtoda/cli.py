@@ -1,7 +1,7 @@
 """Configuration-driven command line for the Toda laboratory.
 
 One JSON file describes an experiment: a conformal pair, a Laurent
-potential, window sizes, and tolerances.  Subcommands of the ``dtoda``
+potential, the truncation order, and tolerances.  Subcommands of the ``dtoda``
 console script then compute coordinate snapshots (``coords``), pairing
 tables (``grunsky``), flow trajectories (``flow``), reduction and
 monomial reports (``sigma``, ``special``), or run a named battery of
@@ -86,7 +86,6 @@ class ExperimentConfig:
     pair_kind: str  # "coefficients" | "sigma_from_g" | "random"
     pair_data: dict
     order: int
-    samples_m: int
     tolerances: Dict[str, float]
     outputs: Tuple[OutputSpec, ...] = ()
 
@@ -109,9 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"config field 'pair': {exc}") from exc
 
     def context(self) -> PairContext:
-        """The command's one context: the configured pair, potential and settings."""
-        return PairContext(self.build_pair(), self.hamiltonian(), self.gauge,
-                           self.order, self.samples_m)
+        """The command's one context: the configured pair, potential, gauge and order."""
+        return PairContext(self.build_pair(), self.hamiltonian(), self.gauge, self.order)
 
 
 def _fail(field_name: str, message: str) -> None:
@@ -272,14 +270,12 @@ def load_config(path: str) -> ExperimentConfig:
     if order < 4:
         _fail("order", "must be at least 4")
 
-    least = 4 * (2 * order + 1)  # default: the least power of two >= max(1024, least)
-    samples_m = _as_int(raw.get("samples_M", 1 << (max(1024, least) - 1).bit_length()),
-                        "samples_M")
-    if samples_m & (samples_m - 1) or samples_m < least:
-        _fail("samples_M", "must be a power of two with "
-              f"samples_M >= 4*(2*order+1) = {least}")
-
-    # no check reads eps_fd any more; the key stays valid in old configs
+    # no check reads samples_M or eps_fd any more; the keys stay valid in old configs
+    if "samples_M" in raw:
+        least, samples_m = 4 * (2 * order + 1), _as_int(raw["samples_M"], "samples_M")
+        if samples_m & (samples_m - 1) or samples_m < least:
+            _fail("samples_M", "must be a power of two with "
+                  f"samples_M >= 4*(2*order+1) = {least}")
     if not 1e-8 < _as_real(raw.get("eps_fd", 1e-5), "eps_fd") < 1e-2:
         _fail("eps_fd", "must lie strictly between 1e-8 and 1e-2")
 
@@ -304,7 +300,6 @@ def load_config(path: str) -> ExperimentConfig:
     pair_kind, pair_data = _parse_pair(raw["pair"])
     return ExperimentConfig(terms=terms, gauge=gauge, pair_kind=pair_kind,
                             pair_data=pair_data, order=order,
-                            samples_m=samples_m,
                             tolerances=tolerances,
                             outputs=_parse_outputs(raw.get("outputs")))
 
@@ -441,7 +436,7 @@ def _check_gauge_covariance(ctx) -> float:
     dv0 = ctx.moments(ctx.pair.order, gauge).v0 - ctx.snapshot.v0
     defects.append(abs(dv0 - v0_shift))
     # The flow fields themselves must not feel the gauge at all.
-    fields = [ctx.flow_fields((1, -2), g, samples=ctx.samples).values() for g in ((), gauge)]
+    fields = [ctx.flow_fields((1, -2), g).values() for g in ((), gauge)]
     for plain, dressed in zip(*fields):
         defects += [S.max_abs_diff_reliable(getattr(plain, part), getattr(dressed, part))
                     for part in ("dg", "df", "u_series")]
@@ -664,19 +659,19 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
         raise ConfigError(f"config field 'hamiltonian': {exc}") from exc
     order = plan.probe_order(config.order)
     reality = R.sigma_coordinate_check(pair.g, h, order)
-    green, coeffs = R.green_identity(pair.g, h, order)
+    green, kernel = R.green_identity(pair.g, h, order)
     json_obj = {"order": order, "reality_defect": reality,
                 "green_identity_defect": green}
     return _report(config, stdout, json_obj,
-                   lambda: _table_rows(coeffs.kernel, 0), json_obj,
-                   table=("kernel", coeffs.kernel, 0))
+                   lambda: _table_rows(kernel, 0), json_obj,
+                   table=("kernel", kernel, 0))
 
 
 def _special_case(config: ExperimentConfig, mu: int, nu: int):
     """(closed form, general snapshot, generating report) of the monomial at
     the deepest order the pair certifies; the context is dropped on return."""
     pair = config.build_pair()
-    ctx = PairContext(pair, SP.MonomialCase(mu, nu).h, (), config.order, config.samples_m)
+    ctx = PairContext(pair, SP.MonomialCase(mu, nu).h, (), config.order)
     return _deepest(lambda k: (ctx.special(k), ctx.coords(k), ctx.generating(k)),
                     plan.monomial_order(pair, mu, nu))
 

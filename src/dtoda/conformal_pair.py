@@ -133,32 +133,21 @@ def from_coefficients(g_coeffs, f_coeffs, order: int) -> ConformalPair:
 
 
 def sigma_image(s: LaurentSeries, order: int) -> LaurentSeries:
-    """The reflection w -> 1/conj(s(1/conj(w))) of a linear-leading germ.
-
-    Sends an AtInfinity germ to an AtZero one and back; applying it twice
-    returns the original series to reliable order.  The reciprocal is taken
-    to the last coefficient the image reads: local order ``order`` for an
-    image on [1, order + 1], ``order + 1`` for one on [-order, 1].
+    """The reflection w -> 1/conj(s(1/conj(w))) of a linear-leading
+    AtInfinity germ: an AtZero germ on [1, order + 1].  The reciprocal is
+    taken to local order ``order``, the last coefficient the image reads.
     """
+    if s.flavor != AT_INFINITY:
+        raise SeriesError("sigma_image needs an AtInfinity germ")
     order = int(order)
-    # conj(s)(1/w) = w^-1 * p(w) with p as below; the image is w / p.
-    if s.flavor == AT_INFINITY:
-        # s = b w + b0 + sum b_k w^-k  ->  p = conj(b) + conj(b0) w + sum conj(b_k) w^{k+1}
-        p = LaurentSeries.from_pairs(
-            {1 - k: np.conj(s.coeff(k)) for k in range(s.lo_exp, 2)}, AT_ZERO,
-        )
-        q = S.int_pow(p, -1, depth=order)
-        return LaurentSeries(1, S.dense(S.shift(q, 1), 1, order + 1), AT_ZERO,
-                             (NEG_INF, order + 1))
-    if s.flavor == AT_ZERO:
-        # s = sum_{j>=1} a_j w^j  ->  p = sum_{j>=1} conj(a_j) w^{1-j}  (AtInfinity, top exp 0)
-        p = LaurentSeries.from_pairs(
-            {1 - j: np.conj(s.coeff(j)) for j in range(1, s.hi_exp + 1)}, AT_INFINITY,
-        )
-        q = S.int_pow(p, -1, depth=order + 1)
-        return LaurentSeries(-order, S.dense(S.shift(q, 1), -order, 1), AT_INFINITY,
-                             (-order, POS_INF))
-    raise SeriesError("sigma_image needs a germ flavor")
+    # conj(s)(1/w) = w^-1 * p(w), p = conj(b) + conj(b0) w + sum conj(b_k) w^{k+1};
+    # the image is w / p.
+    p = LaurentSeries.from_pairs(
+        {1 - k: np.conj(s.coeff(k)) for k in range(s.lo_exp, 2)}, AT_ZERO,
+    )
+    q = S.int_pow(p, -1, depth=order)
+    return LaurentSeries(1, S.dense(S.shift(q, 1), 1, order + 1), AT_ZERO,
+                         (NEG_INF, order + 1))
 
 
 def sigma_conjugate(g: LaurentSeries, order: int | None = None) -> ConformalPair:

@@ -2,11 +2,12 @@
 
 Every object of a solution (times, v's, log tau, flows, the pairing
 table) is a residue pairing of series derived from one pair (g, f).  A
-`PairContext` holds the pair, the potential and the command's settings,
-and builds each derived result on first use.  It lives for one command.
-The powers of g and f are not among them: the germs keep their own chains
-(`series.powers`), which die with the pair, because commands such as
-`cli.cmd_grunsky` and `flows.step` read them from a bare pair.
+`PairContext` holds the pair, the potential, its gauge terms and the
+config order, and builds each derived result on first use.  It lives for
+one command.  The powers of g and f are not among them: the germs keep
+their own chains (`series.powers`), which die with the pair, because
+commands such as `cli.cmd_grunsky` and `flows.step` read them from a bare
+pair.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from .hamiltonian import GaugeTerm, HamiltonianH
 
 
 class PairContext:
-    """A pair, its potential and settings, and a memo of what derives from
-    them.  A table, snapshot or field whose build raises is not kept, so
+    """A pair, its potential, gauge and order, and a memo of what derives
+    from them.  A table, snapshot or field whose build raises is not kept, so
     every reader reports the error.  A moment object builds its series on
     first read, so it stays in the memo when a read of it raises (a failed
     `cli._deepest` trial keeps its partials until the command ends)."""
 
-    def __init__(self, pair, h: HamiltonianH, gauge: Tuple[GaugeTerm, ...],
-                 order: int, samples: int):
-        self.pair, self.h, self.gauge = pair, h, tuple(gauge)
-        self.order, self.samples = order, samples
+    def __init__(self, pair, h: HamiltonianH, gauge: Tuple[GaugeTerm, ...], order: int):
+        self.pair, self.h, self.gauge, self.order = pair, h, tuple(gauge), order
         self._memo: dict = {}
         self.chart = pair if S._is_exact(pair.g) and S._is_exact(pair.f) else F._reassemble(pair)
 
@@ -64,13 +63,13 @@ class PairContext:
         return self._once(("e12", pair is self.chart, tuple(gauge)),
                           lambda: F._mixed_partial_along(pair, self.h, gauge))
 
-    def flow_fields(self, ns, gauge=(), pad: int = 0, samples: int = 1024) -> dict:
+    def flow_fields(self, ns, gauge=(), pad: int = 0) -> dict:
         """`flows.flow_fields` of ``ns``: the ones not built yet in one call."""
-        keys = {int(n): ("flow", int(n), tuple(gauge), pad, samples) for n in ns}
+        keys = {int(n): ("flow", int(n), tuple(gauge), pad) for n in ns}
         missing = [n for n, key in keys.items() if key not in self._memo]
         if missing:
-            built = F.flow_fields(self.pair, self.h, missing, gauge=gauge, samples=samples,
-                                  pad=pad, e12=self.mixed_partial(gauge))
+            built = F.flow_fields(self.pair, self.h, missing, gauge=gauge, pad=pad,
+                                  e12=self.mixed_partial(gauge))
             self._memo.update((keys[n], built[n]) for n in missing)
         return {n: self._memo[key] for n, key in keys.items()}
 

@@ -60,7 +60,7 @@ def _mixed_partial_along(pair, h, gauge) -> LaurentSeries:
     return eval_along(ms.d12(), pair, (-width, width))
 
 
-def flow_fields(pair, h, ns, gauge=(), samples: int = 1024, pad: int = 0, e12=None) -> dict:
+def flow_fields(pair, h, ns, gauge=(), pad: int = 0, e12=None) -> dict:
     """{n: FlowField} of each n in ``ns``: u_n = -P_n'/(g' f' E) on |exponent|
     <= order + |n| + pad, off one E (``e12``, built unless given), one
     denominator, `grunsky.faber_polynomials` and one `series.divide_on_circle`;
@@ -72,7 +72,7 @@ def flow_fields(pair, h, ns, gauge=(), samples: int = 1024, pad: int = 0, e12=No
     rows = [(S.scale(S.derivative(polys[n]), -1.0) if n else S.monomial(-1, -1.0),
              (-(pair.order + abs(n) + pad), pair.order + abs(n) + pad)) for n in ns]
     fields = {}
-    for n, u in zip(ns, S.divide_on_circle(rows, S.mul(S.mul(gp, fp), e12), samples=samples)):
+    for n, u in zip(ns, S.divide_on_circle(rows, S.mul(S.mul(gp, fp), e12))):
         half = 0.5 * u.coeff(1)  # the one-sided split
         dg = S.mul(gp, S.add(S.project(u, hi=0), S.monomial(1, half)))
         df = S.mul(fp, S.scale(S.add(S.monomial(1, half), S.project(u, lo=2)), -1.0))
@@ -80,9 +80,9 @@ def flow_fields(pair, h, ns, gauge=(), samples: int = 1024, pad: int = 0, e12=No
     return fields
 
 
-def flow_field(pair, h, n: int, gauge=(), samples: int = 1024, pad: int = 0) -> FlowField:
+def flow_field(pair, h, n: int, gauge=(), pad: int = 0) -> FlowField:
     """The direction-n variation (dg, df): `flow_fields` of ``n`` alone."""
-    return flow_fields(pair, h, (n,), gauge, samples, pad)[int(n)]
+    return flow_fields(pair, h, (n,), gauge, pad)[int(n)]
 
 
 @dataclass(frozen=True)

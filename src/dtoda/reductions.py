@@ -32,7 +32,6 @@ conj(c) * z1^nu * z2^{-mu}, so that H(z, 1/conj(z)) is real-valued.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -80,37 +79,11 @@ def sigma_coordinate_check(g: LaurentSeries, h, order: int) -> float:
     return float(np.max(defects))
 
 
-@dataclass(frozen=True, eq=False)
-class GreenCoefficients:
-    """Double expansion of the regularized boundary Green kernel.
-
-    ``kernel`` is one read-only (N+1) x (N+1) complex array, N =
-    ``order``, whose entry [m, n] multiplies z1^{-m} * conj(z2)^{-n};
-    :meth:`entry` reads it and raises ``KeyError`` outside 0 <= m, n <= N.
-    The conjugate block is implied by the Hermitian relation
-    kernel(m, n) = conj(kernel(n, m)), whose numerical residue
-    max |K - K^H| is ``hermitian_defect``.
-    """
-
-    order: int
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        self.kernel.setflags(write=False)
-
-    @property
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.kernel - self.kernel.conj().T)))
-
-    def entry(self, m: int, n: int) -> complex:
-        m, n = int(m), int(n)
-        if not (0 <= m <= self.order and 0 <= n <= self.order):
-            raise KeyError((m, n))
-        return complex(self.kernel[m, n])
-
-
-def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
-    """Kernel table of G_dom - log|1/z1 - 1/z2| from the inverse map alone.
+def green_coefficients(g: LaurentSeries, order: int) -> np.ndarray:
+    """Kernel table of G_dom - log|1/z1 - 1/z2| from the inverse map alone:
+    a read-only (N+1) x (N+1) array, N = ``order``, whose entry [m, n]
+    multiplies z1^{-m} * conj(z2)^{-n}.  The conjugate block is implied by
+    the Hermitian relation kernel[m, n] = conj(kernel[n, m]).
 
     With G the inverse of g and Gbar the series with conjugated
     coefficients, the two generating logs
@@ -145,7 +118,8 @@ def green_coefficients(g: LaurentSeries, order: int) -> GreenCoefficients:
     const_mixed = const_holo + cmath.log(np.conj(beta))
     kernel = -l_mixed
     kernel[0, 0] = const_holo - const_mixed
-    return GreenCoefficients(n_max, kernel)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def green_identity_check(g: LaurentSeries, h, order: int) -> float:
@@ -153,7 +127,7 @@ def green_identity_check(g: LaurentSeries, h, order: int) -> float:
     return green_identity(g, h, order)[0]
 
 
-def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, GreenCoefficients]:
+def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, np.ndarray]:
     """Max defect between the kernel table and its log-tau Hessian assembly,
     and the kernel table it was measured on.
 
@@ -176,7 +150,7 @@ def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, GreenCoeffic
     # right[m, n] = b(m, -n), with the 0-row -b(-n, 0) (and -b00 at its corner)
     right = table.b[n_max:, n_max::-1].copy()
     right[0] = -table.b[n_max::-1, n_max]
-    return float(np.max(np.abs(left.kernel - right))), left
+    return float(np.max(np.abs(left - right))), left
 
 
 def real_subspace_check(snap: TodaCoordinates) -> float:

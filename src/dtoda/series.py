@@ -37,8 +37,8 @@ propagation through every intermediate; round-trip identities and
 Power chains have one kernel, `powers`: the rows a**1..a**n or
 a**-1..a**-n of a germ, each exact to a depth past its leading term, so
 cut only on its decaying side, and linear combinations another, `combine`
-(one vector-matrix product).  `int_pow` is a single power by repeated
-squaring; `invert_function` reads its coefficients off one chain.
+(one vector-matrix product).  `int_pow` is a single row of that chain,
+and `invert_function` reads its coefficients off one chain.
 
 Reciprocals have one kernel, `_lift`: Newton's step computing only the
 new half, so coefficient k in [2**i, 2**(i+1)) is always made from the
@@ -645,22 +645,10 @@ def _chain(a: LaurentSeries, s: int, tops: list, x: int) -> list:
 
 
 def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
-    """Integer power a**k by repeated squaring; for k < 0, which needs a
-    ``depth``, the row of a's chain (`powers`) that many local orders past
-    the leading term."""
+    """a**k of a germ: the last row of `powers`, ``depth`` local orders past
+    the leading term (needed for k < 0); 1 for k = 0."""
     k = int(k)
-    if k == 0:
-        return constant(1.0, a.flavor)
-    if k < 0:
-        return powers(a, k, depth)[-1]
-    result, base = None, a
-    while k:
-        if k & 1:
-            result = base if result is None else mul(result, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return result
+    return constant(1.0, a.flavor) if k == 0 else powers(a, k, depth)[-1]
 
 
 def log1p(u: LaurentSeries, depth: int) -> LaurentSeries:
@@ -746,9 +734,8 @@ def _sampled(rows, m: int) -> np.ndarray:
     return np.fft.ifft(folded, norm="forward")
 
 
-def divide_on_circle(num, den: LaurentSeries, window=None, samples: int = 1024):
-    """Quotients num/den on exponent windows: one for a series ``num`` and its
-    ``window``, a list for a list of (numerator, window) pairs.
+def divide_on_circle(rows, den: LaurentSeries, samples: int = 1024) -> list:
+    """Quotients num/den on exponent windows, one per (num, window) of ``rows``.
 
     A quotient samples both series at the M-th roots of unity (M the least
     power of two >= 4x its window width and >= ``samples``) by one FFT of
@@ -758,7 +745,7 @@ def divide_on_circle(num, den: LaurentSeries, window=None, samples: int = 1024):
     off zero on |w| = 1 (sampled modulus > 1e-8 at every M); one with a
     single nonzero coefficient divides exactly (shift and scale) instead.
     """
-    rows = [(num, window)] if window is not None else list(num)
+    rows = list(rows)
     windows = [(int(w[0]), int(w[1])) for _, w in rows]
     if any(lo > hi for lo, hi in windows):
         raise SeriesError("divide_on_circle: empty window")
@@ -769,10 +756,9 @@ def divide_on_circle(num, den: LaurentSeries, window=None, samples: int = 1024):
     if nz.size == 1:
         c, j = complex(den.coeffs[nz[0]]), den.lo_exp + int(nz[0])
         exact = [clip(shift(scale(a, 1.0 / c), -j), *w) for (a, _), w in zip(rows, windows)]
-        out = [LaurentSeries(lo, dense(q, lo, hi), flavor,
-                             (max(q.reliable[0], lo), min(q.reliable[1], hi)))
-               for q, (lo, hi), flavor in zip(exact, windows, flavors)]
-        return out[0] if window is not None else out
+        return [LaurentSeries(lo, dense(q, lo, hi), flavor,
+                              (max(q.reliable[0], lo), min(q.reliable[1], hi)))
+                for q, (lo, hi), flavor in zip(exact, windows, flavors)]
     out = [None] * len(rows)
     sizes = [1 << (max(4 * (hi - lo + 1), int(samples)) - 1).bit_length() for lo, hi in windows]
     for m in sorted(set(sizes)):
@@ -785,7 +771,7 @@ def divide_on_circle(num, den: LaurentSeries, window=None, samples: int = 1024):
             lo, hi = windows[i]
             out[i] = _owned(lo, _frozen(row[np.mod(np.arange(lo, hi + 1), m)]), flavors[i],
                             (lo, hi))
-    return out[0] if window is not None else out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ def jouk_pair():
 def context():
     """Factory of a `PairContext` with the config defaults; ``order`` (the
     table order) defaults to the pair's."""
-    def build(pair, h, gauge=(), order=None, samples=1024):
-        return PairContext(pair, h, gauge, pair.order if order is None else order, samples)
+    def build(pair, h, gauge=(), order=None):
+        return PairContext(pair, h, gauge, pair.order if order is None else order)
     return build
 
 

@@ -115,13 +115,28 @@ def test_malformed_fields_are_named(tmp_path, mangle, field):
         load_config(write_config(tmp_path, payload))
 
 
-def test_samples_default_meets_its_own_bound(tmp_path):
+def test_config_without_samples_loads_at_order_128(tmp_path):
     payload = identity_payload()
     del payload["samples_M"]
-    payload["order"] = 128  # needs samples_M >= 4*(2*128+1) = 1028
-    assert load_config(write_config(tmp_path, payload)).samples_m == 2048
-    payload["order"] = 10
-    assert load_config(write_config(tmp_path, payload)).samples_m == 1024
+    payload["order"] = 128  # an explicit samples_M would need >= 4*(2*128+1) = 1028
+    assert load_config(write_config(tmp_path, payload)).order == 128
+
+
+def test_samples_is_validated_and_read_by_no_check(tmp_path, capsys):
+    """A valid ``samples_M`` changes no byte of ``verify``; an invalid one is
+    still a malformed config."""
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    reports = []
+    for samples in (1024, 4096):
+        target = tmp_path / f"report_{samples}.json"
+        payload.update(samples_M=samples, outputs=[{"target": str(target), "format": "json"}])
+        code, out, _ = run_cli(["verify", write_config(tmp_path, payload)], capsys)
+        reports.append((code, out, target.read_bytes()))
+    assert reports[0] == reports[1]
+    for bad in ({"samples_M": 100}, {"samples_M": 32}, {"order": 128, "samples_M": 1024}):
+        code, out, err = run_cli(["verify", write_config(tmp_path, dict(payload, **bad))],
+                                 capsys)
+        assert code == 2 and out == "" and "samples_M" in err, bad
 
 
 def test_explicit_samples_below_the_bound_still_fails(tmp_path):
@@ -616,7 +631,7 @@ def test_battery_builds_one_mixed_partial_per_pair_and_gauge(monkeypatch):
 @pytest.mark.parametrize("fixture, names, most", [
     ("random", sorted(CHECKS), 26), ("sigma", None, 20)])
 def test_battery_flow_fields(monkeypatch, fixture, names, most):
-    # one field per (direction, gauge, padding, samples) per battery: lax's
+    # one field per (direction, gauge, padding) per battery: lax's
     # padded n = 0 field, the tangents of jacobian, tau_gradient and
     # v0_t0_b00, and gauge_covariance's plain fields all come from the
     # context, and no check steps the pair
@@ -810,8 +825,7 @@ def test_non_finite_imaginary_part_names_the_table_field(tmp_path, monkeypatch,
     array[2, 1] = bad
     monkeypatch.setattr(cli.G, "grunsky_table", lambda pair, k: SimpleNamespace(
         order=1, b=array, b00=0j, symmetry_defect=0.0))
-    monkeypatch.setattr(cli.R, "green_identity", lambda g, h, order: (
-        0.0, SimpleNamespace(kernel=array)))
+    monkeypatch.setattr(cli.R, "green_identity", lambda g, h, order: (0.0, array))
     payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
     payload["outputs"] = [{"target": str(tmp_path / "out.json"), "format": "json"}]
     out = io.StringIO()

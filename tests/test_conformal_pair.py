@@ -100,7 +100,8 @@ def test_sigma_complex_tail_conjugated():
     assert abs(p.f.coeff(5) - (0.1j) ** 2) < 1e-14
 
 
-def test_sigma_involution_roundtrip():
+def test_sigma_image_times_its_reflected_denominator_is_w():
+    # f = w / p with p(w) = w conj(g(1/conj(w))), so f p = w on f's window
     rng = np.random.default_rng(4)
     coeffs = {1: 1.2, 0: 0.1 + 0.05j}
     for k in range(1, 7):
@@ -108,9 +109,12 @@ def test_sigma_involution_roundtrip():
     g = LaurentSeries.from_pairs(coeffs, AT_INFINITY)
     order = 10
     f = CP.sigma_image(g, order)
-    g_back = CP.sigma_image(f, order)
-    diff = max(abs(g_back.coeff(k) - g.coeff(k)) for k in range(-order + 2, 2))
+    p = LaurentSeries.from_pairs({1 - k: np.conj(c) for k, c in coeffs.items()}, AT_ZERO)
+    prod = S.mul(f, p)
+    diff = max(abs(prod.coeff(k) - (k == 1)) for k in range(1, order + 2))
     assert diff < 1e-12
+    with pytest.raises(SeriesError, match="AtInfinity"):
+        CP.sigma_image(f, order)
 
 
 def test_sigma_complex_b_fails_normalization():

@@ -466,13 +466,16 @@ def test_fields_in_a_batch_equal_fields_alone(fix_sig, fix_rand, padded):
             assert _same_field(ff, flow_field(pair, H_BASIC, n, pad=pad)), n
 
 
-def test_fields_in_a_batch_of_two_sample_counts_equal_fields_alone(fix_sig):
-    # at 256 samples u_0 and u_8 divide on 256 points, u_16 (window 65 wide)
-    # on 512: each keeps the count it has alone
-    batch = flow_fields(fix_sig, H_BASIC, (0, 8, 16), samples=256)
-    assert {ff.u_series.width for ff in batch.values()} == {33, 49, 65}
+def test_fields_in_a_batch_of_two_sample_counts_equal_fields_alone(fix_sig, monkeypatch):
+    # padded by 110, u_0 (window 253 wide) divides on the 1024-point floor and
+    # u_2 and u_8 (257 and 269 wide) on 2048: each keeps the count it has alone
+    counts, sampled = [], S._sampled
+    monkeypatch.setattr(S, "_sampled", lambda rows, m: counts.append(m) or sampled(rows, m))
+    batch = flow_fields(fix_sig, H_BASIC, (0, 2, 8), pad=110)
+    assert {ff.u_series.width for ff in batch.values()} == {253, 257, 269}
+    assert set(counts) == {1024, 2048}
     for n, ff in batch.items():
-        assert _same_field(ff, flow_field(fix_sig, H_BASIC, n, samples=256)), n
+        assert _same_field(ff, flow_field(fix_sig, H_BASIC, n, pad=110)), n
 
 
 def test_batched_fields_match_one_horner_division_per_direction(fix_rand, eval_at_points):

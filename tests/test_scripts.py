@@ -113,6 +113,19 @@ def test_output_digest_against_lists_only_the_changed_lines():
     assert _output_digest().changed(ours, ours) == []
 
 
+def test_output_digest_orders_rewrite_only_the_order_and_the_label():
+    digest = _output_digest()
+    payload = json.loads((ROOT / "configs" / "fixture_sigma.json").read_text())
+    before = json.dumps(payload)
+    assert digest.variants("sigma", payload) == [("sigma", payload)]
+    runs = digest.variants("sigma", payload, [16, 64])
+    assert [label for label, _ in runs] == ["sigma@16", "sigma@64"]
+    for (_, run), order in zip(runs, (16, 64)):
+        assert list(run) == list(payload)  # the same keys in the same order
+        assert run == dict(payload, order=order)
+    assert json.dumps(payload) == before  # the fixture's own payload is not touched
+
+
 def _ledger_diff():
     spec = importlib.util.spec_from_file_location(
         "ledger_diff", ROOT / "scripts" / "ledger_diff.py")

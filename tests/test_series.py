@@ -193,12 +193,28 @@ def test_add_disjoint_reliability_raises():
 
 
 def test_int_pow_positive_matches_repeated_mul():
+    for a in (LaurentSeries.from_pairs({1: 1.0, 2: 0.3, 4: -0.2}, AT_ZERO),
+              LaurentSeries.from_pairs({1: 1.0, 0: 0.3, -2: -0.2}, AT_INFINITY)):
+        direct = a
+        for k in range(2, 6):
+            direct = S.mul(direct, a)
+            viapow = S.int_pow(a, k)
+            assert S.max_abs_diff_reliable(direct, viapow) < 1e-13
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["at-zero", "at-infinity"])
+def test_int_pow_is_the_last_row_of_its_chain(side):
+    for k in [*range(-5, 0), *range(1, 6)]:
+        for depth in (12, 40) if k < 0 else (None, 12, 40):
+            got = S.int_pow(_germ_pair()[side], k, depth)
+            assert fields(got) == fields(S.powers(_germ_pair()[side], k, depth)[-1]), (k, depth)
+
+
+def test_int_pow_of_a_two_sided_series_raises():
     a = LaurentSeries.from_pairs({-1: 0.3, 0: 1.0, 2: -0.2})
-    direct = a
-    for k in range(2, 6):
-        direct = S.mul(direct, a)
-        viapow = S.int_pow(a, k)
-        assert S.max_abs_diff_reliable(direct, viapow) < 1e-13
+    for k in (2, -1):
+        with pytest.raises(SeriesError, match="germ flavor"):
+            S.int_pow(a, k, depth=8)
 
 
 def test_int_pow_zero_is_one():
@@ -434,7 +450,7 @@ def test_invert_depth_reads_padded_or_truncated_input(depth):
 def test_divide_by_monomial_exact():
     one = S.constant(1.0)
     w = S.monomial(1, 1.0)
-    q = S.divide_on_circle(one, w, (-4, 4))
+    [q] = S.divide_on_circle([(one, (-4, 4))], w)
     assert q.coeff(-1) == 1.0
     assert sum(abs(q.coeff(k)) for k in range(-4, 5) if k != -1) == 0.0
 
@@ -443,7 +459,7 @@ def test_divide_geometric_oracle():
     # w^2 / (1 + 0.2 w^-1) = w^2 - 0.2 w + 0.04 - 0.008 w^-1 + ...
     num = S.monomial(2, 1.0)
     den = LaurentSeries.from_pairs({0: 1.0, -1: 0.2}, AT_INFINITY)
-    q = S.divide_on_circle(num, den, (-8, 2))
+    [q] = S.divide_on_circle([(num, (-8, 2))], den)
     for i in range(10):
         assert abs(q.coeff(2 - i) - (-0.2) ** i) < 1e-13
 
@@ -456,7 +472,7 @@ def test_divide_matches_reciprocal_multiplication():
     den = LaurentSeries.from_pairs(den_c, AT_ZERO)
     num_c = {k: complex(rng.normal(), rng.normal()) for k in range(-2, 4)}
     num = LaurentSeries.from_pairs(num_c)
-    q = S.divide_on_circle(num, den, (-6, 10))
+    [q] = S.divide_on_circle([(num, (-6, 10))], den)
     alt = S.mul(num, S.int_pow(den, -1, depth=40))
     diff = max(abs(q.coeff(k) - alt.coeff(k)) for k in range(-6, 11))
     assert diff < 1e-12
@@ -484,7 +500,7 @@ def test_divide_rows_match_horner_sampling(eval_at_points):
         assert (q.lo_exp, q.reliable) == (lo, (lo, hi))
         assert np.max(np.abs(q.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
         # a row divides the same alone as in the batch
-        assert np.array_equal(S.divide_on_circle(num, den, (lo, hi), samples=16).coeffs,
+        assert np.array_equal(S.divide_on_circle([(num, (lo, hi))], den, samples=16)[0].coeffs,
                               q.coeffs)
 
 
@@ -492,7 +508,7 @@ def test_divide_vanishing_denominator_raises():
     num = S.constant(1.0)
     den = LaurentSeries.from_pairs({1: 1.0, 0: -1.0})  # w - 1 vanishes at w = 1
     with pytest.raises(CircleZeroError, match="denominator vanishes on circle"):
-        S.divide_on_circle(num, den, (-3, 3))
+        S.divide_on_circle([(num, (-3, 3))], den)
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +685,18 @@ def test_mul_deterministic(a, b):
     assert c1.lo_exp == c2.lo_exp and c1.reliable == c2.reliable
 
 
+@st.composite
+def small_germ(draw):
+    """`small_series` moved onto a germ of either flavor (`germ`), its
+    coefficients below 1e-3 zeroed so that a lead stands out."""
+    a = draw(small_series())
+    cs = np.where(np.abs(a.coeffs) < 1e-3, 0, a.coeffs)
+    assume(np.any(cs != 0))
+    return germ(LaurentSeries(a.lo_exp, cs), draw(st.sampled_from([AT_ZERO, AT_INFINITY])))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=5), small_series())
+@given(st.integers(min_value=0, max_value=5), small_germ())
 def test_int_pow_matches_iterated_mul(k, a):
     viapow = S.int_pow(a, k)
     direct = S.constant(1.0)
@@ -1211,7 +1237,7 @@ OWNED_KERNELS = {  # every kernel that builds its output without validation
     "divide_on_circle": lambda a, b: [
         *S.divide_on_circle([(a, (-3, 3)), (b, (-5, -1))],
                             S.add(S.constant(10.0), S.scale(b, 0.1)), samples=64),
-        S.divide_on_circle(a, S.monomial(2, 3.0), (-2, 2))],
+        *S.divide_on_circle([(a, (-2, 2))], S.monomial(2, 3.0))],
 }
 
 

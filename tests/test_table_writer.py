@@ -58,9 +58,9 @@ def _run_table_report(tmp_path, capsys, monkeypatch, command, payload):
         return table
 
     def green_identity(*args):
-        defect, coeffs = green_of(*args)
-        built.append((coeffs.kernel, 0))
-        return defect, coeffs
+        defect, kernel = green_of(*args)
+        built.append((kernel, 0))
+        return defect, kernel
 
     monkeypatch.setattr(cli.G, "grunsky_table", grunsky_table)
     monkeypatch.setattr(cli.R, "green_identity", green_identity)

@@ -420,7 +420,7 @@ def _check_lax(ctx) -> float:
 
 def _check_v0_t0_b00(ctx) -> float:
     # dv_0 along Q_0 against b00 = -log(b), which grunsky_table sets by construction
-    slope = S.residue_mul(ctx.tangents((0,))[0], S.sub(*ctx.chart_moments(ctx.pair.order).logs))
+    slope = S.residue_mul(ctx.tangents((0,))[0], S.sub(*ctx.moments(ctx.pair.order, ()).logs))
     return abs(slope - 2 * cmath.log(ctx.pair.b))
 
 
@@ -562,35 +562,19 @@ def cmd_verify(config: ExperimentConfig,
     return 0 if all(r["passed"] for r in results) else 1
 
 
-def _deepest(build: Callable[[int], object], order: int):
-    """``build(k)`` at the deepest k from ``order`` down to 2 that builds.
-
-    Reflection-built pairs certify a shorter window than their nominal
-    order; a build that leaves a certified window is retried one order
-    lower, and the failure at k = 2 (or at k = ``order`` = 1) is raised.
-    """
-    for k in range(order, 0, -1):
-        try:
-            return build(k)
-        except S.WindowUnderflowError:
-            if k <= 2:
-                raise
-
-
 def _snapshot_payload(config: ExperimentConfig):
-    """Coordinate snapshot including gauge shifts where they apply.
+    """Coordinate snapshot at the config order, including gauge shifts
+    where they apply.
 
-    The snapshot uses the largest mode window the pair's reliability
-    claims certify (`_deepest`); the emitted ``order`` records the window
-    used.  The tau parts come from the core potential alone: gauge
-    monomials shift the coordinates by constants and leave the dynamics
-    untouched.  The context and its series are dropped on return, before
-    the payload is written.
+    The tau parts come from the core potential alone: gauge monomials
+    shift the coordinates by constants and leave the dynamics untouched.
+    The context and its series are dropped on return, before the payload
+    is written.
     """
     ctx = config.context()
-    snap, (t, v, alt), v0 = _deepest(lambda k: (
-        ctx.coords(k), ctx.moments(k, config.gauge).times,
-        ctx.moments(ctx.pair.order, config.gauge).v0), config.order)
+    snap = ctx.coords(config.order)
+    (t, v, alt), v0 = (ctx.moments(config.order, config.gauge).times,
+                       ctx.moments(ctx.pair.order, config.gauge).v0)
     json_obj = {
         "order": snap.order,
         "t": _mode_map(t), "v": _mode_map(v),
@@ -609,8 +593,7 @@ def cmd_coords(config: ExperimentConfig, stdout=None) -> int:
 
 def cmd_grunsky(config: ExperimentConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    pair = config.build_pair()
-    table = _deepest(lambda k: G.grunsky_table(pair, k), config.order)
+    table = G.grunsky_table(config.build_pair(), config.order)
     json_obj = {"order": table.order, "b00": _cx(table.b00),
                 "symmetry_defect": table.symmetry_defect}
     return _report(config, stdout, json_obj,
@@ -669,11 +652,11 @@ def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
 
 def _special_case(config: ExperimentConfig, mu: int, nu: int):
     """(closed form, general snapshot, generating report) of the monomial at
-    the deepest order the pair certifies; the context is dropped on return."""
+    `plan.monomial_order`; the context is dropped on return."""
     pair = config.build_pair()
     ctx = PairContext(pair, SP.MonomialCase(mu, nu).h, (), config.order)
-    return _deepest(lambda k: (ctx.special(k), ctx.coords(k), ctx.generating(k)),
-                    plan.monomial_order(pair, mu, nu))
+    k = plan.monomial_order(pair, mu, nu)
+    return ctx.special(k), ctx.coords(k), ctx.generating(k)
 
 
 def cmd_special(config: ExperimentConfig, mu: int, nu: int,

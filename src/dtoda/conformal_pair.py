@@ -5,16 +5,21 @@ A :class:`ConformalPair` holds
 * ``g`` — a germ at infinity, g(w) = b*w + b0 + b1/w + ... , stored on the
   window [-order, 1] with exactly one positive power (the linear term);
 * ``f`` — a germ at zero, f(w) = a1*w + a2*w^2 + ..., stored on [1, order+1]
-  with no constant term;
+  (a reflection pair's further out) with no constant term;
 
 subject to the normalization a1*b = 1 (to 1e-12).  Pairs are immutable;
-every deformation (a flow step) produces a new pair.
+every deformation (a flow step) produces a new pair.  Every pair the
+package builds stores g and f as exact polynomials, so a reader may take
+any depth it needs from either germ and never meets a truncation edge of
+the pair itself.
 
 Two constructors build distinguished subfamilies:
 
 * :func:`sigma_conjugate` produces the reflection-symmetric pair in which
-  f(w) = 1/conj(g(1/conj(w))): coefficients conjugated, exponents
-  reflected, then a series reciprocal truncated at the pair's order.
+  f(w) = 1/conj(g(1/conj(w))) = w / p(w), p a polynomial: f's tail decays
+  geometrically at the rate of p's nearest root, so f is stored out to
+  where that tail is below rounding and taken as exact there.  A g whose
+  p has a root in the closed unit disc is rejected: its f has a pole there.
 * :func:`random_pair` draws a reproducible perturbative pair with
   geometrically decaying tails (and optionally all-real coefficients).
 
@@ -28,13 +33,14 @@ charts are regular across the shared circle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from . import series as S
-from .series import AT_INFINITY, AT_ZERO, NEG_INF, POS_INF, LaurentSeries, SeriesError
+from .series import AT_INFINITY, AT_ZERO, LaurentSeries, SeriesError
 
 
 class NormalizationError(SeriesError):
@@ -90,7 +96,7 @@ class ConformalPair:
         return S.derivative(self.f)
 
 
-def _canonical_g(coeffs, order: int, reliable=None) -> LaurentSeries:
+def _canonical_g(coeffs, order: int) -> LaurentSeries:
     arr = np.zeros(order + 2, dtype=np.complex128)
     for e, c in dict(coeffs).items():
         e = int(e)
@@ -101,11 +107,10 @@ def _canonical_g(coeffs, order: int, reliable=None) -> LaurentSeries:
                 raise SeriesError(f"g coefficient at exponent {e} outside order-{order} window")
             continue
         arr[e + order] = complex(c)
-    rel = (NEG_INF, POS_INF) if reliable is None else reliable
-    return LaurentSeries(-order, arr, AT_INFINITY, rel)
+    return LaurentSeries(-order, arr, AT_INFINITY)
 
 
-def _canonical_f(coeffs, order: int, reliable=None) -> LaurentSeries:
+def _canonical_f(coeffs, order: int) -> LaurentSeries:
     arr = np.zeros(order + 1, dtype=np.complex128)
     for e, c in dict(coeffs).items():
         e = int(e)
@@ -116,8 +121,7 @@ def _canonical_f(coeffs, order: int, reliable=None) -> LaurentSeries:
         if e > order + 1:
             raise SeriesError(f"f coefficient at exponent {e} outside order-{order} window")
         arr[e - 1] = complex(c)
-    rel = (NEG_INF, POS_INF) if reliable is None else reliable
-    return LaurentSeries(1, arr, AT_ZERO, rel)
+    return LaurentSeries(1, arr, AT_ZERO)
 
 
 def from_coefficients(g_coeffs, f_coeffs, order: int) -> ConformalPair:
@@ -132,30 +136,51 @@ def from_coefficients(g_coeffs, f_coeffs, order: int) -> ConformalPair:
     return ConformalPair(g, f, order)
 
 
+# f's tail is cut where it falls below 2**-60 |a1|: 8 bits under double
+# rounding, room for the constant in front of rho**-k.  The depth grows
+# without bound as rho -> 1 (4e13 terms at rho = 1 + 1e-12), so it is capped
+# at 1024 terms, rho >= 2**(60/1024) = 1.0415: a deeper f buys no result, as
+# from rho = 1.12 (g = w + 0.8/w, 374 terms) most readers underflow anyway.
+_TAIL_BITS, _TAIL_LIMIT = 60, 1024
+
+
 def sigma_image(s: LaurentSeries, order: int) -> LaurentSeries:
     """The reflection w -> 1/conj(s(1/conj(w))) of a linear-leading
-    AtInfinity germ: an AtZero germ on [1, order + 1].  The reciprocal is
-    taken to local order ``order``, the last coefficient the image reads.
+    AtInfinity germ, an exact AtZero polynomial on [1, K + 1].
+
+    The image is w / p with p(w) = w*conj(s(1/conj(w))), a polynomial, so
+    its coefficients decay like rho**-k, rho the smallest root modulus of p.
+    K is the least depth past which that tail is below 2**-60 |a1| (at
+    least ``order``): the coefficients dropped are below rounding, so the
+    image is stored as exact.  rho <= 1 puts a pole of the image in the
+    closed unit disc, so the pair is not one of conformal maps, and such
+    an s is rejected.
     """
     if s.flavor != AT_INFINITY:
         raise SeriesError("sigma_image needs an AtInfinity germ")
-    order = int(order)
-    # conj(s)(1/w) = w^-1 * p(w), p = conj(b) + conj(b0) w + sum conj(b_k) w^{k+1};
-    # the image is w / p.
-    p = LaurentSeries.from_pairs(
-        {1 - k: np.conj(s.coeff(k)) for k in range(s.lo_exp, 2)}, AT_ZERO,
-    )
-    q = S.int_pow(p, -1, depth=order)
-    return LaurentSeries(1, S.dense(S.shift(q, 1), 1, order + 1), AT_ZERO,
-                         (NEG_INF, order + 1))
+    p = np.conj(S.dense(s, s.lo_exp, 1)[::-1])  # p_j = conj(s_{1-j})
+    try:
+        rho = float(np.min(np.abs(np.roots(p[::-1])), initial=math.inf))
+    except np.linalg.LinAlgError:  # a companion matrix out of range
+        rho = math.nan
+    tail = _TAIL_BITS * math.log(2) / math.log(rho) if rho > 1.0 else math.inf
+    if tail > _TAIL_LIMIT:
+        raise SeriesError(f"1/conj(g(1/conj(w))) has a pole at |w| = {rho:.6g}, inside "
+                          f"|w| = {2 ** (_TAIL_BITS / _TAIL_LIMIT):.5g} "
+                          f"(the unit disc, or a tail past {_TAIL_LIMIT} terms)")
+    depth = max(int(order), math.ceil(tail))
+    q = S.int_pow(LaurentSeries(0, p, AT_ZERO), -1, depth=depth)
+    return LaurentSeries(1, S.dense(q, 0, depth), AT_ZERO)
 
 
 def sigma_conjugate(g: LaurentSeries, order: int | None = None) -> ConformalPair:
     """Pair (g, f) on the reflection-symmetric subfamily.
 
-    f is 1/conj(g(1/conj(w))) truncated at the pair's order, with the
-    reliability edge recorded at order+1.  The normalization a1*b = 1
-    then requires b to be real; a complex b raises NormalizationError.
+    f = 1/conj(g(1/conj(w))) is stored as exact out to where its tail is
+    below rounding (`sigma_image`), like the polynomial f of a pair from
+    coefficients, so every reader finds it exact at any depth.  The
+    normalization a1*b = 1 then requires b to be real; a complex b raises
+    NormalizationError.
     """
     if order is None:
         order = max(1 - g.lo_exp, 1)
@@ -163,10 +188,8 @@ def sigma_conjugate(g: LaurentSeries, order: int | None = None) -> ConformalPair
     if g.coeff(1).imag != 0.0:
         raise NormalizationError("reflection pair needs a real leading "
                                  f"coefficient b, got b = {g.coeff(1)}")
-    g_can = _canonical_g({k: g.coeff(k) for k in range(g.lo_exp, g.hi_exp + 1)}, order,
-                         reliable=g.reliable)
-    f = sigma_image(g_can, order)
-    return ConformalPair(g_can, f, order)
+    g_can = _canonical_g({k: g.coeff(k) for k in range(g.lo_exp, g.hi_exp + 1)}, order)
+    return ConformalPair(g_can, sigma_image(g_can, order), order)
 
 
 def _chart_margins(g_coeffs, f_coeffs) -> Tuple[float, float]:

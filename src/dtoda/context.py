@@ -27,13 +27,16 @@ class PairContext:
     """A pair, its potential, gauge and order, and a memo of what derives
     from them.  A table, snapshot or field whose build raises is not kept, so
     every reader reports the error.  A moment object builds its series on
-    first read, so it stays in the memo when a read of it raises (a failed
-    `cli._deepest` trial keeps its partials until the command ends)."""
+    first read, so it stays in the memo when a read of it raises.
+
+    Tangents and fields read the pair itself: every pair the package
+    builds stores g and f as exact polynomials (a reflection pair's f out
+    to where its tail is below rounding, `conformal_pair.sigma_image`), so
+    the pair is already the chart a flow step starts from."""
 
     def __init__(self, pair, h: HamiltonianH, gauge: Tuple[GaugeTerm, ...], order: int):
         self.pair, self.h, self.gauge, self.order = pair, h, tuple(gauge), order
         self._memo: dict = {}
-        self.chart = pair if S._is_exact(pair.g) and S._is_exact(pair.f) else F._reassemble(pair)
 
     def _once(self, key, build):
         if key not in self._memo:
@@ -57,11 +60,10 @@ class PairContext:
     def table(self, order: int) -> G.GrunskyTable:
         return self._once(("table", order), lambda: G.grunsky_table(self.pair, order))
 
-    def mixed_partial(self, gauge=(), at_chart: bool = False) -> S.LaurentSeries:
-        """E along the pair (or the chart) that fields and tangents read."""
-        pair = self.chart if at_chart else self.pair
-        return self._once(("e12", pair is self.chart, tuple(gauge)),
-                          lambda: F._mixed_partial_along(pair, self.h, gauge))
+    def mixed_partial(self, gauge=()) -> S.LaurentSeries:
+        """E along the pair, which fields and tangents read."""
+        return self._once(("e12", tuple(gauge)),
+                          lambda: F._mixed_partial_along(self.pair, self.h, gauge))
 
     def flow_fields(self, ns, gauge=(), pad: int = 0) -> dict:
         """`flows.flow_fields` of ``ns``: the ones not built yet in one call."""
@@ -73,16 +75,10 @@ class PairContext:
             self._memo.update((keys[n], built[n]) for n in missing)
         return {n: self._memo[key] for n, key in keys.items()}
 
-    def chart_moments(self, order: int) -> C.Moments:
-        """Ungauged moments of the chart, the pair's chart coefficients taken as
-        exact (where a flow step starts): the pair's own for an exact pair."""
-        return self.moments(order, ()) if self.chart is self.pair else self._once(
-            ("chart moments", order), lambda: C.Moments(self.chart, self.h, (), order))
-
     def tangents(self, ns) -> list:
-        """`flows.tangent` of the plain field of each n of ``ns`` at the chart."""
-        fields, e12 = self.flow_fields(ns), self.mixed_partial(at_chart=True)
-        return [self._once(("tangent", n), lambda: F.tangent(self.chart, e12, fields[n]))
+        """`flows.tangent` of the plain field of each n of ``ns``."""
+        fields, e12 = self.flow_fields(ns), self.mixed_partial()
+        return [self._once(("tangent", n), lambda: F.tangent(self.pair, e12, fields[n]))
                 for n in map(int, ns)]
 
     @property

@@ -156,7 +156,7 @@ def tangent(pair, e12: LaurentSeries, ff: FlowField) -> LaurentSeries:
 def time_tangents(ctx, order: int) -> np.ndarray:
     """dt_m along Q_n, row n and column m for |n|, |m| <= order:
     m dt_m = res(Q_n g^-m), dt_0 = res(Q_n), m dt_-m = -res(Q_n f^m)."""
-    mo, k = ctx.chart_moments(order), np.arange(1.0, order + 1)
+    mo, k = ctx.moments(order, ()), np.arange(1.0, order + 1)
     dt = S.residue_matrix(ctx.tangents(range(-order, order + 1)),
                           mo.f_up[::-1] + [S.constant(1.0)] + mo.g_down)
     return dt * np.concatenate([-1.0 / k[::-1], [1.0], 1.0 / k])
@@ -242,7 +242,7 @@ def tau_tangents(ctx, order: int):
     with dv_k = res(Q g^k), dv_-k = -res(Q f^-k), dv_0 = res(Q (log(g/w) - log(f/w))).
     logT = (sum_m t_m v_m)/2 + Z3 (v_0 at m = 0) moves by (sum_m (dt_m v_m + t_m dv_m)
     - res(Q H(g, f)))/2, read at full lattice order: the tau function is the pair's."""
-    mo = ctx.chart_moments(ctx.chart.order)
+    mo = ctx.moments(ctx.pair.order, ())
     (t, v, _), full = mo.times, mo.order
     k, modes = np.arange(1.0, full + 1), range(-full, full + 1)
     res = S.residue_matrix(ctx.tangents(range(-order, order + 1)),

@@ -37,26 +37,11 @@ def table_frame(pair, n_max: int):
     return -reach, reach
 
 
-def sigma_pair_order(order: int) -> int:
-    """Reflection pair of the reality check: its tail decays at the rate of
-    its own nearest singularity, as slow as ~0.5 per exponent for moderate
-    perturbations of w.  Without the 32, sigma_reality on the sigma fixture
-    reads 1.1e-6 (1e-10 tolerance) instead of 2.8e-17."""
-    return order + 32
-
-
-def green_pair_order(n_max: int) -> int:
-    """Reflection pair of the Green identity: twice the table, the least
-    order at which the table builds (one less raises WindowUnderflowError
-    on the identity and sigma fixtures)."""
-    return 2 * n_max
-
-
 def probe_order(order: int) -> int:
     """Battery's coordinate checks and the sigma report: the configured order
-    governs the pair's richness, the probe a window every kind of pair
-    certifies (a reflection pair's is narrower than its order).  A value
-    at a given mode does not depend on how many other modes are computed."""
+    governs the pair's richness, the probe how many modes a check compares.
+    A value at a given mode does not depend on how many other modes are
+    computed."""
     return min(order, 8)
 
 

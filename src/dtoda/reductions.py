@@ -38,9 +38,8 @@ import numpy as np
 
 from . import series as S
 from .series import LaurentSeries, SeriesError
-from . import plan
 from .conformal_pair import sigma_conjugate
-from .coords import TodaCoordinates, time_variables, v_zero
+from .coords import Moments, TodaCoordinates
 from .grunsky import _log2d, grunsky_table
 
 
@@ -59,20 +58,25 @@ def require_sigma_admissible(h) -> None:
             raise SigmaAdmissibilityError("H not Σ-admissible")
 
 
+def _reflection_pair(g: LaurentSeries, order: int):
+    """(g, sigma g) at ``order``, or at the depth of g's last nonzero term if deeper."""
+    return sigma_conjugate(g, max(order, -g.lo_exp - int(np.flatnonzero(g.coeffs)[0])))
+
+
 def sigma_coordinate_check(g: LaurentSeries, h, order: int) -> float:
     """Largest reflection-reality defect of the coordinates of (g, sigma g).
 
     Builds the pair whose f is the reflection image of g, computes the
     lattice coordinates up to ``order`` and returns the max of
     |t(-n) + conj(t(n))|, |v(-n) + conj(v(n))| over n >= 1, together
-    with |Im t(0)| and |Im v0|.  The pair is carried well past ``order``
-    (`plan.sigma_pair_order`).
+    with |Im t(0)| and |Im v0|.  The pair is built at ``order`` (or at g's
+    own depth, if deeper): its f is exact to any depth.
     """
     require_sigma_admissible(h)
     order = int(order)
-    pair = sigma_conjugate(g, order=plan.sigma_pair_order(order))
-    t, v, _ = time_variables(pair, h, order)
-    v0 = v_zero(pair, h)
+    pair = _reflection_pair(g, order)
+    mo = Moments(pair, h, (), pair.order)  # v0 is read at the pair's order
+    (t, v, _), v0 = mo.times, mo.v0
     defects = [abs(np.imag(t[0])), abs(np.imag(v0))]
     for n in range(1, order + 1):
         defects += [abs(t[-n] + np.conj(t[n])), abs(v[-n] + np.conj(v[n]))]
@@ -144,8 +148,7 @@ def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, np.ndarray]:
     """
     require_sigma_admissible(h)
     n_max = int(order)
-    pair = sigma_conjugate(g, order=plan.green_pair_order(n_max))
-    table = grunsky_table(pair, n_max)
+    table = grunsky_table(_reflection_pair(g, n_max), n_max)
     left = green_coefficients(g, n_max)
     # right[m, n] = b(m, -n), with the 0-row -b(-n, 0) (and -b00 at its corner)
     right = table.b[n_max:, n_max::-1].copy()

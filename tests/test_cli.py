@@ -329,8 +329,8 @@ def test_coords_sigma_snapshot(capsys):
     assert doc["t"]["2"][0] == pytest.approx(0.05, abs=1e-12)
     # reflection reality: t_{-n} = -conj(t_n)
     assert doc["t"]["-2"][0] == pytest.approx(-0.05, abs=1e-12)
-    # the reflected pair certifies a window below its nominal order
-    assert doc["order"] == 14
+    # the reflected pair is exact, so the snapshot is at the config order
+    assert doc["order"] == 16
 
 
 def test_coords_outputs_files(tmp_path, capsys):
@@ -440,6 +440,29 @@ def test_sigma_from_g_with_complex_b_names_b(tmp_path):
     assert "a1·b" not in err
 
 
+def test_sigma_from_a_g_that_is_not_univalent_exits_2(tmp_path):
+    # g = w + 2/w reflects to f = w/(1 + 2 w^2): poles at |w| = 0.707
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    payload["pair"] = {"sigma_from_g": {"1": 1.0, "-1": 2.0}}
+    code, out, err = run_cli_process(["verify", write_config(tmp_path, payload)])
+    assert (code, out) == (2, "")
+    assert err.startswith("dtoda: error: config field 'pair': ")
+    assert "pole at |w| = 0.707107" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", [16, 32, 64])
+def test_sigma_fixture_runs_every_check_without_underflow(tmp_path, order):
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    payload["order"] = order
+    results = run_checks(load_config(write_config(tmp_path, payload)), sorted(CHECKS))
+    assert [(r["name"], r["error"]) for r in results if r["error"]] == []
+    # generating_identity's monomial order is the pair's order less |mu| + |nu| + 1,
+    # short of where its residual falls below 1e-9 (5.4e-5 at 16, 4.0e-8 at 32)
+    assert [r["name"] for r in results if not r["passed"]] == (
+        ["generating_identity"] if order < 64 else [])
+
+
 def test_special_report_sigma_case(capsys):
     code, out, _ = run_cli(
         ["special", str(CONFIGS / "fixture_sigma.json"),
@@ -451,20 +474,13 @@ def test_special_report_sigma_case(capsys):
     assert abs(doc["special_logtau"][0] - doc["general_logT"][0]) <= 1e-9
 
 
-def test_special_searches_down_for_a_certified_order(capsys):
-    # the default order 12 leaves f's certified window; order 11 builds
-    code, out, _ = run_cli(
-        ["special", str(CONFIGS / "fixture_sigma.json"),
-         "--mu", "-2", "--nu", "1"], capsys)
-    assert code == 0
-    assert json.loads(out)["order"] == 11
-
-
-def test_special_underflow_at_order_one_is_one_line():
-    # default order 16 - 7 - 7 - 1 = 1: nothing lower to retry
+def test_special_underflow_is_one_line(tmp_path):
+    # g = w + 2/w is not univalent: its closed form leaves the window it reads
+    payload = identity_payload()
+    payload["pair"] = {"coefficients": {"g": {"1": 1.0, "-1": 2.0}, "f": {"1": 1.0}}}
+    payload["order"] = 4
     code, _, err = run_cli_process(
-        ["special", str(CONFIGS / "fixture_sigma.json"),
-         "--mu", "-7", "--nu", "7"])
+        ["special", write_config(tmp_path, payload), "--mu", "1", "--nu", "1"])
     assert code == 1
     assert err.startswith("dtoda: computation failed: window underflow")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -623,9 +639,9 @@ def test_battery_builds_one_mixed_partial_per_pair_and_gauge(monkeypatch):
                         _counting(calls, "e12", cli.F._mixed_partial_along))
     config = load_config(str(CONFIGS / "fixture_sigma.json"))
     run_checks(config)
-    # E along the pair and along its chart, plain, and along the pair with
-    # gauge_covariance's probe gauge: every field, tangent and string reads one
-    assert calls == {"e12": 3}
+    # E along the pair, plain and with gauge_covariance's probe gauge:
+    # every field, tangent and string reads one
+    assert calls == {"e12": 2}
 
 
 @pytest.mark.parametrize("fixture, names, most", [
@@ -654,7 +670,8 @@ def test_battery_builds_the_monomial_case_once(monkeypatch):
         before = [p.size for p, _ in vars(a).get(("powers", s), [])]
         out = chain(a, s, tops, x)
         store = vars(a)[("powers", s)]
-        assert stores.setdefault((id(a), s), store) is store
+        # the germ is kept alive with its store, so that no other germ takes its id
+        assert stores.setdefault((id(a), s), (a, store))[1] is store
         after = [p.size for p, _ in store]
         assert all(size > before[k] for k, size in enumerate(after[:len(before)])
                    if size != before[k])
@@ -754,16 +771,18 @@ def test_grunsky_csv_output_lists_every_entry(tmp_path, capsys):
     assert "1,-1,1,0" in rows
 
 
-def test_failed_table_build_is_reported_by_every_check():
-    # fixture_sigma's certified window is too short for an order-16 table
-    config = load_config(str(CONFIGS / "fixture_sigma.json"))
+def test_failed_table_build_is_reported_by_every_check(monkeypatch, jouk_pair):
+    # jouk_pair's g is reliable down to w**-12, too short for an order-12 table
+    config = load_config(str(CONFIGS / "fixture_identity.json"))
+    monkeypatch.setattr(cli.ExperimentConfig, "context", lambda self: cli.PairContext(
+        jouk_pair, self.hamiltonian(), self.gauge, jouk_pair.order))
     results = run_checks(config, TABLE_CHECKS)
     assert [r["name"] for r in results] == TABLE_CHECKS
     for r in results:
         assert r["error"].startswith("WindowUnderflowError"), r
         assert not r["passed"]
         assert r["error"] == ("WindowUnderflowError: window underflow: "
-                              "coefficient -1 outside reliable (-inf, -2)"), r
+                              "coefficient -1 outside reliable (0, inf)"), r
 
 
 def test_nan_table_entries_fail_the_table_checks(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for pair construction, the reflection subfamily, and random pairs."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -115,6 +116,39 @@ def test_sigma_image_times_its_reflected_denominator_is_w():
     assert diff < 1e-12
     with pytest.raises(SeriesError, match="AtInfinity"):
         CP.sigma_image(f, order)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 1.0, -1: 0.1},                                             # the sigma fixture
+    {1: 1.0, 0: 0.05, -1: 0.12, -2: -0.04},                        # d = 2
+    {1: 1.1, 0: -0.03, -1: 0.1, -2: 0.05j, -3: -0.03},             # d = 3
+    {1: 1.0, -1: 0.8},                                             # a pole at 1.118
+])
+def test_sigma_image_matches_a_40_digit_recurrence(coeffs):
+    # f = w/p, p = sum_j p_j w^j with p_j = conj(g_{1-j}): the coefficients
+    # q_k of 1/p follow p_0 q_k = -sum_{j>=1} p_j q_{k-j}
+    order = 16
+    f = CP.sigma_conjugate(LaurentSeries.from_pairs(coeffs, AT_INFINITY), order).f
+    assert f.reliable == (S.NEG_INF, S.POS_INF) and f.hi_exp >= order + 1
+    with mpmath.workdps(40):
+        p = [mpmath.conj(mpmath.mpc(coeffs.get(1 - j, 0))) for j in range(2 - min(coeffs))]
+        q = [1 / p[0]]
+        for k in range(1, max(8 * order, f.hi_exp) + 1):
+            q.append(-mpmath.fsum(p[j] * q[k - j] for j in range(1, min(k, len(p) - 1) + 1))
+                     / p[0])
+        top = max(abs(c) for c in q)
+        worst = max(abs(mpmath.mpc(f.coeff(k + 1)) - q[k]) for k in range(8 * order))
+        assert worst <= 2.0 ** -52 * top  # an ulp of the largest coefficient
+        # the first coefficient not stored is below rounding
+        assert abs(q[f.hi_exp]) < 2.0 ** -52 * abs(q[0])
+
+
+@pytest.mark.parametrize("u, radius", [(2.0, "0.707107"), (1.0, "1"), (0.99, "1.00504")])
+def test_sigma_image_rejects_a_pole_in_or_near_the_disc(u, radius):
+    # g = w + u/w reflects to f = w/(1 + u w^2), with poles at |w| = u**-1/2
+    g = LaurentSeries.from_pairs({1: 1.0, -1: u}, AT_INFINITY)
+    with pytest.raises(SeriesError, match=rf"pole at \|w\| = {radius}, inside \|w\| = 1.0415 "):
+        CP.sigma_conjugate(g, order=8)
 
 
 def test_sigma_complex_b_fails_normalization():

@@ -229,9 +229,9 @@ def test_probes_build_one_field_per_direction(fix_sig, fix_id, context, monkeypa
 
 def test_jacobian_builds_no_stepped_pair(monkeypatch, chain_lengths):
     """The battery's jacobian on the sigma fixture steps no pair: it reads
-    one moment object, on the chart at `plan.jacobian_order`, which reads
-    only the t rows g^-1..g^-N and f^1..f^N of the chart's chains (the
-    others hold only the rows the potential reads)."""
+    one moment object, on the pair itself at `plan.jacobian_order`.  The
+    pair's chains hold only the t rows g^-1..g^-N and f^1..f^N that the
+    moments read and the Faber rows g^1..g^N and f^-1..f^-N of the fields."""
     calls = {"_nudge": 0, "_reassemble": 0}
     for name in calls:
         def counted(*args, _name=name, _build=getattr(flows, name)):
@@ -248,11 +248,11 @@ def test_jacobian_builds_no_stepped_pair(monkeypatch, chain_lengths):
     sigma = Path(__file__).resolve().parents[1] / "configs" / "fixture_sigma.json"
     ctx = load_config(str(sigma)).context()
     assert CHECKS["jacobian"][1](ctx) < 1e-6
-    assert calls == {"_nudge": 0, "_reassemble": 1}  # the chart alone
+    assert calls == {"_nudge": 0, "_reassemble": 0}
     (mo,) = built
-    assert mo.pair is ctx.chart is not ctx.pair and mo.order == plan.jacobian_order(16)
+    assert mo.pair is ctx.pair and mo.order == plan.jacobian_order(16)
     n = plan.jacobian_order(16)
-    assert chain_lengths(mo.pair) == {("g", -1): n, ("f", 1): n, ("g", 1): 1, ("f", -1): 2}
+    assert chain_lengths(mo.pair) == {("g", -1): n, ("f", 1): n, ("g", 1): n, ("f", -1): n}
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,15 @@ def test_sigma_coordinates_ellipse():
     assert sigma_coordinate_check(G_ELLIPSE, H_SYM2, 8) <= 1e-10
 
 
+def test_reflection_checks_take_a_g_deeper_than_their_order():
+    # g reaches w**-10 and the checks read 4 modes: the reflection pair is
+    # built at g's own depth, which its canonical window must hold
+    g = LaurentSeries.from_pairs({1: 1.0, **{-k: 0.4 ** (k + 1) for k in range(1, 11)}},
+                                 AT_INFINITY)
+    assert sigma_coordinate_check(g, H_SYM1, 4) <= 1e-10
+    assert green_identity_check(g, H_SYM1, 4) <= 1e-10
+
+
 def test_sigma_fixture_area_time(fix_sig):
     # |w| = 1 maps to the ellipse with semi-axes 1.1 and 0.9, so the
     # area-normalized zeroth time is 1.1 * 0.9 = 0.99.

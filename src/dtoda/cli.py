@@ -609,6 +609,8 @@ def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
         raise ConfigError("steps must be a positive integer")
     if not math.isfinite(eps):
         raise ConfigError("eps must be a finite number")
+    if abs(n) > config.order:
+        raise ConfigError(f"|--n| must not exceed the order {config.order}, got {n}")
     pair = config.build_pair()
     h = config.hamiltonian()
     trajectory = []
@@ -706,8 +708,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow = add("flow", "integrate one flow direction and dump the "
                          "trajectory")
     p_flow.add_argument("--n", type=int, required=True,
-                        help="flow direction index (nonzero for dynamics, "
-                             "0 for the dual direction)")
+                        help="flow direction index, |n| <= the config order "
+                             "(nonzero for dynamics, 0 for the dual direction)")
     p_flow.add_argument("--eps", type=float, required=True,
                         help="step size per integration step")
     p_flow.add_argument("--steps", type=int, required=True,

@@ -35,9 +35,9 @@ provided:
   [z^n] F = res(f^-n)/n, down to z^(1-2N) and up to z^(2N+1), the last
   coefficients a kernel reads) and expands the kernel logarithms
   formally as truncated bivariate power series; no residue pairing of
-  the table's weights is involved.  The bivariate log L = log(1+W) is
-  solved row by row in z1 from theta L * (1 + W) = theta W, theta =
-  z1 d/dz1, as a relaxed product (:func:`_log2d`).
+  the table's weights is involved.  L = log(1+W) is solved row by row
+  in z1 from theta L * (1 + W) = theta W, theta = z1 d/dz1, as a relaxed
+  product with two BLAS products per row (:func:`_log2d`).
 
 Every power of g and f here is a row of the one chain per sign that the
 germ keeps (`series.powers`).  :func:`grunsky_table` reads P_n and P_-n
@@ -212,7 +212,8 @@ def _log2d(w: np.ndarray) -> np.ndarray:
     an upper-triangular Toeplitz matrix T (a strided view of the padded
     rows).  Row 0 is log(A); row i is its sum times 1/A.  The sum is
     relaxed (van der Hoeven 2002): its near band i - k < `_BAND` is one
-    einsum over T(W[i-k]); once k L[k] is solved, one BLAS product
+    BLAS product, the rows k L[k] laid end to end against one stack of
+    T(W[d]), d = min(`_BAND` - 1, n1) down to 1; once k L[k] is solved,
     W[_BAND:] @ T(k L[k]) pushes its far terms into an accumulator, so
     a kernel of at most `_BAND` + 1 rows has no far term.
     """
@@ -228,9 +229,11 @@ def _log2d(w: np.ndarray) -> np.ndarray:
     # toeplitz[0, i][l, j] = W[i, j - l] for j >= l, else 0; [1, i] of theta L
     toeplitz = sliding_window_view(padded, n2 + 1, axis=2)[:, :, ::-1, :]
     theta, far = padded[1, :, n2:], np.zeros_like(out)
+    lags = min(_BAND - 1, n1)
+    near = np.ascontiguousarray(toeplitz[0, lags:0:-1]).reshape(-1, n2 + 1)
     for i in range(1, n1 + 1):
-        lo = max(1, i - _BAND + 1)
-        rhs = i * w[i] - np.einsum("kl,klj->j", theta[lo:i], toeplitz[0, i - lo:0:-1]) - far[i]
+        d = min(i - 1, lags)  # the row's near lags, d down to 1
+        rhs = i * w[i] - theta[i - d:i].reshape(-1) @ near[(lags - d) * (n2 + 1):] - far[i]
         theta[i] = np.convolve(rhs, inv_a)[: n2 + 1]
         out[i] = theta[i] / i
         if i + _BAND <= n1:
@@ -255,22 +258,23 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     beta, alpha1 = big_g.coeff(1), big_f.coeff(1)
     sums = np.add.outer(np.arange(n1 + 1), np.arange(n1 + 1))  # i + j
     # G-G kernel: coefficient of z1^-i z2^-j in (G1 - G2)/(z1 - z2) is
-    # -G_{-(i+j-1)} for i, j >= 1 (leading beta at (0,0)).
-    g_tail = np.array([-big_g.coeff(1 - k) / beta for k in range(2 * n1 + 1)])
+    # -G_{-(i+j-1)} for i, j >= 1 (leading beta at (0,0)).  Python complex quotients:
+    # numpy's round differently, and at large |b| the oracle turns an ulp into 1e-10.
+    g_tail = np.array([-x / beta for x in S.dense(big_g, 1 - 2 * n1, 1)[::-1].tolist()])
     w_gg = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
     w_gg[1:, 1:] = g_tail[sums[1:, 1:]]
     l_gg = _log2d(w_gg)
 
     # F-F kernel: coefficient of z1^i z2^j is F_{i+j+1} for i + j >= 1.
-    f_tail = np.array([big_f.coeff(k + 1) / alpha1 for k in range(2 * n1 + 1)])
+    f_tail = np.array([x / alpha1 for x in S.dense(big_f, 1, 2 * n1 + 1).tolist()])
     f_tail[0] = 0.0
     l_ff = _log2d(f_tail[sums])
 
     # G-F kernel: (G(z1) - F(z2))/z1 = beta (1 + W) with
     # W[i, 0] = G_{-(i-1)}/beta (i >= 1) and W[1, j] -= F_j/beta (j >= 1).
     w_gf = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
-    w_gf[1:, 0] = [big_g.coeff(-(i - 1)) / beta for i in range(1, n1 + 1)]
-    w_gf[1, 1:] -= [big_f.coeff(j) / beta for j in range(1, n1 + 1)]
+    w_gf[1:, 0] = -g_tail[1:n1 + 1]
+    w_gf[1, 1:] -= [x / beta for x in S.dense(big_f, 1, n1).tolist()]
     l_gf = _log2d(w_gf)
 
     # univariate f-side 0-row: log(F(z)/z) = log(alpha1) + log(1 + u_F)
@@ -302,23 +306,27 @@ def table_difference(t1: GrunskyTable, t2: GrunskyTable) -> float:
 # expansion identities (checks)
 
 
+def _read_mask(p, lead, basis, window) -> np.ndarray:
+    """[row n, exponent of ``window``]: P_n, lead_n and every basis row reliable."""
+    rows = np.array([[q.reliable for q in p], [t.reliable for t in lead]], dtype=np.float64)
+    shared = np.array([window] + [r.reliable for r in basis], dtype=np.float64)
+    r_lo = np.maximum(rows[..., 0].max(axis=0), shared[:, 0].max())
+    r_hi = np.minimum(rows[..., 1].min(axis=0), shared[:, 1].min())
+    exps = np.arange(window[0], window[1] + 1)
+    return (exps >= r_lo[:, None]) & (exps <= r_hi[:, None])
+
+
 def _expansion_residual(p, lead, block, basis, window) -> float:
     """max over rows n = 1..N of |P_n - lead_n - n (block @ basis)_n| on ``window``.
 
-    A row is read where all its terms are reliable; a NaN there makes
-    the result NaN.
+    A row is read where all its terms are reliable (`_read_mask`); a NaN
+    there makes the result NaN.
     """
     lo, hi = window
     n = np.arange(1, len(p) + 1)[:, None]
     resid = (S.dense_rows(p, lo, hi) - S.dense_rows(lead, lo, hi)
              - (n * block) @ S.dense_rows(basis, lo, hi))
-    shared = [window] + [r.reliable for r in basis]
-    rel = np.array([[q.reliable, t.reliable] + shared for q, t in zip(p, lead)],
-                   dtype=np.float64)
-    r_lo, r_hi = rel[..., 0].max(axis=1), rel[..., 1].min(axis=1)
-    exps = np.arange(lo, hi + 1)
-    read = (exps >= r_lo[:, None]) & (exps <= r_hi[:, None])
-    return float(np.max(np.abs(resid), where=read, initial=0.0))
+    return float(np.max(np.abs(resid), where=_read_mask(p, lead, basis, window), initial=0.0))
 
 
 def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:

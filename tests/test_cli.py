@@ -387,6 +387,16 @@ def test_flow_rejects_nonpositive_steps(capsys):
     assert "steps" in err
 
 
+@pytest.mark.parametrize("n", ["11", "-11"])
+def test_flow_rejects_direction_beyond_order(n):
+    # fixture_identity has order 10: a malformed command line, not a failed computation
+    code, out, err = run_cli_process(
+        ["flow", str(CONFIGS / "fixture_identity.json"),
+         "--n", n, "--eps", "1e-3", "--steps", "1"])
+    assert code == 2 and out == ""
+    assert "--n" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf"])
 def test_flow_rejects_nonfinite_eps(eps):
     code, _, err = run_cli_process(

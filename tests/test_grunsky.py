@@ -210,6 +210,49 @@ def test_faber_expansion_identities(fix_rand):
     assert G.faber_expansion_defect(fix_rand, t) <= 1e-10
 
 
+def _read_mask_per_row(p, lead, basis, window):
+    """`G._read_mask` built row by row: each row's own list of every edge it reads."""
+    shared = [window] + [r.reliable for r in basis]
+    rel = np.array([[q.reliable, t.reliable] + shared for q, t in zip(p, lead)],
+                   dtype=np.float64)
+    exps = np.arange(window[0], window[1] + 1)
+    return (exps >= rel[..., 0].max(axis=1)[:, None]) & (exps <= rel[..., 1].min(axis=1)[:, None])
+
+
+@pytest.mark.parametrize("name", ["fix_sig", "fix_rand"])
+def test_faber_read_mask_matches_the_per_row_edges(name, request, monkeypatch):
+    pair, calls, residual = request.getfixturevalue(name), [], G._expansion_residual
+    monkeypatch.setattr(G, "_expansion_residual", lambda p, lead, block, basis, window: (
+        calls.append((p, lead, basis, window)) or residual(p, lead, block, basis, window)))
+    G.faber_expansion_defect(pair, G.grunsky_table(pair, 16))
+    assert len(calls) == 4
+    for p, lead, basis, window in calls:
+        assert any(np.isfinite(r.reliable).any() for r in [*lead, *basis])
+        np.testing.assert_array_equal(G._read_mask(p, lead, basis, window),
+                                      _read_mask_per_row(p, lead, basis, window))
+
+
+def test_read_mask_cuts_rows_at_their_own_edges():
+    # the fixtures' finite edges lie outside their windows; here each row's cut the window
+    def rows(edges):
+        return [S.LaurentSeries(0, [1.0], reliable=e) for e in edges]
+
+    inf = float("inf")
+    p, lead = rows([(k - 3, inf) for k in range(8)]), rows([(-inf, 15 - k) for k in range(8)])
+    basis = rows([(-inf, 13), (2, inf), (-inf, inf)])
+    want = _read_mask_per_row(p, lead, basis, (0, 15))
+    assert [(np.flatnonzero(r)[0], np.flatnonzero(r)[-1]) for r in want[[0, 6, 7]]] == [
+        (2, 13), (3, 9), (4, 8)]
+    np.testing.assert_array_equal(G._read_mask(p, lead, basis, (0, 15)), want)
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (-2, 0), (5, -7), (-16, 16)])
+def test_faber_expansion_defect_is_nan_on_a_nan_entry(fix_rand, m, n):
+    b = G.grunsky_table(fix_rand, 16).b.copy()
+    b[m + 16, n + 16] = np.nan
+    assert np.isnan(G.faber_expansion_defect(fix_rand, G.GrunskyTable(16, b)))
+
+
 def test_sig_pair_b20(fix_sig):
     t = G.grunsky_table(fix_sig, 8)
     assert abs(t.entry(2, 0) - 0.1) < 1e-12
@@ -289,8 +332,10 @@ def _decaying(shape, c, seed):
     return w
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (9, 7),
-                                   (7, 9), (33, 17), (65, 65)])
+# the last five: n1 = _BAND - 3 .. _BAND + 1, on either side of the near stack's
+# depth min(_BAND - 1, n1) and of the first far term (n1 = _BAND + 1)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (9, 7), (7, 9), (33, 17),
+                                   (65, 65), (6, 5), (7, 5), (8, 5), (9, 5), (10, 5)])
 def test_log2d_matches_power_sum(shape):
     w = _decaying(shape, 0.3, seed=sum(shape))
     want = _log2d_power_sum(w)
@@ -300,9 +345,10 @@ def test_log2d_matches_power_sum(shape):
 
 
 def test_log2d_carries_nan_past_the_near_band():
+    # every row from 1 on: the near-band product spreads it as the far push does
     w = _decaying((33, 33), 0.3, seed=33)
     w[1, 0] = np.nan
-    assert np.isnan(G._log2d(w)[G._BAND + 1:]).all()
+    assert np.isnan(G._log2d(w)[1:]).all()
 
 
 def _log2d_clongdouble(w):

@@ -45,7 +45,7 @@ import numpy as np
 from . import series as S
 from .series import LaurentSeries
 from . import conformal_pair as CP
-from .hamiltonian import GaugeTerm, HamiltonianH, gauge_shift_constants
+from .hamiltonian import HamiltonianH, gauge_shift_constants
 from . import grunsky as G
 from . import coords as C
 from . import flows as F
@@ -78,11 +78,12 @@ class ExperimentConfig:
     ``terms`` holds the mixed monomials (both exponents nonzero) that
     form the core potential; pure one-variable monomials from the same
     config list are split off into ``gauge`` since they shift the
-    coordinates by constants instead of deforming the dynamics.
+    coordinates by constants instead of deforming the dynamics.  Both are
+    ``(mu, nu, c)`` triples in the config's convention c * z1^mu * z2^(-nu).
     """
 
     terms: Tuple[Tuple[int, int, complex], ...]
-    gauge: Tuple[GaugeTerm, ...]
+    gauge: Tuple[Tuple[int, int, complex], ...]
     pair_kind: str  # "coefficients" | "sigma_from_g" | "random"
     pair_data: dict
     order: int
@@ -155,11 +156,11 @@ def _coeff_map(raw, field_name: str) -> Dict[int, complex]:
 
 
 def _parse_hamiltonian(raw) -> Tuple[Tuple[Tuple[int, int, complex], ...],
-                                     Tuple[GaugeTerm, ...]]:
+                                     Tuple[Tuple[int, int, complex], ...]]:
     if not isinstance(raw, list) or not raw:
         _fail("hamiltonian", "expected a non-empty list of terms")
     terms: List[Tuple[int, int, complex]] = []
-    gauge: List[GaugeTerm] = []
+    gauge: List[Tuple[int, int, complex]] = []
     for i, item in enumerate(raw):
         where = f"hamiltonian[{i}]"
         if not isinstance(item, dict):
@@ -177,14 +178,7 @@ def _parse_hamiltonian(raw) -> Tuple[Tuple[Tuple[int, int, complex], ...],
             _fail(where, "constant term (mu=nu=0) is not allowed")
         if c == 0:
             _fail(where, "zero coefficient term is not allowed")
-        if nu == 0:
-            gauge.append(GaugeTerm("z1", mu, c))
-        elif mu == 0:
-            # Config terms mean c * z1^mu * z2^(-nu); a gauge term on the
-            # second variable stores the literal z2 power.
-            gauge.append(GaugeTerm("z2", -nu, c))
-        else:
-            terms.append((mu, nu, c))
+        (terms if mu and nu else gauge).append((mu, nu, c))
     if not terms:
         _fail("hamiltonian", "needs at least one mixed term "
               "(both exponents nonzero)")
@@ -403,7 +397,7 @@ def _table_rows(table: np.ndarray, lo: int) -> List[list]:
 
 # Probe gauge used by the gauge_covariance check: one monomial on each
 # variable, chosen so both shift rules (time-like and dual-like) fire.
-_PROBE_GAUGE = (GaugeTerm("z1", 1, 1.0), GaugeTerm("z2", 2, 0.5))
+_PROBE_GAUGE = ((1, 0, 1.0), (0, -2, 0.5))
 
 
 def _check_t0_duality(ctx) -> float:
@@ -656,7 +650,7 @@ def _special_case(config: ExperimentConfig, mu: int, nu: int):
     """(closed form, general snapshot, generating report) of the monomial at
     `plan.monomial_order`; the context is dropped on return."""
     pair = config.build_pair()
-    ctx = PairContext(pair, SP.MonomialCase(mu, nu).h, (), config.order)
+    ctx = PairContext(pair, HamiltonianH.of((mu, nu, 1.0)), (), config.order)
     k = plan.monomial_order(pair, mu, nu)
     return ctx.special(k), ctx.coords(k), ctx.generating(k)
 

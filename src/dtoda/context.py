@@ -2,12 +2,14 @@
 
 Every object of a solution (times, v's, log tau, flows, the pairing
 table) is a residue pairing of series derived from one pair (g, f).  A
-`PairContext` holds the pair, the potential, its gauge terms and the
-config order, and builds each derived result on first use.  It lives for
-one command.  The powers of g and f are not among them: the germs keep
-their own chains (`series.powers`), which die with the pair, because
-commands such as `cli.cmd_grunsky` and `flows.step` read them from a bare
-pair.
+`PairContext` holds the pair, the potential, its gauge terms (the
+config's one-variable ``(mu, nu, c)`` triples) and the config order, and
+builds each derived result on first use.  It lives for one command.  A
+result built under a gauge reads the one potential
+``h + MonomialSum.of(*gauge)``; the plain gauge () reads ``h`` itself.
+The powers of g and f are not among the results: the germs keep their own
+chains (`series.powers`), which die with the pair, because commands such
+as `cli.cmd_grunsky` and `flows.step` read them from a bare pair.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import grunsky as G
 from . import plan
 from . import series as S
 from . import special as SP
-from .hamiltonian import GaugeTerm, HamiltonianH
+from .hamiltonian import HamiltonianH, MonomialSum
 
 
 class PairContext:
@@ -34,7 +36,7 @@ class PairContext:
     to where its tail is below rounding, `conformal_pair.sigma_image`), so
     the pair is already the chart a flow step starts from."""
 
-    def __init__(self, pair, h: HamiltonianH, gauge: Tuple[GaugeTerm, ...], order: int):
+    def __init__(self, pair, h: HamiltonianH, gauge: tuple, order: int):
         self.pair, self.h, self.gauge, self.order = pair, h, tuple(gauge), order
         self._memo: dict = {}
 
@@ -43,9 +45,15 @@ class PairContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    def moments(self, order: int, gauge: Tuple[GaugeTerm, ...]) -> C.Moments:
+    def potential(self, gauge: tuple) -> MonomialSum:
+        """``h`` plus the monomials of ``gauge``; ``h`` itself without them."""
+        gauge = tuple(gauge)
+        return self._once(("potential", gauge),
+                          lambda: self.h + MonomialSum.of(*gauge)) if gauge else self.h
+
+    def moments(self, order: int, gauge: tuple) -> C.Moments:
         return self._once(("moments", order, tuple(gauge)),
-                          lambda: C.Moments(self.pair, self.h, gauge, order))
+                          lambda: C.Moments(self.pair, self.potential(gauge), order))
 
     def coords(self, order: int) -> C.TodaCoordinates:
         """The ungauged snapshot at ``order``."""
@@ -63,14 +71,14 @@ class PairContext:
     def mixed_partial(self, gauge=()) -> S.LaurentSeries:
         """E along the pair, which fields and tangents read."""
         return self._once(("e12", tuple(gauge)),
-                          lambda: F._mixed_partial_along(self.pair, self.h, gauge))
+                          lambda: F._mixed_partial_along(self.pair, self.potential(gauge)))
 
     def flow_fields(self, ns, gauge=(), pad: int = 0) -> dict:
         """`flows.flow_fields` of ``ns``: the ones not built yet in one call."""
         keys = {int(n): ("flow", int(n), tuple(gauge), pad) for n in ns}
         missing = [n for n, key in keys.items() if key not in self._memo]
         if missing:
-            built = F.flow_fields(self.pair, self.h, missing, gauge=gauge, pad=pad,
+            built = F.flow_fields(self.pair, self.potential(gauge), missing, pad=pad,
                                   e12=self.mixed_partial(gauge))
             self._memo.update((keys[n], built[n]) for n in missing)
         return {n: self._memo[key] for n, key in keys.items()}

@@ -28,19 +28,19 @@ here is a residue of an exact truncated-Laurent product in w:
   pair; and the closed form z2_closed = (sum t_n v_n + sum t_-n v_-n)/2,
   which Z2 reproduces through the series composition.
 
-A moment object (`Moments`) per (pair, potential, gauge, order) builds
-d1H, d2H, M1, M2 along the pair and each coordinate once, by
-`series.residue_matrix` products against rows of g^{+-k} and f^{+-k}
-(`Moments.t` reads only the two sets of rows t needs) and one
-`series.combine` each for Phi(g), Psi(f); v_0 is read at the full pair
-order.  The rows come from the one chain per sign that g and f keep
+A moment object (`Moments`) per (pair, potential, order) builds d1H,
+d2H, M1, M2 along the pair and each coordinate once, by
+`series.residue_matrix` products against rows of g^{+-k} and f^{+-k} and
+one `series.combine` each for Phi(g), Psi(f); v_0 is read at the full
+pair order.  The rows come from the one chain per sign that g and f keep
 (`series.powers`), each reader clipping them to its own window.  The
 public functions build their own moment objects; `context.PairContext`
 shares them.
 
-Gauge monomials (single-variable terms) enter ``time_variables``,
-``v_zero`` and ``plemelj_check`` through the optional ``gauge`` argument;
-the tau function is only defined for a pure two-variable potential.
+The potential is one `hamiltonian.MonomialSum`: gauge monomials
+(single-variable terms) enter as its terms, ``h + MonomialSum.of(*gauge)``.
+The tau function is only defined for a pure two-variable potential, so
+``log_tau`` of a gauged one raises `hamiltonian.LogObstructionError`.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import series as S
 from .series import LaurentSeries
 from . import plan
-from .hamiltonian import GaugeTerm, HamiltonianH, MonomialSum, eval_along, gauge_sum, j_pair
+from .hamiltonian import HamiltonianH, MonomialSum, eval_along, j_pair
 
 
 @dataclass(frozen=True)
@@ -78,39 +78,30 @@ class TodaCoordinates:
     z2_closed: complex
 
 
-def _total_sum(h, gauge: Sequence[GaugeTerm]) -> MonomialSum:
-    ms = h.as_sum() if isinstance(h, HamiltonianH) else h
-    if gauge:
-        ms = ms + gauge_sum(gauge)
-    return ms
-
-
 class Moments:
-    """Moment series of one (pair, potential, gauge, order) and the
-    coordinates read off them, each built on first use.
+    """Moment series of one (pair, potential, order) and the coordinates
+    read off them, each built on first use.
 
     ``partials`` is (d1H, d2H) along the pair on (-width, width), ``m``
     is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are the rows
     g**1..g**order and g**-1..g**-order of g's chains, exact where M1
     reads them and on (-width, width), where log tau composes Phi(g), and
     clipped there; ``f_up``/``f_down`` likewise against M2 and for Psi(f).
-    ``t`` reads ``g_down`` and ``f_up`` alone, ``times`` is (t, v, t0_alt)
-    and reads all four; ``v0``, read at the full pair order, pairs M1 and
-    M2 with ``logs`` = (log(g/w), log(f/w)) and subtracts H(g, f)
-    (``h_along``)/w.
+    ``times`` is (t, v, t0_alt) and reads all four; ``v0``, read at the
+    full pair order, pairs M1 and M2 with ``logs`` = (log(g/w), log(f/w))
+    and subtracts H(g, f) (``h_along``)/w.
     """
 
-    def __init__(self, pair, h, gauge: Sequence[GaugeTerm], order: int):
+    def __init__(self, pair, h: MonomialSum, order: int):
         if order > pair.order:
             raise ValueError("coordinate order exceeds pair order")
         self.pair, self.h, self.order = pair, h, order
-        self.ms = _total_sum(h, gauge)
-        self.width = plan.halfwidth(pair, self.ms, order)
+        self.width = plan.halfwidth(pair, h, order)
 
     @cached_property
     def partials(self) -> Tuple[LaurentSeries, LaurentSeries]:
         return tuple(eval_along(d, self.pair, (-self.width, self.width))
-                     for d in (self.ms.d1(), self.ms.d2()))
+                     for d in (self.h.d1(), self.h.d2()))
 
     @cached_property
     def m(self) -> Tuple[LaurentSeries, LaurentSeries]:
@@ -128,28 +119,21 @@ class Moments:
     f_down = cached_property(lambda self: self._chain(self.pair.f, -self.order, self.m[1]))
 
     @cached_property
-    def t(self) -> Dict[int, complex]:
-        m1, m2 = self.m
-        # res(M1 g^-n), res(M2 f^n), n = 1..order
-        rg = S.residue_matrix([m1], self.g_down)[0].tolist()
-        rf = S.residue_matrix([m2], self.f_up)[0].tolist()
-        t = {0: m1.residue()}
-        for n in range(1, self.order + 1):
-            t[n], t[-n] = rg[n - 1] / n, rf[n - 1] / n
-        return t
-
-    @cached_property
     def times(self):
-        (m1, m2), t, v = self.m, self.t, {}
-        # res(M1 g^n), res(M2 f^-n), n = 1..order
-        rg = S.residue_matrix([m1], self.g_up)[0].tolist()
-        rf = S.residue_matrix([m2], self.f_down)[0].tolist()
+        m1, m2 = self.m
+        # res(M1 g^-n), res(M2 f^n), res(M1 g^n), res(M2 f^-n), n = 1..order
+        tg = S.residue_matrix([m1], self.g_down)[0].tolist()
+        tf = S.residue_matrix([m2], self.f_up)[0].tolist()
+        vg = S.residue_matrix([m1], self.g_up)[0].tolist()
+        vf = S.residue_matrix([m2], self.f_down)[0].tolist()
+        t, v = {0: m1.residue()}, {}
         for n in range(1, self.order + 1):
-            v[n], v[-n] = rg[n - 1], rf[n - 1]
+            t[n], t[-n] = tg[n - 1] / n, tf[n - 1] / n
+            v[n], v[-n] = vg[n - 1], vf[n - 1]
         return t, v, -m2.residue()
 
     logs = cached_property(lambda self: _paired_logs(self.pair, self.width))
-    h_along = cached_property(lambda self: eval_along(self.ms, self.pair, (-self.width, self.width)))
+    h_along = cached_property(lambda self: eval_along(self.h, self.pair, (-self.width, self.width)))
 
     @cached_property
     def v0(self) -> complex:
@@ -177,7 +161,8 @@ class Moments:
         return float(np.max(np.abs(np.concatenate([got_a - want_a, got_b - want_b]))))
 
     def log_tau(self, t: Dict[int, complex], v: Dict[int, complex], v0: complex):
-        """(Z1, Z2, Z3, logT, z2_closed) of a pure two-variable potential."""
+        """(Z1, Z2, Z3, logT, z2_closed) of a pure two-variable potential;
+        a gauged one raises `hamiltonian.LogObstructionError`."""
         pair, order, window = self.pair, self.order, (-self.width, self.width)
         (m1, m2), z1_part = self.m, t[0] * v0 / 2.0
 
@@ -223,29 +208,29 @@ def snapshot(mo: Moments, full: Moments) -> TodaCoordinates:
                            z_parts=(z1_part, z2_part, z3_part), z2_closed=z2_closed)
 
 
-def time_variables(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()):
+def time_variables(pair, h: MonomialSum, order: int):
     """The maps t (|n| <= order, with t[0]) and v (n != 0), plus t0_alt."""
-    return Moments(pair, h, gauge, int(order)).times
+    return Moments(pair, h, int(order)).times
 
 
-def v_zero(pair, h, gauge: Sequence[GaugeTerm] = ()) -> complex:
+def v_zero(pair, h: MonomialSum) -> complex:
     """res(M1 log(g/w) + M2 log(f/w) - potential(g, f)/w)."""
-    return Moments(pair, h, gauge, pair.order).v0
+    return Moments(pair, h, pair.order).v0
 
 
-def plemelj_check(pair, h, order: int, gauge: Sequence[GaugeTerm] = ()) -> float:
+def plemelj_check(pair, h: MonomialSum, order: int) -> float:
     """Max defect of the two basis expansions against (t, v, t_0)."""
-    return Moments(pair, h, gauge, int(order)).plemelj
+    return Moments(pair, h, int(order)).plemelj
 
 
 def log_tau(pair, h: HamiltonianH, t: Dict[int, complex], v: Dict[int, complex],
             v0: complex):
     """(Z1, Z2, Z3, logT, z2_closed) for a pure two-variable potential."""
-    return Moments(pair, h, (), max(n for n in t if n >= 0)).log_tau(t, v, v0)
+    return Moments(pair, h, max(n for n in t if n >= 0)).log_tau(t, v, v0)
 
 
 def toda_coordinates(pair, h: HamiltonianH, order: int | None = None) -> TodaCoordinates:
     """Assemble the full coordinate snapshot for a pure potential."""
-    full = Moments(pair, h, (), pair.order)
-    mo = full if order in (None, pair.order) else Moments(pair, h, (), int(order))
+    full = Moments(pair, h, pair.order)
+    mo = full if order in (None, pair.order) else Moments(pair, h, int(order))
     return snapshot(mo, full)

@@ -37,7 +37,6 @@ from .conformal_pair import ConformalPair, from_coefficients
 from . import plan
 from .grunsky import b_polynomial, faber_polynomials
 from .hamiltonian import eval_along
-from .coords import _total_sum
 
 
 class ChartError(SeriesError):
@@ -54,19 +53,18 @@ class FlowField:
     df: LaurentSeries
 
 
-def _mixed_partial_along(pair, h, gauge) -> LaurentSeries:
-    ms = _total_sum(h, gauge)
-    width = plan.halfwidth(pair, ms, 0)
-    return eval_along(ms.d12(), pair, (-width, width))
+def _mixed_partial_along(pair, h) -> LaurentSeries:
+    width = plan.halfwidth(pair, h, 0)
+    return eval_along(h.d12(), pair, (-width, width))
 
 
-def flow_fields(pair, h, ns, gauge=(), pad: int = 0, e12=None) -> dict:
+def flow_fields(pair, h, ns, pad: int = 0, e12=None) -> dict:
     """{n: FlowField} of each n in ``ns``: u_n = -P_n'/(g' f' E) on |exponent|
     <= order + |n| + pad, off one E (``e12``, built unless given), one
     denominator, `grunsky.faber_polynomials` and one `series.divide_on_circle`;
     no field depends on the others.  Identity checks pad by `plan.check_pad`."""
     ns, pad = sorted({int(n) for n in ns}), int(pad)
-    e12 = _mixed_partial_along(pair, h, gauge) if e12 is None else e12
+    e12 = _mixed_partial_along(pair, h) if e12 is None else e12
     gp, fp = pair.g_prime(), pair.f_prime()
     polys = faber_polynomials(pair, [n for n in ns if n])
     rows = [(S.scale(S.derivative(polys[n]), -1.0) if n else S.monomial(-1, -1.0),
@@ -80,9 +78,9 @@ def flow_fields(pair, h, ns, gauge=(), pad: int = 0, e12=None) -> dict:
     return fields
 
 
-def flow_field(pair, h, n: int, gauge=(), pad: int = 0) -> FlowField:
+def flow_field(pair, h, n: int, pad: int = 0) -> FlowField:
     """The direction-n variation (dg, df): `flow_fields` of ``n`` alone."""
-    return flow_fields(pair, h, (n,), gauge, pad)[int(n)]
+    return flow_fields(pair, h, (n,), pad)[int(n)]
 
 
 @dataclass(frozen=True)
@@ -221,12 +219,12 @@ def canonical_bracket_check(ctx) -> float:
     """Residual of {L, M} - L with L = g and M = g * d1(potential)(g, f).  The
     partials are read 4 past the flow window; on that window the residual
     moves at rounding level (verify-sigma16, seed 12, op 7: 2.2e-16 -> 5.6e-17)."""
-    pair, ms = ctx.pair, _total_sum(ctx.h, ())
-    width = plan.halfwidth(pair, ms, 0) + 4
+    pair, h = ctx.pair, ctx.h
+    width = plan.halfwidth(pair, h, 0) + 4
     window = (-width, width)
-    a1 = eval_along(ms.d1(), pair, window)
-    a11 = eval_along(ms.d11(), pair, window)
-    a12 = eval_along(ms.d12(), pair, window)
+    a1 = eval_along(h.d1(), pair, window)
+    a11 = eval_along(h.d11(), pair, window)
+    a12 = eval_along(h.d12(), pair, window)
     ff0 = ctx.flow_fields((0,), pad=plan.check_pad(pair))[0]
     gp, fp = pair.g_prime(), pair.f_prime()
     d_m = S.add(S.mul(ff0.dg, a1),

@@ -2,14 +2,18 @@
 
 A potential is a finite sum  sum_j c_j * z1**mu_j * z2**(-nu_j).  Terms are
 stored as ``(mu, nu, c)`` triples in that sign convention, so ``(1, 1, 1.0)``
-is z1/z2 and ``(2, -1, 0.5)`` is 0.5*z1**2*z2.  Two layers:
+is z1/z2 and ``(2, -1, 0.5)`` is 0.5*z1**2*z2.  One type and its validated form:
 
 * ``MonomialSum`` — the unconstrained algebra (any integer exponents,
-  including zero) that partial derivatives and antiderivatives live in.
-* ``HamiltonianH`` — the validated potential: every exponent nonzero, the
-  mixed second partial not identically zero, and no ordered pair of terms
-  with mu + mu' = 0 or nu + nu' = 0, so the antiderivative pair ``j_pair``
-  stays inside the monomial algebra (no logarithmic terms).
+  including zero) that partial derivatives and antiderivatives live in,
+  and the one potential argument every reader takes.
+* ``HamiltonianH`` — a ``MonomialSum`` validated on construction: every
+  exponent nonzero, the mixed second partial not identically zero, and no
+  ordered pair of terms with mu + mu' = 0 or nu + nu' = 0, so the
+  antiderivative pair ``j_pair`` stays inside the monomial algebra (no
+  logarithmic terms).  A gauged potential ``h + MonomialSum.of(*gauge)``
+  is a plain sum: its one-variable terms fail that check, and ``j_pair``
+  raises on it.
 
 ``eval_along`` substitutes z1 = g(w), z2 = f(w) for a conformal-map pair and
 returns a truncated Laurent series clipped to a requested window, reading
@@ -18,7 +22,8 @@ reliability claim covers the window.
 
 ``gauge_shift_constants`` gives the closed-form origin shifts of the
 time/velocity coordinates induced by adding single-variable monomials
-c*z1**k or c*z2**k to the potential:
+c*z1**k or c*z2**k to the potential, the gauge triples ``(k, 0, c)`` and
+``(0, -k, c)``:
 
     z1**k, k >= 1:  t_k   += c        z1**k, k <= -1:  v_{-k} += c*k
     z2**k, k <= -1: t_k   += -c       z2**k, k >= 1:   v_{-k} += c*k
@@ -33,7 +38,7 @@ v_0 never moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -94,17 +99,15 @@ class MonomialSum:
 
 
 @dataclass(frozen=True)
-class HamiltonianH:
+class HamiltonianH(MonomialSum):
     """Validated potential  sum c * z1**mu * z2**(-nu).
 
     Rejects exponent families that break the downstream machinery: a zero
-    mu or nu (the term would be a pure gauge monomial, handled separately
-    by ``GaugeTerm``), a vanishing mixed second partial, or an ordered
+    mu or nu (the term would be a pure gauge monomial, which a caller adds
+    as a ``MonomialSum``), a vanishing mixed second partial, or an ordered
     term pair with mu + mu' = 0 or nu + nu' = 0, for which the
     antiderivative pair would need a logarithm.
     """
-
-    terms: Tuple[Tuple[int, int, complex], ...]
 
     def __post_init__(self):
         merged = _merge_terms(self.terms)
@@ -122,9 +125,6 @@ class HamiltonianH:
     @staticmethod
     def of(*terms) -> "HamiltonianH":
         return HamiltonianH(tuple(terms))
-
-    def as_sum(self) -> MonomialSum:
-        return MonomialSum(self.terms)
 
 
 def eval_along(ms, pair, window) -> LaurentSeries:
@@ -169,11 +169,10 @@ def j_pair(h) -> Tuple[MonomialSum, MonomialSum]:
     this one by functions of z1 alone or z2 alone, which drop out of every
     residue downstream.
     """
-    ms = h if isinstance(h, MonomialSum) else h.as_sum()
     j1: list = []
     j2: list = []
-    for mu, nu, c in ms.terms:
-        for mup, nup, cp in ms.terms:
+    for mu, nu, c in h.terms:
+        for mup, nup, cp in h.terms:
             if mu + mup == 0 or nu + nup == 0:
                 raise LogObstructionError("log obstruction in J construction")
             w = c * cp * mup * nup
@@ -182,39 +181,9 @@ def j_pair(h) -> Tuple[MonomialSum, MonomialSum]:
     return MonomialSum(_merge_terms(j1)), MonomialSum(_merge_terms(j2))
 
 
-@dataclass(frozen=True)
-class GaugeTerm:
-    """A single-variable monomial  c * z1**exponent  or  c * z2**exponent."""
-
-    variable: str
-    exponent: int
-    c: complex
-
-    def __post_init__(self):
-        if self.variable not in ("z1", "z2"):
-            raise ValueError("gauge variable must be 'z1' or 'z2'")
-        if int(self.exponent) == 0:
-            raise ValueError("gauge exponent must be nonzero")
-        object.__setattr__(self, "exponent", int(self.exponent))
-        object.__setattr__(self, "c", complex(self.c))
-
-    def as_sum(self) -> MonomialSum:
-        k = self.exponent
-        if self.variable == "z1":
-            return MonomialSum.of((k, 0, self.c))
-        return MonomialSum.of((0, -k, self.c))
-
-
-def gauge_sum(gauge_terms: Sequence[GaugeTerm]) -> MonomialSum:
-    """All gauge monomials combined into one sum."""
-    total = MonomialSum.of()
-    for gt in gauge_terms:
-        total = total + gt.as_sum()
-    return total
-
-
-def gauge_shift_constants(gauge_terms: Sequence[GaugeTerm], order: int):
-    """Closed-form coordinate shifts from adding the gauge monomials.
+def gauge_shift_constants(gauge, order: int):
+    """Closed-form coordinate shifts from adding the gauge monomials, the
+    ``(mu, nu, c)`` triples c * z1**mu * z2**(-nu) with one exponent zero.
 
     Returns ``(t_shift, v_shift, v0_shift)``: ``t_shift`` maps every
     |n| <= order (including n = 0, always zero there), ``v_shift`` maps
@@ -223,16 +192,14 @@ def gauge_shift_constants(gauge_terms: Sequence[GaugeTerm], order: int):
     order = int(order)
     t_shift = {n: 0j for n in range(-order, order + 1)}
     v_shift = {n: 0j for n in range(-order, order + 1) if n != 0}
-    for gt in gauge_terms:
-        k, c = gt.exponent, gt.c
-        if gt.variable == "z1":
-            if 1 <= k <= order:
-                t_shift[k] += c
-            elif k <= -1 and -k <= order:
-                v_shift[-k] += c * k
-        else:
-            if k <= -1 and -k <= order:
-                t_shift[k] += -c
-            elif 1 <= k <= order:
-                v_shift[-k] += c * k
+    for mu, nu, c in gauge:
+        if nu == 0:  # c * z1**mu
+            if 1 <= mu <= order:
+                t_shift[mu] += c
+            elif 1 <= -mu <= order:
+                v_shift[-mu] += c * mu
+        elif 1 <= nu <= order:  # c * z2**k, k = -nu
+            t_shift[-nu] += -c
+        elif 1 <= -nu <= order:
+            v_shift[nu] += c * -nu
     return t_shift, v_shift, 0j

@@ -75,7 +75,7 @@ def sigma_coordinate_check(g: LaurentSeries, h, order: int) -> float:
     require_sigma_admissible(h)
     order = int(order)
     pair = _reflection_pair(g, order)
-    mo = Moments(pair, h, (), pair.order)  # v0 is read at the pair's order
+    mo = Moments(pair, h, pair.order)  # v0 is read at the pair's order
     (t, v, _), v0 = mo.times, mo.v0
     defects = [abs(np.imag(t[0])), abs(np.imag(v0))]
     for n in range(1, order + 1):

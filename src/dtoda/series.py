@@ -162,8 +162,9 @@ class LaurentSeries:
 
     @cached_property
     def lead(self) -> int | None:
-        """Exponent of the largest stored coefficient (ties: lowest); None if all are zero."""
-        mags = np.abs(self.coeffs)
+        """Exponent of the largest stored coefficient (ties: lowest); None if all
+        are zero or NaN.  A NaN is no candidate: ``fmax`` reads it as 0."""
+        mags = np.fmax(np.abs(self.coeffs), 0.0)
         k = int(mags.argmax())
         return None if mags[k] == 0 else self.lo_exp + k
 

@@ -1,7 +1,8 @@
 """Closed forms for the single-monomial potential z1^mu * z2^{-nu}.
 
-For H = z1^mu z2^{-nu} the two moment generators collapse to one series
-each and every coordinate becomes a single residue:
+For H = z1^mu z2^{-nu}, the potential ``HamiltonianH.of((mu, nu, 1.0))``
+(which rejects a zero exponent), the two moment generators collapse to
+one series each and every coordinate becomes a single residue:
 
     t(0)  = mu * res(g^{mu-1} f^{-nu} g'),
     t(n)  = (mu/n)  * res(g^{mu-n-1} f^{-nu} g'),        n >= 1,
@@ -53,31 +54,16 @@ from .coords import Moments, TodaCoordinates, _paired_logs
 from .hamiltonian import HamiltonianH
 
 
-@dataclass(frozen=True)
-class MonomialCase:
-    """Single-term potential z1^mu * z2^{-nu} with unit coefficient."""
-
-    mu: int
-    nu: int
-
-    def __post_init__(self):
-        if self.mu == 0 or self.nu == 0:
-            raise ValueError("monomial case needs nonzero exponents")
-
-    @property
-    def h(self) -> HamiltonianH:
-        return HamiltonianH.of((self.mu, self.nu, 1.0))
-
-
 def _rows(pair, mu: int, nu: int, order: int):
     """Rows k -> base**k of g and f for every residue above, |k| <= order +
     |mu| + 1 or order + |nu| + 1, both signs at `plan.halfwidth`, the
     moments' width, on which the generating identities take their logs;
     each row is reliable on its own window."""
+    h = HamiltonianH.of((mu, nu, 1.0))  # rejects a zero exponent
     if order < 1 or pair.order <= abs(mu) + abs(nu) + order:
         raise ValueError(
             "window budget: pair order must exceed |mu| + |nu| + N")
-    depth = plan.halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order)
+    depth = plan.halfwidth(pair, h, order)
     rows = []
     for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
         rows.append({0: S.constant(1.0), **dict(enumerate(S.powers(base, length, depth), 1)),
@@ -94,9 +80,10 @@ def special_coords(pair, mu: int, nu: int, order: int | None = None) -> TodaCoor
     assembly so that ``special_logtau`` remains an independent closed
     form to compare against.
     """
-    case = MonomialCase(int(mu), int(nu))
-    order = plan.monomial_order(pair, case.mu, case.nu) if order is None else int(order)
-    return closed_form(pair, case.mu, case.nu, Moments(pair, case.h, (), order))
+    mu, nu = int(mu), int(nu)
+    h = HamiltonianH.of((mu, nu, 1.0))
+    order = plan.monomial_order(pair, mu, nu) if order is None else int(order)
+    return closed_form(pair, mu, nu, Moments(pair, h, order))
 
 
 def closed_form(pair, mu: int, nu: int, moments: Moments) -> TodaCoordinates:
@@ -176,8 +163,7 @@ class GeneratingReport:
 def generating_identity_check(pair, coords: TodaCoordinates, mu: int,
                               nu: int) -> GeneratingReport:
     """Residuals of the moment expansions and their integrated form."""
-    case = MonomialCase(int(mu), int(nu))
-    mu, nu, order = case.mu, case.nu, coords.order
+    mu, nu, order = int(mu), int(nu), coords.order
     gp, fp = _rows(pair, mu, nu, order)
     t, v, t0 = coords.t, coords.v, coords.t[0]
 
@@ -201,7 +187,7 @@ def generating_identity_check(pair, coords: TodaCoordinates, mu: int,
                   (v[-n], S.mul(fp[n - 1], f_prime))]
     deriv_defect = S.max_abs_diff_reliable(S.derivative(power), S.combine(*zip(*deriv)))
 
-    log_g, log_f = _paired_logs(pair, plan.halfwidth(pair, MonomialCase(mu, nu).h.as_sum(), order))
+    log_g, log_f = _paired_logs(pair, plan.halfwidth(pair, HamiltonianH.of((mu, nu, 1.0)), order))
     integrated = [(t0, log_g), (-t0, log_f)]
     for n in ns:
         integrated += [(t[n], gp[n]), (-v[n] / n, gp[-n]),

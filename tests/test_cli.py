@@ -74,8 +74,7 @@ def test_gauge_terms_split_off(tmp_path):
     ]
     config = load_config(write_config(tmp_path, payload))
     assert config.terms == ((1, 1, 1 + 0j),)
-    assert [(g.variable, g.exponent, g.c) for g in config.gauge] == [
-        ("z1", 1, 1 + 0j), ("z2", 2, 0.5 - 0.25j)]
+    assert config.gauge == ((1, 0, 1 + 0j), (0, -2, 0.5 - 0.25j))
 
 
 def test_bad_json_reports_position(tmp_path):
@@ -315,6 +314,37 @@ def test_config_gauge_feeds_the_battery(tmp_path):
     assert all(r["residual"] == 0.0 for r in results)
 
 
+def test_config_gauge_shifts_the_coords_report(tmp_path):
+    """`cmd_coords` on the (1, 1) core plus one-variable monomials on both
+    variables, with both exponent signs and one repeated, reports the plain
+    config's t and v plus `gauge_shift_constants`, and its t0, v0 and logT."""
+    payload = json.loads((CONFIGS / "fixture_random.json").read_text())
+    plain = load_config(write_config(tmp_path, payload, "plain.json"))
+    payload["hamiltonian"] += [
+        {"mu": 2, "nu": 0, "re": 1.0},
+        {"mu": -1, "nu": 0, "re": 0.5, "im": 0.25},
+        {"mu": 0, "nu": 1, "re": -0.75},
+        {"mu": 0, "nu": -2, "re": 0.5, "im": -0.25},
+        {"mu": 2, "nu": 0, "re": 0.25},
+    ]
+    gauged = load_config(write_config(tmp_path, payload, "gauged.json"))
+    docs = []
+    for config in (plain, gauged):
+        out = io.StringIO()
+        assert cli.cmd_coords(config, stdout=out) == 0
+        docs.append(json.loads(out.getvalue()))
+    t_shift, v_shift, _ = cli.gauge_shift_constants(gauged.gauge, gauged.order)
+    assert {n: z for n, z in t_shift.items() if z} == {2: 1.25, -1: 0.75}
+    assert {n: z for n, z in v_shift.items() if z} == {1: -0.5 - 0.25j, -2: 1 - 0.5j}
+    for key, shift in (("t", t_shift), ("v", v_shift)):
+        assert docs[0][key].keys() == docs[1][key].keys() == {str(n) for n in shift}
+        for n, z in shift.items():
+            moved = complex(*docs[1][key][str(n)]) - complex(*docs[0][key][str(n)])
+            assert abs(moved - z) <= 1e-12, (key, n)
+    for key in ("t0", "v0", "logT"):
+        assert abs(complex(*docs[1][key]) - complex(*docs[0][key])) <= 1e-12, key
+
+
 # ---------------------------------------------------------------------------
 # report commands
 
@@ -551,9 +581,9 @@ def _count_moments(monkeypatch):
     built = []
 
     class Counted(cli.C.Moments):
-        def __init__(self, pair, h, gauge, order):
-            super().__init__(pair, h, gauge, order)
-            built.append((pair, order, self.ms.terms))
+        def __init__(self, pair, h, order):
+            super().__init__(pair, h, order)
+            built.append((pair, order, h.terms))
 
     monkeypatch.setattr(cli.C, "Moments", Counted)
     return built

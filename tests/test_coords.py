@@ -21,7 +21,7 @@ import pytest
 from dtoda import coords as C
 from dtoda import plan
 from dtoda import series as S
-from dtoda.conformal_pair import ConformalPair, from_coefficients, random_pair
+from dtoda.conformal_pair import from_coefficients, random_pair
 from dtoda.coords import (
     log_tau,
     plemelj_check,
@@ -29,7 +29,9 @@ from dtoda.coords import (
     toda_coordinates,
     v_zero,
 )
-from dtoda.hamiltonian import GaugeTerm, HamiltonianH, eval_along, gauge_shift_constants
+from dtoda.hamiltonian import (
+    HamiltonianH, LogObstructionError, MonomialSum, eval_along, gauge_shift_constants,
+)
 
 H_BASIC = HamiltonianH.of((1, 1, 1.0))
 H_LIST = [
@@ -74,27 +76,36 @@ def test_t0_dual_formula(fix_id, fix_rand, fix_sig, jouk_pair, h):
 
 
 def test_gauge_shifted_identity_example(fix_id):
-    t, _, _ = time_variables(fix_id, H_BASIC, 4,
-                             gauge=(GaugeTerm("z1", 1, 1.0),))
+    t, _, _ = time_variables(fix_id, H_BASIC + MonomialSum.of((1, 0, 1.0)), 4)
     assert abs(t[1] - 1.0) <= 1e-12
     assert abs(t[0] - 1.0) <= 1e-12
+
+
+def test_log_tau_of_a_gauged_potential_raises(fix_rand):
+    """J is taken from the moments' own potential, and a one-variable term
+    has no antiderivative pair inside the monomial algebra."""
+    gauged = H_BASIC + MonomialSum.of((1, 0, 1.0))
+    t, v, _ = time_variables(fix_rand, gauged, 4)
+    with pytest.raises(LogObstructionError, match="log obstruction"):
+        C.Moments(fix_rand, gauged, 4).log_tau(t, v, v_zero(fix_rand, gauged))
 
 
 @pytest.mark.parametrize("fixture_name", ["fix_id", "fix_rand"])
 def test_gauge_covariance_end_to_end(request, fixture_name):
     pair = request.getfixturevalue(fixture_name)
     order = 8
-    gauge = (GaugeTerm("z1", 1, 1.0), GaugeTerm("z2", 2, 0.5 - 0.25j),
-             GaugeTerm("z1", -2, 0.75j), GaugeTerm("z2", -1, -0.5))
+    gauge = ((1, 0, 1.0), (0, -2, 0.5 - 0.25j),
+             (-2, 0, 0.75j), (0, 1, -0.5))
     t0_map, v0_map, alt0 = time_variables(pair, H_BASIC, order)
-    t1_map, v1_map, alt1 = time_variables(pair, H_BASIC, order, gauge=gauge)
+    gauged = H_BASIC + MonomialSum.of(*gauge)
+    t1_map, v1_map, alt1 = time_variables(pair, gauged, order)
     tc, vc, v0c = gauge_shift_constants(gauge, order)
     for n in range(-order, order + 1):
         assert abs((t1_map[n] - t0_map[n]) - tc[n]) <= 1e-10, ("t", n)
         if n:
             assert abs((v1_map[n] - v0_map[n]) - vc[n]) <= 1e-10, ("v", n)
     assert abs(alt1 - alt0) <= 1e-10
-    dv0 = v_zero(pair, H_BASIC, gauge=gauge) - v_zero(pair, H_BASIC)
+    dv0 = v_zero(pair, gauged) - v_zero(pair, H_BASIC)
     assert abs(dv0 - v0c) <= 1e-10
 
 
@@ -165,7 +176,7 @@ def moment_series(pair, ms, width):
 
 def time_variables_reference(pair, h, order):
     """t, v and t0_alt by one residue_mul per coordinate."""
-    ms = h.as_sum()
+    ms = h
     width = plan.halfwidth(pair, ms, order)
     m1, m2 = moment_series(pair, ms, width)
     gp = streamed_powers(pair.g, order, width + order + 8)
@@ -179,7 +190,7 @@ def time_variables_reference(pair, h, order):
 
 def plemelj_reference(pair, h, order):
     """The expansion defect by one mul and residue_mul per mode and side."""
-    ms = h.as_sum()
+    ms = h
     t, v, _ = time_variables_reference(pair, h, order)
     width = plan.halfwidth(pair, ms, order)
     x1 = S.mul(eval_along(ms.d1(), pair, (-width, width)), pair.g)
@@ -212,17 +223,13 @@ def test_time_variables_match_the_residue_loops(request, name, order):
 
 
 @pytest.mark.parametrize("name,order", FIXTURE_ORDERS)
-def test_t_moments_read_only_the_t_chains(request, chain_lengths, name, order):
-    """`Moments.t` reads the rows g^-1..g^-N and f^1..f^N alone: on a fresh
-    pair the other two chains hold only the rows the potential reads.  Its t
+def test_times_t_matches_one_joint_residue_product(request, name, order):
+    """`Moments.times` reads t off the rows g^-1..g^-N and f^1..f^N: its t
     equals, bit for bit, that of `time_variables` and that read off one
-    residue product over the joint chains (as `times` read it before the split)."""
+    residue product over the joint chains."""
     pair = request.getfixturevalue(name)
-    pair = ConformalPair(*(S.LaurentSeries(a.lo_exp, a.coeffs, a.flavor, a.reliable)
-                           for a in (pair.g, pair.f)), pair.order)
-    mo = C.Moments(pair, H_BASIC, (), order)
-    t = mo.t
-    assert chain_lengths(pair) == {("g", -1): order, ("f", 1): order, ("g", 1): 1, ("f", -1): 2}
+    mo = C.Moments(pair, H_BASIC, order)
+    t = mo.times[0]
     assert t == time_variables(pair, H_BASIC, order)[0]
     (m1, m2), ns = mo.m, range(1, order + 1)
     rg = S.residue_matrix([m1], mo.g_up + mo.g_down)[0].tolist()

@@ -638,6 +638,22 @@ def test_max_abs_diff_reliable_propagates_nan():
     assert math.isnan(S.max_abs_diff_reliable(S.zero(), a))
 
 
+def test_a_nan_is_no_lead_and_moves_no_window():
+    """A NaN at a non-lead exponent is no candidate for the lead, so the windows
+    of `mul`, `coeff_mul` and `residue_matrix` stay those of the clean series:
+    the germ's edge at 5 reaches w**-1 through the lead -6, not through -7."""
+    clean = LaurentSeries(-8, np.array([0.01, 0.1, 1.0, 0.5]))
+    dirty = LaurentSeries(-8, np.array([0.01, np.nan, 1.0, 0.5]))
+    germ = LaurentSeries(0, np.arange(1.0, 7.0), AT_ZERO, (S.NEG_INF, 5))
+    assert clean.lead == dirty.lead == -6
+    assert S.mul(dirty, germ).reliable == S.mul(clean, germ).reliable == (S.NEG_INF, -1)
+    want = S.coeff_mul(clean, germ, -1)
+    assert S.coeff_mul(dirty, germ, -1) == want == 0.5 * 5 + 1.0 * 6
+    assert S.residue_matrix([clean], [germ]).tolist() == [[want]]
+    assert S.residue_matrix([dirty], [germ]).shape == (1, 1)  # its dense product reads the NaN
+    assert LaurentSeries(0, np.array([np.nan, 0.0])).lead is None
+
+
 # ---------------------------------------------------------------------------
 # hypothesis: ring axioms and determinism
 
@@ -1303,9 +1319,9 @@ def test_phi_psi_sums_match_horner(fix_rand):
     h, order = HamiltonianH.of((1, 1, 1.0)), 8
     t, v, _ = C.time_variables(fix_rand, h, order)
     z2 = C.log_tau(fix_rand, h, t, v, C.v_zero(fix_rand, h))[1]
-    ms, width = h.as_sum(), plan.halfwidth(fix_rand, h.as_sum(), order)
+    width = plan.halfwidth(fix_rand, h, order)
     m1, m2 = (S.mul(eval_along(d, fix_rand, (-width, width)), p)
-              for d, p in ((ms.d1(), fix_rand.g_prime()), (ms.d2(), fix_rand.f_prime())))
+              for d, p in ((h.d1(), fix_rand.g_prime()), (h.d2(), fix_rand.f_prime())))
     g_inv = S.int_pow(fix_rand.g, -1, depth=width + order + 8)
     phi = horner([v[n] / n for n in range(1, order + 1)], g_inv, (-width, width))
     psi = horner([v[-n] / n for n in range(1, order + 1)], fix_rand.f, (-width, width))

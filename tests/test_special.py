@@ -6,8 +6,8 @@ import pytest
 from dtoda import series as S
 from dtoda import special as SP
 from dtoda.coords import toda_coordinates
+from dtoda.hamiltonian import HamiltonianH
 from dtoda.special import (
-    MonomialCase,
     generating_identity_check,
     nontrivial_identity,
     special_coords,
@@ -17,15 +17,20 @@ from dtoda.special import (
 GRID = [(mu, nu) for mu in (1, 2, 3) for nu in (1, 2, 3)]
 
 
-def test_monomial_case_rejects_zero_exponents():
+def test_monomial_case_rejects_zero_exponents(fix_rand):
     with pytest.raises(ValueError, match="nonzero"):
-        MonomialCase(0, 1)
+        HamiltonianH.of((0, 1, 1.0))
     with pytest.raises(ValueError, match="nonzero"):
-        MonomialCase(2, 0)
+        HamiltonianH.of((2, 0, 1.0))
+    # before any window budget is checked
+    with pytest.raises(ValueError, match="nonzero"):
+        special_coords(fix_rand, 0, 1, 1000)
+    with pytest.raises(ValueError, match="nonzero"):
+        generating_identity_check(fix_rand, special_coords(fix_rand, 1, 1, 8), 2, 0)
 
 
 def test_monomial_case_single_unit_term():
-    h = MonomialCase(2, 3).h
+    h = HamiltonianH.of((2, 3, 1.0))
     assert h.terms == ((2, 3, 1.0),)
 
 
@@ -71,7 +76,7 @@ def test_identity_fixture_generating(fix_id):
 
 def test_special_equals_general_full_budget(fix_rand):
     sp = special_coords(fix_rand, 2, 1)
-    gen = toda_coordinates(fix_rand, MonomialCase(2, 1).h, sp.order)
+    gen = toda_coordinates(fix_rand, HamiltonianH.of((2, 1, 1.0)), sp.order)
     assert max(abs(sp.t[k] - gen.t[k]) for k in sp.t) <= 1e-12
     assert max(abs(sp.v[k] - gen.v[k]) for k in sp.v) <= 1e-12
     assert abs(sp.v0 - gen.v0) <= 1e-12
@@ -82,7 +87,7 @@ def test_special_equals_general_full_budget(fix_rand):
 @pytest.mark.parametrize("mu,nu", GRID)
 def test_exponent_grid_residuals(fix_rand, mu, nu):
     sp = special_coords(fix_rand, mu, nu, 8)
-    gen = toda_coordinates(fix_rand, MonomialCase(mu, nu).h, 8)
+    gen = toda_coordinates(fix_rand, HamiltonianH.of((mu, nu, 1.0)), 8)
     assert max(abs(sp.t[k] - gen.t[k]) for k in sp.t) <= 1e-12
     assert max(abs(sp.v[k] - gen.v[k]) for k in sp.v) <= 1e-12
     assert nontrivial_identity(sp, mu, nu) <= 1e-9
@@ -128,7 +133,7 @@ def test_sigma_tau_formula(fix_sig, mu):
     the weight at its n = 1 value misses by ~2e-3 here.
     """
     sp = special_coords(fix_sig, mu, mu)
-    gen = toda_coordinates(fix_sig, MonomialCase(mu, mu).h, sp.order)
+    gen = toda_coordinates(fix_sig, HamiltonianH.of((mu, mu, 1.0)), sp.order)
     assert max(abs(sp.t[-n] + np.conj(sp.t[n])) for n in range(1, sp.order + 1)) <= 1e-10
     assert abs(np.imag(sp.t[0])) <= 1e-12
     assert abs(special_logtau(sp, mu, mu) - gen.logT) <= 1e-9

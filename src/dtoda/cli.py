@@ -24,7 +24,8 @@ The ``verify`` battery runs its checks one after another in `CHECKS`
 order and reports them by check name.  The checks hold the interpreter
 lock on small arrays, so worker threads would only slow the battery down.
 A command reads every derived series from one `context.PairContext`, so
-each is built once per command; nothing is kept across commands.
+each is built once per command; nothing is kept across commands.  The
+reflection checks and ``sigma`` read the configured pair, too.
 """
 
 from __future__ import annotations
@@ -461,11 +462,10 @@ CHECKS: Dict[str, Tuple[float, Callable[[PairContext], float]]] = {
         ctx, plan.gradient_order(ctx.order))["max"]),
     "v0_t0_b00": (1e-6, _check_v0_t0_b00),
     "gauge_covariance": (1e-10, _check_gauge_covariance),
-    "sigma_reality": (1e-10, lambda ctx: R.sigma_coordinate_check(
-        ctx.pair.g, ctx.h, plan.probe_order(ctx.order))),
+    "sigma_reality": (1e-10, lambda ctx: R.sigma_coordinate_check(ctx.snapshot, ctx.h)),
     "real_subspace": (1e-10, lambda ctx: R.real_subspace_check(ctx.snapshot)),
     "green_identity": (1e-10, lambda ctx: R.green_identity_check(
-        ctx.pair.g, ctx.h, plan.probe_order(ctx.order))),
+        ctx.table(plan.probe_order(ctx.order)), ctx.pair.g, ctx.h)),
     "nontrivial_identity": (1e-9, lambda ctx: SP.nontrivial_identity(
         ctx.monomial_case, *ctx.monomial)),
     "special_logtau": (1e-9, lambda ctx: abs(SP.special_logtau(
@@ -627,18 +627,17 @@ def cmd_flow(config: ExperimentConfig, n: int, eps: float, steps: int,
 
 def cmd_sigma(config: ExperimentConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    pair = config.build_pair()
-    if pair.b.imag != 0.0:
+    ctx = config.context()
+    if ctx.pair.b.imag != 0.0:
         raise ConfigError("config field 'pair': the reflection reduction needs a "
-                          f"real leading coefficient b, got b = {pair.b}")
-    h = config.hamiltonian()
+                          f"real leading coefficient b, got b = {ctx.pair.b}")
     try:
-        R.require_sigma_admissible(h)
+        R.require_sigma_admissible(ctx.h)
     except R.SigmaAdmissibilityError as exc:
         raise ConfigError(f"config field 'hamiltonian': {exc}") from exc
     order = plan.probe_order(config.order)
-    reality = R.sigma_coordinate_check(pair.g, h, order)
-    green, kernel = R.green_identity(pair.g, h, order)
+    reality = R.sigma_coordinate_check(ctx.snapshot, ctx.h)
+    green, kernel = R.green_identity(ctx.table(order), ctx.pair.g, ctx.h)
     json_obj = {"order": order, "reality_defect": reality,
                 "green_identity_defect": green}
     return _report(config, stdout, json_obj,

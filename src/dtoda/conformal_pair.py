@@ -82,10 +82,6 @@ class ConformalPair:
         return self.g.coeff(1)
 
     @property
-    def b0(self) -> complex:
-        return self.g.coeff(0)
-
-    @property
     def a1(self) -> complex:
         return self.f.coeff(1)
 

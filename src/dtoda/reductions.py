@@ -27,20 +27,22 @@ on log tau.
 Potentials enter the reflection checks only through a reality condition:
 every monomial c * z1^mu * z2^{-nu} needs the partner
 conj(c) * z1^nu * z2^{-mu}, so that H(z, 1/conj(z)) is real-valued.
+
+The checks build no pair: they read the snapshot or pairing table that a
+command built of the pair under test (`context.PairContext`).
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import series as S
 from .series import LaurentSeries, SeriesError
-from .conformal_pair import sigma_conjugate
-from .coords import Moments, TodaCoordinates
-from .grunsky import _log2d, grunsky_table
+from .coords import TodaCoordinates
+from .grunsky import GrunskyTable, _log2d
 
 
 class SigmaAdmissibilityError(ValueError):
@@ -49,36 +51,24 @@ class SigmaAdmissibilityError(ValueError):
 
 def require_sigma_admissible(h) -> None:
     """Raise unless every monomial (mu, nu, c) has partner (nu, mu, conj(c))."""
-    merged: Dict[Tuple[int, int], complex] = {}
-    for mu, nu, c in h.terms:
-        merged[(mu, nu)] = merged.get((mu, nu), 0.0) + c
+    merged = {(mu, nu): c for mu, nu, c in h.terms}
     for (mu, nu), c in merged.items():
         partner = merged.get((nu, mu))
         if partner is None or abs(partner - np.conj(c)) > 1e-12 * max(1.0, abs(c)):
             raise SigmaAdmissibilityError("H not Σ-admissible")
 
 
-def _reflection_pair(g: LaurentSeries, order: int):
-    """(g, sigma g) at ``order``, or at the depth of g's last nonzero term if deeper."""
-    return sigma_conjugate(g, max(order, -g.lo_exp - int(np.flatnonzero(g.coeffs)[0])))
+def sigma_coordinate_check(snap: TodaCoordinates, h) -> float:
+    """Largest reflection-reality defect of a snapshot's coordinates.
 
-
-def sigma_coordinate_check(g: LaurentSeries, h, order: int) -> float:
-    """Largest reflection-reality defect of the coordinates of (g, sigma g).
-
-    Builds the pair whose f is the reflection image of g, computes the
-    lattice coordinates up to ``order`` and returns the max of
-    |t(-n) + conj(t(n))|, |v(-n) + conj(v(n))| over n >= 1, together
-    with |Im t(0)| and |Im v0|.  The pair is built at ``order`` (or at g's
-    own depth, if deeper): its f is exact to any depth.
+    Returns the max of |t(-n) + conj(t(n))|, |v(-n) + conj(v(n))| over
+    1 <= n <= ``snap.order``, together with |Im t(0)| and |Im v0|: zero on a
+    reflection pair under a Σ-admissible ``h``, and not on other pairs.
     """
     require_sigma_admissible(h)
-    order = int(order)
-    pair = _reflection_pair(g, order)
-    mo = Moments(pair, h, pair.order)  # v0 is read at the pair's order
-    (t, v, _), v0 = mo.times, mo.v0
-    defects = [abs(np.imag(t[0])), abs(np.imag(v0))]
-    for n in range(1, order + 1):
+    t, v = snap.t, snap.v
+    defects = [abs(np.imag(t[0])), abs(np.imag(snap.v0))]
+    for n in range(1, snap.order + 1):
         defects += [abs(t[-n] + np.conj(t[n])), abs(v[-n] + np.conj(v[n]))]
     return float(np.max(defects))
 
@@ -126,14 +116,15 @@ def green_coefficients(g: LaurentSeries, order: int) -> np.ndarray:
     return kernel
 
 
-def green_identity_check(g: LaurentSeries, h, order: int) -> float:
+def green_identity_check(table: GrunskyTable, g: LaurentSeries, h) -> float:
     """The defect of `green_identity`, without the kernel table."""
-    return green_identity(g, h, order)[0]
+    return green_identity(table, g, h)[0]
 
 
-def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, np.ndarray]:
-    """Max defect between the kernel table and its log-tau Hessian assembly,
-    and the kernel table it was measured on.
+def green_identity(table: GrunskyTable, g: LaurentSeries, h) -> Tuple[float, np.ndarray]:
+    """Max defect between the kernel table of ``g`` and its log-tau Hessian
+    assembly from ``table``, the pairing table of a pair with that g, and
+    the kernel table it was measured on; both at ``table.order``.
 
     The right side resolves (1/2) D(z1) D(z2) log tau coefficientwise
     into lattice-table entries,
@@ -141,14 +132,14 @@ def green_identity(g: LaurentSeries, h, order: int) -> Tuple[float, np.ndarray]:
         (0,0) -> -b00        (half of  d^2 logT / dt0^2 = -2 b00),
         (m,0) -> b(m,0),     (0,n) -> -b(-n,0),     (m,n) -> b(m,-n),
 
-    and compares against ``green_coefficients``.  The assembly never
-    applies D(z) as a differential operator; the identity is independent
-    of the potential, which is validated for the reflection reality
-    condition and enters nothing else.
+    and compares against ``green_coefficients``, which assumes f is the
+    reflection image of g: on a pair off that subfamily the two sides
+    differ.  The assembly never applies D(z) as a differential operator;
+    the identity is independent of the potential, which is validated for
+    the reflection reality condition and enters nothing else.
     """
     require_sigma_admissible(h)
-    n_max = int(order)
-    table = grunsky_table(_reflection_pair(g, n_max), n_max)
+    n_max = table.order
     left = green_coefficients(g, n_max)
     # right[m, n] = b(m, -n), with the 0-row -b(-n, 0) (and -b00 at its corner)
     right = table.b[n_max:, n_max::-1].copy()

@@ -454,7 +454,10 @@ def residue_matrix(rows_a: Sequence[LaurentSeries],
 
     Every pair is checked by ``coeff_mul``'s rule first; the first
     failing pair in row-major order raises the error ``residue_mul``
-    raises for it.
+    raises for it.  A stored coefficient multiplies only stored ones, as
+    in ``coeff_mul``: a non-finite entry of the dense product, which may
+    pair a NaN with a zero outside the other row (0 * NaN), is read again
+    by ``residue_mul``.
     """
     if not (rows_a and rows_b):
         return np.zeros((len(rows_a), len(rows_b)), dtype=np.complex128)
@@ -475,7 +478,10 @@ def residue_matrix(rows_a: Sequence[LaurentSeries],
     # column k of the right factor holds the coefficient of w**(-1-k)
     right = np.zeros((len(rows_b), hi - lo + 1), dtype=np.complex128)
     dense_rows(rows_b, -1 - hi, -1 - lo, right[:, ::-1])
-    return dense_rows(rows_a, lo, hi) @ right.T
+    out = dense_rows(rows_a, lo, hi) @ right.T
+    for i, j in np.argwhere(~np.isfinite(out)):
+        out[i, j] = residue_mul(rows_a[i], rows_b[j])
+    return out
 
 
 # ---------------------------------------------------------------------------

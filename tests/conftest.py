@@ -1,5 +1,6 @@
 """Shared fixtures: the four standard pairs used across the test-suite, a
-context factory, a reader of a pair's chains and a pointwise evaluator."""
+context factory, what the reflection checks read off a reflection pair, a
+reader of a pair's chains and a pointwise evaluator."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from dtoda import conformal_pair as CP
 from dtoda import series as S
 from dtoda.context import PairContext
+from dtoda.coords import toda_coordinates
+from dtoda.grunsky import grunsky_table
 from dtoda.series import AT_INFINITY, LaurentSeries
 
 
@@ -49,6 +52,18 @@ def context():
     table order) defaults to the pair's."""
     def build(pair, h, gauge=(), order=None):
         return PairContext(pair, h, gauge, pair.order if order is None else order)
+    return build
+
+
+@pytest.fixture(scope="session")
+def reflection():
+    """(snapshot, pairing table) at ``order`` of the reflection pair
+    ``sigma_conjugate(g)`` built at ``depth`` (default: ``order``), under
+    ``h``: what `reductions.sigma_coordinate_check` and
+    `reductions.green_identity_check` read."""
+    def build(g, h, order, depth=None):
+        pair = CP.sigma_conjugate(g, order=depth or order)
+        return toda_coordinates(pair, h, order), grunsky_table(pair, order)
     return build
 
 

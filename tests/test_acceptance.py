@@ -169,7 +169,7 @@ def test_criterion_10_reflection_reduction(fix_sig):
                "<= 1e-9)", worst_coord, 1e-10)
 
 
-def test_criterion_11_green_kernel_identity():
+def test_criterion_11_green_kernel_identity(reflection):
     g1 = S.LaurentSeries.from_pairs({1: 1.0, -1: 0.05, -2: 0.02},
                                     S.AT_INFINITY)
     g2 = S.LaurentSeries.from_pairs({1: 1.1, -1: -0.08, -3: 0.03},
@@ -178,8 +178,9 @@ def test_criterion_11_green_kernel_identity():
                           (2, 1, 0.1 - 0.2j))
     worst = 0.0
     for g in (g1, g2):
-        r_a = R.green_identity_check(g, H_STANDARD, 8)
-        r_b = R.green_identity_check(g, h_b, 8)
+        _, table = reflection(g, H_STANDARD, 8)
+        r_a = R.green_identity_check(table, g, H_STANDARD)
+        r_b = R.green_identity_check(table, g, h_b)
         # the identity never evaluates the potential, so the defect is
         # literally the same number for every admissible choice
         assert r_a == r_b

@@ -609,6 +609,48 @@ def test_battery_builds_the_snapshot_once(monkeypatch):
         (8, 1), (8, 3), (16, 1), (16, 3)]
 
 
+def test_reflection_checks_and_sigma_build_only_the_configured_pair(monkeypatch):
+    # the reflection checks and the sigma report read the snapshot and the
+    # table of the context's pair; they build no reflection pair of their own
+    calls = {}
+    pair_type = cli.CP.ConformalPair
+    monkeypatch.setattr(pair_type, "__post_init__",
+                        _counting(calls, "pairs", pair_type.__post_init__))
+    config = load_config(str(CONFIGS / "fixture_sigma.json"))
+    results = run_checks(config, ["green_identity", "real_subspace", "sigma_reality"])
+    assert all(r["passed"] for r in results), results
+    assert calls == {"pairs": 1}
+    calls.clear()
+    assert cli.cmd_sigma(config, stdout=io.StringIO()) == 0
+    assert calls == {"pairs": 1}
+
+
+def test_reflection_checks_fail_off_the_reflection_subfamily(tmp_path):
+    # f = w is real but not the reflection image w / (1 + 0.1 w**2) of
+    # g = w + 0.1/w: the two reflection checks FAIL by residual, where the
+    # real-subspace check passes; the same g as sigma_from_g passes all three
+    names = ["green_identity", "real_subspace", "sigma_reality"]
+    g = {"1": 1.0, "-1": 0.1}
+    payload = {"hamiltonian": [{"mu": 1, "nu": 1, "re": 1.0}], "order": 16}
+    reports = {}
+    for kind, pair in [("off", {"coefficients": {"g": g, "f": {"1": 1.0}}}),
+                       ("on", {"sigma_from_g": g})]:
+        config = load_config(write_config(tmp_path, dict(payload, pair=pair)))
+        results = run_checks(config, names)
+        assert all(r["error"] == "" for r in results), results
+        out = io.StringIO()
+        assert cli.cmd_sigma(config, stdout=out) == 0
+        reports[kind] = ({r["name"]: r["residual"] for r in results},
+                         json.loads(out.getvalue()))
+    (off, off_report), (on, on_report) = reports["off"], reports["on"]
+    assert off["real_subspace"] == 0.0
+    assert 0.05 < off["sigma_reality"] < 0.2 and 0.05 < off["green_identity"] < 0.2
+    assert (off_report["reality_defect"], off_report["green_identity_defect"]) == (
+        off["sigma_reality"], off["green_identity"])
+    assert max(on.values()) <= 1e-10
+    assert max(on_report["reality_defect"], on_report["green_identity_defect"]) <= 1e-10
+
+
 @pytest.mark.parametrize("fixture", ["random", "sigma"])
 def test_battery_builds_each_moment_object_once(monkeypatch, fixture):
     built = _count_moments(monkeypatch)
@@ -884,7 +926,7 @@ def test_non_finite_imaginary_part_names_the_table_field(tmp_path, monkeypatch,
     array[2, 1] = bad
     monkeypatch.setattr(cli.G, "grunsky_table", lambda pair, k: SimpleNamespace(
         order=1, b=array, b00=0j, symmetry_defect=0.0))
-    monkeypatch.setattr(cli.R, "green_identity", lambda g, h, order: (0.0, array))
+    monkeypatch.setattr(cli.R, "green_identity", lambda table, g, h: (0.0, array))
     payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
     payload["outputs"] = [{"target": str(tmp_path / "out.json"), "format": "json"}]
     out = io.StringIO()

@@ -50,16 +50,17 @@ def test_admissible_accepts_partnered_terms():
     require_sigma_admissible(H_SYM_CROSS)
 
 
-def test_admissible_rejects_missing_partner():
+def test_admissible_rejects_missing_partner(reflection):
     with pytest.raises(SigmaAdmissibilityError, match="admissible"):
         require_sigma_admissible(H_ASYM)
     # a diagonal term is its own partner, so its coefficient must be real
     with pytest.raises(SigmaAdmissibilityError):
         require_sigma_admissible(HamiltonianH.of((1, 1, 0.5j)))
+    snap, table = reflection(G_ELLIPSE, H_ASYM, 4)
     with pytest.raises(SigmaAdmissibilityError):
-        sigma_coordinate_check(G_ELLIPSE, H_ASYM, 4)
+        sigma_coordinate_check(snap, H_ASYM)
     with pytest.raises(SigmaAdmissibilityError):
-        green_identity_check(G_ELLIPSE, H_ASYM, 4)
+        green_identity_check(table, G_ELLIPSE, H_ASYM)
 
 
 # ---------------------------------------------------------------------------
@@ -150,50 +151,58 @@ def test_green_hermitian_structure():
 # green identity: kernel vs half Hessian of log tau
 
 
-def test_green_identity_disc_exact():
-    assert green_identity_check(G_DISC, H_SYM1, 6) == 0.0
+def test_green_identity_disc_exact(reflection):
+    _, table = reflection(G_DISC, H_SYM1, 6)
+    assert green_identity_check(table, G_DISC, H_SYM1) == 0.0
 
 
-def test_green_identity_perturbative():
-    assert green_identity_check(G_ELLIPSE, H_SYM1, 8) <= 1e-10
-    assert green_identity_check(G_COMPLEX, H_SYM1, 8) <= 1e-10
+def test_green_identity_perturbative(reflection):
+    for g in (G_ELLIPSE, G_COMPLEX):
+        _, table = reflection(g, H_SYM1, 8)
+        assert green_identity_check(table, g, H_SYM1) <= 1e-10
 
 
-def test_green_identity_potential_independent():
-    d1 = green_identity_check(G_ELLIPSE, H_SYM1, 8)
-    d2 = green_identity_check(G_ELLIPSE, H_SYM2, 8)
-    d3 = green_identity_check(G_ELLIPSE, H_SYM_CROSS, 8)
+def test_green_identity_potential_independent(reflection):
+    _, table = reflection(G_ELLIPSE, H_SYM1, 8)
+    d1 = green_identity_check(table, G_ELLIPSE, H_SYM1)
+    d2 = green_identity_check(table, G_ELLIPSE, H_SYM2)
+    d3 = green_identity_check(table, G_ELLIPSE, H_SYM_CROSS)
     assert d1 <= 1e-10 and d2 <= 1e-10 and d3 <= 1e-10
     assert d1 == d2 == d3
 
 
-def test_green_identity_leading_coefficient_discriminates():
+def test_green_identity_leading_coefficient_discriminates(reflection):
     # With b != 1 the constant block no longer vanishes, so this case
     # separates the -2*b00 resolution of the t0 Hessian entry from the
     # opposite sign (which would leave a 2*log(1.2) ~ 0.36 defect).
-    assert green_identity_check(G_STRETCHED, H_SYM1, 8) <= 1e-10
+    _, table = reflection(G_STRETCHED, H_SYM1, 8)
+    assert green_identity_check(table, G_STRETCHED, H_SYM1) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
 # reflection reality of the coordinates
 
 
-def test_sigma_coordinates_disc_exact():
-    assert sigma_coordinate_check(G_DISC, H_SYM1, 6) == 0.0
+def test_sigma_coordinates_disc_exact(reflection):
+    snap, _ = reflection(G_DISC, H_SYM1, 6)
+    assert sigma_coordinate_check(snap, H_SYM1) == 0.0
 
 
-def test_sigma_coordinates_ellipse():
-    assert sigma_coordinate_check(G_ELLIPSE, H_SYM1, 8) <= 1e-10
-    assert sigma_coordinate_check(G_ELLIPSE, H_SYM2, 8) <= 1e-10
+def test_sigma_coordinates_ellipse(reflection):
+    for h in (H_SYM1, H_SYM2):
+        snap, _ = reflection(G_ELLIPSE, h, 8)
+        assert sigma_coordinate_check(snap, h) <= 1e-10
 
 
-def test_reflection_checks_take_a_g_deeper_than_their_order():
-    # g reaches w**-10 and the checks read 4 modes: the reflection pair is
-    # built at g's own depth, which its canonical window must hold
+def test_reflection_checks_take_a_g_deeper_than_their_order(reflection):
+    # g reaches w**-10 and the checks read 4 modes of a pair built at g's
+    # own depth, which its canonical window must hold
     g = LaurentSeries.from_pairs({1: 1.0, **{-k: 0.4 ** (k + 1) for k in range(1, 11)}},
                                  AT_INFINITY)
-    assert sigma_coordinate_check(g, H_SYM1, 4) <= 1e-10
-    assert green_identity_check(g, H_SYM1, 4) <= 1e-10
+    snap, table = reflection(g, H_SYM1, 4, depth=10)
+    assert snap.order == table.order == 4
+    assert sigma_coordinate_check(snap, H_SYM1) <= 1e-10
+    assert green_identity_check(table, g, H_SYM1) <= 1e-10
 
 
 def test_sigma_fixture_area_time(fix_sig):
@@ -205,7 +214,7 @@ def test_sigma_fixture_area_time(fix_sig):
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_sigma_reality_random_maps(seed):
+def test_sigma_reality_random_maps(reflection, seed):
     rng = np.random.default_rng(seed)
 
     def draw(scale):
@@ -213,7 +222,8 @@ def test_sigma_reality_random_maps(seed):
 
     g = LaurentSeries.from_pairs(
         {1: 1.0, 0: draw(0.1), -1: draw(0.1), -2: draw(0.05)}, AT_INFINITY)
-    assert sigma_coordinate_check(g, H_SYM1, 4) <= 1e-10
+    snap, _ = reflection(g, H_SYM1, 4)
+    assert sigma_coordinate_check(snap, H_SYM1) <= 1e-10
     assert hermitian_defect(green_coefficients(g, 4)) <= 1e-12
 
 

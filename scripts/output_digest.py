@@ -21,8 +21,16 @@ lines that differ, as ``<fixture> <command> <stream> <OTHER's> -> <ROOT's>``
 listed order instead of at its own, its ``order`` field rewritten, and its
 lines are labelled ``<fixture>@<order>``.
 
+With ``--workload W --seed S --ops N``, the configs are instead the first N
+that the benchmark generates for workload W and seed S
+(``perfbench/workloads.generate_configs`` of this script's checkout, for
+both checkouts), and the commands are those of one operation of W, each
+labelled by its name (``coords``, ``grunsky``, ``verify``, the last with the
+workload's check selection); config i is labelled ``<W>#<i>``.
+
 Usage:
     python scripts/output_digest.py [--root CHECKOUT] [--against OTHER] [--orders N,...]
+    python scripts/output_digest.py --workload W --seed S --ops N [--root ...] [--against ...]
 """
 
 import argparse
@@ -67,31 +75,53 @@ def variants(fixture: str, payload: dict, orders=None) -> list:
     return [(f"{fixture}@{order}", dict(payload, order=order)) for order in orders]
 
 
-def digests(root: Path, orders=None):
-    """Yield the digest lines of the checkout at ``root``, at ``orders`` if given."""
+def fixture_runs(root: Path, orders=None) -> list:
+    """(label, payload, commands) of each fixture config of the checkout at
+    ``root``, at ``orders`` if given, with every command of `COMMANDS`."""
+    return [(label, payload, COMMANDS)
+            for config in sorted((root / "configs").glob("fixture_*.json"))
+            for label, payload in variants(config.stem.removeprefix("fixture_"),
+                                           json.loads(config.read_text()), orders)]
+
+
+def workload_runs(name: str, seed: int, ops: int) -> list:
+    """(label, payload, commands) of the first ``ops`` configs the benchmark
+    generates for workload ``name`` and ``seed``, labelled ``<name>#<i>``, with
+    the commands of one operation of the workload, each labelled by its name."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+
+    workload = workloads.WORKLOADS[name]
+    commands = {command: [command, "{config}"] + (["--checks", ",".join(names)] if names else [])
+                for command, names in workload.commands}
+    return [(f"{name}#{i}", json.loads(text), commands)
+            for i, text in enumerate(workloads.generate_configs(workload, seed)[:ops])]
+
+
+def digests(root: Path, runs):
+    """Yield the digest lines of the checkout at ``root`` on ``runs``
+    (`fixture_runs` or `workload_runs`)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     all_checks = subprocess.run(
         [sys.executable, "-c", "from dtoda.cli import CHECKS; print(','.join(sorted(CHECKS)))"],
         capture_output=True, text=True, env=env, check=True, timeout=600).stdout.strip()
-    for config in sorted((root / "configs").glob("fixture_*.json")):
-        fixture = config.stem.removeprefix("fixture_")
-        for label, payload in variants(fixture, json.loads(config.read_text()), orders):
-            for command, argv in COMMANDS.items():
-                with tempfile.TemporaryDirectory() as tmp:
-                    out = {fmt: Path(tmp) / f"out.{fmt}" for fmt in ("json", "csv")}
-                    targets = [{"target": str(path), "format": fmt} for fmt, path in out.items()]
-                    path = Path(tmp) / config.name
-                    path.write_text(json.dumps(dict(payload, outputs=targets)))
-                    args = [a.format(config=path, all_checks=all_checks) for a in argv]
-                    proc = subprocess.run([sys.executable, "-m", "dtoda.cli", *args],
-                                          capture_output=True, env=env, timeout=600)
-                    streams = {"stdout": proc.stdout, "stderr": masked(proc.stderr)}
-                    streams.update({fmt: p.read_bytes() if p.exists() else None
-                                    for fmt, p in out.items()})
-                if proc.returncode:
-                    yield f"{label} {command} exit {proc.returncode}"
-                for name, data in streams.items():
-                    yield f"{label} {command} {name} {_digest(data)}"
+    for label, payload, commands in runs:
+        for command, argv in commands.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                out = {fmt: Path(tmp) / f"out.{fmt}" for fmt in ("json", "csv")}
+                targets = [{"target": str(path), "format": fmt} for fmt, path in out.items()]
+                path = Path(tmp) / "config.json"
+                path.write_text(json.dumps(dict(payload, outputs=targets)))
+                args = [a.format(config=path, all_checks=all_checks) for a in argv]
+                proc = subprocess.run([sys.executable, "-m", "dtoda.cli", *args],
+                                      capture_output=True, env=env, timeout=600)
+                streams = {"stdout": proc.stdout, "stderr": masked(proc.stderr)}
+                streams.update({fmt: p.read_bytes() if p.exists() else None
+                                for fmt, p in out.items()})
+            if proc.returncode:
+                yield f"{label} {command} exit {proc.returncode}"
+            for name, data in streams.items():
+                yield f"{label} {command} {name} {_digest(data)}"
 
 
 def changed(ours, theirs):
@@ -114,16 +144,26 @@ def main() -> int:
     ap.add_argument("--orders", type=lambda text: [int(n) for n in text.split(",")],
                     help="comma-separated orders to run each fixture at "
                          "(default: the fixture's own)")
+    ap.add_argument("--workload", help="digest this benchmark workload's configs instead")
+    ap.add_argument("--seed", type=int, help="the workload's seed")
+    ap.add_argument("--ops", type=int, help="how many of the workload's configs")
     args = ap.parse_args()
+    if args.workload and (args.seed is None or args.ops is None or args.orders):
+        ap.error("--workload takes --seed and --ops, and no --orders")
+    workload = workload_runs(args.workload, args.seed, args.ops) if args.workload else None
+
+    def lines(checkout: Path):
+        checkout = checkout.resolve()
+        return digests(checkout, workload or fixture_runs(checkout, args.orders))
+
     if args.against is None:
-        for line in digests(args.root.resolve(), args.orders):
+        for line in lines(args.root):
             print(line, flush=True)
         return 0
-    lines = changed(list(digests(args.root.resolve(), args.orders)),
-                    list(digests(args.against.resolve(), args.orders)))
-    for line in lines:
+    diff = changed(list(lines(args.root)), list(lines(args.against)))
+    for line in diff:
         print(line, flush=True)
-    return 1 if lines else 0
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ A moment object (`Moments`) per (pair, potential, order) builds d1H,
 d2H, M1, M2 along the pair and each coordinate once, by
 `series.residue_matrix` products against rows of g^{+-k} and f^{+-k} and
 one `series.combine` each for Phi(g), Psi(f); v_0 is read at the full
-pair order.  The rows come from the one chain per sign that g and f keep
-(`series.powers`), each reader clipping them to its own window.  The
+pair order.  The rows are blocks (`series.Rows.chain`) of the one chain
+per sign that g and f keep, each cut to its reader's window.  The
 public functions build their own moment objects; `context.PairContext`
 shares them.
 
@@ -83,10 +83,10 @@ class Moments:
     read off them, each built on first use.
 
     ``partials`` is (d1H, d2H) along the pair on (-width, width), ``m``
-    is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are the rows
-    g**1..g**order and g**-1..g**-order of g's chains, exact where M1
-    reads them and on (-width, width), where log tau composes Phi(g), and
-    clipped there; ``f_up``/``f_down`` likewise against M2 and for Psi(f).
+    is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are the blocks of
+    g**1..g**order and g**-1..g**-order, exact where M1 reads them and on
+    (-width, width), where log tau composes Phi(g), and cut there;
+    ``f_up``/``f_down`` likewise against M2.
     ``times`` is (t, v, t0_alt) and reads all four; ``v0``, read at the
     full pair order, pairs M1 and M2 with ``logs`` = (log(g/w), log(f/w))
     and subtracts H(g, f) (``h_along``)/w.
@@ -107,11 +107,11 @@ class Moments:
     def m(self) -> Tuple[LaurentSeries, LaurentSeries]:
         return tuple(map(S.mul, self.partials, (self.pair.g_prime(), self.pair.f_prime())))
 
-    def _chain(self, base: LaurentSeries, n: int, m: LaurentSeries) -> list:
+    def _chain(self, base: LaurentSeries, n: int, m: LaurentSeries) -> S.Rows:
         """Rows of base**1..base**n (n < 0: base**-1..) exact where their product
-        with m reaches w**-1 and on the window, clipped there."""
-        window = (min(-1 - m.hi_exp, -self.width), max(-1 - m.lo_exp, self.width))
-        return _clipped_powers(base, n, window)
+        with m reaches w**-1 and on the window, cut there."""
+        width = self.width
+        return S.Rows.chain(base, n, min(-1 - m.hi_exp, -width), max(-1 - m.lo_exp, width))
 
     g_up = cached_property(lambda self: self._chain(self.pair.g, self.order, self.m[0]))
     g_down = cached_property(lambda self: self._chain(self.pair.g, -self.order, self.m[0]))
@@ -148,9 +148,9 @@ class Moments:
         def expansion(y, base):
             """res(y * base**(-k-1)), k = -order..order, on rows exact where y reads them."""
             window = (-1 - y.hi_exp, -1 - y.lo_exp)
-            rows = (_clipped_powers(base, order - 1, window)[::-1] + [S.constant(1.0)]
-                    + _clipped_powers(base, -order - 1, window))
-            return S.residue_matrix([y], rows)[0]
+            rows = [S.Rows.chain(base, order - 1, *window)[::-1], S.constant(1.0),
+                    S.Rows.chain(base, -order - 1, *window)]
+            return S.residue_matrix([y], S.Rows.of(rows))[0]
 
         a1, a2 = self.partials
         got_a = expansion(S.mul(S.mul(a1, pair.g), pair.g_prime()), pair.g)
@@ -166,9 +166,9 @@ class Moments:
         pair, order, window = self.pair, self.order, (-self.width, self.width)
         (m1, m2), z1_part = self.m, t[0] * v0 / 2.0
 
-        ns, cut = range(1, order + 1), lambda rows: [S.clip(r, *window) for r in rows]
-        phi_g = S.clip(S.combine([v[n] / n for n in ns], cut(self.g_down)), *window)
-        psi_f = S.clip(S.combine([v[-n] / n for n in ns], cut(self.f_up)), *window)
+        ns = range(1, order + 1)
+        phi_g = S.clip(S.combine([v[n] / n for n in ns], self.g_down.cut(*window)), *window)
+        psi_f = S.clip(S.combine([v[-n] / n for n in ns], self.f_up.cut(*window)), *window)
         z2_part = (S.residue_mul(m1, phi_g) + S.residue_mul(m2, psi_f)) / 2.0
 
         j1_along, j2_along = (eval_along(j, pair, window) for j in j_pair(self.h))
@@ -178,15 +178,6 @@ class Moments:
         z2_closed = sum(t[n] * v[n] + t[-n] * v[-n] for n in ns) / 2.0
         log_t = z1_part + z2_part + z3_part
         return z1_part, z2_part, z3_part, log_t, z2_closed
-
-
-def _clipped_powers(base: LaurentSeries, n: int, window) -> list:
-    """`series.powers` rows of ``base`` exact on ``window``, clipped to it: deep
-    enough that every row reaches the window's end on its decaying side."""
-    j = S.split_normalize(base)[1]
-    leads = (j if n > 0 else -j, j * n)
-    depth = window[1] - min(leads) if base.flavor == S.AT_ZERO else max(leads) - window[0]
-    return [S.clip(r, *window) for r in S.powers(base, n, max(depth, 0))]
 
 
 def _paired_logs(pair, depth: int):

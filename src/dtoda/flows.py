@@ -156,7 +156,7 @@ def time_tangents(ctx, order: int) -> np.ndarray:
     m dt_m = res(Q_n g^-m), dt_0 = res(Q_n), m dt_-m = -res(Q_n f^m)."""
     mo, k = ctx.moments(order, ()), np.arange(1.0, order + 1)
     dt = S.residue_matrix(ctx.tangents(range(-order, order + 1)),
-                          mo.f_up[::-1] + [S.constant(1.0)] + mo.g_down)
+                          S.Rows.of([mo.f_up[::-1], S.constant(1.0), mo.g_down]))
     return dt * np.concatenate([-1.0 / k[::-1], [1.0], 1.0 / k])
 
 
@@ -243,9 +243,9 @@ def tau_tangents(ctx, order: int):
     mo = ctx.moments(ctx.pair.order, ())
     (t, v, _), full = mo.times, mo.order
     k, modes = np.arange(1.0, full + 1), range(-full, full + 1)
-    res = S.residue_matrix(ctx.tangents(range(-order, order + 1)),
-                           [mo.h_along] + mo.f_down[::-1] + [S.sub(*mo.logs)] + mo.g_up
-                           + mo.f_up[::-1] + [S.constant(1.0)] + mo.g_down)
+    res = S.residue_matrix(ctx.tangents(range(-order, order + 1)), S.Rows.of(
+        [mo.h_along, mo.f_down[::-1], S.sub(*mo.logs), mo.g_up, mo.f_up[::-1], S.constant(1.0),
+         mo.g_down]))
     dv = res[:, 1:2 * full + 2] * np.repeat([-1.0, 1.0], [full, full + 1])
     dt = res[:, 2 * full + 2:] * np.concatenate([-1.0 / k[::-1], [1.0], 1.0 / k])
     d_logt = (dt @ [v[m] if m else mo.v0 for m in modes] + dv @ [t[m] for m in modes]

@@ -40,11 +40,11 @@ provided:
   product with two BLAS products per row (:func:`_log2d`).
 
 Every power of g and f here is a row of the one chain per sign that the
-germ keeps (`series.powers`).  :func:`grunsky_table` reads P_n and P_-n
-off the rows g^1..g^N and f^-1..f^-N of its weights;
-:func:`faber_polynomials`, which :func:`faber_expansion_defect` and
-:func:`b_polynomial` read, takes prefixes of the same rows, so its P_n
-are the table's bit for bit.
+germ keeps, read as a block (`series.Rows.chain`) as deep as it is read.
+The table, :func:`faber_expansion_defect` and :func:`faber_polynomials`
+(which :func:`b_polynomial` reads) slice P_n and P_-n off the blocks of
+g^n and f^-n, so every P_n is the table's bit for bit, and the oracle's
+inversions read the same two chains.
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
 = b(m, n)``.  On the primary path each block of it is one matrix product
@@ -71,7 +71,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import series as S
 from . import plan
 from .conformal_pair import ConformalPair
-from .coords import _clipped_powers, _paired_logs
+from .coords import _paired_logs
 from .series import (
     AT_INFINITY,
     AT_ZERO,
@@ -111,14 +111,6 @@ class GrunskyTable:
         return complex(self.b[m + self.order, n + self.order])
 
 
-def _polynomial_part(power: LaurentSeries, n: int) -> LaurentSeries:
-    """P_n off ``power`` = g**n or f**n, reliable at both ends of [0, n] (an interval)."""
-    lo, hi = sorted((0, n))
-    for k in (lo, hi):
-        power.reliable_coeff(k)
-    return LaurentSeries(lo, S.dense(power, lo, hi))
-
-
 def faber_polynomials(pair: ConformalPair, ns) -> dict:
     """{n: P_n}, the polynomial part of g**n (n >= 1) or f**n (n <= -1), for
     every n of ``ns``: rows of g's and f's chains exact on [0, K], K the largest
@@ -131,9 +123,21 @@ def faber_polynomials(pair: ConformalPair, ns) -> dict:
         if n == 0:
             raise SeriesError("index-0 polynomial is symbolic (log w); no series form")
     top, bottom = max([0] + ns), min([0] + ns)
-    up = S.powers(pair.g, top, top)
-    down = S.powers(pair.f, bottom, -bottom)
-    return {n: _polynomial_part(up[n - 1] if n > 0 else down[-n - 1], n) for n in ns}
+    up = _faber_rows(S.Rows.chain(pair.g, top, -top, top, depth=top), 1)
+    down = _faber_rows(S.Rows.chain(pair.f, bottom, bottom, -bottom, depth=-bottom), -1)
+    return {n: up[n - 1] if n > 0 else down[-n - 1] for n in ns}
+
+
+def _faber_rows(rows: S.Rows, sign: int) -> S.Rows:
+    """P_n, n = sign * (1..len(rows)), off ``rows`` = g**n or f**n: row k on
+    [0, k] or [-k, 0] (nothing of it lies past k or -k) as an exact
+    polynomial, where it must be reliable at both ends (`reliable_coeff`)."""
+    ends = np.array([sorted((0, sign * k)) for k in range(1, len(rows) + 1)]).reshape(-1, 2)
+    bad = np.argwhere((ends < rows.reliable[:, :1]) | (ends > rows.reliable[:, 1:]))
+    if bad.size:
+        rows[bad[0][0]].reliable_coeff(int(ends[tuple(bad[0])]))
+    block = rows.dense(*sorted((0, sign * len(rows))))
+    return S.Rows(int(ends.min(initial=0)), block, ends, np.tile([-np.inf, np.inf], (len(ends), 1)))
 
 
 def faber(pair: ConformalPair, n: int) -> LaurentSeries:
@@ -162,32 +166,31 @@ def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     The rows P_-N..P_-1, log(g/w) or log(f/w), P_1..P_N are paired with
     the weights g^{m-1} g' and f^{-m-1} f' in two matrix products, which
     fill the columns m >= 1 and m <= -1; column 0 pairs P_n with f^{-1} f'
-    and P_-n with g^{-1} g'.  P_n and P_-n are read off the rows
-    g^1..g^N and f^-1..f^-N that the weights are built from, all exact
-    on and clipped to `plan.table_frame`.
+    and P_-n with g^{-1} g'.  P_n and P_-n are slices of the blocks of
+    g^1..g^N and f^-1..f^-N that the weights are built from, all cut to
+    `plan.table_frame` and as deep as a pairing reads them: g^k over the
+    frame, f^-k up to w**(N-1) (depth 2N), g^-1 at w**-1 alone.
     """
     n_max = int(order)
     if n_max > pair.order or n_max < 1:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
-    g, f = pair.g, pair.f
-    gp, fp = pair.g_prime(), pair.f_prime()
     frame = plan.table_frame(pair, n_max)
+    g_pos = S.Rows.chain(pair.g, n_max, *frame)
+    f_neg = S.Rows.chain(pair.f, -n_max - 1, *frame, depth=2 * n_max)
 
     # weights: e_g[0] = g^{-1} g', e_g[m] = g^{m-1} g'; e_f[m] = f^{-m-1} f' (m = 0..N)
-    g_pow = _clipped_powers(g, n_max, frame)
-    f_neg = _clipped_powers(f, -n_max - 1, frame)
-    e_g = [S.clip(S.mul(s, gp), *frame) for s in
-           _clipped_powers(g, -1, frame) + [S.constant(1.0, AT_INFINITY)] + g_pow[:-1]]
-    e_f = [S.clip(S.mul(s, fp), *frame) for s in f_neg]
-    neg = [_polynomial_part(f_neg[n - 1], -n) for n in range(n_max, 0, -1)]
-    pos = [_polynomial_part(g_pow[n - 1], n) for n in range(1, n_max + 1)]
+    e_g = S.Rows.of([S.Rows.chain(pair.g, -1, *frame, depth=0), S.constant(1.0, AT_INFINITY),
+                     g_pos[:-1]]).mul(pair.g_prime(), *frame)
+    e_f = f_neg.mul(pair.f_prime(), *frame)
+    neg = _faber_rows(f_neg[:-1], -1)[::-1]
+    pos = _faber_rows(g_pos, 1)
     log_g, log_f = _paired_logs(pair, 1 + frame[1])
 
     k = np.abs(np.arange(-n_max, n_max + 1))
     div = np.maximum(k, 1)[:, None]
     b = np.empty((2 * n_max + 1, 2 * n_max + 1), dtype=np.complex128)
-    b[:, n_max + 1:] = S.residue_matrix(neg + [log_g] + pos, e_g[1:]) / div
-    b[:, n_max - 1::-1] = S.residue_matrix(neg + [log_f] + pos, e_f[1:]) / div
+    b[:, n_max + 1:] = S.residue_matrix(S.Rows.of([neg, log_g, pos]), e_g[1:]) / div
+    b[:, n_max - 1::-1] = S.residue_matrix(S.Rows.of([neg, log_f, pos]), e_f[1:]) / div
     b[:n_max, n_max] = -S.residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
     b[n_max + 1:, n_max] = S.residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
     b[n_max, n_max] = -cmath.log(pair.b)
@@ -308,10 +311,9 @@ def table_difference(t1: GrunskyTable, t2: GrunskyTable) -> float:
 
 def _read_mask(p, lead, basis, window) -> np.ndarray:
     """[row n, exponent of ``window``]: P_n, lead_n and every basis row reliable."""
-    rows = np.array([[q.reliable for q in p], [t.reliable for t in lead]], dtype=np.float64)
-    shared = np.array([window] + [r.reliable for r in basis], dtype=np.float64)
-    r_lo = np.maximum(rows[..., 0].max(axis=0), shared[:, 0].max())
-    r_hi = np.minimum(rows[..., 1].min(axis=0), shared[:, 1].min())
+    edges = np.stack([p.reliable, lead.reliable])
+    r_lo = np.maximum(edges[..., 0].max(axis=0), max(window[0], basis.reliable[:, 0].max()))
+    r_hi = np.minimum(edges[..., 1].min(axis=0), min(window[1], basis.reliable[:, 1].min()))
     exps = np.arange(window[0], window[1] + 1)
     return (exps >= r_lo[:, None]) & (exps <= r_hi[:, None])
 
@@ -324,8 +326,7 @@ def _expansion_residual(p, lead, block, basis, window) -> float:
     """
     lo, hi = window
     n = np.arange(1, len(p) + 1)[:, None]
-    resid = (S.dense_rows(p, lo, hi) - S.dense_rows(lead, lo, hi)
-             - (n * block) @ S.dense_rows(basis, lo, hi))
+    resid = p.dense(lo, hi) - lead.dense(lo, hi) - (n * block) @ basis.dense(lo, hi)
     return float(np.max(np.abs(resid), where=_read_mask(p, lead, basis, window), initial=0.0))
 
 
@@ -341,25 +342,24 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
 
     The exponent restriction accounts for the truncation of the m-sums:
     beyond it the residual is dominated by absent m > order terms.  Each
-    identity is one product of a quadrant of the table with the stacked
-    basis powers.  The P_n are the pair's (:func:`faber_polynomials`).
+    identity is one product of a quadrant of the table with a block of
+    basis powers, each block exact on its side (depth 2N for g^n and f^-n,
+    N - 1 for g^-m and f^m); P_n is sliced off the block of g^n or f^-n.
     """
     n_max = table.order
     frame = plan.table_frame(pair, n_max)
-    g_pos, g_neg, f_pos, f_neg = (_clipped_powers(s, n, frame) for s, n in (
-        (pair.g, n_max), (pair.g, -n_max), (pair.f, n_max), (pair.f, -n_max)))
-    ns = range(1, n_max + 1)
-    polys = faber_polynomials(pair, [*ns, *(-n for n in ns)])
-    p_pos, p_neg = [polys[n] for n in ns], [polys[-n] for n in ns]
-    const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]
-    const_neg = [S.constant(-n * table.entry(-n, 0)) for n in ns]
-    idx = np.arange(1, n_max + 1)
+    g_side, f_side = (-n_max, frame[1]), (frame[0], n_max)
+    g_pos, g_neg = (S.Rows.chain(pair.g, n, *g_side) for n in (n_max, -n_max))
+    f_pos, f_neg = (S.Rows.chain(pair.f, n, *f_side) for n in (n_max, -n_max))
+    p_pos, p_neg = _faber_rows(g_pos, 1), _faber_rows(f_neg, -1)
+    idx, exact = np.arange(1, n_max + 1), np.tile([-np.inf, np.inf], (n_max, 1))
+    const_pos, const_neg = (S.Rows(0, (s * idx * table.b[n_max + s * idx, n_max])[:, None],
+                                   np.zeros((n_max, 2), int), exact) for s in (1, -1))
 
     def block(n_sign: int, m_sign: int) -> np.ndarray:
         """b(n_sign n, m_sign m) for n, m = 1..N."""
         return table.b[np.ix_(n_max + n_sign * idx, n_max + m_sign * idx)]
 
-    g_side, f_side = (-n_max, frame[1]), (frame[0], n_max)
     return float(np.max([
         _expansion_residual(p_pos, g_pos, block(1, 1), g_neg, g_side),
         _expansion_residual(p_pos, const_pos, block(1, -1), f_pos, f_side),

@@ -131,7 +131,7 @@ def eval_along(ms, pair, window) -> LaurentSeries:
     """Substitute z1 = g(w), z2 = f(w) and clip to ``window``.
 
     Each power of g or f is a row of the pair's one chain of its sign
-    (`series.powers`) as deep as the window is wide: a product of two rows
+    (`series.int_pow`) as deep as the window is wide: a product of two rows
     reads each as far past its leading term as the window reaches.  A
     deeper row starts with the same bits, so it would move no output.
     """
@@ -139,17 +139,14 @@ def eval_along(ms, pair, window) -> LaurentSeries:
     if lo > hi:
         raise ValueError("empty window")
 
-    def power(base: LaurentSeries, k: int) -> LaurentSeries:
-        return S.powers(base, k, hi - lo)[-1]
-
     acc = None
     for mu, nu, c in ms.terms:
         if mu and nu:
-            prod = S.mul(power(pair.g, mu), power(pair.f, -nu))
+            prod = S.mul(S.int_pow(pair.g, mu, hi - lo), S.int_pow(pair.f, -nu, hi - lo))
         elif mu:
-            prod = power(pair.g, mu)
+            prod = S.int_pow(pair.g, mu, hi - lo)
         elif nu:
-            prod = power(pair.f, -nu)
+            prod = S.int_pow(pair.f, -nu, hi - lo)
         else:
             prod = S.constant(1.0)
         piece = S.clip(S.scale(prod, c), lo, hi)

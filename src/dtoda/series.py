@@ -34,11 +34,11 @@ only input coefficients inside the window), rather than from interval
 propagation through every intermediate; round-trip identities and
 40-digit oracles in the test-suite check those claims directly.
 
-Power chains have one kernel, `powers`: the rows a**1..a**n or
+Power chains have one kernel, `_chain_rows`: the rows a**1..a**n or
 a**-1..a**-n of a germ, each exact to a depth past its leading term, so
-cut only on its decaying side, and linear combinations another, `combine`
-(one vector-matrix product).  `int_pow` is a single row of that chain,
-and `invert_function` reads its coefficients off one chain.
+cut only on its decaying side.  `powers` and `int_pow` give them as
+series, `invert_function` reads residues off them, and `Rows.chain` cuts
+them to a window as one block, which `residue_matrix` and `combine` read.
 
 Reciprocals have one kernel, `_lift`: Newton's step computing only the
 new half, so coefficient k in [2**i, 2**(i+1)) is always made from the
@@ -287,12 +287,12 @@ def clip(a: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
     edge inward (the discarded data becomes an untracked tail) and, when
     the support claim of a germ flavor is broken, demotes the flavor.
     """
-    return _clipped(a.lo_exp, a.coeffs, a.flavor, a.reliable, int(lo), int(hi))
+    return _owned(*_cut(a.lo_exp, a.coeffs, a.flavor, a.reliable, int(lo), int(hi)))
 
 
-def _clipped(lo_exp: int, arr: np.ndarray, flavor: str, reliable: tuple,
-             lo: int, hi: int) -> LaurentSeries:
-    """`clip` of the series on canonical fields (``arr`` frozen kernel output)."""
+def _cut(lo_exp: int, arr: np.ndarray, flavor: str, reliable: tuple, lo: int, hi: int) -> tuple:
+    """`clip`'s (lo_exp, coeffs, flavor, reliable) of the series on canonical
+    fields (``arr`` frozen kernel output)."""
     if lo > hi:
         raise SeriesError("clip: empty window requested")
     hi_exp = lo_exp + arr.size - 1
@@ -309,8 +309,8 @@ def _clipped(lo_exp: int, arr: np.ndarray, flavor: str, reliable: tuple,
         raise WindowUnderflowError("window underflow: clip removed all reliable data")
     new_lo, new_hi = max(lo, lo_exp), min(hi, hi_exp)
     if new_lo > new_hi:
-        return _owned(lo, _ZERO, flavor, (r_lo, r_hi))
-    return _owned(new_lo, arr[new_lo - lo_exp : new_hi - lo_exp + 1], flavor, (r_lo, r_hi))
+        return lo, _ZERO, flavor, (r_lo, r_hi)
+    return new_lo, arr[new_lo - lo_exp : new_hi - lo_exp + 1], flavor, (r_lo, r_hi)
 
 
 def project(a: LaurentSeries, lo=None, hi=None) -> LaurentSeries:
@@ -337,19 +337,9 @@ def dense(a: LaurentSeries, lo: int, hi: int) -> np.ndarray:
     if lo > hi:
         raise SeriesError("dense: empty window requested")
     out = np.zeros(hi - lo + 1, dtype=np.complex128)
-    dense_rows([a], lo, hi, out[None])
-    return out
-
-
-def dense_rows(rows: Sequence[LaurentSeries], lo: int, hi: int, out=None) -> np.ndarray:
-    """`dense` of every row, stacked: written in place into ``out`` (zeros of
-    shape (len(rows), hi - lo + 1), or a view of such), else a fresh array."""
-    if out is None:
-        out = np.zeros((len(rows), hi - lo + 1), dtype=np.complex128)
-    for dst, a in zip(out, rows):
-        s_lo, s_hi = max(lo, a.lo_exp), min(hi, a.hi_exp)
-        if s_lo <= s_hi:
-            dst[s_lo - lo : s_hi - lo + 1] = a.coeffs[s_lo - a.lo_exp : s_hi - a.lo_exp + 1]
+    s_lo, s_hi = max(lo, a.lo_exp), min(hi, a.hi_exp)
+    if s_lo <= s_hi:
+        out[s_lo - lo : s_hi - lo + 1] = a.coeffs[s_lo - a.lo_exp : s_hi - a.lo_exp + 1]
     return out
 
 
@@ -357,6 +347,129 @@ def shift(a: LaurentSeries, j: int) -> LaurentSeries:
     """Multiply by w**j (exact)."""
     j = int(j)  # an infinite reliability edge stays infinite
     return _owned(a.lo_exp + j, a.coeffs, a.flavor, tuple(e + j for e in a.reliable))
+
+
+# ---------------------------------------------------------------------------
+# stacked rows
+
+
+class Rows:
+    """Series stacked as one read-only block: ``block[i, k]`` is row i's
+    coefficient of w**(lo + k), zero off its stored window ``stored[i]``;
+    the block spans the union of those windows, and ``reliable[i]`` holds
+    row i's edges (floats).  A block keeps no flavor: ``rows[i]`` is row i
+    as a two-sided series, ``rows[a:b]`` a block.  `Rows.of` stacks series
+    and blocks, `Rows.chain` cuts a germ's chain rows to a window."""
+
+    def __init__(self, lo: int, block: np.ndarray, stored: np.ndarray, reliable: np.ndarray):
+        block.setflags(write=False)
+        self.lo, self.block, self.stored, self.reliable = lo, block, stored, reliable
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):  # a view, its columns cut to the rows' windows
+            stored = self.stored[i]
+            lo, hi = (int(stored[:, 0].min()), int(stored[:, 1].max())) if len(stored) else (
+                self.lo, self.lo)
+            return Rows(lo, self.block[i, lo - self.lo:hi - self.lo + 1], stored, self.reliable[i])
+        s_lo, s_hi = self.stored[i].tolist()
+        return _owned(s_lo, self.block[i, s_lo - self.lo:s_hi - self.lo + 1], TWO_SIDED,
+                      _as_reliable(self.reliable[i].tolist()))
+
+    def _fields(self) -> list:
+        """`_stacked`'s (lo, coeffs, reliable, stored) of every row."""
+        return [(s_lo, row[s_lo - self.lo:s_hi - self.lo + 1], _as_reliable(r), None) for
+                (s_lo, s_hi), row, r in zip(self.stored.tolist(), self.block, self.reliable.tolist())]
+
+    @cached_property
+    def leads(self) -> np.ndarray:
+        """`LaurentSeries.lead` of every row, NaN for none, in one pass over the block."""
+        mags = np.fmax(np.abs(self.block), 0.0)
+        k = mags.argmax(axis=1)
+        return np.where(mags[np.arange(len(k)), k] == 0, np.nan, self.lo + k)
+
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        """Every row's coefficients of w**lo .. w**hi, a fresh array."""
+        out = np.zeros((len(self), hi - lo + 1), dtype=np.complex128)
+        s_lo, s_hi = max(lo, self.lo), min(hi, self.lo + self.block.shape[1] - 1)
+        if s_lo <= s_hi:
+            out[:, s_lo - lo:s_hi - lo + 1] = self.block[:, s_lo - self.lo:s_hi - self.lo + 1]
+        return out
+
+    @staticmethod
+    def of(parts) -> "Rows":
+        """The rows of ``parts``, series or blocks, in order (a block itself)."""
+        if isinstance(parts, Rows):
+            return parts
+        if not any(isinstance(p, Rows) for p in parts):
+            return _stacked([(p.lo_exp, p.coeffs, p.reliable, None) for p in parts])
+        parts = [p if isinstance(p, Rows) else Rows.of([p]) for p in parts]
+        lo, hi = min(p.lo for p in parts), max(p.lo + p.block.shape[1] - 1 for p in parts)
+        block, top = np.zeros((sum(map(len, parts)), hi - lo + 1), dtype=np.complex128), 0
+        for p in parts:
+            block[top:top + len(p), p.lo - lo:p.lo - lo + p.block.shape[1]] = p.block
+            top += len(p)
+        return Rows(lo, block, np.concatenate([p.stored for p in parts]),
+                    np.concatenate([p.reliable for p in parts]))
+
+    @staticmethod
+    def chain(a: LaurentSeries, n: int, lo: int, hi: int, depth: int | None = None) -> "Rows":
+        """The rows of ``powers(a, n, depth)`` cut to [lo, hi] (`cut`), by
+        default deep enough to reach the window's end on their decaying side;
+        a row its depth cuts short is stored to that end all the same."""
+        if depth is None:
+            j = split_normalize(a)[1]
+            leads = (j if n > 0 else -j, j * n)
+            depth = max(hi - min(leads) if a.flavor == AT_ZERO else max(leads) - lo, 0)
+        (flavor, rows), up = _chain_rows(a, n, depth), a.flavor == AT_ZERO
+        return _cut_rows([(e_lo, c, r, None if whole else (e_lo, max(e_lo + c.size - 1, hi)) if up
+                           else (min(e_lo, lo), e_lo + c.size - 1))
+                          for e_lo, c, r, whole in rows], lo, hi)
+
+    def cut(self, lo: int, hi: int) -> "Rows":
+        """The rows cut to [lo, hi] as `clip` cuts each."""
+        return _cut_rows(self._fields(), lo, hi)
+
+    def mul(self, b: LaurentSeries, lo: int, hi: int) -> "Rows":
+        """``clip(mul(row, b), lo, hi)`` of every row, one `np.convolve` each."""
+        b_lead = np.nan if b.lead is None else b.lead  # NaN: no lead, as in `_mul_reliable`
+        edges = np.array([np.fmax(self.reliable[:, 0] + b_lead, b.reliable[0] + self.leads),
+                          np.fmin(self.reliable[:, 1] + b_lead, b.reliable[1] + self.leads)])
+        edges = np.where(np.isnan(edges), [[NEG_INF], [POS_INF]], edges).T
+        if np.any(edges[:, 0] > edges[:, 1]):
+            raise WindowUnderflowError("window underflow: product has empty reliable window")
+        fields = []
+        for (s_lo, row, _, _), edge in zip(self._fields(), edges.tolist()):
+            c_lo, c, _, edge = _cut(s_lo + b.lo_exp, _frozen(np.convolve(row, b.coeffs)),
+                                    TWO_SIDED, _as_reliable(edge), lo, hi)
+            fields.append((c_lo, c, edge, None))
+        return _stacked(fields)
+
+
+def _cut_rows(fields, lo: int, hi: int) -> Rows:
+    """`_stacked` of ``fields``, each row's data cut as `clip` cuts it and its
+    stored window cut to [lo, hi] (a row with nothing left keeps a zero at lo)."""
+    out = []
+    for d_lo, data, reliable, stored in fields:
+        c_lo, c, _, reliable = _cut(d_lo, data, TWO_SIDED, reliable, lo, hi)
+        s_lo, s_hi = stored or (d_lo, d_lo + data.size - 1)
+        s_lo, s_hi = max(lo, s_lo), min(hi, s_hi)
+        out.append((c_lo, c, reliable, (s_lo, s_hi) if s_lo <= s_hi else None))
+    return _stacked(out)
+
+
+def _stacked(fields) -> Rows:
+    """Rows of (lo, coeffs, reliable, stored): row i holds its coefficients
+    from the exponent ``lo`` on, on its stored window (lo, hi) or their own."""
+    stored = [st or (lo, lo + c.size - 1) for lo, c, _, st in fields]
+    lo, hi = min((e[0] for e in stored), default=0), max((e[1] for e in stored), default=0)
+    block = np.zeros((len(fields), hi - lo + 1), dtype=np.complex128)
+    for row, (c_lo, c, _, _) in zip(block, fields):
+        row[c_lo - lo:c_lo - lo + c.size] = c
+    return Rows(lo, block, np.array(stored, dtype=np.int64).reshape(-1, 2),
+                np.array([f[2] for f in fields], float).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +489,22 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return _owned(lo, _frozen(arr), _merge_flavor(a, b), (r_lo, r_hi))
 
 
-def combine(coeffs: Sequence, rows: Sequence[LaurentSeries]) -> LaurentSeries:
-    """sum_k coeffs[k] * rows[k]: the coefficient vector times the rows
-    stacked on the union of their stored windows.
+def combine(coeffs: Sequence, rows) -> LaurentSeries:
+    """sum_k coeffs[k] * rows[k]: the coefficient vector times the block of
+    ``rows`` (`Rows`, or series that `Rows.of` stacks).
 
-    Flavor and reliable window are those a chain of ``add`` calls gives;
-    no rows give the zero series.
+    Flavor and reliable window are those a chain of ``add`` calls gives (a
+    block's sum is two-sided); no rows give the zero series.
     """
-    if not rows:
+    if not len(rows):
         return zero()
-    r_lo, r_hi = max(r.reliable[0] for r in rows), min(r.reliable[1] for r in rows)
+    flavor = TWO_SIDED if isinstance(rows, Rows) else _merge_flavor(*rows)
+    rows = Rows.of(rows)
+    r_lo, r_hi = _as_reliable((rows.reliable[:, 0].max(), rows.reliable[:, 1].min()))
     if r_lo > r_hi:
         raise WindowUnderflowError("window underflow: sum has empty reliable window")
-    lo, hi = min(r.lo_exp for r in rows), max(r.hi_exp for r in rows)
-    arr = np.asarray(coeffs, dtype=np.complex128) @ dense_rows(rows, lo, hi)
-    return _owned(lo, _frozen(arr), _merge_flavor(*rows), (r_lo, r_hi))
+    arr = np.asarray(coeffs, dtype=np.complex128) @ np.ascontiguousarray(rows.block)
+    return _owned(rows.lo, _frozen(arr), flavor, (r_lo, r_hi))
 
 
 def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -448,9 +562,9 @@ def residue_mul(a: LaurentSeries, b: LaurentSeries) -> complex:
     return coeff_mul(a, b, -1)
 
 
-def residue_matrix(rows_a: Sequence[LaurentSeries],
-                   rows_b: Sequence[LaurentSeries]) -> np.ndarray:
-    """res(a_i * b_j) for every pair, as one matrix product.
+def residue_matrix(rows_a, rows_b) -> np.ndarray:
+    """res(a_i * b_j) for every pair of rows (`Rows`, or series `Rows.of`
+    stacks), as one matrix product: a's block against b's reflected.
 
     Every pair is checked by ``coeff_mul``'s rule first; the first
     failing pair in row-major order raises the error ``residue_mul``
@@ -459,28 +573,20 @@ def residue_matrix(rows_a: Sequence[LaurentSeries],
     pair a NaN with a zero outside the other row (0 * NaN), is read again
     by ``residue_mul``.
     """
-    if not (rows_a and rows_b):
-        return np.zeros((len(rows_a), len(rows_b)), dtype=np.complex128)
-
-    def edges(rows):  # the lead of an all-zero row is NaN, and fmax/fmin skip it
-        lo, hi = np.array([r.reliable for r in rows], dtype=np.float64).T
-        return lo, hi, np.array([r.lead for r in rows], dtype=np.float64)
-
-    a_lo, a_hi, a_lead = (x[:, None] for x in edges(rows_a))
-    b_lo, b_hi, b_lead = edges(rows_b)
-    bad = np.argwhere((np.fmax(a_lo + b_lead, b_lo + a_lead) > -1)
-                      | (np.fmin(a_hi + b_lead, b_hi + a_lead) < -1))
+    a, b = Rows.of(rows_a), Rows.of(rows_b)
+    if not (len(a) and len(b)):
+        return np.zeros((len(a), len(b)), dtype=np.complex128)
+    a_lo, a_hi, a_lead = a.reliable[:, :1], a.reliable[:, 1:], a.leads[:, None]
+    bad = np.argwhere((np.fmax(a_lo + b.leads, b.reliable[:, 0] + a_lead) > -1)
+                      | (np.fmin(a_hi + b.leads, b.reliable[:, 1] + a_lead) < -1))
     if bad.size:
         i, j = bad[0]
-        residue_mul(rows_a[i], rows_b[j])  # raises the scalar path's error
-    lo = min(a.lo_exp for a in rows_a)
-    hi = max(a.hi_exp for a in rows_a)
-    # column k of the right factor holds the coefficient of w**(-1-k)
-    right = np.zeros((len(rows_b), hi - lo + 1), dtype=np.complex128)
-    dense_rows(rows_b, -1 - hi, -1 - lo, right[:, ::-1])
-    out = dense_rows(rows_a, lo, hi) @ right.T
+        residue_mul(a[i], b[j])  # raises the scalar path's error
+    # column k of the right factor holds the coefficient of w**(-1-k-lo)
+    right = np.ascontiguousarray(b.dense(-a.lo - a.block.shape[1], -1 - a.lo)[:, ::-1])
+    out = np.ascontiguousarray(a.block) @ right.T
     for i, j in np.argwhere(~np.isfinite(out)):
-        out[i, j] = residue_mul(rows_a[i], rows_b[j])
+        out[i, j] = residue_mul(a[i], b[j])
     return out
 
 
@@ -596,7 +702,7 @@ def _inverse(u: LaurentSeries, n: int) -> tuple:
 
 def powers(a: LaurentSeries, n: int, depth: int | None = None) -> list:
     """[a, a**2, ..., a**n], or [a**-1, ..., a**n] for n < 0, of a germ
-    a = c * w**j * (1 + u).
+    a = c * w**j * (1 + u): the rows of `_chain_rows` as series.
 
     Row k of a**k is a convolved with itself k times; row k of a**-k is
     exp(-k log c) w**(-jk) times the k-th power of `_inverse`'s reciprocal
@@ -606,8 +712,16 @@ def powers(a: LaurentSeries, n: int, depth: int | None = None) -> list:
     one edge is on the decaying side: it is exact there and reliable to u's
     own edge.  Without a depth a positive row is whole, k times u's
     outermost nonzero local order deep.  The rows are kept on ``a``
-    (`_chain`); a reader clips them to its own window.
+    (`_chain`); a reader cuts them to its window with `Rows.chain`.
     """
+    flavor, rows = _chain_rows(a, n, depth)
+    return [_owned(lo_exp, coeffs, flavor, reliable) for lo_exp, coeffs, reliable, _ in rows]
+
+
+def _chain_rows(a: LaurentSeries, n: int, depth) -> tuple:
+    """(flavor, rows) of ``powers(a, n, depth)``, the one entry every reader
+    of a chain takes its depth through: row k is (lo_exp, coeffs, reliable,
+    whole), a view of the chain store, ``whole`` unless its depth cut it."""
     s, n = (1, int(n)) if n >= 0 else (-1, -int(n))
     depth = POS_INF if depth is None else int(depth)
     if s < 0 and depth == POS_INF:
@@ -617,14 +731,15 @@ def powers(a: LaurentSeries, n: int, depth: int | None = None) -> list:
     x = 0 if not nz.size else (u.lo_exp + int(nz[-1]) if u.flavor == AT_ZERO
                                else -(u.lo_exp + int(nz[0])))
     # 1/(1 + u) ends only for u = 0
-    tops = [min(depth, k * x) if s > 0 else depth if x else 0 for k in range(1, n + 1)]
+    ends = [k * x if s > 0 else POS_INF if x else 0 for k in range(1, n + 1)]
+    tops = [min(depth, end) for end in ends]
     cut, whole, rows = _germ_reliable(u, depth), _germ_reliable(u, POS_INF), []
-    for k, (top, (_, row)) in enumerate(zip(tops, _chain(a, s, tops, x)), 1):
+    for k, (top, end, (_, row)) in enumerate(zip(tops, ends, _chain(a, s, tops, x)), 1):
         lead = s * j * k
-        reliable = tuple(e + lead for e in (cut if s < 0 or top < k * x else whole))
-        rows.append(_owned(lead, row[: top + 1], AT_ZERO, reliable) if u.flavor == AT_ZERO
-                    else _owned(lead - top, row[top::-1], AT_INFINITY, reliable))
-    return rows
+        reliable = tuple(e + lead for e in (cut if s < 0 or top < end else whole))
+        rows.append((lead, row[: top + 1], reliable, top == end) if u.flavor == AT_ZERO
+                    else (lead - top, row[top::-1], reliable, top == end))
+    return u.flavor, rows
 
 
 def _chain(a: LaurentSeries, s: int, tops: list, x: int) -> list:
@@ -700,9 +815,10 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     ``1 - lo_exp``, at least 1).
     Every other coefficient is a residue of a power of a: [z^n] G =
     res(a^-n) / n at zero and [z^-n] G = -res(a^n) / n at infinity, each
-    off one `powers` chain of the input's copy.  A residue reads
-    only input coefficients inside the window, so the output is exact up
-    to rounding there (a 40-digit oracle is asserted in the test-suite).
+    off a's own chain, which other readers share.  A residue reads only
+    input coefficients inside the window, and chain rows are prefix-stable,
+    so the output is exact up to rounding there (a 40-digit oracle is
+    asserted in the test-suite).
     """
     if a.flavor == AT_ZERO:
         form, stray = "a1*w + ...", a.lo_exp < 1 and np.any(a.coeffs[: 1 - a.lo_exp] != 0)
@@ -712,21 +828,17 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
         raise SeriesError("invert_function needs a germ flavor")
     if abs(a.coeff(1)) < 1e-300 or stray:
         raise NonInvertibleError(f"non-invertible leading term: need a = {form}")
-    if a.flavor == AT_ZERO:
-        depth = max(a.hi_exp - 1, 1) if depth is None else int(depth)
-        window = (1, 1 + depth)
-        chain = powers(LaurentSeries(1, dense(a, *window), AT_ZERO), -depth - 1, depth)
-        out = np.array([row.coeff(-1) for row in chain]) / np.arange(1, depth + 2)
-        reliable = (NEG_INF, window[1])
-    else:
-        depth = max(1 - a.lo_exp, 1) if depth is None else int(depth)
-        window = (1 - depth, 1)
-        chain = powers(LaurentSeries(window[0], dense(a, *window), AT_INFINITY), depth - 1, depth)
-        tail = -np.array([row.coeff(-1) for row in chain]) / np.arange(1, depth)
-        b = a.coeff(1)
-        out = np.concatenate([tail[::-1], [-a.coeff(0) / b, 1.0 / b]])
-        reliable = (window[0], POS_INF)
-    return LaurentSeries(window[0], out, a.flavor, reliable)
+    zero_side = a.flavor == AT_ZERO
+    depth = (max(a.hi_exp - 1, 1) if zero_side else max(1 - a.lo_exp, 1)) if depth is None \
+        else int(depth)
+    # res(a**-k), k = 1..depth + 1, at zero; res(a**k), k = 1..depth - 1, at infinity
+    res = np.array([c[-1 - lo] if 0 <= -1 - lo < c.size else 0j for lo, c, _, _
+                    in _chain_rows(a, -depth - 1 if zero_side else depth - 1, depth)[1]])
+    if zero_side:
+        return LaurentSeries(1, res / np.arange(1, depth + 2), a.flavor, (NEG_INF, 1 + depth))
+    tail, b = -res / np.arange(1, depth), a.coeff(1)
+    out = np.concatenate([tail[::-1], [-a.coeff(0) / b, 1.0 / b]])
+    return LaurentSeries(1 - depth, out, a.flavor, (1 - depth, POS_INF))
 
 
 # ---------------------------------------------------------------------------

@@ -292,14 +292,47 @@ def _fixture_outputs():
 
 
 def test_deeper_chain_rows_move_no_output(monkeypatch):
-    """Every reader asks `series.powers` for the depth it reads, and a deeper
-    row starts with the same bits: rows 8 local orders deeper than asked move
-    no residual, error type or stdout byte."""
+    """Every reader asks for the depth it reads through one entry,
+    `series._chain_rows` (`powers`, the blocks of `Rows.chain` and the
+    inversions), and a deeper row starts with the same bits: rows 8 local
+    orders deeper than asked move no residual, error type or stdout byte."""
     want = _fixture_outputs()
-    real = S.powers
-    monkeypatch.setattr(S, "powers", lambda a, n, depth=None: real(
+    real = S._chain_rows
+    monkeypatch.setattr(S, "_chain_rows", lambda a, n, depth: real(
         a, n, None if depth is None else depth + 8))
     assert _fixture_outputs() == want
+
+
+def test_table_checks_share_the_pair_chains_at_the_depths_they_read(monkeypatch):
+    """The three table checks on an order-64 polynomial pair read f^-k to
+    exponent N - 1 and no further (2N + 1 terms: the table's weights, the
+    expansion identities and the f inversion), g^-k from w**-N up (N terms),
+    and every inversion reads the pair's own chains."""
+    g = {1: 1.03 + 0.02j, 0: 0.1 - 0.05j, -1: 0.05 + 0.04j, -2: -0.03 + 0.02j}
+    f = {1: 1 / (1.03 + 0.02j), 2: 0.05 - 0.03j, 3: 0.03 + 0.02j}
+    pair = cli.CP.from_coefficients(g, f, 64)
+    inside, chains = [], []
+    invert, chain = S.invert_function, S._chain
+
+    def inverting(a, depth=None):
+        inside.append(a)
+        try:
+            return invert(a, depth)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(S, "invert_function", inverting)
+    monkeypatch.setattr(S, "_chain", lambda a, s, tops, x: (
+        chains.append(a) if inside else None) or chain(a, s, tops, x))
+    monkeypatch.setattr(cli.ExperimentConfig, "context", lambda self: cli.PairContext(
+        pair, self.hamiltonian(), self.gauge, pair.order))
+    names = ["grunsky_symmetry", "grunsky_dual_path", "faber_identity"]
+    results = run_checks(load_config(str(CONFIGS / "fixture_identity.json")), names)
+    assert [r["error"] for r in results] == [""] * 3
+    assert {p.size for p, _ in vars(pair.f)[("powers", -1)]} == {2 * 64 + 1}
+    assert {p.size for p, _ in vars(pair.g)[("powers", -1)]} == {64}
+    assert len(inside) == 0 and len(chains) >= 2
+    assert all(a is pair.g or a is pair.f for a in chains)
 
 
 def test_config_gauge_feeds_the_battery(tmp_path):

@@ -232,8 +232,8 @@ def test_times_t_matches_one_joint_residue_product(request, name, order):
     t = mo.times[0]
     assert t == time_variables(pair, H_BASIC, order)[0]
     (m1, m2), ns = mo.m, range(1, order + 1)
-    rg = S.residue_matrix([m1], mo.g_up + mo.g_down)[0].tolist()
-    rf = S.residue_matrix([m2], mo.f_up + mo.f_down)[0].tolist()
+    rg = S.residue_matrix([m1], S.Rows.of([mo.g_up, mo.g_down]))[0].tolist()
+    rf = S.residue_matrix([m2], S.Rows.of([mo.f_up, mo.f_down]))[0].tolist()
     assert [t[n] for n in ns] == [rg[order + n - 1] / n for n in ns]
     assert [t[-n] for n in ns] == [rf[n - 1] / n for n in ns]
 

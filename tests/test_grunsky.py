@@ -23,7 +23,7 @@ from dtoda import conformal_pair as CP
 from dtoda import grunsky as G
 from dtoda import plan
 from dtoda import series as S
-from dtoda.coords import _clipped_powers
+from dtoda.coords import _paired_logs
 from dtoda.series import SeriesError
 
 
@@ -156,7 +156,8 @@ def test_faber_polynomials_are_the_ones_the_table_pairs(fix_rand):
     # reads shallower prefixes of the same two chains, so they agree bit for
     # bit; both are near the oracle
     frame = plan.table_frame(fix_rand, 16)
-    rows = {1: _clipped_powers(fix_rand.g, 16, frame), -1: _clipped_powers(fix_rand.f, -16, frame)}
+    rows = {1: G._faber_rows(S.Rows.chain(fix_rand.g, 16, *frame), 1),
+            -1: G._faber_rows(S.Rows.chain(fix_rand.f, -16, *frame, depth=32), -1)}
     ns = [n for n in range(-16, 17) if n]
     fresh = CP.random_pair(seed=7, decay=0.3, order=16)  # chains not yet grown by a table
     polys = G.faber_polynomials(fresh, ns)
@@ -164,7 +165,8 @@ def test_faber_polynomials_are_the_ones_the_table_pairs(fix_rand):
     for n, p in polys.items():
         assert (p.lo_exp, p.hi_exp, p.flavor, p.reliable) == \
             (min(n, 0), max(n, 0), S.TWO_SIDED, (S.NEG_INF, S.POS_INF))
-        paired = G._polynomial_part(rows[np.sign(n)][abs(n) - 1], n)
+        paired = rows[np.sign(n)][abs(n) - 1]
+        assert (paired.lo_exp, paired.hi_exp) == (p.lo_exp, p.hi_exp)
         assert paired.coeffs.tobytes() == p.coeffs.tobytes(), n
     _assert_faber_near_oracle(fix_rand, polys)
 
@@ -235,7 +237,7 @@ def test_faber_read_mask_matches_the_per_row_edges(name, request, monkeypatch):
 def test_read_mask_cuts_rows_at_their_own_edges():
     # the fixtures' finite edges lie outside their windows; here each row's cut the window
     def rows(edges):
-        return [S.LaurentSeries(0, [1.0], reliable=e) for e in edges]
+        return S.Rows.of([S.LaurentSeries(0, [1.0], reliable=e) for e in edges])
 
     inf = float("inf")
     p, lead = rows([(k - 3, inf) for k in range(8)]), rows([(-inf, 15 - k) for k in range(8)])
@@ -557,3 +559,134 @@ def test_oracle_inversions_match_lagrange_inversion(poly64, large_b64, fix_sig):
         assert (got.lo_exp, got.hi_exp) == (min(want), max(want))
         scale = max(abs(c) for c in want.values())
         assert max(abs(got.coeff(k) - c) for k, c in want.items()) <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------------------
+# the list-of-series path: the reference the block readers must equal bit for bit
+
+
+def _ref_clipped_powers(base, n, window):
+    """`series.powers` rows of ``base`` exact on ``window``, each clipped to it."""
+    j = S.split_normalize(base)[1]
+    leads = (j if n > 0 else -j, j * n)
+    depth = window[1] - min(leads) if base.flavor == S.AT_ZERO else max(leads) - window[0]
+    return [S.clip(r, *window) for r in S.powers(base, n, max(depth, 0))]
+
+
+def _ref_polynomial_part(power, n):
+    """P_n off ``power`` = g**n or f**n, reliable at both ends of [0, n]."""
+    lo, hi = sorted((0, n))
+    for k in (lo, hi):
+        power.reliable_coeff(k)
+    return S.LaurentSeries(lo, S.dense(power, lo, hi))
+
+
+def _ref_dense_rows(rows, lo, hi):
+    out = np.zeros((len(rows), hi - lo + 1), dtype=np.complex128)
+    for dst, a in zip(out, rows):
+        dst[:] = S.dense(a, lo, hi)
+    return out
+
+
+def _ref_residue_matrix(rows_a, rows_b):
+    """res(a_i * b_j) of healthy rows: the rows of a on the union of their
+    stored windows against those of b on that window reflected."""
+    lo, hi = min(a.lo_exp for a in rows_a), max(a.hi_exp for a in rows_a)
+    right = np.zeros((len(rows_b), hi - lo + 1), dtype=np.complex128)
+    right[:, ::-1] = _ref_dense_rows(rows_b, -1 - hi, -1 - lo)
+    return _ref_dense_rows(rows_a, lo, hi) @ right.T
+
+
+def _ref_table(pair, order):
+    """`grunsky_table` with every row a series of its own, cut to the frame."""
+    n_max = order
+    g, f = pair.g, pair.f
+    gp, fp = pair.g_prime(), pair.f_prime()
+    frame = plan.table_frame(pair, n_max)
+    g_pow = _ref_clipped_powers(g, n_max, frame)
+    f_neg = _ref_clipped_powers(f, -n_max - 1, frame)
+    e_g = [S.clip(S.mul(s, gp), *frame) for s in
+           _ref_clipped_powers(g, -1, frame) + [S.constant(1.0, S.AT_INFINITY)] + g_pow[:-1]]
+    e_f = [S.clip(S.mul(s, fp), *frame) for s in f_neg]
+    neg = [_ref_polynomial_part(f_neg[n - 1], -n) for n in range(n_max, 0, -1)]
+    pos = [_ref_polynomial_part(g_pow[n - 1], n) for n in range(1, n_max + 1)]
+    log_g, log_f = _paired_logs(pair, 1 + frame[1])
+    k = np.abs(np.arange(-n_max, n_max + 1))
+    div = np.maximum(k, 1)[:, None]
+    b = np.empty((2 * n_max + 1, 2 * n_max + 1), dtype=np.complex128)
+    b[:, n_max + 1:] = _ref_residue_matrix(neg + [log_g] + pos, e_g[1:]) / div
+    b[:, n_max - 1::-1] = _ref_residue_matrix(neg + [log_f] + pos, e_f[1:]) / div
+    b[:n_max, n_max] = -_ref_residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
+    b[n_max + 1:, n_max] = _ref_residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
+    b[n_max, n_max] = -cmath.log(pair.b)
+    return b
+
+
+def _ref_defect(pair, table):
+    """`faber_expansion_defect` on rows that are series, each clipped to the frame."""
+    n_max = table.order
+    frame = plan.table_frame(pair, n_max)
+    g_pos, g_neg, f_pos, f_neg = (_ref_clipped_powers(s, n, frame) for s, n in (
+        (pair.g, n_max), (pair.g, -n_max), (pair.f, n_max), (pair.f, -n_max)))
+    ns = range(1, n_max + 1)
+    up, down = S.powers(pair.g, n_max, n_max), S.powers(pair.f, -n_max, n_max)
+    p_pos = [_ref_polynomial_part(up[n - 1], n) for n in ns]
+    p_neg = [_ref_polynomial_part(down[n - 1], -n) for n in ns]
+    const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]
+    const_neg = [S.constant(-n * table.entry(-n, 0)) for n in ns]
+    idx = np.arange(1, n_max + 1)
+
+    def residual(p, lead, n_sign, m_sign, basis, window):
+        lo, hi = window
+        block = table.b[np.ix_(n_max + n_sign * idx, n_max + m_sign * idx)]
+        resid = (_ref_dense_rows(p, lo, hi) - _ref_dense_rows(lead, lo, hi)
+                 - (idx[:, None] * block) @ _ref_dense_rows(basis, lo, hi))
+        return float(np.max(np.abs(resid), where=_read_mask_per_row(p, lead, basis, window),
+                            initial=0.0))
+
+    g_side, f_side = (-n_max, frame[1]), (frame[0], n_max)
+    return float(np.max([
+        residual(p_pos, g_pos, 1, 1, g_neg, g_side),
+        residual(p_pos, const_pos, 1, -1, f_pos, f_side),
+        residual(p_neg, f_neg, -1, -1, f_pos, f_side),
+        residual(p_neg, const_neg, -1, 1, g_neg, g_side),
+    ]))
+
+
+def _reference_pairs():
+    """(label, pair, table orders): the fixtures, tables-poly64-style pairs at
+    16, 32 and 64, and the reflection pair of w + 0.1/w at 16 and 64."""
+    from dtoda.cli import load_config
+    from pathlib import Path
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("identity", "random", "sigma"):
+        pair = load_config(str(configs / f"fixture_{name}.json")).build_pair()
+        yield name, pair, sorted({pair.order, plan.probe_order(pair.order),
+                                  plan.gradient_order(pair.order)})
+    boxes = [({1: 1.03 + 0.02j, 0: 0.1 - 0.05j, -1: 0.05 + 0.04j, -2: -0.03 + 0.02j},
+              {1: 1 / (1.03 + 0.02j), 2: 0.05 - 0.03j, 3: 0.03 + 0.02j}),
+             ({1: 1.073457137249394 + 0.0364784316806856j,
+               0: 0.03389494505784732 + 0.03162592845533299j,
+               -1: -0.03360696505055104 - 0.038818984224619484j,
+               -2: -0.007704291080278685 - 0.016488124734133393j},
+              {1: 0.9304950404093493 - 0.03162026557274949j,
+               2: 0.016769710989517753 + 0.03719470885604674j,
+               3: 0.012480104384465444 + 0.009740324953492925j})]
+    for i, (g, f) in enumerate(boxes):
+        for order in (16, 32, 64):
+            yield f"poly{i}@{order}", CP.from_coefficients(g, f, order), [4, 8, order]
+    g = S.LaurentSeries.from_pairs({1: 1.0, -1: 0.1}, S.AT_INFINITY)
+    for order in (16, 64):
+        yield f"sigma@{order}", CP.sigma_conjugate(g, order), [4, 8, order]
+
+
+@pytest.mark.parametrize("label,pair,orders", list(_reference_pairs()),
+                         ids=[label for label, _, _ in _reference_pairs()])
+def test_block_readers_equal_the_list_of_series_path(label, pair, orders):
+    """The table and the expansion defect read chain rows as blocks, each as
+    deep as it reads them; the list-of-series path, each row clipped to the
+    frame at the frame's depth, gives the same bits."""
+    for order in orders:
+        table = G.grunsky_table(pair, order)
+        assert np.array_equal(table.b, _ref_table(pair, order)), (label, order)
+        assert G.faber_expansion_defect(pair, table) == _ref_defect(pair, table), (label, order)

@@ -178,3 +178,20 @@ def test_ledger_diff_of_a_checkout_against_itself_is_empty():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("1 ops, ") and "0 status changes" in proc.stdout
     assert " 0 of " in proc.stdout
+
+
+def test_output_digest_workload_runs_label_the_generated_configs():
+    """``--workload`` digests the configs the benchmark generates, unchanged,
+    with the commands of one operation: labels, payloads and command lines."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+
+    runs = _output_digest().workload_runs("tables-poly64", 5, 3)
+    texts = workloads.generate_configs(workloads.WORKLOADS["tables-poly64"], 5)
+    assert [label for label, _, _ in runs] == [f"tables-poly64#{i}" for i in range(3)]
+    assert [payload for _, payload, _ in runs] == [json.loads(text) for text in texts[:3]]
+    assert runs[0][2] == {"coords": ["coords", "{config}"], "grunsky": ["grunsky", "{config}"],
+                          "verify": ["verify", "{config}", "--checks",
+                                     "grunsky_symmetry,grunsky_dual_path,faber_identity"]}
+    (_, _, commands), = _output_digest().workload_runs("verify-sigma16", 1, 1)
+    assert commands == {"verify": ["verify", "{config}"]}

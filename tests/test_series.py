@@ -1070,14 +1070,15 @@ def test_negative_power_rows_match_the_mul_chain(fix_rand):
 ], ids=["at-zero", "at-infinity"])
 def test_invert_function_builds_one_chain(a, monkeypatch):
     # Lagrange inversion: residues of a**-1 .. a**-(depth+1) at zero and of
-    # a**1 .. a**(depth-1) at infinity, each row reaching w**-1
+    # a**1 .. a**(depth-1) at infinity, each row reaching w**-1, off a's own chain
     calls = []
-    real = S.powers
-    monkeypatch.setattr(S, "powers", lambda base, n, depth: calls.append((n, depth))
+    real = S._chain_rows
+    monkeypatch.setattr(S, "_chain_rows", lambda base, n, depth: calls.append((n, depth))
                         or real(base, n, depth))
     depth = 133
     S.invert_function(a, depth)
     assert calls == [(-depth - 1, depth) if a.flavor == AT_ZERO else (depth - 1, depth)]
+    assert set(k[0] for k in vars(a) if isinstance(k, tuple)) == {"powers"}
 
 
 @st.composite
@@ -1327,3 +1328,27 @@ def test_phi_psi_sums_match_horner(fix_rand):
     psi = horner([v[-n] / n for n in range(1, order + 1)], fix_rand.f, (-width, width))
     want = (S.residue_mul(m1, phi) + S.residue_mul(m2, psi)) / 2.0
     assert abs(z2 - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("name", ["fix_sig", "fix_rand"])
+def test_chain_blocks_are_the_clipped_rows(request, name):
+    """`Rows.chain` reads each row of `powers` as `clip` cuts it: the same
+    coefficients, edges and lead; a row its depth cuts short of the window's
+    end on its decaying side is stored out to that end, zero past its depth;
+    a slice is the block of its rows."""
+    pair = request.getfixturevalue(name)
+    for a, n, window, depth in ((pair.g, 9, (-30, 20), 60), (pair.g, -9, (-30, 20), 4),
+                                (pair.f, -9, (-20, 30), 6), (pair.f, 9, (-20, 30), 3)):
+        rows = S.Rows.chain(a, n, *window, depth=depth)
+        want = [S.clip(r, *window) for r in S.powers(a, n, depth)]
+        assert len(rows) == len(want) == 9
+        for i, (got, ref) in enumerate(zip(rows, want)):
+            assert got.reliable == ref.reliable and rows.leads[i] == ref.lead
+            assert np.array_equal(S.dense(got, *window), S.dense(ref, *window))
+            short = ref.hi_exp < window[1] if a.flavor == AT_ZERO else ref.lo_exp > window[0]
+            reach = (got.hi_exp == window[1]) if a.flavor == AT_ZERO else (got.lo_exp == window[0])
+            assert reach if short and ref.reliable != (S.NEG_INF, S.POS_INF) else \
+                (got.lo_exp, got.hi_exp) == (ref.lo_exp, ref.hi_exp)
+        part = rows[2:5]
+        assert np.array_equal(part.dense(*window), rows.dense(*window)[2:5])
+        assert part.stored.tolist() == rows.stored[2:5].tolist()

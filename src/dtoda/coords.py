@@ -84,9 +84,9 @@ class Moments:
 
     ``partials`` is (d1H, d2H) along the pair on (-width, width), ``m``
     is (M1, M2) = (d1H g', d2H f').  ``g_up``/``g_down`` are the blocks of
-    g**1..g**order and g**-1..g**-order, exact where M1 reads them and on
-    (-width, width), where log tau composes Phi(g), and cut there;
-    ``f_up``/``f_down`` likewise against M2.
+    g**1..g**order and g**-1..g**-order exact where M1 reads them and cut
+    there (`block`), ``f_up``/``f_down`` likewise against M2; ``g_down`` and
+    ``f_up`` also on (-width, width), where log tau composes Phi(g), Psi(f).
     ``times`` is (t, v, t0_alt) and reads all four; ``v0``, read at the
     full pair order, pairs M1 and M2 with ``logs`` = (log(g/w), log(f/w))
     and subtracts H(g, f) (``h_along``)/w.
@@ -107,16 +107,16 @@ class Moments:
     def m(self) -> Tuple[LaurentSeries, LaurentSeries]:
         return tuple(map(S.mul, self.partials, (self.pair.g_prime(), self.pair.f_prime())))
 
-    def _chain(self, base: LaurentSeries, n: int, m: LaurentSeries) -> S.Rows:
+    def block(self, base: LaurentSeries, n: int, m: LaurentSeries, wide: bool = False) -> S.Rows:
         """Rows of base**1..base**n (n < 0: base**-1..) exact where their product
-        with m reaches w**-1 and on the window, cut there."""
-        width = self.width
+        with m reaches w**-1, and if ``wide`` on (-width, width), cut there."""
+        width = self.width if wide else -S.POS_INF
         return S.Rows.chain(base, n, min(-1 - m.hi_exp, -width), max(-1 - m.lo_exp, width))
 
-    g_up = cached_property(lambda self: self._chain(self.pair.g, self.order, self.m[0]))
-    g_down = cached_property(lambda self: self._chain(self.pair.g, -self.order, self.m[0]))
-    f_up = cached_property(lambda self: self._chain(self.pair.f, self.order, self.m[1]))
-    f_down = cached_property(lambda self: self._chain(self.pair.f, -self.order, self.m[1]))
+    g_up = cached_property(lambda self: self.block(self.pair.g, self.order, self.m[0]))
+    g_down = cached_property(lambda self: self.block(self.pair.g, -self.order, self.m[0], True))
+    f_up = cached_property(lambda self: self.block(self.pair.f, self.order, self.m[1], True))
+    f_down = cached_property(lambda self: self.block(self.pair.f, -self.order, self.m[1]))
 
     @cached_property
     def times(self):

@@ -203,7 +203,7 @@ def lax_check(ctx, n: int, order: int) -> float:
     # the kept side of q, and its mean term, read base = s**(n-1) up to w**-1
     # on its decaying side: dg0 ends at w**1 and df0 starts there
     s, ds = (pair.g, ff0.dg) if n >= 1 else (pair.f, ff0.df)
-    base = S.powers(s, n - 1, abs(n))[-1] if n != 1 else S.constant(1.0, AT_INFINITY)
+    base = S.int_pow(s, n - 1, abs(n))
     dpoly0 = _halved_projection(S.scale(S.mul(base, ds), float(n)), n)
 
     def bracket_with(ds: LaurentSeries, s_prime: LaurentSeries) -> LaurentSeries:
@@ -244,8 +244,8 @@ def tau_tangents(ctx, order: int):
     (t, v, _), full = mo.times, mo.order
     k, modes = np.arange(1.0, full + 1), range(-full, full + 1)
     res = S.residue_matrix(ctx.tangents(range(-order, order + 1)), S.Rows.of(
-        [mo.h_along, mo.f_down[::-1], S.sub(*mo.logs), mo.g_up, mo.f_up[::-1], S.constant(1.0),
-         mo.g_down]))
+        [mo.h_along, mo.block(ctx.pair.f, -full, mo.m[1], True)[::-1], S.sub(*mo.logs), mo.g_up,
+         mo.f_up[::-1], S.constant(1.0), mo.g_down]))
     dv = res[:, 1:2 * full + 2] * np.repeat([-1.0, 1.0], [full, full + 1])
     dt = res[:, 2 * full + 2:] * np.concatenate([-1.0 / k[::-1], [1.0], 1.0 / k])
     d_logt = (dt @ [v[m] if m else mo.v0 for m in modes] + dv @ [t[m] for m in modes]

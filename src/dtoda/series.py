@@ -35,10 +35,11 @@ propagation through every intermediate; round-trip identities and
 40-digit oracles in the test-suite check those claims directly.
 
 Power chains have one kernel, `_chain_rows`: the rows a**1..a**n or
-a**-1..a**-n of a germ, each exact to a depth past its leading term, so
-cut only on its decaying side.  `powers` and `int_pow` give them as
-series, `invert_function` reads residues off them, and `Rows.chain` cuts
-them to a window as one block, which `residue_matrix` and `combine` read.
+a**-1..a**-n of a germ, each exact to a depth past its leading term (so
+cut only on its decaying side), one 2-D block per sign read by slices:
+`powers` and `int_pow` give rows as series, and `_aligned` shifts them into
+exponent order, for `invert_function`'s residues and for `Rows.chain`, a
+window of the block that `residue_matrix` and `combine` read.
 
 Reciprocals have one kernel, `_lift`: Newton's step computing only the
 new half, so coefficient k in [2**i, 2**(i+1)) is always made from the
@@ -46,7 +47,7 @@ first 2**i and a deeper request never moves a bit of a shallower prefix.
 A germ a = c * w**j * (1 + u) owns what is derived from it:
 `split_normalize` keeps (c, j, u) on ``a``, `_inverse` keeps 1/(1 + u) on
 u, grown to the end of the deepest request's power-of-two block, and
-`_chain` keeps the rows of each sign of `powers` on ``a``, grown to the
+`_chain` keeps the block of each sign on ``a``, grown in place to the
 longest and deepest request.  Every row is a truncated product of
 prefixes, so `int_pow`, `powers` and ``log1p(u)`` read prefixes at any
 depth with the bits a fresh build would give, and the rows die with the
@@ -378,11 +379,6 @@ class Rows:
         return _owned(s_lo, self.block[i, s_lo - self.lo:s_hi - self.lo + 1], TWO_SIDED,
                       _as_reliable(self.reliable[i].tolist()))
 
-    def _fields(self) -> list:
-        """`_stacked`'s (lo, coeffs, reliable, stored) of every row."""
-        return [(s_lo, row[s_lo - self.lo:s_hi - self.lo + 1], _as_reliable(r), None) for
-                (s_lo, s_hi), row, r in zip(self.stored.tolist(), self.block, self.reliable.tolist())]
-
     @cached_property
     def leads(self) -> np.ndarray:
         """`LaurentSeries.lead` of every row, NaN for none, in one pass over the block."""
@@ -403,8 +399,14 @@ class Rows:
         """The rows of ``parts``, series or blocks, in order (a block itself)."""
         if isinstance(parts, Rows):
             return parts
-        if not any(isinstance(p, Rows) for p in parts):
-            return _stacked([(p.lo_exp, p.coeffs, p.reliable, None) for p in parts])
+        if not any(isinstance(p, Rows) for p in parts):  # each row on its own stored window
+            stored = np.array([(p.lo_exp, p.hi_exp) for p in parts], dtype=np.int64).reshape(-1, 2)
+            lo, hi = (int(stored[:, 0].min()), int(stored[:, 1].max())) if parts else (0, 0)
+            block = np.zeros((len(parts), hi - lo + 1), dtype=np.complex128)
+            for row, p in zip(block, parts):
+                row[p.lo_exp - lo:p.hi_exp - lo + 1] = p.coeffs
+            reliable = np.array([p.reliable for p in parts], dtype=float).reshape(-1, 2)
+            return Rows(lo, block, stored, reliable)
         parts = [p if isinstance(p, Rows) else Rows.of([p]) for p in parts]
         lo, hi = min(p.lo for p in parts), max(p.lo + p.block.shape[1] - 1 for p in parts)
         block, top = np.zeros((sum(map(len, parts)), hi - lo + 1), dtype=np.complex128), 0
@@ -423,14 +425,21 @@ class Rows:
             j = split_normalize(a)[1]
             leads = (j if n > 0 else -j, j * n)
             depth = max(hi - min(leads) if a.flavor == AT_ZERO else max(leads) - lo, 0)
-        (flavor, rows), up = _chain_rows(a, n, depth), a.flavor == AT_ZERO
-        return _cut_rows([(e_lo, c, r, None if whole else (e_lo, max(e_lo + c.size - 1, hi)) if up
-                           else (min(e_lo, lo), e_lo + c.size - 1))
-                          for e_lo, c, r, whole in rows], lo, hi)
+        return _aligned(_chain_rows(a, n, depth), lo, hi).cut(lo, hi)
 
     def cut(self, lo: int, hi: int) -> "Rows":
-        """The rows cut to [lo, hi] as `clip` cuts each."""
-        return _cut_rows(self._fields(), lo, hi)
+        """The rows cut to [lo, hi] as `clip` cuts each: a dropped NaN counts
+        as data and a -0.0 does not, and a row with nothing left keeps a zero at lo."""
+        left, right, reliable = max(lo - self.lo, 0), max(hi + 1 - self.lo, 0), self.reliable.copy()
+        if left or right < self.block.shape[1]:  # an edge moves to the cut where data is dropped
+            np.maximum(reliable[:, 0], lo, out=reliable[:, 0], where=self.block[:, :left].any(1))
+            np.minimum(reliable[:, 1], hi, out=reliable[:, 1], where=self.block[:, right:].any(1))
+            if (reliable[:, 0] > reliable[:, 1]).any():
+                raise WindowUnderflowError("window underflow: clip removed all reliable data")
+        stored = np.minimum(np.maximum(self.stored, lo), hi)
+        stored[(self.stored[:, 0] > hi) | (self.stored[:, 1] < lo)] = lo
+        b_lo, b_hi = (int(stored[:, 0].min()), int(stored[:, 1].max())) if len(self) else (0, 0)
+        return Rows(b_lo, self.dense(b_lo, b_hi), stored, reliable)
 
     def mul(self, b: LaurentSeries, lo: int, hi: int) -> "Rows":
         """``clip(mul(row, b), lo, hi)`` of every row, one `np.convolve` each."""
@@ -440,36 +449,10 @@ class Rows:
         edges = np.where(np.isnan(edges), [[NEG_INF], [POS_INF]], edges).T
         if np.any(edges[:, 0] > edges[:, 1]):
             raise WindowUnderflowError("window underflow: product has empty reliable window")
-        fields = []
-        for (s_lo, row, _, _), edge in zip(self._fields(), edges.tolist()):
-            c_lo, c, _, edge = _cut(s_lo + b.lo_exp, _frozen(np.convolve(row, b.coeffs)),
-                                    TWO_SIDED, _as_reliable(edge), lo, hi)
-            fields.append((c_lo, c, edge, None))
-        return _stacked(fields)
-
-
-def _cut_rows(fields, lo: int, hi: int) -> Rows:
-    """`_stacked` of ``fields``, each row's data cut as `clip` cuts it and its
-    stored window cut to [lo, hi] (a row with nothing left keeps a zero at lo)."""
-    out = []
-    for d_lo, data, reliable, stored in fields:
-        c_lo, c, _, reliable = _cut(d_lo, data, TWO_SIDED, reliable, lo, hi)
-        s_lo, s_hi = stored or (d_lo, d_lo + data.size - 1)
-        s_lo, s_hi = max(lo, s_lo), min(hi, s_hi)
-        out.append((c_lo, c, reliable, (s_lo, s_hi) if s_lo <= s_hi else None))
-    return _stacked(out)
-
-
-def _stacked(fields) -> Rows:
-    """Rows of (lo, coeffs, reliable, stored): row i holds its coefficients
-    from the exponent ``lo`` on, on its stored window (lo, hi) or their own."""
-    stored = [st or (lo, lo + c.size - 1) for lo, c, _, st in fields]
-    lo, hi = min((e[0] for e in stored), default=0), max((e[1] for e in stored), default=0)
-    block = np.zeros((len(fields), hi - lo + 1), dtype=np.complex128)
-    for row, (c_lo, c, _, _) in zip(block, fields):
-        row[c_lo - lo:c_lo - lo + c.size] = c
-    return Rows(lo, block, np.array(stored, dtype=np.int64).reshape(-1, 2),
-                np.array([f[2] for f in fields], float).reshape(-1, 2))
+        prod = np.zeros((len(self), self.block.shape[1] + b.width - 1), dtype=np.complex128)
+        for out, row, (s_lo, s_hi) in zip(prod, self.block, (self.stored - self.lo).tolist()):
+            out[s_lo:s_hi + b.width] = np.convolve(row[s_lo:s_hi + 1], b.coeffs)
+        return Rows(self.lo + b.lo_exp, prod, self.stored + [b.lo_exp, b.hi_exp], edges).cut(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -714,14 +697,23 @@ def powers(a: LaurentSeries, n: int, depth: int | None = None) -> list:
     outermost nonzero local order deep.  The rows are kept on ``a``
     (`_chain`); a reader cuts them to its window with `Rows.chain`.
     """
-    flavor, rows = _chain_rows(a, n, depth)
-    return [_owned(lo_exp, coeffs, flavor, reliable) for lo_exp, coeffs, reliable, _ in rows]
+    rows = _chain_rows(a, n, depth)
+    return [_row(rows, k) for k in range(1, len(rows[3]) + 1)]
+
+
+def _row(rows: tuple, k: int) -> LaurentSeries:
+    """Row k of `_chain_rows`'s ``rows`` as a series, a slice of the store."""
+    flavor, chain, step, tops, whole, edges = rows
+    lead, top, up = step * k, tops[k - 1], flavor == AT_ZERO
+    return _owned(lead if up else lead - top, chain.rows[k - 1, :top + 1] if up else
+                  chain.rows[k - 1, top::-1], flavor, tuple(e + lead for e in edges[k > whole]))
 
 
 def _chain_rows(a: LaurentSeries, n: int, depth) -> tuple:
-    """(flavor, rows) of ``powers(a, n, depth)``, the one entry every reader
-    of a chain takes its depth through: row k is (lo_exp, coeffs, reliable,
-    whole), a view of the chain store, ``whole`` unless its depth cut it."""
+    """(flavor, chain, step, tops, whole, edges) of ``powers(a, n, depth)``,
+    the one entry every reader of a chain takes its depth through: row k is
+    ``chain.rows[k - 1]`` to local order tops[k - 1] past the exponent step * k;
+    the first ``whole`` rows end there (edges[0]), the rest are cut (edges[1])."""
     s, n = (1, int(n)) if n >= 0 else (-1, -int(n))
     depth = POS_INF if depth is None else int(depth)
     if s < 0 and depth == POS_INF:
@@ -730,47 +722,75 @@ def _chain_rows(a: LaurentSeries, n: int, depth) -> tuple:
     nz = np.nonzero(u.coeffs)[0]
     x = 0 if not nz.size else (u.lo_exp + int(nz[-1]) if u.flavor == AT_ZERO
                                else -(u.lo_exp + int(nz[0])))
-    # 1/(1 + u) ends only for u = 0
-    ends = [k * x if s > 0 else POS_INF if x else 0 for k in range(1, n + 1)]
-    tops = [min(depth, end) for end in ends]
-    cut, whole, rows = _germ_reliable(u, depth), _germ_reliable(u, POS_INF), []
-    for k, (top, end, (_, row)) in enumerate(zip(tops, ends, _chain(a, s, tops, x)), 1):
-        lead = s * j * k
-        reliable = tuple(e + lead for e in (cut if s < 0 or top < end else whole))
-        rows.append((lead, row[: top + 1], reliable, top == end) if u.flavor == AT_ZERO
-                    else (lead - top, row[top::-1], reliable, top == end))
-    return u.flavor, rows
+    # a**k ends k * x local orders out, and 1/(1 + u) ends only for u = 0
+    whole = n if x == 0 or s > 0 and depth == POS_INF else min(n, depth // x) if s > 0 else 0
+    tops = [k * x for k in range(1, whole + 1)] + [depth] * (n - whole)
+    edges = _germ_reliable(u, POS_INF if s > 0 else depth), _germ_reliable(u, depth)
+    return u.flavor, _chain(a, s, tops, x), s * j, tops, whole, edges
 
 
-def _chain(a: LaurentSeries, s: int, tops: list, x: int) -> list:
-    """(power, row) of k = 1..len(tops) at local orders 0..tops[k-1] at
-    least, kept on ``a`` and grown in place: a**k twice, or (1 + u)**-k and
-    its scaled row a**-k.
+def _aligned(rows: tuple, lo: int, hi: int) -> Rows:
+    """`_chain_rows`'s ``rows`` uncut on the exponents they and [lo, hi] span, in one
+    strided copy; a row its depth cuts short is stored to the window's end."""
+    flavor, chain, step, tops, whole, edges = rows
+    n, t, side = len(tops), tops[-1] + 1 if tops else 1, int(flavor == AT_ZERO)
+    first, last = step + (side - 1) * (t - 1), step * n + (side - 1) * (t - 1)  # row starts
+    e_lo, e_hi = (min(lo, first, last), max(hi, first + t - 1, last + t - 1)) if n else (lo, hi)
+    block = np.zeros((n, e_hi - e_lo + 1), dtype=np.complex128)
+    if n:  # a row starts ``step`` columns after the row above
+        np.ndarray((n, t), block.dtype, block, (first - e_lo) * block.itemsize, ((
+            block.shape[1] + step) * block.itemsize, block.itemsize))[...] = chain.rows[
+                :n, :t] if side else chain.rows[:n, t - 1::-1]
+    lead = step * np.arange(1, n + 1)[:, None]
+    stored = lead + np.array(tops, dtype=np.int64)[:, None] * ((0, 1) if side else (-1, 0))
+    (np.minimum, np.maximum)[side](stored[whole:, side], (lo, hi)[side], out=stored[whole:, side])
+    return Rows(e_lo, block, stored, np.take(edges, np.arange(n) >= whole, axis=0) + lead)
 
-    The k-th power is one truncated product of a prefix of the (k-1)-th
-    with a prefix of the base, a from its leading term on (x its outermost
-    nonzero local order) or `_inverse`'s reciprocal, so a deeper row starts
-    with the bits of a shallower one and no row depends on which request
-    built it.
-    """
+
+class _Chain(list):
+    """`_chain`'s store: items (a**k, 1) or ((1 + u)**-k, c**-k), rows their products."""
+
+    rows = np.zeros((0, 0), dtype=np.complex128)
+
+
+def _chain(a: LaurentSeries, s: int, tops: list, x: int) -> _Chain:
+    """The chain of sign ``s`` kept on ``a``, rows k = 1..len(tops) built or
+    grown in place to local order tops[k-1]: a**k, or a**-k scaled from
+    (1 + u)**-k.  A built entry is never written again.  The k-th power is
+    one truncated product of a prefix of the (k-1)-th with a prefix of the
+    base, a from its leading term on (x its outermost nonzero local order)
+    or `_inverse`'s reciprocal, so a deeper row starts with the bits of a
+    shallower one and no row depends on which request built it."""
     c, j, u = split_normalize(a)
-    store, base = vars(a).setdefault(("powers", s), []), None
-    for k, top in enumerate(tops, 1):
-        m = top + 1
-        if k <= len(store) and store[k - 1][0].size >= m:
-            continue
-        if base is None:
-            base = _frozen(_local(shift(a, -j), x + 1)) if s > 0 else _inverse(u, max(tops) + 1)[1]
-        power = base[:m] if k == 1 else _frozen(np.convolve(store[k - 2][0][:m], base[:m]))[:m]
-        store[k - 1:k] = [(power, power if s > 0 else _frozen(power * np.exp(-k * np.log(c))))]
-    return store[: len(tops)]
+    chain = vars(a).setdefault(("powers", s), _Chain())
+    want = [top + 1 for top in tops]
+    size = [power.size for power, _ in chain] + [0] * (len(want) - len(chain))
+    if all(m <= done for m, done in zip(want, size)):
+        return chain
+    base = _frozen(_local(shift(a, -j), x + 1)) if s > 0 else _inverse(u, max(want))[1]
+    need, old = (len(size), max(want)), chain.rows.shape
+    if need[0] > old[0] or need[1] > old[1]:  # one copy, twice as long where too short
+        rows = np.zeros([max(n, 2 * o) if n > o else o for n, o in zip(need, old)], complex)
+        rows[:old[0], :old[1]], chain.rows = chain.rows, rows
+    chain.rows.setflags(write=True)
+    log_c = np.log(c)
+    for k, (m, done) in enumerate(zip(want, size), 1):
+        if done < m:
+            power = base[:m] if k == 1 else _frozen(np.convolve(chain[k - 2][0][:m], base[:m])[:m])
+            chain[k - 1:k] = [(power, 1.0 if s > 0 else np.exp(-k * log_c))]
+            if s > 0:
+                chain.rows[k - 1, done:power.size] = power[done:]
+            else:
+                np.multiply(power[done:], chain[k - 1][1], out=chain.rows[k - 1, done:power.size])
+    chain.rows.setflags(write=False)
+    return chain
 
 
 def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
-    """a**k of a germ: the last row of `powers`, ``depth`` local orders past
-    the leading term (needed for k < 0); 1 for k = 0."""
+    """a**k of a germ: row k of its chain (`powers`), ``depth`` local orders
+    past the leading term (needed for k < 0); 1 for k = 0."""
     k = int(k)
-    return constant(1.0, a.flavor) if k == 0 else powers(a, k, depth)[-1]
+    return constant(1.0, a.flavor) if k == 0 else _row(_chain_rows(a, k, depth), abs(k))
 
 
 def log1p(u: LaurentSeries, depth: int) -> LaurentSeries:
@@ -832,8 +852,8 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     depth = (max(a.hi_exp - 1, 1) if zero_side else max(1 - a.lo_exp, 1)) if depth is None \
         else int(depth)
     # res(a**-k), k = 1..depth + 1, at zero; res(a**k), k = 1..depth - 1, at infinity
-    res = np.array([c[-1 - lo] if 0 <= -1 - lo < c.size else 0j for lo, c, _, _
-                    in _chain_rows(a, -depth - 1 if zero_side else depth - 1, depth)[1]])
+    rows = _aligned(_chain_rows(a, -depth - 1 if zero_side else depth - 1, depth), -1, -1)
+    res = rows.block[:, -1 - rows.lo]
     if zero_side:
         return LaurentSeries(1, res / np.arange(1, depth + 2), a.flavor, (NEG_INF, 1 + depth))
     tail, b = -res / np.arange(1, depth), a.coeff(1)

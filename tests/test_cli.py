@@ -5,6 +5,7 @@ before being written down; the CLI layer must reproduce it byte for
 byte on repeated runs.
 """
 
+import dataclasses
 import inspect
 import io
 import json
@@ -333,6 +334,24 @@ def test_table_checks_share_the_pair_chains_at_the_depths_they_read(monkeypatch)
     assert {p.size for p, _ in vars(pair.g)[("powers", -1)]} == {64}
     assert len(inside) == 0 and len(chains) >= 2
     assert all(a is pair.g or a is pair.f for a in chains)
+
+
+def test_coords_reads_f_down_where_its_residue_with_m2_reaches(monkeypatch):
+    """`coords` at order 64 on a polynomial pair builds f**-4..f**-64 only
+    as deep as res(M2 f**-k) reads them, through w**(-1 - M2.lo): log tau
+    composes no f**-k, so (-width, width) does not reach them (229 terms).
+    f**-1..f**-3 are the potential's, read along (-width, width)."""
+    g = {1: 1.03 + 0.02j, 0: 0.1 - 0.05j, -1: 0.05 + 0.04j, -2: -0.03 + 0.02j}
+    f = {1: 1 / (1.03 + 0.02j), 2: 0.05 - 0.03j, 3: 0.03 + 0.02j}
+    pair = cli.CP.from_coefficients(g, f, 64)
+    monkeypatch.setattr(cli.ExperimentConfig, "context", lambda self: cli.PairContext(
+        pair, self.hamiltonian(), self.gauge, pair.order))
+    config = dataclasses.replace(load_config(str(CONFIGS / "fixture_identity.json")), order=64)
+    assert cli.cmd_coords(config, stdout=io.StringIO()) == 0
+    mo = cli.C.Moments(pair, config.hamiltonian(), 64)
+    reach = -1 - mo.m[1].lo_exp + 64  # the depth of f**-1..f**-64 read through -1 - M2.lo
+    sizes = [p.size for p, _ in vars(pair.f)[("powers", -1)]]
+    assert len(sizes) == 64 and max(sizes[3:]) == reach + 1 < mo.width + 64 + 1 == 229
 
 
 def test_config_gauge_feeds_the_battery(tmp_path):

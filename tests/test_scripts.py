@@ -195,3 +195,40 @@ def test_output_digest_workload_runs_label_the_generated_configs():
                                      "grunsky_symmetry,grunsky_dual_path,faber_identity"]}
     (_, _, commands), = _output_digest().workload_runs("verify-sigma16", 1, 1)
     assert commands == {"verify": ["verify", "{config}"]}
+
+
+def _chain_probe():
+    spec = importlib.util.spec_from_file_location(
+        "chain_probe", ROOT / "scripts" / "chain_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+def test_chain_probe_counts_the_rows_each_command_builds_and_grows():
+    """In process: one tally per (command, germ, sign), and every wrapped
+    name is put back afterwards."""
+    probe = _chain_probe()
+    from dtoda import cli
+    from dtoda import conformal_pair as CP
+    from dtoda import series as S
+
+    chain, checks = S._chain, dict(cli.CHECKS)
+
+    def run():
+        pair = CP.from_coefficients({1: 1.0, 0: 0.1, -1: 0.05}, {1: 1.0, 2: 0.05}, 8)
+        S.powers(pair.f, -3, 4)
+        S.powers(pair.f, -5, 4)  # two rows more
+        S.powers(pair.f, -5, 9)  # all five deeper
+        S.powers(pair.g, 2)
+
+    tallies = probe.probe(run, cli)
+    assert tallies[("-", "f", "-")] == {"calls": 3, "regrowing": 1, "built": 5, "regrown": 5,
+                                        "deepest": 10, "ms": tallies[("-", "f", "-")]["ms"]}
+    assert tallies[("-", "g", "+")]["built"] == 2
+    config = str(ROOT / "configs" / "fixture_identity.json")
+    tallies = probe.probe(probe.config_run(cli, config), cli)
+    assert {"coords", "grunsky", "verify:faber_identity"} <= {c for c, _, _ in tallies}
+    lines = probe.report(tallies)
+    assert lines[-1].split()[:2] == ["total", str(sum(t["calls"] for t in tallies.values()))]
+    assert S._chain is chain and cli.CHECKS == checks

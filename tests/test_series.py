@@ -1352,3 +1352,119 @@ def test_chain_blocks_are_the_clipped_rows(request, name):
         part = rows[2:5]
         assert np.array_equal(part.dense(*window), rows.dense(*window)[2:5])
         assert part.stored.tolist() == rows.stored[2:5].tolist()
+
+
+# ---------------------------------------------------------------------------
+# chain blocks against the per-row path they replace
+
+
+def per_row_chain(a: LaurentSeries, n: int, depth) -> tuple:
+    """(flavor, rows) of ``powers(a, n, depth)`` built row by row on a fresh
+    list, each row (lo_exp, coeffs, reliable, whole): the chain kernel as a
+    list of series fields, with no store."""
+    s, n = (1, int(n)) if n >= 0 else (-1, -int(n))
+    depth = S.POS_INF if depth is None else int(depth)
+    c, j, u = S.split_normalize(a)
+    nz = np.nonzero(u.coeffs)[0]
+    x = 0 if not nz.size else (u.lo_exp + int(nz[-1]) if u.flavor == AT_ZERO
+                               else -(u.lo_exp + int(nz[0])))
+    ends = [k * x if s > 0 else S.POS_INF if x else 0 for k in range(1, n + 1)]
+    tops = [min(depth, end) for end in ends]
+    base = (S._local(S.shift(a, -j), x + 1) if s > 0
+            else S._inverse(u, max(tops, default=0) + 1)[1])
+    cut, whole = S._germ_reliable(u, depth), S._germ_reliable(u, S.POS_INF)
+    rows, power = [], None
+    for k, (top, end) in enumerate(zip(tops, ends), 1):
+        m = top + 1
+        power = base[:m] if k == 1 else np.convolve(power[:m], base[:m])[:m]
+        row = S._frozen(power.copy() if s > 0 else power * np.exp(-k * np.log(c)))
+        lead = s * j * k
+        reliable = tuple(e + lead for e in (cut if s < 0 or top < end else whole))
+        rows.append((lead, row[: top + 1], reliable, top == end) if u.flavor == AT_ZERO
+                    else (lead - top, row[top::-1], reliable, top == end))
+    return u.flavor, rows
+
+
+def per_row_powers(a: LaurentSeries, n: int, depth=None) -> list:
+    """`powers` as series made one row at a time."""
+    flavor, rows = per_row_chain(a, n, depth)
+    return [S._owned(lo, c, flavor, r) for lo, c, r, _ in rows]
+
+
+def per_row_block(a: LaurentSeries, n: int, lo: int, hi: int, depth=None) -> S.Rows:
+    """`Rows.chain` as each row `clip`-cut and stacked: a row its depth cuts
+    short is stored out to the window's end on its decaying side."""
+    if depth is None:
+        j = S.split_normalize(a)[1]
+        leads = (j if n > 0 else -j, j * n)
+        depth = max(hi - min(leads) if a.flavor == AT_ZERO else max(leads) - lo, 0)
+    (_, rows), up = per_row_chain(a, n, depth), a.flavor == AT_ZERO
+    out = []
+    for d_lo, data, reliable, whole in rows:
+        c_lo, c, _, reliable = S._cut(d_lo, data, TWO_SIDED, reliable, lo, hi)
+        d_hi = d_lo + data.size - 1
+        s_lo, s_hi = (d_lo, d_hi if whole else max(d_hi, hi)) if up else (
+            d_lo if whole else min(d_lo, lo), d_hi)
+        s_lo, s_hi = max(lo, s_lo), min(hi, s_hi)
+        stored = (s_lo, s_hi) if s_lo <= s_hi else (c_lo, c_lo + c.size - 1)
+        out.append((c_lo, c, reliable, stored))
+    lo, hi = min((st[0] for *_, st in out), default=0), max((st[1] for *_, st in out), default=0)
+    block = np.zeros((len(out), hi - lo + 1), dtype=np.complex128)
+    for row, (c_lo, c, _, _) in zip(block, out):
+        row[c_lo - lo:c_lo - lo + c.size] = c
+    return S.Rows(lo, block, np.array([st for *_, st in out], dtype=np.int64).reshape(-1, 2),
+                  np.array([r for _, _, r, _ in out], float).reshape(-1, 2))
+
+
+def block_fields(rows: S.Rows) -> tuple:
+    """Every field of a block, arrays as (shape, dtype, bytes)."""
+    return (type(rows.lo), rows.lo, *((x.shape, x.dtype, x.tobytes()) for x in
+            (rows.block, rows.stored, rows.reliable, rows.leads)))
+
+
+def assert_chain_reads_per_row(a: LaurentSeries, n: int, depth, window):
+    """``powers``, ``int_pow`` and ``Rows.chain`` of ``a`` equal the per-row
+    path field for field, or raise the error it raises."""
+    try:
+        want = per_row_block(a, n, *window, depth)
+    except WindowUnderflowError as exc:
+        with pytest.raises(WindowUnderflowError, match=str(exc)):
+            S.Rows.chain(a, n, *window, depth)
+    else:
+        assert block_fields(S.Rows.chain(a, n, *window, depth)) == block_fields(want)
+    if n >= 0 or depth is not None:
+        want = [fields(r) for r in per_row_powers(a, n, depth)]
+        assert [fields(r) for r in S.powers(a, n, depth)] == want
+        if n:
+            assert fields(S.int_pow(a, n, depth)) == want[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_case(), st.integers(-30, 10), st.integers(0, 30))
+def test_chain_blocks_equal_the_per_row_path(case, lo, width):
+    """Blocks, stored windows, reliable edges and leads of `Rows.chain`, and
+    the series of `powers` and `int_pow`, are the per-row path's, whatever
+    was asked of the germ before (the same germ serves three windows)."""
+    a, n, depth = case
+    for window in ((lo, lo + width), (lo - width, lo), (lo - 40, lo + 40)):
+        assert_chain_reads_per_row(a, n, depth, window)
+
+
+@pytest.mark.parametrize("name", ["fix_sig", "fix_rand", "fix_id"])
+def test_fixture_chain_blocks_equal_the_per_row_path(request, name):
+    """Both germs of a fixture, both signs, exact and truncated, rows their
+    depth cuts short, zero-padded copies, in interleaved request orders."""
+    pair = request.getfixturevalue(name)
+    germs = [pair.g, pair.f] + [LaurentSeries(a.lo_exp, a.coeffs, a.flavor, edge) for a, edge in
+                                ((pair.g, (-pair.order - 4, S.POS_INF)),
+                                 (pair.f, (S.NEG_INF, pair.order + 4)))]
+    germs += [LaurentSeries(a.lo_exp - 5, S.dense(a, a.lo_exp - 5, a.hi_exp + 5), a.flavor)
+              for a in (pair.g, pair.f)]
+    asks = [(9, 40, (-30, 20)), (-4, 90, (-20, 30)), (12, 15, (-60, 60)), (6, None, (-5, 5)),
+            (-9, 3, (-12, 12)), (-12, None, (-40, 8)), (1, 0, (0, 0)), (-1, 2, (-3, 3)),
+            (0, 4, (-2, 2))]
+    for a in germs:
+        for order in (asks, asks[::-1], asks[::2] + asks[1::2]):
+            b = LaurentSeries(a.lo_exp, a.coeffs, a.flavor, a.reliable)
+            for n, depth, window in order:
+                assert_chain_reads_per_row(b, n, depth, window)

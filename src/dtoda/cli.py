@@ -377,13 +377,11 @@ def _table_json(table: np.ndarray, lo: int) -> str:
     [0, 0] entry has indices (lo, lo).  Keys come in sorted-string order
     (the str-sorted labels, nested); floats go through ``float.__repr__``."""
     labels = sorted(range(lo, lo + len(table)), key=str)
-    cells = table[np.ix_(np.subtract(labels, lo), np.subtract(labels, lo))].ravel()
-    fields = [None] * (3 * cells.size)
-    fields[0::3] = [f"{m},{n}" for m in labels for n in labels]
-    fields[1::3] = cells.real.tolist()
-    fields[2::3] = cells.imag.tolist()
-    entry = '    "%s": [\n      %r,\n      %r\n    ]'
-    return "{\n" + ",\n".join([entry] * cells.size) % tuple(fields) + "\n  }"
+    cells = table[np.ix_(np.subtract(labels, lo), np.subtract(labels, lo))]
+    columns = [f'{n}": [\n      %r,\n      %r\n    ]' for n in labels]
+    rows = [(f'    "{m},' + f',\n    "{m},'.join(columns)) % tuple(row)  # re, im interleaved
+            for m, row in zip(labels, cells.view(np.float64).tolist())]
+    return "{\n" + ",\n".join(rows) + "\n  }"
 
 
 def _table_rows(table: np.ndarray, lo: int) -> List[list]:

@@ -36,8 +36,9 @@ provided:
   coefficients a kernel reads) and expands the kernel logarithms
   formally as truncated bivariate power series; no residue pairing of
   the table's weights is involved.  L = log(1+W) is solved row by row
-  in z1 from theta L * (1 + W) = theta W, theta = z1 d/dz1, as a relaxed
-  product with two BLAS products per row (:func:`_log2d`).
+  in z1 from theta L * (1 + W) = theta W, theta = z1 d/dz1: a relaxed
+  product with two BLAS products per row (:func:`_log2d`); the G-F kernel
+  W = A(z1) + z1 B(z2) takes one product and one convolution (:func:`_log_gf`).
 
 Every power of g and f here is a row of the one chain per sign that the
 germ keeps, read as a block (`series.Rows.chain`) as deep as it is read.
@@ -244,6 +245,18 @@ def _log2d(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_gf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_log2d` of W = A(z1) + z1 B(z2), given as a = W[:, 0] and b = z2 B
+    (a[0] = b[0] = 0).  Row 0 of W is zero, so 1/A = 1 and `_log2d`'s row i
+    is i L[i] = i W[i] - sum_{k<i} a[i-k] k L[k] - (i-1) L[i-1] * b."""
+    theta = np.zeros((len(a), len(b)), dtype=np.complex128)  # row i: i L[i]
+    theta[1], theta[:, 0] = b, np.arange(len(a)) * a  # i W[i]
+    for i in range(2, len(a)):
+        theta[i] -= a[i - 1:0:-1] @ theta[1:i]
+        theta[i] -= np.convolve(theta[i - 1], b)[:len(b)]
+    return theta / np.maximum(np.arange(len(a)), 1)[:, None]
+
+
 def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     """Full table from the inverse maps and formal kernel-log expansions.
 
@@ -251,7 +264,7 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     polynomial pairs).  Each inversion reaches the last coefficient a
     kernel reads, z^(1-2N) of G and z^(2N+1) of F.  Each kernel is written
     as c (1 + W), W a bivariate truncation on [0..order] x [0..order],
-    and `_log2d` expands its logarithm.
+    and `_log2d` expands its logarithm, `_log_gf` that of the G-F kernel.
     """
     n1 = int(order)
     if n1 > pair.order or n1 < 1:
@@ -274,11 +287,9 @@ def grunsky_via_inverse(pair: ConformalPair, order: int) -> GrunskyTable:
     l_ff = _log2d(f_tail[sums])
 
     # G-F kernel: (G(z1) - F(z2))/z1 = beta (1 + W) with
-    # W[i, 0] = G_{-(i-1)}/beta (i >= 1) and W[1, j] -= F_j/beta (j >= 1).
-    w_gf = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
-    w_gf[1:, 0] = -g_tail[1:n1 + 1]
-    w_gf[1, 1:] -= [x / beta for x in S.dense(big_f, 1, n1).tolist()]
-    l_gf = _log2d(w_gf)
+    # W[i, 0] = G_{-(i-1)}/beta (i >= 1) and W[1, j] = -F_j/beta (j >= 1).
+    l_gf = _log_gf(np.append(0, -g_tail[1:n1 + 1]),
+                   np.array([0] + [-x / beta for x in S.dense(big_f, 1, n1).tolist()]))
 
     # univariate f-side 0-row: log(F(z)/z) = log(alpha1) + log(1 + u_F)
     _, _, u_big_f = S.split_normalize(big_f)

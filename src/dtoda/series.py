@@ -37,9 +37,9 @@ propagation through every intermediate; round-trip identities and
 Power chains have one kernel, `_chain_rows`: the rows a**1..a**n or
 a**-1..a**-n of a germ, each exact to a depth past its leading term (so
 cut only on its decaying side), one 2-D block per sign read by slices:
-`powers` and `int_pow` give rows as series, and `_aligned` shifts them into
-exponent order, for `invert_function`'s residues and for `Rows.chain`, a
-window of the block that `residue_matrix` and `combine` read.
+`powers` and `int_pow` give rows as series, `invert_function` gathers its
+residues off the block, and `Rows.chain` shifts the rows into exponent
+order, a window that `residue_matrix` and `combine` read.
 
 Reciprocals have one kernel, `_lift`: Newton's step computing only the
 new half, so coefficient k in [2**i, 2**(i+1)) is always made from the
@@ -362,9 +362,11 @@ class Rows:
     as a two-sided series, ``rows[a:b]`` a block.  `Rows.of` stacks series
     and blocks, `Rows.chain` cuts a germ's chain rows to a window."""
 
-    def __init__(self, lo: int, block: np.ndarray, stored: np.ndarray, reliable: np.ndarray):
+    def __init__(self, lo: int, block: np.ndarray, stored: np.ndarray, reliable: np.ndarray,
+                 leads=None):
         block.setflags(write=False)
         self.lo, self.block, self.stored, self.reliable = lo, block, stored, reliable
+        self._leads = leads
 
     def __len__(self) -> int:
         return len(self.stored)
@@ -374,14 +376,17 @@ class Rows:
             stored = self.stored[i]
             lo, hi = (int(stored[:, 0].min()), int(stored[:, 1].max())) if len(stored) else (
                 self.lo, self.lo)
-            return Rows(lo, self.block[i, lo - self.lo:hi - self.lo + 1], stored, self.reliable[i])
+            return Rows(lo, self.block[i, lo - self.lo:hi - self.lo + 1], stored, self.reliable[i],
+                        lambda: self.leads[i])
         s_lo, s_hi = self.stored[i].tolist()
         return _owned(s_lo, self.block[i, s_lo - self.lo:s_hi - self.lo + 1], TWO_SIDED,
                       _as_reliable(self.reliable[i].tolist()))
 
     @cached_property
     def leads(self) -> np.ndarray:
-        """`LaurentSeries.lead` of every row, NaN for none, in one pass over the block."""
+        """`LaurentSeries.lead` of every row, NaN for none; a slice's or stack's are its parts'."""
+        if self._leads is not None:
+            return self._leads()
         mags = np.fmax(np.abs(self.block), 0.0)
         k = mags.argmax(axis=1)
         return np.where(mags[np.arange(len(k)), k] == 0, np.nan, self.lo + k)
@@ -406,7 +411,9 @@ class Rows:
             for row, p in zip(block, parts):
                 row[p.lo_exp - lo:p.hi_exp - lo + 1] = p.coeffs
             reliable = np.array([p.reliable for p in parts], dtype=float).reshape(-1, 2)
-            return Rows(lo, block, stored, reliable)
+            known = all("lead" in vars(p) for p in parts)  # each series' own, if computed
+            return Rows(lo, block, stored, reliable, (lambda: np.array(
+                [np.nan if p.lead is None else p.lead for p in parts], float)) if known else None)
         parts = [p if isinstance(p, Rows) else Rows.of([p]) for p in parts]
         lo, hi = min(p.lo for p in parts), max(p.lo + p.block.shape[1] - 1 for p in parts)
         block, top = np.zeros((sum(map(len, parts)), hi - lo + 1), dtype=np.complex128), 0
@@ -414,7 +421,8 @@ class Rows:
             block[top:top + len(p), p.lo - lo:p.lo - lo + p.block.shape[1]] = p.block
             top += len(p)
         return Rows(lo, block, np.concatenate([p.stored for p in parts]),
-                    np.concatenate([p.reliable for p in parts]))
+                    np.concatenate([p.reliable for p in parts]),
+                    lambda: np.concatenate([p.leads for p in parts]))
 
     @staticmethod
     def chain(a: LaurentSeries, n: int, lo: int, hi: int, depth: int | None = None) -> "Rows":
@@ -425,7 +433,21 @@ class Rows:
             j = split_normalize(a)[1]
             leads = (j if n > 0 else -j, j * n)
             depth = max(hi - min(leads) if a.flavor == AT_ZERO else max(leads) - lo, 0)
-        return _aligned(_chain_rows(a, n, depth), lo, hi).cut(lo, hi)
+        flavor, chain, step, tops, whole, edges = _chain_rows(a, n, depth)
+        n, t, side = len(tops), tops[-1] + 1 if tops else 1, int(flavor == AT_ZERO)
+        first, last = step + (side - 1) * (t - 1), step * n + (side - 1) * (t - 1)  # row starts
+        e_lo, e_hi = (min(lo, first, last), max(hi, first + t - 1, last + t - 1)) if n else (lo, hi)
+        block = np.zeros((n, e_hi - e_lo + 1), dtype=np.complex128)
+        if n:  # one strided copy into exponent order, a row ``step`` columns after the last
+            np.ndarray((n, t), block.dtype, block, (first - e_lo) * block.itemsize, ((
+                block.shape[1] + step) * block.itemsize, block.itemsize))[...] = chain.rows[
+                    :n, :t] if side else chain.rows[:n, t - 1::-1]
+        lead = step * np.arange(1, n + 1)[:, None]
+        stored = lead + np.array(tops, dtype=np.int64)[:, None] * ((0, 1) if side else (-1, 0))
+        ends = stored[whole:, side]  # a row its depth cuts short is stored to the window's end
+        (np.minimum, np.maximum)[side](ends, (lo, hi)[side], out=ends)
+        return Rows(e_lo, block, stored, np.take(edges, np.arange(n) >= whole, axis=0) + lead
+                    ).cut(lo, hi)
 
     def cut(self, lo: int, hi: int) -> "Rows":
         """The rows cut to [lo, hi] as `clip` cuts each: a dropped NaN counts
@@ -729,24 +751,6 @@ def _chain_rows(a: LaurentSeries, n: int, depth) -> tuple:
     return u.flavor, _chain(a, s, tops, x), s * j, tops, whole, edges
 
 
-def _aligned(rows: tuple, lo: int, hi: int) -> Rows:
-    """`_chain_rows`'s ``rows`` uncut on the exponents they and [lo, hi] span, in one
-    strided copy; a row its depth cuts short is stored to the window's end."""
-    flavor, chain, step, tops, whole, edges = rows
-    n, t, side = len(tops), tops[-1] + 1 if tops else 1, int(flavor == AT_ZERO)
-    first, last = step + (side - 1) * (t - 1), step * n + (side - 1) * (t - 1)  # row starts
-    e_lo, e_hi = (min(lo, first, last), max(hi, first + t - 1, last + t - 1)) if n else (lo, hi)
-    block = np.zeros((n, e_hi - e_lo + 1), dtype=np.complex128)
-    if n:  # a row starts ``step`` columns after the row above
-        np.ndarray((n, t), block.dtype, block, (first - e_lo) * block.itemsize, ((
-            block.shape[1] + step) * block.itemsize, block.itemsize))[...] = chain.rows[
-                :n, :t] if side else chain.rows[:n, t - 1::-1]
-    lead = step * np.arange(1, n + 1)[:, None]
-    stored = lead + np.array(tops, dtype=np.int64)[:, None] * ((0, 1) if side else (-1, 0))
-    (np.minimum, np.maximum)[side](stored[whole:, side], (lo, hi)[side], out=stored[whole:, side])
-    return Rows(e_lo, block, stored, np.take(edges, np.arange(n) >= whole, axis=0) + lead)
-
-
 class _Chain(list):
     """`_chain`'s store: items (a**k, 1) or ((1 + u)**-k, c**-k), rows their products."""
 
@@ -852,8 +856,10 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     depth = (max(a.hi_exp - 1, 1) if zero_side else max(1 - a.lo_exp, 1)) if depth is None \
         else int(depth)
     # res(a**-k), k = 1..depth + 1, at zero; res(a**k), k = 1..depth - 1, at infinity
-    rows = _aligned(_chain_rows(a, -depth - 1 if zero_side else depth - 1, depth), -1, -1)
-    res = rows.block[:, -1 - rows.lo]
+    _, chain, _, tops, _, _ = _chain_rows(a, -depth - 1 if zero_side else depth - 1, depth)
+    k, tops = np.arange(len(tops)), np.array(tops, dtype=np.int64)
+    at = k if zero_side else k + 2  # row k + 1's local order of w**-1, stored up to its top
+    res = np.where(at <= tops, chain.rows[k, np.minimum(at, tops)], 0)
     if zero_side:
         return LaurentSeries(1, res / np.arange(1, depth + 2), a.flavor, (NEG_INF, 1 + depth))
     tail, b = -res / np.arange(1, depth), a.coeff(1)

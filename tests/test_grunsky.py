@@ -384,17 +384,45 @@ def _log2d_clongdouble(w):
 _EINSUM_ERROR_GF64 = 1.110e-14
 
 
+def _gf_kernel(a, b):
+    """The dense W = A(z1) + z1 B(z2) that `_log_gf` reads as (a, b)."""
+    w = np.zeros((len(a), len(b)), dtype=np.complex128)
+    w[1:, 0], w[1, 1:] = a[1:], b[1:]
+    return w
+
+
 def test_log2d_rounding_on_a_growing_kernel(poly64, monkeypatch):
     """The order-64 G-F kernel of `poly64`, whose log grows to about 11 in the
     far rows (its G-G and F-F kernels decay, and their largest error sits in
-    rows the far part never touches), within 2x the single-einsum error."""
-    log2d, kernels = G._log2d, []
-    monkeypatch.setattr(G, "_log2d", lambda w: kernels.append(w) or log2d(w))
+    rows the far part never touches), solved by `_log_gf` within 2x the
+    single-einsum error."""
+    log_gf, kernels = G._log_gf, []
+    monkeypatch.setattr(G, "_log_gf", lambda a, b: kernels.append((a, b)) or log_gf(a, b))
     G.grunsky_via_inverse(poly64, 64)
-    w = kernels[2]
-    want = _log2d_clongdouble(w)
-    assert w.shape == (65, 65) and np.max(np.abs(want[G._BAND + 1:])) > 10
-    assert np.max(np.abs(log2d(w) - want)) <= 2 * _EINSUM_ERROR_GF64
+    (a, b), = kernels
+    want = _log2d_clongdouble(_gf_kernel(a, b))
+    assert want.shape == (65, 65) and np.max(np.abs(want[G._BAND + 1:])) > 10
+    assert np.max(np.abs(log_gf(a, b) - want)) <= 2 * _EINSUM_ERROR_GF64
+
+
+def test_log_gf_matches_log2d_of_the_dense_kernel():
+    rng = np.random.default_rng(30)
+    for size in range(2, 66):  # both sides of _BAND and of the near stack's depth
+        a, b = (np.append(0, 0.5 * (rng.uniform(-1, 1, size - 1)
+                                    + 1j * rng.uniform(-1, 1, size - 1))) for _ in range(2))
+        want = G._log2d(_gf_kernel(a, b))
+        got = G._log_gf(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), size
+
+
+def test_log_gf_carries_a_nan_of_b_to_every_later_row():
+    rng = np.random.default_rng(5)
+    a, b = (np.append(0, 0.5 * (rng.uniform(-1, 1, 32) + 1j * rng.uniform(-1, 1, 32)))
+            for _ in range(2))
+    b[7] = np.nan
+    out = G._log_gf(a, b)
+    assert not np.isnan(out[0]).any() and np.isnan(out[1:]).any(axis=1).all()
 
 
 def test_log2d_rejects_nonzero_constant():

@@ -1081,6 +1081,53 @@ def test_invert_function_builds_one_chain(a, monkeypatch):
     assert set(k[0] for k in vars(a) if isinstance(k, tuple)) == {"powers"}
 
 
+@pytest.mark.parametrize("a", [
+    _decaying(AT_ZERO, 9, {1: 1.3}),
+    _decaying(AT_INFINITY, 10, {1: 0.8, 0: 0.2}),
+    LaurentSeries.from_pairs({1: 1.0, -1: 0.1}, AT_INFINITY),
+    LaurentSeries.from_pairs({1: 2.0}, AT_ZERO),
+], ids=["at-zero", "at-infinity", "joukowski", "monomial"])
+def test_invert_function_reads_the_w_minus_1_entry_of_each_chain_row(a):
+    """Each coefficient is res(a**-k) / k at zero, -res(a**k) / k at infinity,
+    the w**-1 entry of the row `powers` gives, bit for bit, whichever depths
+    were asked of the chain before (a row built deeper holds more entries)."""
+    zero_side = a.flavor == AT_ZERO
+    for depths in ((1, 2, 7, 30, 3), (30, 7, 3, 2, 1)):
+        b = LaurentSeries(a.lo_exp, a.coeffs, a.flavor, a.reliable)  # a fresh chain
+        for depth in depths:
+            got = S.invert_function(b, depth)
+            rows = S.powers(b, -depth - 1 if zero_side else depth - 1, depth)
+            res = np.array([row.coeff(-1) for row in rows], dtype=np.complex128)
+            want = res / np.arange(1, depth + 2) if zero_side else \
+                np.append((-res / np.arange(1, depth))[::-1], [-b.coeff(0) / b.coeff(1),
+                                                               1.0 / b.coeff(1)])
+            assert got.coeffs.tobytes() == want.tobytes(), depth
+
+
+def test_sliced_and_stacked_leads_are_their_parts_leads():
+    """A slice or a stack reads its parts' leads, with `LaurentSeries.lead`'s
+    NaN rule (a NaN is no candidate, an all-zero or all-NaN row has none) and
+    ties going to the lowest exponent; the parts' arrays are not recomputed."""
+    coeffs = [[0, 2, -2j, 1], [0, 0, 0, 0], [np.nan, 1, 0, 0], [np.nan, np.nan, 0, 0],
+              [3, 0, 0, 3j], [0, 0, 0, 1e-300]]
+    series = [LaurentSeries(lo, np.array(c, dtype=complex)) for lo, c in zip(range(-3, 3), coeffs)]
+    want = np.array([np.nan if r.lead is None else r.lead for r in series])
+    rows = S.Rows.of(series)
+    assert np.array_equal(rows.leads, want, equal_nan=True)
+    assert np.array_equal(S.Rows(rows.lo, rows.block, rows.stored, rows.reliable).leads, want,
+                          equal_nan=True)
+    for part in (rows[1:5], rows[::-1], rows[4:], rows[:0]):
+        assert np.shares_memory(part.leads, rows.leads) or not len(part)
+        fresh = S.Rows(part.lo, part.block, part.stored, part.reliable)
+        assert np.array_equal(part.leads, fresh.leads, equal_nan=True)
+    stack = S.Rows.of([rows[3:], series[0], rows[:2]])
+    assert np.array_equal(stack.leads, np.concatenate([want[3:], want[:1], want[:2]]),
+                          equal_nan=True)
+    assert np.array_equal(stack.leads, S.Rows(stack.lo, stack.block, stack.stored,
+                                              stack.reliable).leads, equal_nan=True)
+    assert np.array_equal(S.Rows.of(series[::2]).leads, want[::2], equal_nan=True)
+
+
 @st.composite
 def power_case(draw):
     """A germ, a signed chain length and a depth (none, for whole rows, only

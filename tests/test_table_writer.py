@@ -109,6 +109,18 @@ def test_order64_polynomial_pair_report_matches_the_entrywise_encoding(
     assert written == reference
 
 
+@pytest.mark.parametrize("fixture", ["identity", "random", "sigma"])
+def test_order1_tables_match_the_entrywise_encoding(tmp_path, fixture):
+    # the smallest table, 3 x 3 on labels -1, 0, 1 (a config asks for order 4
+    # at least, so the writer is called on the fixture pair's order-1 table)
+    config = tmp_path / "exp.json"
+    config.write_text((CONFIGS / f"fixture_{fixture}.json").read_text())
+    table = cli.G.grunsky_table(cli.load_config(str(config)).build_pair(), 1)
+    assert table.b.shape == (3, 3)
+    reference = json.dumps({"entries": _entries(table.b, -1)}, sort_keys=True, indent=2)
+    assert '{\n  "entries": ' + cli._table_json(table.b, -1) + "\n}" == reference
+
+
 @pytest.mark.parametrize("offset", ["zero", "negative", "positive"])
 def test_synthetic_tables_match_the_entrywise_encoding(offset):
     rng = np.random.default_rng(["zero", "negative", "positive"].index(offset))

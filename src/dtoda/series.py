@@ -366,7 +366,7 @@ class Rows:
                  leads=None):
         block.setflags(write=False)
         self.lo, self.block, self.stored, self.reliable = lo, block, stored, reliable
-        self._leads = leads
+        self._leads = leads  # None, or a callable giving a slice's or a stack's leads
 
     def __len__(self) -> int:
         return len(self.stored)

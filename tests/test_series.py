@@ -1086,7 +1086,8 @@ def test_invert_function_builds_one_chain(a, monkeypatch):
     _decaying(AT_INFINITY, 10, {1: 0.8, 0: 0.2}),
     LaurentSeries.from_pairs({1: 1.0, -1: 0.1}, AT_INFINITY),
     LaurentSeries.from_pairs({1: 2.0}, AT_ZERO),
-], ids=["at-zero", "at-infinity", "joukowski", "monomial"])
+    LaurentSeries.from_pairs({1: 1.5, 0: 0.3}, AT_INFINITY),  # a**k ends at w**0
+], ids=["at-zero", "at-infinity", "joukowski", "monomial", "affine"])
 def test_invert_function_reads_the_w_minus_1_entry_of_each_chain_row(a):
     """Each coefficient is res(a**-k) / k at zero, -res(a**k) / k at infinity,
     the w**-1 entry of the row `powers` gives, bit for bit, whichever depths

@@ -19,25 +19,31 @@ with b00 = -log b (principal branch).  Two independent computations are
 provided:
 
 * :func:`grunsky_table` — the primary path, pure residue extraction in the
-  w-parametrization (no functional inversion): with P_n the Faber
-  polynomial,
+  w-parametrization (no functional inversion).  With P_n the Faber
+  polynomial, the Grunsky residues n b(n, m) = res(P_n g^{m-1} g') and
+  n b(n, -m) = res(P_n f^{-m-1} f') (Pommerenke 1975, ch. 3) are
+  integrated by parts, res(A (B^m)') = -res(A' B^m), so each pairs a
+  derivative with a power of the map itself: for n, m >= 1
 
-      n b(n, m)   = res(P_n g^{m-1} g'),     n b(n, -m)  = res(P_n f^{-m-1} f'),
-      n b(n, 0)   = res(P_n f^{-1} f'),     -n b(-n, 0)  = res(P_{-n} g^{-1} g'),
-      n b(-n, -m) = res(P_{-n} f^{-m-1} f'), n b(-n, m)  = res(P_{-n} g^{m-1} g'),
-      b(0, m)     = res(log(g/w) g^{m-1} g'), b(0, -m)   = res(log(f/w) f^{-m-1} f'),
+      n m b(n, m)  = -res(P_n' g^m),       n m b(n, -m)  = res(P_n' f^-m),
+      n m b(-n, m) = -res(P_-n' g^m),      n m b(-n, -m) = res(P_-n' f^-m),
+      m b(0, m)    = -res(log(g/w)' g^m),  m b(0, -m)    = res(log(f/w)' f^-m),
+      n b(n, 0)    = P_n[0],              -n b(-n, 0)    = P_-n[0].
 
-  where log(g/w) = log b + log(1+u_g) and log(f/w) = -log b + log(1+u_f)
-  share one branch constant so the two halves pair consistently.
+  Column 0 pairs P_n with f^-1 f' = 1/w + (log(f/w))' and P_-n with
+  g^-1 g' = 1/w + (log(g/w))'; after the same step, P_n' log(f/w) and
+  P_-n' log(g/w) have no w**-1 term, which leaves the constant terms.
+  The logs enter only through their derivatives, so their branch
+  constants drop out, and b00 = -log b.
 
 * :func:`grunsky_via_inverse` — the oracle path: inverts both maps by
   Lagrange inversion (`series.invert_function`: [z^-n] G = -res(g^n)/n,
   [z^n] F = res(f^-n)/n, down to z^(1-2N) and up to z^(2N+1), the last
   coefficients a kernel reads) and expands the kernel logarithms
-  formally as truncated bivariate power series; no residue pairing of
-  the table's weights is involved.  L = log(1+W) is solved row by row
-  in z1 from theta L * (1 + W) = theta W, theta = z1 d/dz1: a relaxed
-  product with two BLAS products per row (:func:`_log2d`); the G-F kernel
+  formally as truncated bivariate power series; no residue pairing is
+  involved.  L = log(1+W) is solved row by row in z1 from
+  theta L * (1 + W) = theta W, theta = z1 d/dz1: a relaxed product with
+  two BLAS products per row (:func:`_log2d`); the G-F kernel
   W = A(z1) + z1 B(z2) takes one product and one convolution (:func:`_log_gf`).
 
 Every power of g and f here is a row of the one chain per sign that the
@@ -48,13 +54,14 @@ g^n and f^-n, so every P_n is the table's bit for bit, and the oracle's
 inversions read the same two chains.
 
 A table is one dense (2N+1) x (2N+1) array, ``GrunskyTable.b[m + N, n + N]
-= b(m, n)``.  On the primary path each block of it is one matrix product
-(:func:`series.residue_matrix`): the stacked rows P_-N..P_-1, log(g/w),
-P_1..P_N against the stacked weights g^{m-1} g' fill the columns m >= 1,
-the same rows with log(f/w) against f^{-m-1} f' the columns m <= -1, and
-column 0 pairs P_n with f^{-1} f' and P_-n with g^{-1} g'.  The oracle
-path copies its blocks from the three bivariate logs.  Every reduction
-over a table is an array expression, so a NaN entry makes it NaN.
+= b(m, n)``.  On the primary path each half of it is one matrix product
+(:func:`series.residue_matrix`): the block derivative (`series.Rows.derivative`,
+a scaling by the exponents) of the stacked rows P_-N..P_-1, log(g/w),
+P_1..P_N against the rows g^1..g^N fills the columns m >= 1, the same rows
+with log(f/w) against f^-1..f^-N the columns m <= -1, and column 0 is read
+off the constant terms.  The oracle path copies its blocks from the three
+bivariate logs.  Every reduction over a table is an array expression, so a
+NaN entry makes it NaN.
 
 The symmetry b(m, n) = b(n, m) is *not* imposed on the primary path: both
 triangles (and the 0-row against the 0-column) are computed independently
@@ -70,11 +77,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series as S
-from . import plan
 from .conformal_pair import ConformalPair
 from .coords import _paired_logs
 from .series import (
-    AT_INFINITY,
     AT_ZERO,
     LaurentSeries,
     SeriesError,
@@ -161,39 +166,41 @@ def b_polynomial(pair: ConformalPair, table: GrunskyTable, n: int) -> LaurentSer
 # primary path: residue extraction in w
 
 
+def _quotient(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """z / d for real d, each part rounded once (numpy's complex quotient
+    multiplies by the reciprocal of d, which rounds twice)."""
+    parts = np.ascontiguousarray(z).view(np.float64)
+    return (parts / np.repeat(d, 2, axis=-1)).view(np.complex128)
+
+
 def grunsky_table(pair: ConformalPair, order: int) -> GrunskyTable:
     """Full table by residue extraction (primary path).
 
-    The rows P_-N..P_-1, log(g/w) or log(f/w), P_1..P_N are paired with
-    the weights g^{m-1} g' and f^{-m-1} f' in two matrix products, which
-    fill the columns m >= 1 and m <= -1; column 0 pairs P_n with f^{-1} f'
-    and P_-n with g^{-1} g'.  P_n and P_-n are slices of the blocks of
-    g^1..g^N and f^-1..f^-N that the weights are built from, all cut to
-    `plan.table_frame` and as deep as a pairing reads them: g^k over the
-    frame, f^-k up to w**(N-1) (depth 2N), g^-1 at w**-1 alone.
+    The derivatives of the rows P_-N..P_-1, log(g/w) or log(f/w),
+    P_1..P_N are paired with the powers g^1..g^N and f^-1..f^-N in two
+    matrix products, which fill the columns m >= 1 and m <= -1; column 0
+    is P_n[0]/n and -P_-n[0]/n.  P_n and P_-n are slices of the blocks of
+    those powers, which are cut to [-N, N]: g^k as deep as that window,
+    f^-k to depth 2N; the logs are read to depth N.
     """
     n_max = int(order)
     if n_max > pair.order or n_max < 1:
         raise SeriesError(f"table order {n_max} must lie in [1, pair order {pair.order}]")
-    frame = plan.table_frame(pair, n_max)
-    g_pos = S.Rows.chain(pair.g, n_max, *frame)
-    f_neg = S.Rows.chain(pair.f, -n_max - 1, *frame, depth=2 * n_max)
-
-    # weights: e_g[0] = g^{-1} g', e_g[m] = g^{m-1} g'; e_f[m] = f^{-m-1} f' (m = 0..N)
-    e_g = S.Rows.of([S.Rows.chain(pair.g, -1, *frame, depth=0), S.constant(1.0, AT_INFINITY),
-                     g_pos[:-1]]).mul(pair.g_prime(), *frame)
-    e_f = f_neg.mul(pair.f_prime(), *frame)
-    neg = _faber_rows(f_neg[:-1], -1)[::-1]
+    g_pos = S.Rows.chain(pair.g, n_max, -n_max, n_max)
+    f_neg = S.Rows.chain(pair.f, -n_max, -n_max, n_max, depth=2 * n_max)
+    neg = _faber_rows(f_neg, -1)[::-1]
     pos = _faber_rows(g_pos, 1)
-    log_g, log_f = _paired_logs(pair, 1 + frame[1])
+    log_g, log_f = _paired_logs(pair, n_max)
 
-    k = np.abs(np.arange(-n_max, n_max + 1))
-    div = np.maximum(k, 1)[:, None]
+    k = np.arange(-n_max, n_max + 1)
+    div = np.maximum(np.abs(k), 1)[:, None] * np.arange(1, n_max + 1)  # max(|n|, 1) m
     b = np.empty((2 * n_max + 1, 2 * n_max + 1), dtype=np.complex128)
-    b[:, n_max + 1:] = S.residue_matrix(S.Rows.of([neg, log_g, pos]), e_g[1:]) / div
-    b[:, n_max - 1::-1] = S.residue_matrix(S.Rows.of([neg, log_f, pos]), e_f[1:]) / div
-    b[:n_max, n_max] = -S.residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
-    b[n_max + 1:, n_max] = S.residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
+    b[:, n_max + 1:] = _quotient(-S.residue_matrix(
+        S.Rows.of([neg, log_g, pos]).derivative(), g_pos), div)
+    b[:, n_max - 1::-1] = _quotient(S.residue_matrix(
+        S.Rows.of([neg, log_f, pos]).derivative(), f_neg), div)
+    consts = np.concatenate([neg.dense(0, 0), pos.dense(0, 0)])[:, 0]  # P_n[0], n = -N..N, n != 0
+    b[k != 0, n_max] = _quotient(consts, k[k != 0])
     b[n_max, n_max] = -cmath.log(pair.b)
     return GrunskyTable(n_max, b)
 
@@ -352,16 +359,17 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
       P_-n = -n b(-n,0) + n sum_m b(-n, m) g^-m  (checked at exponents >= -order)
 
     The exponent restriction accounts for the truncation of the m-sums:
-    beyond it the residual is dominated by absent m > order terms.  Each
+    beyond it the residual is dominated by absent m > order terms.  On
+    the other side no row reaches past the window [-N, N] (g^n and P_n end
+    at n, f^-n and P_-n at -n), so every identity is read on it.  Each
     identity is one product of a quadrant of the table with a block of
     basis powers, each block exact on its side (depth 2N for g^n and f^-n,
     N - 1 for g^-m and f^m); P_n is sliced off the block of g^n or f^-n.
     """
     n_max = table.order
-    frame = plan.table_frame(pair, n_max)
-    g_side, f_side = (-n_max, frame[1]), (frame[0], n_max)
-    g_pos, g_neg = (S.Rows.chain(pair.g, n, *g_side) for n in (n_max, -n_max))
-    f_pos, f_neg = (S.Rows.chain(pair.f, n, *f_side) for n in (n_max, -n_max))
+    window = (-n_max, n_max)
+    g_pos, g_neg, f_pos, f_neg = (S.Rows.chain(a, n, *window) for a, n in (
+        (pair.g, n_max), (pair.g, -n_max), (pair.f, n_max), (pair.f, -n_max)))
     p_pos, p_neg = _faber_rows(g_pos, 1), _faber_rows(f_neg, -1)
     idx, exact = np.arange(1, n_max + 1), np.tile([-np.inf, np.inf], (n_max, 1))
     const_pos, const_neg = (S.Rows(0, (s * idx * table.b[n_max + s * idx, n_max])[:, None],
@@ -372,8 +380,8 @@ def faber_expansion_defect(pair: ConformalPair, table: GrunskyTable) -> float:
         return table.b[np.ix_(n_max + n_sign * idx, n_max + m_sign * idx)]
 
     return float(np.max([
-        _expansion_residual(p_pos, g_pos, block(1, 1), g_neg, g_side),
-        _expansion_residual(p_pos, const_pos, block(1, -1), f_pos, f_side),
-        _expansion_residual(p_neg, f_neg, block(-1, -1), f_pos, f_side),
-        _expansion_residual(p_neg, const_neg, block(-1, 1), g_neg, g_side),
+        _expansion_residual(p_pos, g_pos, block(1, 1), g_neg, window),
+        _expansion_residual(p_pos, const_pos, block(1, -1), f_pos, window),
+        _expansion_residual(p_neg, f_neg, block(-1, -1), f_pos, window),
+        _expansion_residual(p_neg, const_neg, block(-1, 1), g_neg, window),
     ]))

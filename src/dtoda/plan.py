@@ -28,15 +28,6 @@ def check_pad(pair) -> int:
     return 3 * pair.order + 16
 
 
-def table_frame(pair, n_max: int):
-    """Exponents a table's rows and weights are cut to: every exponent a
-    pairing of P_n with a weight reads, plus 6.  Without the 6, of 64
-    tables-poly64 configs faber_identity moves on 57 (by up to 70%),
-    grunsky_symmetry on 32 (34%) and grunsky_dual_path on 21 (14%)."""
-    reach = pair.order + n_max + 6
-    return -reach, reach
-
-
 def probe_order(order: int) -> int:
     """Battery's coordinate checks and the sigma report: the configured order
     governs the pair's richness, the probe how many modes a check compares.

@@ -463,18 +463,11 @@ class Rows:
         b_lo, b_hi = (int(stored[:, 0].min()), int(stored[:, 1].max())) if len(self) else (0, 0)
         return Rows(b_lo, self.dense(b_lo, b_hi), stored, reliable)
 
-    def mul(self, b: LaurentSeries, lo: int, hi: int) -> "Rows":
-        """``clip(mul(row, b), lo, hi)`` of every row, one `np.convolve` each."""
-        b_lead = np.nan if b.lead is None else b.lead  # NaN: no lead, as in `_mul_reliable`
-        edges = np.array([np.fmax(self.reliable[:, 0] + b_lead, b.reliable[0] + self.leads),
-                          np.fmin(self.reliable[:, 1] + b_lead, b.reliable[1] + self.leads)])
-        edges = np.where(np.isnan(edges), [[NEG_INF], [POS_INF]], edges).T
-        if np.any(edges[:, 0] > edges[:, 1]):
-            raise WindowUnderflowError("window underflow: product has empty reliable window")
-        prod = np.zeros((len(self), self.block.shape[1] + b.width - 1), dtype=np.complex128)
-        for out, row, (s_lo, s_hi) in zip(prod, self.block, (self.stored - self.lo).tolist()):
-            out[s_lo:s_hi + b.width] = np.convolve(row[s_lo:s_hi + 1], b.coeffs)
-        return Rows(self.lo + b.lo_exp, prod, self.stored + [b.lo_exp, b.hi_exp], edges).cut(lo, hi)
+    def derivative(self) -> "Rows":
+        """`derivative` of every row: the block scaled by its exponents, one
+        lower (a zero off a row's stored window may turn -0.0)."""
+        exps = np.arange(self.lo, self.lo + self.block.shape[1], dtype=np.float64)
+        return Rows(self.lo - 1, self.block * exps, self.stored - 1, self.reliable - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -305,10 +305,10 @@ def test_deeper_chain_rows_move_no_output(monkeypatch):
 
 
 def test_table_checks_share_the_pair_chains_at_the_depths_they_read(monkeypatch):
-    """The three table checks on an order-64 polynomial pair read f^-k to
-    exponent N - 1 and no further (2N + 1 terms: the table's weights, the
-    expansion identities and the f inversion), g^-k from w**-N up (N terms),
-    and every inversion reads the pair's own chains."""
+    """The three table checks on an order-64 polynomial pair read f^-k at
+    depth 2N and no further (2N + 1 terms: the table's pairings on [-N, N],
+    the expansion identities and the f inversion), g^-k from w**-N up (N
+    terms), and every inversion reads the pair's own chains."""
     g = {1: 1.03 + 0.02j, 0: 0.1 - 0.05j, -1: 0.05 + 0.04j, -2: -0.03 + 0.02j}
     f = {1: 1 / (1.03 + 0.02j), 2: 0.05 - 0.03j, 3: 0.03 + 0.02j}
     pair = cli.CP.from_coefficients(g, f, 64)
@@ -334,6 +334,21 @@ def test_table_checks_share_the_pair_chains_at_the_depths_they_read(monkeypatch)
     assert {p.size for p, _ in vars(pair.g)[("powers", -1)]} == {64}
     assert len(inside) == 0 and len(chains) >= 2
     assert all(a is pair.g or a is pair.f for a in chains)
+
+
+def test_table_checks_near_the_edge_of_the_domain(tmp_path):
+    """The reflection pair of g = w + 0.8/w at order 32 with no tolerance map:
+    its table entries reach 8.5e12, so grunsky_symmetry and faber_identity
+    read the rounding of the largest entries (9.8e-4 and 10.6; 2.6e-2 and 85
+    when the table paired P_n with the weights g^(m-1) g' and f^(-m-1) f')."""
+    payload = json.loads((CONFIGS / "fixture_sigma.json").read_text())
+    payload.update(pair={"sigma_from_g": {"1": 1.0, "-1": 0.8}}, order=32, tolerances={})
+    results = run_checks(load_config(write_config(tmp_path, payload)),
+                         ["grunsky_symmetry", "faber_identity"])
+    assert [r["error"] for r in results] == ["", ""]
+    residual = {r["name"]: r["residual"] for r in results}
+    assert residual["grunsky_symmetry"] <= 2e-3
+    assert residual["faber_identity"] <= 20
 
 
 def test_coords_reads_f_down_where_its_residue_with_m2_reaches(monkeypatch):

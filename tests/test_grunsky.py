@@ -14,6 +14,7 @@ Hand-derived oracles used below (one-line derivations):
 """
 
 import cmath
+import itertools
 
 import mpmath
 import numpy as np
@@ -152,12 +153,11 @@ def test_joukowski_inverse_via_inverse_path(jouk_pair):
 
 
 def test_faber_polynomials_are_the_ones_the_table_pairs(fix_rand):
-    # the table reads P_n off its weights' rows, cut to its frame; faber
-    # reads shallower prefixes of the same two chains, so they agree bit for
-    # bit; both are near the oracle
-    frame = plan.table_frame(fix_rand, 16)
-    rows = {1: G._faber_rows(S.Rows.chain(fix_rand.g, 16, *frame), 1),
-            -1: G._faber_rows(S.Rows.chain(fix_rand.f, -16, *frame, depth=32), -1)}
+    # the table reads P_n off the rows of the powers it pairs, cut to [-16, 16];
+    # faber reads shallower prefixes of the same two chains, so they agree bit
+    # for bit; both are near the oracle
+    rows = {1: G._faber_rows(S.Rows.chain(fix_rand.g, 16, -16, 16), 1),
+            -1: G._faber_rows(S.Rows.chain(fix_rand.f, -16, -16, 16, depth=32), -1)}
     ns = [n for n in range(-16, 17) if n]
     fresh = CP.random_pair(seed=7, decay=0.3, order=16)  # chains not yet grown by a table
     polys = G.faber_polynomials(fresh, ns)
@@ -589,6 +589,52 @@ def test_oracle_inversions_match_lagrange_inversion(poly64, large_b64, fix_sig):
         assert max(abs(got.coeff(k) - c) for k, c in want.items()) <= 1e-14 * scale
 
 
+def _mp_power(pair, n, upto):
+    """{k: [w^k] g^n}, k = n - upto..n, for n >= 0, or {k: [w^k] f^n},
+    k = n..n + upto, for n < 0: the exact powers of the stored maps (`_mp_faber`)."""
+    if n >= 0:
+        b, v = _mp_normalized(pair.g, -1)
+        return {n - i: b ** n * c for i, c in enumerate(_mp_binomial(v, n, upto))}
+    a1, u = _mp_normalized(pair.f, 1)
+    return {n + i: a1 ** n * c for i, c in enumerate(_mp_binomial(u, n, upto))}
+
+
+def _mp_times_derivative(power, series):
+    """power * series' for a {k: coefficient} map and a stored series."""
+    out = {}
+    for d in range(series.lo_exp, series.hi_exp + 1):
+        c = d * mpmath.mpc(series.coeff(d))
+        for k, p in power.items() if c else ():
+            out[k + d - 1] = out.get(k + d - 1, 0) + c * p
+    return out
+
+
+def test_table_is_near_its_grunsky_residues_at_50_digits(large_b64):
+    """Every quadrant of the order-32 table against the residues that define
+    it, n b(+-n, m) = res(P_+-n g^(m-1) g') and n b(+-n, -m) =
+    res(P_+-n f^(-m-1) f') for n, m = 1..32, of the exact polynomial maps at
+    50 digits: each entry within 4 eps of its quadrant's largest (the (-,+)
+    quadrant reads 6.2e-15 of a bound 1.7e-14; at order 64, 1.46e-11 of 2.9e-11)."""
+    n_max, pair = 32, large_b64
+    table = G.grunsky_table(pair, n_max)
+    with mpmath.workdps(50):
+        g_pow = [_mp_power(pair, k, k + n_max + 1) for k in range(n_max + 1)]
+        f_pow = [_mp_power(pair, -k, k + n_max) for k in range(1, n_max + 2)]
+        rows = {1: [{k: c for k, c in g_pow[n].items() if k >= 0} for n in range(1, n_max + 1)],
+                -1: [{k: c for k, c in f_pow[n - 1].items() if k <= 0}
+                     for n in range(1, n_max + 1)]}
+        weights = {1: [_mp_times_derivative(g_pow[m - 1], pair.g) for m in range(1, n_max + 1)],
+                   -1: [_mp_times_derivative(f_pow[m], pair.f) for m in range(1, n_max + 1)]}
+        idx, eps = np.arange(1, n_max + 1), np.finfo(np.float64).eps
+        for (n_sign, p_rows), (m_sign, w_rows) in itertools.product(rows.items(), weights.items()):
+            want = np.array([[complex(mpmath.fdot(
+                [(c, w[-1 - k]) for k, c in p.items() if -1 - k in w]) / n) for w in w_rows]
+                for n, p in enumerate(p_rows, 1)])
+            got = table.b[np.ix_(n_max + n_sign * idx, n_max + m_sign * idx)]
+            err, bound = np.max(np.abs(got - want)), 4 * eps * np.max(np.abs(want))
+            assert err <= bound, (n_sign, m_sign, err, bound)
+
+
 # ---------------------------------------------------------------------------
 # the list-of-series path: the reference the block readers must equal bit for bit
 
@@ -626,35 +672,36 @@ def _ref_residue_matrix(rows_a, rows_b):
 
 
 def _ref_table(pair, order):
-    """`grunsky_table` with every row a series of its own, cut to the frame."""
+    """`grunsky_table` with every row a series of its own: the derivative of
+    each P_n and log paired with g^1..g^N and f^-1..f^-N cut to [-N, N]."""
     n_max = order
-    g, f = pair.g, pair.f
-    gp, fp = pair.g_prime(), pair.f_prime()
-    frame = plan.table_frame(pair, n_max)
-    g_pow = _ref_clipped_powers(g, n_max, frame)
-    f_neg = _ref_clipped_powers(f, -n_max - 1, frame)
-    e_g = [S.clip(S.mul(s, gp), *frame) for s in
-           _ref_clipped_powers(g, -1, frame) + [S.constant(1.0, S.AT_INFINITY)] + g_pow[:-1]]
-    e_f = [S.clip(S.mul(s, fp), *frame) for s in f_neg]
+    window = (-n_max, n_max)
+    g_pow = _ref_clipped_powers(pair.g, n_max, window)
+    f_neg = _ref_clipped_powers(pair.f, -n_max, window)
     neg = [_ref_polynomial_part(f_neg[n - 1], -n) for n in range(n_max, 0, -1)]
     pos = [_ref_polynomial_part(g_pow[n - 1], n) for n in range(1, n_max + 1)]
-    log_g, log_f = _paired_logs(pair, 1 + frame[1])
-    k = np.abs(np.arange(-n_max, n_max + 1))
-    div = np.maximum(k, 1)[:, None]
+    log_g, log_f = _paired_logs(pair, n_max)
+    k = np.arange(-n_max, n_max + 1)
+    div = np.maximum(np.abs(k), 1)[:, None] * np.arange(1, n_max + 1)
     b = np.empty((2 * n_max + 1, 2 * n_max + 1), dtype=np.complex128)
-    b[:, n_max + 1:] = _ref_residue_matrix(neg + [log_g] + pos, e_g[1:]) / div
-    b[:, n_max - 1::-1] = _ref_residue_matrix(neg + [log_f] + pos, e_f[1:]) / div
-    b[:n_max, n_max] = -_ref_residue_matrix(neg, e_g[:1])[:, 0] / k[:n_max]
-    b[n_max + 1:, n_max] = _ref_residue_matrix(pos, e_f[:1])[:, 0] / k[n_max + 1:]
+    # each part divided on its own: one rounding
+    res_g = -_ref_residue_matrix([S.derivative(a) for a in neg + [log_g] + pos], g_pow)
+    res_f = _ref_residue_matrix([S.derivative(a) for a in neg + [log_f] + pos], f_neg)
+    consts = np.array([p.coeff(0) for p in neg + pos])
+    for part in ("real", "imag"):
+        table = getattr(b, part)
+        table[:, n_max + 1:] = getattr(res_g, part) / div
+        table[:, n_max - 1::-1] = getattr(res_f, part) / div
+        table[k != 0, n_max] = getattr(consts, part) / k[k != 0]
     b[n_max, n_max] = -cmath.log(pair.b)
     return b
 
 
 def _ref_defect(pair, table):
-    """`faber_expansion_defect` on rows that are series, each clipped to the frame."""
+    """`faber_expansion_defect` on rows that are series, each clipped to [-N, N]."""
     n_max = table.order
-    frame = plan.table_frame(pair, n_max)
-    g_pos, g_neg, f_pos, f_neg = (_ref_clipped_powers(s, n, frame) for s, n in (
+    window = (-n_max, n_max)
+    g_pos, g_neg, f_pos, f_neg = (_ref_clipped_powers(s, n, window) for s, n in (
         (pair.g, n_max), (pair.g, -n_max), (pair.f, n_max), (pair.f, -n_max)))
     ns = range(1, n_max + 1)
     up, down = S.powers(pair.g, n_max, n_max), S.powers(pair.f, -n_max, n_max)
@@ -672,12 +719,11 @@ def _ref_defect(pair, table):
         return float(np.max(np.abs(resid), where=_read_mask_per_row(p, lead, basis, window),
                             initial=0.0))
 
-    g_side, f_side = (-n_max, frame[1]), (frame[0], n_max)
     return float(np.max([
-        residual(p_pos, g_pos, 1, 1, g_neg, g_side),
-        residual(p_pos, const_pos, 1, -1, f_pos, f_side),
-        residual(p_neg, f_neg, -1, -1, f_pos, f_side),
-        residual(p_neg, const_neg, -1, 1, g_neg, g_side),
+        residual(p_pos, g_pos, 1, 1, g_neg, window),
+        residual(p_pos, const_pos, 1, -1, f_pos, window),
+        residual(p_neg, f_neg, -1, -1, f_pos, window),
+        residual(p_neg, const_neg, -1, 1, g_neg, window),
     ]))
 
 
@@ -712,8 +758,8 @@ def _reference_pairs():
                          ids=[label for label, _, _ in _reference_pairs()])
 def test_block_readers_equal_the_list_of_series_path(label, pair, orders):
     """The table and the expansion defect read chain rows as blocks, each as
-    deep as it reads them; the list-of-series path, each row clipped to the
-    frame at the frame's depth, gives the same bits."""
+    deep as it reads them; the list-of-series path, each row clipped to
+    [-N, N] at that window's depth, gives the same bits."""
     for order in orders:
         table = G.grunsky_table(pair, order)
         assert np.array_equal(table.b, _ref_table(pair, order)), (label, order)

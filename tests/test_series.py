@@ -346,6 +346,23 @@ def test_derivative_rule():
     assert d.coeff(2) == 6.0
 
 
+def test_block_derivative_is_the_derivative_of_each_row():
+    """`Rows.derivative` gives every row's `derivative`: the same coefficient
+    bytes on the row's stored window (a constant row keeps its zero one place
+    lower), zero off it, and the same edges."""
+    series = [LaurentSeries.from_pairs({-2: 1.0, 0: 5.0, 3: 2.0 - 1j}),
+              LaurentSeries(0, [7.0 + 1j]), LaurentSeries(-4, [np.nan, 0, -0.0, 3j]),
+              LaurentSeries(1, [1.0, 2.0], S.AT_ZERO, reliable=(float("-inf"), 4)),
+              LaurentSeries(-5, [1.0, 0, 2.0], S.AT_INFINITY, reliable=(-5, float("inf")))]
+    rows = S.Rows.of(series).derivative()
+    for i, a in enumerate(series):
+        d, row = S.derivative(a), rows[i]
+        assert np.array_equal(S.dense(d, -7, 3), S.dense(row, -7, 3), equal_nan=True)
+        if a.width > 1:
+            assert (row.lo_exp, row.coeffs.tobytes()) == (d.lo_exp, d.coeffs.tobytes())
+    assert rows.reliable.tolist() == [list(S.derivative(a).reliable) for a in series]
+
+
 def test_residue_of_derivative_is_exact_zero():
     rng = np.random.default_rng(5)
     for _ in range(10):

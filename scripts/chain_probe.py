@@ -39,6 +39,14 @@ REPO = Path(__file__).resolve().parents[1]
 COLUMNS = ("calls", "regrowing", "built", "regrown", "deepest", "ms")
 
 
+def row_sizes(a, s: int) -> list:
+    """Terms held by each row of ``a``'s chain of sign ``s``: the store's
+    ``sizes``, or in a checkout whose store is a list of (row, scale) items,
+    each row's size."""
+    store = vars(a).get(("powers", s), ())
+    return list(store.sizes) if hasattr(store, "sizes") else [p.size for p, _ in store]
+
+
 def probe(run, cli) -> dict:
     """{(command, germ, sign): {column: value}} of the `_chain` calls that
     ``run()`` makes, ``cli`` being the loaded ``dtoda.cli``."""
@@ -60,11 +68,11 @@ def probe(run, cli) -> dict:
         germs.update({id(pair.g): ("g", pair.g), id(pair.f): ("f", pair.f)})
 
     def counted(a, s, tops, x):
-        before = [p.size for p, _ in vars(a).get(("powers", s), ())]
+        before = row_sizes(a, s)
         start = time.perf_counter()
         out = chain(a, s, tops, x)
         spent = time.perf_counter() - start
-        after = [p.size for p, _ in vars(a)[("powers", s)]]
+        after = row_sizes(a, s)
         germ = germs[id(a)][0] if germs.get(id(a), (None, None))[1] is a else a.flavor
         key = (where[-1], germ, "+" if s > 0 else "-")
         row = tallies.setdefault(key, dict.fromkeys(COLUMNS, 0))

@@ -8,7 +8,7 @@ builds each derived result on first use.  It lives for one command.  A
 result built under a gauge reads the one potential
 ``h + MonomialSum.of(*gauge)``; the plain gauge () reads ``h`` itself.
 The powers of g and f are not among the results: the germs keep their own
-chains (`series.powers`), which die with the pair, because commands such
+chains (`series._chain`), which die with the pair, because commands such
 as `cli.cmd_grunsky` and `flows.step` read them from a bare pair.
 """
 

@@ -14,7 +14,7 @@ tagged with
   exactly zero, and the reliable window may extend past the stored window
   (a claim that the true coefficients there are zero).  Exact polynomials
   carry the sentinels ``(-inf, +inf)``.  Operations that truncate an
-  infinite tail (negative integer powers and ``powers`` rows,
+  infinite tail (chain rows of negative or cut integer powers,
   ``log1p``, ``invert_function``, ``divide_on_circle``, lossy clips)
   install finite edges, and the ring operations propagate them.
 
@@ -35,23 +35,25 @@ propagation through every intermediate; round-trip identities and
 40-digit oracles in the test-suite check those claims directly.
 
 Power chains have one kernel, `_chain_rows`: the rows a**1..a**n or
-a**-1..a**-n of a germ, each exact to a depth past its leading term (so
-cut only on its decaying side), one 2-D block per sign read by slices:
-`powers` and `int_pow` give rows as series, `invert_function` gathers its
-residues off the block, and `Rows.chain` shifts the rows into exponent
-order, a window that `residue_matrix` and `combine` read.
+a**-1..a**-n of a germ a = c * w**j * (1 + u), each exact to a depth past
+its leading term (so cut only on its decaying side), kept once per sign
+in one 2-D block.  A negative chain's block holds (1 + u)**-k, and every
+read multiplies in c**-k with `np.multiply`, whose bits do not depend on
+the layout read (a positive row is never multiplied, not even by 1).
+`int_pow` reads one row as a series, `invert_function` gathers residues
+off the block, and `Rows.chain` shifts the rows into exponent order, a
+window that `residue_matrix` and `combine` read.
 
 Reciprocals have one kernel, `_lift`: Newton's step computing only the
 new half, so coefficient k in [2**i, 2**(i+1)) is always made from the
 first 2**i and a deeper request never moves a bit of a shallower prefix.
-A germ a = c * w**j * (1 + u) owns what is derived from it:
-`split_normalize` keeps (c, j, u) on ``a``, `_inverse` keeps 1/(1 + u) on
-u, grown to the end of the deepest request's power-of-two block, and
-`_chain` keeps the block of each sign on ``a``, grown in place to the
-longest and deepest request.  Every row is a truncated product of
-prefixes, so `int_pow`, `powers` and ``log1p(u)`` read prefixes at any
-depth with the bits a fresh build would give, and the rows die with the
-germ.
+A germ owns what is derived from it: `split_normalize` keeps (c, j, u) on
+``a``, `_inverse` keeps 1/(1 + u) on u, grown to the end of the deepest
+request's power-of-two block, and `_chain` keeps the store of each sign
+on ``a``, grown in place to the longest and deepest request.  Every row
+is a truncated product of prefixes, so `int_pow`, `Rows.chain` and
+``log1p(u)`` read prefixes at any depth with the bits a fresh build
+would give, and the rows die with the germ.
 
 Ownership: ``LaurentSeries(...)`` validates and, where the array could
 still be written, copies; it is the entry point for data from outside the
@@ -426,9 +428,10 @@ class Rows:
 
     @staticmethod
     def chain(a: LaurentSeries, n: int, lo: int, hi: int, depth: int | None = None) -> "Rows":
-        """The rows of ``powers(a, n, depth)`` cut to [lo, hi] (`cut`), by
-        default deep enough to reach the window's end on their decaying side;
-        a row its depth cuts short is stored to that end all the same."""
+        """The rows a**1..a**n, or a**-1..a**-n for n < 0 (`_chain_rows`), cut
+        to [lo, hi] (`cut`), by default deep enough to reach the window's end
+        on their decaying side; a row its depth cuts short is stored to that
+        end all the same, zero past its depth."""
         if depth is None:
             j = split_normalize(a)[1]
             leads = (j if n > 0 else -j, j * n)
@@ -439,9 +442,13 @@ class Rows:
         e_lo, e_hi = (min(lo, first, last), max(hi, first + t - 1, last + t - 1)) if n else (lo, hi)
         block = np.zeros((n, e_hi - e_lo + 1), dtype=np.complex128)
         if n:  # one strided copy into exponent order, a row ``step`` columns after the last
-            np.ndarray((n, t), block.dtype, block, (first - e_lo) * block.itemsize, ((
-                block.shape[1] + step) * block.itemsize, block.itemsize))[...] = chain.rows[
-                    :n, :t] if side else chain.rows[:n, t - 1::-1]
+            dst = np.ndarray((n, t), block.dtype, block, (first - e_lo) * block.itemsize, (
+                (block.shape[1] + step) * block.itemsize, block.itemsize))
+            src = chain.rows[:n, :t] if side else chain.rows[:n, t - 1::-1]
+            if chain.scales:  # a negative chain, each row built to the t terms read
+                np.multiply(src, np.array(chain.scales[:n])[:, None], out=dst)
+            else:
+                dst[...] = src
         lead = step * np.arange(1, n + 1)[:, None]
         stored = lead + np.array(tops, dtype=np.int64)[:, None] * ((0, 1) if side else (-1, 0))
         ends = stored[whole:, side]  # a row its depth cuts short is stored to the window's end
@@ -698,37 +705,14 @@ def _inverse(u: LaurentSeries, n: int) -> tuple:
     return a, r
 
 
-def powers(a: LaurentSeries, n: int, depth: int | None = None) -> list:
-    """[a, a**2, ..., a**n], or [a**-1, ..., a**n] for n < 0, of a germ
-    a = c * w**j * (1 + u): the rows of `_chain_rows` as series.
-
-    Row k of a**k is a convolved with itself k times; row k of a**-k is
-    exp(-k log c) w**(-jk) times the k-th power of `_inverse`'s reciprocal
-    of 1 + u, whose leading term stays exactly 1, so the rounding of 1/c is
-    not compounded.  Each row holds the local orders 0..``depth`` past its
-    leading term (exponents +-jk + i at zero, +-jk - i at infinity), so its
-    one edge is on the decaying side: it is exact there and reliable to u's
-    own edge.  Without a depth a positive row is whole, k times u's
-    outermost nonzero local order deep.  The rows are kept on ``a``
-    (`_chain`); a reader cuts them to its window with `Rows.chain`.
-    """
-    rows = _chain_rows(a, n, depth)
-    return [_row(rows, k) for k in range(1, len(rows[3]) + 1)]
-
-
-def _row(rows: tuple, k: int) -> LaurentSeries:
-    """Row k of `_chain_rows`'s ``rows`` as a series, a slice of the store."""
-    flavor, chain, step, tops, whole, edges = rows
-    lead, top, up = step * k, tops[k - 1], flavor == AT_ZERO
-    return _owned(lead if up else lead - top, chain.rows[k - 1, :top + 1] if up else
-                  chain.rows[k - 1, top::-1], flavor, tuple(e + lead for e in edges[k > whole]))
-
-
 def _chain_rows(a: LaurentSeries, n: int, depth) -> tuple:
-    """(flavor, chain, step, tops, whole, edges) of ``powers(a, n, depth)``,
-    the one entry every reader of a chain takes its depth through: row k is
-    ``chain.rows[k - 1]`` to local order tops[k - 1] past the exponent step * k;
-    the first ``whole`` rows end there (edges[0]), the rest are cut (edges[1])."""
+    """(flavor, chain, step, tops, whole, edges) of the rows a**1..a**n, or
+    a**-1..a**-n for n < 0, of a germ: the one entry every reader of a chain
+    takes its depth through.  Row k is ``chain.rows[k - 1]``, times
+    ``chain.scales[k - 1]`` for n < 0, to local order tops[k - 1] past the
+    exponent step * k.  The first ``whole`` rows end there (edges[0]), the
+    rest are cut at ``depth`` on their decaying side (edges[1]): exact there
+    and reliable to u's own edge.  A negative chain needs a depth."""
     s, n = (1, int(n)) if n >= 0 else (-1, -int(n))
     depth = POS_INF if depth is None else int(depth)
     if s < 0 and depth == POS_INF:
@@ -744,50 +728,61 @@ def _chain_rows(a: LaurentSeries, n: int, depth) -> tuple:
     return u.flavor, _chain(a, s, tops, x), s * j, tops, whole, edges
 
 
-class _Chain(list):
-    """`_chain`'s store: items (a**k, 1) or ((1 + u)**-k, c**-k), rows their products."""
+class _Chain:
+    """`_chain`'s store of one sign: row k - 1 of the block ``rows`` holds a**k,
+    or (1 + u)**-k, to local order sizes[k - 1] - 1; ``scales[k - 1]`` = c**-k."""
 
-    rows = np.zeros((0, 0), dtype=np.complex128)
+    def __init__(self):
+        self.rows, self.sizes, self.scales = np.zeros((0, 0), dtype=np.complex128), [], []
 
 
 def _chain(a: LaurentSeries, s: int, tops: list, x: int) -> _Chain:
     """The chain of sign ``s`` kept on ``a``, rows k = 1..len(tops) built or
-    grown in place to local order tops[k-1]: a**k, or a**-k scaled from
-    (1 + u)**-k.  A built entry is never written again.  The k-th power is
+    grown in place to local order tops[k-1]: a**k, or (1 + u)**-k and its
+    scale c**-k.  A built entry is never written again.  The k-th power is
     one truncated product of a prefix of the (k-1)-th with a prefix of the
     base, a from its leading term on (x its outermost nonzero local order)
-    or `_inverse`'s reciprocal, so a deeper row starts with the bits of a
-    shallower one and no row depends on which request built it."""
+    or `_inverse`'s reciprocal (leading term exactly 1: the rounding of 1/c
+    is not compounded), so a deeper row starts with the bits of a shallower
+    one and no row depends on which request built it."""
     c, j, u = split_normalize(a)
     chain = vars(a).setdefault(("powers", s), _Chain())
     want = [top + 1 for top in tops]
-    size = [power.size for power, _ in chain] + [0] * (len(want) - len(chain))
-    if all(m <= done for m, done in zip(want, size)):
+    sizes = chain.sizes + [0] * (len(want) - len(chain.sizes))
+    if all(m <= done for m, done in zip(want, sizes)):
         return chain
     base = _frozen(_local(shift(a, -j), x + 1)) if s > 0 else _inverse(u, max(want))[1]
-    need, old = (len(size), max(want)), chain.rows.shape
+    need, old = (len(sizes), max(want)), chain.rows.shape
     if need[0] > old[0] or need[1] > old[1]:  # one copy, twice as long where too short
         rows = np.zeros([max(n, 2 * o) if n > o else o for n, o in zip(need, old)], complex)
         rows[:old[0], :old[1]], chain.rows = chain.rows, rows
     chain.rows.setflags(write=True)
-    log_c = np.log(c)
-    for k, (m, done) in enumerate(zip(want, size), 1):
+    for k, (m, done) in enumerate(zip(want, sizes), 1):
         if done < m:
-            power = base[:m] if k == 1 else _frozen(np.convolve(chain[k - 2][0][:m], base[:m])[:m])
-            chain[k - 1:k] = [(power, 1.0 if s > 0 else np.exp(-k * log_c))]
-            if s > 0:
-                chain.rows[k - 1, done:power.size] = power[done:]
-            else:
-                np.multiply(power[done:], chain[k - 1][1], out=chain.rows[k - 1, done:power.size])
+            power = base[:m] if k == 1 else np.convolve(chain.rows[k - 2, :min(m, sizes[k - 2])],
+                                                        base[:m])[:m]
+            chain.rows[k - 1, done:power.size], sizes[k - 1] = power[done:], power.size
     chain.rows.setflags(write=False)
+    if s < 0:  # c**-k of each new row k
+        log_c, have = np.log(c), len(chain.scales)
+        chain.scales += [np.exp(-k * log_c) for k in range(have + 1, len(want) + 1)]
+    chain.sizes = sizes
     return chain
 
 
 def int_pow(a: LaurentSeries, k: int, depth: int | None = None) -> LaurentSeries:
-    """a**k of a germ: row k of its chain (`powers`), ``depth`` local orders
-    past the leading term (needed for k < 0); 1 for k = 0."""
+    """a**k of a germ: row k of its chain (`_chain_rows`), ``depth`` local
+    orders past the leading term (needed for k < 0), a view of the store for
+    k > 0 and scaled off it for k < 0; 1 for k = 0."""
     k = int(k)
-    return constant(1.0, a.flavor) if k == 0 else _row(_chain_rows(a, k, depth), abs(k))
+    if k == 0:
+        return constant(1.0, a.flavor)
+    flavor, chain, step, tops, whole, edges = _chain_rows(a, k, depth)
+    n, top, up, lead = abs(k), tops[-1], flavor == AT_ZERO, step * abs(k)
+    row = chain.rows[n - 1, :top + 1] if up else chain.rows[n - 1, top::-1]
+    row = row if k > 0 else _frozen(np.multiply(row, chain.scales[n - 1]))
+    return _owned(lead if up else lead - top, row, flavor,
+                  tuple(e + lead for e in edges[n > whole]))
 
 
 def log1p(u: LaurentSeries, depth: int) -> LaurentSeries:
@@ -852,7 +847,8 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
     _, chain, _, tops, _, _ = _chain_rows(a, -depth - 1 if zero_side else depth - 1, depth)
     k, tops = np.arange(len(tops)), np.array(tops, dtype=np.int64)
     at = k if zero_side else k + 2  # row k + 1's local order of w**-1, stored up to its top
-    res = np.where(at <= tops, chain.rows[k, np.minimum(at, tops)], 0)
+    res = chain.rows[k, np.minimum(at, tops)]  # scaled by c**-k on a negative chain
+    res = np.where(at <= tops, np.multiply(res, chain.scales[:len(k)]) if zero_side else res, 0)
     if zero_side:
         return LaurentSeries(1, res / np.arange(1, depth + 2), a.flavor, (NEG_INF, 1 + depth))
     tail, b = -res / np.arange(1, depth), a.coeff(1)

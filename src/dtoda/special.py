@@ -22,8 +22,8 @@ with logarithmic terms; ``generating_identity_check`` verifies all three
 (the integrated one in differentiated form, reporting the integration
 constant separately rather than asserting a convention for it).  The
 residues are two `series.residue_matrix` rows and each expansion one
-`series.combine`, over rows of g's and f's chains (`series.powers`) on
-their whole reliable windows (`_rows`): the identities are compared
+`series.combine`, over rows of g's and f's chains (`series.Rows.chain`)
+on their whole reliable windows (`_rows`): the identities are compared
 there.
 
 Halving the two weighted contour evaluations
@@ -66,8 +66,9 @@ def _rows(pair, mu: int, nu: int, order: int):
     depth = plan.halfwidth(pair, h, order)
     rows = []
     for base, length in ((pair.g, order + abs(mu) + 1), (pair.f, order + abs(nu) + 1)):
-        rows.append({0: S.constant(1.0), **dict(enumerate(S.powers(base, length, depth), 1)),
-                     **{-n: p for n, p in enumerate(S.powers(base, -length, depth), 1)}})
+        window = (-length - depth, length + depth)
+        rows.append({0: S.constant(1.0), **{s * k: row for s in (1, -1) for k, row in enumerate(
+            S.Rows.chain(base, s * length, *window, depth), 1)}})
     return tuple(rows)
 
 

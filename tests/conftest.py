@@ -69,9 +69,9 @@ def reflection():
 
 @pytest.fixture(scope="session")
 def chain_lengths():
-    """{(germ, sign): rows} of every chain a pair's g and f keep (`series.powers`)."""
+    """{(germ, sign): rows} of every chain a pair's g and f keep (`series._chain`)."""
     def lengths(pair):
-        return {(side, s): len(vars(getattr(pair, side))[("powers", s)])
+        return {(side, s): len(vars(getattr(pair, side))[("powers", s)].sizes)
                 for side in "gf" for s in (1, -1) if ("powers", s) in vars(getattr(pair, side))}
     return lengths
 

@@ -294,9 +294,10 @@ def _fixture_outputs():
 
 def test_deeper_chain_rows_move_no_output(monkeypatch):
     """Every reader asks for the depth it reads through one entry,
-    `series._chain_rows` (`powers`, the blocks of `Rows.chain` and the
+    `series._chain_rows` (`int_pow`, the blocks of `Rows.chain` and the
     inversions), and a deeper row starts with the same bits: rows 8 local
-    orders deeper than asked move no residual, error type or stdout byte."""
+    orders deeper than asked, scaled by c**-k on read for a negative chain,
+    move no residual, error type or stdout byte."""
     want = _fixture_outputs()
     real = S._chain_rows
     monkeypatch.setattr(S, "_chain_rows", lambda a, n, depth: real(
@@ -330,8 +331,8 @@ def test_table_checks_share_the_pair_chains_at_the_depths_they_read(monkeypatch)
     names = ["grunsky_symmetry", "grunsky_dual_path", "faber_identity"]
     results = run_checks(load_config(str(CONFIGS / "fixture_identity.json")), names)
     assert [r["error"] for r in results] == [""] * 3
-    assert {p.size for p, _ in vars(pair.f)[("powers", -1)]} == {2 * 64 + 1}
-    assert {p.size for p, _ in vars(pair.g)[("powers", -1)]} == {64}
+    assert set(vars(pair.f)[("powers", -1)].sizes) == {2 * 64 + 1}
+    assert set(vars(pair.g)[("powers", -1)].sizes) == {64}
     assert len(inside) == 0 and len(chains) >= 2
     assert all(a is pair.g or a is pair.f for a in chains)
 
@@ -365,7 +366,7 @@ def test_coords_reads_f_down_where_its_residue_with_m2_reaches(monkeypatch):
     assert cli.cmd_coords(config, stdout=io.StringIO()) == 0
     mo = cli.C.Moments(pair, config.hamiltonian(), 64)
     reach = -1 - mo.m[1].lo_exp + 64  # the depth of f**-1..f**-64 read through -1 - M2.lo
-    sizes = [p.size for p, _ in vars(pair.f)[("powers", -1)]]
+    sizes = vars(pair.f)[("powers", -1)].sizes
     assert len(sizes) == 64 and max(sizes[3:]) == reach + 1 < mo.width + 64 + 1 == 229
 
 
@@ -816,12 +817,12 @@ def test_battery_builds_the_monomial_case_once(monkeypatch):
     chain = cli.S._chain
 
     def counted(a, s, tops, x):
-        before = [p.size for p, _ in vars(a).get(("powers", s), [])]
+        before = list(getattr(vars(a).get(("powers", s)), "sizes", []))
         out = chain(a, s, tops, x)
         store = vars(a)[("powers", s)]
         # the germ is kept alive with its store, so that no other germ takes its id
         assert stores.setdefault((id(a), s), (a, store))[1] is store
-        after = [p.size for p, _ in store]
+        after = list(store.sizes)
         assert all(size > before[k] for k, size in enumerate(after[:len(before)])
                    if size != before[k])
         grown.append(after != before)

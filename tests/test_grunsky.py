@@ -639,12 +639,17 @@ def test_table_is_near_its_grunsky_residues_at_50_digits(large_b64):
 # the list-of-series path: the reference the block readers must equal bit for bit
 
 
+def powers(a, n, depth=None):
+    """[a, ..., a**n], or [a**-1, ..., a**n] for n < 0: row k is `int_pow`'s a**+-k."""
+    return [S.int_pow(a, k if n > 0 else -k, depth) for k in range(1, abs(n) + 1)]
+
+
 def _ref_clipped_powers(base, n, window):
-    """`series.powers` rows of ``base`` exact on ``window``, each clipped to it."""
+    """`series.int_pow` rows of ``base`` exact on ``window``, each clipped to it."""
     j = S.split_normalize(base)[1]
     leads = (j if n > 0 else -j, j * n)
     depth = window[1] - min(leads) if base.flavor == S.AT_ZERO else max(leads) - window[0]
-    return [S.clip(r, *window) for r in S.powers(base, n, max(depth, 0))]
+    return [S.clip(r, *window) for r in powers(base, n, max(depth, 0))]
 
 
 def _ref_polynomial_part(power, n):
@@ -704,7 +709,7 @@ def _ref_defect(pair, table):
     g_pos, g_neg, f_pos, f_neg = (_ref_clipped_powers(s, n, window) for s, n in (
         (pair.g, n_max), (pair.g, -n_max), (pair.f, n_max), (pair.f, -n_max)))
     ns = range(1, n_max + 1)
-    up, down = S.powers(pair.g, n_max, n_max), S.powers(pair.f, -n_max, n_max)
+    up, down = powers(pair.g, n_max, n_max), powers(pair.f, -n_max, n_max)
     p_pos = [_ref_polynomial_part(up[n - 1], n) for n in ns]
     p_neg = [_ref_polynomial_part(down[n - 1], -n) for n in ns]
     const_pos = [S.constant(n * table.entry(n, 0)) for n in ns]

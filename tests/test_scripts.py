@@ -207,7 +207,9 @@ def _chain_probe():
 
 def test_chain_probe_counts_the_rows_each_command_builds_and_grows():
     """In process: one tally per (command, germ, sign), and every wrapped
-    name is put back afterwards."""
+    name is put back afterwards; row sizes read off either store form."""
+    import numpy as np
+
     probe = _chain_probe()
     from dtoda import cli
     from dtoda import conformal_pair as CP
@@ -217,10 +219,10 @@ def test_chain_probe_counts_the_rows_each_command_builds_and_grows():
 
     def run():
         pair = CP.from_coefficients({1: 1.0, 0: 0.1, -1: 0.05}, {1: 1.0, 2: 0.05}, 8)
-        S.powers(pair.f, -3, 4)
-        S.powers(pair.f, -5, 4)  # two rows more
-        S.powers(pair.f, -5, 9)  # all five deeper
-        S.powers(pair.g, 2)
+        S.int_pow(pair.f, -3, 4)
+        S.int_pow(pair.f, -5, 4)  # two rows more
+        S.int_pow(pair.f, -5, 9)  # all five deeper
+        S.int_pow(pair.g, 2)
 
     tallies = probe.probe(run, cli)
     assert tallies[("-", "f", "-")] == {"calls": 3, "regrowing": 1, "built": 5, "regrown": 5,
@@ -232,3 +234,6 @@ def test_chain_probe_counts_the_rows_each_command_builds_and_grows():
     lines = probe.report(tallies)
     assert lines[-1].split()[:2] == ["total", str(sum(t["calls"] for t in tallies.values()))]
     assert S._chain is chain and cli.CHECKS == checks
+    listed = S.monomial(1, 2.0, S.AT_ZERO)  # a store as a list of (row, scale) items
+    vars(listed)[("powers", -1)] = [(np.zeros(3), 0.5), (np.zeros(5), 0.25)]
+    assert probe.row_sizes(listed, -1) == [3, 5] and probe.row_sizes(listed, 1) == []

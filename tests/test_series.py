@@ -107,7 +107,7 @@ def test_kernel_outputs_are_read_only():
 def test_cached_lead_equals_a_fresh_argmax():
     """`lead` on the rows of a chain, an all-zero row among them."""
     base = LaurentSeries.from_pairs({-1: 0.3, 0: 1.0, 1: 0.2 - 0.5j}, AT_ZERO)
-    rows = S.powers(base, 6, 4) + [LaurentSeries(-3, np.zeros(4))]
+    rows = powers(base, 6, 4) + [LaurentSeries(-3, np.zeros(4))]
     for row in rows:
         mags = np.abs(row.coeffs)
         k = int(np.argmax(mags))
@@ -207,7 +207,8 @@ def test_int_pow_is_the_last_row_of_its_chain(side):
     for k in [*range(-5, 0), *range(1, 6)]:
         for depth in (12, 40) if k < 0 else (None, 12, 40):
             got = S.int_pow(_germ_pair()[side], k, depth)
-            assert fields(got) == fields(S.powers(_germ_pair()[side], k, depth)[-1]), (k, depth)
+            assert fields(got) == fields(per_row_powers(_germ_pair()[side], k, depth)[-1]), (
+                k, depth)
 
 
 def test_int_pow_of_a_two_sided_series_raises():
@@ -957,11 +958,11 @@ def test_negative_powers_and_log_of_one_germ_grow_one_reciprocal(monkeypatch):
     c, j, u = S.split_normalize(a)
     assert S.split_normalize(a) == (c, j, u) and S.split_normalize(a)[2] is u
     S.int_pow(a, -1, depth=40)
-    S.powers(a, -3, 60)
+    powers(a, -3, 60)
     S.log1p(u, depth=100)
     assert runs == [64, 128]  # each to the end of its request's power-of-two block
     S.int_pow(a, -2, depth=80)
-    S.powers(a, -5, 100)
+    powers(a, -5, 100)
     S.log1p(u, depth=30)
     assert runs == [64, 128]
     assert vars(u)["inverse"][1].size == 128
@@ -988,7 +989,7 @@ def test_reciprocal_grows_to_the_end_of_its_block(side, monkeypatch):
 def horner(coeffs, base: LaurentSeries, window) -> LaurentSeries:
     """sum_{k>=1} coeffs[k-1] * base**k by Horner's rule, clipped to ``window``.
 
-    The composition `series.powers` and `series.combine` replaced, kept as
+    The composition of chain rows and `series.combine` replaced, kept as
     the reference for `invert_function` and the Phi/Psi sums of log tau.
     Partial sums keep one exponent of slack on each side of the window.
     """
@@ -1074,7 +1075,7 @@ def test_product_with_an_all_zero_factor_has_a_defined_window():
 def test_negative_power_rows_match_the_mul_chain(fix_rand):
     # the rows of g and f against products of their reciprocal, cut at 40
     for a in (fix_rand.g, fix_rand.f):
-        for k, (row, want) in enumerate(zip(S.powers(a, -7, 40), powers_reference(a, -7, 40)), 1):
+        for k, (row, want) in enumerate(zip(powers(a, -7, 40), powers_reference(a, -7, 40)), 1):
             assert (row.flavor, row.reliable) == (want.flavor, want.reliable)
             assert (row.lo_exp, row.hi_exp) == ((-k - 40, -k) if a is fix_rand.g else (-k, 40 - k))
             got, ref = S.dense(row, row.lo_exp, row.hi_exp), S.dense(want, row.lo_exp, row.hi_exp)
@@ -1107,14 +1108,15 @@ def test_invert_function_builds_one_chain(a, monkeypatch):
 ], ids=["at-zero", "at-infinity", "joukowski", "monomial", "affine"])
 def test_invert_function_reads_the_w_minus_1_entry_of_each_chain_row(a):
     """Each coefficient is res(a**-k) / k at zero, -res(a**k) / k at infinity,
-    the w**-1 entry of the row `powers` gives, bit for bit, whichever depths
-    were asked of the chain before (a row built deeper holds more entries)."""
+    the w**-1 entry of the row `int_pow` gives (at zero scaled by c**-k off
+    the store, as the gather scales it), bit for bit, whichever depths were
+    asked of the chain before (a row built deeper holds more entries)."""
     zero_side = a.flavor == AT_ZERO
     for depths in ((1, 2, 7, 30, 3), (30, 7, 3, 2, 1)):
         b = LaurentSeries(a.lo_exp, a.coeffs, a.flavor, a.reliable)  # a fresh chain
         for depth in depths:
             got = S.invert_function(b, depth)
-            rows = S.powers(b, -depth - 1 if zero_side else depth - 1, depth)
+            rows = powers(b, -depth - 1 if zero_side else depth - 1, depth)
             res = np.array([row.coeff(-1) for row in rows], dtype=np.complex128)
             want = res / np.arange(1, depth + 2) if zero_side else \
                 np.append((-res / np.arange(1, depth))[::-1], [-b.coeff(0) / b.coeff(1),
@@ -1205,7 +1207,7 @@ def test_fused_powers_equal_the_mul_then_clip_recurrence(case):
     step = base if n >= 0 else S.int_pow(base, -1, depth=depth)
     mags = powers_reference(LaurentSeries(step.lo_exp, np.abs(step.coeffs), step.flavor),
                             abs(n), depth)
-    rows = S.powers(base, n, depth)
+    rows = powers(base, n, depth)
     assert len(rows) == abs(n)
     for row, ref, mag in zip(rows, want, mags):
         assert (row.flavor, row.reliable) == (ref.flavor, ref.reliable)
@@ -1225,7 +1227,7 @@ def test_powers_rows_equal_unclipped_powers_on_the_window(case):
     full = [step]
     while len(full) < abs(n):
         full.append(S.mul(full[-1], step))
-    for k, (row, ref) in enumerate(zip(S.powers(base, n, depth), full), 1):
+    for k, (row, ref) in enumerate(zip(powers(base, n, depth), full), 1):
         lead = j * k if n > 0 else -j * k
         if depth is None:
             lo, hi = ref.lo_exp, ref.hi_exp
@@ -1236,17 +1238,24 @@ def test_powers_rows_equal_unclipped_powers_on_the_window(case):
 
 
 def test_powers_of_nothing_is_empty():
-    assert S.powers(S.monomial(1, 2.0, AT_ZERO), 0) == []
-    assert S.powers(S.monomial(1, 2.0, AT_INFINITY), 0, 3) == []
+    assert powers(S.monomial(1, 2.0, AT_ZERO), 0) == []
+    assert powers(S.monomial(1, 2.0, AT_INFINITY), 0, 3) == []
+    assert len(S.Rows.chain(S.monomial(1, 2.0, AT_ZERO), 0, -3, 3)) == 0
+    assert len(S.Rows.chain(S.monomial(1, 2.0, AT_INFINITY), 0, -3, 3, 3)) == 0
 
 
 def test_powers_need_a_germ_and_a_depth_below_zero():
     with pytest.raises(SeriesError, match="germ flavor"):
-        S.powers(S.monomial(1, 2.0), 2)
+        powers(S.monomial(1, 2.0), 2)
     with pytest.raises(NonInvertibleError):
-        S.powers(LaurentSeries(1, np.zeros(3), AT_ZERO), 2)
+        powers(LaurentSeries(1, np.zeros(3), AT_ZERO), 2)
     with pytest.raises(SeriesError, match="need a depth"):
-        S.powers(S.monomial(1, 2.0, AT_ZERO), -2)
+        powers(S.monomial(1, 2.0, AT_ZERO), -2)
+
+
+def powers(a: LaurentSeries, n: int, depth=None) -> list:
+    """[a, ..., a**n], or [a**-1, ..., a**n] for n < 0: row k is `int_pow`'s a**+-k."""
+    return [S.int_pow(a, k if n > 0 else -k, depth) for k in range(1, abs(n) + 1)]
 
 
 def fields(a: LaurentSeries) -> tuple:
@@ -1256,13 +1265,13 @@ def fields(a: LaurentSeries) -> tuple:
 
 
 def test_zero_padding_does_not_narrow_a_chain_claim():
-    """`invert_function` passes `powers` a base dense on its window: the
-    rows of a zero-padded germ are the unpadded germ's, field for field."""
+    """`invert_function` passes `_chain_rows` a base dense on its window:
+    the rows of a zero-padded germ are the unpadded germ's, field for field."""
     core = LaurentSeries.from_pairs({1: 0.8, 0: 0.2, -1: 0.1 + 0.3j}, AT_INFINITY)
     padded = LaurentSeries(-9, S.dense(core, -9, 1), AT_INFINITY)
     for n, depth in ((6, 7), (6, None), (-6, 7)):
-        assert ([fields(r) for r in S.powers(core, n, depth)]
-                == [fields(r) for r in S.powers(padded, n, depth)])
+        assert ([fields(r) for r in powers(core, n, depth)]
+                == [fields(r) for r in powers(padded, n, depth)])
 
 
 @pytest.mark.parametrize("name", ["fix_sig", "fix_rand"])
@@ -1280,12 +1289,12 @@ def test_chain_rows_do_not_depend_on_the_order_of_requests(request, name):
         return LaurentSeries(a.lo_exp, a.coeffs, a.flavor, a.reliable)
 
     for a in germs:
-        fresh = {ask: [fields(r) for r in S.powers(copy(a), *ask)] for ask in asks}
+        fresh = {ask: [fields(r) for r in powers(copy(a), *ask)] for ask in asks}
         for order in (asks, asks[::-1], asks[::2] + asks[1::2]):
             b = copy(a)
-            assert {ask: [fields(r) for r in S.powers(b, *ask)] for ask in order} == fresh
+            assert {ask: [fields(r) for r in powers(b, *ask)] for ask in order} == fresh
         for (n, d), (m, e) in [((4, 90), (9, 40)), ((12, 15), (4, 90)), ((-1, 3), (-12, 15))]:
-            for short, long in zip(S.powers(a, n, d), S.powers(a, m, e)):
+            for short, long in zip(powers(a, n, d), powers(a, m, e)):
                 k = min(short.width, long.width)
                 local = (lambda r: r.coeffs) if a.flavor == AT_ZERO else (lambda r: r.coeffs[::-1])
                 assert local(short)[:k].tobytes() == local(long)[:k].tobytes()
@@ -1315,7 +1324,7 @@ OWNED_KERNELS = {  # every kernel that builds its output without validation
         *(S.log1p(germ(a, f), depth=5) for f in (AT_ZERO, AT_INFINITY)),
         S.log1p(LaurentSeries(1, np.zeros(2), AT_ZERO), depth=5)],
     "powers": lambda a, b: [*(r for f in (AT_ZERO, AT_INFINITY) for n, d in
-                              ((3, None), (3, 2), (-3, 4)) for r in S.powers(germ(a, f), n, d))],
+                              ((3, None), (3, 2), (-3, 4)) for r in powers(germ(a, f), n, d))],
     "divide_on_circle": lambda a, b: [
         *S.divide_on_circle([(a, (-3, 3)), (b, (-5, -1))],
                             S.add(S.constant(10.0), S.scale(b, 0.1)), samples=64),
@@ -1405,7 +1414,7 @@ def test_chain_blocks_are_the_clipped_rows(request, name):
     for a, n, window, depth in ((pair.g, 9, (-30, 20), 60), (pair.g, -9, (-30, 20), 4),
                                 (pair.f, -9, (-20, 30), 6), (pair.f, 9, (-20, 30), 3)):
         rows = S.Rows.chain(a, n, *window, depth=depth)
-        want = [S.clip(r, *window) for r in S.powers(a, n, depth)]
+        want = [S.clip(r, *window) for r in powers(a, n, depth)]
         assert len(rows) == len(want) == 9
         for i, (got, ref) in enumerate(zip(rows, want)):
             assert got.reliable == ref.reliable and rows.leads[i] == ref.lead
@@ -1417,6 +1426,30 @@ def test_chain_blocks_are_the_clipped_rows(request, name):
         part = rows[2:5]
         assert np.array_equal(part.dense(*window), rows.dense(*window)[2:5])
         assert part.stored.tolist() == rows.stored[2:5].tolist()
+
+
+def kept_arrays(x) -> list:
+    """Every array ``x`` holds, through lists, tuples and attributes."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    parts = [*x] if isinstance(x, (list, tuple)) else []
+    return [a for p in parts + list(getattr(x, "__dict__", {}).values()) for a in kept_arrays(p)]
+
+
+def test_each_chain_keeps_its_rows_once(fix_sig):
+    """After a snapshot and a table of the sigma pair at order 16, the arrays
+    each (germ, sign) store keeps are its one block: no row is kept twice."""
+    from dtoda.coords import toda_coordinates
+    from dtoda.grunsky import grunsky_table
+    from dtoda.hamiltonian import HamiltonianH
+
+    toda_coordinates(fix_sig, HamiltonianH.of((1, 1, 1.0)), 16)
+    grunsky_table(fix_sig, 16)
+    stores = [vars(a)[key] for a in (fix_sig.g, fix_sig.f)
+              for key in (("powers", 1), ("powers", -1)) if key in vars(a)]
+    assert len(stores) == 4
+    for store in stores:
+        assert sum(x.nbytes for x in kept_arrays(store)) == store.rows.nbytes > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1499,7 +1532,7 @@ def assert_chain_reads_per_row(a: LaurentSeries, n: int, depth, window):
         assert block_fields(S.Rows.chain(a, n, *window, depth)) == block_fields(want)
     if n >= 0 or depth is not None:
         want = [fields(r) for r in per_row_powers(a, n, depth)]
-        assert [fields(r) for r in S.powers(a, n, depth)] == want
+        assert [fields(r) for r in powers(a, n, depth)] == want
         if n:
             assert fields(S.int_pow(a, n, depth)) == want[-1]
 

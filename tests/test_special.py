@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dtoda import plan
 from dtoda import series as S
 from dtoda import special as SP
 from dtoda.coords import toda_coordinates
@@ -180,3 +181,24 @@ def test_special_coords_match_the_residue_loops(request, name, mu, nu):
     pairs = [(sp.t[k], t_ref[k]) for k in sp.t] + [(sp.v[k], v_ref[k]) for k in sp.v]
     for got, want in pairs + [(sp.t0_alt, alt_ref)]:
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("name", ["fix_sig", "fix_rand"])
+def test_rows_are_the_int_pow_rows_of_the_chains(request, name):
+    """Every row of `_rows` is `int_pow` of the same power and depth: the same
+    reliable edges, the same coefficient bits on `int_pow`'s stored window,
+    and zeros past it (a row its depth cuts short is stored out to the
+    window's end)."""
+    pair, mu, nu = request.getfixturevalue(name), 2, 1
+    order = plan.monomial_order(pair, mu, nu)
+    depth = plan.halfwidth(pair, HamiltonianH.of((mu, nu, 1.0)), order)
+    for base, rows in zip((pair.g, pair.f), SP._rows(pair, mu, nu, order)):
+        for k, got in rows.items():
+            want = S.int_pow(base, k, depth)
+            assert got.reliable == want.reliable, k
+            lo, hi = min(got.lo_exp, want.lo_exp), max(got.hi_exp, want.hi_exp)
+            full = S.dense(got, lo, hi)
+            inside = slice(want.lo_exp - lo, want.hi_exp - lo + 1)
+            assert full[inside].tobytes() == want.coeffs.tobytes(), k
+            full[inside] = 0
+            assert not full.any(), k

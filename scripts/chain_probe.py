@@ -49,9 +49,12 @@ def row_sizes(a, s: int) -> list:
 
 def probe(run, cli) -> dict:
     """{(command, germ, sign): {column: value}} of the `_chain` calls that
-    ``run()`` makes, ``cli`` being the loaded ``dtoda.cli``."""
+    ``run()`` makes, ``cli`` being the loaded ``dtoda.cli``.  The commands
+    record an error raised inside a check, so one raised by the probe's own
+    bookkeeping is kept and re-raised after the run: a broken probe never
+    reads as a tally of zeros."""
     series, pairs = sys.modules["dtoda.series"], sys.modules["dtoda.conformal_pair"]
-    tallies, where, germs = {}, ["-"], {}
+    tallies, where, germs, failures = {}, ["-"], {}, []
     chain, post_init, checks = series._chain, pairs.ConformalPair.__post_init__, dict(cli.CHECKS)
 
     def named(label, fn):
@@ -67,11 +70,21 @@ def probe(run, cli) -> dict:
         post_init(pair)
         germs.update({id(pair.g): ("g", pair.g), id(pair.f): ("f", pair.f)})
 
+    def kept(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            failures.append(exc)
+            raise
+
     def counted(a, s, tops, x):
-        before = row_sizes(a, s)
+        before = kept(row_sizes, a, s)
         start = time.perf_counter()
         out = chain(a, s, tops, x)
-        spent = time.perf_counter() - start
+        kept(tally, a, s, before, time.perf_counter() - start)
+        return out
+
+    def tally(a, s, before, spent):
         after = row_sizes(a, s)
         germ = germs[id(a)][0] if germs.get(id(a), (None, None))[1] is a else a.flavor
         key = (where[-1], germ, "+" if s > 0 else "-")
@@ -83,7 +96,6 @@ def probe(run, cli) -> dict:
         row["regrown"] += regrown
         row["deepest"] = max(row["deepest"], max(after, default=0))
         row["ms"] += spent * 1e3
-        return out
 
     commands = {name: getattr(cli, name) for name in ("cmd_coords", "cmd_grunsky", "cmd_verify")}
     try:
@@ -98,6 +110,8 @@ def probe(run, cli) -> dict:
         cli.CHECKS.update(checks)
         for name, fn in commands.items():
             setattr(cli, name, fn)
+    if failures:
+        raise failures[0]
     return tallies
 
 

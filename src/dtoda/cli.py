@@ -428,11 +428,6 @@ def _check_gauge_covariance(ctx) -> float:
                 for n in v0_map]
     dv0 = ctx.moments(ctx.pair.order, gauge).v0 - ctx.snapshot.v0
     defects.append(abs(dv0 - v0_shift))
-    # The flow fields themselves must not feel the gauge at all.
-    fields = [ctx.flow_fields((1, -2), g).values() for g in ((), gauge)]
-    for plain, dressed in zip(*fields):
-        defects += [S.max_abs_diff_reliable(getattr(plain, part), getattr(dressed, part))
-                    for part in ("dg", "df", "u_series")]
     return float(np.max(defects))
 
 
@@ -442,8 +437,9 @@ def _check_gauge_covariance(ctx) -> float:
 # checks run at `plan.probe_order`, flow tangents at `plan.jacobian_order` and
 # `plan.gradient_order`.  The battery runs in this order, so a check that
 # builds flow fields as one batch comes before the checks that read some of
-# them: jacobian's tangents hold gauge_covariance's (1, -2), and lax's padded
-# batch the n = 0 field that string and canonical_bracket read.
+# them: lax's padded batch holds the n = 0 field that string and
+# canonical_bracket read, and jacobian's tangents those that tau_gradient and
+# v0_t0_b00 read.  The order moves cost only, never a residual.
 CHECKS: Dict[str, Tuple[float, Callable[[PairContext], float]]] = {
     "grunsky_symmetry": (1e-10, lambda ctx: ctx.table(ctx.order).symmetry_defect),
     "grunsky_dual_path": (1e-10, lambda ctx: G.table_difference(

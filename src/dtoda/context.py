@@ -5,8 +5,11 @@ table) is a residue pairing of series derived from one pair (g, f).  A
 `PairContext` holds the pair, the potential, its gauge terms (the
 config's one-variable ``(mu, nu, c)`` triples) and the config order, and
 builds each derived result on first use.  It lives for one command.  A
-result built under a gauge reads the one potential
+moment object built under a gauge reads the one potential
 ``h + MonomialSum.of(*gauge)``; the plain gauge () reads ``h`` itself.
+Fields and tangents read the potential only through E = d1 d2 H along the
+pair (`mixed_partial`), which no one-variable term reaches, so they take
+no gauge.
 The powers of g and f are not among the results: the germs keep their own
 chains (`series._chain`), which die with the pair, because commands such
 as `cli.cmd_grunsky` and `flows.step` read them from a bare pair.
@@ -45,15 +48,11 @@ class PairContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    def potential(self, gauge: tuple) -> MonomialSum:
-        """``h`` plus the monomials of ``gauge``; ``h`` itself without them."""
-        gauge = tuple(gauge)
-        return self._once(("potential", gauge),
-                          lambda: self.h + MonomialSum.of(*gauge)) if gauge else self.h
-
     def moments(self, order: int, gauge: tuple) -> C.Moments:
-        return self._once(("moments", order, tuple(gauge)),
-                          lambda: C.Moments(self.pair, self.potential(gauge), order))
+        """The moments at ``order`` of ``h`` plus the monomials of ``gauge``."""
+        gauge = tuple(gauge)
+        return self._once(("moments", order, gauge), lambda: C.Moments(
+            self.pair, self.h + MonomialSum.of(*gauge) if gauge else self.h, order))
 
     def coords(self, order: int) -> C.TodaCoordinates:
         """The ungauged snapshot at ``order``."""
@@ -68,18 +67,16 @@ class PairContext:
     def table(self, order: int) -> G.GrunskyTable:
         return self._once(("table", order), lambda: G.grunsky_table(self.pair, order))
 
-    def mixed_partial(self, gauge=()) -> S.LaurentSeries:
-        """E along the pair, which fields and tangents read."""
-        return self._once(("e12", tuple(gauge)),
-                          lambda: F._mixed_partial_along(self.pair, self.potential(gauge)))
+    def mixed_partial(self) -> S.LaurentSeries:
+        """E along the pair, the one thing fields and tangents read of the potential."""
+        return self._once("e12", lambda: F._mixed_partial_along(self.pair, self.h))
 
-    def flow_fields(self, ns, gauge=(), pad: int = 0) -> dict:
+    def flow_fields(self, ns, pad: int = 0) -> dict:
         """`flows.flow_fields` of ``ns``: the ones not built yet in one call."""
-        keys = {int(n): ("flow", int(n), tuple(gauge), pad) for n in ns}
+        keys = {int(n): ("flow", int(n), pad) for n in ns}
         missing = [n for n, key in keys.items() if key not in self._memo]
         if missing:
-            built = F.flow_fields(self.pair, self.potential(gauge), missing, pad=pad,
-                                  e12=self.mixed_partial(gauge))
+            built = F.flow_fields(self.pair, self.mixed_partial(), missing, pad)
             self._memo.update((keys[n], built[n]) for n in missing)
         return {n: self._memo[key] for n, key in keys.items()}
 

@@ -89,7 +89,8 @@ class Moments:
     ``f_up`` also on (-width, width), where log tau composes Phi(g), Psi(f).
     ``times`` is (t, v, t0_alt) and reads all four; ``v0``, read at the
     full pair order, pairs M1 and M2 with ``logs`` = (log(g/w), log(f/w))
-    and subtracts H(g, f) (``h_along``)/w.
+    and subtracts H(g, f) (``h_along``)/w.  ``z3``, log tau's J part, is
+    built once for every ``log_tau`` of the object.
     """
 
     def __init__(self, pair, h: MonomialSum, order: int):
@@ -160,10 +161,19 @@ class Moments:
         want_b = [-v[-k] if k > 0 else t[0] if k == 0 else k * t[k] for k in ks]
         return float(np.max(np.abs(np.concatenate([got_a - want_a, got_b - want_b]))))
 
+    @cached_property
+    def z3(self) -> complex:
+        """(res(J1(g, f) g') + res(J2(g, f) f'))/4, which no t or v enters;
+        a gauged potential raises `hamiltonian.LogObstructionError`."""
+        pair, window = self.pair, (-self.width, self.width)
+        j1_along, j2_along = (eval_along(j, pair, window) for j in j_pair(self.h))
+        return (S.residue_mul(j1_along, pair.g_prime())
+                + S.residue_mul(j2_along, pair.f_prime())) / 4.0
+
     def log_tau(self, t: Dict[int, complex], v: Dict[int, complex], v0: complex):
         """(Z1, Z2, Z3, logT, z2_closed) of a pure two-variable potential;
         a gauged one raises `hamiltonian.LogObstructionError`."""
-        pair, order, window = self.pair, self.order, (-self.width, self.width)
+        order, window = self.order, (-self.width, self.width)
         (m1, m2), z1_part = self.m, t[0] * v0 / 2.0
 
         ns = range(1, order + 1)
@@ -171,13 +181,9 @@ class Moments:
         psi_f = S.clip(S.combine([v[-n] / n for n in ns], self.f_up.cut(*window)), *window)
         z2_part = (S.residue_mul(m1, phi_g) + S.residue_mul(m2, psi_f)) / 2.0
 
-        j1_along, j2_along = (eval_along(j, pair, window) for j in j_pair(self.h))
-        z3_part = (S.residue_mul(j1_along, pair.g_prime())
-                   + S.residue_mul(j2_along, pair.f_prime())) / 4.0
-
         z2_closed = sum(t[n] * v[n] + t[-n] * v[-n] for n in ns) / 2.0
-        log_t = z1_part + z2_part + z3_part
-        return z1_part, z2_part, z3_part, log_t, z2_closed
+        log_t = z1_part + z2_part + self.z3
+        return z1_part, z2_part, self.z3, log_t, z2_closed
 
 
 def _paired_logs(pair, depth: int):

@@ -6,8 +6,9 @@ Each integer n carries a vector field, built from the rational function
 
 where P_n is the polynomial part of g**n (n >= 1) or f**n (n <= -1), P_0'
 is taken to be 1/w, and E is the mixed second partial of the potential
-evaluated along (g, f).  Writing c1 for the w^1 coefficient of u_n, the
-one-sided split
+evaluated along (g, f).  E is all a field reads of the potential: d12
+drops one-variable (gauge) terms, so no field sees the gauge.  Writing c1
+for the w^1 coefficient of u_n, the one-sided split
 
     dg = g' * ((u_n restricted to exponents <= 0) + c1 w / 2)
     df = -f' * (c1 w / 2 + (u_n restricted to exponents >= 2))
@@ -58,13 +59,12 @@ def _mixed_partial_along(pair, h) -> LaurentSeries:
     return eval_along(h.d12(), pair, (-width, width))
 
 
-def flow_fields(pair, h, ns, pad: int = 0, e12=None) -> dict:
+def flow_fields(pair, e12: LaurentSeries, ns, pad: int = 0) -> dict:
     """{n: FlowField} of each n in ``ns``: u_n = -P_n'/(g' f' E) on |exponent|
-    <= order + |n| + pad, off one E (``e12``, built unless given), one
-    denominator, `grunsky.faber_polynomials` and one `series.divide_on_circle`;
-    no field depends on the others.  Identity checks pad by `plan.check_pad`."""
+    <= order + |n| + pad, off E (``e12``), one denominator,
+    `grunsky.faber_polynomials` and one `series.divide_on_circle`; no field
+    depends on the others.  Identity checks pad by `plan.check_pad`."""
     ns, pad = sorted({int(n) for n in ns}), int(pad)
-    e12 = _mixed_partial_along(pair, h) if e12 is None else e12
     gp, fp = pair.g_prime(), pair.f_prime()
     polys = faber_polynomials(pair, [n for n in ns if n])
     rows = [(S.scale(S.derivative(polys[n]), -1.0) if n else S.monomial(-1, -1.0),
@@ -80,7 +80,7 @@ def flow_fields(pair, h, ns, pad: int = 0, e12=None) -> dict:
 
 def flow_field(pair, h, n: int, pad: int = 0) -> FlowField:
     """The direction-n variation (dg, df): `flow_fields` of ``n`` alone."""
-    return flow_fields(pair, h, (n,), pad)[int(n)]
+    return flow_fields(pair, _mixed_partial_along(pair, h), (n,), pad)[int(n)]
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ class _ChartPoint:
         return S.derivative(self.f)
 
 
-def _nudge(pair, ff: FlowField, eps: float) -> "_ChartPoint":
-    g = S.add(pair.g, S.scale(ff.dg, eps))
-    f = S.add(pair.f, S.scale(ff.df, eps))
+def _nudge(pair, dg: LaurentSeries, df: LaurentSeries, eps: float) -> "_ChartPoint":
+    g = S.add(pair.g, S.scale(dg, eps))
+    f = S.add(pair.f, S.scale(df, eps))
     g = LaurentSeries(g.lo_exp, g.coeffs, AT_INFINITY, g.reliable)
     f = LaurentSeries(f.lo_exp, f.coeffs, AT_ZERO, f.reliable)
     return _ChartPoint(g, f, pair.order)
@@ -129,16 +129,14 @@ def step(pair, h, n: int, eps: float, method: str = "euler") -> ConformalPair:
     """
     eps, k1 = float(eps), flow_field(pair, h, n)
     if method == "euler":
-        return _reassemble(_nudge(pair, k1, eps))
+        return _reassemble(_nudge(pair, k1.dg, k1.df, eps))
     if method == "rk4":
-        k2 = flow_field(_nudge(pair, k1, eps / 2), h, n)
-        k3 = flow_field(_nudge(pair, k2, eps / 2), h, n)
-        k4 = flow_field(_nudge(pair, k3, eps), h, n)
+        k2 = flow_field(_nudge(pair, k1.dg, k1.df, eps / 2), h, n)
+        k3 = flow_field(_nudge(pair, k2.dg, k2.df, eps / 2), h, n)
+        k4 = flow_field(_nudge(pair, k3.dg, k3.df, eps), h, n)
         dg = S.add(S.add(k1.dg, S.scale(S.add(k2.dg, k3.dg), 2.0)), k4.dg)
         df = S.add(S.add(k1.df, S.scale(S.add(k2.df, k3.df), 2.0)), k4.df)
-        combo = FlowField(n=int(n), u_series=k1.u_series,
-                          dg=S.scale(dg, 1.0 / 6.0), df=S.scale(df, 1.0 / 6.0))
-        return _reassemble(_nudge(pair, combo, eps))
+        return _reassemble(_nudge(pair, S.scale(dg, 1.0 / 6.0), S.scale(df, 1.0 / 6.0), eps))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -168,8 +166,7 @@ def jacobian_check(ctx, order: int) -> float:
 def string_check(ctx) -> float:
     """Residual of (w g' df0 - w f' dg0) * E - 1 over the reliable window."""
     pair = ctx.pair
-    ff = ctx.flow_fields((0,), ctx.gauge, plan.check_pad(pair))[0]
-    e12 = ctx.mixed_partial(ctx.gauge)
+    ff, e12 = ctx.flow_fields((0,), plan.check_pad(pair))[0], ctx.mixed_partial()
     bracket = S.shift(S.sub(S.mul(pair.g_prime(), ff.df), S.mul(pair.f_prime(), ff.dg)), 1)
     residual = S.sub(S.mul(bracket, e12), S.constant(1.0))
     return S.max_abs_diff_reliable(residual, S.zero())

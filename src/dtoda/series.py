@@ -815,16 +815,14 @@ def log1p(u: LaurentSeries, depth: int) -> LaurentSeries:
 # functional inversion
 
 
-def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
+def invert_function(a: LaurentSeries, depth: int) -> LaurentSeries:
     """Compositional inverse G with a(G(z)) = z, by Lagrange inversion.
 
     AT_ZERO input  a = a1*w + a2*w^2 + ...  (a1 != 0) gives G = z/a1 + ...
     on the window [1, 1 + depth], reliable up to that edge.  AT_INFINITY
     input a = b*w + b0 + b1/w + ... (b != 0) gives G = z/b - b0/b + ... on
     the window [1 - depth, 1], reliable down to that edge.  The input is
-    read on the same window as the output, zero-padded or truncated; by
-    default ``depth`` is read from the stored window (``hi_exp - 1`` or
-    ``1 - lo_exp``, at least 1).
+    read on the same window as the output, zero-padded or truncated.
     Every other coefficient is a residue of a power of a: [z^n] G =
     res(a^-n) / n at zero and [z^-n] G = -res(a^n) / n at infinity, each
     off a's own chain, which other readers share.  A residue reads only
@@ -840,9 +838,7 @@ def invert_function(a: LaurentSeries, depth: int | None = None) -> LaurentSeries
         raise SeriesError("invert_function needs a germ flavor")
     if abs(a.coeff(1)) < 1e-300 or stray:
         raise NonInvertibleError(f"non-invertible leading term: need a = {form}")
-    zero_side = a.flavor == AT_ZERO
-    depth = (max(a.hi_exp - 1, 1) if zero_side else max(1 - a.lo_exp, 1)) if depth is None \
-        else int(depth)
+    zero_side, depth = a.flavor == AT_ZERO, int(depth)
     # res(a**-k), k = 1..depth + 1, at zero; res(a**k), k = 1..depth - 1, at infinity
     _, chain, _, tops, _, _ = _chain_rows(a, -depth - 1 if zero_side else depth - 1, depth)
     k, tops = np.arange(len(tops)), np.array(tops, dtype=np.int64)

@@ -39,7 +39,7 @@ def jouk_pair():
     coeffs = {1: 1.0, -1: 0.1}
     coeffs.update({-k: 0.0 for k in range(2, order + 1)})
     s = LaurentSeries.from_pairs(coeffs, AT_INFINITY)
-    g = S.invert_function(s)
+    g = S.invert_function(s, order + 1)
     arr = np.zeros(order + 1, dtype=np.complex128)
     arr[0] = 1.0
     f = LaurentSeries(1, arr, "AtZero")

@@ -733,6 +733,17 @@ def test_battery_builds_each_moment_object_once(monkeypatch, fixture):
                   if p is pair and terms == config.terms) == [4, 8, 13, 16]
 
 
+@pytest.mark.parametrize("fixture, names, count", [
+    ("sigma", None, 2), ("random", sorted(CHECKS), 3)])
+def test_battery_builds_log_tau_j_part_once_per_moment_object(monkeypatch, fixture, names, count):
+    # Z3 reads no t or v, so the closed form and the snapshot of one moment
+    # object share it: one J pair per moment object that log tau reads
+    calls = {}
+    monkeypatch.setattr(cli.C, "j_pair", _counting(calls, "j_pair", cli.C.j_pair))
+    run_checks(load_config(str(CONFIGS / f"fixture_{fixture}.json")), names)
+    assert calls == {"j_pair": count}
+
+
 def test_battery_reads_the_canonical_bracket_once_in_lax(monkeypatch):
     calls = {}
     monkeypatch.setattr(cli.F, "canonical_bracket_check",
@@ -751,8 +762,7 @@ def test_lax_builds_its_padded_fields_in_one_batch(monkeypatch):
     # lax asks for its six directions and n = 0 in one padded
     # `flows.flow_fields` call; the battery runs it before string and
     # canonical_bracket, which read its n = 0, so it is the only padded
-    # batch there too, and jacobian's tangents hold gauge_covariance's
-    # plain (1, -2): three batches in all
+    # batch there too, and jacobian's plain batch is the other: two in all
     built = _count_directions(monkeypatch)
     config = load_config(str(CONFIGS / "fixture_random.json"))
 
@@ -764,7 +774,7 @@ def test_lax_builds_its_padded_fields_in_one_batch(monkeypatch):
     built.clear()
     run_checks(config)
     assert padded() == [[-3, -2, -1, 0, 1, 2, 3]]
-    assert len(built) == 3
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("fixture", ["identity", "random", "sigma"])
@@ -789,18 +799,17 @@ def test_battery_builds_one_mixed_partial_per_pair_and_gauge(monkeypatch):
                         _counting(calls, "e12", cli.F._mixed_partial_along))
     config = load_config(str(CONFIGS / "fixture_sigma.json"))
     run_checks(config)
-    # E along the pair, plain and with gauge_covariance's probe gauge:
-    # every field, tangent and string reads one
-    assert calls == {"e12": 2}
+    # E along the pair, which no gauge term reaches: every field, tangent
+    # and string reads the one
+    assert calls == {"e12": 1}
 
 
 @pytest.mark.parametrize("fixture, names, most", [
-    ("random", sorted(CHECKS), 26), ("sigma", None, 20)])
+    ("random", sorted(CHECKS), 24), ("sigma", None, 18)])
 def test_battery_flow_fields(monkeypatch, fixture, names, most):
-    # one field per (direction, gauge, padding) per battery: lax's
-    # padded n = 0 field, the tangents of jacobian, tau_gradient and
-    # v0_t0_b00, and gauge_covariance's plain fields all come from the
-    # context, and no check steps the pair
+    # one field per (direction, padding) per battery: lax's padded n = 0
+    # field and the tangents of jacobian, tau_gradient and v0_t0_b00 all
+    # come from the context, and no check steps the pair
     built = _count_directions(monkeypatch)
     config = load_config(str(CONFIGS / f"fixture_{fixture}.json"))
     run_checks(config, names)

@@ -1,6 +1,7 @@
 """Flow-field construction, stepping, and the dynamical identity checks."""
 
 import cmath
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from dtoda import flows
 from dtoda import plan
 from dtoda import coords as C
 from dtoda import series as S
-from dtoda.cli import CHECKS, load_config
+from dtoda.cli import _PROBE_GAUGE, CHECKS, load_config
 from dtoda.conformal_pair import from_coefficients, random_pair, sigma_conjugate
 from dtoda.grunsky import faber
 from dtoda.hamiltonian import HamiltonianH, MonomialSum, eval_along
@@ -45,9 +46,21 @@ GAUGE = (
     (0, 1, -0.5),
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def same_series(a, b):
     return S.max_abs_diff_reliable(a, b)
+
+
+def _same_bits(a, b) -> bool:
+    """The same bits: window, reliable range and coefficients."""
+    return (a.lo_exp, a.reliable) == (b.lo_exp, b.reliable) and np.array_equal(a.coeffs, b.coeffs)
+
+
+def _same_field(a, b) -> bool:
+    return all(_same_bits(x, y)
+               for x, y in ((a.u_series, b.u_series), (a.dg, b.dg), (a.df, b.df)))
 
 
 def u_field(pair, h, n):
@@ -115,9 +128,19 @@ def test_flow_field_gauge_invariant(fix_rand):
     for n in (-2, 0, 1):
         plain = flow_field(fix_rand, H_LIST[1], n)
         gauged = flow_field(fix_rand, H_LIST[1] + MonomialSum.of(*GAUGE), n)
-        assert same_series(plain.dg, gauged.dg) <= 1e-12
-        assert same_series(plain.df, gauged.df) <= 1e-12
-        assert same_series(plain.u_series, gauged.u_series) <= 1e-12
+        assert _same_field(plain, gauged), n
+
+
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("fixture", ["identity", "random", "sigma"])
+def test_mixed_partial_gauge_invariant(fixture, order):
+    # E is all a field reads of the potential, and d12 drops the gauge
+    config = dataclasses.replace(load_config(str(CONFIGS / f"fixture_{fixture}.json")),
+                                 order=order)
+    pair, h = config.build_pair(), config.hamiltonian()
+    gauged = h + MonomialSum.of(*_PROBE_GAUGE)
+    assert _same_bits(flows._mixed_partial_along(pair, h),
+                        flows._mixed_partial_along(pair, gauged))
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +472,12 @@ def test_split_properties(seed, decay, n):
 # batched fields: one denominator for every direction
 
 
-def _same_field(a, b):
-    return all(x.lo_exp == y.lo_exp and x.reliable == y.reliable
-               and np.array_equal(x.coeffs, y.coeffs)
-               for x, y in ((a.u_series, b.u_series), (a.dg, b.dg), (a.df, b.df)))
-
 
 @pytest.mark.parametrize("padded", [False, True])
 def test_fields_in_a_batch_equal_fields_alone(fix_sig, fix_rand, padded):
     for pair in (fix_sig, fix_rand):
         pad = plan.check_pad(pair) if padded else 0
-        batch = flow_fields(pair, H_BASIC, range(-8, 9), pad=pad)
+        batch = flow_fields(pair, flows._mixed_partial_along(pair, H_BASIC), range(-8, 9), pad)
         assert sorted(batch) == list(range(-8, 9))
         for n, ff in batch.items():
             assert ff.n == n
@@ -471,7 +489,7 @@ def test_fields_in_a_batch_of_two_sample_counts_equal_fields_alone(fix_sig, monk
     # u_2 and u_8 (257 and 269 wide) on 2048: each keeps the count it has alone
     counts, sampled = [], S._sampled
     monkeypatch.setattr(S, "_sampled", lambda rows, m: counts.append(m) or sampled(rows, m))
-    batch = flow_fields(fix_sig, H_BASIC, (0, 2, 8), pad=110)
+    batch = flow_fields(fix_sig, flows._mixed_partial_along(fix_sig, H_BASIC), (0, 2, 8), 110)
     assert {ff.u_series.width for ff in batch.values()} == {253, 257, 269}
     assert set(counts) == {1024, 2048}
     for n, ff in batch.items():
@@ -485,7 +503,7 @@ def test_batched_fields_match_one_horner_division_per_direction(fix_rand, eval_a
     e12 = flows._mixed_partial_along(pair, H_BASIC)
     den = S.mul(S.mul(pair.g_prime(), pair.f_prime()), e12)
     pts = np.exp(2j * np.pi * np.arange(1024) / 1024)
-    batch = flow_fields(pair, H_BASIC, range(-4, 5))
+    batch = flow_fields(pair, e12, range(-4, 5))
     for n, ff in batch.items():
         num = S.monomial(-1, -1.0) if n == 0 else S.scale(S.derivative(faber(pair, n)), -1.0)
         spec = np.fft.fft(eval_at_points(num, pts) / eval_at_points(den, pts)) / 1024

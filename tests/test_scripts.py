@@ -237,3 +237,23 @@ def test_chain_probe_counts_the_rows_each_command_builds_and_grows():
     listed = S.monomial(1, 2.0, S.AT_ZERO)  # a store as a list of (row, scale) items
     vars(listed)[("powers", -1)] = [(np.zeros(3), 0.5), (np.zeros(5), 0.25)]
     assert probe.row_sizes(listed, -1) == [3, 5] and probe.row_sizes(listed, 1) == []
+
+
+def test_chain_probe_raises_an_error_of_its_own_hook(monkeypatch):
+    """The battery records an error raised inside a check, so the probe
+    keeps the first error of its own bookkeeping and raises it after the
+    run, with every wrapped name put back, instead of reporting zeros."""
+    probe = _chain_probe()
+    from dtoda import cli
+    from dtoda import series as S
+
+    def broken(a, s):
+        raise KeyError("no store")
+
+    monkeypatch.setattr(probe, "row_sizes", broken)
+    chain, checks, results = S._chain, dict(cli.CHECKS), []
+    config = cli.load_config(str(ROOT / "configs" / "fixture_identity.json"))
+    with pytest.raises(KeyError, match="no store"):
+        probe.probe(lambda: results.extend(cli.run_checks(config, ["grunsky_symmetry"])), cli)
+    assert results[0]["error"] == "KeyError: 'no store'"
+    assert S._chain is chain and cli.CHECKS == checks
